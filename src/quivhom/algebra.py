@@ -11,8 +11,7 @@ algebras used for endomorphism rings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from dataclasses import dataclass
 
 from .bounds import Dim, dim_max
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     QuivhomError,
     RelationNotParallel,
 )
-from .exactlin import Field, Mat, kernel_basis, rank, rref, solve_matrix
+from .exactlin import Field, Mat, _commuting_rows, _kernel_blocks, kernel_basis, rank, rref, solve_matrix
 from .quiver import Path, Quiver, arrow_path, concat, make_quiver, trivial_path
 
 
@@ -375,48 +374,15 @@ def hom_basis(m: AlgMod, n: AlgMod):
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules over different algebras")
     a = m.algebra
-    f = a.field
     verts = a.quiver.vertices
-    offs = {}
-    total = 0
-    for v in verts:
-        offs[v] = total
-        total += n.dims[v] * m.dims[v]
-    rows = []
-    for arr in a.quiver.arrows:
-        u, w = arr.source, arr.target
-        ma, na = m.mats[arr.name], n.mats[arr.name]
-        for i in range(n.dims[w]):
-            for j in range(m.dims[u]):
-                row = [f.zero()] * total
-                # (phi_w . m_a)[i,j]
-                for k in range(m.dims[w]):
-                    c = ma.at(k, j)
-                    if c != f.zero():
-                        row[offs[w] + i * m.dims[w] + k] = f.add(row[offs[w] + i * m.dims[w] + k], c)
-                # -(n_a . phi_u)[i,j]
-                for l in range(n.dims[u]):
-                    c = na.at(i, l)
-                    if c != f.zero():
-                        idx = offs[u] + l * m.dims[u] + j
-                        row[idx] = f.sub(row[idx], c)
-                if any(x != f.zero() for x in row):
-                    rows.append(row)
-    if total == 0:
-        return []
-    if rows:
-        ker = kernel_basis(Mat.from_rows(f, rows))
-    else:
-        ker = [Mat.column(f, [1 if i == j else 0 for i in range(total)]) for j in range(total)]
-    out = []
-    for kvec in ker:
-        flat = kvec.column_vector()
-        mats = {}
-        for v in verts:
-            ent = flat[offs[v]:offs[v] + n.dims[v] * m.dims[v]]
-            mats[v] = Mat(f, n.dims[v], m.dims[v], tuple(ent))
-        out.append(ModMap(m, n, mats))
-    return out
+    index = {v: i for i, v in enumerate(verts)}
+    shapes = [(n.dims[v], m.dims[v]) for v in verts]
+    # phi_w . m_a = n_a . phi_u for every arrow a: u -> w
+    rows = _commuting_rows(a.field, shapes, [
+        (index[arr.target], m.mats[arr.name], index[arr.source], n.mats[arr.name])
+        for arr in a.quiver.arrows])
+    return [ModMap(m, n, dict(zip(verts, blocks)))
+            for blocks in _kernel_blocks(a.field, rows, shapes)]
 
 
 def hom_dim(m: AlgMod, n: AlgMod) -> int:
@@ -611,10 +577,6 @@ def projective_cover(m: AlgMod):
         mats[v] = Mat.hstack(f, cols) if cols else Mat.zeros(f, m.dims[v], 0)
     pi = ModMap(total, m, mats)
     return total, pi
-
-
-def is_surjective(f: ModMap) -> bool:
-    return all(rank(f.mats[v]) == f.target.dims[v] for v in f.mats)
 
 
 def cover_is_minimal(p: AlgMod, pi: ModMap) -> bool:

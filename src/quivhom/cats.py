@@ -5,7 +5,9 @@ Objects in every category split into vector-space components indexed by keys
 key-preserving block matrices subject to structural equations.  The witness
 calculus works generically over this interface: per-key rank checks decide
 exactness, and raw (non-structural) block maps are allowed where certificates
-only need linear identities.
+only need linear identities.  The same adapters serve ``endo``, which builds
+End algebras and Hom modules from ``hom_basis``, ``compose`` and
+``flatten_map``.
 """
 
 from __future__ import annotations

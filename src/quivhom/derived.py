@@ -14,8 +14,7 @@ adjoints) and for complexes of triples (via the triangular-ring triangle).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import algebra as alg
@@ -719,12 +718,9 @@ def rep_standard_triangle(x: Complex) -> ComplexSES:
             raise QuivhomError(f"presentation not exact in degree {i}")
     b_objs = {i: pres[i].vertices_term for i in x.degrees()}
     a_objs = {i: pres[i].arrows_term for i in x.degrees()}
-    vord = list(q.vertices)
     b_diffs, a_diffs = {}, {}
     for i in range(x.lo, x.hi):
         d = x.diffs[i]
-        src_b, dst_b = b_objs[i], b_objs[i + 1]
-        bsum_src, bin_src, bpr_src = rc.rep_direct_sum(q, a, _vertex_pieces(q, x.objs[i]))
         # rebuild functorial differentials via the adjoint pieces
         b_diffs[i] = _functorial_sum_map(q, a, x.objs[i], x.objs[i + 1], d, side="vertices")
         a_diffs[i] = _functorial_sum_map(q, a, x.objs[i], x.objs[i + 1], d, side="arrows")
@@ -973,8 +969,7 @@ def k2_functor(spec) -> CFunctor:
         src, dst = on_obj(f.source), on_obj(f.target)
         return tm.TripleMap(src, dst, Mat.zeros(spec.r.field, 0, 0), f.mat)
 
-    return CFunctor("k^2_lambda", sc_cat(spec.r.__class__ and spec.s) if False else sc_cat(spec.s),
-                    triple_cat(spec), on_obj, on_map)
+    return CFunctor("k^2_lambda", sc_cat(spec.s), triple_cat(spec), on_obj, on_map)
 
 
 def pushforward_witness(w, functor: CFunctor, old_generators, new_generators,

@@ -1,7 +1,8 @@
 """Endomorphism algebras of explicit module lists, as structure-constant algebras.
 
-The summands may be base-algebra modules or quiver representations; a small
-category adapter hides the difference.  Products compose in the usual order
+The summands may be base-algebra modules or quiver representations; the
+category adapter :class:`cats.Cat` (``cats.mod_cat`` / ``cats.rep_cat``)
+hides the difference.  Products compose in the usual order
 (f * g = f o g), so Hom(U, W) is a left End(W)-module by post-composition.
 The explicit isomorphism End(sum_v e^v_lambda(A)) = (End A)Q is constructed
 from the adjunction: the morphism attached to a path p: w ~> v and an
@@ -16,60 +17,18 @@ from . import algebra as alg
 from . import repcat as rc
 from .algebra import SCAlgebra
 from .bounds import Dim
-from .errors import CompositionInconsistent, IsoCheckFailed, NotGenCogen, QuivhomError
+from .cats import Cat, mod_cat
+from .errors import CompositionInconsistent, IsoCheckFailed, QuivhomError
 from .exactlin import Mat, rank, solve_matrix
 from .quiver import Quiver, concat, is_type_An, paths_between, sinks, trivial_path
 from .scmodule import ColumnData, SCModule, gldim_sc, pd_sc, projective_cover_sc, _solve_section
 
 
 @dataclass
-class Category:
-    """Uniform access to a module-like category."""
-
-    field: object
-    hom_basis: object
-    compose: object
-    identity: object
-    zero_map: object
-    add: object
-    scale: object
-    flatten: object
-    is_zero_obj: object
-
-
-def module_category(a) -> Category:
-    return Category(
-        field=a.field,
-        hom_basis=alg.hom_basis,
-        compose=lambda f, g: f.compose(g),
-        identity=alg.identity_map,
-        zero_map=alg.zero_map,
-        add=lambda f, g: f.add(g),
-        scale=lambda f, c: f.scale(c),
-        flatten=lambda f: f.flatten(),
-        is_zero_obj=lambda m: m.is_zero(),
-    )
-
-
-def rep_category(q, a) -> Category:
-    return Category(
-        field=a.field,
-        hom_basis=rc.rep_hom_basis,
-        compose=lambda f, g: f.compose(g),
-        identity=rc.identity_repmap,
-        zero_map=rc.zero_repmap,
-        add=lambda f, g: f.add(g),
-        scale=lambda f, c: f.scale(c),
-        flatten=lambda f: f.flatten(),
-        is_zero_obj=lambda m: m.is_zero(),
-    )
-
-
-@dataclass
 class EndAlgebra:
     sc: SCAlgebra
     summands: list
-    cat: Category
+    cat: Cat
     blocks: dict      # (src, dst) -> (offset, [basis maps])
     labels: list
 
@@ -78,68 +37,60 @@ class EndAlgebra:
         return self.sc.dim
 
 
-def end_algebra(summands, cat: Category, check: bool = True) -> EndAlgebra:
+def _hom_blocks(sources, targets, cat: Cat):
+    """Lay out the blocks Hom(sources[i], targets[j]) one after another.
+
+    Returns (blocks, dim, express): ``blocks`` maps (i, j) to (offset, basis)
+    in offset order, and ``express(i, j, h)`` gives the coordinates of a map
+    h in block (i, j) as a vector of length dim.  Coordinates are unique
+    because every hom basis is linearly independent.
+    """
+    f = cat.field
+    blocks, dim = {}, 0
+    for i, s in enumerate(sources):
+        for j, t in enumerate(targets):
+            basis = cat.hom_basis(s, t)
+            blocks[(i, j)] = (dim, basis)
+            dim += len(basis)
+    stacked = {key: Mat.hstack(f, [Mat.column(f, cat.flatten_map(b)) for b in basis])
+               for key, (_, basis) in blocks.items() if basis}
+
+    def express(i, j, h):
+        vec = [f.zero()] * dim
+        flat = Mat.column(f, cat.flatten_map(h))
+        if flat.is_zero():
+            return vec
+        off, basis = blocks[(i, j)]
+        x = solve_matrix(stacked[(i, j)], flat) if basis else None
+        if x is None:
+            raise CompositionInconsistent(f"composite escapes hom block {(i, j)}")
+        vec[off:off + len(basis)] = x.entries
+        return vec
+
+    return blocks, dim, express
+
+
+def end_algebra(summands, cat: Cat, check: bool = True) -> EndAlgebra:
     """End(sum of summands) with structure constants from exact re-expression."""
     summands = list(summands)
-    n = len(summands)
     f = cat.field
-    blocks = {}
-    labels = []
-    offset = 0
-    for i in range(n):
-        for j in range(n):
-            basis = cat.hom_basis(summands[i], summands[j])
-            blocks[(i, j)] = (offset, basis)
-            for t in range(len(basis)):
-                labels.append((i, j, t))
-            offset += len(basis)
-    dim = offset
-    # stacked flats per block for exact re-expression
-    stacked = {}
-    for (i, j), (off, basis) in blocks.items():
-        if basis:
-            stacked[(i, j)] = Mat.hstack(f, [Mat.column(f, cat.flatten(b)) for b in basis])
+    blocks, dim, express = _hom_blocks(summands, summands, cat)
+    labels = [(i, j, t) for (i, j), (_, basis) in blocks.items() for t in range(len(basis))]
     zero_vec = tuple(f.zero() for _ in range(dim))
     mult = [[zero_vec for _ in range(dim)] for _ in range(dim)]
     for (c, d), (off_g, basis_g) in blocks.items():
         for (a, b), (off_f, basis_f) in blocks.items():
             if d != a:
                 continue
-            target = blocks[(c, b)]
             for gi, g in enumerate(basis_g):
                 for fi, fmap in enumerate(basis_f):
-                    comp = cat.compose(fmap, g)
-                    flat = Mat.column(f, cat.flatten(comp))
-                    vec = [f.zero()] * dim
-                    if flat.is_zero():
-                        pass
-                    elif target[1]:
-                        x = solve_matrix(stacked[(c, b)], flat)
-                        if x is None:
-                            raise CompositionInconsistent("composite escapes its hom block")
-                        for t, cval in enumerate(x.column_vector()):
-                            vec[target[0] + t] = cval
-                    else:
-                        raise CompositionInconsistent("nonzero composite in a zero hom block")
-                    mult[off_f + fi][off_g + gi] = tuple(vec)
+                    mult[off_f + fi][off_g + gi] = tuple(express(c, b, cat.compose(fmap, g)))
+    idems = [express(i, i, cat.identity(s)) for i, s in enumerate(summands)]
     unit = [f.zero()] * dim
-    idems = []
-    for i in range(n):
-        off, basis = blocks[(i, i)]
-        ident = cat.identity(summands[i])
-        flat = Mat.column(f, cat.flatten(ident))
-        e_vec = [f.zero()] * dim
-        if basis:
-            x = solve_matrix(stacked[(i, i)], flat)
-            if x is None:
-                raise CompositionInconsistent("identity not in its own hom block")
-            for t, cval in enumerate(x.column_vector()):
-                e_vec[off + t] = cval
-                unit[off + t] = f.add(unit[off + t], cval)
-        elif not flat.is_zero():
-            raise CompositionInconsistent("identity of a nonzero summand has empty hom block")
-        idems.append(tuple(e_vec))
-    sc = SCAlgebra(f, mult, tuple(unit), idempotents=idems, labels=labels, check=check)
+    for e in idems:
+        unit = [f.add(u, x) for u, x in zip(unit, e)]
+    sc = SCAlgebra(f, mult, tuple(unit), idempotents=[tuple(e) for e in idems],
+                   labels=labels, check=check)
     return EndAlgebra(sc, summands, cat, blocks, labels)
 
 
@@ -148,111 +99,44 @@ def sc_gldim(e, cap: int = 20) -> Dim:
     return gldim_sc(sc, cap)
 
 
-def hom_as_end_module(from_summands, to_summands, cat: Category,
+def _actions(end: EndAlgebra, blocks, express, cat: Cat, post: bool):
+    """One matrix per basis element gamma of End, acting on the hom blocks
+    by post-composition (gamma o h) or pre-composition (h o gamma)."""
+    f = cat.field
+    basis = [(i, j, h) for (i, j), (_, hs) in blocks.items() for h in hs]
+    dim = len(basis)
+    zero = [f.zero()] * dim
+    out = []
+    for src, dst, idx in end.labels:
+        gamma = end.blocks[(src, dst)][1][idx]
+        if post:
+            cols = [express(i, dst, cat.compose(gamma, h)) if j == src else zero
+                    for i, j, h in basis]
+        else:
+            cols = [express(src, j, cat.compose(h, gamma)) if i == dst else zero
+                    for i, j, h in basis]
+        out.append(Mat(f, dim, dim, tuple(col[r] for r in range(dim) for col in cols)))
+    return out
+
+
+def hom_as_end_module(from_summands, to_summands, cat: Cat,
                       end_alg: EndAlgebra = None) -> SCModule:
     """Hom(sum from, sum to) as a left End(to)-module via post-composition."""
     if end_alg is None:
         end_alg = end_algebra(to_summands, cat)
-    f = cat.field
-    from_summands = list(from_summands)
-    to_summands = list(to_summands)
-    hblocks = {}
-    offset = 0
-    for i in range(len(from_summands)):
-        for j in range(len(to_summands)):
-            basis = cat.hom_basis(from_summands[i], to_summands[j])
-            hblocks[(i, j)] = (offset, basis)
-            offset += len(basis)
-    dim = offset
-    stacked = {}
-    for (i, j), (off, basis) in hblocks.items():
-        if basis:
-            stacked[(i, j)] = Mat.hstack(f, [Mat.column(f, cat.flatten(b)) for b in basis])
-    action = []
-    for t in range(end_alg.dim):
-        a_src, a_dst, a_idx = end_alg.labels[t]
-        gamma = end_alg.blocks[(a_src, a_dst)][1][a_idx]
-        cols = []
-        for (i, j), (off, basis) in sorted(hblocks.items(), key=lambda kv: kv[1][0]):
-            for h in basis:
-                vec = [f.zero()] * dim
-                if j == a_src:
-                    comp = cat.compose(gamma, h)
-                    flat = Mat.column(f, cat.flatten(comp))
-                    toff, tbasis = hblocks[(i, a_dst)]
-                    if not flat.is_zero():
-                        if not tbasis:
-                            raise CompositionInconsistent("post-composite escapes hom blocks")
-                        x = solve_matrix(stacked[(i, a_dst)], flat)
-                        if x is None:
-                            raise CompositionInconsistent("post-composite escapes hom blocks")
-                        for s, cval in enumerate(x.column_vector()):
-                            vec[toff + s] = cval
-                cols.append(Mat.column(f, vec))
-        action.append(Mat.hstack(f, cols) if cols else Mat.zeros(f, 0, 0))
-    return SCModule(end_alg.sc, dim, action)
+    blocks, dim, express = _hom_blocks(list(from_summands), list(to_summands), cat)
+    return SCModule(end_alg.sc, dim, _actions(end_alg, blocks, express, cat, post=True))
 
 
-def hom_bimodule(from_end: EndAlgebra, to_end: EndAlgebra, cat: Category):
+def hom_bimodule(from_end: EndAlgebra, to_end: EndAlgebra, cat: Cat):
     """Hom(sum from, sum to) as an End(to)-End(from)-bimodule (post/pre-composition).
 
     Returns (dim, left action matrices, right action matrices), indexed by the
     same hom-block basis as :func:`hom_as_end_module`.
     """
-    f = cat.field
-    from_summands = list(from_end.summands)
-    to_summands = list(to_end.summands)
-    hblocks = {}
-    offset = 0
-    for i in range(len(from_summands)):
-        for j in range(len(to_summands)):
-            basis = cat.hom_basis(from_summands[i], to_summands[j])
-            hblocks[(i, j)] = (offset, basis)
-            offset += len(basis)
-    dim = offset
-    stacked = {}
-    for (i, j), (off, basis) in hblocks.items():
-        if basis:
-            stacked[(i, j)] = Mat.hstack(f, [Mat.column(f, cat.flatten(b)) for b in basis])
-
-    def express(i, j, comp):
-        flat = Mat.column(f, cat.flatten(comp))
-        vec = [f.zero()] * dim
-        if flat.is_zero():
-            return vec
-        toff, tbasis = hblocks[(i, j)]
-        x = solve_matrix(stacked[(i, j)], flat) if tbasis else None
-        if x is None:
-            raise CompositionInconsistent("composite escapes hom blocks")
-        for s, cval in enumerate(x.column_vector()):
-            vec[toff + s] = cval
-        return vec
-
-    ordered = sorted(hblocks.items(), key=lambda kv: kv[1][0])
-    left = []
-    for t in range(to_end.dim):
-        a_src, a_dst, a_idx = to_end.labels[t]
-        gamma = to_end.blocks[(a_src, a_dst)][1][a_idx]
-        cols = []
-        for (i, j), (off, basis) in ordered:
-            for h in basis:
-                if j == a_src:
-                    cols.append(Mat.column(f, express(i, a_dst, cat.compose(gamma, h))))
-                else:
-                    cols.append(Mat.column(f, [f.zero()] * dim))
-        left.append(Mat.hstack(f, cols) if cols else Mat.zeros(f, 0, 0))
-    right = []
-    for t in range(from_end.dim):
-        a_src, a_dst, a_idx = from_end.labels[t]
-        gamma = from_end.blocks[(a_src, a_dst)][1][a_idx]
-        cols = []
-        for (i, j), (off, basis) in ordered:
-            for h in basis:
-                if i == a_dst:
-                    cols.append(Mat.column(f, express(a_src, j, cat.compose(h, gamma))))
-                else:
-                    cols.append(Mat.column(f, [f.zero()] * dim))
-        right.append(Mat.hstack(f, cols) if cols else Mat.zeros(f, 0, 0))
+    blocks, dim, express = _hom_blocks(from_end.summands, to_end.summands, cat)
+    left = _actions(to_end, blocks, express, cat, post=True)
+    right = _actions(from_end, blocks, express, cat, post=False)
     return dim, left, right
 
 
@@ -269,7 +153,7 @@ def pd_endmodule(n: SCModule, cap: int = 20, coldata: ColumnData = None) -> Dim:
     return pd_sc(n, cap, coldata if coldata is not None else ColumnData(n.sc))
 
 
-def validate_summands(summands, cat: Category):
+def validate_summands(summands, cat: Cat):
     """Nonzero check always; local-endomorphism check over the rationals."""
     for i, s in enumerate(summands):
         if cat.is_zero_obj(s):
@@ -347,7 +231,7 @@ def adjoint_end_iso(q: Quiver, a, summands, side: str = "lambda",
     ambient quiver.  (Used with the non-sink vertices, where ambient paths
     between kept vertices never leave the subset.)
     """
-    cat = module_category(a)
+    cat = mod_cat(a)
     gamma_alg = end_algebra(summands, cat)
     total, _, _ = alg.direct_sum_mods(a, summands)
     if vertices is None:

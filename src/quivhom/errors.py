@@ -71,15 +71,3 @@ class CertificateBrokenByFunctor(QuivhomError):
 
 class TensorNotExactOnCertificates(QuivhomError):
     pass
-
-
-class ParseError(QuivhomError):
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
-class UnresolvedReference(QuivhomError):
-    pass

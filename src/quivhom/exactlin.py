@@ -419,19 +419,6 @@ def inverse(m: Mat) -> Optional[Mat]:
     return x
 
 
-def column_space_contains(a: Mat, b: Mat) -> bool:
-    return solve_matrix(a, b) is not None
-
-
-def row_space_basis(m: Mat):
-    """Nonzero rows of the rref, as a matrix (possibly 0 rows)."""
-    r, rk, _ = rref(m)
-    rows = r.row_list()[:rk]
-    if not rows:
-        return Mat.zeros(m.field, 0, m.cols)
-    return Mat.from_rows(m.field, rows)
-
-
 def span_dim(field: Field, vectors, length: int) -> int:
     """Rank of the span of flat vectors (each of the given length)."""
     vecs = [list(v) for v in vectors]
@@ -440,11 +427,57 @@ def span_dim(field: Field, vectors, length: int) -> int:
     return rank(Mat.from_rows(field, vecs))
 
 
-def in_span(field: Field, vectors, target, length: int) -> bool:
-    """Is target in the span of vectors?  All given as flat lists."""
-    if all(x == field.zero() for x in target):
-        return True
-    if not vectors:
-        return False
-    a = Mat.from_rows(field, vectors).transpose()
-    return solve(a, Mat.column(field, list(target))) is not None
+def _commuting_rows(field: Field, shapes, constraints):
+    """Rows of the linear system phi_p . a - b . phi_q = 0 in flat unknowns.
+
+    The unknowns are the blocks of ``shapes`` (rows, cols), laid out one after
+    another, each in row-major order.  Each constraint ``(p, a, q, b)`` ties
+    block p (b.rows x a.rows) to block q (b.cols x a.cols) and gives one row
+    per entry of the product, in row-major order.  All-zero rows are dropped.
+    """
+    offs, total = [], 0
+    for r, c in shapes:
+        offs.append(total)
+        total += r * c
+    zero = field.zero()
+    rows = []
+    for p, a, q, b in constraints:
+        off_p, off_q = offs[p], offs[q]
+        ar, ac, bc = a.rows, a.cols, b.cols
+        for i in range(b.rows):
+            for j in range(ac):
+                row = [zero] * total
+                for k in range(ar):
+                    c = a.entries[k * ac + j]
+                    if c != zero:
+                        idx = off_p + i * ar + k
+                        row[idx] = field.add(row[idx], c)
+                for l in range(bc):
+                    c = b.entries[i * bc + l]
+                    if c != zero:
+                        idx = off_q + l * ac + j
+                        row[idx] = field.sub(row[idx], c)
+                if any(x != zero for x in row):
+                    rows.append(row)
+    return rows
+
+
+def _kernel_blocks(field: Field, rows, shapes):
+    """Null space of ``rows``, each basis vector cut into the blocks of ``shapes``.
+
+    No rows means no constraint, so the basis is then the standard one.
+    """
+    total = sum(r * c for r, c in shapes)
+    if rows:
+        vecs = [k.entries for k in kernel_basis(Mat.from_rows(field, rows))]
+    else:
+        zero, one = field.zero(), field.one()
+        vecs = [[one if i == j else zero for i in range(total)] for j in range(total)]
+    out = []
+    for v in vecs:
+        blocks, at = [], 0
+        for r, c in shapes:
+            blocks.append(Mat(field, r, c, tuple(v[at:at + r * c])))
+            at += r * c
+        out.append(blocks)
+    return out

@@ -180,15 +180,6 @@ def paths_between(q: Quiver, v: str, w: str):
     return out
 
 
-def all_paths(q: Quiver):
-    """Every path of the acyclic quiver, grouped flat, deterministic order."""
-    out = []
-    for v in q.vertices:
-        for w in q.vertices:
-            out.extend(paths_between(q, v, w))
-    return out
-
-
 def sinks(q: Quiver):
     return [v for v in q.vertices if not q.arrows_from(v)]
 

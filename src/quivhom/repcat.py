@@ -15,13 +15,13 @@ rad(X)_v = rad(X_v) + sum of incoming arrow images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import algebra as alg
 from .algebra import AlgMod, BQA, ModMap
 from .bounds import Dim, dim_max
-from .errors import AlgebraMismatch, DimensionMismatch, QuivhomError, UnknownVertex
-from .exactlin import Mat, kernel_basis, rank, solve_matrix
+from .errors import AlgebraMismatch, QuivhomError, UnknownVertex
+from .exactlin import Mat, _commuting_rows, _kernel_blocks, rank, solve_matrix
 from .quiver import Path, Quiver, arrow_path, concat, paths_between, trivial_path
 
 
@@ -157,13 +157,6 @@ def evaluate(x: Rep, v: str) -> AlgMod:
     return x.mods[v]
 
 
-def evaluate_map(f: RepMap, v: str) -> ModMap:
-    v = str(v)
-    if v not in f.source.quiver.vertices:
-        raise UnknownVertex(f"unknown vertex {v}")
-    return f.mats[v]
-
-
 def left_adjoint(q: Quiver, v: str, m: AlgMod) -> Rep:
     """e^v_lambda(M): vertex w carries one copy of M per path v ~> w."""
     v = str(v)
@@ -278,75 +271,23 @@ def rep_hom_basis(x: Rep, y: Rep):
     if x.algebra is not y.algebra:
         raise AlgebraMismatch("representations over different base algebras")
     a = x.algebra
-    f = a.field
     qverts = x.quiver.vertices
     bverts = a.quiver.vertices
-    offs = {}
-    total = 0
-    for v in qverts:
-        for u in bverts:
-            offs[(v, u)] = total
-            total += y.mods[v].dims[u] * x.mods[v].dims[u]
-    if total == 0:
-        return []
-    rows = []
+    keys = [(v, u) for v in qverts for u in bverts]
+    index = {k: i for i, k in enumerate(keys)}
+    shapes = [(y.mods[v].dims[u], x.mods[v].dims[u]) for v, u in keys]
     # base-algebra linearity inside each vertex
-    for v in qverts:
-        xm, ym = x.mods[v], y.mods[v]
-        for arr in a.quiver.arrows:
-            u, w = arr.source, arr.target
-            for i in range(ym.dims[w]):
-                for j in range(xm.dims[u]):
-                    row = [f.zero()] * total
-                    for k in range(xm.dims[w]):
-                        c = xm.mats[arr.name].at(k, j)
-                        if c != f.zero():
-                            idx = offs[(v, w)] + i * xm.dims[w] + k
-                            row[idx] = f.add(row[idx], c)
-                    for l in range(ym.dims[u]):
-                        c = ym.mats[arr.name].at(i, l)
-                        if c != f.zero():
-                            idx = offs[(v, u)] + l * xm.dims[u] + j
-                            row[idx] = f.sub(row[idx], c)
-                    if any(z != f.zero() for z in row):
-                        rows.append(row)
+    constraints = [(index[(v, arr.target)], x.mods[v].mats[arr.name],
+                    index[(v, arr.source)], y.mods[v].mats[arr.name])
+                   for v in qverts for arr in a.quiver.arrows]
     # naturality across quiver arrows, per base vertex
-    for arr in x.quiver.arrows:
-        vs, vt = arr.source, arr.target
-        xa, ya = x.maps[arr.name], y.maps[arr.name]
-        for u in bverts:
-            xs_dim = x.mods[vs].dims[u]
-            xt_dim = x.mods[vt].dims[u]
-            ys_dim = y.mods[vs].dims[u]
-            yt_dim = y.mods[vt].dims[u]
-            for i in range(yt_dim):
-                for j in range(xs_dim):
-                    row = [f.zero()] * total
-                    for k in range(xt_dim):
-                        c = xa.mats[u].at(k, j)
-                        if c != f.zero():
-                            idx = offs[(vt, u)] + i * xt_dim + k
-                            row[idx] = f.add(row[idx], c)
-                    for l in range(ys_dim):
-                        c = ya.mats[u].at(i, l)
-                        if c != f.zero():
-                            idx = offs[(vs, u)] + l * xs_dim + j
-                            row[idx] = f.sub(row[idx], c)
-                    if any(z != f.zero() for z in row):
-                        rows.append(row)
-    kers = kernel_basis(Mat.from_rows(f, rows)) if rows else \
-        [Mat.column(f, [1 if i == j else 0 for i in range(total)]) for j in range(total)]
+    constraints += [(index[(arr.target, u)], x.maps[arr.name].mats[u],
+                     index[(arr.source, u)], y.maps[arr.name].mats[u])
+                    for arr in x.quiver.arrows for u in bverts]
     out = []
-    for kv in kers:
-        flat = kv.column_vector()
-        mats = {}
-        for v in qverts:
-            mm = {}
-            for u in bverts:
-                nd, md = y.mods[v].dims[u], x.mods[v].dims[u]
-                ent = flat[offs[(v, u)]:offs[(v, u)] + nd * md]
-                mm[u] = Mat(f, nd, md, tuple(ent))
-            mats[v] = ModMap(x.mods[v], y.mods[v], mm)
+    for blocks in _kernel_blocks(a.field, _commuting_rows(a.field, shapes, constraints), shapes):
+        mats = {v: ModMap(x.mods[v], y.mods[v],
+                          {u: blocks[index[(v, u)]] for u in bverts}) for v in qverts}
         out.append(RepMap(x, y, mats))
     return out
 
@@ -514,15 +455,6 @@ def rep_kernel(f_map: RepMap):
     k = Rep(q, a, kmods, maps)
     incl = RepMap(k, f_map.source, incls)
     return k, incl
-
-
-def rep_is_surjective(f_map: RepMap) -> bool:
-    for v in f_map.source.quiver.vertices:
-        for u in f_map.source.algebra.quiver.vertices:
-            m = f_map.mats[v].mats[u]
-            if rank(m) != m.rows:
-                return False
-    return True
 
 
 def rep_is_projective(x: Rep) -> bool:

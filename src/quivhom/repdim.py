@@ -14,10 +14,10 @@ rep.dim of the path algebra <= gl.dim End(A) + 5.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import algebra as alg
+from . import cats
 from . import endo
 from . import repcat as rc
 from . import trimat as tm
@@ -43,9 +43,6 @@ class XBar:
 
     def all_summands(self):
         return self.x1 + self.x2 + self.x3
-
-    def all_labels(self):
-        return self.labels1 + self.labels2 + self.labels3
 
 
 def module_in_add(target, summands) -> bool:
@@ -85,7 +82,7 @@ def check_gen_cogen_base(a, summands):
 
 def build_xbar(q: Quiver, a, summands, validate: bool = True) -> XBar:
     summands = list(summands)
-    cat = endo.module_category(a)
+    cat = cats.mod_cat(a)
     if validate:
         endo.validate_summands(summands, cat)
         missing = check_gen_cogen_base(a, summands)
@@ -136,7 +133,7 @@ def verify_proof_steps(xbar: XBar, base_summands, n: Dim, cap: int = 20):
     """The staged checks behind the +5 bound, each reported PASS/FAIL."""
     steps = []
     q, a = xbar.quiver, xbar.algebra
-    rcat = endo.rep_category(q, a)
+    rcat = cats.rep_cat(q, a)
 
     lam2 = [x for x, l in zip(xbar.x2, xbar.labels2) if l[0] == "lambda"]
     rho2 = [x for x, l in zip(xbar.x2, xbar.labels2) if l[0] == "rho"]
@@ -242,7 +239,7 @@ def gldim_end_xbar(xbar: XBar, cap: int = 20, order=None, duplicate=None) -> Dim
         summands = [summands[i] for i in order]
     if duplicate is not None:
         summands = summands + [summands[duplicate]]
-    rcat = endo.rep_category(xbar.quiver, xbar.algebra)
+    rcat = cats.rep_cat(xbar.quiver, xbar.algebra)
     e = endo.end_algebra(summands, rcat)
     return endo.sc_gldim(e, cap)
 
@@ -250,7 +247,7 @@ def gldim_end_xbar(xbar: XBar, cap: int = 20, order=None, duplicate=None) -> Dim
 def repdim_bound_report(q: Quiver, a, summands, cap: int = 20,
                         n_supplied=None) -> PipelineReport:
     xbar = build_xbar(q, a, summands)
-    cat = endo.module_category(a)
+    cat = cats.mod_cat(a)
     gamma = endo.end_algebra(summands, cat)
     n = endo.sc_gldim(gamma, cap)
     steps = verify_proof_steps(xbar, summands, n, cap)
@@ -292,7 +289,7 @@ def d4_orientation_projectivity_sweep(field=None) -> OrientationSweep:
     entries = []
     for bits, q in d4_orientations():
         xbar = build_xbar(q, a, [m], validate=False)
-        rcat = endo.rep_category(q, a)
+        rcat = cats.rep_cat(q, a)
         end_x2 = endo.end_algebra(xbar.x2, rcat)
         n12 = endo.hom_as_end_module(xbar.x1, xbar.x2, rcat, end_x2)
         proj = endo.is_projective_endmodule(n12)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algebra import SCAlgebra, column_space, complement_projection, radical_sc, row_space
 from .bounds import Dim, dim_max
 from .errors import CompositionInconsistent, DimensionMismatch, NotSplit, QuivhomError
-from .exactlin import Mat, kernel_basis, rank, solve_matrix
+from .exactlin import Mat, _commuting_rows, _kernel_blocks, kernel_basis, rank, solve_matrix
 
 
 @dataclass
@@ -134,35 +134,10 @@ def direct_sum_sc(sc: SCAlgebra, mods):
 
 def hom_basis_sc(m: SCModule, n: SCModule):
     """Basis of module maps m -> n (matrices commuting with every action)."""
-    sc = m.sc
-    f = sc.field
-    total = n.dim * m.dim
-    if total == 0:
-        return []
-    rows = []
-    for i in range(sc.dim):
-        ma, na = m.action[i], n.action[i]
-        for r in range(n.dim):
-            for c in range(m.dim):
-                row = [f.zero()] * total
-                for k in range(m.dim):
-                    coef = ma.at(k, c)
-                    if coef != f.zero():
-                        row[r * m.dim + k] = f.add(row[r * m.dim + k], coef)
-                for l in range(n.dim):
-                    coef = na.at(r, l)
-                    if coef != f.zero():
-                        idx = l * m.dim + c
-                        row[idx] = f.sub(row[idx], coef)
-                if any(x != f.zero() for x in row):
-                    rows.append(row)
-    kers = kernel_basis(Mat.from_rows(f, rows)) if rows else \
-        [Mat.column(f, [1 if i == j else 0 for i in range(total)]) for j in range(total)]
-    out = []
-    for k in kers:
-        flat = k.column_vector()
-        out.append(SCMap(m, n, Mat(f, n.dim, m.dim, tuple(flat))))
-    return out
+    f = m.sc.field
+    shapes = [(n.dim, m.dim)]
+    rows = _commuting_rows(f, shapes, [(0, ma, 0, na) for ma, na in zip(m.action, n.action)])
+    return [SCMap(m, n, blocks[0]) for blocks in _kernel_blocks(f, rows, shapes)]
 
 
 def radical_of(sc: SCAlgebra):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algebra import SCAlgebra, column_space, complement_projection, sc_of_bqa
 from .bounds import Dim, dim_max
 from .errors import CompositionInconsistent, DimensionMismatch, QuivhomError
-from .exactlin import Mat, kernel_basis, rank, rref, solve_matrix
+from .exactlin import Mat, _commuting_rows, _kernel_blocks, kernel_basis, rank, rref, solve_matrix
 from . import scmodule as scm
 from .scmodule import ColumnData, SCModule, direct_sum_sc, hom_basis_sc
 
@@ -101,14 +101,6 @@ class TriRingSpec:
 
     def m_as_left_s_module(self) -> SCModule:
         return SCModule(self.s, self.m.dim, list(self.m.left))
-
-
-def trimat_from_bqas(r_bqa, s_bqa, dim, left, right, name="") -> TriRingSpec:
-    """Spec with R, S given as bound quiver algebras and explicit action matrices."""
-    r = sc_of_bqa(r_bqa)
-    s = sc_of_bqa(s_bqa)
-    m = Bimodule(s, r, dim, left, right)
-    return TriRingSpec(r, s, m, name=name)
 
 
 def t2_spec(base_bqa, name="T2") -> TriRingSpec:
@@ -329,41 +321,10 @@ def triple_hom_basis(a: TripleModule, b: TripleModule):
     spec = a.spec
     f = spec.r.field
     ux = b.x.dim * a.x.dim
-    wy = b.y.dim * a.y.dim
-    total = ux + wy
-    if total == 0:
-        return []
-    rows = []
-    for c in range(spec.r.dim):
-        sa, ta = a.x.action[c], b.x.action[c]
-        for i in range(b.x.dim):
-            for j in range(a.x.dim):
-                row = [f.zero()] * total
-                for k in range(a.x.dim):
-                    v = sa.at(k, j)
-                    if v != f.zero():
-                        row[i * a.x.dim + k] = f.add(row[i * a.x.dim + k], v)
-                for l in range(b.x.dim):
-                    v = ta.at(i, l)
-                    if v != f.zero():
-                        row[l * a.x.dim + j] = f.sub(row[l * a.x.dim + j], v)
-                if any(z != f.zero() for z in row):
-                    rows.append(row)
-    for c in range(spec.s.dim):
-        sa, ta = a.y.action[c], b.y.action[c]
-        for i in range(b.y.dim):
-            for j in range(a.y.dim):
-                row = [f.zero()] * total
-                for k in range(a.y.dim):
-                    v = sa.at(k, j)
-                    if v != f.zero():
-                        row[ux + i * a.y.dim + k] = f.add(row[ux + i * a.y.dim + k], v)
-                for l in range(b.y.dim):
-                    v = ta.at(i, l)
-                    if v != f.zero():
-                        row[ux + l * a.y.dim + j] = f.sub(row[ux + l * a.y.dim + j], v)
-                if any(z != f.zero() for z in row):
-                    rows.append(row)
+    shapes = [(b.x.dim, a.x.dim), (b.y.dim, a.y.dim)]
+    rows = _commuting_rows(f, shapes, [(0, sa, 0, ta) for sa, ta in zip(a.x.action, b.x.action)]
+                           + [(1, sa, 1, ta) for sa, ta in zip(a.y.action, b.y.action)])
+    total = ux + b.y.dim * a.y.dim
     # compatibility: w . phi_a = phi_b . T(u)
     tu_of = {}
     for k in range(b.x.dim):
@@ -391,15 +352,7 @@ def triple_hom_basis(a: TripleModule, b: TripleModule):
                     row[idx] = f.sub(row[idx], acc)
             if any(z != f.zero() for z in row):
                 rows.append(row)
-    kers = kernel_basis(Mat.from_rows(f, rows)) if rows else \
-        [Mat.column(f, [1 if i == j else 0 for i in range(total)]) for j in range(total)]
-    out = []
-    for kv in kers:
-        flat = kv.column_vector()
-        u = Mat(f, b.x.dim, a.x.dim, tuple(flat[:ux]))
-        w = Mat(f, b.y.dim, a.y.dim, tuple(flat[ux:]))
-        out.append(TripleMap(a, b, u, w))
-    return out
+    return [TripleMap(a, b, u, w) for u, w in _kernel_blocks(f, rows, shapes)]
 
 
 # -- the canonical exact sequence ----------------------------------------------------

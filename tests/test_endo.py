@@ -1,12 +1,13 @@
 import pytest
 
 from quivhom import algebra as alg
+from quivhom import cats
 from quivhom import endo
 from quivhom import quiver as qv
 from quivhom import repcat as rc
 from quivhom.bounds import Dim
 from quivhom.errors import QuivhomError
-from quivhom.exactlin import QQ
+from quivhom.exactlin import QQ, Mat
 
 
 def base_k():
@@ -21,14 +22,14 @@ def dual_numbers():
 
 def test_end_algebra_point():
     k = base_k()
-    e = endo.end_algebra([alg.AlgMod(k, {"1": 1}, {})], endo.module_category(k))
+    e = endo.end_algebra([alg.AlgMod(k, {"1": 1}, {})], cats.mod_cat(k))
     assert e.dim == 1
     assert e.sc.unit == (QQ.one(),)
 
 
 def test_end_algebra_kA2_projectives():
     a = alg.path_algebra(QQ, qv.a_n(2))
-    cat = endo.module_category(a)
+    cat = cats.mod_cat(a)
     p1 = alg.projective_module(a, "1")
     p2 = alg.projective_module(a, "2")
     e = endo.end_algebra([p1, p2], cat)
@@ -39,7 +40,7 @@ def test_end_algebra_kA2_projectives():
 def test_end_algebra_adjoint_summands():
     k = base_k()
     q = qv.a_n(2)
-    cat = endo.rep_category(q, k)
+    cat = cats.rep_cat(q, k)
     s = [rc.left_adjoint(q, "1", alg.AlgMod(k, {"1": 1}, {})),
          rc.left_adjoint(q, "2", alg.AlgMod(k, {"1": 1}, {}))]
     e = endo.end_algebra(s, cat)
@@ -48,7 +49,7 @@ def test_end_algebra_adjoint_summands():
 
 def test_sc_gldim_auslander_of_dual_numbers():
     d = dual_numbers()
-    cat = endo.module_category(d)
+    cat = cats.mod_cat(d)
     simple = alg.simple_module(d, "1")
     reg = alg.projective_module(d, "1")
     e = endo.end_algebra([simple, reg], cat)
@@ -58,12 +59,12 @@ def test_sc_gldim_auslander_of_dual_numbers():
 
 def test_validate_summands():
     k = base_k()
-    cat = endo.module_category(k)
+    cat = cats.mod_cat(k)
     with pytest.raises(QuivhomError):
         endo.validate_summands([alg.zero_module(k)], cat)
     endo.validate_summands([alg.AlgMod(k, {"1": 1}, {})], cat)
     d = dual_numbers()
-    catd = endo.module_category(d)
+    catd = cats.mod_cat(d)
     decomposable, _, _ = alg.direct_sum_mods(d, [alg.simple_module(d, "1")] * 2)
     with pytest.raises(QuivhomError):
         endo.validate_summands([decomposable], catd)
@@ -113,7 +114,7 @@ def test_vanishing_a2_counterexample():
 
 def test_hom_as_end_module_regular():
     a = alg.path_algebra(QQ, qv.a_n(2))
-    cat = endo.module_category(a)
+    cat = cats.mod_cat(a)
     p1, p2 = alg.projective_module(a, "1"), alg.projective_module(a, "2")
     e = endo.end_algebra([p1, p2], cat)
     reg = endo.hom_as_end_module([p1, p2], [p1, p2], cat, e)
@@ -124,7 +125,7 @@ def test_hom_as_end_module_regular():
 
 def test_hom_as_end_module_example():
     a = alg.path_algebra(QQ, qv.a_n(2))
-    cat = endo.module_category(a)
+    cat = cats.mod_cat(a)
     p1, p2 = alg.projective_module(a, "1"), alg.projective_module(a, "2")
     e = endo.end_algebra([p1], cat)
     n = endo.hom_as_end_module([p2], [p1], cat, e)
@@ -135,7 +136,7 @@ def test_is_projective_endmodule_simple_fails():
     from quivhom.scmodule import ColumnData
 
     a = alg.path_algebra(QQ, qv.a_n(2))
-    cat = endo.module_category(a)
+    cat = cats.mod_cat(a)
     p1, p2 = alg.projective_module(a, "1"), alg.projective_module(a, "2")
     e = endo.end_algebra([p1, p2], cat)
     cd = ColumnData(e.sc)
@@ -146,3 +147,21 @@ def test_is_projective_endmodule_simple_fails():
     assert endo.pd_endmodule(s, coldata=cd) == Dim.finite(1)
     # column projectives themselves pass the test
     assert endo.is_projective_endmodule(cd.columns[0][0], cd)
+
+
+def test_hom_bimodule_left_action_is_the_end_module():
+    q, k = qv.kronecker(), base_k()
+    cat = cats.rep_cat(q, k)
+    m = alg.AlgMod(k, {"1": 1}, {})
+    sources = [rc.left_adjoint(q, "2", m), rc.right_adjoint(q, "2", m)]
+    targets = [rc.left_adjoint(q, "1", m), rc.right_adjoint(q, "1", m), sources[0]]
+    e_from, e_to = endo.end_algebra(sources, cat), endo.end_algebra(targets, cat)
+    dim, left, right = endo.hom_bimodule(e_from, e_to, cat)
+    module = endo.hom_as_end_module(sources, targets, cat, e_to)
+    assert dim == module.dim > 0
+    assert left == module.action
+    # the unit of End(from) acts on the right as the identity
+    unit_action = Mat.zeros(QQ, dim, dim)
+    for c, r in zip(e_from.sc.unit, right):
+        unit_action = unit_action.add(r.scale(c))
+    assert unit_action.is_identity()

@@ -114,3 +114,24 @@ def test_not_split_without_idempotents():
     bare = alg.SCAlgebra(sc.field, sc.mult, sc.unit, idempotents=None, radical=sc.known_radical)
     with pytest.raises(NotSplit):
         scm.ColumnData(bare)
+
+
+
+def dual_numbers():
+    loop = qv.make_quiver(["1"], [("x", "1", "1")], require_acyclic=False)
+    x = qv.Path("1", "1", ("x", "x"))
+    return alg.build_bqa(QQ, loop, [[(1, x)]], 2)
+
+
+@pytest.mark.parametrize("make", [lambda: alg.path_algebra(QQ, qv.a_n(3)), dual_numbers])
+def test_hom_dims_agree_with_base_algebra(make):
+    """The quiver-module and structure-constant hom solvers see the same Hom."""
+    a = make()
+    sc = alg.sc_of_bqa(a)
+    mods = [alg.projective_module(a, v) for v in a.quiver.vertices]
+    mods += [alg.simple_module(a, v) for v in a.quiver.vertices]
+    mods.append(alg.direct_sum_mods(a, mods[:2])[0])
+    for m in mods:
+        for n in mods:
+            raw = scm.hom_basis_sc(scm.sc_module_of_algmod(m, sc), scm.sc_module_of_algmod(n, sc))
+            assert len(alg.hom_basis(m, n)) == len(raw)
