@@ -724,23 +724,26 @@ class SCAlgebra:
         self.idempotents = tuple(tuple(e) for e in idempotents) if idempotents is not None else None
         self.known_radical = tuple(tuple(r) for r in radical) if radical is not None else None
         self.labels = tuple(labels) if labels is not None else None
+        # one shared zero: products then compare equal by identity where zero
+        self._zero = field.zero()
         if check:
             self.validate()
 
     def multiply(self, x, y):
         f = self.field
-        out = [f.zero()] * self.dim
+        add, mul = f.add, f.mul
+        out = [self._zero] * self.dim
         for i, xi in enumerate(x):
-            if xi == f.zero():
+            if not xi:
                 continue
             row = self.mult[i]
             for j, yj in enumerate(y):
-                if yj == f.zero():
+                if not yj:
                     continue
-                c = f.mul(xi, yj)
+                c = mul(xi, yj)
                 for k, m in enumerate(row[j]):
-                    if m != f.zero():
-                        out[k] = f.add(out[k], f.mul(c, m))
+                    if m:
+                        out[k] = add(out[k], mul(c, m))
         return tuple(out)
 
     def left_mult_matrix(self, x) -> Mat:
@@ -762,16 +765,9 @@ class SCAlgebra:
         for i in range(self.dim):
             for j in range(self.dim):
                 ij = self.mult[i][j]
-                if all(c == f.zero() for c in ij):
-                    left = None
-                else:
-                    left = ij
                 for k in range(self.dim):
-                    lhs = self.multiply(left, basis[k]) if left is not None else None
-                    rhs_inner = self.mult[j][k]
-                    rhs = self.multiply(basis[i], rhs_inner)
-                    if lhs is None:
-                        lhs = tuple(f.zero() for _ in range(self.dim))
+                    lhs = self.multiply(ij, basis[k])
+                    rhs = self.multiply(basis[i], self.mult[j][k])
                     if lhs != rhs:
                         raise CompositionInconsistent(f"associativity fails at basis triple ({i},{j},{k})")
         if self.idempotents is not None:
@@ -806,8 +802,30 @@ def sc_of_bqa(a: BQA) -> SCAlgebra:
     return SCAlgebra(f, mult, a.unit_vector(), idempotents=idems, radical=rad, labels=labels)
 
 
+def _is_nilpotent(sc: SCAlgebra, vecs) -> bool:
+    """Whether the span of ``vecs`` is nilpotent: its powers, each reduced to a
+    row basis, reach zero within dim + 1 steps."""
+    layer = list(vecs)
+    for _ in range(sc.dim + 1):
+        if not layer:
+            break
+        nxt = []
+        for x in layer:
+            for y in vecs:
+                p = sc.multiply(x, y)
+                if any(p):
+                    nxt.append(p)
+        layer = [tuple(r) for r in row_space(sc.field, nxt).row_list()] if nxt else []
+    return not layer
+
+
 def radical_sc(sc: SCAlgebra):
-    """Jacobson radical via the trace form of the regular representation (char 0)."""
+    """Jacobson radical via the trace form of the regular representation (char 0).
+
+    The fallback for structure-constant algebras built without a radical, and
+    the independent oracle for the radicals that ``sc_of_bqa`` and
+    ``endo.end_algebra`` attach.  O(dim^4) field operations.
+    """
     if sc.field.kind != "q":
         raise CharPNotSupported("trace-form radical requires characteristic zero")
     f = sc.field
@@ -833,22 +851,6 @@ def radical_sc(sc: SCAlgebra):
     rad = [tuple(v.column_vector()) for v in ker]
     if rank(t) != n - len(rad):
         raise CompositionInconsistent("trace form rank inconsistent with its kernel")
-    # verify nilpotency of the computed radical
-    layer = list(rad)
-    steps = 0
-    while layer and steps <= n + 1:
-        nxt = []
-        for x in layer:
-            for y in rad:
-                p = sc.multiply(x, y)
-                if any(c != f.zero() for c in p):
-                    nxt.append(p)
-        if not nxt:
-            break
-        basis_rows = row_space(f, nxt)
-        layer = [tuple(r) for r in basis_rows.row_list()]
-        steps += 1
-    else:
-        if layer:
-            raise CompositionInconsistent("trace-form kernel is not nilpotent")
+    if not _is_nilpotent(sc, rad):
+        raise CompositionInconsistent("trace-form kernel is not nilpotent")
     return rad

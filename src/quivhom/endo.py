@@ -7,6 +7,12 @@ hides the difference.  Products compose in the usual order
 The explicit isomorphism End(sum_v e^v_lambda(A)) = (End A)Q is constructed
 from the adjunction: the morphism attached to a path p: w ~> v and an
 endomorphism gamma sends the copy at q to the copy at concat(p, q) via gamma.
+
+Summands must be indecomposable with split local End (End(X)/rad = k), as the
+summands of a basic generator-cogenerator are.  ``end_algebra`` then builds
+the radical of End from the hom blocks, in every characteristic, and attaches
+it; a certificate that always runs proves it is the radical, and a summand
+outside the hypothesis raises :class:`NotSplit` naming it.
 """
 
 from __future__ import annotations
@@ -15,13 +21,14 @@ from dataclasses import dataclass
 
 from . import algebra as alg
 from . import repcat as rc
-from .algebra import SCAlgebra
+from .algebra import SCAlgebra, _is_nilpotent
 from .bounds import Dim
 from .cats import Cat, mod_cat
-from .errors import CompositionInconsistent, IsoCheckFailed, QuivhomError
-from .exactlin import Mat, rank, solve_matrix
+from .errors import CompositionInconsistent, IsoCheckFailed, NotSplit, QuivhomError
+from .exactlin import Mat, _kernel_blocks, rank, solve_matrix
 from .quiver import Quiver, concat, is_type_An, paths_between, sinks, trivial_path
-from .scmodule import ColumnData, SCModule, gldim_sc, pd_sc, projective_cover_sc, _solve_section
+from .scmodule import (ColumnData, SCModule, gldim_sc, pd_sc, projective_cover_sc,
+                       _solve_section, _unit_vec)
 
 
 @dataclass
@@ -71,7 +78,13 @@ def _hom_blocks(sources, targets, cat: Cat):
 
 
 def end_algebra(summands, cat: Cat, check: bool = True) -> EndAlgebra:
-    """End(sum of summands) with structure constants from exact re-expression."""
+    """End(sum of summands) with structure constants from exact re-expression.
+
+    The summands must be indecomposable with split local End (End(X)/rad = k).
+    The Jacobson radical is built from the hom blocks (see :func:`_block_radical`)
+    and attached; its certificate runs also with ``check=False`` and raises
+    :class:`NotSplit`, naming the summand, when a summand breaks the hypothesis.
+    """
     summands = list(summands)
     f = cat.field
     blocks, dim, express = _hom_blocks(summands, summands, cat)
@@ -89,9 +102,105 @@ def end_algebra(summands, cat: Cat, check: bool = True) -> EndAlgebra:
     unit = [f.zero()] * dim
     for e in idems:
         unit = [f.add(u, x) for u, x in zip(unit, e)]
+    parts = _block_radical(f, blocks, mult, len(summands))
     sc = SCAlgebra(f, mult, tuple(unit), idempotents=[tuple(e) for e in idems],
+                   radical=[x for _, vecs in parts.values() for x in vecs],
                    labels=labels, check=check)
+    _certify_radical(sc, blocks, parts)
     return EndAlgebra(sc, summands, cat, blocks, labels)
+
+
+def _residues(f, mult, off, d, i):
+    """chi_i on the basis of the corner End(X_i) at offset ``off``, dimension d.
+
+    On a split local corner, left multiplication L_b by a basis element b is
+    chi_i(b).I plus a nilpotent.  In characteristic 0 read chi_i(b) from the
+    trace; over GF(p) from L_b^(p^s) = chi_i(b).I with p^s >= d.
+    """
+    corner = range(off, off + d)
+    if f.kind == "q":
+        return [sum((mult[b][h][h] for h in corner), f.zero()) / d for b in corner]
+    power = f.p
+    while power < d:
+        power *= f.p
+    out = []
+    for b in corner:
+        lb = Mat(f, d, d, tuple(mult[b][h][r] for r in corner for h in corner))
+        acc = Mat.identity(f, d)
+        e = power
+        while e:
+            if e & 1:
+                acc = acc.mul(lb)
+            lb, e = lb.mul(lb), e >> 1
+        if acc != Mat.identity(f, d).scale(acc.at(0, 0)):
+            raise NotSplit(f"summand {i}: End is not local with residue field k")
+        out.append(acc.at(0, 0))
+    return out
+
+
+def _block_radical(f, blocks, mult, n):
+    """Candidate for rad End(X_0 + ... + X_{n-1}), one hom block at a time.
+
+    rad(X_i, X_j) = {h : chi_i(g o h) = 0 for every basis g of Hom(X_j, X_i)},
+    chi_i the residue map of End(X_i); each g o h is an entry of ``mult``.
+    Returns {(i, j): (rows cutting the block out, its basis in full-length
+    vectors)}.
+    """
+    chis = [_residues(f, mult, blocks[(i, i)][0], len(blocks[(i, i)][1]), i) for i in range(n)]
+    out = {}
+    for (i, j), (off, basis) in blocks.items():
+        off_i = blocks[(i, i)][0]
+        off_g, basis_g = blocks[(j, i)]
+        rows = [[_dot(f, chis[i], mult[g][h][off_i:]) for h in range(off, off + len(basis))]
+                for g in range(off_g, off_g + len(basis_g))]
+        vecs = []
+        for (v,) in _kernel_blocks(f, rows, [(len(basis), 1)]):
+            vec = [f.zero()] * len(mult)
+            vec[off:off + len(basis)] = v.entries
+            vecs.append(tuple(vec))
+        out[(i, j)] = (rows, vecs)
+    return out
+
+
+def _dot(f, u, v):
+    """Sum of u[k] * v[k] over the shorter of the two."""
+    acc = f.zero()
+    for a, b in zip(u, v):
+        if a and b:
+            acc = f.add(acc, f.mul(a, b))
+    return acc
+
+
+def _certify_radical(sc: SCAlgebra, blocks, parts):
+    """Prove that the block radical J is rad(sc), or raise :class:`NotSplit`.
+
+    Checked: J is a two-sided ideal, J is nilpotent, and J has codimension 1
+    in each diagonal corner End(X_i).  A nilpotent ideal lies in the radical.
+    Conversely each corner of sc/J is k, and by construction J_ij holds every
+    h with g o h in J_ii for all g (as J_ii lies in ker chi_i), so sc/J has
+    no radical.  This holds in every characteristic.
+    """
+    f = sc.field
+    for (i, j), (_, vecs) in parts.items():
+        corank = len(blocks[(i, j)][1]) - len(vecs)
+        if i == j and corank != 1:
+            raise NotSplit(f"summand {i}: End has dimension {corank} over its radical, not 1")
+
+    def in_radical(vec):
+        for key, (off, basis) in blocks.items():
+            part = vec[off:off + len(basis)]
+            if any(part) and any(_dot(f, row, part) for row in parts[key][0]):
+                return False
+        return True
+
+    unit_vecs = [_unit_vec(sc, g) for g in range(sc.dim)]
+    for (i, j), (_, vecs) in parts.items():
+        for x in vecs:
+            for e in unit_vecs:
+                if not (in_radical(sc.multiply(e, x)) and in_radical(sc.multiply(x, e))):
+                    raise NotSplit(f"radical of Hom(summand {i}, summand {j}) is not an ideal")
+    if not _is_nilpotent(sc, sc.known_radical):
+        raise NotSplit("the block radical is not nilpotent")
 
 
 def sc_gldim(e, cap: int = 20) -> Dim:
@@ -154,16 +263,18 @@ def pd_endmodule(n: SCModule, cap: int = 20, coldata: ColumnData = None) -> Dim:
 
 
 def validate_summands(summands, cat: Cat):
-    """Nonzero check always; local-endomorphism check over the rationals."""
+    """Each summand must be nonzero and indecomposable with split local End.
+
+    Checked in every characteristic by the radical certificate of
+    :func:`end_algebra` on the summand alone.
+    """
     for i, s in enumerate(summands):
         if cat.is_zero_obj(s):
             raise QuivhomError(f"summand {i} is zero")
-    if cat.field.kind == "q":
-        for i, s in enumerate(summands):
-            e = end_algebra([s], cat, check=False)
-            rad = alg.radical_sc(e.sc)
-            if e.dim - len(rad) != 1:
-                raise QuivhomError(f"summand {i} is not indecomposable (End corank {e.dim - len(rad)})")
+        try:
+            end_algebra([s], cat, check=False)
+        except NotSplit as exc:
+            raise NotSplit(f"summand {i} is not indecomposable with split local End") from exc
 
 
 # -- path-block algebra and the End iso -----------------------------------------------

@@ -2,11 +2,12 @@
 
 This is the engine shared by the endomorphism-ring and triangular-matrix-ring
 layers.  A module is a plain vector space with one action matrix per algebra
-basis element.  Minimal projective covers are driven by the radical (the
-algebra's known radical when the presentation supplies one, otherwise the
-characteristic-zero trace-form radical), with column projectives Gamma*e_i
-grouped into isomorphism classes so that duplicated idempotents are handled
-correctly.
+basis element.  Minimal projective covers are driven by the radical the
+algebra carries (``sc_of_bqa`` and ``endo.end_algebra`` attach one, in every
+characteristic); the characteristic-zero trace-form radical ``radical_sc`` is
+only the fallback for algebras built without one.  Column projectives
+Gamma*e_i are grouped into isomorphism classes so that duplicated idempotents
+are handled correctly.
 """
 
 from __future__ import annotations

@@ -253,6 +253,17 @@ def test_radical_sc_agrees_with_arrow_radical():
         assert span_dim(sc.field, joint, sc.dim) == len(dickson)
 
 
+def test_nilpotency_check():
+    for field in (QQ, GF(2)):
+        sc = alg.sc_of_bqa(dual_numbers(field))
+        assert alg._is_nilpotent(sc, sc.known_radical)
+        assert alg._is_nilpotent(sc, [])
+        assert not alg._is_nilpotent(sc, [sc.unit])
+    kron = alg.sc_of_bqa(alg.path_algebra(QQ, qv.kronecker()))
+    assert alg._is_nilpotent(kron, kron.known_radical)
+    assert not alg._is_nilpotent(kron, list(kron.known_radical) + [kron.idempotents[0]])
+
+
 def test_radical_sc_charp_refused():
     a = alg.path_algebra(GF(5), qv.a_n(2))
     with pytest.raises(CharPNotSupported):

@@ -5,9 +5,10 @@ from quivhom import cats
 from quivhom import endo
 from quivhom import quiver as qv
 from quivhom import repcat as rc
+from quivhom import repdim
 from quivhom.bounds import Dim
-from quivhom.errors import QuivhomError
-from quivhom.exactlin import QQ, Mat
+from quivhom.errors import NotSplit, QuivhomError
+from quivhom.exactlin import GF, QQ, Mat, solve_matrix, span_dim
 
 
 def base_k():
@@ -68,6 +69,99 @@ def test_validate_summands():
     decomposable, _, _ = alg.direct_sum_mods(d, [alg.simple_module(d, "1")] * 2)
     with pytest.raises(QuivhomError):
         endo.validate_summands([decomposable], catd)
+
+
+def assert_radical_is_trace_form_radical(e):
+    rad = list(e.sc.known_radical)
+    oracle = alg.radical_sc(e.sc)
+    assert len(rad) == len(oracle) == span_dim(QQ, rad + oracle, e.dim)
+
+
+def xbar_summands(q, k):
+    return repdim.build_xbar(q, k, [alg.AlgMod(k, {"1": 1}, {})]).all_summands()
+
+
+def test_radical_oracle_kA2_projectives():
+    a = alg.path_algebra(QQ, qv.a_n(2))
+    e = endo.end_algebra([alg.projective_module(a, "1"), alg.projective_module(a, "2")],
+                         cats.mod_cat(a))
+    assert len(e.sc.known_radical) == 1  # the one map P2 -> P1
+    assert_radical_is_trace_form_radical(e)
+
+
+def test_radical_oracle_auslander_of_dual_numbers():
+    d = dual_numbers()
+    e = endo.end_algebra([alg.simple_module(d, "1"), alg.projective_module(d, "1")],
+                         cats.mod_cat(d))
+    assert len(e.sc.known_radical) == 3
+    assert_radical_is_trace_form_radical(e)
+
+
+def test_radical_oracle_a3_middle_sink_xbar():
+    k = base_k()
+    q = qv.make_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")])
+    e = endo.end_algebra(xbar_summands(q, k), cats.rep_cat(q, k))
+    assert_radical_is_trace_form_radical(e)
+
+
+def test_radical_oracle_kronecker_xbar_with_duplicate():
+    k, q = base_k(), qv.kronecker()
+    cat = cats.rep_cat(q, k)
+    summands = xbar_summands(q, k)
+    copy = len(summands)
+    summands.append(summands[1])
+    e = endo.end_algebra(summands, cat)
+    assert_radical_is_trace_form_radical(e)
+    # the identity of X_1, read as a map to its copy, is an isomorphism: not in J
+    off, basis = e.blocks[(1, copy)]
+    flat = Mat.hstack(QQ, [Mat.column(QQ, cat.flatten_map(b)) for b in basis])
+    coords = solve_matrix(flat, Mat.column(QQ, cat.flatten_map(cat.identity(summands[1]))))
+    iso = [QQ.zero()] * e.dim
+    iso[off:off + len(basis)] = coords.entries
+    rad = list(e.sc.known_radical)
+    assert span_dim(QQ, rad + [iso], e.dim) == len(rad) + 1
+
+
+def test_radical_over_prime_fields_matches_rationals():
+    q = qv.kronecker()
+    k0 = base_k()
+    dim_q = len(endo.end_algebra(xbar_summands(q, k0), cats.rep_cat(q, k0)).sc.known_radical)
+    for p in (2, 3):
+        k = alg.ground_field_algebra(GF(p))
+        e = endo.end_algebra(xbar_summands(q, k), cats.rep_cat(q, k))
+        assert len(e.sc.known_radical) == dim_q
+
+
+def test_decomposable_summand_is_refused():
+    d = dual_numbers()
+    cat = cats.mod_cat(d)
+    s_plus_s, _, _ = alg.direct_sum_mods(d, [alg.simple_module(d, "1")] * 2)
+    with pytest.raises(QuivhomError, match="summand 1"):
+        endo.validate_summands([alg.simple_module(d, "1"), s_plus_s], cat)
+    with pytest.raises(NotSplit, match="summand 0"):
+        endo.end_algebra([s_plus_s], cat)
+
+
+def rotation_rep(field):
+    """Kronecker rep (k^2, k^2, I, [[0, -1], [1, 0]]): End = k[i], i^2 = -1."""
+    q, k = qv.kronecker(), alg.ground_field_algebra(field)
+    m = alg.AlgMod(k, {"1": 2}, {})
+    rot = Mat.from_rows(field, [[0, -1], [1, 0]])
+    x = rc.Rep(q, k, {"1": m, "2": m},
+               {"a": alg.identity_map(m), "b": alg.ModMap(m, m, {"1": rot})})
+    return x, cats.rep_cat(q, k)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)])
+def test_non_split_or_decomposable_end_is_refused(field):
+    # End is the field Q(i) over QQ, GF(9) over GF(3) (not split), and
+    # GF(5) x GF(5) over GF(5) (decomposable)
+    x, cat = rotation_rep(field)
+    assert x.check()
+    with pytest.raises(NotSplit, match="summand 0"):
+        endo.end_algebra([x], cat)
+    with pytest.raises(NotSplit):
+        endo.validate_summands([x], cat)
 
 
 def test_end_iso_k_a2():

@@ -3,9 +3,10 @@ import pytest
 from quivhom import algebra as alg
 from quivhom import quiver as qv
 from quivhom import repdim
+from quivhom import scmodule as scm
 from quivhom.bounds import Dim
 from quivhom.errors import NotGenCogen
-from quivhom.exactlin import QQ
+from quivhom.exactlin import GF, QQ
 
 
 def base_k():
@@ -119,3 +120,28 @@ def test_orientation_sweep():
     sweep = repdim.d4_orientation_projectivity_sweep()
     assert len(sweep.entries) == 8
     assert sweep.found_nonprojective
+
+
+def k3():
+    return qv.make_quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2")])
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_report_over_prime_fields_matches_rationals(p):
+    k = alg.ground_field_algebra(GF(p))
+    expected = [(qv.kronecker(), "PASS", 3), (k3(), "PASS", 3),
+                (qv.a_n(2), "OUT-OF-HYPOTHESIS:FAIL", 2)]
+    for q, verdict, gldim in expected:
+        rep = repdim.repdim_bound_report(q, k, [kmod(k)])
+        assert (rep.verdict, rep.gldim_end_xbar) == (verdict, Dim.finite(gldim))
+
+
+def test_report_never_uses_the_trace_form_radical(monkeypatch):
+    def refuse(sc):
+        raise AssertionError("trace-form radical computed for an End algebra")
+
+    monkeypatch.setattr(alg, "radical_sc", refuse)
+    monkeypatch.setattr(scm, "radical_sc", refuse)
+    k = base_k()
+    rep = repdim.repdim_bound_report(qv.kronecker(), k, [kmod(k)])
+    assert rep.verdict == "PASS" and rep.gldim_end_xbar == Dim.finite(3)
