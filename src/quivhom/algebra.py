@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import Dim, dim_max
+from .bounds import Dim, dim_max, syzygy_pd
 from .errors import (
     AlgebraMismatch,
     CharPNotSupported,
@@ -142,6 +142,7 @@ class BQA:
                     f"path {p} of length {self.nbound} is nonzero modulo the relations")
         self._nf = nf
         self._products = {}
+        self._projectives = {}
         self._vertex_paths = {v: [p for p in self.basis if p.source == v] for v in self.quiver.vertices}
 
     # -- structure ---------------------------------------------------------
@@ -396,8 +397,14 @@ def simple_module(a: BQA, v: str) -> AlgMod:
 
 
 def projective_module(a: BQA, v: str) -> AlgMod:
-    """Indecomposable projective at v: basis paths leaving v."""
+    """Indecomposable projective at v: basis paths leaving v.
+
+    Built once per algebra and vertex; the result is shared, so callers must
+    not mutate it."""
     v = str(v)
+    got = a._projectives.get(v)
+    if got is not None:
+        return got
     plists = {w: [p for p in a._vertex_paths[v] if p.target == w] for w in a.quiver.vertices}
     dims = {w: len(plists[w]) for w in a.quiver.vertices}
     f = a.field
@@ -422,6 +429,7 @@ def projective_module(a: BQA, v: str) -> AlgMod:
     mod = AlgMod(a, dims, mats)
     mod._proj_vertex = v
     mod._proj_paths = plists
+    a._projectives[v] = mod
     return mod
 
 
@@ -489,9 +497,7 @@ def complement_projection(field: Field, basis_cols: Mat):
     r = basis_cols.cols
     if r == 0:
         return Mat.identity(field, n), Mat.identity(field, n)
-    full = Mat.hstack(field, [basis_cols, Mat.identity(field, n)])
-    _, _, pivots = rref(full)
-    chosen = [c - r for c in pivots if c >= r][:n - r]
+    chosen = _complement_indices(field, basis_cols)
     t_cols = [basis_cols.col(j) for j in range(r)]
     for j in chosen:
         e = [field.zero()] * n
@@ -503,6 +509,17 @@ def complement_projection(field: Field, basis_cols: Mat):
     proj = Mat.from_rows(field, proj_rows) if proj_rows else Mat.zeros(field, 0, n)
     sect = Mat.hstack(field, t_cols[r:]) if chosen else Mat.zeros(field, n, 0)
     return proj, sect
+
+
+def _complement_indices(field: Field, basis_cols: Mat):
+    """Indices j whose unit vectors e_j complete the columns of a
+    full-column-rank B to a basis of k^n; the section of
+    ``complement_projection`` is built from them."""
+    n, r = basis_cols.rows, basis_cols.cols
+    if r == 0:
+        return list(range(n))
+    _, _, pivots = rref(Mat.hstack(field, [basis_cols, Mat.identity(field, n)]))
+    return [c - r for c in pivots if c >= r][:n - r]
 
 
 def radical_submodule(m: AlgMod):
@@ -555,27 +572,35 @@ def quotient_module(m: AlgMod, incl: dict):
 
 
 def projective_cover(m: AlgMod):
-    """Minimal projective cover (P, pi)."""
+    """Minimal projective cover (P, pi).
+
+    One copy of P_v per column e_j of the section of M_v -> (M/rad M)_v that
+    ``complement_projection`` builds, with P_v -> M sending e_v to e_j (see
+    ``map_from_projective``): the path q of that copy goes to column j of
+    q acting on M, so each path of P_v is evaluated on M once."""
     a = m.algebra
     f = a.field
+    verts = a.quiver.vertices
     rad = radical_submodule(m)
     pieces = []
-    maps = []
-    for v in a.quiver.vertices:
-        proj, sect = complement_projection(f, rad[v])
-        for j in range(sect.cols):
-            pv = projective_module(a, v)
-            pieces.append(pv)
-            maps.append(map_from_projective(pv, m, sect.col(j)))
+    cols = {w: [] for w in verts}  # columns of pi at w, in P's basis order
+    for v in verts:
+        chosen = _complement_indices(f, rad[v])
+        if not chosen:
+            continue
+        pv = projective_module(a, v)
+        pieces.extend([pv] * len(chosen))
+        for w in verts:
+            acts = [eval_path(m, q) for q in pv._proj_paths[w]]
+            cols[w].extend(x.col(j) for j in chosen for x in acts)
     if not pieces:
         z = zero_module(a)
         return z, zero_map(z, m)
-    total, injs, projs = direct_sum_mods(a, pieces)
-    mats = {}
-    for v in a.quiver.vertices:
-        cols = [mp.mats[v] for mp in maps]
-        mats[v] = Mat.hstack(f, cols) if cols else Mat.zeros(f, m.dims[v], 0)
-    pi = ModMap(total, m, mats)
+    dims = {w: sum(p.dims[w] for p in pieces) for w in verts}
+    total = AlgMod(a, dims, {arr.name: Mat.block_diag(f, [p.mats[arr.name] for p in pieces])
+                             for arr in a.quiver.arrows})
+    pi = ModMap(total, m, {w: Mat.hstack(f, cols[w]) if cols[w] else Mat.zeros(f, m.dims[w], 0)
+                           for w in verts})
     return total, pi
 
 
@@ -593,28 +618,9 @@ def cover_is_minimal(p: AlgMod, pi: ModMap) -> bool:
     return True
 
 
-def is_projective(m: AlgMod) -> bool:
-    if m.is_zero():
-        return True
-    _, pi = projective_cover(m)
-    k, _ = kernel_of(pi)
-    return k.is_zero()
-
-
-def syzygy(m: AlgMod):
-    _, pi = projective_cover(m)
-    k, _ = kernel_of(pi)
-    return k
-
-
 def pd(m: AlgMod, cap: int = 20) -> Dim:
     """Projective dimension by minimal syzygy iteration, capped."""
-    current = m
-    for i in range(cap + 1):
-        if is_projective(current):
-            return Dim.finite(i)
-        current = syzygy(current)
-    return Dim.at_least(cap)
+    return syzygy_pd(m, cap, projective_cover, kernel_of)
 
 
 def gldim(a: BQA, cap: int = 20) -> Dim:
@@ -623,6 +629,12 @@ def gldim(a: BQA, cap: int = 20) -> Dim:
 
 def minimal_resolution(m: AlgMod, length: int):
     """[(P_0, d_0), (P_1, d_1), ...] with d_0: P_0 -> M, d_i: P_i -> P_{i-1}."""
+    return [(p, d) for p, d, _ in _resolution(m, length)]
+
+
+def _resolution(m: AlgMod, length: int):
+    """Up to length + 1 steps (P_i, d_i, K_i -> P_i); stops at the first
+    zero kernel K_i."""
     out = []
     current = m
     for _ in range(length + 1):
@@ -637,7 +649,7 @@ def minimal_resolution(m: AlgMod, length: int):
         current = k
         if k.is_zero():
             break
-    return [(p, d) for p, d, _ in out]
+    return out
 
 
 def ext_dims(m: AlgMod, s: AlgMod, upto: int):
@@ -684,8 +696,9 @@ def pd_via_ext(m: AlgMod, cap: int = 20) -> Dim:
     if m.is_zero():
         return Dim.finite(0)
     a = m.algebra
-    res = minimal_resolution(m, cap + 1)
-    if len(res) > cap + 1 or not _resolution_terminates(m, res):
+    res = _resolution(m, cap + 1)
+    # finite within the cap iff a kernel came out zero by step cap
+    if len(res) > cap + 1 or not res[-1][2].source.is_zero():
         return Dim.at_least(cap)
     best = 0
     for v in a.quiver.vertices:
@@ -695,17 +708,6 @@ def pd_via_ext(m: AlgMod, cap: int = 20) -> Dim:
             if e != 0:
                 best = max(best, i)
     return Dim.finite(best)
-
-
-def _resolution_terminates(m: AlgMod, res) -> bool:
-    # terminated iff the last cover had a zero kernel
-    current = m
-    for _ in res:
-        k = syzygy(current)
-        current = k
-        if k.is_zero():
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

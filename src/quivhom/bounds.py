@@ -53,6 +53,24 @@ class Dim:
         return self.le(Dim.finite(bound))
 
 
+def syzygy_pd(m, cap: int, cover, kernel) -> Dim:
+    """Projective dimension of ``m`` by minimal syzygies, capped at ``cap``.
+
+    Each step takes one cover ``(P, pi) = cover(current)`` and its kernel
+    ``(K, incl) = kernel(pi)``; the module is projective when it is zero or
+    its kernel is.  Shared by every module category of the library.
+    """
+    if m.is_zero():
+        return Dim.finite(0)
+    current = m
+    for i in range(cap + 1):
+        _, pi = cover(current)
+        current, _ = kernel(pi)
+        if current.is_zero():
+            return Dim.finite(i)
+    return Dim.at_least(cap)
+
+
 def dim_max(values) -> Dim:
     out = Dim.finite(0)
     got = False

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import algebra as alg
 from .algebra import AlgMod, BQA, ModMap
-from .bounds import Dim, dim_max
+from .bounds import Dim, dim_max, syzygy_pd
 from .errors import AlgebraMismatch, QuivhomError, UnknownVertex
 from .exactlin import Mat, _commuting_rows, _kernel_blocks, rank, solve_matrix
 from .quiver import Path, Quiver, arrow_path, concat, paths_between, trivial_path
@@ -457,27 +457,8 @@ def rep_kernel(f_map: RepMap):
     return k, incl
 
 
-def rep_is_projective(x: Rep) -> bool:
-    if x.is_zero():
-        return True
-    _, pi = rep_projective_cover(x)
-    k, _ = rep_kernel(pi)
-    return k.is_zero()
-
-
-def rep_syzygy(x: Rep) -> Rep:
-    _, pi = rep_projective_cover(x)
-    k, _ = rep_kernel(pi)
-    return k
-
-
 def rep_pd(x: Rep, cap: int = 20) -> Dim:
-    current = x
-    for i in range(cap + 1):
-        if rep_is_projective(current):
-            return Dim.finite(i)
-        current = rep_syzygy(current)
-    return Dim.at_least(cap)
+    return syzygy_pd(x, cap, rep_projective_cover, rep_kernel)
 
 
 def rep_simple(q: Quiver, a: BQA, v: str, u: str) -> Rep:

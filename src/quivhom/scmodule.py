@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import SCAlgebra, column_space, complement_projection, radical_sc, row_space
-from .bounds import Dim, dim_max
+from .bounds import Dim, dim_max, syzygy_pd
 from .errors import CompositionInconsistent, DimensionMismatch, NotSplit, QuivhomError
 from .exactlin import Mat, _commuting_rows, _kernel_blocks, kernel_basis, rank, solve_matrix
 
@@ -221,6 +221,7 @@ class ColumnData:
         self.classes = {}
         for i, c in enumerate(self.class_of):
             self.classes.setdefault(c, []).append(i)
+        self._tops = {}
 
     def _corner_vectors(self, e_left, e_right, radical: bool):
         sc = self.sc
@@ -244,11 +245,17 @@ class ColumnData:
         return self._corner_dim(ei, ej, False) > self._corner_dim(ei, ej, True)
 
     def simple_top(self, i):
-        """Top of the i-th column projective as an SCModule."""
-        col, _ = self.columns[i]
-        proj, sect = top_projection(col)
-        action = [proj.mul(col.action[t]).mul(sect) for t in range(self.sc.dim)]
-        return SCModule(self.sc, proj.rows, action)
+        """Top of the i-th column projective as an SCModule.
+
+        Computed once per column; the result is shared, so callers must not
+        mutate it."""
+        top = self._tops.get(i)
+        if top is None:
+            col, _ = self.columns[i]
+            proj, sect = top_projection(col)
+            action = [proj.mul(col.action[t]).mul(sect) for t in range(self.sc.dim)]
+            top = self._tops[i] = SCModule(self.sc, proj.rows, action)
+        return top
 
 
 def _right_mult_matrix(sc: SCAlgebra, x) -> Mat:
@@ -262,13 +269,26 @@ def _right_mult_matrix(sc: SCAlgebra, x) -> Mat:
 
 def projective_cover_sc(m: SCModule, coldata: ColumnData):
     """Minimal projective cover over a split structure-constant algebra."""
+    pieces, gens = _cover_generators(m, coldata)
+    if not pieces:
+        z = zero_sc_module(m.sc)
+        return z, SCMap(z, m, Mat.zeros(m.sc.field, m.dim, 0))
+    total, pi = _map_from_columns(m, coldata, pieces, gens)
+    if rank(pi.mat) != m.dim:
+        raise CompositionInconsistent("projective cover is not surjective")
+    return total, pi
+
+
+def _cover_generators(m: SCModule, coldata: ColumnData):
+    """Generators of a minimal cover: column indices ``pieces`` and vectors
+    ``gens``, gens[k] in e_i M for i = pieces[k], whose Gamma-orbits span the
+    top M/JM minimally.  Both empty when M is zero."""
     sc = m.sc
     f = sc.field
-    proj, sect = top_projection(m)
+    proj, _ = top_projection(m)
     top_dim = proj.rows
     if top_dim == 0:
-        z = zero_sc_module(sc)
-        return z, SCMap(z, m, Mat.zeros(f, m.dim, 0))
+        return [], []
     # reached subspace of the top, grown one simple at a time
     reached = Mat.zeros(f, 0, top_dim)  # rows span the reached subspace
     pieces = []
@@ -286,8 +306,8 @@ def projective_cover_sc(m: SCModule, coldata: ColumnData):
         if cls_top % t_dim != 0:
             raise CompositionInconsistent("class top dimension not divisible by simple dimension")
         mult = cls_top // t_dim
+        cand_cols = proj.mul(e_act)
         for _ in range(mult):
-            cand_cols = proj.mul(e_act)
             chosen = None
             for j in range(cand_cols.cols):
                 v = cand_cols.col(j)
@@ -308,22 +328,26 @@ def projective_cover_sc(m: SCModule, coldata: ColumnData):
             reached = row_space(f, orbit_rows)
     if reached.rows != top_dim:
         raise CompositionInconsistent("cover generators do not span the top")
-    cols_mods = [coldata.columns[i][0] for i in pieces]
-    total, injs, projs = direct_sum_sc(sc, cols_mods)
+    return pieces, gens
+
+
+def _map_from_columns(m: SCModule, coldata: ColumnData, pieces, gens):
+    """(P, pi): P the sum of the column projectives Gamma*e_i, i in
+    ``pieces``, and pi sending gamma in the k-th summand to gamma*gens[k]."""
+    sc = m.sc
+    f = sc.field
+    total, _, _ = direct_sum_sc(sc, [coldata.columns[i][0] for i in pieces])
     # map: basis vector b of the column (inside Gamma) acts on the generator
     piece_mats = []
-    for idx, i0 in enumerate(pieces):
+    for i0, gen in zip(pieces, gens):
         col, incl = coldata.columns[i0]
         cols = []
         for j in range(col.dim):
             gamma_elt = [incl.mat.at(r, j) for r in range(sc.dim)]
-            cols.append(m.act_vector(gamma_elt).mul(gens[idx]))
+            cols.append(m.act_vector(gamma_elt).mul(gen))
         piece_mats.append(Mat.hstack(f, cols) if cols else Mat.zeros(f, m.dim, 0))
     pi_mat = Mat.hstack(f, piece_mats) if piece_mats else Mat.zeros(f, m.dim, 0)
-    pi = SCMap(total, m, pi_mat)
-    if rank(pi_mat) != m.dim:
-        raise CompositionInconsistent("projective cover is not surjective")
-    return total, pi
+    return total, SCMap(total, m, pi_mat)
 
 
 def is_projective_sc(m: SCModule, coldata: ColumnData = None) -> bool:
@@ -333,36 +357,19 @@ def is_projective_sc(m: SCModule, coldata: ColumnData = None) -> bool:
     sc = m.sc
     if sc.idempotents is None:
         raise NotSplit("projectivity test needs the idempotent list")
-    f = sc.field
     pieces = []
     gens = []
-    for e in sc.idempotents:
-        e_act = m.act_vector(e)
-        img = column_space(f, [e_act])
+    for i, e in enumerate(sc.idempotents):
+        img = column_space(sc.field, [m.act_vector(e)])
         for j in range(img.cols):
-            pieces.append(e)
+            pieces.append(i)
             gens.append(img.col(j))
-    cols_data = coldata if coldata is not None else ColumnData(sc)
-    idx_of = {id(e): i for i, e in enumerate(sc.idempotents)}
-    col_mods = []
-    piece_mats = []
-    for e, g in zip(pieces, gens):
-        i = idx_of[id(e)]
-        col, incl = cols_data.columns[i]
-        col_mods.append(col)
-        cols = []
-        for j in range(col.dim):
-            gamma_elt = [incl.mat.at(r, j) for r in range(sc.dim)]
-            cols.append(m.act_vector(gamma_elt).mul(g))
-        piece_mats.append(Mat.hstack(f, cols) if cols else Mat.zeros(f, m.dim, 0))
-    if not col_mods:
+    if not pieces:
         return False
-    total, _, _ = direct_sum_sc(sc, col_mods)
-    u_mat = Mat.hstack(f, piece_mats)
-    u = SCMap(total, m, u_mat)
+    cols_data = coldata if coldata is not None else ColumnData(sc)
+    _, u = _map_from_columns(m, cols_data, pieces, gens)
     # solve for a module-map section s with u o s = id
-    sect = _solve_section(u)
-    return sect is not None
+    return _solve_section(u) is not None
 
 
 def _solve_section(u: SCMap):
@@ -389,26 +396,11 @@ def _solve_section(u: SCMap):
 
 
 def pd_sc(m: SCModule, cap: int = 20, coldata: ColumnData = None) -> Dim:
-    sc = m.sc
-    cd = coldata if coldata is not None else ColumnData(sc)
-    current = m
-    for i in range(cap + 1):
-        if current.is_zero():
-            return Dim.finite(i)
-        p, pi = projective_cover_sc(current, cd)
-        k, _ = kernel_of_sc(pi)
-        if k.is_zero():
-            return Dim.finite(i)
-        current = k
-    return Dim.at_least(cap)
+    cd = coldata if coldata is not None else ColumnData(m.sc)
+    return syzygy_pd(m, cap, lambda x: projective_cover_sc(x, cd), kernel_of_sc)
 
 
 def gldim_sc(sc: SCAlgebra, cap: int = 20) -> Dim:
     """Max projective dimension over the simple tops of the column projectives."""
     cd = ColumnData(sc)
-    vals = []
-    seen_classes = set()
-    for cls, members in cd.classes.items():
-        seen_classes.add(cls)
-        vals.append(pd_sc(cd.simple_top(members[0]), cap, cd))
-    return dim_max(vals)
+    return dim_max(pd_sc(cd.simple_top(members[0]), cap, cd) for members in cd.classes.values())

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import SCAlgebra, column_space, complement_projection, sc_of_bqa
-from .bounds import Dim, dim_max
+from .bounds import Dim, dim_max, syzygy_pd
 from .errors import CompositionInconsistent, DimensionMismatch, QuivhomError
 from .exactlin import Mat, _commuting_rows, _kernel_blocks, kernel_basis, rank, rref, solve_matrix
 from . import scmodule as scm
-from .scmodule import ColumnData, SCModule, direct_sum_sc, hom_basis_sc
+from .scmodule import ColumnData, SCModule, direct_sum_sc
 
 
 @dataclass
@@ -141,25 +141,24 @@ def tensor_basis(spec: TriRingSpec, x: SCModule) -> TensorData:
     mdim, xdim = spec.m.dim, x.dim
     total = mdim * xdim
     if total == 0:
-        z = Mat.zeros(f, 0, 0)
         return TensorData(0, Mat.zeros(f, 0, total), Mat.zeros(f, total, 0),
                           [Mat.zeros(f, 0, 0) for _ in range(spec.s.dim)])
+    zero, add, sub = f.zero(), f.add, f.sub
     rel_rows = []
     for c in range(spec.r.dim):
-        rho = spec.m.right[c]
-        act = x.action[c]
+        rho = spec.m.right[c].entries
+        act = x.action[c].entries
         for i in range(mdim):
+            rho_col = rho[i::mdim]
             for j in range(xdim):
-                row = [f.zero()] * total
-                for k in range(mdim):
-                    v = rho.at(k, i)
-                    if v != f.zero():
-                        row[k * xdim + j] = f.add(row[k * xdim + j], v)
-                for l in range(xdim):
-                    v = act.at(l, j)
-                    if v != f.zero():
-                        row[i * xdim + l] = f.sub(row[i * xdim + l], v)
-                if any(z != f.zero() for z in row):
+                row = [zero] * total
+                for k, v in enumerate(rho_col):
+                    if v:
+                        row[k * xdim + j] = add(row[k * xdim + j], v)
+                for l, v in enumerate(act[j::xdim]):
+                    if v:
+                        row[i * xdim + l] = sub(row[i * xdim + l], v)
+                if any(row):
                     rel_rows.append(row)
     if rel_rows:
         red, rk, pivots = rref(Mat.from_rows(f, rel_rows))
@@ -484,46 +483,38 @@ def triple_split_test(t: TripleModule) -> bool:
 
 def triple_radical(t: TripleModule):
     """(rad X, rad Y + im phi) as per-component column inclusions."""
+    return scm.radical_submodule_sc(t.x), _radical_y(t)
+
+
+def _radical_y(t: TripleModule) -> Mat:
+    """A column basis of rad Y + im phi."""
     f = t.spec.r.field
-    rad_x = scm.radical_submodule_sc(t.x)
     rad_y = scm.radical_submodule_sc(t.y)
-    y_cols = column_space(f, [rad_y, t.phi]) if (rad_y.cols or t.phi.cols) \
-        else Mat.zeros(f, t.y.dim, 0)
-    return rad_x, y_cols
+    if not (rad_y.cols or t.phi.cols):
+        return Mat.zeros(f, t.y.dim, 0)
+    return column_space(f, [rad_y, t.phi])
 
 
 def triple_projective_cover(t: TripleModule):
     spec = t.spec
     f = spec.r.field
-    # X side: the минимal R-cover of X already tops (X / rad X)
+    # X side: the minimal R-cover of X already tops (X / rad X)
     px, pix = scm.projective_cover_sc(t.x, spec.coldata_r())
-    # Y side: cover the quotient Y / (rad Y + im phi), then lift
-    _, y_cols = triple_radical(t)
-    basis = column_space(f, [y_cols]) if y_cols.cols else Mat.zeros(f, t.y.dim, 0)
-    qproj, qsect = complement_projection(f, basis)
+    # Y side: generators g of a cover of C = Y / (rad Y + im phi), lifted
+    # through the section s of q : Y ->> C.  q is a module map, so
+    # q(gamma s g) = gamma g: sending gamma to gamma s g lifts the cover of C.
+    qproj, qsect = complement_projection(f, _radical_y(t))
     qaction = [qproj.mul(a).mul(qsect) for a in t.y.action]
     qmod = SCModule(spec.s, qproj.rows, qaction)
-    pc, pic = scm.projective_cover_sc(qmod, spec.coldata_s())
-    # lift pic through Y ->> Y/(rad Y + im phi)
-    if pc.dim:
-        hom_py = hom_basis_sc(pc, t.y)
-        cols = [Mat.column(f, qproj.mul(h.mat).flatten()) for h in hom_py]
-        rhs = Mat.column(f, pic.mat.flatten())
-        sol = solve_matrix(Mat.hstack(f, cols) if cols else Mat.zeros(f, len(rhs.entries), 0), rhs)
-        if sol is None:
-            raise CompositionInconsistent("projective lift over S failed")
-        h = Mat.zeros(f, t.y.dim, pc.dim)
-        for c, hb in zip(sol.column_vector(), hom_py):
-            if c != f.zero():
-                h = h.add(hb.mat.scale(c))
-    else:
-        h = Mat.zeros(f, t.y.dim, 0)
+    cds = spec.coldata_s()
+    pieces, gens = scm._cover_generators(qmod, cds)
+    pc, h = scm._map_from_columns(t.y, cds, pieces, [qsect.mul(g) for g in gens])
     # assemble the cover triple (P_X, tensor(P_X) + P_C)
     e1p = e1_lambda(spec, px)
     cover_y, yinjs, yprojs = direct_sum_sc(spec.s, [e1p.y, pc])
     cover = TripleModule(spec, px, cover_y, yinjs[0].mat, e1p.tensor)
     tu = tensor_map(spec, e1p.tensor, t.tensor, pix.mat)
-    w = t.phi.mul(tu).mul(yprojs[0].mat).add(h.mul(yprojs[1].mat))
+    w = t.phi.mul(tu).mul(yprojs[0].mat).add(h.mat.mul(yprojs[1].mat))
     pi = TripleMap(cover, t, pix.mat, w)
     if rank(pi.u) != t.x.dim or rank(pi.w) != t.y.dim:
         raise CompositionInconsistent("triple cover is not surjective")
@@ -551,16 +542,7 @@ def triple_kernel(f_map: TripleMap):
 
 
 def triple_pd(t: TripleModule, cap: int = 20) -> Dim:
-    current = t
-    for i in range(cap + 1):
-        if current.is_zero():
-            return Dim.finite(i)
-        cover, pi = triple_projective_cover(current)
-        k, _ = triple_kernel(pi)
-        if k.is_zero():
-            return Dim.finite(i)
-        current = k
-    return Dim.at_least(cap)
+    return syzygy_pd(t, cap, triple_projective_cover, triple_kernel)
 
 
 def simple_triples(spec: TriRingSpec):

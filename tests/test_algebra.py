@@ -294,3 +294,118 @@ def test_pd_cross_oracle_randomized():
     for _ in range(15):
         m = _random_sum(rng, a, indecs)
         assert alg.pd(m) == alg.pd_via_ext(m)
+
+
+# -- covers built once per syzygy step ---------------------------------------------
+
+def kA3_rad2(field=GF(101)):
+    q = qv.a_n(3)
+    return alg.build_bqa(field, q, [[(1, qv.Path("1", "3", ("a1", "a2")))]], 2, name="A3/rad2")
+
+
+def nakayama(n, length, field=GF(101)):
+    """Cyclic quiver on n vertices with every path of the given length zero."""
+    arrows = [(f"c{i}", str(i), str(i % n + 1)) for i in range(1, n + 1)]
+    q = qv.make_quiver([str(i) for i in range(1, n + 1)], arrows, require_acyclic=False)
+    rels = []
+    for i in range(1, n + 1):
+        names, v = [], i
+        for _ in range(length):
+            names.append(f"c{v}")
+            v = v % n + 1
+        rels.append([(1, qv.Path(str(i), str(v), tuple(names)))])
+    return alg.build_bqa(field, q, rels, length, name=f"N({n},{length})")
+
+
+def _standard_modules(a):
+    verts = a.quiver.vertices
+    return ([alg.simple_module(a, v) for v in verts] + [alg.projective_module(a, v) for v in verts]
+            + alg.injective_indecomposables(a))
+
+
+def _reference_cover(m):
+    """The cover assembled piece by piece: one map_from_projective per top
+    generator, summed with direct_sum_mods."""
+    a, f = m.algebra, m.algebra.field
+    rad = alg.radical_submodule(m)
+    pieces, maps = [], []
+    for v in a.quiver.vertices:
+        _, sect = alg.complement_projection(f, rad[v])
+        for j in range(sect.cols):
+            pv = alg.projective_module(a, v)
+            pieces.append(pv)
+            maps.append(alg.map_from_projective(pv, m, sect.col(j)))
+    if not pieces:
+        z = alg.zero_module(a)
+        return z, alg.zero_map(z, m)
+    total, _, _ = alg.direct_sum_mods(a, pieces)
+    mats = {v: Mat.hstack(f, [mp.mats[v] for mp in maps]) for v in a.quiver.vertices}
+    return total, alg.ModMap(total, m, mats)
+
+
+def kronecker():
+    return alg.path_algebra(QQ, qv.kronecker(), name="kK")
+
+
+# on the Kronecker quiver P_1 has two paths to vertex 2, so the column order
+# of pi (generator by generator, paths within each) is pinned down
+@pytest.mark.parametrize("make", [kA3_rad2, lambda: nakayama(4, 3), kA2, kronecker])
+def test_projective_cover_matches_reference_assembly(make):
+    a = make()
+    mods = _standard_modules(a)
+    mods.append(alg.direct_sum_mods(a, mods[:3] + mods[-2:])[0])
+    mods.append(alg.zero_module(a))
+    for m in mods:
+        p, pi = alg.projective_cover(m)
+        p_ref, pi_ref = _reference_cover(m)
+        assert p == p_ref
+        assert pi.mats == pi_ref.mats
+        assert pi.is_valid() and alg.cover_is_minimal(p, pi)
+
+
+def test_projective_module_is_built_once():
+    a = kA3_rad2()
+    aop = a.opposite()
+    for v in a.quiver.vertices:
+        p = alg.projective_module(a, v)
+        assert alg.projective_module(a, v) is p
+        pop = alg.projective_module(aop, v)
+        assert pop is not p and pop.algebra is aop and p.algebra is a
+    assert alg.projective_module(a, 1) is alg.projective_module(a, "1")
+
+
+def _count_covers(monkeypatch):
+    calls = []
+    real = alg.projective_cover
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(alg, "projective_cover", counting)
+    return calls
+
+
+def test_pd_builds_one_cover_per_step(monkeypatch):
+    calls = _count_covers(monkeypatch)
+    a = kA3_rad2()
+    for v, d in (("1", 2), ("2", 1), ("3", 0)):
+        del calls[:]
+        assert alg.pd(alg.simple_module(a, v)) == Dim.finite(d)
+        assert len(calls) == d + 1
+    del calls[:]
+    assert alg.pd(alg.zero_module(a)) == Dim.finite(0)
+    assert not calls
+    # self-injective: a non-projective simple runs into the cap
+    n = nakayama(4, 3)
+    assert alg.pd(alg.simple_module(n, "1"), cap=5) == Dim.at_least(5)
+    assert len(calls) == 6
+
+
+def test_pd_via_ext_reads_termination_from_its_resolution():
+    a = kA3_rad2()
+    s1 = alg.simple_module(a, "1")
+    assert alg.pd_via_ext(s1, cap=2) == Dim.finite(2) == alg.pd(s1, cap=2)
+    assert alg.pd_via_ext(s1, cap=1) == Dim.at_least(1) == alg.pd(s1, cap=1)
+    s = alg.simple_module(nakayama(4, 3), "2")
+    assert alg.pd_via_ext(s, cap=4) == Dim.at_least(4) == alg.pd(s, cap=4)

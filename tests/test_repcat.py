@@ -246,3 +246,25 @@ def test_end_of_adjoint_matches_end_of_module():
             d = len(alg.hom_basis(reg, reg))
             assert rc.rep_hom_dim(el, el) == d
             assert rc.rep_hom_dim(er, er) == d
+
+
+def test_rep_pd_builds_one_cover_per_step(monkeypatch):
+    calls = []
+    real = rc.rep_projective_cover
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(rc, "rep_projective_cover", counting)
+    k = base_k()
+    q = qv.a_n(2)
+    # over k A_2: the simple at the source has pd 1, the one at the sink pd 0
+    for v, d in (("1", 1), ("2", 0)):
+        del calls[:]
+        assert rc.rep_pd(rc.rep_simple(q, k, v, "1")) == Dim.finite(d)
+        assert len(calls) == d + 1
+    del calls[:]
+    d = dual_numbers()
+    assert rc.rep_pd(rc.rep_simple(qv.a_n(1), d, "1", "1"), cap=3) == Dim.at_least(3)
+    assert len(calls) == 4

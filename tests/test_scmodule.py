@@ -135,3 +135,14 @@ def test_hom_dims_agree_with_base_algebra(make):
         for n in mods:
             raw = scm.hom_basis_sc(scm.sc_module_of_algmod(m, sc), scm.sc_module_of_algmod(n, sc))
             assert len(alg.hom_basis(m, n)) == len(raw)
+
+
+def test_simple_top_is_computed_once():
+    for sc in [sc_kA2(), sc_dual()]:
+        cd = scm.ColumnData(sc)
+        for i, (col, _) in enumerate(cd.columns):
+            top = cd.simple_top(i)
+            assert cd.simple_top(i) is top
+            proj, sect = scm.top_projection(col)
+            fresh = scm.SCModule(sc, proj.rows, [proj.mul(a).mul(sect) for a in col.action])
+            assert top == fresh and top.dim == 1

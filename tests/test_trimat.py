@@ -8,7 +8,7 @@ from quivhom import quiver as qv
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
 from quivhom.bounds import Dim
-from quivhom.exactlin import GF, QQ, Mat
+from quivhom.exactlin import GF, QQ, Mat, inverse, rank
 
 
 def k_bqa(field=QQ):
@@ -213,3 +213,61 @@ def test_triple_direct_sum_maps_valid():
     assert total.dim_total() == t1.dim_total() + t2.dim_total()
     for m in injs + projs:
         assert m.is_valid()
+
+
+# -- triple covers lifted from their generators -------------------------------------
+
+def t2_a4_rad2(field=GF(101)):
+    q = qv.a_n(4)
+    rels = [[(1, qv.Path(str(i), str(i + 2), (f"a{i}", f"a{i + 1}")))] for i in range(1, 3)]
+    return tm.t2_spec(alg.build_bqa(field, q, rels, 2), name="T2(A4/rad2)")
+
+
+def _y_in_new_basis(t):
+    """The same triple with Y in the basis g = I + (ones above the diagonal),
+    which mixes the idempotent pieces of Y."""
+    f = t.spec.r.field
+    n = t.y.dim
+    g = Mat.from_rows(f, [[1 if j >= i else 0 for j in range(n)] for i in range(n)])
+    ginv = inverse(g)
+    y = scm.SCModule(t.spec.s, n, [g.mul(a).mul(ginv) for a in t.y.action])
+    return tm.TripleModule(t.spec, t.x, y, g.mul(t.phi), t.tensor)
+
+
+def _cover_test_triples(spec):
+    out = [t for _, _, t in tm.simple_triples(spec)]
+    out += [tm.e1_lambda(spec, col) for col, _ in spec.coldata_r().columns]
+    out += [tm.e2_lambda(spec, col) for col, _ in spec.coldata_s().columns]
+    total, _, _ = tm.triple_direct_sum(spec, [out[0], out[-1], out[len(out) // 2]])
+    mixed = _y_in_new_basis(tm.triple_direct_sum(spec, out)[0])
+    assert mixed.check()
+    return out + [total, mixed]
+
+
+@pytest.mark.parametrize("make", [t2_a4_rad2, t2k])
+def test_triple_covers_are_surjective_and_minimal(make):
+    spec = make()
+    f = spec.r.field
+    for t in _cover_test_triples(spec):
+        cover, pi = tm.triple_projective_cover(t)
+        assert cover.check() and pi.is_valid()
+        assert rank(pi.u) == t.x.dim and rank(pi.w) == t.y.dim
+        _, incl = tm.triple_kernel(pi)
+        rad_x, rad_y = tm.triple_radical(cover)
+        assert rank(Mat.hstack(f, [rad_x, incl.u])) == rank(rad_x)
+        assert rank(Mat.hstack(f, [rad_y, incl.w])) == rank(rad_y)
+
+
+def test_t2_a4_rad2_gldim():
+    assert tm.trimat_gldim(t2_a4_rad2()) == Dim.finite(4)
+
+
+def test_triple_cover_solves_no_hom_system(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("hom_basis_sc called by a triple cover")
+
+    monkeypatch.setattr(scm, "hom_basis_sc", refuse)
+    monkeypatch.setattr(tm, "hom_basis_sc", refuse, raising=False)
+    spec = t2_a4_rad2()
+    for t in _cover_test_triples(spec):
+        tm.triple_projective_cover(t)
