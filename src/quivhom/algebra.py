@@ -352,19 +352,23 @@ def direct_sum_mods(a: BQA, mods):
     for arr in a.quiver.arrows:
         mats[arr.name] = Mat.block_diag(f, [m.mats[arr.name] for m in mods]) if mods else Mat.zeros(f, 0, 0)
     total = AlgMod(a, dims, mats)
+    zero, one = f.zero(), f.one()
     injs, projs = [], []
-    for i, m in enumerate(mods):
+    before = {v: 0 for v in a.quiver.vertices}
+    for m in mods:
         imats, pmats = {}, {}
-        for v in a.quiver.vertices:
-            before = sum(mods[j].dims[v] for j in range(i))
-            rows = []
-            for r in range(m.dims[v]):
-                row = [f.zero()] * dims[v]
-                row[before + r] = f.one()
-                rows.append(row)
-            pm = Mat.from_rows(f, rows) if rows else Mat.zeros(f, 0, dims[v])
-            pmats[v] = pm  # projection from total onto summand... built below
-            imats[v] = pm.transpose()
+        for v, n in dims.items():
+            # unit blocks: the projection's row r, and the injection's
+            # column r, have their one in place before[v] + r
+            d, at = m.dims[v], before[v]
+            pent = [zero] * (d * n)
+            ient = [zero] * (n * d)
+            for r in range(d):
+                pent[r * n + at + r] = one
+                ient[(at + r) * d + r] = one
+            pmats[v] = Mat(f, d, n, tuple(pent))
+            imats[v] = Mat(f, n, d, tuple(ient))
+            before[v] = at + d
         injs.append(ModMap(m, total, imats))
         projs.append(ModMap(total, m, pmats))
     return total, injs, projs
@@ -654,9 +658,13 @@ def _resolution(m: AlgMod, length: int):
 
 def ext_dims(m: AlgMod, s: AlgMod, upto: int):
     """dim Ext^i(M, S) for 0 <= i <= upto, from Hom(P_., S) cochain ranks."""
-    res = minimal_resolution(m, upto + 1)
-    a = m.algebra
-    f = a.field
+    return _ext_dims(minimal_resolution(m, upto + 1), s, upto)
+
+
+def _ext_dims(res, s: AlgMod, upto: int):
+    """``ext_dims`` over a given resolution: steps (P_i, d_i, ...) of M, at
+    least upto + 2 of them unless it stops at a zero kernel."""
+    f = s.algebra.field
     homs = [hom_basis(res[i][0], s) if i < len(res) else [] for i in range(upto + 2)]
     deltas = []
     for i in range(upto + 1):
@@ -703,7 +711,7 @@ def pd_via_ext(m: AlgMod, cap: int = 20) -> Dim:
     best = 0
     for v in a.quiver.vertices:
         s = simple_module(a, v)
-        exts = ext_dims(m, s, min(cap, len(res)))
+        exts = _ext_dims(res, s, min(cap, len(res)))
         for i, e in enumerate(exts):
             if e != 0:
                 best = max(best, i)

@@ -55,6 +55,35 @@ class Cat:
             out.extend(mats[k].entries)
         return out
 
+    # Every ``direct_sum`` concatenates its summands key by key, in summand
+    # order, so a morphism into, out of or between direct sums is placed
+    # block by block, with no products and no additions.
+
+    def diag(self, src, dst, fs):
+        """f_1 + ... + f_n : src -> dst, where src and dst are the direct sums
+        of the sources and of the targets of the fs."""
+        mats = [self.map_mats(g) for g in fs]
+        return self.map_from_mats(src, dst, {
+            k: Mat.block_diag(self.field, [m[k] for m in mats]) for k in self.keys(src)})
+
+    def stack(self, src, dst, fs):
+        """The map src -> dst with components f_i : src -> dst_i, where dst is
+        the direct sum of the targets of the fs (summands of dimension zero
+        add no rows, so their maps may be left out)."""
+        mats = [self.map_mats(g) for g in fs]
+        return self.map_from_mats(src, dst, {
+            k: Mat.vstack(self.field, [m[k] for m in mats]) if mats
+            else Mat.zeros(self.field, 0, self.comp_dim(src, k)) for k in self.keys(src)})
+
+    def copair(self, src, dst, fs):
+        """The map src -> dst restricting to f_i : src_i -> dst, where src is
+        the direct sum of the sources of the fs (summands of dimension zero
+        add no columns, so their maps may be left out)."""
+        mats = [self.map_mats(g) for g in fs]
+        return self.map_from_mats(src, dst, {
+            k: Mat.hstack(self.field, [m[k] for m in mats]) if mats
+            else Mat.zeros(self.field, self.comp_dim(dst, k), 0) for k in self.keys(dst)})
+
     def total_matrix(self, f, src, dst):
         """Block-diagonal total matrix in the canonical key order."""
         mats = self.map_mats(f)

@@ -189,14 +189,7 @@ def direct_sum_complexes(cat: Cat, cs):
         total, injs, projs = cat.direct_sum([c.obj(i) for c in cs])
         objs[i] = total
         degree_maps[i] = (injs, projs)
-    diffs = {}
-    for i in range(lo, hi):
-        d = cat.zero_map(objs[i], objs[i + 1])
-        for idx, c in enumerate(cs):
-            inj_next = degree_maps[i + 1][0][idx]
-            proj_here = degree_maps[i][1][idx]
-            d = cat.add_map(d, cat.compose(cat.compose(inj_next, c.diff(i)), proj_here))
-        diffs[i] = d
+    diffs = {i: cat.diag(objs[i], objs[i + 1], [c.diff(i) for c in cs]) for i in range(lo, hi)}
     total = Complex(cat, lo, hi, objs, diffs)
     injs, projs = [], []
     for idx, c in enumerate(cs):
@@ -472,11 +465,7 @@ class Node:
 
 def build_expression(cat: Cat, generators, entries) -> Complex:
     """Direct sum of shifted generator summands, zero differentials."""
-    pieces = [shift_complex(concentrated(cat, generators[g]), s) for g, s in entries]
-    if not pieces:
-        return zero_complex(cat)
-    total, _, _ = direct_sum_complexes(cat, pieces)
-    return total
+    return expression_summand_maps(cat, generators, entries)[0]
 
 
 def expression_summand_maps(cat: Cat, generators, entries):
@@ -591,15 +580,9 @@ def semisimple_split(x: Complex, generators) -> Leaf:
             for b in cat.hom_basis(gen, h_objs[i]):
                 entries.append((gi, -i))
                 retr_pieces[i].append(b)
-    expr, injs, projs = expression_summand_maps(cat, generators, entries)
-    retr_comps = {}
-    idx = 0
-    u_by_degree = {i: cat.zero_map(expr.obj(i), h_objs[i]) for i in hcx.degrees()}
-    for i in hcx.degrees():
-        for b in retr_pieces[i]:
-            u_by_degree[i] = cat.add_map(u_by_degree[i],
-                                         cat.compose(b, projs[idx].comp(i)))
-            idx += 1
+    expr = build_expression(cat, generators, entries)
+    # in degree i only the summands anchored there have nonzero dimension
+    u_by_degree = {i: cat.copair(expr.obj(i), h_objs[i], retr_pieces[i]) for i in hcx.degrees()}
     retr = ChainMap(expr, hcx, u_by_degree)
     incl_comps = {}
     for i in hcx.degrees():
@@ -660,7 +643,14 @@ def _module_section_of_map(cat: Cat, onto_map, target_obj, source_obj):
 
 
 def try_leaf(x: Complex, generators, cat: Cat):
-    """Direct split of x into shifted generators, as a chain-level factor."""
+    """Direct split of x into shifted generators, as a chain-level factor.
+
+    The expression has zero differentials, so retr o incl = id_x forces
+    d_x = d_x o retr o incl = retr o d_expr o incl = 0: a complex with a
+    nonzero differential has no such split, and is ruled out before any
+    chain map is solved for."""
+    if any(not m.is_zero() for i in range(x.lo, x.hi) for m in cat.map_mats(x.diffs[i]).values()):
+        return None
     entries = []
     maps = []
     for gi, gen in enumerate(generators):
@@ -671,11 +661,9 @@ def try_leaf(x: Complex, generators, cat: Cat):
                 maps.append(b)
     if not entries:
         return empty_leaf(cat, x) if x.is_zero() else None
-    expr, injs, projs = expression_summand_maps(cat, generators, entries)
-    u = zero_chain_map(expr, x)
-    for b, pr in zip(maps, projs):
-        u = b.compose(pr).add(u)
-    sect_comps = {}
+    expr = build_expression(cat, generators, entries)
+    u = ChainMap(expr, x, {i: cat.copair(expr.obj(i), x.obj(i), [b.comp(i) for b in maps])
+                           for i in range(min(expr.lo, x.lo), max(expr.hi, x.hi) + 1)})
     basis = chain_hom_basis(x, expr)
     f = cat.field
     if not basis:
@@ -718,12 +706,16 @@ def rep_standard_triangle(x: Complex) -> ComplexSES:
             raise QuivhomError(f"presentation not exact in degree {i}")
     b_objs = {i: pres[i].vertices_term for i in x.degrees()}
     a_objs = {i: pres[i].arrows_term for i in x.degrees()}
+    # the functorial differentials: each adjoint piece maps to its own block
     b_diffs, a_diffs = {}, {}
     for i in range(x.lo, x.hi):
-        d = x.diffs[i]
-        # rebuild functorial differentials via the adjoint pieces
-        b_diffs[i] = _functorial_sum_map(q, a, x.objs[i], x.objs[i + 1], d, side="vertices")
-        a_diffs[i] = _functorial_sum_map(q, a, x.objs[i], x.objs[i + 1], d, side="arrows")
+        d, src, dst = x.diffs[i], pres[i], pres[i + 1]
+        b_diffs[i] = rcat.diag(src.vertices_term, dst.vertices_term, [
+            rc.left_adjoint_map(q, v, s, t, d.mats[v])
+            for v, s, t in zip(q.vertices, src.vertex_pieces, dst.vertex_pieces)])
+        a_diffs[i] = rcat.diag(src.arrows_term, dst.arrows_term, [
+            rc.left_adjoint_map(q, arr.target, s, t, d.mats[arr.source])
+            for arr, s, t in zip(q.arrows, src.arrow_pieces, dst.arrow_pieces)])
     bcx = Complex(rcat, x.lo, x.hi, b_objs, b_diffs)
     acx = Complex(rcat, x.lo, x.hi, a_objs, a_diffs)
     incl = ChainMap(acx, bcx, {i: pres[i].incl for i in x.degrees()})
@@ -740,35 +732,6 @@ def rep_standard_triangle(x: Complex) -> ComplexSES:
     if not ses.verify(details):
         raise QuivhomError(f"standard triangle failed verification: {details}")
     return ses
-
-
-def _vertex_pieces(q, xobj):
-    return [rc.left_adjoint(q, v, xobj.mods[v]) for v in q.vertices]
-
-
-def _arrow_pieces(q, xobj):
-    return [rc.left_adjoint(q, arr.target, xobj.mods[arr.source]) for arr in q.arrows]
-
-
-def _functorial_sum_map(q, a, src_obj, dst_obj, d, side: str):
-    """Apply the adjoint pieces to a module map, summand by summand."""
-    if side == "vertices":
-        src_pieces = _vertex_pieces(q, src_obj)
-        dst_pieces = _vertex_pieces(q, dst_obj)
-        labels = [(v, v) for v in q.vertices]
-        comps = [d.mats[v] for v in q.vertices]
-    else:
-        src_pieces = _arrow_pieces(q, src_obj)
-        dst_pieces = _arrow_pieces(q, dst_obj)
-        labels = [(arr.target, arr.source) for arr in q.arrows]
-        comps = [d.mats[arr.source] for arr in q.arrows]
-    src_sum, src_injs, src_projs = rc.rep_direct_sum(q, a, src_pieces)
-    dst_sum, dst_injs, dst_projs = rc.rep_direct_sum(q, a, dst_pieces)
-    total = rc.zero_repmap(src_sum, dst_sum)
-    for idx, (at_v, _) in enumerate(labels):
-        lifted = rc.left_adjoint_map(q, at_v, src_pieces[idx], dst_pieces[idx], comps[idx])
-        total = total.add(dst_injs[idx].compose(lifted).compose(src_projs[idx]))
-    return total
 
 
 def triple_standard_triangle(x: Complex) -> ComplexSES:
@@ -826,59 +789,53 @@ def witness_direct_sum(cat: Cat, ws):
     if len(ws) == 1:
         return ws[0]
     if all(isinstance(w, Leaf) for w in ws):
-        targets = [w.target for w in ws]
-        total, injs, projs = direct_sum_complexes(cat, targets)
-        replaced = [w.replaced if w.replaced is not None else w.target for w in ws]
-        rtotal, rinjs, rprojs = direct_sum_complexes(cat, replaced)
+        total, _, _ = direct_sum_complexes(cat, [w.target for w in ws])
         any_replaced = any(w.replaced is not None for w in ws)
-        to_r = zero_chain_map(total, rtotal)
-        from_r = zero_chain_map(rtotal, total)
-        for i, w in enumerate(ws):
-            trmap = w.to_replaced if w.to_replaced is not None else identity_chain_map(w.target)
-            frmap = w.from_replaced if w.from_replaced is not None else identity_chain_map(w.target)
-            to_r = to_r.add(rinjs[i].compose(trmap).compose(projs[i]))
-            from_r = from_r.add(injs[i].compose(frmap).compose(rprojs[i]))
+        rtotal = total if not any_replaced else direct_sum_complexes(
+            cat, [w.replaced if w.replaced is not None else w.target for w in ws])[0]
         entries = []
         for w in ws:
             entries.extend(w.entries)
         # the sum of the leaf expressions is, block by block, the expression
         # of the concatenated entry list
-        exprs = [w.incl.target for w in ws]
-        etotal, etinjs, etprojs = direct_sum_complexes(cat, exprs)
-        incl = zero_chain_map(rtotal, etotal)
-        retr = zero_chain_map(etotal, rtotal)
-        for i, w in enumerate(ws):
-            incl = incl.add(etinjs[i].compose(w.incl).compose(rprojs[i]))
-            retr = retr.add(rinjs[i].compose(w.retr).compose(etprojs[i]))
-        return Leaf(total, entries, incl, retr,
-                    replaced=rtotal if any_replaced else None,
-                    to_replaced=to_r if any_replaced else None,
-                    from_replaced=from_r if any_replaced else None)
+        etotal, _, _ = direct_sum_complexes(cat, [w.incl.target for w in ws])
+        incl = _diag_chain_map(cat, rtotal, etotal, [w.incl for w in ws])
+        retr = _diag_chain_map(cat, etotal, rtotal, [w.retr for w in ws])
+        if not any_replaced:
+            return Leaf(total, entries, incl, retr)
+        to_r = _diag_chain_map(cat, total, rtotal, [
+            w.to_replaced if w.to_replaced is not None else identity_chain_map(w.target)
+            for w in ws])
+        from_r = _diag_chain_map(cat, rtotal, total, [
+            w.from_replaced if w.from_replaced is not None else identity_chain_map(w.target)
+            for w in ws])
+        return Leaf(total, entries, incl, retr, rtotal, to_r, from_r)
     nodes = [w if isinstance(w, Node) else pad_to_node(w) for w in ws]
-    b_sum, binjs, bprojs = direct_sum_complexes(cat, [n.ses.b for n in nodes])
-    c_sum, cinjs, cprojs = direct_sum_complexes(cat, [n.ses.c for n in nodes])
-    a_total, ainjs, aprojs = direct_sum_complexes(cat, [n.ses.a for n in nodes])
-    incl = zero_chain_map(a_total, b_sum)
-    epi = zero_chain_map(b_sum, c_sum)
-    for i, n in enumerate(nodes):
-        incl = incl.add(binjs[i].compose(n.ses.incl).compose(aprojs[i]))
-        epi = epi.add(cinjs[i].compose(n.ses.epi).compose(bprojs[i]))
+    b_sum, _, _ = direct_sum_complexes(cat, [n.ses.b for n in nodes])
+    c_sum, _, _ = direct_sum_complexes(cat, [n.ses.c for n in nodes])
+    a_total, _, _ = direct_sum_complexes(cat, [n.ses.a for n in nodes])
+    incl = _diag_chain_map(cat, a_total, b_sum, [n.ses.incl for n in nodes])
+    epi = _diag_chain_map(cat, b_sum, c_sum, [n.ses.epi for n in nodes])
     ses = ComplexSES(a_total, b_sum, c_sum, incl, epi, {})
     ses.sections = solve_sections(ses)
-    t_sum, tinjs, tprojs = direct_sum_complexes(cat, [n.target for n in nodes])
-    fi = zero_chain_map(t_sum, c_sum)
-    fr = zero_chain_map(c_sum, t_sum)
-    has_factor = any(n.factor_incl is not None for n in nodes)
-    for i, n in enumerate(nodes):
-        fim = n.factor_incl if n.factor_incl is not None else identity_chain_map(n.target)
-        frm = n.factor_retr if n.factor_retr is not None else identity_chain_map(n.target)
-        fi = fi.add(cinjs[i].compose(fim).compose(tprojs[i]))
-        fr = fr.add(tinjs[i].compose(frm).compose(cprojs[i]))
+    t_sum, _, _ = direct_sum_complexes(cat, [n.target for n in nodes])
+    fi = _diag_chain_map(cat, t_sum, c_sum, [
+        n.factor_incl if n.factor_incl is not None else identity_chain_map(n.target)
+        for n in nodes])
+    fr = _diag_chain_map(cat, c_sum, t_sum, [
+        n.factor_retr if n.factor_retr is not None else identity_chain_map(n.target)
+        for n in nodes])
     mid = witness_direct_sum(cat, [n.child_mid for n in nodes])
     sh = witness_direct_sum(cat, [n.child_shift for n in nodes])
-    return Node(t_sum, ses, mid, sh,
-                factor_incl=fi if has_factor or len(nodes) > 1 else None,
-                factor_retr=fr if has_factor or len(nodes) > 1 else None)
+    return Node(t_sum, ses, mid, sh, factor_incl=fi, factor_retr=fr)
+
+
+def _diag_chain_map(cat: Cat, src: Complex, dst: Complex, fs):
+    """f_1 + ... + f_n : src -> dst between the direct sums of their sources
+    and targets, over the degrees of both."""
+    return ChainMap(src, dst, {
+        i: cat.diag(src.obj(i), dst.obj(i), [g.comp(i) for g in fs])
+        for i in range(min(src.lo, dst.lo), max(src.hi, dst.hi) + 1)})
 
 
 # ---------------------------------------------------------------------------------
@@ -909,7 +866,8 @@ def left_adjoint_functor(q, a, v) -> CFunctor:
     cache = {}
 
     def on_obj(m):
-        key = id(m)
+        # every zero module has the same image
+        key = None if m.is_zero() else id(m)
         if key not in cache:
             cache[key] = (m, rc.left_adjoint(q, v, m))
         return cache[key][1]
@@ -999,18 +957,22 @@ def _push(w, functor, old_gens, new_gens, gmap):
     if isinstance(w, Leaf):
         new_target = functor.on_complex(w.target)
         entries = [(gmap[g], s) for g, s in w.entries]
-        new_expr, ninjs, nprojs = expression_summand_maps(cat, new_gens, entries)
-        old_expr, oinjs, oprojs = expression_summand_maps(
-            functor.src_cat, old_gens, w.entries)
+        new_expr = build_expression(cat, new_gens, entries)
+        _, oinjs, oprojs = expression_summand_maps(functor.src_cat, old_gens, w.entries)
         f_expr = functor.on_complex(w.incl.target)
-        # canonical iso F(sum) = sum F, built from the transported projections
-        phi = zero_chain_map(f_expr, new_expr)
-        phi_inv = zero_chain_map(new_expr, f_expr)
-        for idx in range(len(entries)):
-            fp = functor.on_chain_map(oprojs[idx], src_img=f_expr)
-            fi = functor.on_chain_map(oinjs[idx], dst_img=f_expr)
-            phi = phi.add(ninjs[idx].compose(fp))
-            phi_inv = phi_inv.add(fi.compose(nprojs[idx]))
+        # canonical iso F(sum) = sum F: in degree i, the F(proj_k) of the
+        # summands anchored there stacked, and its inverse with their
+        # F(inj_k) side by side (every other summand is zero in degree i)
+        degrees = range(min(f_expr.lo, new_expr.lo), max(f_expr.hi, new_expr.hi) + 1)
+        anchored = {i: [k for k, (_, s) in enumerate(w.entries) if s == -i] for i in degrees}
+        phi = ChainMap(f_expr, new_expr, {
+            i: cat.stack(f_expr.obj(i), new_expr.obj(i),
+                         [functor.on_map(oprojs[k].comp(i)) for k in anchored[i]])
+            for i in degrees})
+        phi_inv = ChainMap(new_expr, f_expr, {
+            i: cat.copair(new_expr.obj(i), f_expr.obj(i),
+                          [functor.on_map(oinjs[k].comp(i)) for k in anchored[i]])
+            for i in degrees})
         if w.replaced is not None:
             new_repl = functor.on_complex(w.replaced)
             to_r = functor.on_chain_map(w.to_replaced, src_img=new_target, dst_img=new_repl)
@@ -1186,29 +1148,18 @@ def _reanchor(w, old_gen_objs, new_gens, cat: Cat):
             raise TensorNotExactOnCertificates(
                 f"tensored generator {g} is not a direct factor of the target generators")
         splits[g] = found
-    new_entries = []
-    piece_data = []
+    # the new expression lists, piece by piece, the split of each old
+    # piece, so the routing maps are block diagonal with the shifted splits
+    new_entries, incls, retrs = [], [], []
     for g, s in w.entries:
         sub_entries, s_incl, s_retr = splits[g]
-        start = len(new_entries)
         new_entries.extend((gg, ss + s) for gg, ss in sub_entries)
-        piece_data.append((g, s, start, len(sub_entries)))
-    old_expr, oinjs, oprojs = expression_summand_maps(cat, old_gen_objs, w.entries)
-    new_expr, ninjs, nprojs = expression_summand_maps(cat, new_gens, new_entries)
-    phi = zero_chain_map(old_expr, new_expr)
-    psi = zero_chain_map(new_expr, old_expr)
-    for idx, (g, s, start, count) in enumerate(piece_data):
-        sub_entries, s_incl, s_retr = splits[g]
-        sub_expr, sinjs, sprojs = expression_summand_maps(cat, new_gens, sub_entries)
-        incl_s = shift_chain_map(s_incl, s)
-        retr_s = shift_chain_map(s_retr, s)
-        # route: old piece -> shifted generator split -> new expression slots
-        for t in range(count):
-            inj_piece = ninjs[start + t]
-            proj_piece = shift_chain_map(sprojs[t], s)
-            phi = phi.add(inj_piece.compose(proj_piece).compose(incl_s).compose(oprojs[idx]))
-            inj_back = shift_chain_map(sinjs[t], s)
-            psi = psi.add(oinjs[idx].compose(retr_s).compose(inj_back).compose(nprojs[start + t]))
+        incls.append(shift_chain_map(s_incl, s))
+        retrs.append(shift_chain_map(s_retr, s))
+    old_expr = build_expression(cat, old_gen_objs, w.entries)
+    new_expr = build_expression(cat, new_gens, new_entries)
+    phi = _diag_chain_map(cat, old_expr, new_expr, incls)
+    psi = _diag_chain_map(cat, new_expr, old_expr, retrs)
     incl = phi.compose(w.incl)
     retr = w.retr.compose(psi)
     return Leaf(w.target, new_entries, incl, retr,
@@ -1228,12 +1179,9 @@ def _split_into_generators(obj, generators, cat: Cat):
     if not entries:
         return ([], zero_chain_map(target, zero_complex(cat)),
                 zero_chain_map(zero_complex(cat), target)) if cat.is_zero_obj(obj) else None
-    expr, injs, projs = expression_summand_maps(cat, generators, entries)
-    u = zero_chain_map(expr, target)
-    for b, pr in zip(maps, projs):
-        u = u.add(ChainMap(expr, target, {0: cat.compose(b, pr.comp(0))}))
-    sec = _module_section_of_map(cat, u.comp(0), obj, expr.obj(0))
+    expr = build_expression(cat, generators, entries)
+    u = cat.copair(expr.obj(0), obj, maps)
+    sec = _module_section_of_map(cat, u, obj, expr.obj(0))
     if sec is None:
         return None
-    incl = ChainMap(target, expr, {0: sec})
-    return entries, incl, u
+    return entries, ChainMap(target, expr, {0: sec}), ChainMap(expr, target, {0: u})

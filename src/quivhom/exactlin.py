@@ -29,6 +29,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# Fractions are immutable, so every rational zero and one can be the same object
+_Q0 = Fraction(0)
+_Q1 = Fraction(1)
+
+
 @dataclass(frozen=True)
 class Field:
     """Ground field: the rationals ('q') or a prime field ('fp')."""
@@ -48,10 +53,10 @@ class Field:
 
     # -- scalar arithmetic ------------------------------------------------
     def zero(self):
-        return Fraction(0) if self.kind == "q" else 0
+        return _Q0 if self.kind == "q" else 0
 
     def one(self):
-        return Fraction(1) if self.kind == "q" else 1
+        return _Q1 if self.kind == "q" else 1
 
     def of_int(self, n: int):
         return Fraction(n) if self.kind == "q" else n % self.p
@@ -207,11 +212,11 @@ class Mat:
                 base = i * m
                 for t in range(k):
                     coef = arow[t]
-                    if coef == 0:
+                    if not coef:
                         continue
                     brow = b[t * m:(t + 1) * m]
                     for j in range(m):
-                        if brow[j] != 0:
+                        if brow[j]:
                             out[base + j] += coef * brow[j]
         else:
             p = f.p
@@ -233,8 +238,7 @@ class Mat:
                    tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
 
     def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(e == z for e in self.entries)
+        return not any(self.entries)
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:
@@ -289,6 +293,27 @@ class Mat:
         return Mat(field, rows, cols, tuple(ent))
 
     @staticmethod
+    def from_blocks(field: Field, row_sizes, col_sizes, blocks) -> "Mat":
+        """Block matrix with the given block-row heights and block-column
+        widths; ``blocks`` maps (i, j) to the block in block row i and block
+        column j, and every absent block is zero."""
+        roff, coff = [0], [0]
+        for n in row_sizes:
+            roff.append(roff[-1] + n)
+        for n in col_sizes:
+            coff.append(coff[-1] + n)
+        rows, cols = roff[-1], coff[-1]
+        ent = [field.zero()] * (rows * cols)
+        for (i, j), m in blocks.items():
+            if (m.rows, m.cols) != (row_sizes[i], col_sizes[j]):
+                raise DimensionMismatch(f"block ({i}, {j}) is {m.rows}x{m.cols}, "
+                                        f"expected {row_sizes[i]}x{col_sizes[j]}")
+            for r in range(m.rows):
+                base = (roff[i] + r) * cols + coff[j]
+                ent[base:base + m.cols] = m.entries[r * m.cols:(r + 1) * m.cols]
+        return Mat(field, rows, cols, tuple(ent))
+
+    @staticmethod
     def kron(a: "Mat", b: "Mat") -> "Mat":
         f = a.field
         rows, cols = a.rows * b.rows, a.cols * b.cols
@@ -296,7 +321,7 @@ class Mat:
         for i in range(a.rows):
             for j in range(a.cols):
                 c = a.at(i, j)
-                if c == f.zero():
+                if not c:
                     continue
                 for k in range(b.rows):
                     for l in range(b.cols):

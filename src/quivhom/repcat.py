@@ -168,16 +168,30 @@ def left_adjoint(q: Quiver, v: str, m: AlgMod) -> Rep:
         mods[w], injs[w], projs[w] = total, ii, pp
     maps = {}
     for arr in q.arrows:
-        src_paths = paths[arr.source]
-        dst_index = {p: i for i, p in enumerate(paths[arr.target])}
-        f = alg.zero_map(mods[arr.source], mods[arr.target])
-        for i, p in enumerate(src_paths):
-            j = dst_index[concat(p, arrow_path(arr))]
-            f = f.add(injs[arr.target][j].compose(projs[arr.source][i]))
-        maps[arr.name] = f
+        # copy p at the source goes to copy p.arr at the target
+        dst_index = {p: j for j, p in enumerate(paths[arr.target])}
+        pairs = [(i, dst_index[concat(p, arrow_path(arr))])
+                 for i, p in enumerate(paths[arr.source])]
+        maps[arr.name] = _copy_map(m, mods[arr.source], mods[arr.target], pairs)
     rep = Rep(q, a, mods, maps)
     rep._adjoint = ("lambda", v, m, paths, injs, projs)
     return rep
+
+
+def _copy_map(m: AlgMod, src: AlgMod, dst: AlgMod, pairs) -> ModMap:
+    """The map between sums of copies of m sending copy i identically onto
+    copy j for each (i, j) in pairs: 0/1 blocks, no products."""
+    f = m.algebra.field
+    zero, one = f.zero(), f.one()
+    mats = {}
+    for u, d in m.dims.items():
+        cols = src.dims[u]
+        ent = [zero] * (dst.dims[u] * cols)
+        for i, j in pairs:
+            for r in range(d):
+                ent[(j * d + r) * cols + i * d + r] = one
+        mats[u] = Mat(f, dst.dims[u], cols, tuple(ent))
+    return ModMap(src, dst, mats)
 
 
 def right_adjoint(q: Quiver, v: str, m: AlgMod) -> Rep:
@@ -191,12 +205,11 @@ def right_adjoint(q: Quiver, v: str, m: AlgMod) -> Rep:
         mods[w], injs[w], projs[w] = total, ii, pp
     maps = {}
     for arr in q.arrows:
+        # copy arr.qq at the source goes to copy qq at the target
         src_index = {p: i for i, p in enumerate(paths[arr.source])}
-        f = alg.zero_map(mods[arr.source], mods[arr.target])
-        for j, qq in enumerate(paths[arr.target]):
-            i = src_index[concat(arrow_path(arr), qq)]
-            f = f.add(injs[arr.target][j].compose(projs[arr.source][i]))
-        maps[arr.name] = f
+        pairs = [(src_index[concat(arrow_path(arr), qq)], j)
+                 for j, qq in enumerate(paths[arr.target])]
+        maps[arr.name] = _copy_map(m, mods[arr.source], mods[arr.target], pairs)
     rep = Rep(q, a, mods, maps)
     rep._adjoint = ("rho", v, m, paths, injs, projs)
     return rep
@@ -300,6 +313,15 @@ def rep_hom_dim(x: Rep, y: Rep) -> int:
 
 @dataclass
 class StandardPresentation:
+    """0 -> arrows_term -> vertices_term -> target -> 0 with its certificate.
+
+    ``vertex_pieces`` lists e^v_lambda(X_v) per vertex v and ``arrow_pieces``
+    lists e^{t(a)}_lambda(X_{s(a)}) per arrow a, in quiver order: the summands
+    of ``vertices_term`` and ``arrows_term``, block by block.  A map of
+    targets therefore lifts to both terms one piece at a time
+    (``left_adjoint_map`` on each piece, placed as a diagonal block).
+    """
+
     arrows_term: Rep
     vertices_term: Rep
     target: Rep
@@ -308,51 +330,41 @@ class StandardPresentation:
     section: dict  # vertex -> ModMap, a vertexwise right inverse of the epi
     exact: bool
     details: dict
+    vertex_pieces: list
+    arrow_pieces: list
 
 
 def standard_presentation(x: Rep) -> StandardPresentation:
     q, a = x.quiver, x.algebra
     f = a.field
     vert_pieces = [left_adjoint(q, v, x.mods[v]) for v in q.vertices]
-    b, b_injs, b_projs = rep_direct_sum(q, a, vert_pieces)
+    b, b_injs, _ = rep_direct_sum(q, a, vert_pieces)
     arrow_pieces = [left_adjoint(q, arr.target, x.mods[arr.source]) for arr in q.arrows]
-    if arrow_pieces:
-        asum, a_injs, a_projs = rep_direct_sum(q, a, arrow_pieces)
-    else:
-        asum, a_injs, a_projs = rep_zero(q, a), [], []
+    asum, _, _ = rep_direct_sum(q, a, arrow_pieces)
 
     # counit: on the copy of X_v indexed by a path p, act by X_p
-    epi = zero_repmap(b, x)
-    for vi, v in enumerate(q.vertices):
-        piece = vert_pieces[vi]
-        comp = zero_repmap(piece, x)
-        for w in q.vertices:
-            pw = piece._adjoint[3][w]
-            for pi_idx, p in enumerate(pw):
-                act = path_action(x, p)
-                proj = piece._adjoint[5][w][pi_idx]
-                comp.mats[w] = comp.mats[w].add(act.compose(proj))
-        epi = epi.add(comp.compose(b_projs[vi]))
+    epi = _block_repmap(b, x, vert_pieces, [x], {
+        (0, vi): _adjoint_transpose(x, piece) for vi, piece in enumerate(vert_pieces)})
 
-    # inclusion: nu_a - mu_a summed over arrows
-    incl = zero_repmap(asum, b)
+    # inclusion: the piece of arrow a goes by nu_a to the piece of t(a) and
+    # by -mu_a to the piece of s(a)
     vindex = {v: i for i, v in enumerate(q.vertices)}
+    blocks = {}
     for ai, arr in enumerate(q.arrows):
         piece = arrow_pieces[ai]  # e^{t(a)}_lambda(X_{s(a)})
         target_t = vert_pieces[vindex[arr.target]]  # e^{t(a)}_lambda(X_{t(a)})
         target_s = vert_pieces[vindex[arr.source]]  # e^{s(a)}_lambda(X_{s(a)})
-        nu = left_adjoint_map(q, arr.target, piece, target_t, x.maps[arr.name])
-        mu = zero_repmap(piece, target_s)
+        blocks[(vindex[arr.target], ai)] = left_adjoint_map(
+            q, arr.target, piece, target_t, x.maps[arr.name])
+        # mu_a: the copy of a path p goes to the copy of a.p
+        mu = {}
         for w in q.vertices:
-            plist = piece._adjoint[3][w]
-            dst_index = {p: i for i, p in enumerate(target_s._adjoint[3][w])}
-            for i, p in enumerate(plist):
-                j = dst_index[concat(arrow_path(arr), p)]
-                mu.mats[w] = mu.mats[w].add(
-                    target_s._adjoint[4][w][j].compose(piece._adjoint[5][w][i]))
-        comp = b_injs[vindex[arr.target]].compose(nu).add(
-            b_injs[vindex[arr.source]].compose(mu).scale(f.neg(f.one())))
-        incl = incl.add(comp.compose(a_projs[ai]))
+            dst_index = {p: j for j, p in enumerate(target_s._adjoint[3][w])}
+            pairs = [(i, dst_index[concat(arrow_path(arr), p)])
+                     for i, p in enumerate(piece._adjoint[3][w])]
+            mu[w] = _copy_map(x.mods[arr.source], piece.mods[w], target_s.mods[w], pairs)
+        blocks[(vindex[arr.source], ai)] = RepMap(piece, target_s, mu).scale(f.neg(f.one()))
+    incl = _block_repmap(asum, b, arrow_pieces, vert_pieces, blocks)
 
     # vertexwise section of the epi through the trivial-path copies
     section = {}
@@ -385,7 +397,39 @@ def standard_presentation(x: Rep) -> StandardPresentation:
         sec_ok &= all(check.mats[u] == ident.mats[u] for u in check.mats)
     details["section_identity"] = sec_ok
     exact &= sec_ok
-    return StandardPresentation(asum, b, x, incl, epi, section, exact, details)
+    return StandardPresentation(asum, b, x, incl, epi, section, exact, details,
+                                vert_pieces, arrow_pieces)
+
+
+def _adjoint_transpose(x: Rep, piece: Rep, h: ModMap = None) -> RepMap:
+    """The map e^v_lambda(M) -> x adjoint to h : M -> X_v (the identity when
+    h is None): the copy of M indexed by a path p acts by X_p o h."""
+    a = x.algebra
+    m = piece._adjoint[2]
+    mats = {}
+    for w in x.quiver.vertices:
+        acts = [path_action(x, p) if h is None else path_action(x, p).compose(h)
+                for p in piece._adjoint[3][w]]
+        mats[w] = ModMap(piece.mods[w], x.mods[w], {
+            u: Mat.from_blocks(a.field, [x.mods[w].dims[u]], [m.dims[u]] * len(acts),
+                               {(0, k): act.mats[u] for k, act in enumerate(acts)})
+            for u in a.quiver.vertices})
+    return RepMap(piece, x, mats)
+
+
+def _block_repmap(src: Rep, dst: Rep, src_pieces, dst_pieces, blocks) -> RepMap:
+    """The map src -> dst between the direct sums of src_pieces and of
+    dst_pieces whose block (i, j) is blocks[(i, j)] : src_pieces[j] ->
+    dst_pieces[i]; absent blocks are zero."""
+    a = src.algebra
+    mats = {}
+    for w in src.quiver.vertices:
+        mats[w] = ModMap(src.mods[w], dst.mods[w], {
+            u: Mat.from_blocks(a.field, [p.mods[w].dims[u] for p in dst_pieces],
+                               [p.mods[w].dims[u] for p in src_pieces],
+                               {ij: g.mats[w].mats[u] for ij, g in blocks.items()})
+            for u in a.quiver.vertices})
+    return RepMap(src, dst, mats)
 
 
 # -- radical, covers, projective dimension ----------------------------------------
@@ -417,22 +461,11 @@ def rep_projective_cover(x: Rep):
                 pu = alg.projective_module(a, u)
                 h = alg.map_from_projective(pu, x.mods[v], sect.col(j))
                 piece = left_adjoint(q, v, pu)
-                comp = zero_repmap(piece, x)
-                for w in q.vertices:
-                    for p_idx, p in enumerate(piece._adjoint[3][w]):
-                        act = path_action(x, p).compose(h)
-                        comp.mats[w] = comp.mats[w].add(
-                            act.compose(piece._adjoint[5][w][p_idx]))
                 pieces.append(piece)
-                piece_maps.append(comp)
-    if not pieces:
-        z = rep_zero(q, a)
-        return z, zero_repmap(z, x)
-    total, injs, projs = rep_direct_sum(q, a, pieces)
-    pi = zero_repmap(total, x)
-    for comp, pr in zip(piece_maps, projs):
-        pi = pi.add(comp.compose(pr))
-    return total, pi
+                piece_maps.append(_adjoint_transpose(x, piece, h))
+    total, _, _ = rep_direct_sum(q, a, pieces)
+    return total, _block_repmap(total, x, pieces, [x], {
+        (0, i): g for i, g in enumerate(piece_maps)})
 
 
 def rep_kernel(f_map: RepMap):

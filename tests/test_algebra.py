@@ -409,3 +409,21 @@ def test_pd_via_ext_reads_termination_from_its_resolution():
     assert alg.pd_via_ext(s1, cap=1) == Dim.at_least(1) == alg.pd(s1, cap=1)
     s = alg.simple_module(nakayama(4, 3), "2")
     assert alg.pd_via_ext(s, cap=4) == Dim.at_least(4) == alg.pd(s, cap=4)
+
+
+def test_pd_via_ext_builds_one_resolution(monkeypatch):
+    # A8/rad2: the simples are uniserial chains, S1+S3+S5 has pd 7 and a
+    # resolution of 8 steps; the Ext ranks for all 8 simples reuse it
+    q = qv.a_n(8)
+    rels = [[(1, qv.Path(str(i), str(i + 2), (f"a{i}", f"a{i + 1}")))] for i in range(1, 7)]
+    a = alg.build_bqa(GF(101), q, rels, 2, name="A8/rad2")
+    m = alg.direct_sum_mods(a, [alg.simple_module(a, v) for v in "135"])[0]
+    want = alg.pd(m)
+    calls = _count_covers(monkeypatch)
+
+    def no_pd(*args, **kwargs):
+        raise AssertionError("the oracle must not call pd")
+
+    monkeypatch.setattr(alg, "pd", no_pd)
+    assert alg.pd_via_ext(m) == want == Dim.finite(7)
+    assert len(calls) == 8

@@ -1,5 +1,8 @@
 """Generation witnesses on small complexes, checked by ``witness_check``."""
 
+import dataclasses
+import sys
+
 from quivhom import algebra as alg
 from quivhom import cats
 from quivhom import derived as dv
@@ -68,3 +71,232 @@ def test_k2_functor_starts_in_s_modules():
     y = scm.regular_module(s)
     img = k2.on_map(k2.src_cat.identity(y))
     assert k2.dst_cat.is_morphism(img)
+
+
+# -- direct sums of complexes, placed block by block -------------------------------
+
+def _reference_sum(cat, cs):
+    """Direct sum of complexes with each differential the sum of the
+    inj o d o proj products over the summands."""
+    lo, hi = min(c.lo for c in cs), max(c.hi for c in cs)
+    sums = {i: cat.direct_sum([c.obj(i) for c in cs]) for i in range(lo, hi + 1)}
+    diffs = {}
+    for i in range(lo, hi):
+        d = cat.zero_map(sums[i][0], sums[i + 1][0])
+        for idx, c in enumerate(cs):
+            piece = cat.compose(cat.compose(sums[i + 1][1][idx], c.diff(i)), sums[i][2][idx])
+            d = cat.add_map(d, piece)
+        diffs[i] = d
+    return dv.Complex(cat, lo, hi, {i: s[0] for i, s in sums.items()}, diffs)
+
+
+def _kA2_modules():
+    a = alg.path_algebra(QQ, qv.a_n(2), name="kA2")
+    return cats.mod_cat(a), alg.projective_module(a, "1"), alg.projective_module(a, "2")
+
+
+def _kronecker_reps():
+    q, k = qv.kronecker(), alg.ground_field_algebra(QQ)
+    m = alg.AlgMod(k, {"1": 1}, {})
+    return q, k, m, rc.left_adjoint(q, "1", m), rc.left_adjoint(q, "2", m)
+
+
+def _sc_modules():
+    sc = alg.sc_of_bqa(alg.path_algebra(QQ, qv.a_n(2)))
+    return cats.sc_cat(sc), scm.regular_module(sc)
+
+
+def _t2():
+    spec = tm.t2_spec(alg.ground_field_algebra(QQ))
+
+    def triple(a, b, phi):
+        x = scm.SCModule(spec.r, a, [Mat.identity(QQ, a)])
+        y = scm.SCModule(spec.s, b, [Mat.identity(QQ, b)])
+        return tm.TripleModule(spec, x, y, phi)
+
+    return spec, triple
+
+
+def _summand_lists():
+    """Per category, complexes over different degree ranges and a zero one."""
+    mcat, p1, p2 = _kA2_modules()
+    _, k, m, p1r, p2r = _kronecker_reps()
+    q = qv.kronecker()
+    rcat = cats.rep_cat(q, k)
+    scat, reg = _sc_modules()
+    spec, triple = _t2()
+    tcat = cats.triple_cat(spec)
+    t01, t11 = triple(0, 1, Mat.zeros(QQ, 1, 0)), triple(1, 1, Mat.from_rows(QQ, [[1]]))
+    out = []
+    for cat, x0, x1 in ((mcat, p2, p1), (rcat, p2r, p1r), (scat, reg, reg), (tcat, t01, t11)):
+        a = _two_term(cat, x0, x1)
+        b = dv.shift_complex(_two_term(cat, x1, x1), -1)
+        out.append((cat, [a, dv.zero_complex(cat), b, dv.concentrated(cat, x0, 3)]))
+    return out
+
+
+def test_direct_sum_complexes_matches_reference_assembly():
+    for cat, cs in _summand_lists():
+        total, injs, projs = dv.direct_sum_complexes(cat, cs)
+        ref = _reference_sum(cat, cs)
+        assert (total.lo, total.hi) == (ref.lo, ref.hi) == (0, 3)
+        assert dv.complexes_equal(total, ref)
+        assert total.check()
+        for c, inj, pr in zip(cs, injs, projs):
+            assert inj.check() and pr.check()
+            assert pr.compose(inj).is_identity_on(c)
+        assert dv.direct_sum_complexes(cat, [cs[1]])[0].is_zero()
+
+
+def test_direct_sum_complexes_multiplies_no_matrices(monkeypatch):
+    # the differentials of a sum are placed, not multiplied out; only the
+    # triple adapter's own direct_sum multiplies (the tensor of the sum)
+    lists = _summand_lists()
+    calls = []
+    real = Mat.mul
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(Mat, "mul", counting)
+    for cat, cs in lists:
+        in_objects = []
+
+        def direct_sum(objs, real_sum=cat.direct_sum):
+            before = len(calls)
+            out = real_sum(objs)
+            in_objects.append(len(calls) - before)
+            return out
+
+        del calls[:]
+        dv.direct_sum_complexes(dataclasses.replace(cat, direct_sum=direct_sum), cs)
+        assert len(calls) == sum(in_objects)
+        assert cat.name == "triple" or not calls
+
+
+# -- witness sums, transport and the split shortcut --------------------------------
+
+def _k_complex(k, dims, d):
+    """Two-term complex of k-vector spaces with the given differential."""
+    mods = [alg.AlgMod(k, {"1": n}, {}) for n in dims]
+    cat = cats.mod_cat(k)
+    return dv.Complex(cat, 0, 1, {0: mods[0], 1: mods[1]},
+                      {0: alg.ModMap(mods[0], mods[1], {"1": d})})
+
+
+def test_witness_direct_sum_of_leaves_and_of_leaf_and_node():
+    k = alg.ground_field_algebra(QQ)
+    gen = alg.AlgMod(k, {"1": 1}, {})
+    c1 = _k_complex(k, (2, 1), Mat.from_rows(QQ, [[1, 2]]))
+    c2 = _k_complex(k, (1, 2), Mat.zeros(QQ, 2, 1))
+    l1, l2 = dv.semisimple_split(c1, [gen]), dv.semisimple_split(c2, [gen])
+    w = dv.witness_direct_sum(c1.cat, [l1, l2])
+    assert isinstance(w, dv.Leaf) and w.depth() == 1
+    total, _, _ = dv.direct_sum_complexes(c1.cat, [c1, c2])
+    _check(w, [gen], total)
+
+    q, k, m, p1, p2 = _kronecker_reps()
+    rcat = cats.rep_cat(q, k)
+    cx = _two_term(rcat, p2, p1)
+    node, gens = dv.rep_complex_witness(cx, [m], shortcut=False)
+    flat = dv.Complex(rcat, 0, 1, {0: p2, 1: p1}, {})
+    leaf = dv.try_leaf(flat, gens, rcat)
+    w = dv.witness_direct_sum(rcat, [leaf, node])
+    assert isinstance(w, dv.Node)
+    total, _, _ = dv.direct_sum_complexes(rcat, [flat, cx])
+    _check(w, gens, total)
+
+
+def test_pushforward_strict_through_each_functor():
+    k = alg.ground_field_algebra(QQ)
+    gen = alg.AlgMod(k, {"1": 1}, {})
+    c = _k_complex(k, (2, 1), Mat.from_rows(QQ, [[1, 2]]))
+    leaf = dv.semisimple_split(c, [gen])
+    q = qv.kronecker()
+    for v in q.vertices:
+        functor = dv.left_adjoint_functor(q, k, v)
+        for w in (leaf, dv.pad_to_node(leaf)):
+            new_gens = [rc.left_adjoint(q, v, gen)]
+            out = dv.pushforward_witness(w, functor, [gen], new_gens, {0: 0}, strict=True)
+            assert dv.complexes_equal(out.target, functor.on_complex(c))
+            assert dv.cohomology_dims(out.target) == dv.cohomology_dims(functor.on_complex(c))
+
+    spec, _ = _t2()
+    for functor, sc in ((dv.k1_functor(spec), spec.r), (dv.k2_functor(spec), spec.s)):
+        g = scm.SCModule(sc, 1, [Mat.identity(QQ, 1)])
+        x0 = scm.SCModule(sc, 2, [Mat.identity(QQ, 2)])
+        x1 = scm.SCModule(sc, 1, [Mat.identity(QQ, 1)])
+        cat = cats.sc_cat(sc)
+        cx = dv.Complex(cat, 0, 1, {0: x0, 1: x1},
+                        {0: scm.SCMap(x0, x1, Mat.from_rows(QQ, [[1, 2]]))})
+        leaf = dv.semisimple_split(cx, [g])
+        for w in (leaf, dv.pad_to_node(leaf)):
+            out = dv.pushforward_witness(w, functor, [g], [functor.on_obj(g)], {0: 0},
+                                         strict=True)
+            assert dv.complexes_equal(out.target, functor.on_complex(cx))
+
+
+def test_try_leaf_splits_zero_differentials_only():
+    q, k, m, p1, p2 = _kronecker_reps()
+    rcat = cats.rep_cat(q, k)
+    gens = [rc.left_adjoint(q, v, m) for v in q.vertices]
+    flat = dv.Complex(rcat, 0, 1, {0: p2, 1: p1}, {})
+    leaf = dv.try_leaf(flat, gens, rcat)
+    assert isinstance(leaf, dv.Leaf) and leaf.depth() == 1
+    ok, failure = dv.witness_check(leaf, gens, 1, rcat)
+    assert ok, failure
+    assert dv.try_leaf(_two_term(rcat, p2, p1), gens, rcat) is None
+
+    spec, triple = _t2()
+    tcat = cats.triple_cat(spec)
+    k1, k2 = dv.k1_functor(spec), dv.k2_functor(spec)
+    tgens = [k1.on_obj(scm.SCModule(spec.r, 1, [Mat.identity(QQ, 1)])),
+             k2.on_obj(scm.SCModule(spec.s, 1, [Mat.identity(QQ, 1)]))]
+    t01, t11 = triple(0, 1, Mat.zeros(QQ, 1, 0)), triple(1, 1, Mat.from_rows(QQ, [[1]]))
+    leaf = dv.try_leaf(dv.Complex(tcat, 0, 1, {0: t01, 1: t11}, {}), tgens, tcat)
+    ok, failure = dv.witness_check(leaf, tgens, 1, tcat)
+    assert ok, failure
+    assert dv.try_leaf(_two_term(tcat, t01, t11), tgens, tcat) is None
+
+
+def test_try_leaf_solves_nothing_when_a_differential_is_nonzero(monkeypatch):
+    q, k, m, p1, p2 = _kronecker_reps()
+    rcat = cats.rep_cat(q, k)
+    gens = [rc.left_adjoint(q, v, m) for v in q.vertices]
+    cx = _two_term(rcat, p2, p1)
+    calls = []
+    real = dv.chain_hom_basis
+
+    def counting(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(dv, "chain_hom_basis", counting)
+    assert dv.try_leaf(cx, gens, rcat) is None
+    assert not calls
+
+
+def test_standard_triangle_builds_each_adjoint_piece_once(monkeypatch):
+    k = alg.ground_field_algebra(QQ)
+    q = qv.d4((1, 0, 1))
+    m = alg.AlgMod(k, {"1": 1}, {})
+    rcat = cats.rep_cat(q, k)
+    x0, x1 = rc.left_adjoint(q, "c", m), rc.left_adjoint(q, "1", m)
+    cx = _two_term(rcat, x0, x1)
+    assert not cx.diffs[0].is_zero()
+    callers = []
+    real = rc.left_adjoint
+
+    def counting(qq, v, mod):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # comprehension frames
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return real(qq, v, mod)
+
+    monkeypatch.setattr(rc, "left_adjoint", counting)
+    ses = dv.rep_standard_triangle(cx)
+    assert set(callers) == {"standard_presentation"}
+    assert len(callers) == (len(q.vertices) + len(q.arrows)) * 2
+    assert ses.b.check() and ses.a.check()

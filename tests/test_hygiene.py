@@ -25,3 +25,28 @@ def test_no_unused_module_level_imports():
     assert modules
     unused = [f"{p.name}:{line}: {name}" for p in modules for line, name in _unused_imports(p)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _referenced_names(tree):
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names.update(alias.name for alias in n.names)
+    return names
+
+
+def test_no_dead_private_definitions():
+    # a module-level _name function or class that nothing in the library
+    # refers to is dead code (a definition is not a reference to itself)
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    used = set().union(*(_referenced_names(t) for t in trees.values()))
+    dead = [f"{name}:{node.lineno}: {node.name}" for name, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in used]
+    assert not dead, "unreferenced private definitions:\n" + "\n".join(dead)
