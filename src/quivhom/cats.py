@@ -8,6 +8,12 @@ exactness, and raw (non-structural) block maps are allowed where certificates
 only need linear identities.  The same adapters serve ``endo``, which builds
 End algebras and Hom modules from ``hom_basis``, ``compose`` and
 ``flatten_map``.
+
+The split helpers ``section``, ``retraction`` and ``split_into`` are the one
+place that answers "is X in add(Y)?" (is X a direct factor of a sum of copies
+of the given objects?) for every category: the generator-cogenerator checks
+of ``repdim`` and the leaves of the witness calculus in ``derived`` both call
+them.
 """
 
 from __future__ import annotations
@@ -83,6 +89,53 @@ class Cat:
         return self.map_from_mats(src, dst, {
             k: Mat.hstack(self.field, [m[k] for m in mats]) if mats
             else Mat.zeros(self.field, self.comp_dim(dst, k), 0) for k in self.keys(dst)})
+
+    # -- split tests ------------------------------------------------------------------
+
+    def combine(self, src, dst, basis, coeffs):
+        """The linear combination sum c.b : src -> dst of maps in ``basis``."""
+        zero = self.field.zero()
+        out = self.zero_map(src, dst)
+        for c, b in zip(coeffs, basis):
+            if c != zero:
+                out = self.add_map(out, self.scale_map(b, c))
+        return out
+
+    def _one_sided_inverse(self, src, dst, side, ident):
+        """g : src -> dst with side(g) = id_ident, solved over Hom(src, dst), or None."""
+        basis = self.hom_basis(src, dst)
+        if not basis:
+            return self.zero_map(src, dst) if self.total_dim(ident) == 0 else None
+        f = self.field
+        cols = [Mat.column(f, self.flatten_map(side(b))) for b in basis]
+        rhs = Mat.column(f, self.flatten_map(self.identity(ident)))
+        sol = solve_matrix(Mat.hstack(f, cols), rhs)
+        return None if sol is None else self.combine(src, dst, basis, sol.column_vector())
+
+    def section(self, u):
+        """s with u o s = id, or None when u does not split."""
+        return self._one_sided_inverse(u.target, u.source, lambda s: self.compose(u, s), u.target)
+
+    def retraction(self, i):
+        """r with r o i = id, or None when i does not split."""
+        return self._one_sided_inverse(i.target, i.source, lambda r: self.compose(r, i), i.source)
+
+    def split_into(self, obj, summands):
+        """obj as a direct factor of a sum of summands: (pieces, total, section, u).
+
+        ``pieces`` lists, for each map of a hom basis of every Hom(summand,
+        obj), the index of its summand; ``total`` is the direct sum of those
+        summands and u : total -> obj the copair of the basis maps, so obj is
+        in add(summands) exactly when u splits.  None when it does not."""
+        pieces, maps = [], []
+        for i, s in enumerate(summands):
+            for b in self.hom_basis(s, obj):
+                pieces.append(i)
+                maps.append(b)
+        total = self.direct_sum([summands[i] for i in pieces])[0]
+        u = self.copair(total, obj, maps)
+        sec = self.section(u)
+        return None if sec is None else (pieces, total, sec, u)
 
     def total_matrix(self, f, src, dst):
         """Block-diagonal total matrix in the canonical key order."""

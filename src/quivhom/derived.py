@@ -249,14 +249,8 @@ def chain_hom_basis(x: Complex, y: Complex):
     out = []
     for kv in kers:
         flat = kv.column_vector()
-        comps = {}
-        for i in range(lo, hi + 1):
-            m = cat.zero_map(x.obj(i), y.obj(i))
-            for t, b in enumerate(per_degree[i]):
-                c = flat[offs[i] + t]
-                if c != f.zero():
-                    m = cat.add_map(m, cat.scale_map(b, c))
-            comps[i] = m
+        comps = {i: cat.combine(x.obj(i), y.obj(i), per_degree[i], flat[offs[i]:])
+                 for i in range(lo, hi + 1)}
         out.append(ChainMap(x, y, comps))
     return out
 
@@ -285,27 +279,6 @@ def cohomology_dims(c: Complex):
         r_in = rank(d_in) if d_in is not None else 0
         dims[i] = n - r_out - r_in
     return dims
-
-
-def cohomology(c: Complex):
-    """H^i as honest objects with cycle inclusions and quotient projections."""
-    cat = c.cat
-    out = {}
-    for i in c.degrees():
-        ker, incl = cat.kernel(c.diff(i))
-        prev = c.diff(i - 1)
-        incl_mats = cat.map_mats(incl)
-        prev_mats = cat.map_mats(prev)
-        # express the image of d^{i-1} in kernel coordinates, per key
-        image_cols = {}
-        for k in cat.keys(ker):
-            sol = solve_matrix(incl_mats[k], prev_mats[k])
-            if sol is None:
-                raise QuivhomError("image does not land in the kernel; not a complex")
-            image_cols[k] = sol
-        h, proj = cat.quotient(ker, image_cols)
-        out[i] = {"object": h, "cycles": (ker, incl), "proj": proj}
-    return out
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
@@ -551,11 +524,12 @@ def semisimple_split(x: Complex, generators) -> Leaf:
     cat = x.cat
     if not cat.is_semisimple_base():
         raise NotSemisimple("base is not semisimple; no canonical splitting")
-    f = cat.field
     h_objs, g_comps, f_comps = {}, {}, {}
     for i in x.degrees():
         ker, incl = cat.kernel(x.diff(i))
-        p = _module_retraction(cat, incl, x.obj(i))
+        p = cat.retraction(incl)
+        if p is None:
+            raise NotSemisimple("cycles are not a direct summand")
         prev_mats = cat.map_mats(x.diff(i - 1))
         incl_mats = cat.map_mats(incl)
         image_cols = {}
@@ -565,7 +539,9 @@ def semisimple_split(x: Complex, generators) -> Leaf:
                 raise QuivhomError("image escapes kernel")
             image_cols[k] = sol
         h, qproj = cat.quotient(ker, image_cols)
-        s = _module_section(cat, qproj, ker, h)
+        s = cat.section(qproj)
+        if s is None:
+            raise NotSemisimple("quotient is not split")
         h_objs[i] = h
         g_comps[i] = cat.compose(incl, s)          # H^i -> X^i
         f_comps[i] = cat.compose(qproj, p)         # X^i -> H^i
@@ -586,60 +562,12 @@ def semisimple_split(x: Complex, generators) -> Leaf:
     retr = ChainMap(expr, hcx, u_by_degree)
     incl_comps = {}
     for i in hcx.degrees():
-        sec = _module_section_of_map(cat, u_by_degree[i], h_objs[i], expr.obj(i))
+        sec = cat.section(u_by_degree[i])
         if sec is None:
             raise NotSemisimple("cohomology does not split into the generators")
         incl_comps[i] = sec
     incl = ChainMap(hcx, expr, incl_comps)
     return Leaf(x, entries, incl, retr, replaced=hcx, to_replaced=f_map, from_replaced=g_map)
-
-
-def _module_retraction(cat: Cat, incl, ambient):
-    """Category-morphism left inverse of a split mono (semisimple base)."""
-    sub = incl.source if hasattr(incl, "source") else None
-    basis = cat.hom_basis(ambient, sub)
-    f = cat.field
-    if not basis:
-        if cat.total_dim(sub) == 0:
-            return cat.zero_map(ambient, sub)
-        raise NotSemisimple("no retraction available")
-    cols = [Mat.column(f, cat.flatten_map(cat.compose(b, incl))) for b in basis]
-    target = Mat.column(f, cat.flatten_map(cat.identity(sub)))
-    sol = solve_matrix(Mat.hstack(f, cols), target)
-    if sol is None:
-        raise NotSemisimple("submodule is not a direct summand")
-    out = cat.zero_map(ambient, sub)
-    for c, b in zip(sol.column_vector(), basis):
-        if c != f.zero():
-            out = cat.add_map(out, cat.scale_map(b, c))
-    return out
-
-
-def _module_section(cat: Cat, proj, source, quotient_obj):
-    """Category-morphism right inverse of a split epi (semisimple base)."""
-    sec = _module_section_of_map(cat, proj, quotient_obj, source)
-    if sec is None:
-        raise NotSemisimple("quotient is not split")
-    return sec
-
-
-def _module_section_of_map(cat: Cat, onto_map, target_obj, source_obj):
-    f = cat.field
-    basis = cat.hom_basis(target_obj, source_obj)
-    if not basis:
-        if cat.total_dim(target_obj) == 0:
-            return cat.zero_map(target_obj, source_obj)
-        return None
-    cols = [Mat.column(f, cat.flatten_map(cat.compose(onto_map, b))) for b in basis]
-    target = Mat.column(f, cat.flatten_map(cat.identity(target_obj)))
-    sol = solve_matrix(Mat.hstack(f, cols), target)
-    if sol is None:
-        return None
-    out = cat.zero_map(target_obj, source_obj)
-    for c, b in zip(sol.column_vector(), basis):
-        if c != f.zero():
-            out = cat.add_map(out, cat.scale_map(b, c))
-    return out
 
 
 def try_leaf(x: Complex, generators, cat: Cat):
@@ -1169,19 +1097,9 @@ def _reanchor(w, old_gen_objs, new_gens, cat: Cat):
 
 def _split_into_generators(obj, generators, cat: Cat):
     """(entries, incl, retr) exhibiting obj[0-shift] as a factor of generator sums."""
-    entries = []
-    maps = []
-    for gi, gen in enumerate(generators):
-        for b in cat.hom_basis(gen, obj):
-            entries.append((gi, 0))
-            maps.append(b)
-    target = concentrated(cat, obj)
-    if not entries:
-        return ([], zero_chain_map(target, zero_complex(cat)),
-                zero_chain_map(zero_complex(cat), target)) if cat.is_zero_obj(obj) else None
-    expr = build_expression(cat, generators, entries)
-    u = cat.copair(expr.obj(0), obj, maps)
-    sec = _module_section_of_map(cat, u, obj, expr.obj(0))
-    if sec is None:
+    found = cat.split_into(obj, generators)
+    if found is None:
         return None
-    return entries, ChainMap(target, expr, {0: sec}), ChainMap(expr, target, {0: u})
+    pieces, total, sec, u = found
+    target, expr = concentrated(cat, obj), concentrated(cat, total)
+    return [(g, 0) for g in pieces], ChainMap(target, expr, {0: sec}), ChainMap(expr, target, {0: u})

@@ -27,8 +27,7 @@ from .cats import Cat, mod_cat
 from .errors import CompositionInconsistent, IsoCheckFailed, NotSplit, QuivhomError
 from .exactlin import Mat, _kernel_blocks, rank, solve_matrix
 from .quiver import Quiver, concat, is_type_An, paths_between, sinks, trivial_path
-from .scmodule import (ColumnData, SCModule, gldim_sc, pd_sc, projective_cover_sc,
-                       _solve_section, _unit_vec)
+from .scmodule import ColumnData, SCModule, gldim_sc, pd_sc
 
 
 @dataclass
@@ -193,7 +192,7 @@ def _certify_radical(sc: SCAlgebra, blocks, parts):
                 return False
         return True
 
-    unit_vecs = [_unit_vec(sc, g) for g in range(sc.dim)]
+    unit_vecs = Mat.identity(sc.field, sc.dim).row_list()
     for (i, j), (_, vecs) in parts.items():
         for x in vecs:
             for e in unit_vecs:
@@ -247,15 +246,6 @@ def hom_bimodule(from_end: EndAlgebra, to_end: EndAlgebra, cat: Cat):
     left = _actions(to_end, blocks, express, cat, post=True)
     right = _actions(from_end, blocks, express, cat, post=False)
     return dim, left, right
-
-
-def is_projective_endmodule(n: SCModule, coldata: ColumnData = None) -> bool:
-    """Cover from top(N), then a linear solve for a module-map right inverse."""
-    if n.is_zero():
-        return True
-    cd = coldata if coldata is not None else ColumnData(n.sc)
-    cover, pi = projective_cover_sc(n, cd)
-    return _solve_section(pi) is not None
 
 
 def pd_endmodule(n: SCModule, cap: int = 20, coldata: ColumnData = None) -> Dim:

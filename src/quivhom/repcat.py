@@ -514,58 +514,3 @@ def gldim_pathalgebra(q: Quiver, a: BQA, cap: int = 20) -> Dim:
                 raise QuivhomError("projective cover of a simple has a non-simple top")
             vals.append(rep_pd(s, cap))
     return dim_max(vals)
-
-
-# -- generator-cogenerator test ----------------------------------------------------
-
-@dataclass
-class GenCogenReport:
-    ok: bool
-    missing: list
-    checked: list
-
-
-def in_add(target: Rep, summands) -> bool:
-    """Split test: target is a direct summand of a sum of the given objects."""
-    q, a = target.quiver, target.algebra
-    f = a.field
-    pieces = []
-    piece_maps = []
-    for s in summands:
-        basis = rep_hom_basis(s, target)
-        for bmap in basis:
-            pieces.append(s)
-            piece_maps.append(bmap)
-    if not pieces:
-        return target.is_zero()
-    source, injs, projs = rep_direct_sum(q, a, pieces)
-    u = zero_repmap(source, target)
-    for bmap, pr in zip(piece_maps, projs):
-        u = u.add(bmap.compose(pr))
-    # solve for a section in Hom(target, source)
-    hom_ts = rep_hom_basis(target, source)
-    if not hom_ts:
-        return target.is_zero()
-    cols = [Mat.column(f, u.compose(h).flatten()) for h in hom_ts]
-    rhs = Mat.column(f, identity_repmap(target).flatten())
-    sol = solve_matrix(Mat.hstack(f, cols), rhs)
-    return sol is not None
-
-
-def is_gen_cogen(q: Quiver, a: BQA, summands) -> GenCogenReport:
-    """Checks every e^v_lambda(P_i) and e^v_rho(I_i) against add(sum of summands)."""
-    injectives = alg.injective_indecomposables(a)
-    targets = []
-    for v in q.vertices:
-        for u in a.quiver.vertices:
-            targets.append((f"proj[{v},{u}]", left_adjoint(q, v, alg.projective_module(a, u))))
-        for iu, imod in zip(a.quiver.vertices, injectives):
-            targets.append((f"inj[{v},{iu}]", right_adjoint(q, v, imod)))
-    missing = []
-    checked = []
-    for label, t in targets:
-        ok = in_add(t, summands)
-        checked.append((label, ok))
-        if not ok:
-            missing.append(label)
-    return GenCogenReport(not missing, missing, checked)

@@ -10,6 +10,11 @@ verify every intermediate claim (Hom vanishings, the two End isomorphisms,
 projectivity of the connecting block, staged global-dimension bounds) and
 compute gl.dim End(X1 + X2 + X3), which witnesses
 rep.dim of the path algebra <= gl.dim End(A) + 5.
+
+The generator-cogenerator checks live here: ``check_gen_cogen_base`` tests A
+over the base algebra and ``is_gen_cogen`` tests X-bar over the path algebra,
+both by splitting each projective and injective off a sum of the summands
+with ``Cat.split_into``.
 """
 
 from __future__ import annotations
@@ -23,9 +28,8 @@ from . import repcat as rc
 from . import trimat as tm
 from .bounds import Dim
 from .errors import NotGenCogen, QuivhomError
-from .exactlin import Mat, solve_matrix
 from .quiver import Quiver, d4_orientations, is_type_An, sinks
-from .scmodule import ColumnData
+from .scmodule import ColumnData, is_projective_sc
 
 
 @dataclass
@@ -45,39 +49,44 @@ class XBar:
         return self.x1 + self.x2 + self.x3
 
 
-def module_in_add(target, summands) -> bool:
-    """Split test for base-algebra modules: target in add(sum of summands)."""
-    a = target.algebra
-    f = a.field
-    pieces, maps = [], []
-    for s in summands:
-        for b in alg.hom_basis(s, target):
-            pieces.append(s)
-            maps.append(b)
-    if not pieces:
-        return target.is_zero()
-    source, injs, projs = alg.direct_sum_mods(a, pieces)
-    u = alg.zero_map(source, target)
-    for b, pr in zip(maps, projs):
-        u = u.add(b.compose(pr))
-    hom_ts = alg.hom_basis(target, source)
-    if not hom_ts:
-        return target.is_zero()
-    cols = [Mat.column(f, u.compose(h).flatten()) for h in hom_ts]
-    rhs = Mat.column(f, alg.identity_map(target).flatten())
-    return solve_matrix(Mat.hstack(f, cols), rhs) is not None
-
-
 def check_gen_cogen_base(a, summands):
     """A must contain every indecomposable projective and injective of the base."""
+    cat = cats.mod_cat(a)
     missing = []
     for v in a.quiver.vertices:
-        if not module_in_add(alg.projective_module(a, v), summands):
+        if cat.split_into(alg.projective_module(a, v), summands) is None:
             missing.append(f"P_{v}")
     for v, inj in zip(a.quiver.vertices, alg.injective_indecomposables(a)):
-        if not module_in_add(inj, summands):
+        if cat.split_into(inj, summands) is None:
             missing.append(f"I_{v}")
     return missing
+
+
+@dataclass
+class GenCogenReport:
+    ok: bool
+    missing: list
+    checked: list
+
+
+def is_gen_cogen(q: Quiver, a, summands) -> GenCogenReport:
+    """Checks every e^v_lambda(P_i) and e^v_rho(I_i) against add(sum of summands)."""
+    rcat = cats.rep_cat(q, a)
+    injectives = alg.injective_indecomposables(a)
+    targets = []
+    for v in q.vertices:
+        for u in a.quiver.vertices:
+            targets.append((f"proj[{v},{u}]", rc.left_adjoint(q, v, alg.projective_module(a, u))))
+        for iu, imod in zip(a.quiver.vertices, injectives):
+            targets.append((f"inj[{v},{iu}]", rc.right_adjoint(q, v, imod)))
+    missing = []
+    checked = []
+    for label, t in targets:
+        ok = rcat.split_into(t, summands) is not None
+        checked.append((label, ok))
+        if not ok:
+            missing.append(label)
+    return GenCogenReport(not missing, missing, checked)
 
 
 def build_xbar(q: Quiver, a, summands, validate: bool = True) -> XBar:
@@ -112,7 +121,7 @@ def build_xbar(q: Quiver, a, summands, validate: bool = True) -> XBar:
     xbar = XBar(q, a, x1, x2, x3, l1, l2, l3,
                 hypothesis_ok=not is_type_An(q), degenerate=not non)
     if validate:
-        report = rc.is_gen_cogen(q, a, xbar.all_summands())
+        report = is_gen_cogen(q, a, xbar.all_summands())
         if not report.ok:
             raise NotGenCogen(f"X-bar misses {', '.join(report.missing)}")
     return xbar
@@ -169,7 +178,7 @@ def verify_proof_steps(xbar: XBar, base_summands, n: Dim, cap: int = 20):
 
     if lam2 and rho2:
         m_mod = endo.hom_as_end_module(lam2, rho2, rcat)
-        proj = endo.is_projective_endmodule(m_mod)
+        proj = is_projective_sc(m_mod)
         steps.append(StepResult("connecting_block_projective", proj, f"dim={m_mod.dim}"))
     else:
         steps.append(StepResult("connecting_block_projective", True, "vacuous"))
@@ -232,15 +241,10 @@ class PipelineReport:
         }
 
 
-def gldim_end_xbar(xbar: XBar, cap: int = 20, order=None, duplicate=None) -> Dim:
-    """gl.dim End(X-bar); order permutes summands, duplicate appends a copy."""
-    summands = xbar.all_summands()
-    if order is not None:
-        summands = [summands[i] for i in order]
-    if duplicate is not None:
-        summands = summands + [summands[duplicate]]
+def gldim_end_xbar(xbar: XBar, cap: int = 20) -> Dim:
+    """gl.dim End(X-bar)."""
     rcat = cats.rep_cat(xbar.quiver, xbar.algebra)
-    e = endo.end_algebra(summands, rcat)
+    e = endo.end_algebra(xbar.all_summands(), rcat)
     return endo.sc_gldim(e, cap)
 
 
@@ -292,6 +296,6 @@ def d4_orientation_projectivity_sweep(field=None) -> OrientationSweep:
         rcat = cats.rep_cat(q, a)
         end_x2 = endo.end_algebra(xbar.x2, rcat)
         n12 = endo.hom_as_end_module(xbar.x1, xbar.x2, rcat, end_x2)
-        proj = endo.is_projective_endmodule(n12)
+        proj = is_projective_sc(n12)
         entries.append((bits, n12.dim, proj))
     return OrientationSweep(entries, any(not p for _, _, p in entries))

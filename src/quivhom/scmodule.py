@@ -351,25 +351,11 @@ def _map_from_columns(m: SCModule, coldata: ColumnData, pieces, gens):
 
 
 def is_projective_sc(m: SCModule, coldata: ColumnData = None) -> bool:
-    """Split test against the universal map from column projectives."""
+    """Cover from top(M), then a linear solve for a module-map right inverse."""
     if m.is_zero():
         return True
-    sc = m.sc
-    if sc.idempotents is None:
-        raise NotSplit("projectivity test needs the idempotent list")
-    pieces = []
-    gens = []
-    for i, e in enumerate(sc.idempotents):
-        img = column_space(sc.field, [m.act_vector(e)])
-        for j in range(img.cols):
-            pieces.append(i)
-            gens.append(img.col(j))
-    if not pieces:
-        return False
-    cols_data = coldata if coldata is not None else ColumnData(sc)
-    _, u = _map_from_columns(m, cols_data, pieces, gens)
-    # solve for a module-map section s with u o s = id
-    return _solve_section(u) is not None
+    _, pi = projective_cover_sc(m, coldata if coldata is not None else ColumnData(m.sc))
+    return _solve_section(pi) is not None
 
 
 def _solve_section(u: SCMap):

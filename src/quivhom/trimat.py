@@ -409,7 +409,7 @@ def cokernel_module(sc_mod: SCModule, image_cols: Mat) -> SCModule:
     return SCModule(sc_mod.sc, proj.rows, action)
 
 
-def is_projective_triple(t: TripleModule, cross_check: bool = True):
+def is_projective_triple(t: TripleModule):
     """FGR criterion with an independent lifting-test cross-check.
 
     Returns (bool, dict) with both verdicts."""
@@ -420,12 +420,11 @@ def is_projective_triple(t: TripleModule, cross_check: bool = True):
     coker_proj = scm.is_projective_sc(coker, spec.coldata_s())
     criterion = x_proj and phi_mono and coker_proj
     details = {"x_projective": x_proj, "phi_mono": phi_mono, "coker_projective": coker_proj}
-    if cross_check:
-        lifted = triple_split_test(t)
-        details["lifting_test"] = lifted
-        if lifted != criterion:
-            raise CompositionInconsistent(
-                f"projectivity criterion ({criterion}) disagrees with lifting test ({lifted})")
+    lifted = triple_split_test(t)
+    details["lifting_test"] = lifted
+    if lifted != criterion:
+        raise CompositionInconsistent(
+            f"projectivity criterion ({criterion}) disagrees with lifting test ({lifted})")
     return criterion, details
 
 
@@ -467,10 +466,11 @@ def triple_split_test(t: TripleModule) -> bool:
             pieces.append(TripleMap(piece, t, Mat.zeros(f, t.x.dim, 0), w))
     if not pieces:
         return t.is_zero()
-    total, injs, projs = triple_direct_sum(spec, [p.source for p in pieces])
-    u_map = zero_triple_map(total, t)
-    for p, pr in zip(pieces, projs):
-        u_map = u_map.add(p.compose(pr))
+    # the direct sum concatenates the pieces' X and Y parts in order, so the
+    # universal map places their blocks side by side
+    total, _, _ = triple_direct_sum(spec, [p.source for p in pieces])
+    u_map = TripleMap(total, t, Mat.hstack(f, [p.u for p in pieces]),
+                      Mat.hstack(f, [p.w for p in pieces]))
     basis = triple_hom_basis(t, total)
     if not basis:
         return t.is_zero()

@@ -1,4 +1,5 @@
-"""Category laws for the four adapters in ``cats`` on small fixed inputs."""
+"""Category laws and split tests for the four adapters in ``cats`` on small fixed
+inputs."""
 
 import pytest
 
@@ -116,3 +117,38 @@ def test_hom_basis_is_an_independent_set_of_morphisms(case, pair):
         assert cat.is_morphism(b)
     stacked = Mat.from_rows(cat.field, [cat.flatten_map(b) for b in basis])
     assert rank(stacked) == len(basis)
+
+
+def test_split_into_returns_a_section_of_the_universal_map(case):
+    cat, x, y, _ = case
+    summands = [y, x]
+    pieces, total, sec, u = cat.split_into(x, summands)
+    assert cat.total_dim(total) == sum(cat.total_dim(summands[i]) for i in pieces)
+    assert cat.is_morphism(u) and cat.is_morphism(sec)
+    assert _same(cat, cat.compose(u, sec), cat.identity(x))
+
+
+def test_split_into_refuses_a_non_summand(case):
+    # in every case x is projective and y is a simple that is not, so y is
+    # not in add(x)
+    cat, x, y, _ = case
+    assert cat.split_into(y, [x]) is None
+
+
+def test_split_into_of_the_zero_object_is_empty(case):
+    cat, x, y, _ = case
+    pieces, total, sec, u = cat.split_into(cat.zero_obj(), [x, y])
+    assert pieces == [] and cat.total_dim(total) == 0
+
+
+def test_retraction_exists_exactly_for_split_inclusions(case):
+    cat, x, y, f = case
+    # x -> y is onto (y is simple), so a split kernel would make y a summand of x
+    _, socle_incl = cat.kernel(f)
+    assert cat.retraction(socle_incl) is None
+    total, injs, projs = cat.direct_sum([x, y])
+    r = cat.retraction(injs[0])
+    assert cat.is_morphism(r)
+    assert _same(cat, cat.compose(r, injs[0]), cat.identity(x))
+    s = cat.section(projs[1])
+    assert _same(cat, cat.compose(projs[1], s), cat.identity(y))

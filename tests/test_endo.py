@@ -6,6 +6,7 @@ from quivhom import endo
 from quivhom import quiver as qv
 from quivhom import repcat as rc
 from quivhom import repdim
+from quivhom import scmodule as scm
 from quivhom.bounds import Dim
 from quivhom.errors import NotSplit, QuivhomError
 from quivhom.exactlin import GF, QQ, Mat, solve_matrix, span_dim
@@ -214,7 +215,7 @@ def test_hom_as_end_module_regular():
     reg = endo.hom_as_end_module([p1, p2], [p1, p2], cat, e)
     assert reg.dim == e.dim
     assert reg.check()
-    assert endo.is_projective_endmodule(reg)
+    assert scm.is_projective_sc(reg)
 
 
 def test_hom_as_end_module_example():
@@ -226,21 +227,19 @@ def test_hom_as_end_module_example():
     assert n.dim == 1 and n.check()
 
 
-def test_is_projective_endmodule_simple_fails():
-    from quivhom.scmodule import ColumnData
-
+def test_end_module_simple_top_is_not_projective():
     a = alg.path_algebra(QQ, qv.a_n(2))
     cat = cats.mod_cat(a)
     p1, p2 = alg.projective_module(a, "1"), alg.projective_module(a, "2")
     e = endo.end_algebra([p1, p2], cat)
-    cd = ColumnData(e.sc)
+    cd = scm.ColumnData(e.sc)
     # the simple top of the 2-dimensional column (End = kA_2 again) has pd 1
     two_col = [i for i in range(2) if cd.columns[i][0].dim == 2][0]
     s = cd.simple_top(two_col)
-    assert not endo.is_projective_endmodule(s, cd)
+    assert not scm.is_projective_sc(s, cd)
     assert endo.pd_endmodule(s, coldata=cd) == Dim.finite(1)
     # column projectives themselves pass the test
-    assert endo.is_projective_endmodule(cd.columns[0][0], cd)
+    assert scm.is_projective_sc(cd.columns[0][0], cd)
 
 
 def test_hom_bimodule_left_action_is_the_end_module():

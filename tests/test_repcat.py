@@ -213,28 +213,6 @@ def _random_rep_over_bqa(rng, q, a):
     return rc.Rep(q, a, mods, maps)
 
 
-def test_is_gen_cogen():
-    q = qv.a_n(2)
-    k = base_k()
-    all_summands = []
-    for v in q.vertices:
-        all_summands.append(rc.left_adjoint(q, v, kmod(k)))
-        all_summands.append(rc.right_adjoint(q, v, alg.injective_indecomposables(k)[0]))
-    report = rc.is_gen_cogen(q, k, all_summands)
-    assert report.ok
-
-    p1_only = [rc.left_adjoint(q, "1", kmod(k))]
-    report = rc.is_gen_cogen(q, k, p1_only)
-    assert not report.ok and report.missing
-
-
-def test_is_gen_cogen_single_vertex():
-    q = qv.single_vertex()
-    k = base_k()
-    report = rc.is_gen_cogen(q, k, [rc.left_adjoint(q, "1", kmod(k))])
-    assert report.ok  # over a point, k is both Lambda and D(Lambda)
-
-
 def test_end_of_adjoint_matches_end_of_module():
     # dim End(e^v_lambda(A)) == dim End_Lambda(A) over acyclic quivers
     k = dual_numbers()

@@ -1,7 +1,10 @@
 import pytest
 
 from quivhom import algebra as alg
+from quivhom import cats
+from quivhom import endo
 from quivhom import quiver as qv
+from quivhom import repcat as rc
 from quivhom import repdim
 from quivhom import scmodule as scm
 from quivhom.bounds import Dim
@@ -56,10 +59,63 @@ def test_build_xbar_rejects_non_gencogen():
 
 def test_module_in_add():
     d = dual_numbers()
+    cat = cats.mod_cat(d)
     reg = alg.projective_module(d, "1")
     s = alg.simple_module(d, "1")
-    assert repdim.module_in_add(reg, [s, reg])
-    assert not repdim.module_in_add(s, [reg])
+    assert cat.split_into(reg, [s, reg]) is not None
+    assert cat.split_into(s, [reg]) is None
+    assert repdim.check_gen_cogen_base(d, [s, reg]) == []
+    assert repdim.check_gen_cogen_base(d, [s]) == ["P_1", "I_1"]
+
+
+def _a2_adjoint_summands(q, k):
+    out = []
+    for v in q.vertices:
+        out.append(rc.left_adjoint(q, v, kmod(k)))
+        out.append(rc.right_adjoint(q, v, alg.injective_indecomposables(k)[0]))
+    return out
+
+
+def test_is_gen_cogen():
+    q = qv.a_n(2)
+    k = base_k()
+    report = repdim.is_gen_cogen(q, k, _a2_adjoint_summands(q, k))
+    assert report.ok
+
+    p1_only = [rc.left_adjoint(q, "1", kmod(k))]
+    report = repdim.is_gen_cogen(q, k, p1_only)
+    assert not report.ok and report.missing
+
+
+def test_is_gen_cogen_single_vertex():
+    q = qv.single_vertex()
+    k = base_k()
+    report = repdim.is_gen_cogen(q, k, [rc.left_adjoint(q, "1", kmod(k))])
+    assert report.ok  # over a point, k is both Lambda and D(Lambda)
+
+
+@pytest.mark.parametrize("which", ["all", "p1_only"])
+def test_is_gen_cogen_composes_only_in_the_section_solves(monkeypatch, which):
+    # the universal map into each target is placed block by block, so the
+    # only compositions are u o h for h in a basis of Hom(target, total),
+    # where total sums a copy of S_i per basis map S_i -> target
+    q = qv.a_n(2)
+    k = base_k()
+    summands = _a2_adjoint_summands(q, k) if which == "all" \
+        else [rc.left_adjoint(q, "1", kmod(k))]
+    targets = [rc.left_adjoint(q, v, kmod(k)) for v in q.vertices] + \
+        [rc.right_adjoint(q, v, alg.injective_indecomposables(k)[0]) for v in q.vertices]
+    expected = sum(rc.rep_hom_dim(s, t) * rc.rep_hom_dim(t, s) for t in targets for s in summands)
+    calls = []
+    compose = rc.RepMap.compose
+
+    def counting(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(rc.RepMap, "compose", counting)
+    repdim.is_gen_cogen(q, k, summands)
+    assert expected > 0 and len(calls) == expected
 
 
 def test_proof_steps_d4_outward():
@@ -110,10 +166,10 @@ def test_gldim_end_xbar_permutation_and_duplicate():
     k = base_k()
     xbar = repdim.build_xbar(qv.kronecker(), k, [kmod(k)])
     base = repdim.gldim_end_xbar(xbar)
-    n = len(xbar.all_summands())
-    perm = list(reversed(range(n)))
-    assert repdim.gldim_end_xbar(xbar, order=perm) == base
-    assert repdim.gldim_end_xbar(xbar, duplicate=1) == base
+    rcat = cats.rep_cat(xbar.quiver, k)
+    summands = xbar.all_summands()
+    for reordered in (summands[::-1], summands + [summands[1]]):
+        assert endo.sc_gldim(endo.end_algebra(reordered, rcat)) == base
 
 
 def test_orientation_sweep():
