@@ -137,13 +137,6 @@ class Cat:
         sec = self.section(u)
         return None if sec is None else (pieces, total, sec, u)
 
-    def total_matrix(self, f, src, dst):
-        """Block-diagonal total matrix in the canonical key order."""
-        mats = self.map_mats(f)
-        ks = self.keys(src)
-        return Mat.block_diag(self.field, [mats[k] for k in ks]) if ks \
-            else Mat.zeros(self.field, 0, 0)
-
 
 # -- base-algebra modules -------------------------------------------------------------
 
@@ -249,11 +242,7 @@ def sc_cat(sc) -> Cat:
         return scm.kernel_of_sc(f)
 
     def quotient(obj, cols):
-        basis = alg.column_space(sc.field, [cols["*"]]) if cols["*"].cols \
-            else Mat.zeros(sc.field, obj.dim, 0)
-        proj, sect = alg.complement_projection(sc.field, basis)
-        action = [proj.mul(a_).mul(sect) for a_ in obj.action]
-        qm = scm.SCModule(sc, proj.rows, action)
+        qm, proj, _ = scm.quotient_sc(obj, cols["*"])
         return qm, scm.SCMap(obj, qm, proj)
 
     def is_ss():
@@ -292,14 +281,8 @@ def triple_cat(spec) -> Cat:
         return tm.triple_kernel(fm)
 
     def quotient(obj, cols):
-        x_basis = alg.column_space(f, [cols["x"]]) if cols["x"].cols \
-            else Mat.zeros(f, obj.x.dim, 0)
-        y_basis = alg.column_space(f, [cols["y"]]) if cols["y"].cols \
-            else Mat.zeros(f, obj.y.dim, 0)
-        xproj, xsect = alg.complement_projection(f, x_basis)
-        yproj, ysect = alg.complement_projection(f, y_basis)
-        qx = scm.SCModule(spec.r, xproj.rows, [xproj.mul(a_).mul(xsect) for a_ in obj.x.action])
-        qy = scm.SCModule(spec.s, yproj.rows, [yproj.mul(a_).mul(ysect) for a_ in obj.y.action])
+        qx, xproj, _ = scm.quotient_sc(obj.x, cols["x"])
+        qy, yproj, _ = scm.quotient_sc(obj.y, cols["y"])
         td_q = tm.tensor_basis(spec, qx)
         tq = tm.tensor_map(spec, obj.tensor, td_q, xproj)
         # phi-bar solves phibar . T(q_x) = q_y . phi  (T(q_x) onto by right-exactness)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import algebra as alg
 from . import repcat as rc
 from . import scmodule as scm
 from . import trimat as tm
@@ -28,7 +27,7 @@ from .errors import (
     QuivhomError,
     TensorNotExactOnCertificates,
 )
-from .exactlin import Mat, kernel_basis, rank, solve_matrix
+from .exactlin import Mat, rank, solve_matrix
 
 
 # ---------------------------------------------------------------------------------
@@ -150,13 +149,6 @@ class ChainMap:
         comps = {i: cat.compose(self.comp(i), other.comp(i)) for i in range(lo, hi + 1)}
         return ChainMap(other.source, self.target, comps)
 
-    def add(self, other: "ChainMap") -> "ChainMap":
-        cat = self.source.cat
-        comps = {}
-        for i in set(self.comps) | set(other.comps):
-            comps[i] = cat.add_map(self.comp(i), other.comp(i))
-        return ChainMap(self.source, self.target, comps)
-
     def is_identity_on(self, x: Complex) -> bool:
         cat = x.cat
         for i in x.degrees():
@@ -207,132 +199,39 @@ def evaluate_complex(x: Complex, v: str) -> Complex:
     return Complex(cat, x.lo, x.hi, objs, diffs)
 
 
-def chain_hom_basis(x: Complex, y: Complex):
-    """Basis of chain maps x -> y (degreewise morphisms commuting with d)."""
-    cat = x.cat
-    f = cat.field
-    lo = min(x.lo, y.lo)
-    hi = max(x.hi, y.hi)
-    per_degree = {i: cat.hom_basis(x.obj(i), y.obj(i)) for i in range(lo, hi + 1)}
-    offs, total = {}, 0
-    for i in range(lo, hi + 1):
-        offs[i] = total
-        total += len(per_degree[i])
-    if total == 0:
-        return []
-    rows = []
-    for i in range(lo, hi):
-        # d_y o f_i - f_{i+1} o d_x = 0, expressed in flat coordinates
-        flat_dim = None
-        cols = {}
-        for t, b in enumerate(per_degree[i]):
-            vec = cat.flatten_map(cat.compose(y.diff(i), b))
-            cols[offs[i] + t] = vec
-            flat_dim = len(vec)
-        for t, b in enumerate(per_degree[i + 1]):
-            vec = [f.neg(c) for c in cat.flatten_map(cat.compose(b, x.diff(i)))]
-            cols[offs[i + 1] + t] = vec
-            flat_dim = len(vec)
-        if flat_dim is None or flat_dim == 0:
-            continue
-        for r in range(flat_dim):
-            row = [f.zero()] * total
-            nonzero = False
-            for cidx, vec in cols.items():
-                if vec[r] != f.zero():
-                    row[cidx] = f.add(row[cidx], vec[r])
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
-    kers = kernel_basis(Mat.from_rows(f, rows)) if rows else \
-        [Mat.column(f, [1 if i == j else 0 for i in range(total)]) for j in range(total)]
-    out = []
-    for kv in kers:
-        flat = kv.column_vector()
-        comps = {i: cat.combine(x.obj(i), y.obj(i), per_degree[i], flat[offs[i]:])
-                 for i in range(lo, hi + 1)}
-        out.append(ChainMap(x, y, comps))
-    return out
-
-
 # ---------------------------------------------------------------------------------
 # cohomology and quasi-isomorphisms
 
 
-def _raw_matrices(c: Complex):
-    """Total matrices per degree (block-diagonal over the key order)."""
-    out = {}
-    for i in range(c.lo, c.hi):
-        out[i] = c.cat.total_matrix(c.diff(i), c.obj(i), c.obj(i + 1))
-    return out
-
-
 def cohomology_dims(c: Complex):
-    """dim H^i per degree, computed on the underlying total matrices."""
-    dims = {}
-    mats = _raw_matrices(c)
-    for i in c.degrees():
-        n = c.cat.total_dim(c.obj(i))
-        d_out = mats.get(i)
-        d_in = mats.get(i - 1)
-        r_out = rank(d_out) if d_out is not None else 0
-        r_in = rank(d_in) if d_in is not None else 0
-        dims[i] = n - r_out - r_in
-    return dims
+    """dim H^i = dim X^i - rank d^i - rank d^{i-1} per degree; a map is block
+    diagonal over the keys, so its rank is the sum of its blocks' ranks."""
+    r = {i: sum(rank(m) for m in c.cat.map_mats(c.diffs[i]).values()) for i in range(c.lo, c.hi)}
+    return {i: c.cat.total_dim(c.objs[i]) - r.get(i, 0) - r.get(i - 1, 0) for i in c.degrees()}
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
-    """Induced maps on cohomology are isomorphisms (total-matrix computation)."""
-    cx, cy = f.source, f.target
-    catx = cx.cat
-    lo = min(cx.lo, cy.lo)
-    hi = max(cx.hi, cy.hi)
-    dx = {i: catx.total_matrix(cx.diff(i), cx.obj(i), cx.obj(i + 1)) for i in range(lo, hi + 1)}
-    dy = {i: cy.cat.total_matrix(cy.diff(i), cy.obj(i), cy.obj(i + 1)) for i in range(lo, hi + 1)}
-    fm = {i: catx.total_matrix(f.comp(i), cx.obj(i), cy.obj(i)) for i in range(lo, hi + 1)}
-    return _raw_quasi_iso(catx.field, lo, hi,
-                          {i: catx.total_dim(cx.obj(i)) for i in range(lo, hi + 1)}, dx,
-                          {i: cy.cat.total_dim(cy.obj(i)) for i in range(lo, hi + 1)}, dy, fm)
+    """f : X -> Y induces isomorphisms on cohomology.
 
-
-def _raw_quasi_iso(field, lo, hi, dims_x, dx, dims_y, dy, fm) -> bool:
-    for i in range(lo, hi + 1):
-        kx = kernel_basis(dx[i]) if dx.get(i) is not None else []
-        ky = kernel_basis(dy[i]) if dy.get(i) is not None else []
-        kx_m = Mat.hstack(field, kx) if kx else Mat.zeros(field, dims_x.get(i, 0), 0)
-        ky_m = Mat.hstack(field, ky) if ky else Mat.zeros(field, dims_y.get(i, 0), 0)
-        bx = dx.get(i - 1)
-        by = dy.get(i - 1)
-        hx = kx_m.cols - (rank(bx) if bx is not None else 0)
-        hy = ky_m.cols - (rank(by) if by is not None else 0)
-        if hx != hy:
-            return False
-        if hx == 0:
-            continue
-        moved = fm[i].mul(kx_m)
-        coords = solve_matrix(ky_m, moved)
-        if coords is None:
-            return False
-        # quotient by the image of d^{i-1} in kernel coordinates
-        if by is not None and by.cols:
-            im_in_k = solve_matrix(ky_m, by)
-            if im_in_k is None:
+    f is a quasi-isomorphism exactly when its cone is acyclic, where
+    Cone^i = X^{i+1} + Y^i and d^i = [[-d_X^{i+1}, 0], [f^{i+1}, d_Y^i]].
+    Forgetting to one key is exact, so the cone is acyclic exactly when, key
+    by key, rank d^{i-1} + rank d^i = dim Cone^i in every degree.  Negating
+    d_X is a row operation and changes no rank, so it is left out."""
+    x, y = f.source, f.target
+    cat = x.cat
+    degrees = range(min(x.lo, y.lo) - 1, max(x.hi, y.hi) + 1)
+    cone = {i: (cat.map_mats(x.diff(i + 1)), cat.map_mats(f.comp(i + 1)), cat.map_mats(y.diff(i)))
+            for i in degrees}
+    for k in cat.keys(x.obj(x.lo)):
+        prev = 0  # rank d^{i-1}
+        for i in degrees:
+            dx, fk, dy = (m[k] for m in cone[i])
+            r = rank(Mat.from_blocks(cat.field, [dx.rows, dy.rows], [dx.cols, dy.cols],
+                                     {(0, 0): dx, (1, 0): fk, (1, 1): dy}))
+            if prev + r != dx.cols + dy.cols:
                 return False
-            basis = alg.column_space(field, [im_in_k])
-            proj, _ = alg.complement_projection(field, basis)
-        else:
-            proj = Mat.identity(field, ky_m.cols)
-        induced_cols = proj.mul(coords)
-        # quotient the source side too: rank must equal hx
-        if bx is not None and bx.cols:
-            imx = solve_matrix(kx_m, bx)
-            basisx = alg.column_space(field, [imx])
-            projx, sectx = alg.complement_projection(field, basisx)
-            induced = induced_cols.mul(sectx)
-        else:
-            induced = induced_cols
-        if rank(induced) != hx:
-            return False
+            prev = r
     return True
 
 
@@ -546,77 +445,54 @@ def semisimple_split(x: Complex, generators) -> Leaf:
         g_comps[i] = cat.compose(incl, s)          # H^i -> X^i
         f_comps[i] = cat.compose(qproj, p)         # X^i -> H^i
     hcx = Complex(cat, x.lo, x.hi, h_objs, {})
-    g_map = ChainMap(hcx, x, g_comps)
-    f_map = ChainMap(x, hcx, f_comps)
-    # anchor each degree in the generators by a split universal map
-    entries = []
-    retr_pieces = {i: [] for i in hcx.degrees()}
-    for i in hcx.degrees():
-        for gi, gen in enumerate(generators):
-            for b in cat.hom_basis(gen, h_objs[i]):
-                entries.append((gi, -i))
-                retr_pieces[i].append(b)
-    expr = build_expression(cat, generators, entries)
-    # in degree i only the summands anchored there have nonzero dimension
-    u_by_degree = {i: cat.copair(expr.obj(i), h_objs[i], retr_pieces[i]) for i in hcx.degrees()}
-    retr = ChainMap(expr, hcx, u_by_degree)
-    incl_comps = {}
-    for i in hcx.degrees():
-        sec = cat.section(u_by_degree[i])
-        if sec is None:
-            raise NotSemisimple("cohomology does not split into the generators")
-        incl_comps[i] = sec
-    incl = ChainMap(hcx, expr, incl_comps)
-    return Leaf(x, entries, incl, retr, replaced=hcx, to_replaced=f_map, from_replaced=g_map)
+    found = _split_degreewise(hcx, generators)
+    if found is None:
+        raise NotSemisimple("cohomology does not split into the generators")
+    return Leaf(x, *found, replaced=hcx, to_replaced=ChainMap(x, hcx, f_comps),
+                from_replaced=ChainMap(hcx, x, g_comps))
 
 
-def try_leaf(x: Complex, generators, cat: Cat):
+def try_leaf(x: Complex, generators):
     """Direct split of x into shifted generators, as a chain-level factor.
 
     The expression has zero differentials, so retr o incl = id_x forces
     d_x = d_x o retr o incl = retr o d_expr o incl = 0: a complex with a
     nonzero differential has no such split, and is ruled out before any
-    chain map is solved for."""
+    hom basis is computed.  With d_x = 0 as well, the split is one of
+    objects, degree by degree (``_split_degreewise``)."""
+    cat = x.cat
     if any(not m.is_zero() for i in range(x.lo, x.hi) for m in cat.map_mats(x.diffs[i]).values()):
         return None
-    entries = []
-    maps = []
-    for gi, gen in enumerate(generators):
-        for i in x.degrees():
-            gc = shift_complex(concentrated(cat, gen), -i)
-            for b in chain_hom_basis(gc, x):
-                entries.append((gi, -i))
-                maps.append(b)
-    if not entries:
-        return empty_leaf(cat, x) if x.is_zero() else None
-    expr = build_expression(cat, generators, entries)
-    u = ChainMap(expr, x, {i: cat.copair(expr.obj(i), x.obj(i), [b.comp(i) for b in maps])
-                           for i in range(min(expr.lo, x.lo), max(expr.hi, x.hi) + 1)})
-    basis = chain_hom_basis(x, expr)
-    f = cat.field
-    if not basis:
-        return empty_leaf(cat, x) if x.is_zero() else None
-    cols = []
-    for b in basis:
-        comp = u.compose(b)
-        flat = []
-        for i in x.degrees():
-            flat.extend(cat.flatten_map(comp.comp(i)))
-        cols.append(Mat.column(f, flat))
-    ident = identity_chain_map(x)
-    tgt = []
+    found = _split_degreewise(x, generators)
+    return None if found is None else Leaf(x, *found)
+
+
+def _split_degreewise(x: Complex, generators):
+    """(entries, incl, retr) exhibiting x, a complex with zero differentials,
+    as a direct factor of a sum of shifted generators; None when it is not.
+
+    Between complexes with zero differentials every family of morphisms is
+    a chain map, so x splits off the expression exactly when each X^i splits
+    off its summands.  In degree i, retr is the copair u of a hom basis of
+    every Hom(generator, X^i), one summand per basis map, and incl is a
+    section of u (``Cat.section``)."""
+    cat = x.cat
+    entries, pieces = [], {}
     for i in x.degrees():
-        tgt.extend(cat.flatten_map(ident.comp(i)))
-    sol = solve_matrix(Mat.hstack(f, cols), Mat.column(f, tgt))
-    if sol is None:
-        return None
-    sigma = zero_chain_map(x, expr)
-    for c, b in zip(sol.column_vector(), basis):
-        if c != f.zero():
-            scaled = ChainMap(b.source, b.target,
-                              {i: cat.scale_map(m, c) for i, m in b.comps.items()})
-            sigma = sigma.add(scaled)
-    return Leaf(x, entries, sigma, u)
+        pieces[i] = []
+        for gi, gen in enumerate(generators):
+            for b in cat.hom_basis(gen, x.objs[i]):
+                entries.append((gi, -i))
+                pieces[i].append(b)
+    expr = build_expression(cat, generators, entries)
+    # in degree i only the summands anchored there have nonzero dimension
+    retr = {i: cat.copair(expr.obj(i), x.objs[i], pieces[i]) for i in x.degrees()}
+    incl = {}
+    for i, u in retr.items():
+        incl[i] = cat.section(u)
+        if incl[i] is None:
+            return None
+    return entries, ChainMap(x, expr, incl), ChainMap(expr, x, retr)
 
 
 # ---------------------------------------------------------------------------------
@@ -790,15 +666,23 @@ class CFunctor:
         return ChainMap(src, dst, comps)
 
 
-def left_adjoint_functor(q, a, v) -> CFunctor:
+def _per_object(build):
+    """build(m), computed once per object; every zero object shares one
+    image, since a complex makes a new zero object for each degree outside
+    its range."""
     cache = {}
 
-    def on_obj(m):
-        # every zero module has the same image
+    def image(m):
         key = None if m.is_zero() else id(m)
         if key not in cache:
-            cache[key] = (m, rc.left_adjoint(q, v, m))
+            cache[key] = (m, build(m))  # m is kept so that its id stays unique
         return cache[key][1]
+
+    return image
+
+
+def left_adjoint_functor(q, a, v) -> CFunctor:
+    on_obj = _per_object(lambda m: rc.left_adjoint(q, v, m))
 
     def on_map(f):
         return rc.left_adjoint_map(q, v, on_obj(f.source), on_obj(f.target), f)
@@ -807,13 +691,7 @@ def left_adjoint_functor(q, a, v) -> CFunctor:
 
 
 def tensor_functor(spec) -> CFunctor:
-    cache = {}
-
-    def td_of(m):
-        key = id(m)
-        if key not in cache:
-            cache[key] = (m, tm.tensor_basis(spec, m))
-        return cache[key][1]
+    td_of = _per_object(lambda m: tm.tensor_basis(spec, m))
 
     def on_obj(m):
         return tm.tensor_module(spec, td_of(m))
@@ -826,13 +704,7 @@ def tensor_functor(spec) -> CFunctor:
 
 
 def k1_functor(spec) -> CFunctor:
-    cache = {}
-
-    def on_obj(m):
-        key = id(m)
-        if key not in cache:
-            cache[key] = (m, tm.e1_lambda(spec, m))
-        return cache[key][1]
+    on_obj = _per_object(lambda m: tm.e1_lambda(spec, m))
 
     def on_map(f):
         src, dst = on_obj(f.source), on_obj(f.target)
@@ -843,13 +715,7 @@ def k1_functor(spec) -> CFunctor:
 
 
 def k2_functor(spec) -> CFunctor:
-    cache = {}
-
-    def on_obj(m):
-        key = id(m)
-        if key not in cache:
-            cache[key] = (m, tm.e2_lambda(spec, m))
-        return cache[key][1]
+    on_obj = _per_object(lambda m: tm.e2_lambda(spec, m))
 
     def on_map(f):
         src, dst = on_obj(f.source), on_obj(f.target)
@@ -976,7 +842,7 @@ def rep_complex_witness(x: Complex, base_generators, provider=None,
             gen_of[(v, j)] = len(new_gens)
             new_gens.append(rc.left_adjoint(q, v, g))
     if shortcut:
-        leaf = try_leaf(x, new_gens, rcat)
+        leaf = try_leaf(x, new_gens)
         if leaf is not None:
             return leaf, new_gens
     ses = rep_standard_triangle(x)
@@ -1024,7 +890,7 @@ def triple_complex_witness(x: Complex, r_generators, s_generators,
         gmap_s[j] = len(new_gens)
         new_gens.append(k2.on_obj(g))
     if shortcut:
-        leaf = try_leaf(x, new_gens, tcat)
+        leaf = try_leaf(x, new_gens)
         if leaf is not None:
             return leaf, new_gens
     ses = triple_standard_triangle(x)

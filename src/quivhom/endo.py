@@ -361,24 +361,19 @@ def adjoint_end_iso(q: Quiver, a, summands, side: str = "lambda",
         gm = gamma_map(g)
         v, w = p.target, p.source  # morphism e^v -> e^w for path p: w ~> v
         src_piece, dst_piece = pieces[v], pieces[w]
-        comp = rc.zero_repmap(src_piece, dst_piece)
+        # gm placed block by block between the copies indexed by paths
+        mats = {}
         for x in q.vertices:
-            if side == "lambda":
-                src_paths = src_piece._adjoint[3][x]   # paths v ~> x
+            if side == "lambda":  # copy qq : v ~> x goes to copy p.qq
                 dst_idx = {pp: i for i, pp in enumerate(dst_piece._adjoint[3][x])}
-                for i, qq in enumerate(src_paths):
-                    j = dst_idx[concat(p, qq)]
-                    term = dst_piece._adjoint[4][x][j].compose(
-                        gm).compose(src_piece._adjoint[5][x][i])
-                    comp.mats[x] = comp.mats[x].add(term)
-            else:
-                dst_paths = dst_piece._adjoint[3][x]   # paths x ~> w
+                pairs = [(i, dst_idx[concat(p, qq)])
+                         for i, qq in enumerate(src_piece._adjoint[3][x])]
+            else:  # copy rr.p goes to copy rr : x ~> w
                 src_idx = {pp: i for i, pp in enumerate(src_piece._adjoint[3][x])}
-                for j, rr in enumerate(dst_paths):
-                    i = src_idx[concat(rr, p)]
-                    term = dst_piece._adjoint[4][x][j].compose(
-                        gm).compose(src_piece._adjoint[5][x][i])
-                    comp.mats[x] = comp.mats[x].add(term)
+                pairs = [(src_idx[concat(rr, p)], j)
+                         for j, rr in enumerate(dst_piece._adjoint[3][x])]
+            mats[x] = rc._copy_map(gm, src_piece.mods[x], dst_piece.mods[x], pairs)
+        comp = rc.RepMap(src_piece, dst_piece, mats)
         chi_maps.append(injs[vindex[w]].compose(comp).compose(projs[vindex[v]]))
 
     details = {}

@@ -32,12 +32,6 @@ class Quiver:
     def acyclic(self) -> bool:
         return self.topological is not None
 
-    def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise UnknownVertex(f"no arrow named {name!r}")
-
     def arrows_from(self, v: str):
         return [a for a in self.arrows if a.source == v]
 

@@ -160,72 +160,69 @@ def evaluate(x: Rep, v: str) -> AlgMod:
 def left_adjoint(q: Quiver, v: str, m: AlgMod) -> Rep:
     """e^v_lambda(M): vertex w carries one copy of M per path v ~> w."""
     v = str(v)
-    a = m.algebra
     paths = {w: paths_between(q, v, w) for w in q.vertices}
-    mods, injs, projs = {}, {}, {}
-    for w in q.vertices:
-        total, ii, pp = alg.direct_sum_mods(a, [m] * len(paths[w]))
-        mods[w], injs[w], projs[w] = total, ii, pp
+    mods = {w: _copies(m, len(paths[w])) for w in q.vertices}
+    ident = alg.identity_map(m)
     maps = {}
     for arr in q.arrows:
         # copy p at the source goes to copy p.arr at the target
         dst_index = {p: j for j, p in enumerate(paths[arr.target])}
         pairs = [(i, dst_index[concat(p, arrow_path(arr))])
                  for i, p in enumerate(paths[arr.source])]
-        maps[arr.name] = _copy_map(m, mods[arr.source], mods[arr.target], pairs)
-    rep = Rep(q, a, mods, maps)
-    rep._adjoint = ("lambda", v, m, paths, injs, projs)
+        maps[arr.name] = _copy_map(ident, mods[arr.source], mods[arr.target], pairs)
+    rep = Rep(q, m.algebra, mods, maps)
+    rep._adjoint = ("lambda", v, m, paths)
     return rep
-
-
-def _copy_map(m: AlgMod, src: AlgMod, dst: AlgMod, pairs) -> ModMap:
-    """The map between sums of copies of m sending copy i identically onto
-    copy j for each (i, j) in pairs: 0/1 blocks, no products."""
-    f = m.algebra.field
-    zero, one = f.zero(), f.one()
-    mats = {}
-    for u, d in m.dims.items():
-        cols = src.dims[u]
-        ent = [zero] * (dst.dims[u] * cols)
-        for i, j in pairs:
-            for r in range(d):
-                ent[(j * d + r) * cols + i * d + r] = one
-        mats[u] = Mat(f, dst.dims[u], cols, tuple(ent))
-    return ModMap(src, dst, mats)
 
 
 def right_adjoint(q: Quiver, v: str, m: AlgMod) -> Rep:
     """e^v_rho(M): vertex w carries one copy of M per path w ~> v."""
     v = str(v)
-    a = m.algebra
     paths = {w: paths_between(q, w, v) for w in q.vertices}
-    mods, injs, projs = {}, {}, {}
-    for w in q.vertices:
-        total, ii, pp = alg.direct_sum_mods(a, [m] * len(paths[w]))
-        mods[w], injs[w], projs[w] = total, ii, pp
+    mods = {w: _copies(m, len(paths[w])) for w in q.vertices}
+    ident = alg.identity_map(m)
     maps = {}
     for arr in q.arrows:
         # copy arr.qq at the source goes to copy qq at the target
         src_index = {p: i for i, p in enumerate(paths[arr.source])}
         pairs = [(src_index[concat(arrow_path(arr), qq)], j)
                  for j, qq in enumerate(paths[arr.target])]
-        maps[arr.name] = _copy_map(m, mods[arr.source], mods[arr.target], pairs)
-    rep = Rep(q, a, mods, maps)
-    rep._adjoint = ("rho", v, m, paths, injs, projs)
+        maps[arr.name] = _copy_map(ident, mods[arr.source], mods[arr.target], pairs)
+    rep = Rep(q, m.algebra, mods, maps)
+    rep._adjoint = ("rho", v, m, paths)
     return rep
+
+
+def _copies(m: AlgMod, n: int) -> AlgMod:
+    """The direct sum of n copies of m: each arrow acts by kron(I_n, M)."""
+    ident = Mat.identity(m.algebra.field, n)
+    return AlgMod(m.algebra, {u: n * d for u, d in m.dims.items()},
+                  {name: Mat.kron(ident, mat) for name, mat in m.mats.items()})
+
+
+def _copy_map(g: ModMap, src: AlgMod, dst: AlgMod, pairs) -> ModMap:
+    """The map between a sum of copies of g's source and a sum of copies of
+    its target that places g from copy i to copy j for each (i, j) in pairs:
+    blocks, no products."""
+    f = g.source.algebra.field
+    mats = {}
+    for u, b in g.mats.items():
+        cols = src.dims[u]
+        ent = [f.zero()] * (dst.dims[u] * cols)
+        for i, j in pairs:
+            for r in range(b.rows):
+                at = (j * b.rows + r) * cols + i * b.cols
+                ent[at:at + b.cols] = b.entries[r * b.cols:(r + 1) * b.cols]
+        mats[u] = Mat(f, dst.dims[u], cols, tuple(ent))
+    return ModMap(src, dst, mats)
 
 
 def left_adjoint_map(q: Quiver, v: str, src_rep: Rep, dst_rep: Rep, f: ModMap) -> RepMap:
     """e^v_lambda on morphisms: one copy of f per path."""
-    mats = {}
-    for w in q.vertices:
-        npaths = len(src_rep._adjoint[3][w])
-        mm = {}
-        for u in f.source.algebra.quiver.vertices:
-            mm[u] = Mat.kron(Mat.identity(f.source.algebra.field, npaths), f.mats[u]) \
-                if npaths else Mat.zeros(f.source.algebra.field, 0, 0)
-        mats[w] = ModMap(src_rep.mods[w], dst_rep.mods[w], mm)
-    return RepMap(src_rep, dst_rep, mats)
+    return RepMap(src_rep, dst_rep, {
+        w: _copy_map(f, src_rep.mods[w], dst_rep.mods[w],
+                     [(i, i) for i in range(len(src_rep._adjoint[3][w]))])
+        for w in q.vertices})
 
 
 def adjunction_check(q: Quiver, v: str, m: AlgMod, x: Rep):
@@ -236,8 +233,9 @@ def adjunction_check(q: Quiver, v: str, m: AlgMod, x: Rep):
     el = left_adjoint(q, v, m)
     b_rep = rep_hom_basis(el, x)
     b_mod = alg.hom_basis(m, x.mods[v])
-    triv_idx = el._adjoint[3][v].index(trivial_path(v))
-    inj = el._adjoint[4][v][triv_idx]
+    ident = alg.identity_map(m)
+    # the copy of M indexed by the trivial path, included at v
+    inj = _copy_map(ident, m, el.mods[v], [(0, el._adjoint[3][v].index(trivial_path(v)))])
     cols = [Mat.column(f, phi.mats[v].compose(inj).flatten()) for phi in b_rep]
     basis_cols = [Mat.column(f, b.flatten()) for b in b_mod]
     lam_ok = len(b_rep) == len(b_mod)
@@ -254,8 +252,7 @@ def adjunction_check(q: Quiver, v: str, m: AlgMod, x: Rep):
     er = right_adjoint(q, v, m)
     b_rep2 = rep_hom_basis(x, er)
     b_mod2 = alg.hom_basis(x.mods[v], m)
-    triv_idx2 = er._adjoint[3][v].index(trivial_path(v))
-    proj = er._adjoint[5][v][triv_idx2]
+    proj = _copy_map(ident, er.mods[v], m, [(er._adjoint[3][v].index(trivial_path(v)), 0)])
     cols2 = [Mat.column(f, proj.compose(psi.mats[v]).flatten()) for psi in b_rep2]
     rho_ok = len(b_rep2) == len(b_mod2)
     rho_mat = None
@@ -349,6 +346,7 @@ def standard_presentation(x: Rep) -> StandardPresentation:
     # inclusion: the piece of arrow a goes by nu_a to the piece of t(a) and
     # by -mu_a to the piece of s(a)
     vindex = {v: i for i, v in enumerate(q.vertices)}
+    ident = {v: alg.identity_map(x.mods[v]) for v in q.vertices}
     blocks = {}
     for ai, arr in enumerate(q.arrows):
         piece = arrow_pieces[ai]  # e^{t(a)}_lambda(X_{s(a)})
@@ -362,7 +360,7 @@ def standard_presentation(x: Rep) -> StandardPresentation:
             dst_index = {p: j for j, p in enumerate(target_s._adjoint[3][w])}
             pairs = [(i, dst_index[concat(arrow_path(arr), p)])
                      for i, p in enumerate(piece._adjoint[3][w])]
-            mu[w] = _copy_map(x.mods[arr.source], piece.mods[w], target_s.mods[w], pairs)
+            mu[w] = _copy_map(ident[arr.source], piece.mods[w], target_s.mods[w], pairs)
         blocks[(vindex[arr.source], ai)] = RepMap(piece, target_s, mu).scale(f.neg(f.one()))
     incl = _block_repmap(asum, b, arrow_pieces, vert_pieces, blocks)
 
@@ -370,8 +368,9 @@ def standard_presentation(x: Rep) -> StandardPresentation:
     section = {}
     for vi, v in enumerate(q.vertices):
         piece = vert_pieces[vi]
-        triv = piece._adjoint[3][v].index(trivial_path(v))
-        section[v] = b_injs[vi].mats[v].compose(piece._adjoint[4][v][triv])
+        triv = _copy_map(ident[v], x.mods[v], piece.mods[v],
+                         [(0, piece._adjoint[3][v].index(trivial_path(v)))])
+        section[v] = b_injs[vi].mats[v].compose(triv)
 
     details = {}
     exact = True
@@ -393,8 +392,7 @@ def standard_presentation(x: Rep) -> StandardPresentation:
     sec_ok = True
     for v in q.vertices:
         check = epi.mats[v].compose(section[v])
-        ident = alg.identity_map(x.mods[v])
-        sec_ok &= all(check.mats[u] == ident.mats[u] for u in check.mats)
+        sec_ok &= all(check.mats[u] == ident[v].mats[u] for u in check.mats)
     details["section_identity"] = sec_ok
     exact &= sec_ok
     return StandardPresentation(asum, b, x, incl, epi, section, exact, details,

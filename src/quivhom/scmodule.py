@@ -35,12 +35,7 @@ class SCModule:
 
     def act_vector(self, coeffs) -> Mat:
         """Matrix of the action of an algebra element given by coefficients."""
-        f = self.sc.field
-        out = Mat.zeros(f, self.dim, self.dim)
-        for i, c in enumerate(coeffs):
-            if c != f.zero():
-                out = out.add(self.action[i].scale(c))
-        return out
+        return _combination(self.sc.field, self.dim, self.action, coeffs)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -71,6 +66,15 @@ class SCMap:
             if self.mat.mul(self.source.action[i]) != self.target.action[i].mul(self.mat):
                 return False
         return True
+
+
+def _combination(field, dim, mats, coeffs) -> Mat:
+    """sum c_i mats[i] over the coefficients c_i, a dim x dim matrix."""
+    out = Mat.zeros(field, dim, dim)
+    for i, c in enumerate(coeffs):
+        if c != field.zero():
+            out = out.add(mats[i].scale(c))
+    return out
 
 
 def zero_sc_module(sc: SCAlgebra) -> SCModule:
@@ -160,6 +164,14 @@ def submodule_from_columns(m: SCModule, cols: Mat):
         action.append(x)
     sub = SCModule(m.sc, basis.cols, action)
     return sub, SCMap(sub, m, basis)
+
+
+def quotient_sc(m: SCModule, cols: Mat):
+    """(M / span(cols), the projection onto it, a linear section of the
+    projection); span(cols) must be a submodule."""
+    f = m.sc.field
+    proj, sect = complement_projection(f, column_space(f, [cols]))
+    return SCModule(m.sc, proj.rows, [proj.mul(a).mul(sect) for a in m.action]), proj, sect
 
 
 def radical_submodule_sc(m: SCModule):
@@ -252,9 +264,7 @@ class ColumnData:
         top = self._tops.get(i)
         if top is None:
             col, _ = self.columns[i]
-            proj, sect = top_projection(col)
-            action = [proj.mul(col.action[t]).mul(sect) for t in range(self.sc.dim)]
-            top = self._tops[i] = SCModule(self.sc, proj.rows, action)
+            top = self._tops[i] = quotient_sc(col, radical_submodule_sc(col))[0]
         return top
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import SCAlgebra, column_space, complement_projection, sc_of_bqa
+from .algebra import SCAlgebra, column_space, sc_of_bqa
 from .bounds import Dim, dim_max, syzygy_pd
 from .errors import CompositionInconsistent, DimensionMismatch, QuivhomError
 from .exactlin import Mat, _commuting_rows, _kernel_blocks, kernel_basis, rank, rref, solve_matrix
@@ -39,20 +39,10 @@ class Bimodule:
                 raise DimensionMismatch("bimodule action matrices must be square")
 
     def left_act(self, coeffs) -> Mat:
-        f = self.s.field
-        out = Mat.zeros(f, self.dim, self.dim)
-        for i, c in enumerate(coeffs):
-            if c != f.zero():
-                out = out.add(self.left[i].scale(c))
-        return out
+        return scm._combination(self.s.field, self.dim, self.left, coeffs)
 
     def right_act(self, coeffs) -> Mat:
-        f = self.r.field
-        out = Mat.zeros(f, self.dim, self.dim)
-        for i, c in enumerate(coeffs):
-            if c != f.zero():
-                out = out.add(self.right[i].scale(c))
-        return out
+        return scm._combination(self.r.field, self.dim, self.right, coeffs)
 
     def check(self) -> bool:
         f = self.s.field
@@ -106,23 +96,10 @@ class TriRingSpec:
 def t2_spec(base_bqa, name="T2") -> TriRingSpec:
     """T_2(Lambda): R = S = Lambda, M = Lambda as the regular bimodule."""
     sc = sc_of_bqa(base_bqa)
-    left = [sc.left_mult_matrix(_unit(sc, i)) for i in range(sc.dim)]
-    right = [_right_mult(sc, _unit(sc, i)) for i in range(sc.dim)]
-    m = Bimodule(sc, sc, sc.dim, left, right)
+    units = [scm._unit_vec(sc, i) for i in range(sc.dim)]
+    m = Bimodule(sc, sc, sc.dim, [sc.left_mult_matrix(e) for e in units],
+                 [scm._right_mult_matrix(sc, e) for e in units])
     return TriRingSpec(sc, sc, m, name=name)
-
-
-def _unit(sc, i):
-    f = sc.field
-    return tuple(f.one() if j == i else f.zero() for j in range(sc.dim))
-
-
-def _right_mult(sc: SCAlgebra, x) -> Mat:
-    f = sc.field
-    cols = []
-    for j in range(sc.dim):
-        cols.append(Mat.column(f, list(sc.multiply(_unit(sc, j), x))))
-    return Mat.hstack(f, cols) if cols else Mat.zeros(f, 0, 0)
 
 
 # -- tensor product over R ---------------------------------------------------------
@@ -401,14 +378,6 @@ def triple_ses(t: TripleModule) -> TripleSES:
 
 # -- projectivity -------------------------------------------------------------------
 
-def cokernel_module(sc_mod: SCModule, image_cols: Mat) -> SCModule:
-    f = sc_mod.sc.field
-    basis = column_space(f, [image_cols]) if image_cols.cols else Mat.zeros(f, sc_mod.dim, 0)
-    proj, sect = complement_projection(f, basis)
-    action = [proj.mul(a).mul(sect) for a in sc_mod.action]
-    return SCModule(sc_mod.sc, proj.rows, action)
-
-
 def is_projective_triple(t: TripleModule):
     """FGR criterion with an independent lifting-test cross-check.
 
@@ -416,7 +385,7 @@ def is_projective_triple(t: TripleModule):
     spec = t.spec
     x_proj = scm.is_projective_sc(t.x, spec.coldata_r())
     phi_mono = rank(t.phi) == t.tensor.dim
-    coker = cokernel_module(t.y, t.phi)
+    coker, _, _ = scm.quotient_sc(t.y, t.phi)
     coker_proj = scm.is_projective_sc(coker, spec.coldata_s())
     criterion = x_proj and phi_mono and coker_proj
     details = {"x_projective": x_proj, "phi_mono": phi_mono, "coker_projective": coker_proj}
@@ -483,16 +452,12 @@ def triple_split_test(t: TripleModule) -> bool:
 
 def triple_radical(t: TripleModule):
     """(rad X, rad Y + im phi) as per-component column inclusions."""
-    return scm.radical_submodule_sc(t.x), _radical_y(t)
+    return scm.radical_submodule_sc(t.x), column_space(t.spec.r.field, [_radical_y(t)])
 
 
 def _radical_y(t: TripleModule) -> Mat:
-    """A column basis of rad Y + im phi."""
-    f = t.spec.r.field
-    rad_y = scm.radical_submodule_sc(t.y)
-    if not (rad_y.cols or t.phi.cols):
-        return Mat.zeros(f, t.y.dim, 0)
-    return column_space(f, [rad_y, t.phi])
+    """Columns spanning rad Y + im phi."""
+    return Mat.hstack(t.spec.r.field, [scm.radical_submodule_sc(t.y), t.phi])
 
 
 def triple_projective_cover(t: TripleModule):
@@ -503,9 +468,7 @@ def triple_projective_cover(t: TripleModule):
     # Y side: generators g of a cover of C = Y / (rad Y + im phi), lifted
     # through the section s of q : Y ->> C.  q is a module map, so
     # q(gamma s g) = gamma g: sending gamma to gamma s g lifts the cover of C.
-    qproj, qsect = complement_projection(f, _radical_y(t))
-    qaction = [qproj.mul(a).mul(qsect) for a in t.y.action]
-    qmod = SCModule(spec.s, qproj.rows, qaction)
+    qmod, _, qsect = scm.quotient_sc(t.y, _radical_y(t))
     cds = spec.coldata_s()
     pieces, gens = scm._cover_generators(qmod, cds)
     pc, h = scm._map_from_columns(t.y, cds, pieces, [qsect.mul(g) for g in gens])

@@ -3,6 +3,8 @@
 import dataclasses
 import sys
 
+import pytest
+
 from quivhom import algebra as alg
 from quivhom import cats
 from quivhom import derived as dv
@@ -10,6 +12,7 @@ from quivhom import quiver as qv
 from quivhom import repcat as rc
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
+from quivhom.errors import NotSemisimple
 from quivhom.exactlin import QQ, Mat
 
 
@@ -201,7 +204,7 @@ def test_witness_direct_sum_of_leaves_and_of_leaf_and_node():
     cx = _two_term(rcat, p2, p1)
     node, gens = dv.rep_complex_witness(cx, [m], shortcut=False)
     flat = dv.Complex(rcat, 0, 1, {0: p2, 1: p1}, {})
-    leaf = dv.try_leaf(flat, gens, rcat)
+    leaf = dv.try_leaf(flat, gens)
     w = dv.witness_direct_sum(rcat, [leaf, node])
     assert isinstance(w, dv.Node)
     total, _, _ = dv.direct_sum_complexes(rcat, [flat, cx])
@@ -242,11 +245,11 @@ def test_try_leaf_splits_zero_differentials_only():
     rcat = cats.rep_cat(q, k)
     gens = [rc.left_adjoint(q, v, m) for v in q.vertices]
     flat = dv.Complex(rcat, 0, 1, {0: p2, 1: p1}, {})
-    leaf = dv.try_leaf(flat, gens, rcat)
+    leaf = dv.try_leaf(flat, gens)
     assert isinstance(leaf, dv.Leaf) and leaf.depth() == 1
     ok, failure = dv.witness_check(leaf, gens, 1, rcat)
     assert ok, failure
-    assert dv.try_leaf(_two_term(rcat, p2, p1), gens, rcat) is None
+    assert dv.try_leaf(_two_term(rcat, p2, p1), gens) is None
 
     spec, triple = _t2()
     tcat = cats.triple_cat(spec)
@@ -254,27 +257,123 @@ def test_try_leaf_splits_zero_differentials_only():
     tgens = [k1.on_obj(scm.SCModule(spec.r, 1, [Mat.identity(QQ, 1)])),
              k2.on_obj(scm.SCModule(spec.s, 1, [Mat.identity(QQ, 1)]))]
     t01, t11 = triple(0, 1, Mat.zeros(QQ, 1, 0)), triple(1, 1, Mat.from_rows(QQ, [[1]]))
-    leaf = dv.try_leaf(dv.Complex(tcat, 0, 1, {0: t01, 1: t11}, {}), tgens, tcat)
+    leaf = dv.try_leaf(dv.Complex(tcat, 0, 1, {0: t01, 1: t11}, {}), tgens)
     ok, failure = dv.witness_check(leaf, tgens, 1, tcat)
     assert ok, failure
-    assert dv.try_leaf(_two_term(tcat, t01, t11), tgens, tcat) is None
+    assert dv.try_leaf(_two_term(tcat, t01, t11), tgens) is None
 
 
-def test_try_leaf_solves_nothing_when_a_differential_is_nonzero(monkeypatch):
+def test_try_leaf_solves_nothing_when_a_differential_is_nonzero():
     q, k, m, p1, p2 = _kronecker_reps()
-    rcat = cats.rep_cat(q, k)
-    gens = [rc.left_adjoint(q, v, m) for v in q.vertices]
-    cx = _two_term(rcat, p2, p1)
     calls = []
-    real = dv.chain_hom_basis
 
     def counting(x, y):
         calls.append(1)
-        return real(x, y)
+        return rc.rep_hom_basis(x, y)
 
-    monkeypatch.setattr(dv, "chain_hom_basis", counting)
-    assert dv.try_leaf(cx, gens, rcat) is None
+    rcat = dataclasses.replace(cats.rep_cat(q, k), hom_basis=counting)
+    gens = [rc.left_adjoint(q, v, m) for v in q.vertices]
+    cx = _two_term(cats.rep_cat(q, k), p2, p1)
+    assert dv.try_leaf(dv.Complex(rcat, cx.lo, cx.hi, cx.objs, cx.diffs), gens) is None
     assert not calls
+    # with the differential dropped, the split is solved
+    assert dv.try_leaf(dv.Complex(rcat, 0, 1, {0: p2, 1: p1}, {}), gens) is not None
+    assert calls
+
+
+def test_try_leaf_needs_every_degree_in_add_of_the_generators():
+    cat, p1, p2 = _kA2_modules()
+    s1 = alg.simple_module(p1.algebra, "1")
+    gens = [p1, p2]
+    leaf = dv.try_leaf(dv.Complex(cat, 0, 1, {0: p2, 1: p1}, {}), gens)
+    assert dv.witness_check(leaf, gens, 1, cat) == (True, None)
+    # S1 is not projective, so degree 1 is not in add(P1 + P2)
+    assert dv.try_leaf(dv.Complex(cat, 0, 1, {0: p2, 1: s1}, {}), gens) is None
+
+
+def test_witness_check_rejects_a_replacement_that_is_not_a_quasi_iso():
+    k = alg.ground_field_algebra(QQ)
+    gen = alg.AlgMod(k, {"1": 1}, {})
+    c = _k_complex(k, (2, 1), Mat.from_rows(QQ, [[1, 2]]))
+    leaf = dv.semisimple_split(c, [gen])
+    assert dv.witness_check(leaf, [gen], 1, c.cat) == (True, None)
+    bad = dataclasses.replace(leaf, to_replaced=dv.zero_chain_map(leaf.target, leaf.replaced))
+    ok, failure = dv.witness_check(bad, [gen], 1, c.cat)
+    assert not ok and failure.reason == "replacement maps are not quasi-isomorphisms"
+
+
+# -- quasi-isomorphisms, decided on the cone ----------------------------------------
+
+ADAPTERS = ("mod", "rep", "sc", "triple")
+
+
+def _resolution(adapter):
+    """(cat, K, P, S): 0 -> K -> P -> S -> 0 is exact, P is projective and
+    each of Hom(K, P), Hom(P, S) is one-dimensional."""
+    if adapter in ("mod", "sc"):
+        cat, p1, p2 = _kA2_modules()
+        objs = (p2, p1, alg.simple_module(p1.algebra, "1"))
+        if adapter == "mod":
+            return (cat,) + objs
+        sc = alg.sc_of_bqa(p1.algebra)
+        return (cats.sc_cat(sc),) + tuple(scm.sc_module_of_algmod(x, sc) for x in objs)
+    if adapter == "rep":
+        q, k = qv.a_n(2), alg.ground_field_algebra(QQ)
+        m = alg.AlgMod(k, {"1": 1}, {})
+        return (cats.rep_cat(q, k), rc.left_adjoint(q, "2", m), rc.left_adjoint(q, "1", m),
+                rc.rep_simple(q, k, "1", "1"))
+    spec, triple = _t2()
+    return (cats.triple_cat(spec), triple(0, 1, Mat.zeros(QQ, 1, 0)),
+            triple(1, 1, Mat.from_rows(QQ, [[1]])), triple(1, 0, Mat.zeros(QQ, 0, 1)))
+
+
+@pytest.mark.parametrize("adapter", ADAPTERS)
+def test_is_quasi_iso_compares_cohomology_through_the_map(adapter):
+    cat, k_, p, s = _resolution(adapter)
+    res = dv.Complex(cat, -1, 0, {-1: k_, 0: p}, {-1: _sum_of_basis(cat, k_, p)})
+    top = dv.concentrated(cat, s)
+    aug = dv.ChainMap(res, top, {0: _sum_of_basis(cat, p, s)})
+    assert res.check() and aug.check()
+    assert dv.is_quasi_iso(dv.identity_chain_map(res))
+    assert dv.is_quasi_iso(aug)
+    assert not dv.is_quasi_iso(dv.zero_chain_map(res, top))
+    # any map between acyclic complexes, the zero map included
+    acyclic = [dv.Complex(cat, 0, 1, {0: x, 1: x}, {0: cat.identity(x)}) for x in (k_, p)]
+    assert dv.is_quasi_iso(dv.zero_chain_map(*acyclic))
+    # diag(1, 0) on P + P: equal cohomology dimensions, but not an isomorphism
+    pp = dv.concentrated(cat, cat.direct_sum([p, p])[0])
+    half = dv.ChainMap(pp, pp, {0: cat.diag(pp.objs[0], pp.objs[0],
+                                            [cat.identity(p), cat.zero_map(p, p)])})
+    assert half.check() and not dv.is_quasi_iso(half)
+
+
+@pytest.mark.parametrize("adapter", ADAPTERS)
+def test_semisimple_split_replacements_are_quasi_isos(adapter):
+    # gen + gen --(1 2)--> gen over a semisimple base: H^0 = gen, H^1 = 0
+    if adapter == "mod":
+        k = alg.ground_field_algebra(QQ)
+        cat, gen = cats.mod_cat(k), alg.AlgMod(k, {"1": 1}, {})
+    elif adapter == "rep":
+        q, k = qv.a_n(2), alg.ground_field_algebra(QQ)
+        cat, gen = cats.rep_cat(q, k), rc.left_adjoint(q, "1", alg.AlgMod(k, {"1": 1}, {}))
+    elif adapter == "sc":
+        sc = alg.sc_of_bqa(alg.ground_field_algebra(QQ))
+        cat, gen = cats.sc_cat(sc), scm.SCModule(sc, 1, [Mat.identity(QQ, 1)])
+    else:
+        spec, triple = _t2()
+        cat, gen = cats.triple_cat(spec), triple(1, 1, Mat.from_rows(QQ, [[1]]))
+    two = cat.direct_sum([gen, gen])[0]
+    ident = cat.identity(gen)
+    cx = dv.Complex(cat, 0, 1, {0: two, 1: gen},
+                    {0: cat.copair(two, gen, [ident, cat.scale_map(ident, QQ.of_int(2))])})
+    if adapter == "triple":
+        with pytest.raises(NotSemisimple):  # T2(k) is not semisimple
+            dv.semisimple_split(cx, [gen])
+        return
+    leaf = dv.semisimple_split(cx, [gen])
+    assert dv.cohomology_dims(leaf.replaced) == dv.cohomology_dims(cx)
+    assert dv.cohomology_dims(cx) == {0: cat.total_dim(gen), 1: 0}
+    assert dv.is_quasi_iso(leaf.to_replaced) and dv.is_quasi_iso(leaf.from_replaced)
 
 
 def test_standard_triangle_builds_each_adjoint_piece_once(monkeypatch):

@@ -52,16 +52,27 @@ def test_no_dead_private_definitions():
     assert not dead, "unreferenced private definitions:\n" + "\n".join(dead)
 
 
+def _public_definitions(tree):
+    """Module-level public functions and classes, and the public methods of
+    those classes."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (m for m in node.body
+                            if isinstance(m, kinds) and not m.name.startswith("_"))
+
+
 def test_no_unreferenced_public_definitions():
-    # a module-level public function or class that nothing in the library,
-    # the tests or the benchmark refers to is dead code
+    # a public function, class or method that nothing in the library, the
+    # tests or the benchmark refers to is dead code
     root = SRC.parents[1]
     readers = sorted(SRC.glob("*.py")) + sorted((root / "tests").glob("*.py")) \
         + sorted((root / "bench").glob("*.py"))
     used = set().union(*(_referenced_names(ast.parse(p.read_text(encoding="utf-8")))
                          for p in readers))
     dead = [f"{p.name}:{node.lineno}: {node.name}" for p in sorted(SRC.glob("*.py"))
-            for node in ast.parse(p.read_text(encoding="utf-8")).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in used]
+            for node in _public_definitions(ast.parse(p.read_text(encoding="utf-8")))
+            if node.name not in used]
     assert not dead, "unreferenced public definitions:\n" + "\n".join(dead)

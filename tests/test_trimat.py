@@ -59,7 +59,7 @@ def test_tensor_collapses_over_dual_numbers():
     sc = alg.sc_of_bqa(d)
     left = [sc.left_mult_matrix(tuple(QQ.of_int(1 if j == i else 0) for j in range(2)))
             for i in range(2)]
-    right = [tm._right_mult(sc, tuple(QQ.of_int(1 if j == i else 0) for j in range(2)))
+    right = [scm._right_mult_matrix(sc, tuple(QQ.of_int(1 if j == i else 0) for j in range(2)))
              for i in range(2)]
     m = tm.Bimodule(sc, sc, 2, left, right)
     spec = tm.TriRingSpec(sc, sc, m)
