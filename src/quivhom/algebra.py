@@ -515,15 +515,23 @@ def complement_projection(field: Field, basis_cols: Mat):
     return proj, sect
 
 
+def _pivot_columns(field: Field, sub: Mat, cand: Mat):
+    """Indices j of the columns of ``cand`` independent modulo the span of a
+    full-column-rank ``sub`` and of the columns of ``cand`` before j: the
+    pivots beyond ``sub`` of rref([sub | cand])."""
+    r = sub.cols
+    _, _, pivots = rref(Mat.hstack(field, [sub, cand]))
+    return [c - r for c in pivots if c >= r]
+
+
 def _complement_indices(field: Field, basis_cols: Mat):
     """Indices j whose unit vectors e_j complete the columns of a
-    full-column-rank B to a basis of k^n; the section of
-    ``complement_projection`` is built from them."""
-    n, r = basis_cols.rows, basis_cols.cols
-    if r == 0:
+    full-column-rank B to a basis of k^n (``_pivot_columns`` with cand = I);
+    the section of ``complement_projection`` is built from them."""
+    n = basis_cols.rows
+    if basis_cols.cols == 0:
         return list(range(n))
-    _, _, pivots = rref(Mat.hstack(field, [basis_cols, Mat.identity(field, n)]))
-    return [c - r for c in pivots if c >= r][:n - r]
+    return _pivot_columns(field, basis_cols, Mat.identity(field, n))
 
 
 def radical_submodule(m: AlgMod):

@@ -692,9 +692,7 @@ def left_adjoint_functor(q, a, v) -> CFunctor:
 
 def tensor_functor(spec) -> CFunctor:
     td_of = _per_object(lambda m: tm.tensor_basis(spec, m))
-
-    def on_obj(m):
-        return tm.tensor_module(spec, td_of(m))
+    on_obj = _per_object(lambda m: tm.tensor_module(spec, td_of(m)))
 
     def on_map(f):
         mat = tm.tensor_map(spec, td_of(f.source), td_of(f.target), f.mat)
@@ -724,13 +722,14 @@ def k2_functor(spec) -> CFunctor:
     return CFunctor("k^2_lambda", sc_cat(spec.s), triple_cat(spec), on_obj, on_map)
 
 
-def pushforward_witness(w, functor: CFunctor, old_generators, new_generators,
-                        gen_index_map, strict: bool = True):
-    """Transport a witness through an additive functor and re-verify it.
+def pushforward_witness(w, functor: CFunctor, old_generators, new_generators, gen_index_map):
+    """Transport a witness through an additive functor.
 
     ``gen_index_map[g]`` names the new generator summand equal to F(old g);
     the equality is checked structurally.  Sections are re-solved after
-    transport; broken exactness raises CertificateBrokenByFunctor.
+    transport; broken exactness raises CertificateBrokenByFunctor.  The
+    result is not re-checked: ``witness_check`` on the witness that
+    contains it covers it.
     """
     cat = functor.dst_cat
     for g_old, g_new in gen_index_map.items():
@@ -738,12 +737,7 @@ def pushforward_witness(w, functor: CFunctor, old_generators, new_generators,
         if not cat.obj_equal(img, new_generators[g_new]):
             raise CertificateBrokenByFunctor(
                 f"functor image of generator {g_old} differs from new generator {g_new}")
-    out = _push(w, functor, old_generators, new_generators, gen_index_map)
-    if strict:
-        ok, fail = witness_check(out, new_generators, out.depth(), cat)
-        if not ok:
-            raise CertificateBrokenByFunctor(f"{fail.locus}: {fail.reason}")
-    return out
+    return _push(w, functor, old_generators, new_generators, gen_index_map)
 
 
 def _push(w, functor, old_gens, new_gens, gmap):
@@ -803,24 +797,6 @@ def _push(w, functor, old_gens, new_gens, gmap):
     return Node(new_target, ses, mid, sh, factor_incl=fi, factor_retr=fr)
 
 
-def shift_witness(w, k: int):
-    if isinstance(w, Leaf):
-        entries = [(g, s + k) for g, s in w.entries]
-        return Leaf(shift_complex(w.target, k), entries,
-                    shift_chain_map(w.incl, k), shift_chain_map(w.retr, k),
-                    replaced=None if w.replaced is None else shift_complex(w.replaced, k),
-                    to_replaced=None if w.to_replaced is None else shift_chain_map(w.to_replaced, k),
-                    from_replaced=None if w.from_replaced is None else shift_chain_map(w.from_replaced, k))
-    ses = ComplexSES(shift_complex(w.ses.a, k), shift_complex(w.ses.b, k),
-                     shift_complex(w.ses.c, k),
-                     shift_chain_map(w.ses.incl, k), shift_chain_map(w.ses.epi, k),
-                     {i - k: m for i, m in w.ses.sections.items()})
-    return Node(shift_complex(w.target, k), ses,
-                shift_witness(w.child_mid, k), shift_witness(w.child_shift, k),
-                factor_incl=None if w.factor_incl is None else shift_chain_map(w.factor_incl, k),
-                factor_retr=None if w.factor_retr is None else shift_chain_map(w.factor_retr, k))
-
-
 # ---------------------------------------------------------------------------------
 # the two assembly theorems (upper-bound witnesses)
 
@@ -852,8 +828,7 @@ def rep_complex_witness(x: Complex, base_generators, provider=None,
         wv = provider(xv)
         functor = left_adjoint_functor(q, a, v)
         gmap = {j: gen_of[(v, j)] for j in range(len(base_generators))}
-        mid_parts.append(pushforward_witness(wv, functor, base_generators,
-                                             new_gens, gmap, strict=False))
+        mid_parts.append(pushforward_witness(wv, functor, base_generators, new_gens, gmap))
     mid = witness_direct_sum(rcat, mid_parts) if mid_parts else empty_leaf(rcat)
     shift_parts = []
     for arr in q.arrows:
@@ -861,8 +836,7 @@ def rep_complex_witness(x: Complex, base_generators, provider=None,
         wv = provider(xs)
         functor = left_adjoint_functor(q, a, arr.target)
         gmap = {j: gen_of[(arr.target, j)] for j in range(len(base_generators))}
-        shift_parts.append(pushforward_witness(wv, functor, base_generators,
-                                               new_gens, gmap, strict=False))
+        shift_parts.append(pushforward_witness(wv, functor, base_generators, new_gens, gmap))
     sh = witness_direct_sum(rcat, shift_parts) if shift_parts else empty_leaf(rcat)
     node = Node(x, ses, mid, sh)
     return node, new_gens
@@ -903,10 +877,8 @@ def triple_complex_witness(x: Complex, r_generators, s_generators,
                      {i: x.objs[i].y for i in x.degrees()},
                      {i: scm.SCMap(x.objs[i].y, x.objs[i + 1].y, x.diffs[i].w)
                       for i in range(x.lo, x.hi)})
-    w_x = pushforward_witness(provider_r(x_cplx), k1, r_generators, new_gens,
-                              gmap_r, strict=False)
-    w_y = pushforward_witness(provider_s(y_cplx), k2, s_generators, new_gens,
-                              gmap_s, strict=False)
+    w_x = pushforward_witness(provider_r(x_cplx), k1, r_generators, new_gens, gmap_r)
+    w_y = pushforward_witness(provider_s(y_cplx), k2, s_generators, new_gens, gmap_s)
     mid = witness_direct_sum(tcat, [w_x, w_y])
     if not complexes_equal(mid.target, ses.b):
         raise QuivhomError("assembled middle differs from the triangle middle")
@@ -920,7 +892,7 @@ def triple_complex_witness(x: Complex, r_generators, s_generators,
     except CertificateBrokenByFunctor as exc:
         raise TensorNotExactOnCertificates(str(exc)) from exc
     w_t = _reanchor(w_t, [tens.on_obj(g) for g in r_generators], s_generators, scat_)
-    sh = pushforward_witness(w_t, k2, s_generators, new_gens, gmap_s, strict=False)
+    sh = pushforward_witness(w_t, k2, s_generators, new_gens, gmap_s)
     node = Node(x, ses, mid, sh)
     return node, new_gens
 

@@ -454,10 +454,10 @@ def rep_projective_cover(x: Rep):
     piece_maps = []
     for v in q.vertices:
         for u in a.quiver.vertices:
-            proj, sect = alg.complement_projection(f, rad[(v, u)])
-            for j in range(sect.cols):
+            units = Mat.identity(f, x.mods[v].dims[u])
+            for j in alg._complement_indices(f, rad[(v, u)]):
                 pu = alg.projective_module(a, u)
-                h = alg.map_from_projective(pu, x.mods[v], sect.col(j))
+                h = alg.map_from_projective(pu, x.mods[v], units.col(j))
                 piece = left_adjoint(q, v, pu)
                 pieces.append(piece)
                 piece_maps.append(_adjoint_transpose(x, piece, h))

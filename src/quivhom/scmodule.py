@@ -8,13 +8,19 @@ characteristic); the characteristic-zero trace-form radical ``radical_sc`` is
 only the fallback for algebras built without one.  Column projectives
 Gamma*e_i are grouped into isomorphism classes so that duplicated idempotents
 are handled correctly.
+
+Over a split algebra e_i kills every simple but the top S_i of Gamma*e_i, and
+e_i S_i is k, so the copies of S_i in M/JM are counted by dim e_i (M/JM) and
+a cover's generators are pivot columns: the columns of e_i acting on M that
+are independent modulo JM and of each other.  A module is projective exactly
+when that minimal cover is an isomorphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import SCAlgebra, column_space, complement_projection, radical_sc, row_space
+from .algebra import SCAlgebra, _pivot_columns, column_space, complement_projection, radical_sc
 from .bounds import Dim, dim_max, syzygy_pd
 from .errors import CompositionInconsistent, DimensionMismatch, NotSplit, QuivhomError
 from .exactlin import Mat, _commuting_rows, _kernel_blocks, kernel_basis, rank, solve_matrix
@@ -183,13 +189,6 @@ def radical_submodule_sc(m: SCModule):
     return cols
 
 
-def top_projection(m: SCModule):
-    """Projection and section matrices for M -> M/JM."""
-    f = m.sc.field
-    radcols = radical_submodule_sc(m)
-    return complement_projection(f, radcols)
-
-
 def kernel_of_sc(f_map: SCMap):
     f = f_map.source.sc.field
     kb = kernel_basis(f_map.mat)
@@ -279,7 +278,7 @@ def _right_mult_matrix(sc: SCAlgebra, x) -> Mat:
 
 def projective_cover_sc(m: SCModule, coldata: ColumnData):
     """Minimal projective cover over a split structure-constant algebra."""
-    pieces, gens = _cover_generators(m, coldata)
+    pieces, gens = _cover_generators(m, coldata, radical_submodule_sc(m))
     if not pieces:
         z = zero_sc_module(m.sc)
         return z, SCMap(z, m, Mat.zeros(m.sc.field, m.dim, 0))
@@ -289,106 +288,52 @@ def projective_cover_sc(m: SCModule, coldata: ColumnData):
     return total, pi
 
 
-def _cover_generators(m: SCModule, coldata: ColumnData):
-    """Generators of a minimal cover: column indices ``pieces`` and vectors
-    ``gens``, gens[k] in e_i M for i = pieces[k], whose Gamma-orbits span the
-    top M/JM minimally.  Both empty when M is zero."""
-    sc = m.sc
-    f = sc.field
-    proj, _ = top_projection(m)
-    top_dim = proj.rows
-    if top_dim == 0:
+def _cover_generators(m: SCModule, coldata: ColumnData, sub: Mat):
+    """Generators of a minimal cover of M / span(sub): column indices
+    ``pieces`` and vectors ``gens``, gens[k] in e_i M for i = pieces[k].
+    ``sub`` has full column rank and spans a submodule containing JM, so
+    the quotient is semisimple.  Both lists are empty when it is zero.
+
+    Gamma is split, so e_i S is k for S the top of Gamma*e_i and zero for
+    every other simple: dim e_i (M / sub) is the multiplicity of that top.
+    The generators of a class are the columns of e_i acting on M that are
+    independent modulo sub and of each other, i.e. the pivots beyond sub of
+    rref([sub | e_i M]); each spans one copy of the simple, and together
+    they reach the whole isotypic part."""
+    if sub.cols == m.dim:
         return [], []
-    # reached subspace of the top, grown one simple at a time
-    reached = Mat.zeros(f, 0, top_dim)  # rows span the reached subspace
-    pieces = []
-    gens = []
-    for cls, members in coldata.classes.items():
-        i0 = members[0]
-        e_act = m.act_vector(coldata.idem_mats[i0])
-        # total top dimension contributed by this class
-        cls_top = 0
-        for i in members:
-            ei_act = m.act_vector(coldata.idem_mats[i])
-            img = proj.mul(ei_act)
-            cls_top += rank(img)
-        t_dim = coldata.simple_top(i0).dim
-        if cls_top % t_dim != 0:
-            raise CompositionInconsistent("class top dimension not divisible by simple dimension")
-        mult = cls_top // t_dim
-        cand_cols = proj.mul(e_act)
-        for _ in range(mult):
-            chosen = None
-            for j in range(cand_cols.cols):
-                v = cand_cols.col(j)
-                if v.is_zero():
-                    continue
-                if reached.rows == 0 or solve_matrix(reached.transpose(), v) is None:
-                    chosen = Mat.column(f, [e_act.at(r, j) for r in range(m.dim)])
-                    break
-            if chosen is None:
-                raise CompositionInconsistent("could not find a top generator outside the reached span")
-            pieces.append(i0)
-            gens.append(chosen)
-            # grow reached by Gamma * q(chosen)
-            orbit_rows = [] if reached.rows == 0 else reached.row_list()
-            for t in range(sc.dim):
-                moved = proj.mul(m.action[t]).mul(chosen)
-                orbit_rows.append(moved.column_vector())
-            reached = row_space(f, orbit_rows)
-    if reached.rows != top_dim:
+    pieces, gens = [], []
+    reached = sub.cols
+    for members in coldata.classes.values():
+        i = members[0]
+        e_act = m.act_vector(coldata.idem_mats[i])
+        chosen = _pivot_columns(m.sc.field, sub, e_act)
+        pieces.extend([i] * len(chosen))
+        gens.extend(e_act.col(j) for j in chosen)
+        reached += len(chosen) * coldata.simple_top(i).dim
+    if reached != m.dim:
         raise CompositionInconsistent("cover generators do not span the top")
     return pieces, gens
 
 
 def _map_from_columns(m: SCModule, coldata: ColumnData, pieces, gens):
     """(P, pi): P the sum of the column projectives Gamma*e_i, i in
-    ``pieces``, and pi sending gamma in the k-th summand to gamma*gens[k]."""
-    sc = m.sc
-    f = sc.field
-    total, _, _ = direct_sum_sc(sc, [coldata.columns[i][0] for i in pieces])
-    # map: basis vector b of the column (inside Gamma) acts on the generator
-    piece_mats = []
-    for i0, gen in zip(pieces, gens):
-        col, incl = coldata.columns[i0]
-        cols = []
-        for j in range(col.dim):
-            gamma_elt = [incl.mat.at(r, j) for r in range(sc.dim)]
-            cols.append(m.act_vector(gamma_elt).mul(gen))
-        piece_mats.append(Mat.hstack(f, cols) if cols else Mat.zeros(f, m.dim, 0))
+    ``pieces``, and pi sending gamma in the k-th summand to gamma*gens[k]:
+    the orbit [a_t gens[k]]_t times the column's inclusion into Gamma."""
+    f = m.sc.field
+    total, _, _ = direct_sum_sc(m.sc, [coldata.columns[i][0] for i in pieces])
+    piece_mats = [Mat.hstack(f, [a.mul(gen) for a in m.action]).mul(coldata.columns[i][1].mat)
+                  for i, gen in zip(pieces, gens)]
     pi_mat = Mat.hstack(f, piece_mats) if piece_mats else Mat.zeros(f, m.dim, 0)
     return total, SCMap(total, m, pi_mat)
 
 
 def is_projective_sc(m: SCModule, coldata: ColumnData = None) -> bool:
-    """Cover from top(M), then a linear solve for a module-map right inverse."""
-    if m.is_zero():
-        return True
-    _, pi = projective_cover_sc(m, coldata if coldata is not None else ColumnData(m.sc))
-    return _solve_section(pi) is not None
-
-
-def _solve_section(u: SCMap):
-    """Module-map right inverse of u, or None."""
-    m, p = u.target, u.source
-    sc = m.sc
-    f = sc.field
-    basis = hom_basis_sc(m, p)
-    if not basis and m.dim > 0:
-        return None
-    if m.dim == 0:
-        return SCMap(m, p, Mat.zeros(f, p.dim, 0))
-    cols = [Mat.column(f, u.mat.mul(b.mat).flatten()) for b in basis]
-    target = Mat.column(f, Mat.identity(f, m.dim).flatten())
-    a = Mat.hstack(f, cols) if cols else Mat.zeros(f, m.dim * m.dim, 0)
-    x = solve_matrix(a, target)
-    if x is None:
-        return None
-    out = Mat.zeros(f, p.dim, m.dim)
-    for c, b in zip(x.column_vector(), basis):
-        if c != f.zero():
-            out = out.add(b.mat.scale(c))
-    return SCMap(m, p, out)
+    """M is projective iff its minimal cover P -> M is an isomorphism: a
+    projective M splits the cover, so its kernel K is a direct summand of P
+    inside rad P, hence K = rad K and K = 0 by Nakayama."""
+    p, _ = projective_cover_sc(m, coldata if coldata is not None else ColumnData(m.sc))
+    return p.dim == m.dim
 
 
 def pd_sc(m: SCModule, cap: int = 20, coldata: ColumnData = None) -> Dim:

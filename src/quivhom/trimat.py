@@ -452,26 +452,22 @@ def triple_split_test(t: TripleModule) -> bool:
 
 def triple_radical(t: TripleModule):
     """(rad X, rad Y + im phi) as per-component column inclusions."""
-    return scm.radical_submodule_sc(t.x), column_space(t.spec.r.field, [_radical_y(t)])
+    return scm.radical_submodule_sc(t.x), _radical_y(t)
 
 
 def _radical_y(t: TripleModule) -> Mat:
-    """Columns spanning rad Y + im phi."""
-    return Mat.hstack(t.spec.r.field, [scm.radical_submodule_sc(t.y), t.phi])
+    """Basis columns of rad Y + im phi."""
+    return column_space(t.spec.r.field, [scm.radical_submodule_sc(t.y), t.phi])
 
 
 def triple_projective_cover(t: TripleModule):
     spec = t.spec
-    f = spec.r.field
     # X side: the minimal R-cover of X already tops (X / rad X)
     px, pix = scm.projective_cover_sc(t.x, spec.coldata_r())
-    # Y side: generators g of a cover of C = Y / (rad Y + im phi), lifted
-    # through the section s of q : Y ->> C.  q is a module map, so
-    # q(gamma s g) = gamma g: sending gamma to gamma s g lifts the cover of C.
-    qmod, _, qsect = scm.quotient_sc(t.y, _radical_y(t))
+    # Y side: generators in Y of the cover P_C of C = Y / (rad Y + im phi)
     cds = spec.coldata_s()
-    pieces, gens = scm._cover_generators(qmod, cds)
-    pc, h = scm._map_from_columns(t.y, cds, pieces, [qsect.mul(g) for g in gens])
+    pieces, gens = scm._cover_generators(t.y, cds, _radical_y(t))
+    pc, h = scm._map_from_columns(t.y, cds, pieces, gens)
     # assemble the cover triple (P_X, tensor(P_X) + P_C)
     e1p = e1_lambda(spec, px)
     cover_y, yinjs, yprojs = direct_sum_sc(spec.s, [e1p.y, pc])

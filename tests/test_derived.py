@@ -221,7 +221,8 @@ def test_pushforward_strict_through_each_functor():
         functor = dv.left_adjoint_functor(q, k, v)
         for w in (leaf, dv.pad_to_node(leaf)):
             new_gens = [rc.left_adjoint(q, v, gen)]
-            out = dv.pushforward_witness(w, functor, [gen], new_gens, {0: 0}, strict=True)
+            out = dv.pushforward_witness(w, functor, [gen], new_gens, {0: 0})
+            assert dv.witness_check(out, new_gens, out.depth(), functor.dst_cat)[0]
             assert dv.complexes_equal(out.target, functor.on_complex(c))
             assert dv.cohomology_dims(out.target) == dv.cohomology_dims(functor.on_complex(c))
 
@@ -235,9 +236,20 @@ def test_pushforward_strict_through_each_functor():
                         {0: scm.SCMap(x0, x1, Mat.from_rows(QQ, [[1, 2]]))})
         leaf = dv.semisimple_split(cx, [g])
         for w in (leaf, dv.pad_to_node(leaf)):
-            out = dv.pushforward_witness(w, functor, [g], [functor.on_obj(g)], {0: 0},
-                                         strict=True)
+            new_gens = [functor.on_obj(g)]
+            out = dv.pushforward_witness(w, functor, [g], new_gens, {0: 0})
+            assert dv.witness_check(out, new_gens, out.depth(), functor.dst_cat)[0]
             assert dv.complexes_equal(out.target, functor.on_complex(cx))
+
+
+def test_tensor_functor_builds_each_image_once():
+    spec, _ = _t2()
+    tens = dv.tensor_functor(spec)
+    x = scm.SCModule(spec.r, 2, [Mat.identity(QQ, 2)])
+    f = scm.SCMap(x, x, Mat.identity(QQ, 2))
+    img = tens.on_obj(x)
+    assert tens.on_obj(x) is img
+    assert tens.on_map(f).source is img and tens.on_map(f).target is img
 
 
 def test_try_leaf_splits_zero_differentials_only():

@@ -27,26 +27,36 @@ def test_no_unused_module_level_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def _referenced_names(tree):
+    """Names referred to in ``tree``, leaving out the references inside a
+    definition to its own name (recursion is not a use)."""
     names = set()
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Name):
+    stack = [(tree, frozenset())]
+    while stack:
+        n, inside = stack.pop()
+        if isinstance(n, _DEFINITIONS):
+            inside = inside | {n.name}
+        if isinstance(n, ast.Name) and n.id not in inside:
             names.add(n.id)
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and n.attr not in inside:
             names.add(n.attr)
         elif isinstance(n, ast.ImportFrom):
             names.update(alias.name for alias in n.names)
+        stack.extend((c, inside) for c in ast.iter_child_nodes(n))
     return names
 
 
 def test_no_dead_private_definitions():
     # a module-level _name function or class that nothing in the library
-    # refers to is dead code (a definition is not a reference to itself)
+    # refers to, outside its own body, is dead code
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     used = set().union(*(_referenced_names(t) for t in trees.values()))
     dead = [f"{name}:{node.lineno}: {node.name}" for name, tree in trees.items()
             for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if isinstance(node, _DEFINITIONS)
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in used]
     assert not dead, "unreferenced private definitions:\n" + "\n".join(dead)
@@ -55,18 +65,17 @@ def test_no_dead_private_definitions():
 def _public_definitions(tree):
     """Module-level public functions and classes, and the public methods of
     those classes."""
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
-        if isinstance(node, kinds) and not node.name.startswith("_"):
+        if isinstance(node, _DEFINITIONS) and not node.name.startswith("_"):
             yield node
             if isinstance(node, ast.ClassDef):
                 yield from (m for m in node.body
-                            if isinstance(m, kinds) and not m.name.startswith("_"))
+                            if isinstance(m, _DEFINITIONS) and not m.name.startswith("_"))
 
 
 def test_no_unreferenced_public_definitions():
     # a public function, class or method that nothing in the library, the
-    # tests or the benchmark refers to is dead code
+    # tests or the benchmark refers to, outside its own body, is dead code
     root = SRC.parents[1]
     readers = sorted(SRC.glob("*.py")) + sorted((root / "tests").glob("*.py")) \
         + sorted((root / "bench").glob("*.py"))

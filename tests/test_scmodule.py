@@ -3,11 +3,14 @@ import random
 import pytest
 
 from quivhom import algebra as alg
+from quivhom import cats
+from quivhom import endo
 from quivhom import quiver as qv
+from quivhom import repdim
 from quivhom import scmodule as scm
 from quivhom.bounds import Dim
 from quivhom.errors import NotSplit
-from quivhom.exactlin import QQ, Mat
+from quivhom.exactlin import GF, QQ, Mat, rank, solve_matrix
 
 
 def sc_kA2():
@@ -143,6 +146,156 @@ def test_simple_top_is_computed_once():
         for i, (col, _) in enumerate(cd.columns):
             top = cd.simple_top(i)
             assert cd.simple_top(i) is top
-            proj, sect = scm.top_projection(col)
-            fresh = scm.SCModule(sc, proj.rows, [proj.mul(a).mul(sect) for a in col.action])
+            fresh, _, _ = scm.quotient_sc(col, scm.radical_submodule_sc(col))
             assert top == fresh and top.dim == 1
+
+
+# -- cover generators against the greedy orbit search they replace -----------------
+
+def _greedy_cover_generators(m, cd):
+    """Reference: per class, the first columns of e_i acting on M whose images
+    in M/JM leave the span of the Gamma-orbits of the generators chosen so
+    far, as many as the class occurs in the top."""
+    f = m.sc.field
+    proj, _ = alg.complement_projection(f, scm.radical_submodule_sc(m))
+    if proj.rows == 0:
+        return [], []
+    reached = Mat.zeros(f, 0, proj.rows)
+    pieces, gens = [], []
+    for members in cd.classes.values():
+        i0 = members[0]
+        e_act = m.act_vector(cd.idem_mats[i0])
+        cls_top = sum(rank(proj.mul(m.act_vector(cd.idem_mats[i]))) for i in members)
+        cand = proj.mul(e_act)
+        for _ in range(cls_top // cd.simple_top(i0).dim):
+            j = next(j for j in range(cand.cols) if not cand.col(j).is_zero()
+                     and (reached.rows == 0 or solve_matrix(reached.transpose(), cand.col(j)) is None))
+            pieces.append(i0)
+            gens.append(e_act.col(j))
+            rows = reached.row_list() + [proj.mul(a).mul(e_act.col(j)).column_vector()
+                                         for a in m.action]
+            reached = alg.row_space(f, rows)
+    assert reached.rows == proj.rows
+    return pieces, gens
+
+
+def _a3_rad2(field):
+    q = qv.a_n(3)
+    return alg.build_bqa(field, q, [[(1, qv.Path("1", "3", ("a1", "a2")))]], 2)
+
+
+def _dual(field):
+    loop = qv.make_quiver(["1"], [("x", "1", "1")], require_acyclic=False)
+    return alg.build_bqa(field, loop, [[(1, qv.Path("1", "1", ("x", "x")))]], 2)
+
+
+def _end_with_duplicate(field):
+    # End(P1 + P2 + P1) over kA2: one isomorphism class with two members
+    a = alg.path_algebra(field, qv.a_n(2))
+    p1, p2 = alg.projective_module(a, "1"), alg.projective_module(a, "2")
+    return endo.end_algebra([p1, p2, p1], cats.mod_cat(a)).sc
+
+
+SC_ALGEBRAS = {
+    "kA2": lambda f: alg.sc_of_bqa(alg.path_algebra(f, qv.a_n(2))),
+    "dual": lambda f: alg.sc_of_bqa(_dual(f)),
+    "A3/rad2": lambda f: alg.sc_of_bqa(_a3_rad2(f)),
+    "End(P1+P2+P1)": _end_with_duplicate,
+}
+
+
+def _test_modules(sc, cd):
+    """Regular, column, simple-top and sum modules, the radical of the
+    regular module and the first syzygies of the simple tops."""
+    reg = scm.regular_module(sc)
+    cols = [col for col, _ in cd.columns]
+    tops = [cd.simple_top(i) for i in range(len(cols))]
+    rad, _ = scm.submodule_from_columns(reg, scm.radical_submodule_sc(reg))
+    sums = [scm.direct_sum_sc(sc, [cols[0], tops[-1], tops[0]])[0],
+            scm.direct_sum_sc(sc, tops + tops[:1])[0]]
+    syz = [scm.kernel_of_sc(scm.projective_cover_sc(t, cd)[1])[0] for t in tops]
+    return [reg, rad] + cols + tops + sums + syz
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+@pytest.mark.parametrize("name", list(SC_ALGEBRAS))
+def test_cover_generators_are_the_greedy_ones(name, field):
+    sc = SC_ALGEBRAS[name](field)
+    cd = scm.ColumnData(sc)
+    if name == "End(P1+P2+P1)":
+        assert sorted(len(members) for members in cd.classes.values()) == [1, 2]
+    for m in _test_modules(sc, cd):
+        pieces, gens = scm._cover_generators(m, cd, scm.radical_submodule_sc(m))
+        assert (pieces, gens) == _greedy_cover_generators(m, cd)
+        p, pi = scm.projective_cover_sc(m, cd)
+        assert pi.is_valid() and rank(pi.mat) == m.dim
+        k, incl = scm.kernel_of_sc(pi)
+        rad_p = scm.radical_submodule_sc(p)
+        assert rank(Mat.hstack(field, [rad_p, incl.mat])) == rad_p.cols  # ker in rad P
+
+
+def _connecting_block_modules():
+    """Hom(X1, X2) over End(X2) and Hom(X2 lambda-part, X2 rho-part) of
+    repdim's X-bar on the Kronecker quiver and on two D4 orientations."""
+    k = alg.ground_field_algebra(QQ)
+    out = []
+    for q in (qv.kronecker(), qv.d4((0, 0, 0)), qv.d4((1, 0, 1))):
+        xbar = repdim.build_xbar(q, k, [alg.AlgMod(k, {"1": 1}, {})], validate=False)
+        rcat = cats.rep_cat(q, k)
+        end_x2 = endo.end_algebra(xbar.x2, rcat)
+        out.append(endo.hom_as_end_module(xbar.x1, xbar.x2, rcat, end_x2))
+        lam2 = [x for x, l in zip(xbar.x2, xbar.labels2) if l[0] == "lambda"]
+        rho2 = [x for x, l in zip(xbar.x2, xbar.labels2) if l[0] == "rho"]
+        out.append(endo.hom_as_end_module(lam2, rho2, rcat))
+    return out
+
+
+def test_projectivity_read_off_the_cover_agrees_with_the_split_test():
+    seen = set()
+    cases = [(m, scm.ColumnData(m.sc)) for m in _connecting_block_modules()]
+    for name, make in SC_ALGEBRAS.items():
+        sc = make(QQ)
+        cd = scm.ColumnData(sc)
+        cases += [(m, cd) for m in _test_modules(sc, cd)]
+    for m, cd in cases:
+        _, pi = scm.projective_cover_sc(m, cd)
+        split = cats.sc_cat(m.sc).section(pi) is not None
+        assert scm.is_projective_sc(m, cd) == split
+        seen.add(split)
+    assert seen == {True, False}
+
+
+def test_cover_generators_act_once_per_class_and_solve_nothing(monkeypatch):
+    sc = _end_with_duplicate(QQ)
+    cd = scm.ColumnData(sc)
+    mods = _test_modules(sc, cd)
+    subs = [scm.radical_submodule_sc(m) for m in mods]
+    acts = []
+    real_act = scm.SCModule.act_vector
+
+    def counting(self, coeffs):
+        acts.append(coeffs)
+        return real_act(self, coeffs)
+
+    def refuse(*args):
+        raise AssertionError("cover generators solved a linear system")
+
+    monkeypatch.setattr(scm.SCModule, "act_vector", counting)
+    for mod in (scm, alg):
+        monkeypatch.setattr(mod, "solve_matrix", refuse)
+    for m, sub in zip(mods, subs):
+        acts.clear()
+        scm._cover_generators(m, cd, sub)
+        assert len(acts) == (len(cd.classes) if sub.cols < m.dim else 0)
+
+
+def test_is_projective_sc_solves_no_hom_system(monkeypatch):
+    sc = sc_kA2()
+    cd = scm.ColumnData(sc)
+    mods = _test_modules(sc, cd)
+
+    def refuse(m, n):
+        raise AssertionError("projectivity test solved for module maps")
+
+    monkeypatch.setattr(scm, "hom_basis_sc", refuse)
+    assert {scm.is_projective_sc(m, cd) for m in mods} == {True, False}
