@@ -744,6 +744,7 @@ class SCAlgebra:
         self.labels = tuple(labels) if labels is not None else None
         # one shared zero: products then compare equal by identity where zero
         self._zero = field.zero()
+        self._coldata = None  # built once by scmodule.column_data
         if check:
             self.validate()
 

@@ -13,21 +13,26 @@ summands of a basic generator-cogenerator are.  ``end_algebra`` then builds
 the radical of End from the hom blocks, in every characteristic, and attaches
 it; a certificate that always runs proves it is the radical, and a summand
 outside the hypothesis raises :class:`NotSplit` naming it.
+
+End(X-bar) is built once.  For summands indexed by I, End(sum_I X_i) is its
+corner eEe (e the sum of their idempotents; rad(eEe) = e.rad(E).e), and the
+actions on Hom(sum_I X_i, sum_J X_j) are sub-tables of E's structure
+constants: gamma o h = mult[gamma][h] and h o gamma = mult[h][gamma].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import algebra as alg
 from . import repcat as rc
 from .algebra import SCAlgebra, _is_nilpotent
 from .bounds import Dim
-from .cats import Cat, mod_cat
+from .cats import Cat
 from .errors import CompositionInconsistent, IsoCheckFailed, NotSplit, QuivhomError
 from .exactlin import Mat, _kernel_blocks, rank, solve_matrix
 from .quiver import Quiver, concat, is_type_An, paths_between, sinks, trivial_path
-from .scmodule import ColumnData, SCModule, gldim_sc, pd_sc
+from .scmodule import SCModule, gldim_sc
 
 
 @dataclass
@@ -36,25 +41,55 @@ class EndAlgebra:
     summands: list
     cat: Cat
     blocks: dict      # (src, dst) -> (offset, [basis maps])
-    labels: list
+    _corners: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self):
         return self.sc.dim
 
+    def positions(self, sources, targets):
+        """Basis indices of the blocks (i, j), i in sources and j in targets."""
+        out = []
+        for i in sources:
+            for j in targets:
+                off, basis = self.blocks[(i, j)]
+                out.extend(range(off, off + len(basis)))
+        return out
 
-def _hom_blocks(sources, targets, cat: Cat):
-    """Lay out the blocks Hom(sources[i], targets[j]) one after another.
+    def corner(self, idx) -> "EndAlgebra":
+        """End(sum of the summands at ``idx``, in summand order) as the corner
+        eEe; built once per index list and shared, so not to be mutated."""
+        idx = tuple(idx)
+        got = self._corners.get(idx)
+        if got is None:
+            mult = self.sc.mult
+            pos = self.positions(idx, idx)
+            blocks, off = {}, 0
+            for a, i in enumerate(idx):
+                for b, j in enumerate(idx):
+                    basis = self.blocks[(i, j)][1]
+                    blocks[(a, b)] = (off, basis)
+                    off += len(basis)
+            got = self._corners[idx] = _end_from_blocks(
+                [self.summands[i] for i in idx], self.cat, blocks,
+                [[tuple(mult[x][y][z] for z in pos) for y in pos] for x in pos],
+                [[self.sc.idempotents[i][z] for z in pos] for i in idx], check=True)
+        return got
 
-    Returns (blocks, dim, express): ``blocks`` maps (i, j) to (offset, basis)
-    in offset order, and ``express(i, j, h)`` gives the coordinates of a map
-    h in block (i, j) as a vector of length dim.  Coordinates are unique
-    because every hom basis is linearly independent.
+
+def end_algebra(summands, cat: Cat, check: bool = True) -> EndAlgebra:
+    """End(sum of summands) with structure constants from exact re-expression.
+
+    The summands must be indecomposable with split local End (End(X)/rad = k).
+    The Jacobson radical is built from the hom blocks (see :func:`_block_radical`)
+    and attached; its certificate runs also with ``check=False`` and raises
+    :class:`NotSplit`, naming the summand, when a summand breaks the hypothesis.
     """
+    summands = list(summands)
     f = cat.field
     blocks, dim = {}, 0
-    for i, s in enumerate(sources):
-        for j, t in enumerate(targets):
+    for i, s in enumerate(summands):
+        for j, t in enumerate(summands):
             basis = cat.hom_basis(s, t)
             blocks[(i, j)] = (dim, basis)
             dim += len(basis)
@@ -73,32 +108,24 @@ def _hom_blocks(sources, targets, cat: Cat):
         vec[off:off + len(basis)] = x.entries
         return vec
 
-    return blocks, dim, express
-
-
-def end_algebra(summands, cat: Cat, check: bool = True) -> EndAlgebra:
-    """End(sum of summands) with structure constants from exact re-expression.
-
-    The summands must be indecomposable with split local End (End(X)/rad = k).
-    The Jacobson radical is built from the hom blocks (see :func:`_block_radical`)
-    and attached; its certificate runs also with ``check=False`` and raises
-    :class:`NotSplit`, naming the summand, when a summand breaks the hypothesis.
-    """
-    summands = list(summands)
-    f = cat.field
-    blocks, dim, express = _hom_blocks(summands, summands, cat)
-    labels = [(i, j, t) for (i, j), (_, basis) in blocks.items() for t in range(len(basis))]
     zero_vec = tuple(f.zero() for _ in range(dim))
     mult = [[zero_vec for _ in range(dim)] for _ in range(dim)]
     for (c, d), (off_g, basis_g) in blocks.items():
-        for (a, b), (off_f, basis_f) in blocks.items():
-            if d != a:
-                continue
+        for b in range(len(summands)):
+            off_f, basis_f = blocks[(d, b)]
             for gi, g in enumerate(basis_g):
                 for fi, fmap in enumerate(basis_f):
                     mult[off_f + fi][off_g + gi] = tuple(express(c, b, cat.compose(fmap, g)))
     idems = [express(i, i, cat.identity(s)) for i, s in enumerate(summands)]
-    unit = [f.zero()] * dim
+    return _end_from_blocks(summands, cat, blocks, mult, idems, check)
+
+
+def _end_from_blocks(summands, cat: Cat, blocks, mult, idems, check: bool) -> EndAlgebra:
+    """Unit, block radical, ``SCAlgebra`` and radical certificate of the End
+    algebra with these blocks, structure constants and summand idempotents."""
+    f = cat.field
+    labels = [(i, j, t) for (i, j), (_, basis) in blocks.items() for t in range(len(basis))]
+    unit = [f.zero()] * len(mult)
     for e in idems:
         unit = [f.add(u, x) for u, x in zip(unit, e)]
     parts = _block_radical(f, blocks, mult, len(summands))
@@ -106,7 +133,7 @@ def end_algebra(summands, cat: Cat, check: bool = True) -> EndAlgebra:
                    radical=[x for _, vecs in parts.values() for x in vecs],
                    labels=labels, check=check)
     _certify_radical(sc, blocks, parts)
-    return EndAlgebra(sc, summands, cat, blocks, labels)
+    return EndAlgebra(sc, summands, cat, blocks)
 
 
 def _residues(f, mult, off, d, i):
@@ -202,54 +229,41 @@ def _certify_radical(sc: SCAlgebra, blocks, parts):
         raise NotSplit("the block radical is not nilpotent")
 
 
-def sc_gldim(e, cap: int = 20) -> Dim:
-    sc = e.sc if isinstance(e, EndAlgebra) else e
-    return gldim_sc(sc, cap)
+def sc_gldim(e: EndAlgebra, cap: int = 20) -> Dim:
+    return gldim_sc(e.sc, cap)
 
 
-def _actions(end: EndAlgebra, blocks, express, cat: Cat, post: bool):
-    """One matrix per basis element gamma of End, acting on the hom blocks
-    by post-composition (gamma o h) or pre-composition (h o gamma)."""
-    f = cat.field
-    basis = [(i, j, h) for (i, j), (_, hs) in blocks.items() for h in hs]
-    dim = len(basis)
-    zero = [f.zero()] * dim
+def _table_actions(e: EndAlgebra, acting, basis, post: bool):
+    """One matrix per basis element g of End(summands at ``acting``) on the
+    span of E's basis elements ``basis``: g o h = mult[g][h] if ``post``,
+    else h o g = mult[h][g]."""
+    mult = e.sc.mult
+    d = len(basis)
     out = []
-    for src, dst, idx in end.labels:
-        gamma = end.blocks[(src, dst)][1][idx]
-        if post:
-            cols = [express(i, dst, cat.compose(gamma, h)) if j == src else zero
-                    for i, j, h in basis]
-        else:
-            cols = [express(src, j, cat.compose(h, gamma)) if i == dst else zero
-                    for i, j, h in basis]
-        out.append(Mat(f, dim, dim, tuple(col[r] for r in range(dim) for col in cols)))
+    for g in e.positions(acting, acting):
+        cols = [mult[g][h] for h in basis] if post else [mult[h][g] for h in basis]
+        out.append(Mat(e.sc.field, d, d, tuple(col[r] for r in basis for col in cols)))
     return out
 
 
-def hom_as_end_module(from_summands, to_summands, cat: Cat,
-                      end_alg: EndAlgebra = None) -> SCModule:
-    """Hom(sum from, sum to) as a left End(to)-module via post-composition."""
-    if end_alg is None:
-        end_alg = end_algebra(to_summands, cat)
-    blocks, dim, express = _hom_blocks(list(from_summands), list(to_summands), cat)
-    return SCModule(end_alg.sc, dim, _actions(end_alg, blocks, express, cat, post=True))
+def hom_as_end_module(e: EndAlgebra, sources, targets) -> SCModule:
+    """Hom(sum of the summands at ``sources``, sum of those at ``targets``)
+    as a left module over ``e.corner(targets)`` by post-composition."""
+    basis = e.positions(sources, targets)
+    return SCModule(e.corner(targets).sc, len(basis),
+                    _table_actions(e, targets, basis, post=True))
 
 
-def hom_bimodule(from_end: EndAlgebra, to_end: EndAlgebra, cat: Cat):
-    """Hom(sum from, sum to) as an End(to)-End(from)-bimodule (post/pre-composition).
+def hom_bimodule(e: EndAlgebra, sources, targets):
+    """Hom(sum sources, sum targets) as a bimodule over the corners at targets
+    (left, post-composition) and at sources (right, pre-composition).
 
     Returns (dim, left action matrices, right action matrices), indexed by the
     same hom-block basis as :func:`hom_as_end_module`.
     """
-    blocks, dim, express = _hom_blocks(from_end.summands, to_end.summands, cat)
-    left = _actions(to_end, blocks, express, cat, post=True)
-    right = _actions(from_end, blocks, express, cat, post=False)
-    return dim, left, right
-
-
-def pd_endmodule(n: SCModule, cap: int = 20, coldata: ColumnData = None) -> Dim:
-    return pd_sc(n, cap, coldata if coldata is not None else ColumnData(n.sc))
+    basis = e.positions(sources, targets)
+    return (len(basis), _table_actions(e, targets, basis, post=True),
+            _table_actions(e, sources, basis, post=False))
 
 
 def validate_summands(summands, cat: Cat):
@@ -275,40 +289,24 @@ def path_block_algebra(gamma: SCAlgebra, q: Quiver) -> tuple:
     Product ((d, r) * (g, p)) = (d * g, r then p), nonzero when r ends where
     p starts; this matches composition of the attached morphisms.
     """
-    f = gamma.field
-    paths = []
-    for v in q.vertices:
-        for w in q.vertices:
-            paths.extend(paths_between(q, v, w))
-    index = {}
-    labels = []
-    for pi, p in enumerate(paths):
-        for g in range(gamma.dim):
-            index[(pi, g)] = len(labels)
-            labels.append((p, g))
+    f, n = gamma.field, gamma.dim
+    paths = [p for v in q.vertices for w in q.vertices for p in paths_between(q, v, w)]
+    labels = [(p, g) for p in paths for g in range(n)]  # (paths[pi], g) sits at pi * n + g
     dim = len(labels)
     zero_vec = tuple(f.zero() for _ in range(dim))
     mult = [[zero_vec for _ in range(dim)] for _ in range(dim)]
     path_index = {p: i for i, p in enumerate(paths)}
     for i, (r, d) in enumerate(labels):
         for j, (p, g) in enumerate(labels):
-            if r.target != p.source:
-                continue
-            newp = concat(r, p)
-            pi = path_index.get(newp)
-            if pi is None:
-                continue
-            gv = gamma.mult[d][g]
-            vec = [f.zero()] * dim
-            for t, c in enumerate(gv):
-                if c != f.zero():
-                    vec[index[(pi, t)]] = c
-            mult[i][j] = tuple(vec)
-    unit = [f.zero()] * dim
+            pi = path_index.get(concat(r, p)) if r.target == p.source else None
+            if pi is not None:
+                vec = list(zero_vec)
+                vec[pi * n:(pi + 1) * n] = gamma.mult[d][g]
+                mult[i][j] = tuple(vec)
+    unit = list(zero_vec)
     for v in q.vertices:
         pi = path_index[trivial_path(v)]
-        for t, c in enumerate(gamma.unit):
-            unit[index[(pi, t)]] = c
+        unit[pi * n:(pi + 1) * n] = gamma.unit
     sc = SCAlgebra(f, mult, tuple(unit), labels=[(str(p), g) for p, g in labels])
     return sc, labels
 
@@ -322,25 +320,25 @@ class EndIsoReport:
     details: dict
 
 
-def adjoint_end_iso(q: Quiver, a, summands, side: str = "lambda",
+def adjoint_end_iso(q: Quiver, gamma: EndAlgebra, side: str = "lambda",
                     vertices=None) -> EndIsoReport:
     """Explicit algebra isomorphism End(sum_v adjoint(A)) = (End A)Q'.
 
-    ``summands`` decompose the base module A.  ``vertices`` restricts the sum
+    ``gamma`` is End(A) over the base algebra, built by :func:`end_algebra`
+    from the summands of A.  ``vertices`` restricts the sum
     to a vertex subset; the right-hand side is then the path algebra of the
     full subquiver on those vertices, while the adjoints still live over the
     ambient quiver.  (Used with the non-sink vertices, where ambient paths
     between kept vertices never leave the subset.)
     """
-    cat = mod_cat(a)
-    gamma_alg = end_algebra(summands, cat)
-    total, _, _ = alg.direct_sum_mods(a, summands)
+    a = gamma.summands[0].algebra
+    total, sinjs, sprojs = alg.direct_sum_mods(a, gamma.summands)
     if vertices is None:
         use_q = q
     else:
         from .quiver import subquiver
         use_q = subquiver(q, vertices)
-    rhs, rhs_labels = path_block_algebra(gamma_alg.sc, use_q)
+    rhs, rhs_labels = path_block_algebra(gamma.sc, use_q)
     # LHS pieces over the ambient quiver
     if side == "lambda":
         pieces = {v: rc.left_adjoint(q, v, total) for v in use_q.vertices}
@@ -349,11 +347,10 @@ def adjoint_end_iso(q: Quiver, a, summands, side: str = "lambda",
     tot_rep, injs, projs = rc.rep_direct_sum(q, a, [pieces[v] for v in use_q.vertices])
     vindex = {v: i for i, v in enumerate(use_q.vertices)}
     f = a.field
-    _, sinjs, sprojs = alg.direct_sum_mods(a, summands)
 
     def gamma_map(g_index):
-        src, dst, t = gamma_alg.labels[g_index]
-        base = gamma_alg.blocks[(src, dst)][1][t]
+        src, dst, t = gamma.sc.labels[g_index]
+        base = gamma.blocks[(src, dst)][1][t]
         return sinjs[dst].compose(base).compose(sprojs[src])
 
     chi_maps = []
@@ -377,9 +374,8 @@ def adjoint_end_iso(q: Quiver, a, summands, side: str = "lambda",
         chi_maps.append(injs[vindex[w]].compose(comp).compose(projs[vindex[v]]))
 
     details = {}
-    for chi in chi_maps:
-        if not chi.is_valid():
-            raise IsoCheckFailed("a correspondence morphism is not natural")
+    if not all(chi.is_valid() for chi in chi_maps):
+        raise IsoCheckFailed("a correspondence morphism is not natural")
     flats = [Mat.column(f, chi.flatten()) for chi in chi_maps]
     stacked = Mat.hstack(f, flats) if flats else Mat.zeros(f, 0, 0)
     lhs_dim = rc.rep_hom_dim(tot_rep, tot_rep)
@@ -389,7 +385,6 @@ def adjoint_end_iso(q: Quiver, a, summands, side: str = "lambda",
     if not (details["independent"] and details["dims_match"]):
         raise IsoCheckFailed(f"correspondence is not bijective: {details}")
     # structure constants agree
-    ok = True
     for i, ci in enumerate(chi_maps):
         for j, cj in enumerate(chi_maps):
             comp = ci.compose(cj)
@@ -398,10 +393,8 @@ def adjoint_end_iso(q: Quiver, a, summands, side: str = "lambda",
             if coords is None:
                 raise IsoCheckFailed("composite escapes the correspondence span")
             if tuple(coords.column_vector()) != rhs.mult[i][j]:
-                ok = False
-    details["structure_constants"] = ok
-    if not ok:
-        raise IsoCheckFailed("structure constants disagree under the correspondence")
+                raise IsoCheckFailed("structure constants disagree under the correspondence")
+    details["structure_constants"] = True
     return EndIsoReport(lhs_dim, rhs_dim, True, side, details)
 
 

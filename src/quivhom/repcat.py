@@ -454,11 +454,14 @@ def rep_projective_cover(x: Rep):
     piece_maps = []
     for v in q.vertices:
         for u in a.quiver.vertices:
+            chosen = alg._complement_indices(f, rad[(v, u)])
+            if not chosen:
+                continue
             units = Mat.identity(f, x.mods[v].dims[u])
-            for j in alg._complement_indices(f, rad[(v, u)]):
-                pu = alg.projective_module(a, u)
+            pu = alg.projective_module(a, u)
+            piece = left_adjoint(q, v, pu)
+            for j in chosen:
                 h = alg.map_from_projective(pu, x.mods[v], units.col(j))
-                piece = left_adjoint(q, v, pu)
                 pieces.append(piece)
                 piece_maps.append(_adjoint_transpose(x, piece, h))
     total, _, _ = rep_direct_sum(q, a, pieces)

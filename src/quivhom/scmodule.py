@@ -197,7 +197,8 @@ def kernel_of_sc(f_map: SCMap):
 
 
 class ColumnData:
-    """Projectives Gamma*e_i with their isomorphism classes (split case)."""
+    """Projectives Gamma*e_i with their isomorphism classes (split case);
+    :func:`column_data` keeps one per algebra."""
 
     def __init__(self, sc: SCAlgebra):
         if sc.idempotents is None:
@@ -205,7 +206,6 @@ class ColumnData:
         self.sc = sc
         f = sc.field
         reg = regular_module(sc)
-        self.regular = reg
         self.columns = []
         self.idem_mats = []
         rad = radical_of(sc)
@@ -276,19 +276,27 @@ def _right_mult_matrix(sc: SCAlgebra, x) -> Mat:
     return Mat.hstack(f, cols) if cols else Mat.zeros(f, 0, 0)
 
 
-def projective_cover_sc(m: SCModule, coldata: ColumnData):
+def column_data(sc: SCAlgebra) -> ColumnData:
+    """The :class:`ColumnData` of ``sc``, built once per algebra; the result
+    is shared, so callers must not mutate it."""
+    if sc._coldata is None:
+        sc._coldata = ColumnData(sc)
+    return sc._coldata
+
+
+def projective_cover_sc(m: SCModule):
     """Minimal projective cover over a split structure-constant algebra."""
-    pieces, gens = _cover_generators(m, coldata, radical_submodule_sc(m))
+    pieces, gens = _cover_generators(m, radical_submodule_sc(m))
     if not pieces:
         z = zero_sc_module(m.sc)
         return z, SCMap(z, m, Mat.zeros(m.sc.field, m.dim, 0))
-    total, pi = _map_from_columns(m, coldata, pieces, gens)
+    total, pi = _map_from_columns(m, pieces, gens)
     if rank(pi.mat) != m.dim:
         raise CompositionInconsistent("projective cover is not surjective")
     return total, pi
 
 
-def _cover_generators(m: SCModule, coldata: ColumnData, sub: Mat):
+def _cover_generators(m: SCModule, sub: Mat):
     """Generators of a minimal cover of M / span(sub): column indices
     ``pieces`` and vectors ``gens``, gens[k] in e_i M for i = pieces[k].
     ``sub`` has full column rank and spans a submodule containing JM, so
@@ -302,6 +310,7 @@ def _cover_generators(m: SCModule, coldata: ColumnData, sub: Mat):
     they reach the whole isotypic part."""
     if sub.cols == m.dim:
         return [], []
+    coldata = column_data(m.sc)
     pieces, gens = [], []
     reached = sub.cols
     for members in coldata.classes.values():
@@ -316,32 +325,32 @@ def _cover_generators(m: SCModule, coldata: ColumnData, sub: Mat):
     return pieces, gens
 
 
-def _map_from_columns(m: SCModule, coldata: ColumnData, pieces, gens):
+def _map_from_columns(m: SCModule, pieces, gens):
     """(P, pi): P the sum of the column projectives Gamma*e_i, i in
     ``pieces``, and pi sending gamma in the k-th summand to gamma*gens[k]:
     the orbit [a_t gens[k]]_t times the column's inclusion into Gamma."""
     f = m.sc.field
-    total, _, _ = direct_sum_sc(m.sc, [coldata.columns[i][0] for i in pieces])
-    piece_mats = [Mat.hstack(f, [a.mul(gen) for a in m.action]).mul(coldata.columns[i][1].mat)
+    columns = column_data(m.sc).columns
+    total, _, _ = direct_sum_sc(m.sc, [columns[i][0] for i in pieces])
+    piece_mats = [Mat.hstack(f, [a.mul(gen) for a in m.action]).mul(columns[i][1].mat)
                   for i, gen in zip(pieces, gens)]
     pi_mat = Mat.hstack(f, piece_mats) if piece_mats else Mat.zeros(f, m.dim, 0)
     return total, SCMap(total, m, pi_mat)
 
 
-def is_projective_sc(m: SCModule, coldata: ColumnData = None) -> bool:
+def is_projective_sc(m: SCModule) -> bool:
     """M is projective iff its minimal cover P -> M is an isomorphism: a
     projective M splits the cover, so its kernel K is a direct summand of P
     inside rad P, hence K = rad K and K = 0 by Nakayama."""
-    p, _ = projective_cover_sc(m, coldata if coldata is not None else ColumnData(m.sc))
+    p, _ = projective_cover_sc(m)
     return p.dim == m.dim
 
 
-def pd_sc(m: SCModule, cap: int = 20, coldata: ColumnData = None) -> Dim:
-    cd = coldata if coldata is not None else ColumnData(m.sc)
-    return syzygy_pd(m, cap, lambda x: projective_cover_sc(x, cd), kernel_of_sc)
+def pd_sc(m: SCModule, cap: int = 20) -> Dim:
+    return syzygy_pd(m, cap, projective_cover_sc, kernel_of_sc)
 
 
 def gldim_sc(sc: SCAlgebra, cap: int = 20) -> Dim:
     """Max projective dimension over the simple tops of the column projectives."""
-    cd = ColumnData(sc)
-    return dim_max(pd_sc(cd.simple_top(members[0]), cap, cd) for members in cd.classes.values())
+    cd = column_data(sc)
+    return dim_max(pd_sc(cd.simple_top(members[0]), cap) for members in cd.classes.values())

@@ -76,18 +76,12 @@ class TriRingSpec:
     def __post_init__(self):
         if not self.m.check():
             raise QuivhomError("bimodule axioms fail")
-        self._cd_r = None
-        self._cd_s = None
 
     def coldata_r(self) -> ColumnData:
-        if self._cd_r is None:
-            self._cd_r = ColumnData(self.r)
-        return self._cd_r
+        return scm.column_data(self.r)
 
     def coldata_s(self) -> ColumnData:
-        if self._cd_s is None:
-            self._cd_s = ColumnData(self.s)
-        return self._cd_s
+        return scm.column_data(self.s)
 
     def m_as_left_s_module(self) -> SCModule:
         return SCModule(self.s, self.m.dim, list(self.m.left))
@@ -383,10 +377,10 @@ def is_projective_triple(t: TripleModule):
 
     Returns (bool, dict) with both verdicts."""
     spec = t.spec
-    x_proj = scm.is_projective_sc(t.x, spec.coldata_r())
+    x_proj = scm.is_projective_sc(t.x)
     phi_mono = rank(t.phi) == t.tensor.dim
     coker, _, _ = scm.quotient_sc(t.y, t.phi)
-    coker_proj = scm.is_projective_sc(coker, spec.coldata_s())
+    coker_proj = scm.is_projective_sc(coker)
     criterion = x_proj and phi_mono and coker_proj
     details = {"x_projective": x_proj, "phi_mono": phi_mono, "coker_projective": coker_proj}
     lifted = triple_split_test(t)
@@ -463,11 +457,10 @@ def _radical_y(t: TripleModule) -> Mat:
 def triple_projective_cover(t: TripleModule):
     spec = t.spec
     # X side: the minimal R-cover of X already tops (X / rad X)
-    px, pix = scm.projective_cover_sc(t.x, spec.coldata_r())
+    px, pix = scm.projective_cover_sc(t.x)
     # Y side: generators in Y of the cover P_C of C = Y / (rad Y + im phi)
-    cds = spec.coldata_s()
-    pieces, gens = scm._cover_generators(t.y, cds, _radical_y(t))
-    pc, h = scm._map_from_columns(t.y, cds, pieces, gens)
+    pieces, gens = scm._cover_generators(t.y, _radical_y(t))
+    pc, h = scm._map_from_columns(t.y, pieces, gens)
     # assemble the cover triple (P_X, tensor(P_X) + P_C)
     e1p = e1_lambda(spec, px)
     cover_y, yinjs, yprojs = direct_sum_sc(spec.s, [e1p.y, pc])
@@ -542,7 +535,7 @@ class SandwichReport:
 def gldim_sandwich_report(spec: TriRingSpec, cap: int = 20) -> SandwichReport:
     gr = scm.gldim_sc(spec.r, cap)
     gs = scm.gldim_sc(spec.s, cap)
-    pdm = scm.pd_sc(spec.m_as_left_s_module(), cap, spec.coldata_s())
+    pdm = scm.pd_sc(spec.m_as_left_s_module(), cap)
     total = trimat_gldim(spec, cap)
     lower = dim_max([gr, gs, pdm.add_const(1)])
     upper = dim_max([gr.add(pdm).add_const(1), gs])

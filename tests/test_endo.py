@@ -7,6 +7,7 @@ from quivhom import quiver as qv
 from quivhom import repcat as rc
 from quivhom import repdim
 from quivhom import scmodule as scm
+from quivhom import trimat as tm
 from quivhom.bounds import Dim
 from quivhom.errors import NotSplit, QuivhomError
 from quivhom.exactlin import GF, QQ, Mat, solve_matrix, span_dim
@@ -165,28 +166,32 @@ def test_non_split_or_decomposable_end_is_refused(field):
         endo.validate_summands([x], cat)
 
 
+def end_of(a, summands):
+    return endo.end_algebra(summands, cats.mod_cat(a))
+
+
 def test_end_iso_k_a2():
     k = base_k()
-    rep = endo.adjoint_end_iso(qv.a_n(2), k, [alg.AlgMod(k, {"1": 1}, {})], side="lambda")
+    rep = endo.adjoint_end_iso(qv.a_n(2), end_of(k, [alg.AlgMod(k, {"1": 1}, {})]), side="lambda")
     assert rep.verified and rep.lhs_dim == rep.rhs_dim == 3
 
 
 def test_end_iso_k_d4():
     k = base_k()
-    rep = endo.adjoint_end_iso(qv.d4((0, 0, 0)), k, [alg.AlgMod(k, {"1": 1}, {})])
+    rep = endo.adjoint_end_iso(qv.d4((0, 0, 0)), end_of(k, [alg.AlgMod(k, {"1": 1}, {})]))
     assert rep.verified and rep.lhs_dim == 7
 
 
 def test_end_iso_dual_numbers_a2():
     d = dual_numbers()
     reg = alg.projective_module(d, "1")
-    rep = endo.adjoint_end_iso(qv.a_n(2), d, [reg], side="lambda")
+    rep = endo.adjoint_end_iso(qv.a_n(2), end_of(d, [reg]), side="lambda")
     assert rep.verified and rep.lhs_dim == 6
 
 
 def test_end_iso_rho_side():
     k = base_k()
-    rep = endo.adjoint_end_iso(qv.d4((0, 0, 0)), k, [alg.AlgMod(k, {"1": 1}, {})], side="rho")
+    rep = endo.adjoint_end_iso(qv.d4((0, 0, 0)), end_of(k, [alg.AlgMod(k, {"1": 1}, {})]), side="rho")
     assert rep.verified and rep.lhs_dim == 7
 
 
@@ -212,7 +217,7 @@ def test_hom_as_end_module_regular():
     cat = cats.mod_cat(a)
     p1, p2 = alg.projective_module(a, "1"), alg.projective_module(a, "2")
     e = endo.end_algebra([p1, p2], cat)
-    reg = endo.hom_as_end_module([p1, p2], [p1, p2], cat, e)
+    reg = endo.hom_as_end_module(e, [0, 1], [0, 1])
     assert reg.dim == e.dim
     assert reg.check()
     assert scm.is_projective_sc(reg)
@@ -222,8 +227,8 @@ def test_hom_as_end_module_example():
     a = alg.path_algebra(QQ, qv.a_n(2))
     cat = cats.mod_cat(a)
     p1, p2 = alg.projective_module(a, "1"), alg.projective_module(a, "2")
-    e = endo.end_algebra([p1], cat)
-    n = endo.hom_as_end_module([p2], [p1], cat, e)
+    e = endo.end_algebra([p1, p2], cat)
+    n = endo.hom_as_end_module(e, [1], [0])
     assert n.dim == 1 and n.check()
 
 
@@ -232,14 +237,14 @@ def test_end_module_simple_top_is_not_projective():
     cat = cats.mod_cat(a)
     p1, p2 = alg.projective_module(a, "1"), alg.projective_module(a, "2")
     e = endo.end_algebra([p1, p2], cat)
-    cd = scm.ColumnData(e.sc)
+    cd = scm.column_data(e.sc)
     # the simple top of the 2-dimensional column (End = kA_2 again) has pd 1
     two_col = [i for i in range(2) if cd.columns[i][0].dim == 2][0]
     s = cd.simple_top(two_col)
-    assert not scm.is_projective_sc(s, cd)
-    assert endo.pd_endmodule(s, coldata=cd) == Dim.finite(1)
+    assert not scm.is_projective_sc(s)
+    assert scm.pd_sc(s) == Dim.finite(1)
     # column projectives themselves pass the test
-    assert scm.is_projective_sc(cd.columns[0][0], cd)
+    assert scm.is_projective_sc(cd.columns[0][0])
 
 
 def test_hom_bimodule_left_action_is_the_end_module():
@@ -248,13 +253,108 @@ def test_hom_bimodule_left_action_is_the_end_module():
     m = alg.AlgMod(k, {"1": 1}, {})
     sources = [rc.left_adjoint(q, "2", m), rc.right_adjoint(q, "2", m)]
     targets = [rc.left_adjoint(q, "1", m), rc.right_adjoint(q, "1", m), sources[0]]
-    e_from, e_to = endo.end_algebra(sources, cat), endo.end_algebra(targets, cat)
-    dim, left, right = endo.hom_bimodule(e_from, e_to, cat)
-    module = endo.hom_as_end_module(sources, targets, cat, e_to)
+    e = endo.end_algebra(sources + targets, cat)
+    src, dst = [0, 1], [2, 3, 4]
+    dim, left, right = endo.hom_bimodule(e, src, dst)
+    module = endo.hom_as_end_module(e, src, dst)
     assert dim == module.dim > 0
     assert left == module.action
     # the unit of End(from) acts on the right as the identity
     unit_action = Mat.zeros(QQ, dim, dim)
-    for c, r in zip(e_from.sc.unit, right):
+    for c, r in zip(e.corner(src).sc.unit, right):
         unit_action = unit_action.add(r.scale(c))
     assert unit_action.is_identity()
+
+
+# -- End(X-bar) once: corners and sub-tables against rebuilt references ------------
+
+def a3_middle_sink():
+    return qv.make_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")])
+
+
+XBAR_CASES = {
+    "kronecker-QQ": (qv.kronecker, QQ),
+    "A3-middle-sink-QQ": (a3_middle_sink, QQ),
+    "D4(1,0,1)-QQ": (lambda: qv.d4((1, 0, 1)), QQ),
+    "kronecker-GF3": (qv.kronecker, GF(3)),
+}
+
+
+def end_xbar_and_parts(name):
+    """E = End(X-bar) and the index lists of X1, X2, X3, X2lambda, X2rho."""
+    make_q, field = XBAR_CASES[name]
+    k = alg.ground_field_algebra(field)
+    xbar = repdim.build_xbar(make_q(), k, [alg.AlgMod(k, {"1": 1}, {})])
+    n1, n2 = len(xbar.x1), len(xbar.x2)
+    parts = {"X1": list(range(n1)), "X2": list(range(n1, n1 + n2)),
+             "X3": list(range(n1 + n2, len(xbar.all_summands())))}
+    for side in ("lambda", "rho"):
+        parts["X2" + side] = [n1 + j for j, l in enumerate(xbar.labels2) if l[0] == side]
+    assert all(parts.values())
+    return repdim.end_xbar(xbar), parts
+
+
+@pytest.mark.parametrize("name", list(XBAR_CASES))
+def test_corners_equal_the_end_algebras_of_their_summands(name):
+    e, parts = end_xbar_and_parts(name)
+    for part in ("X1", "X2", "X3", "X2rho"):
+        corner = e.corner(parts[part])
+        ref = endo.end_algebra([e.summands[i] for i in parts[part]], e.cat)
+        assert corner.sc.mult == ref.sc.mult
+        assert corner.sc.unit == ref.sc.unit
+        assert corner.sc.idempotents == ref.sc.idempotents
+        assert corner.sc.known_radical == ref.sc.known_radical
+        assert e.corner(parts[part]) is corner
+
+
+def reexpressed_actions(e, sources, targets, post):
+    """Reference: End(targets) (post) or End(sources) (pre) rebuilt, and each
+    of its basis maps composed with every hom-block basis map of
+    Hom(sum sources, sum targets) and re-expressed in that block's basis."""
+    cat, f = e.cat, e.cat.field
+    acting = endo.end_algebra([e.summands[i] for i in (targets if post else sources)], cat)
+    blocks, dim = {}, 0
+    for i, s in enumerate(sources):
+        for j, t in enumerate(targets):
+            basis = cat.hom_basis(e.summands[s], e.summands[t])
+            blocks[(i, j)] = (dim, basis)
+            dim += len(basis)
+
+    def express(i, j, h):
+        vec = [f.zero()] * dim
+        off, basis = blocks[(i, j)]
+        flat = Mat.column(f, cat.flatten_map(h))
+        if basis:
+            x = solve_matrix(Mat.hstack(f, [Mat.column(f, cat.flatten_map(b)) for b in basis]), flat)
+            vec[off:off + len(basis)] = x.entries
+        else:
+            assert flat.is_zero()
+        return vec
+
+    out = []
+    for src, dst, t in acting.sc.labels:
+        gamma = acting.blocks[(src, dst)][1][t]
+        cols = []
+        for (i, j), (_, basis) in blocks.items():
+            for h in basis:
+                if post:
+                    cols.append(express(i, dst, cat.compose(gamma, h)) if j == src else [f.zero()] * dim)
+                else:
+                    cols.append(express(src, j, cat.compose(h, gamma)) if i == dst else [f.zero()] * dim)
+        out.append(Mat(f, dim, dim, tuple(col[r] for r in range(dim) for col in cols)))
+    return out
+
+
+@pytest.mark.parametrize("name", list(XBAR_CASES))
+def test_hom_modules_and_sigma_are_sub_tables_of_end_xbar(name):
+    e, parts = end_xbar_and_parts(name)
+    for src, dst in (("X1", "X2"), ("X2", "X3"), ("X2lambda", "X2rho")):
+        m = endo.hom_as_end_module(e, parts[src], parts[dst])
+        assert m.sc is e.corner(parts[dst]).sc
+        assert m.action == reexpressed_actions(e, parts[src], parts[dst], post=True)
+        assert m.check()
+    dim, left, right = endo.hom_bimodule(e, parts["X1"], parts["X2"])
+    assert left == reexpressed_actions(e, parts["X1"], parts["X2"], post=True)
+    assert right == reexpressed_actions(e, parts["X1"], parts["X2"], post=False)
+    sigma = tm.Bimodule(e.corner(parts["X2"]).sc, e.corner(parts["X1"]).sc, dim, left, right)
+    assert sigma.check()

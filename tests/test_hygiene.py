@@ -85,3 +85,13 @@ def test_no_unreferenced_public_definitions():
             for node in _public_definitions(ast.parse(p.read_text(encoding="utf-8")))
             if node.name not in used]
     assert not dead, "unreferenced public definitions:\n" + "\n".join(dead)
+
+
+def test_column_data_is_built_only_in_scmodule():
+    # one ColumnData per algebra: other library modules take the algebra's
+    # shared one from scmodule.column_data instead of calling ColumnData(...)
+    calls = [f"{p.name}:{n.lineno}" for p in sorted(SRC.glob("*.py")) if p.name != "scmodule.py"
+             for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+             if isinstance(n, ast.Call) and "ColumnData" in (getattr(n.func, "id", None),
+                                                             getattr(n.func, "attr", None))]
+    assert not calls, "ColumnData built outside scmodule:\n" + "\n".join(calls)

@@ -246,3 +246,43 @@ def test_rep_pd_builds_one_cover_per_step(monkeypatch):
     d = dual_numbers()
     assert rc.rep_pd(rc.rep_simple(qv.a_n(1), d, "1", "1"), cap=3) == Dim.at_least(3)
     assert len(calls) == 4
+
+
+def _cover_one_adjoint_per_copy(x):
+    """Reference assembly of the cover: a projective and its left adjoint
+    rebuilt for every generator copy."""
+    q, a = x.quiver, x.algebra
+    f = a.field
+    rad = rc.rep_radical_inclusions(x)
+    pieces, piece_maps = [], []
+    for v in q.vertices:
+        for u in a.quiver.vertices:
+            units = Mat.identity(f, x.mods[v].dims[u])
+            for j in alg._complement_indices(f, rad[(v, u)]):
+                pu = alg.projective_module(a, u)
+                piece = rc.left_adjoint(q, v, pu)
+                pieces.append(piece)
+                h = alg.map_from_projective(pu, x.mods[v], units.col(j))
+                piece_maps.append(rc._adjoint_transpose(x, piece, h))
+    total, _, _ = rc.rep_direct_sum(q, a, pieces)
+    return total, rc._block_repmap(total, x, pieces, [x], {
+        (0, i): g for i, g in enumerate(piece_maps)})
+
+
+def test_cover_builds_one_adjoint_per_vertex_pair(monkeypatch):
+    q, d = qv.kronecker(), dual_numbers()
+    x, _, _ = rc.rep_direct_sum(q, d, [rc.rep_simple(q, d, "1", "1")] * 3
+                                + [rc.rep_simple(q, d, "2", "1")] * 3)
+    ref_p, ref_pi = _cover_one_adjoint_per_copy(x)
+    calls = []
+    real = rc.left_adjoint
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rc, "left_adjoint", counting)
+    p, pi = rc.rep_projective_cover(x)
+    assert len(calls) == 2
+    assert (p.mods, p.maps) == (ref_p.mods, ref_p.maps)
+    assert pi.mats == ref_pi.mats

@@ -20,6 +20,10 @@ def kmod(a):
     return alg.AlgMod(a, {"1": 1}, {})
 
 
+def base_end(k):
+    return endo.end_algebra([kmod(k)], cats.mod_cat(k))
+
+
 def dual_numbers():
     loop = qv.make_quiver(["1"], [("x", "1", "1")], require_acyclic=False)
     x = qv.Path("1", "1", ("x", "x"))
@@ -121,7 +125,7 @@ def test_is_gen_cogen_composes_only_in_the_section_solves(monkeypatch, which):
 def test_proof_steps_d4_outward():
     k = base_k()
     xbar = repdim.build_xbar(qv.d4((0, 0, 0)), k, [kmod(k)])
-    steps = repdim.verify_proof_steps(xbar, [kmod(k)], Dim.finite(0))
+    steps = repdim.verify_proof_steps(xbar, repdim.end_xbar(xbar), base_end(k), Dim.finite(0))
     by_name = {s.name: s for s in steps}
     assert len(steps) == 8
     for s in steps:
@@ -135,7 +139,7 @@ def test_proof_steps_single_vertex_degenerate():
     k = base_k()
     xbar = repdim.build_xbar(qv.single_vertex(), k, [kmod(k)])
     assert not xbar.hypothesis_ok
-    steps = repdim.verify_proof_steps(xbar, [kmod(k)], Dim.finite(0))
+    steps = repdim.verify_proof_steps(xbar, repdim.end_xbar(xbar), base_end(k), Dim.finite(0))
     by_name = {s.name: s for s in steps}
     assert by_name["hom_vanishing"].passed is False
     assert "Hom(X2,X1)=1" in by_name["hom_vanishing"].detail
@@ -165,7 +169,7 @@ def test_report_a2_out_of_hypothesis():
 def test_gldim_end_xbar_permutation_and_duplicate():
     k = base_k()
     xbar = repdim.build_xbar(qv.kronecker(), k, [kmod(k)])
-    base = repdim.gldim_end_xbar(xbar)
+    base = repdim.gldim_end_xbar(repdim.end_xbar(xbar))
     rcat = cats.rep_cat(xbar.quiver, k)
     summands = xbar.all_summands()
     for reordered in (summands[::-1], summands + [summands[1]]):
@@ -201,3 +205,24 @@ def test_report_never_uses_the_trace_form_radical(monkeypatch):
     k = base_k()
     rep = repdim.repdim_bound_report(qv.kronecker(), k, [kmod(k)])
     assert rep.verdict == "PASS" and rep.gldim_end_xbar == Dim.finite(3)
+
+
+def test_kronecker_report_builds_end_xbar_once(monkeypatch):
+    # End(X-bar) is the one End algebra over the path algebra: its corners,
+    # Hom modules and Hom vanishings solve no hom basis of their own, and
+    # each algebra keeps one ColumnData
+    counts = {"rep_hom_basis": 0, "end_algebra": 0, "ColumnData": 0}
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(rc, "rep_hom_basis", counting("rep_hom_basis", rc.rep_hom_basis))
+    monkeypatch.setattr(endo, "end_algebra", counting("end_algebra", endo.end_algebra))
+    monkeypatch.setattr(scm.ColumnData, "__init__", counting("ColumnData", scm.ColumnData.__init__))
+    k = base_k()
+    rep = repdim.repdim_bound_report(qv.kronecker(), k, [kmod(k)])
+    assert rep.verdict == "PASS"
+    assert counts == {"rep_hom_basis": 38, "end_algebra": 3, "ColumnData": 6}

@@ -53,23 +53,23 @@ def test_gldim_sc_matches_bqa_gldim():
 
 def test_pd_sc_simple():
     sc = sc_kA2()
-    cd = scm.ColumnData(sc)
+    cd = scm.column_data(sc)
     # simple top of P_1 has pd 1, of P_2 pd 0
-    tops = {cd.columns[i][0].dim: scm.pd_sc(cd.simple_top(i), 10, cd) for i in cd.classes}
+    tops = {cd.columns[i][0].dim: scm.pd_sc(cd.simple_top(i), 10) for i in cd.classes}
     assert tops[2] == Dim.finite(1)
     assert tops[1] == Dim.finite(0)
 
 
 def test_projectivity_split_test():
     sc = sc_kA2()
-    cd = scm.ColumnData(sc)
+    cd = scm.column_data(sc)
     reg = scm.regular_module(sc)
-    assert scm.is_projective_sc(reg, cd)
+    assert scm.is_projective_sc(reg)
     s = cd.simple_top(0) if cd.columns[0][0].dim == 2 else cd.simple_top(1)
     # the 2-dim column has a 1-dim non-projective top
     two_idx = 0 if cd.columns[0][0].dim == 2 else 1
     top = cd.simple_top(two_idx)
-    assert not scm.is_projective_sc(top, cd)
+    assert not scm.is_projective_sc(top)
 
 
 def test_duplicate_idempotents_matrix_block():
@@ -91,13 +91,13 @@ def test_duplicate_idempotents_matrix_block():
     mult = [[mprod(i, j) for j in range(4)] for i in range(4)]
     unit_vec = tuple(f.of_int(x) for x in (1, 0, 0, 1))
     sc = alg.SCAlgebra(f, mult, unit_vec, idempotents=[unit(0), unit(3)], check=True)
-    cd = scm.ColumnData(sc)
+    cd = scm.column_data(sc)
     assert len(cd.classes) == 1
     assert scm.gldim_sc(sc) == Dim.finite(0)
     # the 2-dim simple is projective and its cover is a single column
     simple = cd.simple_top(0)
     assert simple.dim == 2
-    p, pi = scm.projective_cover_sc(simple, cd)
+    p, pi = scm.projective_cover_sc(simple)
     assert p.dim == 2
     k, _ = scm.kernel_of_sc(pi)
     assert k.is_zero()
@@ -213,7 +213,7 @@ def _test_modules(sc, cd):
     rad, _ = scm.submodule_from_columns(reg, scm.radical_submodule_sc(reg))
     sums = [scm.direct_sum_sc(sc, [cols[0], tops[-1], tops[0]])[0],
             scm.direct_sum_sc(sc, tops + tops[:1])[0]]
-    syz = [scm.kernel_of_sc(scm.projective_cover_sc(t, cd)[1])[0] for t in tops]
+    syz = [scm.kernel_of_sc(scm.projective_cover_sc(t)[1])[0] for t in tops]
     return [reg, rad] + cols + tops + sums + syz
 
 
@@ -221,13 +221,13 @@ def _test_modules(sc, cd):
 @pytest.mark.parametrize("name", list(SC_ALGEBRAS))
 def test_cover_generators_are_the_greedy_ones(name, field):
     sc = SC_ALGEBRAS[name](field)
-    cd = scm.ColumnData(sc)
+    cd = scm.column_data(sc)
     if name == "End(P1+P2+P1)":
         assert sorted(len(members) for members in cd.classes.values()) == [1, 2]
     for m in _test_modules(sc, cd):
-        pieces, gens = scm._cover_generators(m, cd, scm.radical_submodule_sc(m))
+        pieces, gens = scm._cover_generators(m, scm.radical_submodule_sc(m))
         assert (pieces, gens) == _greedy_cover_generators(m, cd)
-        p, pi = scm.projective_cover_sc(m, cd)
+        p, pi = scm.projective_cover_sc(m)
         assert pi.is_valid() and rank(pi.mat) == m.dim
         k, incl = scm.kernel_of_sc(pi)
         rad_p = scm.radical_submodule_sc(p)
@@ -241,33 +241,32 @@ def _connecting_block_modules():
     out = []
     for q in (qv.kronecker(), qv.d4((0, 0, 0)), qv.d4((1, 0, 1))):
         xbar = repdim.build_xbar(q, k, [alg.AlgMod(k, {"1": 1}, {})], validate=False)
-        rcat = cats.rep_cat(q, k)
-        end_x2 = endo.end_algebra(xbar.x2, rcat)
-        out.append(endo.hom_as_end_module(xbar.x1, xbar.x2, rcat, end_x2))
-        lam2 = [x for x, l in zip(xbar.x2, xbar.labels2) if l[0] == "lambda"]
-        rho2 = [x for x, l in zip(xbar.x2, xbar.labels2) if l[0] == "rho"]
-        out.append(endo.hom_as_end_module(lam2, rho2, rcat))
+        n1, n2 = len(xbar.x1), len(xbar.x2)
+        e = endo.end_algebra(xbar.x1 + xbar.x2, cats.rep_cat(q, k))
+        out.append(endo.hom_as_end_module(e, range(n1), range(n1, n1 + n2)))
+        lam2 = [n1 + j for j, l in enumerate(xbar.labels2) if l[0] == "lambda"]
+        rho2 = [n1 + j for j, l in enumerate(xbar.labels2) if l[0] == "rho"]
+        out.append(endo.hom_as_end_module(e, lam2, rho2))
     return out
 
 
 def test_projectivity_read_off_the_cover_agrees_with_the_split_test():
     seen = set()
-    cases = [(m, scm.ColumnData(m.sc)) for m in _connecting_block_modules()]
+    cases = _connecting_block_modules()
     for name, make in SC_ALGEBRAS.items():
         sc = make(QQ)
-        cd = scm.ColumnData(sc)
-        cases += [(m, cd) for m in _test_modules(sc, cd)]
-    for m, cd in cases:
-        _, pi = scm.projective_cover_sc(m, cd)
+        cases += _test_modules(sc, scm.column_data(sc))
+    for m in cases:
+        _, pi = scm.projective_cover_sc(m)
         split = cats.sc_cat(m.sc).section(pi) is not None
-        assert scm.is_projective_sc(m, cd) == split
+        assert scm.is_projective_sc(m) == split
         seen.add(split)
     assert seen == {True, False}
 
 
 def test_cover_generators_act_once_per_class_and_solve_nothing(monkeypatch):
     sc = _end_with_duplicate(QQ)
-    cd = scm.ColumnData(sc)
+    cd = scm.column_data(sc)
     mods = _test_modules(sc, cd)
     subs = [scm.radical_submodule_sc(m) for m in mods]
     acts = []
@@ -285,17 +284,16 @@ def test_cover_generators_act_once_per_class_and_solve_nothing(monkeypatch):
         monkeypatch.setattr(mod, "solve_matrix", refuse)
     for m, sub in zip(mods, subs):
         acts.clear()
-        scm._cover_generators(m, cd, sub)
+        scm._cover_generators(m, sub)
         assert len(acts) == (len(cd.classes) if sub.cols < m.dim else 0)
 
 
 def test_is_projective_sc_solves_no_hom_system(monkeypatch):
     sc = sc_kA2()
-    cd = scm.ColumnData(sc)
-    mods = _test_modules(sc, cd)
+    mods = _test_modules(sc, scm.column_data(sc))
 
     def refuse(m, n):
         raise AssertionError("projectivity test solved for module maps")
 
     monkeypatch.setattr(scm, "hom_basis_sc", refuse)
-    assert {scm.is_projective_sc(m, cd) for m in mods} == {True, False}
+    assert {scm.is_projective_sc(m) for m in mods} == {True, False}

@@ -170,7 +170,7 @@ def test_triple_pd_bound_property():
     spec = tm.t2_spec(alg.path_algebra(QQ, qv.a_n(2)))
     cdr = spec.coldata_r()
     cds = spec.coldata_s()
-    assert scm.is_projective_sc(spec.m_as_left_s_module(), cds)
+    assert scm.is_projective_sc(spec.m_as_left_s_module())
     pool_r = [cdr.columns[i][0] for i in range(len(cdr.columns))] + \
              [cdr.simple_top(i) for i in range(len(cdr.columns))]
     pool_s = [cds.columns[i][0] for i in range(len(cds.columns))] + \
@@ -189,7 +189,7 @@ def test_triple_pd_bound_property():
         t = tm.TripleModule(spec, x, y, phi, td)
         assert t.check()
         n = 0
-        for d in (scm.pd_sc(x, 10, cdr), scm.pd_sc(y, 10, cds)):
+        for d in (scm.pd_sc(x, 10), scm.pd_sc(y, 10)):
             assert d.exact
             n = max(n, d.value)
         got = tm.triple_pd(t, 10)
