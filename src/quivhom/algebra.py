@@ -24,7 +24,7 @@ from .errors import (
     RelationNotParallel,
 )
 from .exactlin import Field, Mat, _commuting_rows, _kernel_blocks, kernel_basis, rank, rref, solve_matrix
-from .quiver import Path, Quiver, arrow_path, concat, make_quiver, trivial_path
+from .quiver import Path, Quiver, arrow_path, concat, make_quiver, paths_between, trivial_path
 
 
 def _paths_up_to(q: Quiver, n: int):
@@ -211,7 +211,6 @@ def path_algebra(field: Field, quiver: Quiver, name: str = "") -> BQA:
     longest = 0
     for v in quiver.vertices:
         for w in quiver.vertices:
-            from .quiver import paths_between
             for p in paths_between(quiver, v, w):
                 longest = max(longest, p.length)
     return BQA(field, quiver, [], longest + 1, name=name)
@@ -731,10 +730,16 @@ def pd_via_ext(m: AlgMod, cap: int = 20) -> Dim:
 
 
 class SCAlgebra:
-    """Associative algebra given by structure constants on an explicit basis."""
+    """Associative algebra given by structure constants on an explicit basis.
 
-    def __init__(self, field: Field, mult, unit, idempotents=None, radical=None,
-                 labels=None, check: bool = False):
+    Construction checks the unit and, when given, that the idempotents are
+    orthogonal idempotents summing to the unit (O(dim + n^2) products).
+    Associativity is checked only by :meth:`validate` (dim^3 products), for
+    tables built by hand: the library's own (``sc_of_bqa``,
+    ``endo.end_algebra`` and its corners) are associative by construction.
+    """
+
+    def __init__(self, field: Field, mult, unit, idempotents=None, radical=None, labels=None):
         self.field = field
         self.mult = tuple(tuple(tuple(v) for v in row) for row in mult)
         self.dim = len(self.mult)
@@ -745,8 +750,22 @@ class SCAlgebra:
         # one shared zero: products then compare equal by identity where zero
         self._zero = field.zero()
         self._coldata = None  # built once by scmodule.column_data
-        if check:
-            self.validate()
+        for b in Mat.identity(field, self.dim).row_list():
+            b = tuple(b)
+            if self.multiply(self.unit, b) != b or self.multiply(b, self.unit) != b:
+                raise CompositionInconsistent("unit axiom fails")
+        if self.idempotents is not None:
+            total = [field.zero()] * self.dim
+            for a, e in enumerate(self.idempotents):
+                for b, e2 in enumerate(self.idempotents):
+                    prod = self.multiply(e, e2)
+                    if a == b and prod != e:
+                        raise CompositionInconsistent("idempotent axiom fails")
+                    if a != b and any(prod):
+                        raise CompositionInconsistent("idempotents not orthogonal")
+                total = [field.add(x, y) for x, y in zip(total, e)]
+            if tuple(total) != self.unit:
+                raise CompositionInconsistent("idempotents do not sum to the unit")
 
     def multiply(self, x, y):
         f = self.field
@@ -765,22 +784,9 @@ class SCAlgebra:
                         out[k] = add(out[k], mul(c, m))
         return tuple(out)
 
-    def left_mult_matrix(self, x) -> Mat:
-        f = self.field
-        cols = []
-        for j in range(self.dim):
-            ej = [f.zero()] * self.dim
-            ej[j] = f.one()
-            cols.append(Mat.column(f, list(self.multiply(x, ej))))
-        return Mat.hstack(f, cols) if cols else Mat.zeros(f, 0, 0)
-
     def validate(self):
-        f = self.field
-        unit = self.unit
-        basis = [tuple(f.one() if i == j else f.zero() for i in range(self.dim)) for j in range(self.dim)]
-        for b in basis:
-            if self.multiply(unit, b) != b or self.multiply(b, unit) != b:
-                raise CompositionInconsistent("unit axiom fails")
+        """Associativity on every triple of basis elements."""
+        basis = [tuple(b) for b in Mat.identity(self.field, self.dim).row_list()]
         for i in range(self.dim):
             for j in range(self.dim):
                 ij = self.mult[i][j]
@@ -789,19 +795,6 @@ class SCAlgebra:
                     rhs = self.multiply(basis[i], self.mult[j][k])
                     if lhs != rhs:
                         raise CompositionInconsistent(f"associativity fails at basis triple ({i},{j},{k})")
-        if self.idempotents is not None:
-            total = [f.zero()] * self.dim
-            for a, e in enumerate(self.idempotents):
-                if self.multiply(e, e) != tuple(e):
-                    raise CompositionInconsistent("idempotent axiom fails")
-                for b, e2 in enumerate(self.idempotents):
-                    if a != b:
-                        prod = self.multiply(e, e2)
-                        if any(c != f.zero() for c in prod):
-                            raise CompositionInconsistent("idempotents not orthogonal")
-                total = [f.add(x, y) for x, y in zip(total, e)]
-            if tuple(total) != self.unit:
-                raise CompositionInconsistent("idempotents do not sum to the unit")
 
     def __repr__(self):
         return f"SCAlgebra(dim={self.dim})"

@@ -31,8 +31,8 @@ from .bounds import Dim
 from .cats import Cat
 from .errors import CompositionInconsistent, IsoCheckFailed, NotSplit, QuivhomError
 from .exactlin import Mat, _kernel_blocks, rank, solve_matrix
-from .quiver import Quiver, concat, is_type_An, paths_between, sinks, trivial_path
-from .scmodule import SCModule, gldim_sc
+from .quiver import Quiver, concat, is_type_An, paths_between, sinks, subquiver, trivial_path
+from .scmodule import SCModule, gldim_sc, table_actions
 
 
 @dataclass
@@ -58,7 +58,8 @@ class EndAlgebra:
 
     def corner(self, idx) -> "EndAlgebra":
         """End(sum of the summands at ``idx``, in summand order) as the corner
-        eEe; built once per index list and shared, so not to be mutated."""
+        eEe, a sub-table of E and so associative as E is; built once per index
+        list and shared, so not to be mutated."""
         idx = tuple(idx)
         got = self._corners.get(idx)
         if got is None:
@@ -73,17 +74,23 @@ class EndAlgebra:
             got = self._corners[idx] = _end_from_blocks(
                 [self.summands[i] for i in idx], self.cat, blocks,
                 [[tuple(mult[x][y][z] for z in pos) for y in pos] for x in pos],
-                [[self.sc.idempotents[i][z] for z in pos] for i in idx], check=True)
+                [[self.sc.idempotents[i][z] for z in pos] for i in idx])
         return got
 
 
-def end_algebra(summands, cat: Cat, check: bool = True) -> EndAlgebra:
+def end_algebra(summands, cat: Cat) -> EndAlgebra:
     """End(sum of summands) with structure constants from exact re-expression.
+
+    The table is associative by construction: each product of basis maps is
+    the exact re-expression of their composite (a composite outside the span
+    raises :class:`CompositionInconsistent`), the basis maps are linearly
+    independent, and composition is associative.  So no dim^3 check runs; the
+    unit and idempotent axioms are checked by ``SCAlgebra``.
 
     The summands must be indecomposable with split local End (End(X)/rad = k).
     The Jacobson radical is built from the hom blocks (see :func:`_block_radical`)
-    and attached; its certificate runs also with ``check=False`` and raises
-    :class:`NotSplit`, naming the summand, when a summand breaks the hypothesis.
+    and attached; its certificate always runs and raises :class:`NotSplit`,
+    naming the summand, when a summand breaks the hypothesis.
     """
     summands = list(summands)
     f = cat.field
@@ -117,10 +124,10 @@ def end_algebra(summands, cat: Cat, check: bool = True) -> EndAlgebra:
                 for fi, fmap in enumerate(basis_f):
                     mult[off_f + fi][off_g + gi] = tuple(express(c, b, cat.compose(fmap, g)))
     idems = [express(i, i, cat.identity(s)) for i, s in enumerate(summands)]
-    return _end_from_blocks(summands, cat, blocks, mult, idems, check)
+    return _end_from_blocks(summands, cat, blocks, mult, idems)
 
 
-def _end_from_blocks(summands, cat: Cat, blocks, mult, idems, check: bool) -> EndAlgebra:
+def _end_from_blocks(summands, cat: Cat, blocks, mult, idems) -> EndAlgebra:
     """Unit, block radical, ``SCAlgebra`` and radical certificate of the End
     algebra with these blocks, structure constants and summand idempotents."""
     f = cat.field
@@ -130,8 +137,7 @@ def _end_from_blocks(summands, cat: Cat, blocks, mult, idems, check: bool) -> En
         unit = [f.add(u, x) for u, x in zip(unit, e)]
     parts = _block_radical(f, blocks, mult, len(summands))
     sc = SCAlgebra(f, mult, tuple(unit), idempotents=[tuple(e) for e in idems],
-                   radical=[x for _, vecs in parts.values() for x in vecs],
-                   labels=labels, check=check)
+                   radical=[x for _, vecs in parts.values() for x in vecs], labels=labels)
     _certify_radical(sc, blocks, parts)
     return EndAlgebra(sc, summands, cat, blocks)
 
@@ -233,25 +239,12 @@ def sc_gldim(e: EndAlgebra, cap: int = 20) -> Dim:
     return gldim_sc(e.sc, cap)
 
 
-def _table_actions(e: EndAlgebra, acting, basis, post: bool):
-    """One matrix per basis element g of End(summands at ``acting``) on the
-    span of E's basis elements ``basis``: g o h = mult[g][h] if ``post``,
-    else h o g = mult[h][g]."""
-    mult = e.sc.mult
-    d = len(basis)
-    out = []
-    for g in e.positions(acting, acting):
-        cols = [mult[g][h] for h in basis] if post else [mult[h][g] for h in basis]
-        out.append(Mat(e.sc.field, d, d, tuple(col[r] for r in basis for col in cols)))
-    return out
-
-
 def hom_as_end_module(e: EndAlgebra, sources, targets) -> SCModule:
     """Hom(sum of the summands at ``sources``, sum of those at ``targets``)
     as a left module over ``e.corner(targets)`` by post-composition."""
     basis = e.positions(sources, targets)
     return SCModule(e.corner(targets).sc, len(basis),
-                    _table_actions(e, targets, basis, post=True))
+                    table_actions(e.sc, e.positions(targets, targets), basis))
 
 
 def hom_bimodule(e: EndAlgebra, sources, targets):
@@ -262,8 +255,8 @@ def hom_bimodule(e: EndAlgebra, sources, targets):
     same hom-block basis as :func:`hom_as_end_module`.
     """
     basis = e.positions(sources, targets)
-    return (len(basis), _table_actions(e, targets, basis, post=True),
-            _table_actions(e, sources, basis, post=False))
+    return (len(basis), table_actions(e.sc, e.positions(targets, targets), basis),
+            table_actions(e.sc, e.positions(sources, sources), basis, left=False))
 
 
 def validate_summands(summands, cat: Cat):
@@ -276,7 +269,7 @@ def validate_summands(summands, cat: Cat):
         if cat.is_zero_obj(s):
             raise QuivhomError(f"summand {i} is zero")
         try:
-            end_algebra([s], cat, check=False)
+            end_algebra([s], cat)
         except NotSplit as exc:
             raise NotSplit(f"summand {i} is not indecomposable with split local End") from exc
 
@@ -333,11 +326,7 @@ def adjoint_end_iso(q: Quiver, gamma: EndAlgebra, side: str = "lambda",
     """
     a = gamma.summands[0].algebra
     total, sinjs, sprojs = alg.direct_sum_mods(a, gamma.summands)
-    if vertices is None:
-        use_q = q
-    else:
-        from .quiver import subquiver
-        use_q = subquiver(q, vertices)
+    use_q = q if vertices is None else subquiver(q, vertices)
     rhs, rhs_labels = path_block_algebra(gamma.sc, use_q)
     # LHS pieces over the ambient quiver
     if side == "lambda":

@@ -33,6 +33,7 @@ from . import repcat as rc
 from . import trimat as tm
 from .bounds import Dim
 from .errors import NotGenCogen, QuivhomError
+from .exactlin import QQ
 from .quiver import Quiver, d4_orientations, is_type_An, sinks
 from .scmodule import is_projective_sc, pd_sc
 
@@ -276,8 +277,6 @@ def d4_orientation_projectivity_sweep(field=None) -> OrientationSweep:
     """Over every orientation of D_4 with a one-dimensional base: is the
     connecting module Hom(X1, X2) projective over End(X2)?  Both are read
     off E = End(X1 + X2)."""
-    from .exactlin import QQ
-
     a = alg.ground_field_algebra(QQ if field is None else field)
     m = alg.AlgMod(a, {"1": 1}, {})
     entries = []

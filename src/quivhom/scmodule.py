@@ -5,9 +5,15 @@ layers.  A module is a plain vector space with one action matrix per algebra
 basis element.  Minimal projective covers are driven by the radical the
 algebra carries (``sc_of_bqa`` and ``endo.end_algebra`` attach one, in every
 characteristic); the characteristic-zero trace-form radical ``radical_sc`` is
-only the fallback for algebras built without one.  Column projectives
-Gamma*e_i are grouped into isomorphism classes so that duplicated idempotents
-are handled correctly.
+only the fallback for algebras built without one.
+
+Column projectives are read off the Peirce grading, so the basis must be
+adapted to the idempotents: b*e_i and e_j*b are b or 0 for every basis
+element b (the bases of ``sc_of_bqa``, ``endo.end_algebra`` and its corners
+are).  Gamma*e_i is then spanned by the basis elements starting at i, acted
+on by a sub-table of the structure constants, and is grouped into an
+isomorphism class with the other columns so that duplicated idempotents are
+handled correctly.
 
 Over a split algebra e_i kills every simple but the top S_i of Gamma*e_i, and
 e_i S_i is k, so the copies of S_i in M/JM are counted by dim e_i (M/JM) and
@@ -19,8 +25,10 @@ when that minimal cover is an isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .algebra import SCAlgebra, _pivot_columns, column_space, complement_projection, radical_sc
+from .algebra import (SCAlgebra, _pivot_columns, column_space, complement_projection, eval_path,
+                      radical_sc, sc_of_bqa)
 from .bounds import Dim, dim_max, syzygy_pd
 from .errors import CompositionInconsistent, DimensionMismatch, NotSplit, QuivhomError
 from .exactlin import Mat, _commuting_rows, _kernel_blocks, kernel_basis, rank, solve_matrix
@@ -88,18 +96,11 @@ def zero_sc_module(sc: SCAlgebra) -> SCModule:
 
 
 def regular_module(sc: SCAlgebra) -> SCModule:
-    return SCModule(sc, sc.dim, [sc.left_mult_matrix(_unit_vec(sc, i)) for i in range(sc.dim)])
-
-
-def _unit_vec(sc, i):
-    f = sc.field
-    return tuple(f.one() if j == i else f.zero() for j in range(sc.dim))
+    return SCModule(sc, sc.dim, table_actions(sc, range(sc.dim), range(sc.dim)))
 
 
 def sc_module_of_algmod(m, sc: SCAlgebra = None) -> SCModule:
     """Flatten a BQA module to a raw module over the structure-constant view."""
-    from .algebra import eval_path, sc_of_bqa
-
     a = m.algebra
     if sc is None:
         sc = sc_of_bqa(a)
@@ -158,17 +159,18 @@ def radical_of(sc: SCAlgebra):
 
 
 def submodule_from_columns(m: SCModule, cols: Mat):
-    """Restrict the module structure to the span of the given columns."""
+    """Restrict the module structure to the span of the given columns: one
+    solve of basis * X = [a_1 basis | ... | a_d basis]."""
     f = m.sc.field
     basis = column_space(f, [cols]) if cols.cols else Mat.zeros(f, m.dim, 0)
-    action = []
-    for a in m.action:
-        moved = a.mul(basis)
-        x = solve_matrix(basis, moved)
-        if x is None:
-            raise QuivhomError("span is not action-stable")
-        action.append(x)
-    sub = SCModule(m.sc, basis.cols, action)
+    x = solve_matrix(basis, Mat.hstack(f, [a.mul(basis) for a in m.action]))
+    if x is None:
+        raise QuivhomError("span is not action-stable")
+    r, w = basis.cols, x.cols
+    action = [Mat(f, r, r, tuple(chain.from_iterable(x.entries[i * w + t * r:i * w + t * r + r]
+                                                     for i in range(r))))
+              for t in range(len(m.action))]
+    sub = SCModule(m.sc, r, action)
     return sub, SCMap(sub, m, basis)
 
 
@@ -197,63 +199,64 @@ def kernel_of_sc(f_map: SCMap):
 
 
 class ColumnData:
-    """Projectives Gamma*e_i with their isomorphism classes (split case);
-    :func:`column_data` keeps one per algebra."""
+    """Projectives Gamma*e_i with their isomorphism classes (split case),
+    read off the Peirce grading; :func:`column_data` keeps one per algebra.
+
+    The basis must be adapted to the idempotents (else :class:`NotSplit`):
+    b*e_i and e_j*b are b or 0 for every basis element b, so b lies in one
+    block e_j Gamma e_i.  Column i, Gamma*e_i, is spanned by the basis
+    elements with b*e_i = b; its action is the sub-table a*b = mult[a][b] on
+    them and its inclusion into Gamma their 0/1 position matrix.  J*Gamma*e_i
+    = J*e_i is spanned by the radical vectors restricted to those positions,
+    so the simple top is the quotient by them, and dim e_j J e_i is the rank
+    of their restriction to the block.  Split: dim e_i Gamma e_i / e_i J e_i
+    is 1.  Classes: Gamma*e_i and Gamma*e_j are isomorphic iff
+    e_i Gamma e_j != e_i J e_j.
+    """
 
     def __init__(self, sc: SCAlgebra):
         if sc.idempotents is None:
             raise NotSplit("algebra carries no idempotent list")
         self.sc = sc
         f = sc.field
-        reg = regular_module(sc)
-        self.columns = []
-        self.idem_mats = []
-        rad = radical_of(sc)
-        self.radical = rad
-        for e in sc.idempotents:
-            right_e = _right_mult_matrix(sc, e)
-            col, incl = submodule_from_columns(reg, column_space(f, [right_e]))
-            self.columns.append((col, incl))
-            self.idem_mats.append(e)
-        # split condition: dim e_i Gamma e_i / e_i J e_i == 1
-        for i, e in enumerate(sc.idempotents):
-            g = self._corner_dim(e, e, radical=False)
-            j = self._corner_dim(e, e, radical=True)
-            if g - j != 1:
-                raise NotSplit(f"idempotent {i}: corner has dimension {g - j} over the radical")
-        # isomorphism classes: e_i T_j != 0  <=>  dim e_i G e_j > dim e_i J e_j
         n = len(sc.idempotents)
+        starts, ends = [None] * sc.dim, [None] * sc.dim
+        for b, vec in enumerate(Mat.identity(f, sc.dim).row_list()):
+            vec = tuple(vec)
+            for i, e in enumerate(sc.idempotents):
+                for grade, prod in ((starts, sc.multiply(vec, e)), (ends, sc.multiply(e, vec))):
+                    if prod == vec:
+                        grade[b] = i
+                    elif any(prod):
+                        raise NotSplit(f"basis element {b} is not adapted to idempotent {i}")
+        self._positions = [[b for b in range(sc.dim) if starts[b] == i] for i in range(n)]
+        self.idem_mats = list(sc.idempotents)
+        self.radical = radical_of(sc)
+        self.columns = []
+        for pos in self._positions:
+            incl = Mat(f, sc.dim, len(pos), tuple(f.one() if b == c else f.zero()
+                                                  for b in range(sc.dim) for c in pos))
+            self.columns.append((SCModule(sc, len(pos), table_actions(sc, range(sc.dim), pos)), incl))
+
+        def over_radical(i, j):  # dim e_i Gamma e_j - dim e_i J e_j
+            block = [b for b in self._positions[j] if ends[b] == i]
+            vecs = [v for v in ([r[b] for b in block] for r in self.radical) if any(v)]
+            return len(block) - (rank(Mat.from_rows(f, vecs)) if vecs else 0)
+
+        for i in range(n):
+            top = over_radical(i, i)
+            if top != 1:
+                raise NotSplit(f"idempotent {i}: corner has dimension {top} over the radical")
         self.class_of = list(range(n))
         for i in range(n):
             for j in range(i):
-                if self._linked(i, j):
+                if over_radical(i, j) > 0:
                     self.class_of[i] = self.class_of[j]
                     break
         self.classes = {}
         for i, c in enumerate(self.class_of):
             self.classes.setdefault(c, []).append(i)
         self._tops = {}
-
-    def _corner_vectors(self, e_left, e_right, radical: bool):
-        sc = self.sc
-        f = sc.field
-        gens = self.radical if radical else [_unit_vec(sc, i) for i in range(sc.dim)]
-        vecs = []
-        for g in gens:
-            v = sc.multiply(sc.multiply(e_left, g), e_right)
-            if any(c != f.zero() for c in v):
-                vecs.append(list(v))
-        return vecs
-
-    def _corner_dim(self, e_left, e_right, radical: bool):
-        vecs = self._corner_vectors(e_left, e_right, radical)
-        if not vecs:
-            return 0
-        return rank(Mat.from_rows(self.sc.field, vecs))
-
-    def _linked(self, i, j):
-        ei, ej = self.sc.idempotents[i], self.sc.idempotents[j]
-        return self._corner_dim(ei, ej, False) > self._corner_dim(ei, ej, True)
 
     def simple_top(self, i):
         """Top of the i-th column projective as an SCModule.
@@ -262,18 +265,24 @@ class ColumnData:
         mutate it."""
         top = self._tops.get(i)
         if top is None:
-            col, _ = self.columns[i]
-            top = self._tops[i] = quotient_sc(col, radical_submodule_sc(col))[0]
+            pos = self._positions[i]
+            rad = Mat(self.sc.field, len(pos), len(self.radical),
+                      tuple(r[b] for b in pos for r in self.radical))
+            top = self._tops[i] = quotient_sc(self.columns[i][0], rad)[0]
         return top
 
 
-def _right_mult_matrix(sc: SCAlgebra, x) -> Mat:
-    f = sc.field
-    cols = []
-    for j in range(sc.dim):
-        ej = _unit_vec(sc, j)
-        cols.append(Mat.column(f, list(sc.multiply(ej, x))))
-    return Mat.hstack(f, cols) if cols else Mat.zeros(f, 0, 0)
+def table_actions(sc: SCAlgebra, acting, basis, left: bool = True):
+    """One matrix per basis index g in ``acting`` on the span of the basis
+    elements at ``basis``: g*h = mult[g][h] if ``left``, else h*g = mult[h][g].
+    The span must be closed under these products; no other coordinate is read."""
+    mult = sc.mult
+    d = len(basis)
+    out = []
+    for g in acting:
+        cols = [mult[g][h] for h in basis] if left else [mult[h][g] for h in basis]
+        out.append(Mat(sc.field, d, d, tuple(col[r] for r in basis for col in cols)))
+    return out
 
 
 def column_data(sc: SCAlgebra) -> ColumnData:
@@ -332,7 +341,7 @@ def _map_from_columns(m: SCModule, pieces, gens):
     f = m.sc.field
     columns = column_data(m.sc).columns
     total, _, _ = direct_sum_sc(m.sc, [columns[i][0] for i in pieces])
-    piece_mats = [Mat.hstack(f, [a.mul(gen) for a in m.action]).mul(columns[i][1].mat)
+    piece_mats = [Mat.hstack(f, [a.mul(gen) for a in m.action]).mul(columns[i][1])
                   for i, gen in zip(pieces, gens)]
     pi_mat = Mat.hstack(f, piece_mats) if piece_mats else Mat.zeros(f, m.dim, 0)
     return total, SCMap(total, m, pi_mat)

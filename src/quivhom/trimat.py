@@ -90,9 +90,9 @@ class TriRingSpec:
 def t2_spec(base_bqa, name="T2") -> TriRingSpec:
     """T_2(Lambda): R = S = Lambda, M = Lambda as the regular bimodule."""
     sc = sc_of_bqa(base_bqa)
-    units = [scm._unit_vec(sc, i) for i in range(sc.dim)]
-    m = Bimodule(sc, sc, sc.dim, [sc.left_mult_matrix(e) for e in units],
-                 [scm._right_mult_matrix(sc, e) for e in units])
+    basis = range(sc.dim)
+    m = Bimodule(sc, sc, sc.dim, scm.table_actions(sc, basis, basis),
+                 scm.table_actions(sc, basis, basis, left=False))
     return TriRingSpec(sc, sc, m, name=name)
 
 
@@ -408,7 +408,7 @@ def triple_split_test(t: TripleModule) -> bool:
             gen = img.col(j)
             u_cols = []
             for b in range(col.dim):
-                gamma = [incl.mat.at(r, b) for r in range(spec.r.dim)]
+                gamma = [incl.at(r, b) for r in range(spec.r.dim)]
                 u_cols.append(t.x.act_vector(gamma).mul(gen))
             u = Mat.hstack(f, u_cols) if u_cols else Mat.zeros(f, t.x.dim, 0)
             tu = tensor_map(spec, piece.tensor, t.tensor, u)
@@ -423,7 +423,7 @@ def triple_split_test(t: TripleModule) -> bool:
             gen = img.col(j)
             w_cols = []
             for b in range(col.dim):
-                gamma = [incl.mat.at(r, b) for r in range(spec.s.dim)]
+                gamma = [incl.at(r, b) for r in range(spec.s.dim)]
                 w_cols.append(t.y.act_vector(gamma).mul(gen))
             w = Mat.hstack(f, w_cols) if w_cols else Mat.zeros(f, t.y.dim, 0)
             pieces.append(TripleMap(piece, t, Mat.zeros(f, t.x.dim, 0), w))

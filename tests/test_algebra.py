@@ -8,6 +8,7 @@ from quivhom.bounds import Dim
 from quivhom.errors import (
     AlgebraMismatch,
     CharPNotSupported,
+    CompositionInconsistent,
     NotAdmissible,
     RelationNotParallel,
 )
@@ -80,6 +81,29 @@ def test_structure_constant_associativity():
     for a in [kA2(), dual_numbers(), alg.path_algebra(QQ, qv.kronecker())]:
         sc = alg.sc_of_bqa(a)
         sc.validate()
+
+
+def test_validate_catches_one_perturbed_product():
+    # kA2 with a*a = a for the arrow a: unit and idempotents still pass, so
+    # only the associativity check sees it ((a e1) a = a, a (e1 a) = 0)
+    sc = alg.sc_of_bqa(kA2())
+    a = next(b for b in range(sc.dim) if all(not e[b] for e in sc.idempotents))
+    mult = [list(row) for row in sc.mult]
+    mult[a][a] = tuple(QQ.one() if c == a else QQ.zero() for c in range(sc.dim))
+    bad = alg.SCAlgebra(QQ, mult, sc.unit, idempotents=sc.idempotents)
+    with pytest.raises(CompositionInconsistent, match="associativity"):
+        bad.validate()
+
+
+def test_construction_checks_unit_and_idempotents():
+    sc = alg.sc_of_bqa(kA2())
+    e1, e2 = sc.idempotents
+    with pytest.raises(CompositionInconsistent, match="unit"):
+        alg.SCAlgebra(QQ, sc.mult, e1)
+    with pytest.raises(CompositionInconsistent, match="orthogonal"):
+        alg.SCAlgebra(QQ, sc.mult, sc.unit, idempotents=[e1, e1, e2])
+    with pytest.raises(CompositionInconsistent, match="sum to the unit"):
+        alg.SCAlgebra(QQ, sc.mult, sc.unit, idempotents=[e1])
 
 
 def test_module_relation_check():

@@ -65,9 +65,7 @@ def test_k2_functor_starts_in_s_modules():
     # R = k and S = kA2 differ, with M = S as an S-k-bimodule
     r = alg.sc_of_bqa(alg.ground_field_algebra(QQ))
     s = alg.sc_of_bqa(alg.path_algebra(QQ, qv.a_n(2)))
-    units = [tuple(QQ.of_int(int(i == j)) for j in range(s.dim)) for i in range(s.dim)]
-    m = tm.Bimodule(s, r, s.dim, [s.left_mult_matrix(u) for u in units],
-                    [Mat.identity(QQ, s.dim)])
+    m = tm.Bimodule(s, r, s.dim, scm.regular_module(s).action, [Mat.identity(QQ, s.dim)])
     spec = tm.TriRingSpec(r, s, m)
     k2 = dv.k2_functor(spec)
     assert k2.src_cat.zero_obj().sc is spec.s

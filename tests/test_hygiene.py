@@ -95,3 +95,13 @@ def test_column_data_is_built_only_in_scmodule():
              if isinstance(n, ast.Call) and "ColumnData" in (getattr(n.func, "id", None),
                                                              getattr(n.func, "attr", None))]
     assert not calls, "ColumnData built outside scmodule:\n" + "\n".join(calls)
+
+
+def test_no_imports_inside_functions():
+    # every import is made once, at module level; no library module needs a
+    # deferred import to break an import cycle
+    found = sorted({f"{p.name}:{n.lineno}" for p in sorted(SRC.glob("*.py"))
+                    for fn in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))})
+    assert not found, "imports inside functions:\n" + "\n".join(found)

@@ -3,6 +3,7 @@ import pytest
 from quivhom import algebra as alg
 from quivhom import cats
 from quivhom import endo
+from quivhom import exactlin
 from quivhom import quiver as qv
 from quivhom import repcat as rc
 from quivhom import repdim
@@ -226,3 +227,40 @@ def test_kronecker_report_builds_end_xbar_once(monkeypatch):
     rep = repdim.repdim_bound_report(qv.kronecker(), k, [kmod(k)])
     assert rep.verdict == "PASS"
     assert counts == {"rep_hom_basis": 38, "end_algebra": 3, "ColumnData": 6}
+
+
+def test_kronecker_report_runs_no_associativity_check(monkeypatch):
+    # End(X-bar) and its corners are associative by construction
+    calls = []
+    real = alg.SCAlgebra.validate
+
+    def counting(self):
+        calls.append(self.dim)
+        return real(self)
+
+    monkeypatch.setattr(alg.SCAlgebra, "validate", counting)
+    k = base_k()
+    rep = repdim.repdim_bound_report(qv.kronecker(), k, [kmod(k)])
+    assert rep.verdict == "PASS" and calls == []
+
+
+def test_end_xbar_columns_are_read_off_the_grading(monkeypatch):
+    k = base_k()
+    e = repdim.end_xbar(repdim.build_xbar(qv.kronecker(), k, [kmod(k)]))
+    products = []
+    real_multiply = alg.SCAlgebra.multiply
+
+    def counting(self, x, y):
+        products.append(self.dim)
+        return real_multiply(self, x, y)
+
+    def refuse(*args):
+        raise AssertionError("column data solved a system or built the regular module")
+
+    monkeypatch.setattr(alg.SCAlgebra, "multiply", counting)
+    for mod in (scm, alg, exactlin):
+        monkeypatch.setattr(mod, "solve_matrix", refuse)
+    monkeypatch.setattr(scm, "regular_module", refuse)
+    cd = scm.column_data(e.sc)
+    assert len(cd.columns) == len(e.summands)
+    assert 0 < len(products) <= 2 * e.dim * len(e.summands)

@@ -90,7 +90,8 @@ def test_duplicate_idempotents_matrix_block():
 
     mult = [[mprod(i, j) for j in range(4)] for i in range(4)]
     unit_vec = tuple(f.of_int(x) for x in (1, 0, 0, 1))
-    sc = alg.SCAlgebra(f, mult, unit_vec, idempotents=[unit(0), unit(3)], check=True)
+    sc = alg.SCAlgebra(f, mult, unit_vec, idempotents=[unit(0), unit(3)])
+    sc.validate()
     cd = scm.column_data(sc)
     assert len(cd.classes) == 1
     assert scm.gldim_sc(sc) == Dim.finite(0)
@@ -297,3 +298,112 @@ def test_is_projective_sc_solves_no_hom_system(monkeypatch):
 
     monkeypatch.setattr(scm, "hom_basis_sc", refuse)
     assert {scm.is_projective_sc(m) for m in mods} == {True, False}
+
+
+# -- column projectives against the regular-module construction they replace ----------
+
+def _reference_column_data(sc):
+    """Reference: Gamma*e_i as the span of right multiplication by e_i inside
+    the regular module, acted on by one solve per basis element; classes
+    from the ranks of the corners e_i Gamma e_j and e_i J e_j, spanned by
+    e_i g e_j over all g; tops as quotients by the radical submodule.
+    Returns (columns with inclusions, class_of, simple tops)."""
+    f = sc.field
+    units = [tuple(u) for u in Mat.identity(f, sc.dim).row_list()]
+    reg = scm.SCModule(sc, sc.dim, [Mat.hstack(f, [Mat.column(f, sc.multiply(a, u)) for u in units])
+                                    for a in units])
+    columns = []
+    for e in sc.idempotents:
+        right_e = Mat.hstack(f, [Mat.column(f, sc.multiply(u, e)) for u in units])
+        basis = alg.column_space(f, [right_e])
+        columns.append((scm.SCModule(sc, basis.cols, [solve_matrix(basis, a.mul(basis))
+                                                      for a in reg.action]), basis))
+
+    def corner_dim(ei, ej, gens):
+        vecs = [v for v in (sc.multiply(sc.multiply(ei, g), ej) for g in gens) if any(v)]
+        return rank(Mat.from_rows(f, vecs)) if vecs else 0
+
+    class_of = list(range(len(sc.idempotents)))
+    for i, ei in enumerate(sc.idempotents):
+        for j, ej in enumerate(sc.idempotents[:i]):
+            if corner_dim(ei, ej, units) > corner_dim(ei, ej, scm.radical_of(sc)):
+                class_of[i] = class_of[j]
+                break
+    tops = [scm.quotient_sc(col, scm.radical_submodule_sc(col))[0] for col, _ in columns]
+    return columns, class_of, tops
+
+
+def _m2(field, unit_last=False):
+    """M_2(k), semisimple, with idempotents e11 and e22, in the basis e11,
+    e12, e21 and e22, or e11 + e22 in place of e22 if ``unit_last``."""
+    def coords(a, b, c, d):  # of [[a, b], [c, d]]
+        return tuple(field.of_int(x) for x in ((a - d, b, c, d) if unit_last else (a, b, c, d)))
+
+    mats = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 1) if unit_last else (0, 0, 0, 1)]
+    mult = [[coords(a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+             for p, q, r, s in mats] for a, b, c, d in mats]
+    return alg.SCAlgebra(field, mult, coords(1, 0, 0, 1), radical=[],
+                         idempotents=[coords(1, 0, 0, 0), coords(0, 0, 0, 1)])
+
+
+def _auslander_dual(field):
+    # End(Lambda + S) for Lambda the dual numbers
+    d = _dual(field)
+    mods = [alg.projective_module(d, "1"), alg.simple_module(d, "1")]
+    return endo.end_algebra(mods, cats.mod_cat(d)).sc
+
+
+def _end_xbar(q):
+    def make(field):
+        k = alg.ground_field_algebra(field)
+        xbar = repdim.build_xbar(q, k, [alg.AlgMod(k, {"1": 1}, {})], validate=False)
+        return repdim.end_xbar(xbar).sc
+    return make
+
+
+COLUMN_ALGEBRAS = {
+    **SC_ALGEBRAS,
+    "M2": _m2,
+    "Auslander(dual)": _auslander_dual,
+    "End(Xbar) Kronecker": _end_xbar(qv.kronecker()),
+    "End(Xbar) D4 (1,0,1)": _end_xbar(qv.d4((1, 0, 1))),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+@pytest.mark.parametrize("name", list(COLUMN_ALGEBRAS))
+def test_column_data_equals_the_regular_module_construction(name, field):
+    sc = COLUMN_ALGEBRAS[name](field)
+    columns, class_of, tops = _reference_column_data(sc)
+    cd = scm.ColumnData(sc)
+    assert cd.columns == columns
+    assert cd.class_of == class_of
+    assert [cd.simple_top(i) for i in range(len(columns))] == tops
+
+
+def test_basis_not_adapted_to_the_idempotents_is_not_split():
+    assert scm.column_data(_m2(QQ)).class_of == [0, 0]
+    with pytest.raises(NotSplit):
+        scm.column_data(_m2(QQ, unit_last=True))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_submodule_from_columns_solves_once_per_submodule(field, monkeypatch):
+    calls = []
+    real_solve = scm.solve_matrix
+
+    def counting(a, b):
+        calls.append(b.cols)
+        return real_solve(a, b)
+
+    for make in SC_ALGEBRAS.values():
+        sc = make(field)
+        for m in _test_modules(sc, scm.column_data(sc)):
+            cols = scm.radical_submodule_sc(m)
+            monkeypatch.setattr(scm, "solve_matrix", counting)
+            calls.clear()
+            sub, incl = scm.submodule_from_columns(m, cols)
+            monkeypatch.undo()
+            assert calls == [sc.dim * cols.cols]
+            assert incl.mat == cols and sub.check()
+            assert sub.action == [solve_matrix(cols, a.mul(cols)) for a in m.action]

@@ -57,10 +57,8 @@ def test_tensor_collapses_over_dual_numbers():
     # M = k[x]/(x^2) over itself, X = k with x acting by zero: dim M (x) X = 1
     d = dual_numbers()
     sc = alg.sc_of_bqa(d)
-    left = [sc.left_mult_matrix(tuple(QQ.of_int(1 if j == i else 0) for j in range(2)))
-            for i in range(2)]
-    right = [scm._right_mult_matrix(sc, tuple(QQ.of_int(1 if j == i else 0) for j in range(2)))
-             for i in range(2)]
+    left = scm.regular_module(sc).action
+    right = scm.table_actions(sc, range(2), range(2), left=False)
     m = tm.Bimodule(sc, sc, 2, left, right)
     spec = tm.TriRingSpec(sc, sc, m)
     x_simple = scm.SCModule(sc, 1, [Mat.identity(QQ, 1), Mat.zeros(QQ, 1, 1)])
