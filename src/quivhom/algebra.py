@@ -143,6 +143,7 @@ class BQA:
         self._nf = nf
         self._products = {}
         self._projectives = {}
+        self._path_algebras = {}  # repcat.path_algebra_over, by quiver
         self._vertex_paths = {v: [p for p in self.basis if p.source == v] for v in self.quiver.vertices}
 
     # -- structure ---------------------------------------------------------

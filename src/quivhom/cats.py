@@ -9,6 +9,11 @@ only need linear identities.  The same adapters serve ``endo``, which builds
 End algebras and Hom modules from ``hom_basis``, ``compose`` and
 ``flatten_map``.
 
+Representations are modules over the bound quiver algebra Lambda Q
+(``repcat.path_algebra_over``): ``rep_cat`` takes hom bases, kernels,
+quotients, validity and equality from ``algebra`` on that algebra, and places
+direct sums and block maps vertex by vertex.
+
 The split helpers ``section``, ``retraction`` and ``split_into`` are the one
 place that answers "is X in add(Y)?" (is X a direct factor of a sum of copies
 of the given objects?) for every category: the generator-cogenerator checks
@@ -186,30 +191,10 @@ def rep_cat(q, a) -> Cat:
         return rc.RepMap(s, d, per_vertex)
 
     def quotient(obj, cols):
-        # columns keyed by (v, u); quotient per vertex then induced arrow maps
-        mods, projs, sects = {}, {}, {}
-        for v in q.vertices:
-            incl = {u: cols[(v, u)] for u in a.quiver.vertices}
-            qm, qmap, sect = alg.quotient_module(obj.mods[v], incl)
-            mods[v], projs[v], sects[v] = qm, qmap, sect
-        maps = {}
-        for arr in q.arrows:
-            comp = projs[arr.target].compose(obj.maps[arr.name])
-            mats = {u: comp.mats[u].mul(sects[arr.source][u]) for u in a.quiver.vertices}
-            maps[arr.name] = alg.ModMap(mods[arr.source], mods[arr.target], mats)
-        qr = rc.Rep(q, a, mods, maps)
-        return qr, rc.RepMap(obj, qr, projs)
-
-    def obj_equal(x, y):
-        for v in q.vertices:
-            if x.mods[v].dims != y.mods[v].dims or x.mods[v].mats != y.mods[v].mats:
-                return False
-            if x.maps.keys() != y.maps.keys():
-                return False
-        for name in x.maps:
-            if x.maps[name].mats != y.maps[name].mats:
-                return False
-        return True
+        qm, qmap, _ = alg.quotient_module(
+            rc.as_module(obj), {rc.lq_name(v, u): c for (v, u), c in cols.items()})
+        qr = rc.as_rep(q, a, qm)
+        return qr, rc.as_rep_map(obj, qr, qmap)
 
     return Cat(
         name="rep",
@@ -229,7 +214,7 @@ def rep_cat(q, a) -> Cat:
         hom_basis=rc.rep_hom_basis,
         kernel=rc.rep_kernel,
         quotient=quotient,
-        obj_equal=obj_equal,
+        obj_equal=lambda x, y: rc.as_module(x) == rc.as_module(y),
         is_zero_obj=lambda x: x.is_zero(),
         is_semisimple_base=lambda: a.is_semisimple(),
     )

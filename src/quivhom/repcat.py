@@ -1,16 +1,23 @@
 """Representations of an acyclic quiver in the modules of a base algebra.
 
-``Rep(Q, Lambda)`` is equivalent to the module category of the path algebra
-``Lambda Q``; objects carry one base-algebra module per vertex and one module
-map per arrow.  The evaluation functor at a vertex has explicit left and right
-adjoints (sums of copies indexed by paths), and the canonical presentation
+A representation X of Q in mod Lambda is a module over the path algebra
+Lambda Q = Lambda (x) kQ.  ``path_algebra_over`` presents Lambda Q as a bound
+quiver algebra: its vertices are the pairs (v, u) of a vertex of Q and one of
+Lambda, its arrows are Lambda's arrows at each v and Q's arrows at each u, and
+its relations are Lambda's relations at each v and one commutativity square
+per pair of arrows.  ``as_module`` reads X as a Lambda Q-module on the same
+matrices, so hom bases, kernels, validity, projective dimension and the global
+dimension of Lambda Q are the ones ``algebra`` computes for every bound quiver
+algebra (its minimal covers and radicals included).
+
+What stays vertex by vertex are the paper's functors: evaluation at a vertex
+and its left and right adjoints (sums of copies indexed by paths), and the
+canonical presentation
 
     0 -> sum_a e^{t(a)}_lambda(X_{s(a)}) -> sum_v e^v_lambda(X_v) -> X -> 0
 
-is constructed with verified exactness and a vertexwise splitting of the epi.
-Minimal covers, projective dimension and the global dimension of the path
-algebra are computed from the radical formula
-rad(X)_v = rad(X_v) + sum of incoming arrow images.
+constructed with verified exactness and a vertexwise splitting of the epi.
+Direct sums are placed vertex by vertex too.
 """
 
 from __future__ import annotations
@@ -19,10 +26,10 @@ from dataclasses import dataclass
 
 from . import algebra as alg
 from .algebra import AlgMod, BQA, ModMap
-from .bounds import Dim, dim_max, syzygy_pd
-from .errors import AlgebraMismatch, QuivhomError, UnknownVertex
-from .exactlin import Mat, _commuting_rows, _kernel_blocks, rank, solve_matrix
-from .quiver import Path, Quiver, arrow_path, concat, paths_between, trivial_path
+from .bounds import Dim
+from .errors import AlgebraMismatch, DimensionMismatch, QuivhomError, UnknownVertex
+from .exactlin import Mat, rank, solve_matrix
+from .quiver import Path, Quiver, arrow_path, concat, make_quiver, paths_between, trivial_path
 
 
 @dataclass
@@ -33,22 +40,27 @@ class Rep:
     maps: dict
 
     def __post_init__(self):
-        if not self.quiver.acyclic:
+        q, a = self.quiver, self.algebra
+        if not q.acyclic:
             raise QuivhomError("representations require an acyclic quiver")
-        mods = {}
-        for v in self.quiver.vertices:
-            m = self.mods.get(v)
-            if m is None:
-                m = alg.zero_module(self.algebra)
-            mods[v] = m
-        self.mods = mods
-        maps = {}
-        for a in self.quiver.arrows:
-            f = self.maps.get(a.name)
-            if f is None:
-                f = alg.zero_map(mods[a.source], mods[a.target])
-            maps[a.name] = f
-        self.maps = maps
+        mods = {v: self.mods.get(v) or alg.zero_module(a) for v in q.vertices}
+        if not self.mods.keys() <= mods.keys():
+            raise UnknownVertex(f"unknown vertices {sorted(self.mods.keys() - mods.keys(), key=str)}")
+        if any(m.algebra is not a for m in mods.values()):
+            raise AlgebraMismatch("a vertex module is over another algebra")
+        maps = {arr.name: self.maps.get(arr.name) or alg.zero_map(mods[arr.source], mods[arr.target])
+                for arr in q.arrows}
+        if not self.maps.keys() <= maps.keys():
+            raise QuivhomError(f"unknown arrows {sorted(self.maps.keys() - maps.keys(), key=str)}")
+        for arr in q.arrows:
+            f, src, dst = maps[arr.name], mods[arr.source], mods[arr.target]
+            if f.source.algebra is not a:
+                raise AlgebraMismatch(f"the map of arrow {arr.name} is over another algebra")
+            for u, g in f.mats.items():
+                if g.rows != dst.dims[u] or g.cols != src.dims[u]:
+                    raise DimensionMismatch(f"arrow {arr.name}, base vertex {u}: "
+                                            f"map shape {g.rows}x{g.cols}")
+        self.mods, self.maps = mods, maps
 
     def dim_total(self) -> int:
         return sum(m.dim_total() for m in self.mods.values())
@@ -60,8 +72,7 @@ class Rep:
         return self.dim_total() == 0
 
     def check(self) -> bool:
-        return all(self.maps[a.name].is_valid() for a in self.quiver.arrows) and \
-            all(m.check_relations() for m in self.mods.values())
+        return as_module(self).check_relations()
 
 
 @dataclass
@@ -80,12 +91,7 @@ class RepMap:
         self.mats = mats
 
     def is_valid(self) -> bool:
-        for a in self.source.quiver.arrows:
-            lhs = self.mats[a.target].compose(self.source.maps[a.name])
-            rhs = self.target.maps[a.name].compose(self.mats[a.source])
-            if any(lhs.mats[u] != rhs.mats[u] for u in lhs.mats):
-                return False
-        return all(self.mats[v].is_valid() for v in self.mats)
+        return as_module_map(self).is_valid()
 
     def compose(self, other: "RepMap") -> "RepMap":
         return RepMap(other.source, self.target,
@@ -106,6 +112,107 @@ class RepMap:
 
     def is_zero(self) -> bool:
         return all(self.mats[v].is_zero() for v in self.mats)
+
+
+# -- the path algebra Lambda Q ------------------------------------------------------
+
+def lq_name(*names) -> str:
+    """The name of a vertex or arrow of Lambda Q, which no choice of names in
+    Q and Lambda makes collide: vertex (v, u) is ``lq_name(v, u)``, Lambda's
+    arrow b at v is ``lq_name("base", v, b)`` and Q's arrow c at u is
+    ``lq_name("quiver", c, u)``, each the repr of its tuple of names."""
+    return repr(names)
+
+
+def path_algebra_over(q: Quiver, a: BQA) -> BQA:
+    """Lambda Q as a bound quiver algebra, built once per quiver and base and
+    kept on the base (``alg.hom_basis`` compares algebras by identity).
+
+    Vertices (v, u) come v-major, and the arrows are Lambda's arrows at each
+    v, then Q's arrows at each u, so the hom-basis system of two
+    representations lists its unknown blocks in vertex order and its
+    equations Lambda-linearity first, then naturality.  A path of Lambda Q
+    has at most L arrows from Q (L the longest path of Q), and it is zero
+    once those from Lambda reach Lambda's bound N, so N + L bounds Lambda Q."""
+    got = a._path_algebras.get(q)
+    if got is not None:
+        return got
+    if not q.acyclic:
+        raise QuivhomError("representations require an acyclic quiver")
+    bq = a.quiver
+    verts = [lq_name(v, u) for v in q.vertices for u in bq.vertices]
+    arrows = [(lq_name("base", v, b.name), lq_name(v, b.source), lq_name(v, b.target))
+              for v in q.vertices for b in bq.arrows]
+    arrows += [(lq_name("quiver", c.name, u), lq_name(c.source, u), lq_name(c.target, u))
+               for c in q.arrows for u in bq.vertices]
+    ends = {name: (src, dst) for name, src, dst in arrows}
+
+    def path(*names):
+        return Path(ends[names[0]][0], ends[names[-1]][1], names)
+
+    rels = [[(coef, path(*(lq_name("base", v, b) for b in p.arrows))) for coef, p in rel]
+            for v in q.vertices for rel in a.relations]
+    # c then b equals b then c, for c: v -> w in Q and b: u -> t in Lambda
+    rels += [[(1, path(lq_name("quiver", c.name, b.source), lq_name("base", c.target, b.name))),
+              (-1, path(lq_name("base", c.source, b.name), lq_name("quiver", c.name, b.target)))]
+             for c in q.arrows for b in bq.arrows]
+    longest = {v: 0 for v in q.vertices}
+    for v in q.topological:
+        for c in q.arrows_from(v):
+            longest[c.target] = max(longest[c.target], longest[v] + 1)
+    bound = a.nbound + max(longest.values(), default=0)
+    lq = BQA(a.field, make_quiver(verts, arrows, require_acyclic=bq.acyclic), rels, bound,
+             name=f"({a.name or 'algebra'})Q")
+    a._path_algebras[q] = lq
+    return lq
+
+
+def as_module(x: Rep) -> AlgMod:
+    """x as a module over ``path_algebra_over(Q, Lambda)``, on x's own
+    matrices; built anew on each call, not kept on x.  This and the other
+    conversions walk Lambda Q's vertices and arrows in the order that
+    ``path_algebra_over`` lists them, with no names to build."""
+    q, bq = x.quiver, x.algebra.quiver
+    lq = path_algebra_over(q, x.algebra)
+    mats = [x.mods[v].mats[b.name] for v in q.vertices for b in bq.arrows]
+    mats += [x.maps[c.name].mats[u] for c in q.arrows for u in bq.vertices]
+    return AlgMod(lq, dict(zip(lq.quiver.vertices,
+                               [x.mods[v].dims[u] for v in q.vertices for u in bq.vertices])),
+                  dict(zip([arr.name for arr in lq.quiver.arrows], mats)))
+
+
+def as_rep(q: Quiver, a: BQA, m: AlgMod) -> Rep:
+    """The representation of Q in mod Lambda that the Lambda Q-module m is:
+    the inverse of ``as_module``."""
+    lq = path_algebra_over(q, a)
+    if m.algebra is not lq:
+        raise AlgebraMismatch("not a module over the path algebra of this quiver and base")
+    bq = a.quiver
+    dims = iter([m.dims[w] for w in lq.quiver.vertices])
+    mats = iter([m.mats[arr.name] for arr in lq.quiver.arrows])
+    mods = {v: AlgMod(a, {u: next(dims) for u in bq.vertices}, {b.name: next(mats) for b in bq.arrows})
+            for v in q.vertices}
+    maps = {c.name: ModMap(mods[c.source], mods[c.target], {u: next(mats) for u in bq.vertices})
+            for c in q.arrows}
+    return Rep(q, a, mods, maps)
+
+
+def as_module_map(f: RepMap) -> ModMap:
+    """f as a map of Lambda Q-modules between ``as_module`` of its ends."""
+    x = f.source
+    src = as_module(x)
+    return ModMap(src, as_module(f.target), dict(zip(
+        src.algebra.quiver.vertices,
+        [f.mats[v].mats[u] for v in x.quiver.vertices for u in x.algebra.quiver.vertices])))
+
+
+def as_rep_map(x: Rep, y: Rep, g: ModMap) -> RepMap:
+    """The map x -> y that the Lambda Q-module map g is: the inverse of
+    ``as_module_map``."""
+    bverts = x.algebra.quiver.vertices
+    blocks = iter([g.mats[w] for w in g.source.algebra.quiver.vertices])
+    return RepMap(x, y, {v: ModMap(x.mods[v], y.mods[v], {u: next(blocks) for u in bverts})
+                         for v in x.quiver.vertices})
 
 
 def identity_repmap(x: Rep) -> RepMap:
@@ -228,42 +335,18 @@ def left_adjoint_map(q: Quiver, v: str, src_rep: Rep, dst_rep: Rep, f: ModMap) -
 def adjunction_check(q: Quiver, v: str, m: AlgMod, x: Rep):
     """Dimension equality and the explicit bijection for both adjunctions."""
     v = str(v)
-    a = m.algebra
-    f = a.field
+    ident = alg.identity_map(m)
     el = left_adjoint(q, v, m)
     b_rep = rep_hom_basis(el, x)
     b_mod = alg.hom_basis(m, x.mods[v])
-    ident = alg.identity_map(m)
     # the copy of M indexed by the trivial path, included at v
     inj = _copy_map(ident, m, el.mods[v], [(0, el._adjoint[3][v].index(trivial_path(v)))])
-    cols = [Mat.column(f, phi.mats[v].compose(inj).flatten()) for phi in b_rep]
-    basis_cols = [Mat.column(f, b.flatten()) for b in b_mod]
-    lam_ok = len(b_rep) == len(b_mod)
-    lam_mat = None
-    if lam_ok and b_rep:
-        stacked = Mat.hstack(f, basis_cols)
-        coords = [solve_matrix(stacked, c) for c in cols]
-        if any(c is None for c in coords):
-            lam_ok = False
-        else:
-            lam_mat = Mat.hstack(f, coords)
-            lam_ok = rank(lam_mat) == len(b_rep)
-
+    lam_ok, lam_mat = _bijection([phi.mats[v].compose(inj) for phi in b_rep], b_mod)
     er = right_adjoint(q, v, m)
     b_rep2 = rep_hom_basis(x, er)
     b_mod2 = alg.hom_basis(x.mods[v], m)
     proj = _copy_map(ident, er.mods[v], m, [(er._adjoint[3][v].index(trivial_path(v)), 0)])
-    cols2 = [Mat.column(f, proj.compose(psi.mats[v]).flatten()) for psi in b_rep2]
-    rho_ok = len(b_rep2) == len(b_mod2)
-    rho_mat = None
-    if rho_ok and b_rep2:
-        stacked2 = Mat.hstack(f, [Mat.column(f, b.flatten()) for b in b_mod2])
-        coords2 = [solve_matrix(stacked2, c) for c in cols2]
-        if any(c is None for c in coords2):
-            rho_ok = False
-        else:
-            rho_mat = Mat.hstack(f, coords2)
-            rho_ok = rank(rho_mat) == len(b_rep2)
+    rho_ok, rho_mat = _bijection([proj.compose(psi.mats[v]) for psi in b_rep2], b_mod2)
     return {
         "lambda_dims": (len(b_rep), len(b_mod)),
         "rho_dims": (len(b_rep2), len(b_mod2)),
@@ -274,32 +357,27 @@ def adjunction_check(q: Quiver, v: str, m: AlgMod, x: Rep):
     }
 
 
+def _bijection(images, basis):
+    """(ok, coords): whether the module maps ``images`` are a basis of the
+    span of ``basis`` (equally many, in the span, independent), with their
+    coordinates in ``basis`` as columns (None when there are none to give)."""
+    if len(images) != len(basis) or not images:
+        return len(images) == len(basis), None
+    f = basis[0].source.algebra.field
+    stacked = Mat.hstack(f, [Mat.column(f, b.flatten()) for b in basis])
+    coords = [solve_matrix(stacked, Mat.column(f, g.flatten())) for g in images]
+    if any(c is None for c in coords):
+        return False, None
+    mat = Mat.hstack(f, coords)
+    return rank(mat) == len(images), mat
+
+
 # -- hom spaces -------------------------------------------------------------------
 
 def rep_hom_basis(x: Rep, y: Rep):
-    """Basis of natural transformations x -> y (maps of path-algebra modules)."""
-    if x.algebra is not y.algebra:
-        raise AlgebraMismatch("representations over different base algebras")
-    a = x.algebra
-    qverts = x.quiver.vertices
-    bverts = a.quiver.vertices
-    keys = [(v, u) for v in qverts for u in bverts]
-    index = {k: i for i, k in enumerate(keys)}
-    shapes = [(y.mods[v].dims[u], x.mods[v].dims[u]) for v, u in keys]
-    # base-algebra linearity inside each vertex
-    constraints = [(index[(v, arr.target)], x.mods[v].mats[arr.name],
-                    index[(v, arr.source)], y.mods[v].mats[arr.name])
-                   for v in qverts for arr in a.quiver.arrows]
-    # naturality across quiver arrows, per base vertex
-    constraints += [(index[(arr.target, u)], x.maps[arr.name].mats[u],
-                     index[(arr.source, u)], y.maps[arr.name].mats[u])
-                    for arr in x.quiver.arrows for u in bverts]
-    out = []
-    for blocks in _kernel_blocks(a.field, _commuting_rows(a.field, shapes, constraints), shapes):
-        mats = {v: ModMap(x.mods[v], y.mods[v],
-                          {u: blocks[index[(v, u)]] for u in bverts}) for v in qverts}
-        out.append(RepMap(x, y, mats))
-    return out
+    """Basis of natural transformations x -> y: the hom basis of the Lambda
+    Q-modules they are."""
+    return [as_rep_map(x, y, g) for g in alg.hom_basis(as_module(x), as_module(y))]
 
 
 def rep_hom_dim(x: Rep, y: Rep) -> int:
@@ -399,15 +477,14 @@ def standard_presentation(x: Rep) -> StandardPresentation:
                                 vert_pieces, arrow_pieces)
 
 
-def _adjoint_transpose(x: Rep, piece: Rep, h: ModMap = None) -> RepMap:
-    """The map e^v_lambda(M) -> x adjoint to h : M -> X_v (the identity when
-    h is None): the copy of M indexed by a path p acts by X_p o h."""
+def _adjoint_transpose(x: Rep, piece: Rep) -> RepMap:
+    """The counit e^v_lambda(X_v) -> x, the map adjoint to the identity of
+    X_v: the copy of X_v indexed by a path p acts by X_p."""
     a = x.algebra
     m = piece._adjoint[2]
     mats = {}
     for w in x.quiver.vertices:
-        acts = [path_action(x, p) if h is None else path_action(x, p).compose(h)
-                for p in piece._adjoint[3][w]]
+        acts = [path_action(x, p) for p in piece._adjoint[3][w]]
         mats[w] = ModMap(piece.mods[w], x.mods[w], {
             u: Mat.from_blocks(a.field, [x.mods[w].dims[u]], [m.dims[u]] * len(acts),
                                {(0, k): act.mats[u] for k, act in enumerate(acts)})
@@ -430,69 +507,17 @@ def _block_repmap(src: Rep, dst: Rep, src_pieces, dst_pieces, blocks) -> RepMap:
     return RepMap(src, dst, mats)
 
 
-# -- radical, covers, projective dimension ----------------------------------------
-
-def rep_radical_inclusions(x: Rep):
-    """Per (vertex, base-vertex) inclusion matrices of rad X."""
-    a = x.algebra
-    out = {}
-    for v in x.quiver.vertices:
-        base_rad = alg.radical_submodule(x.mods[v])
-        for u in a.quiver.vertices:
-            mats = [base_rad[u]]
-            for arr in x.quiver.arrows_into(v):
-                mats.append(x.maps[arr.name].mats[u])
-            out[(v, u)] = alg.column_space(a.field, mats)
-    return out
-
-
-def rep_projective_cover(x: Rep):
-    q, a = x.quiver, x.algebra
-    f = a.field
-    rad = rep_radical_inclusions(x)
-    pieces = []
-    piece_maps = []
-    for v in q.vertices:
-        for u in a.quiver.vertices:
-            chosen = alg._complement_indices(f, rad[(v, u)])
-            if not chosen:
-                continue
-            units = Mat.identity(f, x.mods[v].dims[u])
-            pu = alg.projective_module(a, u)
-            piece = left_adjoint(q, v, pu)
-            for j in chosen:
-                h = alg.map_from_projective(pu, x.mods[v], units.col(j))
-                pieces.append(piece)
-                piece_maps.append(_adjoint_transpose(x, piece, h))
-    total, _, _ = rep_direct_sum(q, a, pieces)
-    return total, _block_repmap(total, x, pieces, [x], {
-        (0, i): g for i, g in enumerate(piece_maps)})
-
+# -- kernels and projective dimension ---------------------------------------------
 
 def rep_kernel(f_map: RepMap):
-    q, a = f_map.source.quiver, f_map.source.algebra
-    kmods, incls = {}, {}
-    for v in q.vertices:
-        k, incl = alg.kernel_of(f_map.mats[v])
-        kmods[v] = k
-        incls[v] = incl
-    maps = {}
-    for arr in q.arrows:
-        moved = f_map.source.maps[arr.name].compose(incls[arr.source])
-        mats = {}
-        for u in a.quiver.vertices:
-            sol = solve_matrix(incls[arr.target].mats[u], moved.mats[u])
-            if sol is None:
-                raise QuivhomError("kernel not stable under an arrow; invalid map")
-            mats[u] = sol
-        maps[arr.name] = ModMap(kmods[arr.source], kmods[arr.target], mats)
-    k = Rep(q, a, kmods, maps)
-    incl = RepMap(k, f_map.source, incls)
-    return k, incl
+    x = f_map.source
+    k, incl = alg.kernel_of(as_module_map(f_map))
+    kr = as_rep(x.quiver, x.algebra, k)
+    return kr, as_rep_map(kr, x, incl)
 
 
 def rep_pd(x: Rep, cap: int = 20) -> Dim:
-    return syzygy_pd(x, cap, rep_projective_cover, rep_kernel)
+    return alg.pd(as_module(x), cap)
 
 
 def rep_simple(q: Quiver, a: BQA, v: str, u: str) -> Rep:
@@ -501,17 +526,5 @@ def rep_simple(q: Quiver, a: BQA, v: str, u: str) -> Rep:
 
 
 def gldim_pathalgebra(q: Quiver, a: BQA, cap: int = 20) -> Dim:
-    """Global dimension of Lambda-Q as max pd over the simples S_(v,u)."""
-    vals = []
-    for v in q.vertices:
-        for u in a.quiver.vertices:
-            # sanity: the cover of S_(v,u) is e^v_lambda(P_u) with simple top
-            s = rep_simple(q, a, v, u)
-            cover, pi = rep_projective_cover(s)
-            rad = rep_radical_inclusions(cover)
-            top_total = sum(cover.mods[w].dims[b] - rad[(w, b)].cols
-                            for w in q.vertices for b in a.quiver.vertices)
-            if top_total != s.dim_total():
-                raise QuivhomError("projective cover of a simple has a non-simple top")
-            vals.append(rep_pd(s, cap))
-    return dim_max(vals)
+    """Global dimension of Lambda Q as max pd over the simples S_(v,u)."""
+    return alg.gldim(path_algebra_over(q, a), cap)

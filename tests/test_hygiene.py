@@ -105,3 +105,13 @@ def test_no_imports_inside_functions():
                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                     for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))})
     assert not found, "imports inside functions:\n" + "\n".join(found)
+
+
+def test_repcat_has_no_solver_of_its_own():
+    # representations are modules over the bound quiver algebra Lambda Q, so
+    # repcat solves nothing itself: hom bases, kernels and pd are algebra's
+    tree = ast.parse((SRC / "repcat.py").read_text(encoding="utf-8"))
+    imported = {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                for alias in n.names}
+    found = sorted(imported & {"_commuting_rows", "_kernel_blocks", "kernel_basis", "syzygy_pd"})
+    assert not found, "repcat imports solver internals: " + ", ".join(found)

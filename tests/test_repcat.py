@@ -3,10 +3,12 @@ import random
 import pytest
 
 from quivhom import algebra as alg
+from quivhom import cats
 from quivhom import quiver as qv
 from quivhom import repcat as rc
 from quivhom.bounds import Dim
-from quivhom.exactlin import QQ, Mat
+from quivhom.errors import AlgebraMismatch, DimensionMismatch, QuivhomError, UnknownVertex
+from quivhom.exactlin import GF, QQ, Mat
 
 
 def base_k():
@@ -180,7 +182,7 @@ def test_rep_pd_bound_property():
     rng = random.Random(3)
     a = alg.path_algebra(QQ, qv.a_n(2), name="kA2")
     q = qv.d4((0, 0, 1))
-    for _ in range(5):
+    for _ in range(8):
         x = _random_rep_over_bqa(rng, q, a)
         n = 0
         for v in q.vertices:
@@ -189,6 +191,8 @@ def test_rep_pd_bound_property():
             n = max(n, pdv.value)
         rp = rc.rep_pd(x)
         assert rp.exact and rp.value <= n + 1
+        # the Ext oracle on the same Lambda Q-module
+        assert rp == alg.pd_via_ext(rc.as_module(x))
 
 
 def _random_rep_over_bqa(rng, q, a):
@@ -228,13 +232,13 @@ def test_end_of_adjoint_matches_end_of_module():
 
 def test_rep_pd_builds_one_cover_per_step(monkeypatch):
     calls = []
-    real = rc.rep_projective_cover
+    real = alg.projective_cover
 
-    def counting(x):
-        calls.append(x)
-        return real(x)
+    def counting(m):
+        calls.append(m)
+        return real(m)
 
-    monkeypatch.setattr(rc, "rep_projective_cover", counting)
+    monkeypatch.setattr(alg, "projective_cover", counting)
     k = base_k()
     q = qv.a_n(2)
     # over k A_2: the simple at the source has pd 1, the one at the sink pd 0
@@ -250,39 +254,120 @@ def test_rep_pd_builds_one_cover_per_step(monkeypatch):
 
 def _cover_one_adjoint_per_copy(x):
     """Reference assembly of the cover: a projective and its left adjoint
-    rebuilt for every generator copy."""
+    rebuilt for every generator copy, one copy per top vector of X at (v, u)."""
     q, a = x.quiver, x.algebra
     f = a.field
-    rad = rc.rep_radical_inclusions(x)
+    rad = alg.radical_submodule(rc.as_module(x))
     pieces, piece_maps = [], []
     for v in q.vertices:
         for u in a.quiver.vertices:
             units = Mat.identity(f, x.mods[v].dims[u])
-            for j in alg._complement_indices(f, rad[(v, u)]):
+            for j in alg._complement_indices(f, rad[rc.lq_name(v, u)]):
                 pu = alg.projective_module(a, u)
                 piece = rc.left_adjoint(q, v, pu)
                 pieces.append(piece)
+                # the map adjoint to h : P_u -> X_v, through the counit at v
                 h = alg.map_from_projective(pu, x.mods[v], units.col(j))
-                piece_maps.append(rc._adjoint_transpose(x, piece, h))
+                at_v = rc.left_adjoint(q, v, x.mods[v])
+                piece_maps.append(rc._adjoint_transpose(x, at_v).compose(
+                    rc.left_adjoint_map(q, v, piece, at_v, h)))
     total, _, _ = rc.rep_direct_sum(q, a, pieces)
     return total, rc._block_repmap(total, x, pieces, [x], {
         (0, i): g for i, g in enumerate(piece_maps)})
 
 
-def test_cover_builds_one_adjoint_per_vertex_pair(monkeypatch):
+def test_cover_builds_one_adjoint_per_vertex_pair():
+    # the projective of Lambda Q at (v, u) is e^v_lambda(P_u): the same dims
+    # at every vertex, and each is a direct factor of the other
     q, d = qv.kronecker(), dual_numbers()
+    lq = rc.path_algebra_over(q, d)
+    mcat = cats.mod_cat(lq)
+    for v in q.vertices:
+        for u in d.quiver.vertices:
+            proj = alg.projective_module(lq, rc.lq_name(v, u))
+            adj = rc.as_module(rc.left_adjoint(q, v, alg.projective_module(d, u)))
+            assert proj.dims == adj.dims
+            assert mcat.split_into(proj, [adj]) is not None
+            assert mcat.split_into(adj, [proj]) is not None
+    # so the Lambda Q cover has the dims of the adjoint-based assembly
     x, _, _ = rc.rep_direct_sum(q, d, [rc.rep_simple(q, d, "1", "1")] * 3
                                 + [rc.rep_simple(q, d, "2", "1")] * 3)
     ref_p, ref_pi = _cover_one_adjoint_per_copy(x)
-    calls = []
-    real = rc.left_adjoint
+    assert alg.cover_is_minimal(rc.as_module(ref_p), rc.as_module_map(ref_pi))
+    p, pi = alg.projective_cover(rc.as_module(x))
+    assert alg.cover_is_minimal(p, pi)
+    assert p.dims == rc.as_module(ref_p).dims
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
 
-    monkeypatch.setattr(rc, "left_adjoint", counting)
-    p, pi = rc.rep_projective_cover(x)
-    assert len(calls) == 2
-    assert (p.mods, p.maps) == (ref_p.mods, ref_p.maps)
-    assert pi.mats == ref_pi.mats
+# -- Lambda Q as a bound quiver algebra ----------------------------------------------
+
+def kA2():
+    return alg.path_algebra(QQ, qv.a_n(2), name="kA2")
+
+
+def a4_rad2():
+    rels = [[(1, qv.Path(str(i), str(i + 2), (f"a{i}", f"a{i + 1}")))] for i in range(1, 3)]
+    return alg.build_bqa(QQ, qv.a_n(4), rels, 2, name="A4/rad2")
+
+
+def shared_names():
+    """A base whose arrow is called like its vertices and like the arrows of
+    A_n, and whose vertex names run into each other when concatenated."""
+    q = qv.make_quiver(["1", "11"], [("1", "1", "11"), ("a1", "1", "11")])
+    return alg.path_algebra(QQ, q, name="shared")
+
+
+@pytest.mark.parametrize("base", [base_k, kA2, dual_numbers, a4_rad2, shared_names])
+def test_path_algebra_over_has_the_tensor_dimension(base):
+    a = base()
+    colliding = qv.make_quiver(["1", "11", "111"], [("1", "1", "11"), ("11", "11", "111")])
+    for q in [qv.kronecker(), qv.a_n(3), qv.d4((0, 1, 0)), qv.a_n(2), colliding]:
+        lq = rc.path_algebra_over(q, a)
+        assert lq.dim == a.dim * alg.path_algebra(QQ, q).dim
+        assert len(lq.quiver.vertices) == len(q.vertices) * len(a.quiver.vertices)
+        assert len(lq.quiver.arrows) == (len(q.vertices) * len(a.quiver.arrows)
+                                         + len(q.arrows) * len(a.quiver.vertices))
+        assert rc.path_algebra_over(q, a) is lq
+
+
+def test_as_module_round_trip():
+    rng = random.Random(5)
+    a = kA2()
+    q = qv.d4((0, 0, 1))
+    x = _random_rep_over_bqa(rng, q, a)
+    m = rc.as_module(x)
+    assert m.check_relations() and x.check()
+    y = rc.as_rep(q, a, m)
+    assert (y.mods, y.maps) == (x.mods, x.maps)
+    ident = rc.as_module_map(rc.identity_repmap(x))
+    assert rc.as_rep_map(x, y, ident).mats == rc.identity_repmap(x).mats
+    with pytest.raises(AlgebraMismatch):
+        rc.as_rep(qv.kronecker(), a, m)
+
+
+# -- malformed representations -----------------------------------------------------------
+
+def test_rep_rejects_unknown_vertex():
+    k = base_k()
+    with pytest.raises(UnknownVertex):
+        rc.Rep(qv.kronecker(), k, {"3": kmod(k)}, {})
+
+
+def test_rep_rejects_unknown_arrow():
+    k = base_k()
+    m = kmod(k)
+    with pytest.raises(QuivhomError, match="unknown arrow"):
+        rc.Rep(qv.kronecker(), k, {"1": m, "2": m}, {"c": alg.identity_map(m)})
+
+
+def test_rep_rejects_module_over_another_algebra():
+    k, other = base_k(), alg.ground_field_algebra(GF(3))
+    with pytest.raises(AlgebraMismatch):
+        rc.Rep(qv.kronecker(), k, {"1": kmod(other)}, {})
+
+
+def test_rep_rejects_arrow_map_of_wrong_shape():
+    k = base_k()
+    m1, m2 = kmod(k), kmod(k, 2)
+    with pytest.raises(DimensionMismatch):
+        rc.Rep(qv.kronecker(), k, {"1": m1, "2": m2}, {"a": alg.identity_map(m1)})

@@ -5,6 +5,7 @@ import pytest
 
 from quivhom import algebra as alg
 from quivhom import quiver as qv
+from quivhom import repcat as rc
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
 from quivhom.bounds import Dim
@@ -135,6 +136,8 @@ def test_triple_pd_projective():
 def test_t2k_gldim_one():
     spec = t2k()
     assert tm.trimat_gldim(spec) == Dim.finite(1)
+    # T2(k) is kA2: the path algebra's own gl.dim agrees
+    assert rc.gldim_pathalgebra(qv.a_n(2), k_bqa()) == Dim.finite(1)
     rep = tm.gldim_sandwich_report(spec)
     assert rep.lower == Dim.finite(1) and rep.upper == Dim.finite(1)
     assert rep.lower_check is True and rep.upper_check is True
@@ -155,9 +158,12 @@ def test_infinite_instance_atleast():
 
 
 def test_t2_kA2_gldim_two():
-    spec = tm.t2_spec(alg.path_algebra(QQ, qv.a_n(2)))
+    base = alg.path_algebra(QQ, qv.a_n(2))
+    spec = tm.t2_spec(base)
     g = tm.trimat_gldim(spec)
     assert g == Dim.finite(2)
+    # T2(kA2) is (kA2)A2: its gl.dim as a bound quiver algebra agrees
+    assert rc.gldim_pathalgebra(qv.a_n(2), base) == Dim.finite(2)
     rep = tm.gldim_sandwich_report(spec)
     assert rep.lower_check is True and rep.upper_check is True
 
@@ -215,10 +221,14 @@ def test_triple_direct_sum_maps_valid():
 
 # -- triple covers lifted from their generators -------------------------------------
 
-def t2_a4_rad2(field=GF(101)):
+def a4_rad2(field=GF(101)):
     q = qv.a_n(4)
     rels = [[(1, qv.Path(str(i), str(i + 2), (f"a{i}", f"a{i + 1}")))] for i in range(1, 3)]
-    return tm.t2_spec(alg.build_bqa(field, q, rels, 2), name="T2(A4/rad2)")
+    return alg.build_bqa(field, q, rels, 2, name="A4/rad2")
+
+
+def t2_a4_rad2(field=GF(101)):
+    return tm.t2_spec(a4_rad2(field), name="T2(A4/rad2)")
 
 
 def _y_in_new_basis(t):
@@ -258,6 +268,8 @@ def test_triple_covers_are_surjective_and_minimal(make):
 
 def test_t2_a4_rad2_gldim():
     assert tm.trimat_gldim(t2_a4_rad2()) == Dim.finite(4)
+    # T2(A4/rad2) is (A4/rad2)A2: its gl.dim as a bound quiver algebra agrees
+    assert rc.gldim_pathalgebra(qv.a_n(2), a4_rad2()) == Dim.finite(4)
 
 
 def test_triple_cover_solves_no_hom_system(monkeypatch):
