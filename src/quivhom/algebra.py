@@ -22,6 +22,7 @@ from .errors import (
     NotAdmissible,
     QuivhomError,
     RelationNotParallel,
+    UnknownVertex,
 )
 from .exactlin import Field, Mat, _commuting_rows, _kernel_blocks, kernel_basis, rank, rref, solve_matrix
 from .quiver import Path, Quiver, arrow_path, concat, make_quiver, paths_between, trivial_path
@@ -236,15 +237,23 @@ class AlgMod:
     def __post_init__(self):
         q = self.algebra.quiver
         f = self.algebra.field
-        self.dims = {v: int(self.dims.get(v, 0)) for v in q.vertices}
-        mats = {}
+        dims = {v: int(self.dims.get(v, 0)) for v in q.vertices}
+        if not self.dims.keys() <= dims.keys():
+            raise UnknownVertex(f"unknown vertices {sorted(self.dims.keys() - dims.keys(), key=str)}")
+        self.dims = dims
+        mats, missing = {}, 0
         for a in q.arrows:
             m = self.mats.get(a.name)
             if m is None:
-                m = Mat.zeros(f, self.dims[a.target], self.dims[a.source])
-            if (m.rows, m.cols) != (self.dims[a.target], self.dims[a.source]):
+                m = Mat.zeros(f, dims[a.target], dims[a.source])
+                missing += 1
+            if (m.rows, m.cols) != (dims[a.target], dims[a.source]):
                 raise DimensionMismatch(f"arrow {a.name}: matrix shape {m.rows}x{m.cols}")
             mats[a.name] = m
+        # every key is known when they number the entries found; otherwise (an
+        # unknown key, or one mapped to None) the keys themselves are tested
+        if len(self.mats) + missing != len(mats) and not self.mats.keys() <= mats.keys():
+            raise QuivhomError(f"unknown arrows {sorted(self.mats.keys() - mats.keys(), key=str)}")
         self.mats = mats
 
     def dim_total(self) -> int:
@@ -287,14 +296,19 @@ class ModMap:
     def __post_init__(self):
         q = self.source.algebra.quiver
         f = self.source.algebra.field
-        mats = {}
+        mats, missing = {}, 0
         for v in q.vertices:
             m = self.mats.get(v)
             if m is None:
                 m = Mat.zeros(f, self.target.dims[v], self.source.dims[v])
+                missing += 1
             if (m.rows, m.cols) != (self.target.dims[v], self.source.dims[v]):
                 raise DimensionMismatch(f"vertex {v}: map shape {m.rows}x{m.cols}")
             mats[v] = m
+        # every key is known when they number the entries found; otherwise (an
+        # unknown key, or one mapped to None) the keys themselves are tested
+        if len(self.mats) + missing != len(mats) and not self.mats.keys() <= mats.keys():
+            raise UnknownVertex(f"unknown vertices {sorted(self.mats.keys() - mats.keys(), key=str)}")
         self.mats = mats
 
     def is_valid(self) -> bool:
@@ -709,6 +723,8 @@ def _ext_dims(res, s: AlgMod, upto: int):
 
 def pd_via_ext(m: AlgMod, cap: int = 20) -> Dim:
     """Independent oracle: pd = max { i : Ext^i(M, S) != 0 for some simple }."""
+    if cap < 0:
+        raise QuivhomError(f"cap must be at least 0, got {cap}")
     if m.is_zero():
         return Dim.finite(0)
     a = m.algebra

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import QuivhomError
+
 
 @dataclass(frozen=True, order=False)
 class Dim:
@@ -58,8 +60,11 @@ def syzygy_pd(m, cap: int, cover, kernel) -> Dim:
 
     Each step takes one cover ``(P, pi) = cover(current)`` and its kernel
     ``(K, incl) = kernel(pi)``; the module is projective when it is zero or
-    its kernel is.  Shared by every module category of the library.
+    its kernel is.  A negative cap raises ``QuivhomError``.  Shared by every
+    module category of the library.
     """
+    if cap < 0:
+        raise QuivhomError(f"cap must be at least 0, got {cap}")
     if m.is_zero():
         return Dim.finite(0)
     current = m

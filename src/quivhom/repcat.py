@@ -82,12 +82,17 @@ class RepMap:
     mats: dict  # vertex -> ModMap
 
     def __post_init__(self):
-        mats = {}
+        mats, missing = {}, 0
         for v in self.source.quiver.vertices:
             f = self.mats.get(v)
             if f is None:
                 f = alg.zero_map(self.source.mods[v], self.target.mods[v])
+                missing += 1
             mats[v] = f
+        # every key is known when they number the entries found; otherwise (an
+        # unknown key, or one mapped to None) the keys themselves are tested
+        if len(self.mats) + missing != len(mats) and not self.mats.keys() <= mats.keys():
+            raise UnknownVertex(f"unknown vertices {sorted(self.mats.keys() - mats.keys(), key=str)}")
         self.mats = mats
 
     def is_valid(self) -> bool:

@@ -295,14 +295,21 @@ def column_data(sc: SCAlgebra) -> ColumnData:
 
 def projective_cover_sc(m: SCModule):
     """Minimal projective cover over a split structure-constant algebra."""
+    _, total, pi = column_cover_sc(m)
+    return total, pi
+
+
+def column_cover_sc(m: SCModule):
+    """The minimal cover as (pieces, P, pi): P is the sum of the column
+    projectives Gamma*e_i, i in ``pieces``, in that order."""
     pieces, gens = _cover_generators(m, radical_submodule_sc(m))
     if not pieces:
         z = zero_sc_module(m.sc)
-        return z, SCMap(z, m, Mat.zeros(m.sc.field, m.dim, 0))
+        return [], z, SCMap(z, m, Mat.zeros(m.sc.field, m.dim, 0))
     total, pi = _map_from_columns(m, pieces, gens)
     if rank(pi.mat) != m.dim:
         raise CompositionInconsistent("projective cover is not surjective")
-    return total, pi
+    return pieces, total, pi
 
 
 def _cover_generators(m: SCModule, sub: Mat):

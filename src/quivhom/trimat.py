@@ -7,15 +7,21 @@ projection and section matrices so that maps transport functorially.  The
 column projectives are e^1_lambda(Re_i) = (Re_i, M(x)Re_i)_1 and
 e^2_lambda(Se_j) = (0, Se_j)_0; covers in the triple category are driven by
 the radical (rad X, rad Y + im phi).
+
+M (x)_R - is additive, so the tensor of a direct sum is never eliminated
+again: ``tensor_of_sum`` places the summands' tensors, ``triple_direct_sum``
+places their phis, and a cover's X-side, a sum of column projectives Re_i,
+takes M (x) Re_i from a cache kept on the ``TriRingSpec``.  ``tensor_basis``
+is the general path (kernels, quotients, simple tops).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import SCAlgebra, column_space, sc_of_bqa
 from .bounds import Dim, dim_max, syzygy_pd
-from .errors import CompositionInconsistent, DimensionMismatch, QuivhomError
+from .errors import AlgebraMismatch, CompositionInconsistent, DimensionMismatch, QuivhomError
 from .exactlin import Mat, _commuting_rows, _kernel_blocks, kernel_basis, rank, rref, solve_matrix
 from . import scmodule as scm
 from .scmodule import ColumnData, SCModule, direct_sum_sc
@@ -72,6 +78,7 @@ class TriRingSpec:
     s: SCAlgebra
     m: Bimodule
     name: str = ""
+    _column_tensors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.m.check():
@@ -82,6 +89,14 @@ class TriRingSpec:
 
     def coldata_s(self) -> ColumnData:
         return scm.column_data(self.s)
+
+    def column_tensor(self, i) -> "TensorData":
+        """M (x) Re_i for the i-th column projective of R, built once per
+        column; the result is shared, so callers must not mutate it."""
+        td = self._column_tensors.get(i)
+        if td is None:
+            td = self._column_tensors[i] = tensor_basis(self, self.coldata_r().columns[i][0])
+        return td
 
     def m_as_left_s_module(self) -> SCModule:
         return SCModule(self.s, self.m.dim, list(self.m.left))
@@ -179,6 +194,56 @@ def tensor_map(spec: TriRingSpec, td_src: TensorData, td_dst: TensorData, u: Mat
     return td_dst.proj.mul(big).mul(td_src.lift)
 
 
+def tensor_of_sum(spec: TriRingSpec, tensors, xdims):
+    """M (x) (X_1 + ... + X_n) from the summands' tensors, with no elimination.
+
+    ``xdims`` are the dimensions of the X_b.  Pure coordinate (m_k, x_j) of
+    X_b is k*xdim + off_b + j of the sum, an increasing map, and the
+    relations of the sum are the summands' relations on these disjoint
+    coordinates.  So the summands' RREF rows, sorted by pivot, are the RREF
+    of the sum: its free columns are the summands' free columns, sorted, and
+    proj, lift and the S-action are the summands' matrices placed there.
+    The result equals ``tensor_basis`` of the sum entry for entry.  Returns
+    it with, per summand, the tensor coordinates its own ones land on."""
+    f = spec.r.field
+    mdim, xdim = spec.m.dim, sum(xdims)
+    pure, free, off = [], [], 0
+    for td, d in zip(tensors, xdims):
+        pure.append([k * xdim + off + j for k in range(mdim) for j in range(d)])
+        off += d
+        # lift's column t is the unit vector at the t-th free pure coordinate
+        cols = [0] * td.dim
+        for idx, v in enumerate(td.lift.entries):
+            if v:
+                cols[idx % td.dim] = idx // td.dim
+        free.append(cols)
+    order = sorted((pure[b][c], b, t) for b, cols in enumerate(free) for t, c in enumerate(cols))
+    places = [[0] * len(cols) for cols in free]
+    for at, (_, b, t) in enumerate(order):
+        places[b][t] = at
+    tdim, total = len(order), mdim * xdim
+    proj = _scatter(f, tdim, total, [(places[b], pure[b], td.proj) for b, td in enumerate(tensors)])
+    lift = _scatter(f, total, tdim, [(pure[b], places[b], td.lift) for b, td in enumerate(tensors)])
+    s_action = [_scatter(f, tdim, tdim, [(places[b], places[b], td.s_action[a])
+                                         for b, td in enumerate(tensors)])
+                for a in range(spec.s.dim)]
+    return TensorData(tdim, proj, lift, s_action), places
+
+
+def _scatter(f, rows, cols, pieces):
+    """rows x cols matrix holding each (row positions, column positions,
+    block) of ``pieces`` at those positions; the positions are disjoint."""
+    ent = [f.zero()] * (rows * cols)
+    for rpos, cpos, m in pieces:
+        w = m.cols
+        for r, i in enumerate(rpos):
+            base = i * cols
+            for c, v in enumerate(m.entries[r * w:(r + 1) * w]):
+                if v:
+                    ent[base + cpos[c]] = v
+    return Mat(f, rows, cols, tuple(ent))
+
+
 # -- triples -----------------------------------------------------------------------
 
 @dataclass
@@ -190,6 +255,8 @@ class TripleModule:
     tensor: TensorData = None
 
     def __post_init__(self):
+        if self.x.sc is not self.spec.r or self.y.sc is not self.spec.s:
+            raise AlgebraMismatch("X must be over R and Y over S of the triple's ring")
         if self.tensor is None:
             self.tensor = tensor_basis(self.spec, self.x)
         if (self.phi.rows, self.phi.cols) != (self.y.dim, self.tensor.dim):
@@ -216,6 +283,14 @@ class TripleMap:
     target: TripleModule
     u: Mat  # X -> X'
     w: Mat  # Y -> Y'
+
+    def __post_init__(self):
+        s, t = self.source, self.target
+        if (self.u.rows, self.u.cols) != (t.x.dim, s.x.dim) \
+                or (self.w.rows, self.w.cols) != (t.y.dim, s.y.dim):
+            raise DimensionMismatch(f"u is {self.u.rows}x{self.u.cols} and w is "
+                                    f"{self.w.rows}x{self.w.cols} for a map "
+                                    f"({s.x.dim}, {s.y.dim}) -> ({t.x.dim}, {t.y.dim})")
 
     def is_valid(self) -> bool:
         s, t = self.source, self.target
@@ -271,16 +346,17 @@ def zero_triple_map(s: TripleModule, t: TripleModule) -> TripleMap:
 
 
 def triple_direct_sum(spec: TriRingSpec, triples):
+    """Sum of triples: X, Y and M (x) X are placed summand by summand, so phi
+    is each summand's phi at its Y rows and tensor columns."""
     triples = list(triples)
-    f = spec.r.field
     x, xinjs, xprojs = direct_sum_sc(spec.r, [t.x for t in triples])
     y, yinjs, yprojs = direct_sum_sc(spec.s, [t.y for t in triples])
-    td = tensor_basis(spec, x)
-    phi = Mat.zeros(f, y.dim, td.dim)
-    for i, t in enumerate(triples):
-        tproj = tensor_map(spec, td, t.tensor, xprojs[i].mat)
-        phi = phi.add(yinjs[i].mat.mul(t.phi).mul(tproj))
-    total = TripleModule(spec, x, y, phi, td)
+    td, places = tensor_of_sum(spec, [t.tensor for t in triples], [t.x.dim for t in triples])
+    pieces, at = [], 0
+    for t, cols in zip(triples, places):
+        pieces.append((range(at, at + t.y.dim), cols, t.phi))
+        at += t.y.dim
+    total = TripleModule(spec, x, y, _scatter(spec.r.field, y.dim, td.dim, pieces), td)
     injs = [TripleMap(t, total, xinjs[i].mat, yinjs[i].mat) for i, t in enumerate(triples)]
     projs = [TripleMap(total, t, xprojs[i].mat, yprojs[i].mat) for i, t in enumerate(triples)]
     return total, injs, projs
@@ -456,16 +532,19 @@ def _radical_y(t: TripleModule) -> Mat:
 
 def triple_projective_cover(t: TripleModule):
     spec = t.spec
-    # X side: the minimal R-cover of X already tops (X / rad X)
-    px, pix = scm.projective_cover_sc(t.x)
+    # X side: the minimal R-cover of X, a sum of column projectives Re_i,
+    # already tops (X / rad X); its tensor is the cached M (x) Re_i placed
+    xpieces, px, pix = scm.column_cover_sc(t.x)
+    columns = spec.coldata_r().columns
+    td, _ = tensor_of_sum(spec, [spec.column_tensor(i) for i in xpieces],
+                          [columns[i][0].dim for i in xpieces])
     # Y side: generators in Y of the cover P_C of C = Y / (rad Y + im phi)
     pieces, gens = scm._cover_generators(t.y, _radical_y(t))
     pc, h = scm._map_from_columns(t.y, pieces, gens)
     # assemble the cover triple (P_X, tensor(P_X) + P_C)
-    e1p = e1_lambda(spec, px)
-    cover_y, yinjs, yprojs = direct_sum_sc(spec.s, [e1p.y, pc])
-    cover = TripleModule(spec, px, cover_y, yinjs[0].mat, e1p.tensor)
-    tu = tensor_map(spec, e1p.tensor, t.tensor, pix.mat)
+    cover_y, yinjs, yprojs = direct_sum_sc(spec.s, [tensor_module(spec, td), pc])
+    cover = TripleModule(spec, px, cover_y, yinjs[0].mat, td)
+    tu = tensor_map(spec, td, t.tensor, pix.mat)
     w = t.phi.mul(tu).mul(yprojs[0].mat).add(h.mat.mul(yprojs[1].mat))
     pi = TripleMap(cover, t, pix.mat, w)
     if rank(pi.u) != t.x.dim or rank(pi.w) != t.y.dim:

@@ -10,7 +10,9 @@ from quivhom.errors import (
     CharPNotSupported,
     CompositionInconsistent,
     NotAdmissible,
+    QuivhomError,
     RelationNotParallel,
+    UnknownVertex,
 )
 from quivhom.exactlin import GF, QQ, Mat, kernel_basis, rank
 
@@ -451,3 +453,33 @@ def test_pd_via_ext_builds_one_resolution(monkeypatch):
     monkeypatch.setattr(alg, "pd", no_pd)
     assert alg.pd_via_ext(m) == want == Dim.finite(7)
     assert len(calls) == 8
+
+
+def test_pd_rejects_negative_cap():
+    a = kA2()
+    s = alg.simple_module(a, "1")
+    for m in (s, alg.zero_module(a)):
+        for pd in (alg.pd, alg.pd_via_ext):
+            with pytest.raises(QuivhomError, match="cap"):
+                pd(m, -1)
+    with pytest.raises(QuivhomError, match="cap"):
+        alg.gldim(a, -1)
+
+
+# -- malformed modules and maps ----------------------------------------------------------
+
+def test_module_rejects_unknown_vertex_and_arrow():
+    k = alg.ground_field_algebra(QQ)
+    with pytest.raises(UnknownVertex):
+        alg.AlgMod(k, {"3": 2}, {})
+    with pytest.raises(QuivhomError, match="unknown arrow"):
+        alg.AlgMod(k, {"1": 2}, {"x": Mat.identity(QQ, 2)})
+
+
+def test_module_map_rejects_unknown_vertex():
+    a = kA2()
+    p = alg.projective_module(a, "1")
+    with pytest.raises(UnknownVertex):
+        alg.ModMap(p, p, {"3": Mat.identity(QQ, 1)})
+    # a key mapped to None is a known vertex whose map is zero
+    assert alg.ModMap(p, p, {"1": None}).is_zero()

@@ -371,3 +371,19 @@ def test_rep_rejects_arrow_map_of_wrong_shape():
     m1, m2 = kmod(k), kmod(k, 2)
     with pytest.raises(DimensionMismatch):
         rc.Rep(qv.kronecker(), k, {"1": m1, "2": m2}, {"a": alg.identity_map(m1)})
+
+
+def test_rep_map_rejects_unknown_vertex():
+    k = base_k()
+    x = rc.Rep(qv.kronecker(), k, {"1": kmod(k)}, {})
+    with pytest.raises(UnknownVertex):
+        rc.RepMap(x, x, {"3": alg.identity_map(kmod(k))})
+
+
+def test_rep_pd_rejects_negative_cap():
+    q, k = qv.kronecker(), base_k()
+    x = rc.Rep(q, k, {"1": kmod(k)}, {})
+    with pytest.raises(QuivhomError, match="cap"):
+        rc.rep_pd(x, -1)
+    with pytest.raises(QuivhomError, match="cap"):
+        rc.gldim_pathalgebra(q, k, -1)

@@ -9,7 +9,7 @@ from quivhom import quiver as qv
 from quivhom import repdim
 from quivhom import scmodule as scm
 from quivhom.bounds import Dim
-from quivhom.errors import NotSplit
+from quivhom.errors import NotSplit, QuivhomError
 from quivhom.exactlin import GF, QQ, Mat, rank, solve_matrix
 
 
@@ -407,3 +407,13 @@ def test_submodule_from_columns_solves_once_per_submodule(field, monkeypatch):
             assert calls == [sc.dim * cols.cols]
             assert incl.mat == cols and sub.check()
             assert sub.action == [solve_matrix(cols, a.mul(cols)) for a in m.action]
+
+
+def test_pd_sc_rejects_negative_cap():
+    sc = sc_kA2()
+    cd = scm.column_data(sc)
+    for m in (cd.simple_top(0), scm.zero_sc_module(sc)):
+        with pytest.raises(QuivhomError, match="cap"):
+            scm.pd_sc(m, -1)
+    with pytest.raises(QuivhomError, match="cap"):
+        scm.gldim_sc(sc, -1)

@@ -9,6 +9,7 @@ from quivhom import repcat as rc
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
 from quivhom.bounds import Dim
+from quivhom.errors import AlgebraMismatch, DimensionMismatch, QuivhomError
 from quivhom.exactlin import GF, QQ, Mat, inverse, rank
 
 
@@ -281,3 +282,119 @@ def test_triple_cover_solves_no_hom_system(monkeypatch):
     spec = t2_a4_rad2()
     for t in _cover_test_triples(spec):
         tm.triple_projective_cover(t)
+
+
+# -- tensors of direct sums, placed ---------------------------------------------------
+
+def t2_kA2(field=QQ):
+    return tm.t2_spec(alg.path_algebra(field, qv.a_n(2)))
+
+
+def m_zero(field=QQ):
+    """R = S = kA2 with M = 0: every tensor is zero."""
+    sc = alg.sc_of_bqa(alg.path_algebra(field, qv.a_n(2)))
+    z = Mat.zeros(field, 0, 0)
+    return tm.TriRingSpec(sc, sc, tm.Bimodule(sc, sc, 0, [z] * sc.dim, [z] * sc.dim))
+
+
+def _x_pool(spec):
+    """Columns, simple tops, a zero module and a column in a mixed basis."""
+    cdr = spec.coldata_r()
+    f = spec.r.field
+    pool = [col for col, _ in cdr.columns] + [cdr.simple_top(i) for i in range(len(cdr.columns))]
+    pool.append(scm.zero_sc_module(spec.r))
+    big = max(pool, key=lambda m: m.dim)
+    n = big.dim
+    g = Mat.from_rows(f, [[1 if j >= i else 0 for j in range(n)] for i in range(n)])
+    ginv = inverse(g)
+    pool.append(scm.SCModule(spec.r, n, [g.mul(a).mul(ginv) for a in big.action]))
+    return pool
+
+
+@pytest.mark.parametrize("make", [t2_a4_rad2, t2_kA2, t2k, m_zero],
+                         ids=["T2(A4/rad2)", "T2(kA2)", "T2(k)", "M=0"])
+def test_tensor_of_sum_equals_tensor_basis(make):
+    spec = make()
+    f = spec.r.field
+    pool = _x_pool(spec)
+    rng = random.Random(11)
+    for _ in range(25):
+        xs = [pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 4))]
+        tensors = [tm.tensor_basis(spec, x) for x in xs]
+        td, places = tm.tensor_of_sum(spec, tensors, [x.dim for x in xs])
+        total, _, xprojs = scm.direct_sum_sc(spec.r, xs)
+        assert td == tm.tensor_basis(spec, total)
+        # summand b's tensor coordinate t is the sum's coordinate places[b][t]
+        for x, tb, cols, p in zip(xs, tensors, places, xprojs):
+            sel = Mat(f, tb.dim, td.dim, tuple(f.one() if cols[t] == c else f.zero()
+                                               for t in range(tb.dim) for c in range(td.dim)))
+            assert tm.tensor_map(spec, td, tb, p.mat) == sel
+
+
+def _phi_by_products(spec, triples, injs, projs):
+    """The sum's phi as sum_b yinj_b . phi_b . (M (x) xproj_b), the assembly
+    that placing the blocks replaces."""
+    total = injs[0].target
+    phi = Mat.zeros(spec.r.field, total.y.dim, total.tensor.dim)
+    for t, inj, pr in zip(triples, injs, projs):
+        tproj = tm.tensor_map(spec, total.tensor, t.tensor, pr.u)
+        phi = phi.add(inj.w.mul(t.phi).mul(tproj))
+    return phi
+
+
+@pytest.mark.parametrize("make", [t2_a4_rad2, t2k])
+def test_triple_direct_sum_places_phi(make):
+    spec = make()
+    pool = _cover_test_triples(spec)
+    rng = random.Random(3)
+    for _ in range(15):
+        triples = [pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 4))]
+        total, injs, projs = tm.triple_direct_sum(spec, triples)
+        assert total.tensor == tm.tensor_basis(spec, total.x)
+        assert total.phi == _phi_by_products(spec, triples, injs, projs)
+        assert total.check()
+        assert all(m.is_valid() for m in injs + projs)
+
+
+def test_triple_cover_reads_cached_column_tensors(monkeypatch):
+    spec = t2_a4_rad2()
+    triples = _cover_test_triples(spec)
+    for i in range(len(spec.coldata_r().columns)):
+        spec.column_tensor(i)
+
+    def refuse(*args):
+        raise AssertionError("tensor_basis called by a triple cover")
+
+    monkeypatch.setattr(tm, "tensor_basis", refuse)
+    for t in triples:
+        cover, _ = tm.triple_projective_cover(t)
+        assert cover.tensor.dim == cover.x.dim  # M (x) X = X over T2
+
+
+# -- malformed triples and caps ---------------------------------------------------------
+
+def test_triple_rejects_parts_over_another_algebra():
+    spec = t2k()
+    x5 = vec_module(alg.sc_of_bqa(k_bqa(GF(5))), 1)
+    with pytest.raises(AlgebraMismatch):
+        tm.TripleModule(spec, x5, vec_module(spec.s, 1), Mat.zeros(QQ, 1, 1))
+    with pytest.raises(AlgebraMismatch):
+        tm.TripleModule(spec, vec_module(spec.r, 1), x5, Mat.zeros(QQ, 1, 1))
+
+
+def test_triple_map_rejects_misshapen_components():
+    spec = t2k()
+    t = triple_over_t2(spec, 1, 1, [[1]])
+    with pytest.raises(DimensionMismatch):
+        tm.TripleMap(t, t, Mat.identity(QQ, 2), Mat.identity(QQ, 1))
+    with pytest.raises(DimensionMismatch):
+        tm.TripleMap(t, t, Mat.identity(QQ, 1), Mat.zeros(QQ, 1, 2))
+
+
+def test_triple_pd_rejects_negative_cap():
+    spec = t2k()
+    for t in (tm.e1_lambda(spec, vec_module(spec.r, 1)), tm.zero_triple(spec)):
+        with pytest.raises(QuivhomError, match="cap"):
+            tm.triple_pd(t, -1)
+    with pytest.raises(QuivhomError, match="cap"):
+        tm.trimat_gldim(spec, -1)
