@@ -7,6 +7,11 @@ are stored as representations of the base quiver: a dimension per vertex and a
 matrix per arrow.  Minimal projective covers, syzygies, projective dimension
 and global dimension all live here, together with the raw structure-constant
 algebras used for endomorphism rings.
+
+Every quotient of a vector space in the library -- quotient modules, the
+tops that pick cover generators, simple tops, cohomology and the tensor
+products M (x)_R X -- is ``quotient_by_rows``: one rref of a spanning set,
+the non-pivot columns as the complement.
 """
 
 from __future__ import annotations
@@ -508,25 +513,39 @@ def row_space(field: Field, rows):
     return Mat.from_rows(field, keep)
 
 
-def complement_projection(field: Field, basis_cols: Mat):
-    """For a full-column-rank B inside k^n, build (proj, sect) with
-    proj*B = 0, proj*sect = id on the quotient coordinates."""
-    n = basis_cols.rows
-    r = basis_cols.cols
-    if r == 0:
-        return Mat.identity(field, n), Mat.identity(field, n)
-    chosen = _complement_indices(field, basis_cols)
-    t_cols = [basis_cols.col(j) for j in range(r)]
-    for j in chosen:
-        e = [field.zero()] * n
-        e[j] = field.one()
-        t_cols.append(Mat.column(field, e))
-    t = Mat.hstack(field, t_cols)
-    tinv = solve_matrix(t, Mat.identity(field, n))
-    proj_rows = tinv.row_list()[r:]
-    proj = Mat.from_rows(field, proj_rows) if proj_rows else Mat.zeros(field, 0, n)
-    sect = Mat.hstack(field, t_cols[r:]) if chosen else Mat.zeros(field, n, 0)
-    return proj, sect
+def quotient_by_rows(span: Mat):
+    """k^n modulo the row space of ``span`` (r x n, the rows need not be
+    independent), read off one rref of ``span``: (proj, lift, free).
+
+    ``free`` lists the non-pivot columns, the coordinates the quotient keeps.
+    ``proj`` (len(free) x n) subtracts from v its pivot coordinates times the
+    reduced rows and reads the result at ``free``, so proj * span^T = 0;
+    ``lift`` (n x len(free)) holds the unit vectors at ``free``, so
+    proj * lift = I."""
+    red, pivots, free = _reduced_span(span)
+    f, n, d = span.field, span.cols, len(free)
+    zero, one, neg = f.zero(), f.one(), f.neg
+    proj, lift = [zero] * (d * n), [zero] * (n * d)
+    for t, c in enumerate(free):
+        proj[t * n + c] = one
+        lift[c * d + t] = one
+    for i, c in enumerate(pivots):
+        row = red[i * n:(i + 1) * n]
+        for t, fc in enumerate(free):
+            if row[fc]:
+                proj[t * n + c] = neg(row[fc])
+    return Mat(f, d, n, tuple(proj)), Mat(f, n, d, tuple(lift)), free
+
+
+def _reduced_span(span: Mat):
+    """(rref entries, pivot columns, non-pivot columns) of ``span``; the
+    non-pivots are the generator columns of ``projective_cover``, which
+    needs no projection."""
+    if not span.rows:  # the zero subspace, as most radicals in a cover are
+        return (), (), list(range(span.cols))
+    red, _, pivots = rref(span)
+    pivset = set(pivots)
+    return red.entries, pivots, [c for c in range(span.cols) if c not in pivset]
 
 
 def _pivot_columns(field: Field, sub: Mat, cand: Mat):
@@ -536,16 +555,6 @@ def _pivot_columns(field: Field, sub: Mat, cand: Mat):
     r = sub.cols
     _, _, pivots = rref(Mat.hstack(field, [sub, cand]))
     return [c - r for c in pivots if c >= r]
-
-
-def _complement_indices(field: Field, basis_cols: Mat):
-    """Indices j whose unit vectors e_j complete the columns of a
-    full-column-rank B to a basis of k^n (``_pivot_columns`` with cand = I);
-    the section of ``complement_projection`` is built from them."""
-    n = basis_cols.rows
-    if basis_cols.cols == 0:
-        return list(range(n))
-    return _pivot_columns(field, basis_cols, Mat.identity(field, n))
 
 
 def radical_submodule(m: AlgMod):
@@ -580,14 +589,13 @@ def kernel_of(f: ModMap):
 
 
 def quotient_module(m: AlgMod, incl: dict):
-    """Quotient of m by the submodule spanned by per-vertex inclusion matrices."""
+    """Quotient of m by the submodule spanned by the columns of per-vertex
+    matrices (not necessarily independent), in ``quotient_by_rows``'s
+    complement: (M / N, the projection, a linear section of it per vertex)."""
     a = m.algebra
-    f = a.field
     projs, sects = {}, {}
     for v in a.quiver.vertices:
-        basis = column_space(f, [incl[v]]) if incl[v].cols else Mat.zeros(f, m.dims[v], 0)
-        p, s = complement_projection(f, basis)
-        projs[v], sects[v] = p, s
+        projs[v], sects[v], _ = quotient_by_rows(incl[v].transpose())
     dims = {v: projs[v].rows for v in a.quiver.vertices}
     mats = {}
     for arr in a.quiver.arrows:
@@ -600,10 +608,11 @@ def quotient_module(m: AlgMod, incl: dict):
 def projective_cover(m: AlgMod):
     """Minimal projective cover (P, pi).
 
-    One copy of P_v per column e_j of the section of M_v -> (M/rad M)_v that
-    ``complement_projection`` builds, with P_v -> M sending e_v to e_j (see
-    ``map_from_projective``): the path q of that copy goes to column j of
-    q acting on M, so each path of P_v is evaluated on M once."""
+    One copy of P_v per unit vector e_j that lifts a basis vector of
+    (M/rad M)_v, j a non-pivot column of rad_v, the complement of
+    ``quotient_by_rows`` (no projection is built), with P_v -> M sending e_v
+    to e_j (see ``map_from_projective``): the path q of that copy goes to
+    column j of q acting on M, so each path of P_v is evaluated on M once."""
     a = m.algebra
     f = a.field
     verts = a.quiver.vertices
@@ -611,7 +620,7 @@ def projective_cover(m: AlgMod):
     pieces = []
     cols = {w: [] for w in verts}  # columns of pi at w, in P's basis order
     for v in verts:
-        chosen = _complement_indices(f, rad[v])
+        chosen = _reduced_span(rad[v].transpose())[2]
         if not chosen:
             continue
         pv = projective_module(a, v)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .algebra import (SCAlgebra, _pivot_columns, column_space, complement_projection, eval_path,
+from .algebra import (SCAlgebra, _pivot_columns, column_space, eval_path, quotient_by_rows,
                       radical_sc, sc_of_bqa)
 from .bounds import Dim, dim_max, syzygy_pd
 from .errors import CompositionInconsistent, DimensionMismatch, NotSplit, QuivhomError
@@ -176,9 +176,9 @@ def submodule_from_columns(m: SCModule, cols: Mat):
 
 def quotient_sc(m: SCModule, cols: Mat):
     """(M / span(cols), the projection onto it, a linear section of the
-    projection); span(cols) must be a submodule."""
-    f = m.sc.field
-    proj, sect = complement_projection(f, column_space(f, [cols]))
+    projection), in ``algebra.quotient_by_rows``'s complement; span(cols)
+    must be a submodule, and the columns need not be independent."""
+    proj, sect, _ = quotient_by_rows(cols.transpose())
     return SCModule(m.sc, proj.rows, [proj.mul(a).mul(sect) for a in m.action]), proj, sect
 
 

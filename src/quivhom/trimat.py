@@ -1,9 +1,10 @@
 """Module category of a formal triangular matrix ring [[R, 0], [M, S]].
 
 Left modules are triples (X, Y)_phi with X an R-module, Y an S-module and
-phi : M (x)_R X -> Y an S-linear map.  The tensor product is computed as the
-quotient of the span of pure pairs by the bilinearity relations, with explicit
-projection and section matrices so that maps transport functorially.  The
+phi : M (x)_R X -> Y an S-linear map.  The tensor product is the quotient of
+the span of pure pairs by the bilinearity relations, built by
+``algebra.quotient_by_rows``: its projection and section matrices transport
+maps functorially, and its ``free`` list names the pure pairs kept.  The
 column projectives are e^1_lambda(Re_i) = (Re_i, M(x)Re_i)_1 and
 e^2_lambda(Se_j) = (0, Se_j)_0; covers in the triple category are driven by
 the radical (rad X, rad Y + im phi).
@@ -11,18 +12,19 @@ the radical (rad X, rad Y + im phi).
 M (x)_R - is additive, so the tensor of a direct sum is never eliminated
 again: ``tensor_of_sum`` places the summands' tensors, ``triple_direct_sum``
 places their phis, and a cover's X-side, a sum of column projectives Re_i,
-takes M (x) Re_i from a cache kept on the ``TriRingSpec``.  ``tensor_basis``
-is the general path (kernels, quotients, simple tops).
+takes M (x) Re_i from a cache kept on the ``TriRingSpec``, as is the one
+M (x) 0 of every triple with X = 0.  ``tensor_basis`` is the general path
+(kernels, quotients, simple tops).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import SCAlgebra, column_space, sc_of_bqa
+from .algebra import SCAlgebra, column_space, quotient_by_rows, sc_of_bqa
 from .bounds import Dim, dim_max, syzygy_pd
 from .errors import AlgebraMismatch, CompositionInconsistent, DimensionMismatch, QuivhomError
-from .exactlin import Mat, _commuting_rows, _kernel_blocks, kernel_basis, rank, rref, solve_matrix
+from .exactlin import Mat, _commuting_rows, _kernel_blocks, rank, solve_matrix
 from . import scmodule as scm
 from .scmodule import ColumnData, SCModule, direct_sum_sc
 
@@ -79,10 +81,13 @@ class TriRingSpec:
     m: Bimodule
     name: str = ""
     _column_tensors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # M (x) 0, shared by every triple with X = 0; callers must not mutate it
+    zero_tensor: "TensorData" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.m.check():
             raise QuivhomError("bimodule axioms fail")
+        self.zero_tensor = tensor_basis(self, scm.zero_sc_module(self.r))
 
     def coldata_r(self) -> ColumnData:
         return scm.column_data(self.r)
@@ -115,20 +120,23 @@ def t2_spec(base_bqa, name="T2") -> TriRingSpec:
 
 @dataclass
 class TensorData:
-    dim: int
+    free: list  # the pure coordinates (m_k, x_j), k*xdim + j, the quotient keeps
     proj: Mat  # (tensor dim) x (m*x): quotient projection
-    lift: Mat  # (m*x) x (tensor dim): section of proj
+    lift: Mat  # (m*x) x (tensor dim): section of proj, the unit vectors at free
     s_action: list  # induced left S-action matrices on the tensor
+
+    @property
+    def dim(self) -> int:
+        return len(self.free)
 
 
 def tensor_basis(spec: TriRingSpec, x: SCModule) -> TensorData:
-    """M (x)_R X as a quotient of the free span of pure pairs (m_i, x_j)."""
+    """M (x)_R X as the quotient of the free span of pure pairs (m_k, x_j) by
+    the relations m c (x) x - m (x) c x, c in the basis of R
+    (``quotient_by_rows``)."""
     f = spec.r.field
     mdim, xdim = spec.m.dim, x.dim
     total = mdim * xdim
-    if total == 0:
-        return TensorData(0, Mat.zeros(f, 0, total), Mat.zeros(f, total, 0),
-                          [Mat.zeros(f, 0, 0) for _ in range(spec.s.dim)])
     zero, add, sub = f.zero(), f.add, f.sub
     rel_rows = []
     for c in range(spec.r.dim):
@@ -146,41 +154,11 @@ def tensor_basis(spec: TriRingSpec, x: SCModule) -> TensorData:
                         row[i * xdim + l] = sub(row[i * xdim + l], v)
                 if any(row):
                     rel_rows.append(row)
-    if rel_rows:
-        red, rk, pivots = rref(Mat.from_rows(f, rel_rows))
-        rows = red.row_list()[:rk]
-    else:
-        rows, pivots = [], ()
-    pivset = set(pivots)
-    free = [c for c in range(total) if c not in pivset]
-    tdim = len(free)
-    free_index = {c: i for i, c in enumerate(free)}
-    # projection: pure coordinate -> reduced coordinates on the free columns
-    proj_cols = []
-    pivot_row = {c: i for i, c in enumerate(pivots)}
-    for c in range(total):
-        col = [f.zero()] * tdim
-        if c in pivot_row:
-            row = rows[pivot_row[c]]
-            for fc in free:
-                v = row[fc]
-                if v != f.zero():
-                    col[free_index[fc]] = f.neg(v)
-        else:
-            col[free_index[c]] = f.one()
-        proj_cols.append(Mat.column(f, col) if tdim else Mat.zeros(f, 0, 1))
-    proj = Mat.hstack(f, proj_cols) if proj_cols else Mat.zeros(f, tdim, 0)
-    lift_cols = []
-    for c in free:
-        col = [f.zero()] * total
-        col[c] = f.one()
-        lift_cols.append(Mat.column(f, col))
-    lift = Mat.hstack(f, lift_cols) if lift_cols else Mat.zeros(f, total, 0)
-    s_action = []
-    for b in range(spec.s.dim):
-        big = Mat.kron(spec.m.left[b], Mat.identity(f, xdim))
-        s_action.append(proj.mul(big).mul(lift))
-    return TensorData(tdim, proj, lift, s_action)
+    proj, lift, free = quotient_by_rows(Mat.from_rows(f, rel_rows) if rel_rows
+                                        else Mat.zeros(f, 0, total))
+    s_action = [proj.mul(Mat.kron(spec.m.left[b], Mat.identity(f, xdim))).mul(lift)
+                for b in range(spec.s.dim)]
+    return TensorData(free, proj, lift, s_action)
 
 
 def tensor_module(spec: TriRingSpec, td: TensorData) -> SCModule:
@@ -203,22 +181,18 @@ def tensor_of_sum(spec: TriRingSpec, tensors, xdims):
     coordinates.  So the summands' RREF rows, sorted by pivot, are the RREF
     of the sum: its free columns are the summands' free columns, sorted, and
     proj, lift and the S-action are the summands' matrices placed there.
-    The result equals ``tensor_basis`` of the sum entry for entry.  Returns
-    it with, per summand, the tensor coordinates its own ones land on."""
+    The summands' ``free`` lists give those columns, so nothing is read back
+    out of their matrices.  The result equals ``tensor_basis`` of the sum
+    entry for entry.  Returns it with, per summand, the tensor coordinates
+    its own ones land on."""
     f = spec.r.field
     mdim, xdim = spec.m.dim, sum(xdims)
-    pure, free, off = [], [], 0
-    for td, d in zip(tensors, xdims):
+    pure, off = [], 0
+    for d in xdims:
         pure.append([k * xdim + off + j for k in range(mdim) for j in range(d)])
         off += d
-        # lift's column t is the unit vector at the t-th free pure coordinate
-        cols = [0] * td.dim
-        for idx, v in enumerate(td.lift.entries):
-            if v:
-                cols[idx % td.dim] = idx // td.dim
-        free.append(cols)
-    order = sorted((pure[b][c], b, t) for b, cols in enumerate(free) for t, c in enumerate(cols))
-    places = [[0] * len(cols) for cols in free]
+    order = sorted((pure[b][c], b, t) for b, td in enumerate(tensors) for t, c in enumerate(td.free))
+    places = [[0] * td.dim for td in tensors]
     for at, (_, b, t) in enumerate(order):
         places[b][t] = at
     tdim, total = len(order), mdim * xdim
@@ -227,7 +201,7 @@ def tensor_of_sum(spec: TriRingSpec, tensors, xdims):
     s_action = [_scatter(f, tdim, tdim, [(places[b], places[b], td.s_action[a])
                                          for b, td in enumerate(tensors)])
                 for a in range(spec.s.dim)]
-    return TensorData(tdim, proj, lift, s_action), places
+    return TensorData([c for c, _, _ in order], proj, lift, s_action), places
 
 
 def _scatter(f, rows, cols, pieces):
@@ -321,7 +295,7 @@ class TripleMap:
 
 def zero_triple(spec: TriRingSpec) -> TripleModule:
     return TripleModule(spec, scm.zero_sc_module(spec.r), scm.zero_sc_module(spec.s),
-                        Mat.zeros(spec.r.field, 0, 0))
+                        Mat.zeros(spec.r.field, 0, 0), spec.zero_tensor)
 
 
 def e1_lambda(spec: TriRingSpec, x: SCModule) -> TripleModule:
@@ -332,7 +306,7 @@ def e1_lambda(spec: TriRingSpec, x: SCModule) -> TripleModule:
 
 def e2_lambda(spec: TriRingSpec, y: SCModule) -> TripleModule:
     zx = scm.zero_sc_module(spec.r)
-    return TripleModule(spec, zx, y, Mat.zeros(spec.r.field, y.dim, 0))
+    return TripleModule(spec, zx, y, Mat.zeros(spec.r.field, y.dim, 0), spec.zero_tensor)
 
 
 def identity_triple_map(t: TripleModule) -> TripleMap:
@@ -553,22 +527,17 @@ def triple_projective_cover(t: TripleModule):
 
 
 def triple_kernel(f_map: TripleMap):
-    spec = f_map.source.spec
-    f = spec.r.field
-    kx_raw = kernel_basis(f_map.u)
-    kx_cols = Mat.hstack(f, kx_raw) if kx_raw else Mat.zeros(f, f_map.source.x.dim, 0)
-    kx, kx_incl = scm.submodule_from_columns(f_map.source.x, kx_cols)
-    ky_raw = kernel_basis(f_map.w)
-    ky_cols = Mat.hstack(f, ky_raw) if ky_raw else Mat.zeros(f, f_map.source.y.dim, 0)
-    ky, ky_incl = scm.submodule_from_columns(f_map.source.y, ky_cols)
+    s, t = f_map.source, f_map.target
+    spec = s.spec
+    kx, kx_incl = scm.kernel_of_sc(scm.SCMap(s.x, t.x, f_map.u))
+    ky, ky_incl = scm.kernel_of_sc(scm.SCMap(s.y, t.y, f_map.w))
     td_k = tensor_basis(spec, kx)
-    tincl = tensor_map(spec, td_k, f_map.source.tensor, kx_incl.mat)
-    moved = f_map.source.phi.mul(tincl)
-    phi_k = solve_matrix(ky_incl.mat, moved)
+    tincl = tensor_map(spec, td_k, s.tensor, kx_incl.mat)
+    phi_k = solve_matrix(ky_incl.mat, s.phi.mul(tincl))
     if phi_k is None:
         raise CompositionInconsistent("kernel phi does not corestrict")
     k = TripleModule(spec, kx, ky, phi_k, td_k)
-    incl = TripleMap(k, f_map.source, kx_incl.mat, ky_incl.mat)
+    incl = TripleMap(k, s, kx_incl.mat, ky_incl.mat)
     return k, incl
 
 

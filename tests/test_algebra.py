@@ -4,6 +4,7 @@ import pytest
 
 from quivhom import algebra as alg
 from quivhom import quiver as qv
+from quivhom import scmodule as scm
 from quivhom.bounds import Dim
 from quivhom.errors import (
     AlgebraMismatch,
@@ -14,7 +15,7 @@ from quivhom.errors import (
     RelationNotParallel,
     UnknownVertex,
 )
-from quivhom.exactlin import GF, QQ, Mat, kernel_basis, rank
+from quivhom.exactlin import GF, QQ, Mat, kernel_basis, rank, rref, solve_matrix
 
 
 def kA2():
@@ -356,7 +357,7 @@ def _reference_cover(m):
     rad = alg.radical_submodule(m)
     pieces, maps = [], []
     for v in a.quiver.vertices:
-        _, sect = alg.complement_projection(f, rad[v])
+        _, sect, _ = alg.quotient_by_rows(rad[v].transpose())
         for j in range(sect.cols):
             pv = alg.projective_module(a, v)
             pieces.append(pv)
@@ -387,6 +388,111 @@ def test_projective_cover_matches_reference_assembly(make):
         assert p == p_ref
         assert pi.mats == pi_ref.mats
         assert pi.is_valid() and alg.cover_is_minimal(p, pi)
+
+
+# -- quotients of k^n, read off one rref ---------------------------------------------
+
+def _complement_projection_by_solve(field, basis_cols):
+    """Reference quotient by a full-column-rank B in k^n: the unit vectors
+    e_j outside span(B, e_<j), the pivots beyond B of rref([B | I]), complete
+    B to a basis T of k^n; proj is the last rows of T^-1, sect those e_j."""
+    n, r = basis_cols.rows, basis_cols.cols
+    if r == 0:
+        return Mat.identity(field, n), Mat.identity(field, n)
+    _, _, pivots = rref(Mat.hstack(field, [basis_cols, Mat.identity(field, n)]))
+    t_cols = [basis_cols.col(j) for j in range(r)]
+    t_cols += [Mat.identity(field, n).col(c - r) for c in pivots if c >= r]
+    tinv = solve_matrix(Mat.hstack(field, t_cols), Mat.identity(field, n))
+    proj_rows = tinv.row_list()[r:]
+    proj = Mat.from_rows(field, proj_rows) if proj_rows else Mat.zeros(field, 0, n)
+    sect = Mat.hstack(field, t_cols[r:]) if proj_rows else Mat.zeros(field, n, 0)
+    return proj, sect
+
+
+def _spanning_sets(field, rng):
+    """(n, rows): n = 0, an empty span, a full span, a dependent spanning
+    set, and random ones."""
+    r1, r2 = [1, 2, 0, -1], [0, 1, 1, 3]
+    out = [(0, []), (4, []), (3, Mat.identity(field, 3).row_list()),
+           (4, [r1, r2, [a + b for a, b in zip(r1, r2)], [2 * a for a in r1], r2])]
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        out.append((n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, 7))]))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+def test_quotient_by_rows(field):
+    for n, rows in _spanning_sets(field, random.Random(13)):
+        span = Mat.from_rows(field, rows) if rows else Mat.zeros(field, 0, n)
+        proj, lift, free = alg.quotient_by_rows(span)
+        _, rk, pivots = rref(span)
+        assert free == [c for c in range(n) if c not in pivots]
+        assert (proj.rows, proj.cols, lift.rows, lift.cols) == (n - rk, n, n, n - rk)
+        assert proj.mul(span.transpose()).is_zero()
+        assert proj.mul(lift).is_identity()
+        unit = Mat.identity(field, n)
+        assert lift == (Mat.hstack(field, [unit.col(c) for c in free]) if free
+                        else Mat.zeros(field, n, 0))
+
+
+def _intertwines(new_proj, old_sect, old_acts, new_acts):
+    """new_proj * old_sect is an isomorphism from the quotient in the old
+    complement to the one in the new, and carries each old action to the
+    new one."""
+    t = new_proj.mul(old_sect)
+    return (t.rows == t.cols == rank(t)
+            and all(t.mul(a) == b.mul(t) for a, b in zip(old_acts, new_acts)))
+
+
+def _random_submodule_gens(rng, m, count):
+    """Images of ``count`` random maps from projectives into m."""
+    a = m.algebra
+    out = []
+    for _ in range(count):
+        v = rng.choice([w for w in a.quiver.vertices if m.dims[w]])
+        gen = Mat.column(a.field, [rng.randint(-2, 2) for _ in range(m.dims[v])])
+        out.append(alg.map_from_projective(alg.projective_module(a, v), m, gen))
+    return out
+
+
+@pytest.mark.parametrize("make", [kA3_rad2, lambda: nakayama(4, 3), kA3, kronecker])
+def test_quotient_modules_agree_with_the_solve_based_complement(make):
+    a = make()
+    f = a.field
+    sc = alg.sc_of_bqa(a)
+    mods = _standard_modules(a)
+    rng = random.Random(17)
+    for _ in range(12):
+        m = alg.direct_sum_mods(a, rng.sample(mods, rng.randint(1, 3)))[0]
+        maps = _random_submodule_gens(rng, m, rng.randint(0, 3))
+        incl = {v: Mat.hstack(f, [g.mats[v] for g in maps]) if maps else Mat.zeros(f, m.dims[v], 0)
+                for v in a.quiver.vertices}
+        # over the bound quiver algebra, vertex by vertex
+        q, qmap, sects = alg.quotient_module(m, incl)
+        old = {v: _complement_projection_by_solve(f, alg.column_space(f, [incl[v]]))
+               for v in a.quiver.vertices}
+        for v in a.quiver.vertices:
+            assert q.dims[v] == old[v][0].rows == m.dims[v] - rank(incl[v])
+            assert qmap.mats[v].mul(incl[v]).is_zero()
+        for arr in a.quiver.arrows:
+            u, w = arr.source, arr.target
+            t_u, t_w = qmap.mats[u].mul(old[u][1]), qmap.mats[w].mul(old[w][1])
+            old_act = old[w][0].mul(m.mats[arr.name]).mul(old[u][1])
+            assert rank(t_u) == q.dims[u] and rank(t_w) == q.dims[w]
+            assert t_w.mul(old_act) == q.mats[arr.name].mul(t_u)
+        # over its structure constants, as one vector space
+        sm = scm.sc_module_of_algmod(m, sc)
+        gens = [Mat.column(f, [rng.randint(-1, 1) for _ in range(sm.dim)])
+                for _ in range(rng.randint(0, 2))]
+        cols = Mat.hstack(f, [act.mul(g) for g in gens for act in sm.action]) \
+            if gens else Mat.zeros(f, sm.dim, 0)
+        sq, proj, sect = scm.quotient_sc(sm, cols)
+        old_proj, old_sect = _complement_projection_by_solve(f, alg.column_space(f, [cols]))
+        assert sq.dim == old_proj.rows == sm.dim - rank(cols)
+        assert proj.mul(cols).is_zero() and proj.mul(sect).is_identity()
+        assert _intertwines(proj, old_sect, [old_proj.mul(x).mul(old_sect) for x in sm.action],
+                            sq.action)
 
 
 def test_projective_module_is_built_once():

@@ -115,3 +115,19 @@ def test_repcat_has_no_solver_of_its_own():
                 for alias in n.names}
     found = sorted(imported & {"_commuting_rows", "_kernel_blocks", "kernel_basis", "syzygy_pd"})
     assert not found, "repcat imports solver internals: " + ", ".join(found)
+
+
+def test_one_quotient_construction():
+    # every quotient of k^n is algebra.quotient_by_rows: no other module
+    # (trimat's tensors included) reads an rref of its own, or defines a
+    # complement or a quotient projection
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    readers = sorted(name for name, tree in trees.items() if name != "algebra.py"
+                     for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                     for alias in n.names if alias.name == "rref")
+    assert not readers, "rref imported outside algebra: " + ", ".join(readers)
+    found = sorted(f"{name}:{n.lineno}: {n.name}" for name, tree in trees.items()
+                   if name != "algebra.py" for n in ast.walk(tree)
+                   if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and any(w in n.name for w in ("complement", "quotient_by", "projection")))
+    assert not found, "complements defined outside algebra:\n" + "\n".join(found)

@@ -262,7 +262,7 @@ def _cover_one_adjoint_per_copy(x):
     for v in q.vertices:
         for u in a.quiver.vertices:
             units = Mat.identity(f, x.mods[v].dims[u])
-            for j in alg._complement_indices(f, rad[rc.lq_name(v, u)]):
+            for j in alg.quotient_by_rows(rad[rc.lq_name(v, u)].transpose())[2]:
                 pu = alg.projective_module(a, u)
                 piece = rc.left_adjoint(q, v, pu)
                 pieces.append(piece)

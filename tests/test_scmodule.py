@@ -158,7 +158,7 @@ def _greedy_cover_generators(m, cd):
     in M/JM leave the span of the Gamma-orbits of the generators chosen so
     far, as many as the class occurs in the top."""
     f = m.sc.field
-    proj, _ = alg.complement_projection(f, scm.radical_submodule_sc(m))
+    proj, _, _ = alg.quotient_by_rows(scm.radical_submodule_sc(m).transpose())
     if proj.rows == 0:
         return [], []
     reached = Mat.zeros(f, 0, proj.rows)

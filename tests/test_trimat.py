@@ -10,7 +10,7 @@ from quivhom import scmodule as scm
 from quivhom import trimat as tm
 from quivhom.bounds import Dim
 from quivhom.errors import AlgebraMismatch, DimensionMismatch, QuivhomError
-from quivhom.exactlin import GF, QQ, Mat, inverse, rank
+from quivhom.exactlin import GF, QQ, Mat, inverse, rank, rref
 
 
 def k_bqa(field=QQ):
@@ -331,6 +331,75 @@ def test_tensor_of_sum_equals_tensor_basis(make):
             assert tm.tensor_map(spec, td, tb, p.mat) == sel
 
 
+def _tensor_by_elimination(spec, x):
+    """Reference M (x)_R X: (dim, proj, lift, S-action), the projection and
+    lift written out by hand from the rref of the relations."""
+    f = spec.r.field
+    mdim, xdim = spec.m.dim, x.dim
+    total = mdim * xdim
+    if total == 0:
+        return 0, Mat.zeros(f, 0, 0), Mat.zeros(f, 0, 0), [Mat.zeros(f, 0, 0)] * spec.s.dim
+    rel_rows = []
+    for c in range(spec.r.dim):
+        rho, act = spec.m.right[c], x.action[c]
+        for i in range(mdim):
+            for j in range(xdim):
+                row = [f.zero()] * total
+                for k in range(mdim):
+                    row[k * xdim + j] = f.add(row[k * xdim + j], rho.at(k, i))
+                for l in range(xdim):
+                    row[i * xdim + l] = f.sub(row[i * xdim + l], act.at(l, j))
+                if any(row):
+                    rel_rows.append(row)
+    rows, pivots = [], ()
+    if rel_rows:
+        red, rk, pivots = rref(Mat.from_rows(f, rel_rows))
+        rows = red.row_list()[:rk]
+    free = [c for c in range(total) if c not in pivots]
+    proj_cols = []
+    for c in range(total):
+        col = [f.zero()] * len(free)
+        if c in pivots:
+            row = rows[pivots.index(c)]
+            for t, fc in enumerate(free):
+                col[t] = f.neg(row[fc])
+        else:
+            col[free.index(c)] = f.one()
+        proj_cols.append(Mat.column(f, col) if free else Mat.zeros(f, 0, 1))
+    proj = Mat.hstack(f, proj_cols)
+    unit = Mat.identity(f, total)
+    lift = Mat.hstack(f, [unit.col(c) for c in free]) if free else Mat.zeros(f, total, 0)
+    s_action = [proj.mul(Mat.kron(spec.m.left[b], Mat.identity(f, xdim))).mul(lift)
+                for b in range(spec.s.dim)]
+    return len(free), proj, lift, s_action
+
+
+def t2_dual(field=QQ):
+    return tm.t2_spec(dual_numbers(field))
+
+
+@pytest.mark.parametrize("make", [t2_a4_rad2, t2_kA2, t2_dual, m_zero],
+                         ids=["T2(A4/rad2)", "T2(kA2)", "T2(dual numbers)", "M=0"])
+def test_tensor_basis_equals_the_elimination_by_hand(make):
+    spec = make()
+    f = spec.r.field
+    pool = _x_pool(spec)
+    rng = random.Random(23)
+    for _ in range(12):
+        x, _, _ = scm.direct_sum_sc(spec.r, [rng.choice(pool) for _ in range(rng.randint(1, 3))])
+        # a random base change, so that X comes in no adapted basis
+        g = Mat.from_rows(f, [[rng.randint(-1, 1) + (i == j) for j in range(x.dim)]
+                              for i in range(x.dim)])
+        ginv = inverse(g)
+        if ginv is not None:
+            x = scm.SCModule(spec.r, x.dim, [g.mul(a).mul(ginv) for a in x.action])
+        td = tm.tensor_basis(spec, x)
+        assert (td.dim, td.proj, td.lift, td.s_action) == _tensor_by_elimination(spec, x)
+        unit = Mat.identity(f, td.lift.rows)
+        assert td.lift == (Mat.hstack(f, [unit.col(c) for c in td.free]) if td.free
+                           else Mat.zeros(f, td.lift.rows, 0))
+
+
 def _phi_by_products(spec, triples, injs, projs):
     """The sum's phi as sum_b yinj_b . phi_b . (M (x) xproj_b), the assembly
     that placing the blocks replaces."""
@@ -369,6 +438,20 @@ def test_triple_cover_reads_cached_column_tensors(monkeypatch):
     for t in triples:
         cover, _ = tm.triple_projective_cover(t)
         assert cover.tensor.dim == cover.x.dim  # M (x) X = X over T2
+
+
+@pytest.mark.parametrize("make", [t2_a4_rad2, t2k, m_zero], ids=["T2(A4/rad2)", "T2(k)", "M=0"])
+def test_triples_with_zero_x_share_the_spec_zero_tensor(make, monkeypatch):
+    spec = make()
+    assert spec.zero_tensor == tm.tensor_basis(spec, scm.zero_sc_module(spec.r))
+
+    def refuse(*args):
+        raise AssertionError("tensor_basis called for X = 0")
+
+    monkeypatch.setattr(tm, "tensor_basis", refuse)
+    y = spec.coldata_s().columns[0][0]
+    for t in (tm.zero_triple(spec), tm.e2_lambda(spec, y)):
+        assert t.tensor is spec.zero_tensor and t.check()
 
 
 # -- malformed triples and caps ---------------------------------------------------------
