@@ -14,6 +14,16 @@ Representations are modules over the bound quiver algebra Lambda Q
 quotients, validity and equality from ``algebra`` on that algebra, and places
 direct sums and block maps vertex by vertex.
 
+Triples (``triple_cat``) go through M's action psi_k = phi(m_k (x) -) :
+X -> Y (``trimat.TripleModule.psi``): morphisms are checked and solved by
+w . psi_k = psi'_k . u, and a quotient by a subtriple, which exists when
+q_Y . psi_k vanishes on the X-part, takes psi-bar_k = q_Y . psi_k . s_X, so
+no tensor map is formed and nothing is solved.
+
+Every adapter builds its zero object once and ``zero_obj`` returns that one
+object (complexes pad with it outside their degrees), so it must never be
+mutated.
+
 The split helpers ``section``, ``retraction`` and ``split_into`` are the one
 place that answers "is X in add(Y)?" (is X a direct factor of a sum of copies
 of the given objects?) for every category: the generator-cogenerator checks
@@ -39,7 +49,7 @@ class Cat:
     field: object
     keys: object            # obj -> ordered key list
     comp_dim: object        # (obj, key) -> int
-    zero_obj: object        # () -> obj
+    zero_obj: object        # () -> the adapter's one zero object, shared: never mutate it
     direct_sum: object      # [objs] -> (obj, injs, projs)
     identity: object
     zero_map: object
@@ -146,6 +156,8 @@ class Cat:
 # -- base-algebra modules -------------------------------------------------------------
 
 def mod_cat(a) -> Cat:
+    zero = alg.zero_module(a)
+
     def quotient(obj, cols):
         qm, qmap, _ = alg.quotient_module(obj, cols)
         return qm, qmap
@@ -155,7 +167,7 @@ def mod_cat(a) -> Cat:
         field=a.field,
         keys=lambda m: list(a.quiver.vertices),
         comp_dim=lambda m, k: m.dims[k],
-        zero_obj=lambda: alg.zero_module(a),
+        zero_obj=lambda: zero,
         direct_sum=lambda ms: alg.direct_sum_mods(a, ms),
         identity=alg.identity_map,
         zero_map=alg.zero_map,
@@ -177,6 +189,8 @@ def mod_cat(a) -> Cat:
 # -- representations ------------------------------------------------------------------
 
 def rep_cat(q, a) -> Cat:
+    zero = rc.rep_zero(q, a)
+
     def keys(x):
         return [(v, u) for v in q.vertices for u in a.quiver.vertices]
 
@@ -201,7 +215,7 @@ def rep_cat(q, a) -> Cat:
         field=a.field,
         keys=keys,
         comp_dim=lambda x, k: x.mods[k[0]].dims[k[1]],
-        zero_obj=lambda: rc.rep_zero(q, a),
+        zero_obj=lambda: zero,
         direct_sum=lambda xs: rc.rep_direct_sum(q, a, xs),
         identity=rc.identity_repmap,
         zero_map=rc.zero_repmap,
@@ -223,6 +237,8 @@ def rep_cat(q, a) -> Cat:
 # -- raw structure-constant modules -----------------------------------------------------
 
 def sc_cat(sc) -> Cat:
+    zero = scm.zero_sc_module(sc)
+
     def kernel(f):
         return scm.kernel_of_sc(f)
 
@@ -238,7 +254,7 @@ def sc_cat(sc) -> Cat:
         field=sc.field,
         keys=lambda m: ["*"],
         comp_dim=lambda m, k: m.dim,
-        zero_obj=lambda: scm.zero_sc_module(sc),
+        zero_obj=lambda: zero,
         direct_sum=lambda ms: scm.direct_sum_sc(sc, ms),
         identity=lambda m: scm.SCMap(m, m, Mat.identity(sc.field, m.dim)),
         zero_map=lambda s, d: scm.SCMap(s, d, Mat.zeros(sc.field, d.dim, s.dim)),
@@ -261,21 +277,21 @@ def sc_cat(sc) -> Cat:
 
 def triple_cat(spec) -> Cat:
     f = spec.r.field
+    zero = tm.zero_triple(spec)
 
     def kernel(fm):
         return tm.triple_kernel(fm)
 
     def quotient(obj, cols):
-        qx, xproj, _ = scm.quotient_sc(obj.x, cols["x"])
+        qx, xproj, xsect = scm.quotient_sc(obj.x, cols["x"])
         qy, yproj, _ = scm.quotient_sc(obj.y, cols["y"])
-        td_q = tm.tensor_basis(spec, qx)
-        tq = tm.tensor_map(spec, obj.tensor, td_q, xproj)
-        # phi-bar solves phibar . T(q_x) = q_y . phi  (T(q_x) onto by right-exactness)
-        rhs = yproj.mul(obj.phi)
-        phibar = _solve_right_factor(f, tq, rhs)
-        if phibar is None:
+        # the columns span a subtriple when every psi_k maps the X-part into
+        # the Y-part; then psi-bar_k = q_Y . psi_k . s_X, and phi-bar is its
+        # free columns
+        if any(not yproj.mul(p).mul(cols["x"]).is_zero() for p in obj.psi()):
             raise QuivhomError("quotient phi does not descend; columns not a subtriple")
-        qt = tm.TripleModule(spec, qx, qy, phibar, td_q)
+        td_q = tm.tensor_basis(spec, qx)
+        qt = tm.TripleModule(spec, qx, qy, yproj.mul(obj.psi_after(xsect, td_q.free)), td_q)
         return qt, tm.TripleMap(obj, qt, xproj, yproj)
 
     return Cat(
@@ -283,7 +299,7 @@ def triple_cat(spec) -> Cat:
         field=f,
         keys=lambda t: ["x", "y"],
         comp_dim=lambda t, k: t.x.dim if k == "x" else t.y.dim,
-        zero_obj=lambda: tm.zero_triple(spec),
+        zero_obj=lambda: zero,
         direct_sum=lambda ts: tm.triple_direct_sum(spec, ts),
         identity=tm.identity_triple_map,
         zero_map=tm.zero_triple_map,
@@ -302,12 +318,3 @@ def triple_cat(spec) -> Cat:
         is_zero_obj=lambda t: t.is_zero(),
         is_semisimple_base=lambda: False,
     )
-
-
-def _solve_right_factor(field, through: Mat, target: Mat):
-    """Solve X . through = target for X (through has full row-reach on target)."""
-    # transpose: through^T X^T = target^T, solve columnwise
-    xt = solve_matrix(through.transpose(), target.transpose())
-    if xt is None:
-        return None
-    return xt.transpose()

@@ -505,9 +505,6 @@ def rep_standard_triangle(x: Complex) -> ComplexSES:
     sample = x.objs[x.lo]
     q, a = sample.quiver, sample.algebra
     pres = {i: rc.standard_presentation(x.objs[i]) for i in x.degrees()}
-    for i, p in pres.items():
-        if not p.exact:
-            raise QuivhomError(f"presentation not exact in degree {i}")
     b_objs = {i: pres[i].vertices_term for i in x.degrees()}
     a_objs = {i: pres[i].arrows_term for i in x.degrees()}
     # the functorial differentials: each adjoint piece maps to its own block
@@ -544,9 +541,6 @@ def triple_standard_triangle(x: Complex) -> ComplexSES:
     spec = x.objs[x.lo].spec
     f = spec.r.field
     ses_deg = {i: tm.triple_ses(x.objs[i]) for i in x.degrees()}
-    for i, s in ses_deg.items():
-        if not s.exact:
-            raise QuivhomError(f"triple sequence not exact in degree {i}")
     a_objs = {i: ses_deg[i].left for i in x.degrees()}
     b_objs = {i: ses_deg[i].middle for i in x.degrees()}
     a_diffs, b_diffs = {}, {}

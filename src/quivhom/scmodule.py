@@ -83,12 +83,14 @@ class SCMap:
 
 
 def _combination(field, dim, mats, coeffs) -> Mat:
-    """sum c_i mats[i] over the coefficients c_i, a dim x dim matrix."""
-    out = Mat.zeros(field, dim, dim)
+    """sum c_i mats[i] over the coefficients c_i, a dim x dim matrix, summed
+    from its first nonzero term on; coefficients equal to one scale nothing."""
+    out = None
     for i, c in enumerate(coeffs):
         if c != field.zero():
-            out = out.add(mats[i].scale(c))
-    return out
+            term = mats[i] if c == field.one() else mats[i].scale(c)
+            out = term if out is None else out.add(term)
+    return Mat.zeros(field, dim, dim) if out is None else out
 
 
 def zero_sc_module(sc: SCAlgebra) -> SCModule:
@@ -344,11 +346,11 @@ def _cover_generators(m: SCModule, sub: Mat):
 def _map_from_columns(m: SCModule, pieces, gens):
     """(P, pi): P the sum of the column projectives Gamma*e_i, i in
     ``pieces``, and pi sending gamma in the k-th summand to gamma*gens[k]:
-    the orbit [a_t gens[k]]_t times the column's inclusion into Gamma."""
+    column b of the summand, a basis element of Gamma*e_i, goes to b*gens[k]."""
     f = m.sc.field
-    columns = column_data(m.sc).columns
-    total, _, _ = direct_sum_sc(m.sc, [columns[i][0] for i in pieces])
-    piece_mats = [Mat.hstack(f, [a.mul(gen) for a in m.action]).mul(columns[i][1])
+    coldata = column_data(m.sc)
+    total, _, _ = direct_sum_sc(m.sc, [coldata.columns[i][0] for i in pieces])
+    piece_mats = [Mat.hstack(f, [m.action[b].mul(gen) for b in coldata._positions[i]])
                   for i, gen in zip(pieces, gens)]
     pi_mat = Mat.hstack(f, piece_mats) if piece_mats else Mat.zeros(f, m.dim, 0)
     return total, SCMap(total, m, pi_mat)

@@ -3,11 +3,20 @@
 Left modules are triples (X, Y)_phi with X an R-module, Y an S-module and
 phi : M (x)_R X -> Y an S-linear map.  The tensor product is the quotient of
 the span of pure pairs by the bilinearity relations, built by
-``algebra.quotient_by_rows``: its projection and section matrices transport
-maps functorially, and its ``free`` list names the pure pairs kept.  The
-column projectives are e^1_lambda(Re_i) = (Re_i, M(x)Re_i)_1 and
+``algebra.quotient_by_rows``: its ``free`` list names the pure pairs kept,
+and its section ``lift`` holds the unit vectors at them.  The column
+projectives are e^1_lambda(Re_i) = (Re_i, M(x)Re_i)_1 and
 e^2_lambda(Se_j) = (0, Se_j)_0; covers in the triple category are driven by
 the radical (rad X, rad Y + im phi).
+
+By the tensor-hom adjunction phi is the same data as M's action on the
+triple, psi_k = phi(m_k (x) -) : X -> Y for each basis element m_k of M:
+the k-th column block of Psi = phi . proj (``TripleModule.psi``), and phi
+is the ``free`` columns of Psi.  So triple maps are solved and checked
+through Psi (w . psi_k = psi'_k . u), and phi . (M (x) u) is read off the
+columns of [psi_k . u]_k (``TripleModule.psi_after``): kernels, quotients,
+covers and split tests build no tensor map.  ``tensor_map`` is left to the
+functors of ``derived``, which transport maps to M (x) X itself.
 
 M (x)_R - is additive, so the tensor of a direct sum is never eliminated
 again: ``tensor_of_sum`` places the summands' tensors, ``triple_direct_sum``
@@ -87,7 +96,8 @@ class TriRingSpec:
     def __post_init__(self):
         if not self.m.check():
             raise QuivhomError("bimodule axioms fail")
-        self.zero_tensor = tensor_basis(self, scm.zero_sc_module(self.r))
+        z = Mat.zeros(self.r.field, 0, 0)
+        self.zero_tensor = TensorData([], z, z, [z] * self.s.dim)
 
     def coldata_r(self) -> ColumnData:
         return scm.column_data(self.r)
@@ -133,7 +143,9 @@ class TensorData:
 def tensor_basis(spec: TriRingSpec, x: SCModule) -> TensorData:
     """M (x)_R X as the quotient of the free span of pure pairs (m_k, x_j) by
     the relations m c (x) x - m (x) c x, c in the basis of R
-    (``quotient_by_rows``)."""
+    (``quotient_by_rows``).  X = 0 gives the spec's shared zero tensor."""
+    if not x.dim:
+        return spec.zero_tensor
     f = spec.r.field
     mdim, xdim = spec.m.dim, x.dim
     total = mdim * xdim
@@ -250,6 +262,27 @@ class TripleModule:
                 return False
         return True
 
+    def psi(self):
+        """M's action on the triple: psi_k = phi(m_k (x) -) : X -> Y, one
+        Y x X block per basis element m_k of M, cut from Psi = phi . proj
+        (built on each call, not stored)."""
+        f, n, y = self.spec.r.field, self.x.dim, self.y.dim
+        big, w = self.phi.mul(self.tensor.proj).entries, self.spec.m.dim * n
+        return [Mat(f, y, n, tuple(e for i in range(y) for e in big[i * w + k * n:i * w + k * n + n]))
+                for k in range(self.spec.m.dim)]
+
+    def psi_after(self, v: Mat, cols) -> Mat:
+        """The columns ``cols`` of [psi_k . v]_k, the Y x (dim M * v.cols)
+        matrix whose column k * v.cols + j is phi(m_k (x) v e_j).  At the
+        ``free`` columns of the tensor of v's source this is
+        phi . (M (x) v), because the tensor's ``lift`` holds the unit
+        vectors at ``free``."""
+        d = v.cols
+        psi = self.psi()
+        prods = {k: psi[k].mul(v) for k in {c // d for c in cols}}
+        return Mat(self.spec.r.field, self.y.dim, len(cols),
+                   tuple(prods[c // d].entries[i * d + c % d] for i in range(self.y.dim) for c in cols))
+
 
 @dataclass
 class TripleMap:
@@ -274,8 +307,7 @@ class TripleMap:
         for b in range(s.spec.s.dim):
             if self.w.mul(s.y.action[b]) != t.y.action[b].mul(self.w):
                 return False
-        tu = tensor_map(s.spec, s.tensor, t.tensor, self.u)
-        return self.w.mul(s.phi) == t.phi.mul(tu)
+        return all(self.w.mul(ps) == pt.mul(self.u) for ps, pt in zip(s.psi(), t.psi()))
 
     def compose(self, other: "TripleMap") -> "TripleMap":
         return TripleMap(other.source, self.target, self.u.mul(other.u), self.w.mul(other.w))
@@ -337,41 +369,16 @@ def triple_direct_sum(spec: TriRingSpec, triples):
 
 
 def triple_hom_basis(a: TripleModule, b: TripleModule):
-    """Basis of triple maps a -> b."""
-    spec = a.spec
-    f = spec.r.field
-    ux = b.x.dim * a.x.dim
+    """Basis of triple maps a -> b: an R-map u : X_a -> X_b and an S-map
+    w : Y_a -> Y_b with w . phi_a = phi_b . (M (x) u), read through M's
+    action as w . psi^a_k = psi^b_k . u for every basis element m_k of M.
+    For an R-linear u the two conditions have the same solutions, so this
+    is one commuting-map system over (u, w)."""
+    f = a.spec.r.field
     shapes = [(b.x.dim, a.x.dim), (b.y.dim, a.y.dim)]
     rows = _commuting_rows(f, shapes, [(0, sa, 0, ta) for sa, ta in zip(a.x.action, b.x.action)]
-                           + [(1, sa, 1, ta) for sa, ta in zip(a.y.action, b.y.action)])
-    total = ux + b.y.dim * a.y.dim
-    # compatibility: w . phi_a = phi_b . T(u)
-    tu_of = {}
-    for k in range(b.x.dim):
-        for j in range(a.x.dim):
-            e = Mat.zeros(f, b.x.dim, a.x.dim)
-            ent = list(e.entries)
-            ent[k * a.x.dim + j] = f.one()
-            e = Mat(f, b.x.dim, a.x.dim, tuple(ent))
-            tu_of[(k, j)] = tensor_map(spec, a.tensor, b.tensor, e)
-    for i in range(b.y.dim):
-        for j in range(a.tensor.dim):
-            row = [f.zero()] * total
-            for l in range(a.y.dim):
-                v = a.phi.at(l, j)
-                if v != f.zero():
-                    row[ux + i * a.y.dim + l] = f.add(row[ux + i * a.y.dim + l], v)
-            for (k, jj), tu in tu_of.items():
-                acc = f.zero()
-                for t in range(b.tensor.dim):
-                    v = b.phi.at(i, t)
-                    if v != f.zero():
-                        acc = f.add(acc, f.mul(v, tu.at(t, j)))
-                if acc != f.zero():
-                    idx = k * a.x.dim + jj
-                    row[idx] = f.sub(row[idx], acc)
-            if any(z != f.zero() for z in row):
-                rows.append(row)
+                           + [(1, sa, 1, ta) for sa, ta in zip(a.y.action, b.y.action)]
+                           + [(1, pa, 0, pb) for pa, pb in zip(a.psi(), b.psi())])
     return [TripleMap(a, b, u, w) for u, w in _kernel_blocks(f, rows, shapes)]
 
 
@@ -386,12 +393,13 @@ class TripleSES:
     g_map: TripleMap
     section_u: Mat  # raw linear right inverse of g, X component
     section_w: Mat  # raw linear right inverse of g, Y component
-    exact: bool
-    details: dict
 
 
 def triple_ses(t: TripleModule) -> TripleSES:
-    """0 -> (0, M(x)X)_0 -> (X, M(x)X)_1 + (0, Y)_0 -> (X, Y)_phi -> 0."""
+    """0 -> (0, M(x)X)_0 -> (X, M(x)X)_1 + (0, Y)_0 -> (X, Y)_phi -> 0.
+
+    Exactness is not checked here: ``derived.ComplexSES.verify`` checks it
+    degree by degree for the triangle built from these sequences."""
     spec = t.spec
     f = spec.r.field
     tmod = tensor_module(spec, t.tensor)
@@ -407,17 +415,7 @@ def triple_ses(t: TripleModule) -> TripleSES:
     g_map = TripleMap(mid, t, g_u, g_w)
     sec_u = Mat.identity(f, t.x.dim)
     sec_w = yinjs[1].mat.neg()
-    details = {}
-    details["f_valid"] = f_map.is_valid()
-    details["g_valid"] = g_map.is_valid()
-    details["composite_zero"] = g_map.compose(f_map).is_zero()
-    details["f_mono"] = rank(f_w) == left.y.dim and left.x.dim == 0
-    details["g_epi"] = rank(g_u) == t.x.dim and rank(g_w) == t.y.dim
-    details["dims"] = (left.dim_total() + t.dim_total() == mid.dim_total())
-    details["section"] = (g_u.mul(sec_u) == Mat.identity(f, t.x.dim)
-                          and g_w.mul(sec_w) == Mat.identity(f, t.y.dim))
-    exact = all(details.values())
-    return TripleSES(left, mid, t, f_map, g_map, sec_u, sec_w, exact, details)
+    return TripleSES(left, mid, t, f_map, g_map, sec_u, sec_w)
 
 
 # -- projectivity -------------------------------------------------------------------
@@ -442,40 +440,27 @@ def is_projective_triple(t: TripleModule):
 
 
 def triple_split_test(t: TripleModule) -> bool:
-    """Universal map from column projectives splits iff the triple is projective."""
+    """Universal map from column projectives splits iff the triple is projective.
+
+    Each generator g in e_i X gives the map e^1_lambda(Re_i) -> t with
+    u = (gamma -> gamma g) and w = phi . (M (x) u), the ``free`` columns
+    of [psi_k . u]_k; each g in e_j Y gives (0, w) from e^2_lambda(Se_j)."""
     spec = t.spec
     f = spec.r.field
     if t.is_zero():
         return True
     pieces = []
-    # e^1 side: generators from e_i X
-    cdr = spec.coldata_r()
     for i, e in enumerate(spec.r.idempotents):
         img = column_space(f, [t.x.act_vector(e)])
+        piece = e1_lambda(spec, spec.coldata_r().columns[i][0])
         for j in range(img.cols):
-            col, incl = cdr.columns[i]
-            piece = e1_lambda(spec, col)
-            gen = img.col(j)
-            u_cols = []
-            for b in range(col.dim):
-                gamma = [incl.at(r, b) for r in range(spec.r.dim)]
-                u_cols.append(t.x.act_vector(gamma).mul(gen))
-            u = Mat.hstack(f, u_cols) if u_cols else Mat.zeros(f, t.x.dim, 0)
-            tu = tensor_map(spec, piece.tensor, t.tensor, u)
-            w = t.phi.mul(tu)
-            pieces.append(TripleMap(piece, t, u, w))
-    cds = spec.coldata_s()
+            u = scm._map_from_columns(t.x, [i], [img.col(j)])[1].mat
+            pieces.append(TripleMap(piece, t, u, t.psi_after(u, piece.tensor.free)))
     for i, e in enumerate(spec.s.idempotents):
         img = column_space(f, [t.y.act_vector(e)])
+        piece = e2_lambda(spec, spec.coldata_s().columns[i][0])
         for j in range(img.cols):
-            col, incl = cds.columns[i]
-            piece = e2_lambda(spec, col)
-            gen = img.col(j)
-            w_cols = []
-            for b in range(col.dim):
-                gamma = [incl.at(r, b) for r in range(spec.s.dim)]
-                w_cols.append(t.y.act_vector(gamma).mul(gen))
-            w = Mat.hstack(f, w_cols) if w_cols else Mat.zeros(f, t.y.dim, 0)
+            w = scm._map_from_columns(t.y, [i], [img.col(j)])[1].mat
             pieces.append(TripleMap(piece, t, Mat.zeros(f, t.x.dim, 0), w))
     if not pieces:
         return t.is_zero()
@@ -518,8 +503,8 @@ def triple_projective_cover(t: TripleModule):
     # assemble the cover triple (P_X, tensor(P_X) + P_C)
     cover_y, yinjs, yprojs = direct_sum_sc(spec.s, [tensor_module(spec, td), pc])
     cover = TripleModule(spec, px, cover_y, yinjs[0].mat, td)
-    tu = tensor_map(spec, td, t.tensor, pix.mat)
-    w = t.phi.mul(tu).mul(yprojs[0].mat).add(h.mat.mul(yprojs[1].mat))
+    # w is phi . (M (x) pi_X) on the tensor block and h on P_C
+    w = t.psi_after(pix.mat, td.free).mul(yprojs[0].mat).add(h.mat.mul(yprojs[1].mat))
     pi = TripleMap(cover, t, pix.mat, w)
     if rank(pi.u) != t.x.dim or rank(pi.w) != t.y.dim:
         raise CompositionInconsistent("triple cover is not surjective")
@@ -532,8 +517,8 @@ def triple_kernel(f_map: TripleMap):
     kx, kx_incl = scm.kernel_of_sc(scm.SCMap(s.x, t.x, f_map.u))
     ky, ky_incl = scm.kernel_of_sc(scm.SCMap(s.y, t.y, f_map.w))
     td_k = tensor_basis(spec, kx)
-    tincl = tensor_map(spec, td_k, s.tensor, kx_incl.mat)
-    phi_k = solve_matrix(ky_incl.mat, s.phi.mul(tincl))
+    # phi_K corestricts phi . (M (x) incl_X), the free columns of [psi_k . incl_X]_k
+    phi_k = solve_matrix(ky_incl.mat, s.psi_after(kx_incl.mat, td_k.free))
     if phi_k is None:
         raise CompositionInconsistent("kernel phi does not corestrict")
     k = TripleModule(spec, kx, ky, phi_k, td_k)

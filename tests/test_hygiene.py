@@ -131,3 +131,13 @@ def test_one_quotient_construction():
                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
                    and any(w in n.name for w in ("complement", "quotient_by", "projection")))
     assert not found, "complements defined outside algebra:\n" + "\n".join(found)
+
+
+def test_only_derived_builds_tensor_maps():
+    # triples are solved and checked through M's action psi_k (trimat), so
+    # the tensor map M (x) u is built only by the functors of derived
+    calls = sorted(f"{p.name}:{n.lineno}" for p in sorted(SRC.glob("*.py")) if p.name != "derived.py"
+                   for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+                   if isinstance(n, ast.Call) and "tensor_map" in (getattr(n.func, "id", None),
+                                                                   getattr(n.func, "attr", None)))
+    assert not calls, "tensor_map called outside derived:\n" + "\n".join(calls)

@@ -4,6 +4,7 @@ import pytest
 
 from quivhom import algebra as alg
 from quivhom import cats
+from quivhom import derived as dv
 from quivhom import quiver as qv
 from quivhom import repcat as rc
 from quivhom.bounds import Dim
@@ -116,12 +117,27 @@ def _random_rep(rng, q, a):
     return rc.Rep(q, a, mods, maps)
 
 
+def _verify_presentation(pres):
+    """The presentation as a sequence of complexes concentrated in degree 0,
+    checked by ``ComplexSES.verify``: (ok, details)."""
+    x = pres.target
+    q, a = x.quiver, x.algebra
+    cat = cats.rep_cat(q, a)
+    acx, bcx, ccx = (dv.concentrated(cat, o) for o in (pres.arrows_term, pres.vertices_term, x))
+    sections = {0: {(v, u): pres.section[v].mats[u] for v in q.vertices for u in a.quiver.vertices}}
+    ses = dv.ComplexSES(acx, bcx, ccx, dv.ChainMap(acx, bcx, {0: pres.incl}),
+                        dv.ChainMap(bcx, ccx, {0: pres.epi}), sections)
+    details = {}
+    return ses.verify(details), details
+
+
 def test_standard_presentation_s1_over_kA2():
     q = qv.a_n(2)
     k = base_k()
     s1 = rc.rep_simple(q, k, "1", "1")
     pres = rc.standard_presentation(s1)
-    assert pres.exact, pres.details
+    ok, details = _verify_presentation(pres)
+    assert ok, details
     # matches the minimal resolution 0 -> P_2 -> P_1 -> S_1 -> 0
     assert pres.vertices_term.dim_vector() == {"1": 1, "2": 1}
     assert pres.arrows_term.dim_vector() == {"1": 0, "2": 1}
@@ -132,7 +148,8 @@ def test_standard_presentation_single_vertex():
     k = base_k()
     x = rc.left_adjoint(q, "1", kmod(k, 2))
     pres = rc.standard_presentation(x)
-    assert pres.exact
+    ok, details = _verify_presentation(pres)
+    assert ok, details
     assert pres.arrows_term.is_zero()
 
 
@@ -141,7 +158,8 @@ def test_standard_presentation_pc_over_d4():
     k = base_k()
     pc = rc.left_adjoint(q, "c", kmod(k))
     pres = rc.standard_presentation(pc)
-    assert pres.exact
+    ok, details = _verify_presentation(pres)
+    assert ok, details
     # middle P_c + P_1 + P_2 + P_3 (dims 4 + 1 + 1 + 1), left P_1 + P_2 + P_3
     assert pres.vertices_term.dim_total() == 7
     assert pres.arrows_term.dim_total() == 3
@@ -154,7 +172,8 @@ def test_standard_presentation_randomized():
         for _ in range(6):
             x = _random_rep(rng, q, k)
             pres = rc.standard_presentation(x)
-            assert pres.exact, pres.details
+            ok, details = _verify_presentation(pres)
+            assert ok, details
 
 
 def test_rep_pd_projectives():

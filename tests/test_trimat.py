@@ -4,13 +4,16 @@ import random
 import pytest
 
 from quivhom import algebra as alg
+from quivhom import cats
+from quivhom import derived as dv
 from quivhom import quiver as qv
 from quivhom import repcat as rc
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
 from quivhom.bounds import Dim
 from quivhom.errors import AlgebraMismatch, DimensionMismatch, QuivhomError
-from quivhom.exactlin import GF, QQ, Mat, inverse, rank, rref
+from quivhom.exactlin import (GF, QQ, Mat, _commuting_rows, _kernel_blocks, inverse, rank, rref,
+                              solve_matrix)
 
 
 def k_bqa(field=QQ):
@@ -68,18 +71,31 @@ def test_tensor_collapses_over_dual_numbers():
     assert td.dim == 1
 
 
+def _verify_ses(ses):
+    """The sequence as complexes concentrated in degree 0, checked by
+    ``ComplexSES.verify``: (ok, details)."""
+    cat = cats.triple_cat(ses.target.spec)
+    a, b, c = (dv.concentrated(cat, o) for o in (ses.left, ses.middle, ses.target))
+    cses = dv.ComplexSES(a, b, c, dv.ChainMap(a, b, {0: ses.f_map}), dv.ChainMap(b, c, {0: ses.g_map}),
+                         {0: {"x": ses.section_u, "y": ses.section_w}})
+    details = {}
+    return cses.verify(details), details
+
+
 def test_triple_ses_identity_phi_splits():
     spec = t2k()
     t = tm.e1_lambda(spec, vec_module(spec.r, 1))
     ses = tm.triple_ses(t)
-    assert ses.exact, ses.details
+    ok, details = _verify_ses(ses)
+    assert ok, details
 
 
 def test_triple_ses_e2():
     spec = t2k()
     t = tm.e2_lambda(spec, vec_module(spec.s, 2))
     ses = tm.triple_ses(t)
-    assert ses.exact
+    ok, details = _verify_ses(ses)
+    assert ok, details
     assert ses.left.dim_total() == 0
     assert ses.middle.dim_total() == t.dim_total()
 
@@ -88,7 +104,8 @@ def test_triple_ses_ranks_t2k():
     spec = t2k()
     t = triple_over_t2(spec, 1, 1, [[1]])  # (k, k)_1, the projective column
     ses = tm.triple_ses(t)
-    assert ses.exact
+    ok, details = _verify_ses(ses)
+    assert ok, details
     assert (ses.left.dim_total(), ses.middle.dim_total(), ses.target.dim_total()) == (1, 3, 2)
 
 
@@ -443,7 +460,10 @@ def test_triple_cover_reads_cached_column_tensors(monkeypatch):
 @pytest.mark.parametrize("make", [t2_a4_rad2, t2k, m_zero], ids=["T2(A4/rad2)", "T2(k)", "M=0"])
 def test_triples_with_zero_x_share_the_spec_zero_tensor(make, monkeypatch):
     spec = make()
-    assert spec.zero_tensor == tm.tensor_basis(spec, scm.zero_sc_module(spec.r))
+    zx = scm.zero_sc_module(spec.r)
+    assert tm.tensor_basis(spec, zx) is spec.zero_tensor
+    td = spec.zero_tensor
+    assert (td.dim, td.proj, td.lift, td.s_action) == _tensor_by_elimination(spec, zx)
 
     def refuse(*args):
         raise AssertionError("tensor_basis called for X = 0")
@@ -452,6 +472,173 @@ def test_triples_with_zero_x_share_the_spec_zero_tensor(make, monkeypatch):
     y = spec.coldata_s().columns[0][0]
     for t in (tm.zero_triple(spec), tm.e2_lambda(spec, y)):
         assert t.tensor is spec.zero_tensor and t.check()
+
+
+# -- maps read through M's action ------------------------------------------------------
+
+def _hom_basis_by_tensor_maps(a, b):
+    """Reference triple hom basis as (u, w) pairs: the compatibility
+    w . phi_a = phi_b . (M (x) u) written out entry by entry, with the
+    tensor map of every elementary u."""
+    spec = a.spec
+    f = spec.r.field
+    ux = b.x.dim * a.x.dim
+    shapes = [(b.x.dim, a.x.dim), (b.y.dim, a.y.dim)]
+    rows = _commuting_rows(f, shapes, [(0, sa, 0, ta) for sa, ta in zip(a.x.action, b.x.action)]
+                           + [(1, sa, 1, ta) for sa, ta in zip(a.y.action, b.y.action)])
+    total = ux + b.y.dim * a.y.dim
+    tu_of = {}
+    for k in range(b.x.dim):
+        for j in range(a.x.dim):
+            e = [f.zero()] * ux
+            e[k * a.x.dim + j] = f.one()
+            tu_of[(k, j)] = tm.tensor_map(spec, a.tensor, b.tensor, Mat(f, b.x.dim, a.x.dim, tuple(e)))
+    for i in range(b.y.dim):
+        for j in range(a.tensor.dim):
+            row = [f.zero()] * total
+            for l in range(a.y.dim):
+                row[ux + i * a.y.dim + l] = f.add(row[ux + i * a.y.dim + l], a.phi.at(l, j))
+            for (k, jj), tu in tu_of.items():
+                acc = f.zero()
+                for t in range(b.tensor.dim):
+                    acc = f.add(acc, f.mul(b.phi.at(i, t), tu.at(t, j)))
+                row[k * a.x.dim + jj] = f.sub(row[k * a.x.dim + jj], acc)
+            if any(row):
+                rows.append(row)
+    return [(u, w) for u, w in _kernel_blocks(f, rows, shapes)]
+
+
+def _valid_by_tensor_maps(h):
+    """Reference ``TripleMap.is_valid``: u and w module maps and
+    w . phi = phi' . (M (x) u)."""
+    s, t = h.source, h.target
+    return (all(h.u.mul(a) == b.mul(h.u) for a, b in zip(s.x.action, t.x.action))
+            and all(h.w.mul(a) == b.mul(h.w) for a, b in zip(s.y.action, t.y.action))
+            and h.w.mul(s.phi) == t.phi.mul(tm.tensor_map(s.spec, s.tensor, t.tensor, h.u)))
+
+
+def _kernel_phi_by_solve(incl):
+    """Reference kernel phi: solves incl_Y . phi_K = phi . (M (x) incl_X)."""
+    k, s = incl.source, incl.target
+    return solve_matrix(incl.w, s.phi.mul(tm.tensor_map(s.spec, k.tensor, s.tensor, incl.u)))
+
+
+def _quotient_phi_by_solve(proj):
+    """Reference quotient phi: solves phi-bar . (M (x) q_X) = q_Y . phi, or
+    None when it has no solution."""
+    s, q = proj.source, proj.target
+    tq = tm.tensor_map(s.spec, s.tensor, q.tensor, proj.u)
+    xt = solve_matrix(tq.transpose(), proj.w.mul(s.phi).transpose())
+    return None if xt is None else xt.transpose()
+
+
+def _psi_test_triples(spec):
+    """The cover test triples and the kernels of their covers."""
+    out = _cover_test_triples(spec)
+    return out + [tm.triple_kernel(tm.triple_projective_cover(t)[1])[0] for t in out]
+
+
+def _random_combination(rng, a, b, basis):
+    f = a.spec.r.field
+    h = tm.zero_triple_map(a, b)
+    for m in basis:
+        h = h.add(m.scale(f.of_int(rng.randint(-1, 2))))
+    return h
+
+
+PSI_SPECS = [t2_a4_rad2, t2_kA2, t2k, t2_dual, m_zero]
+PSI_IDS = ["T2(A4/rad2)", "T2(kA2)", "T2(k)", "T2(dual numbers)", "M=0"]
+
+
+@pytest.mark.parametrize("make", PSI_SPECS, ids=PSI_IDS)
+def test_triple_hom_basis_equals_the_tensor_map_construction(make):
+    spec = make()
+    pool = _psi_test_triples(spec)
+    rng = random.Random(31)
+    ends = pool[::2]
+    pairs = [(t, t) for t in ends] + [(rng.choice(pool), rng.choice(pool)) for _ in range(12)]
+    nonzero = 0
+    for a, b in pairs:
+        got = [(h.u, h.w) for h in tm.triple_hom_basis(a, b)]
+        assert got == _hom_basis_by_tensor_maps(a, b)
+        nonzero += bool(got)
+    assert nonzero >= sum(not t.is_zero() for t in ends)  # End of a nonzero triple is nonzero
+
+
+@pytest.mark.parametrize("make", PSI_SPECS, ids=PSI_IDS)
+def test_is_valid_agrees_with_the_tensor_map_check(make):
+    spec = make()
+    f = spec.r.field
+    pool = _psi_test_triples(spec)
+    rng = random.Random(37)
+    verdicts = []
+    for _ in range(30):
+        a, b = rng.choice(pool), rng.choice(pool)
+        h = _random_combination(rng, a, b, tm.triple_hom_basis(a, b))
+        maps = [h]
+        for part in ("u", "w"):
+            m = getattr(h, part)
+            if m.rows and m.cols:
+                ent = list(m.entries)
+                at = rng.randrange(len(ent))
+                ent[at] = f.add(ent[at], f.one())
+                bumped = Mat(f, m.rows, m.cols, tuple(ent))
+                maps.append(tm.TripleMap(a, b, bumped, h.w) if part == "u"
+                            else tm.TripleMap(a, b, h.u, bumped))
+        for m in maps:
+            verdicts.append(m.is_valid())
+            assert verdicts[-1] == _valid_by_tensor_maps(m)
+    assert set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("make", PSI_SPECS, ids=PSI_IDS)
+def test_kernel_and_quotient_phi_equal_the_solved_ones(make):
+    spec = make()
+    cat = cats.triple_cat(spec)
+    pool = _cover_test_triples(spec)
+    rng = random.Random(41)
+    maps = [tm.triple_projective_cover(t)[1] for t in pool]
+    for _ in range(12):
+        a, b = rng.choice(pool), rng.choice(pool)
+        maps.append(_random_combination(rng, a, b, tm.triple_hom_basis(a, b)))
+    for h in maps:
+        k, incl = tm.triple_kernel(h)
+        assert k.phi == _kernel_phi_by_solve(incl)
+        q, proj = cat.quotient(h.source, {"x": incl.u, "y": incl.w})
+        assert q.phi == _quotient_phi_by_solve(proj)
+        assert q.check() and proj.is_valid()
+
+
+@pytest.mark.parametrize("make", [t2_a4_rad2, t2k, t2_dual], ids=["T2(A4/rad2)", "T2(k)",
+                                                                 "T2(dual numbers)"])
+def test_quotient_refuses_exactly_what_the_solve_refuses(make):
+    # (X, 0) inside (X, M (x) X)_1 is no subtriple when M (x) X != 0
+    spec = make()
+    f = spec.r.field
+    cat = cats.triple_cat(spec)
+    for col, _ in spec.coldata_r().columns:
+        t = tm.e1_lambda(spec, col)
+        cols = {"x": Mat.identity(f, t.x.dim), "y": Mat.zeros(f, t.y.dim, 0)}
+        with pytest.raises(QuivhomError, match="not a subtriple"):
+            cat.quotient(t, cols)
+        qx, xproj, _ = scm.quotient_sc(t.x, cols["x"])
+        qt = tm.TripleModule(spec, qx, t.y, Mat.zeros(f, t.y.dim, 0))
+        assert _quotient_phi_by_solve(tm.TripleMap(t, qt, xproj, Mat.identity(f, t.y.dim))) is None
+
+
+def test_triple_maps_build_no_tensor_map(monkeypatch):
+    spec = t2_a4_rad2()
+    cat = cats.triple_cat(spec)
+    pool = _cover_test_triples(spec)
+    calls = []
+    monkeypatch.setattr(tm, "tensor_map", lambda *args: calls.append(args))
+    for t in pool:
+        cover, pi = tm.triple_projective_cover(t)
+        assert pi.is_valid()
+        k, incl = tm.triple_kernel(pi)
+        cat.quotient(cover, {"x": incl.u, "y": incl.w})
+        assert tm.triple_hom_basis(k, k) or k.is_zero()
+    assert calls == []
 
 
 # -- malformed triples and caps ---------------------------------------------------------
