@@ -183,9 +183,12 @@ class BQA:
         return tuple(vec)
 
     def idempotent_vector(self, v: str):
+        at = self._bindex.get(trivial_path(str(v)))
+        if at is None:
+            raise UnknownVertex(f"unknown vertex {v}")
         f = self.field
         vec = [f.zero()] * self.dim
-        vec[self._bindex[trivial_path(str(v))]] = f.one()
+        vec[at] = f.one()
         return tuple(vec)
 
     def radical_indices(self):
@@ -428,6 +431,8 @@ def projective_module(a: BQA, v: str) -> AlgMod:
     got = a._projectives.get(v)
     if got is not None:
         return got
+    if v not in a._vertex_paths:
+        raise UnknownVertex(f"unknown vertex {v}")
     plists = {w: [p for p in a._vertex_paths[v] if p.target == w] for w in a.quiver.vertices}
     dims = {w: len(plists[w]) for w in a.quiver.vertices}
     f = a.field

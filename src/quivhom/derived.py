@@ -126,7 +126,7 @@ class ChainMap:
             return self.comps[i]
         return self.source.cat.zero_map(self.source.obj(i), self.target.obj(i))
 
-    def check(self, structural: bool = True) -> bool:
+    def check(self) -> bool:
         cat = self.source.cat
         lo = min(self.source.lo, self.target.lo)
         hi = max(self.source.hi, self.target.hi)
@@ -136,11 +136,7 @@ class ChainMap:
             la, ra = cat.map_mats(lhs), cat.map_mats(rhs)
             if any(la[k] != ra[k] for k in la):
                 return False
-        if structural:
-            for i in range(lo, hi + 1):
-                if not cat.is_morphism(self.comp(i)):
-                    return False
-        return True
+        return all(cat.is_morphism(self.comp(i)) for i in range(lo, hi + 1))
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         cat = self.source.cat
@@ -250,7 +246,6 @@ class ComplexSES:
 
     def verify(self, details=None) -> bool:
         cat = self.a.cat
-        ok = True
         checks = details if details is not None else {}
         checks["incl_chain"] = self.incl.check()
         checks["epi_chain"] = self.epi.check()
@@ -282,8 +277,7 @@ class ComplexSES:
                 if not prod.is_identity():
                     sec = False
         checks["section_right_inverse"] = sec
-        ok = all(checks.values())
-        return ok
+        return all(checks.values())
 
 
 def solve_sections(ses: ComplexSES) -> dict:
@@ -653,11 +647,10 @@ class CFunctor:
         diffs = {i: self.on_map(c.diffs[i]) for i in range(c.lo, c.hi)}
         return Complex(self.dst_cat, c.lo, c.hi, objs, diffs)
 
-    def on_chain_map(self, f: ChainMap, src_img=None, dst_img=None) -> ChainMap:
-        src = src_img if src_img is not None else self.on_complex(f.source)
-        dst = dst_img if dst_img is not None else self.on_complex(f.target)
-        comps = {i: self.on_map(f.comps[i]) for i in f.comps}
-        return ChainMap(src, dst, comps)
+    def on_chain_map(self, f: ChainMap, src_img: Complex, dst_img: Complex) -> ChainMap:
+        """F(f) between the images of f's source and target, which the caller
+        has already built."""
+        return ChainMap(src_img, dst_img, {i: self.on_map(f.comps[i]) for i in f.comps})
 
 
 def _per_object(build):

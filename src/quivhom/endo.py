@@ -4,9 +4,10 @@ The summands may be base-algebra modules or quiver representations; the
 category adapter :class:`cats.Cat` (``cats.mod_cat`` / ``cats.rep_cat``)
 hides the difference.  Products compose in the usual order
 (f * g = f o g), so Hom(U, W) is a left End(W)-module by post-composition.
-The explicit isomorphism End(sum_v e^v_lambda(A)) = (End A)Q is constructed
-from the adjunction: the morphism attached to a path p: w ~> v and an
-endomorphism gamma sends the copy at q to the copy at concat(p, q) via gamma.
+The isomorphism End(sum_v e^v_side(A)) = (End A)Q' is checked in the End
+algebra of the adjoints (in the pipeline, a corner of End(X-bar)): the map
+attached to a path p and a basis map g of End A places g between the copies
+indexed by paths, and is re-expressed by the reader of every End table.
 
 Summands must be indecomposable with split local End (End(X)/rad = k), as the
 summands of a basic generator-cogenerator are.  ``end_algebra`` then builds
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import algebra as alg
 from . import repcat as rc
 from .algebra import SCAlgebra, _is_nilpotent
 from .bounds import Dim
@@ -49,6 +49,9 @@ class EndAlgebra:
 
     def positions(self, sources, targets):
         """Basis indices of the blocks (i, j), i in sources and j in targets."""
+        bad = [i for i in (*sources, *targets) if i not in range(len(self.summands))]
+        if bad:
+            raise QuivhomError(f"no summands {bad}: End has {len(self.summands)}")
         out = []
         for i in sources:
             for j in targets:
@@ -100,6 +103,24 @@ def end_algebra(summands, cat: Cat) -> EndAlgebra:
             basis = cat.hom_basis(s, t)
             blocks[(i, j)] = (dim, basis)
             dim += len(basis)
+    express = _block_reader(cat, blocks, dim)
+    zero_vec = tuple(f.zero() for _ in range(dim))
+    mult = [[zero_vec for _ in range(dim)] for _ in range(dim)]
+    for (c, d), (off_g, basis_g) in blocks.items():
+        for b in range(len(summands)):
+            off_f, basis_f = blocks[(d, b)]
+            for gi, g in enumerate(basis_g):
+                for fi, fmap in enumerate(basis_f):
+                    mult[off_f + fi][off_g + gi] = tuple(express(c, b, cat.compose(fmap, g)))
+    idems = [express(i, i, cat.identity(s)) for i, s in enumerate(summands)]
+    return _end_from_blocks(summands, cat, blocks, mult, idems)
+
+
+def _block_reader(cat: Cat, blocks, dim):
+    """express(i, j, h): the coordinates of h: X_i -> X_j in the basis of the
+    hom block (i, j), as a vector of length ``dim``; a map outside the block's
+    span raises :class:`CompositionInconsistent`."""
+    f = cat.field
     stacked = {key: Mat.hstack(f, [Mat.column(f, cat.flatten_map(b)) for b in basis])
                for key, (_, basis) in blocks.items() if basis}
 
@@ -115,16 +136,7 @@ def end_algebra(summands, cat: Cat) -> EndAlgebra:
         vec[off:off + len(basis)] = x.entries
         return vec
 
-    zero_vec = tuple(f.zero() for _ in range(dim))
-    mult = [[zero_vec for _ in range(dim)] for _ in range(dim)]
-    for (c, d), (off_g, basis_g) in blocks.items():
-        for b in range(len(summands)):
-            off_f, basis_f = blocks[(d, b)]
-            for gi, g in enumerate(basis_g):
-                for fi, fmap in enumerate(basis_f):
-                    mult[off_f + fi][off_g + gi] = tuple(express(c, b, cat.compose(fmap, g)))
-    idems = [express(i, i, cat.identity(s)) for i, s in enumerate(summands)]
-    return _end_from_blocks(summands, cat, blocks, mult, idems)
+    return express
 
 
 def _end_from_blocks(summands, cat: Cat, blocks, mult, idems) -> EndAlgebra:
@@ -310,81 +322,64 @@ class EndIsoReport:
     rhs_dim: int
     verified: bool
     side: str
-    details: dict
 
 
-def adjoint_end_iso(q: Quiver, gamma: EndAlgebra, side: str = "lambda",
-                    vertices=None) -> EndIsoReport:
-    """Explicit algebra isomorphism End(sum_v adjoint(A)) = (End A)Q'.
+def adjoint_end_iso(q: Quiver, gamma: EndAlgebra, lhs: EndAlgebra) -> EndIsoReport:
+    """Check the algebra isomorphism (End A)Q' = ``lhs``.
 
-    ``gamma`` is End(A) over the base algebra, built by :func:`end_algebra`
-    from the summands of A.  ``vertices`` restricts the sum
-    to a vertex subset; the right-hand side is then the path algebra of the
-    full subquiver on those vertices, while the adjoints still live over the
-    ambient quiver.  (Used with the non-sink vertices, where ambient paths
-    between kept vertices never leave the subset.)
+    ``gamma`` is End(A), built by :func:`end_algebra` from the summands A_i of
+    A.  ``lhs`` is the End algebra (in the pipeline, a corner of End(X-bar))
+    of the adjoints e^v_side(A_i) over ``q`` of one side, vertex-major in the
+    order of ``q.vertices`` and over ``gamma.summands`` within a vertex; side
+    and vertices are read off the summands, and other summands raise
+    :class:`QuivhomError`.  Q' is the full subquiver on those vertices.
+
+    The basis element (p, g) of :func:`path_block_algebra`, p: w ~> v and
+    g: A_s -> A_t, is the map chi: e^v(A_s) -> e^w(A_t) placing g between the
+    copies indexed by paths (lambda: copy r to copy p.r; rho: copy r.p to
+    copy r), re-expressed in its hom block of ``lhs`` by the reader of
+    :func:`end_algebra`.  Outside the block's span chi is not natural.  The
+    coordinates c_i must have rank dim (End A)Q' = dim lhs, and c_i * c_j
+    must be sum_k mult[i][j][k] c_k; else :class:`IsoCheckFailed` is raised.
     """
-    a = gamma.summands[0].algebra
-    total, sinjs, sprojs = alg.direct_sum_mods(a, gamma.summands)
-    use_q = q if vertices is None else subquiver(q, vertices)
-    rhs, rhs_labels = path_block_algebra(gamma.sc, use_q)
-    # LHS pieces over the ambient quiver
-    if side == "lambda":
-        pieces = {v: rc.left_adjoint(q, v, total) for v in use_q.vertices}
-    else:
-        pieces = {v: rc.right_adjoint(q, v, total) for v in use_q.vertices}
-    tot_rep, injs, projs = rc.rep_direct_sum(q, a, [pieces[v] for v in use_q.vertices])
-    vindex = {v: i for i, v in enumerate(use_q.vertices)}
-    f = a.field
-
-    def gamma_map(g_index):
-        src, dst, t = gamma.sc.labels[g_index]
-        base = gamma.blocks[(src, dst)][1][t]
-        return sinjs[dst].compose(base).compose(sprojs[src])
-
-    chi_maps = []
-    for p, g in rhs_labels:
-        gm = gamma_map(g)
-        v, w = p.target, p.source  # morphism e^v -> e^w for path p: w ~> v
-        src_piece, dst_piece = pieces[v], pieces[w]
-        # gm placed block by block between the copies indexed by paths
+    n_a, f = len(gamma.summands), lhs.cat.field
+    tags = [getattr(s, "_adjoint", None) for s in lhs.summands]
+    if not tags or None in tags or len(tags) % n_a:
+        raise QuivhomError("lhs is not a vertex-major sum of adjoints of gamma's summands")
+    side, verts = tags[0][0], [t[1] for t in tags[::n_a]]
+    if verts != [v for v in q.vertices if v in verts]:
+        raise QuivhomError(f"lhs vertices {verts} are not distinct vertices in quiver order")
+    for k, (s, tag) in enumerate(zip(lhs.summands, tags)):
+        if s.quiver != q or tag[:3] != (side, verts[k // n_a], gamma.summands[k % n_a]):
+            raise QuivhomError(f"summand {k} of lhs is not e^{verts[k // n_a]}_{side}(A_{k % n_a})")
+    rhs, labels = path_block_algebra(gamma.sc, subquiver(q, verts))
+    express = _block_reader(lhs.cat, lhs.blocks, lhs.dim)
+    coords = []
+    for p, g in labels:
+        a_s, a_t, t = gamma.sc.labels[g]
+        i, j = verts.index(p.target) * n_a + a_s, verts.index(p.source) * n_a + a_t
+        src, dst = lhs.summands[i], lhs.summands[j]
         mats = {}
         for x in q.vertices:
-            if side == "lambda":  # copy qq : v ~> x goes to copy p.qq
-                dst_idx = {pp: i for i, pp in enumerate(dst_piece._adjoint[3][x])}
-                pairs = [(i, dst_idx[concat(p, qq)])
-                         for i, qq in enumerate(src_piece._adjoint[3][x])]
-            else:  # copy rr.p goes to copy rr : x ~> w
-                src_idx = {pp: i for i, pp in enumerate(src_piece._adjoint[3][x])}
-                pairs = [(src_idx[concat(rr, p)], j)
-                         for j, rr in enumerate(dst_piece._adjoint[3][x])]
-            mats[x] = rc._copy_map(gm, src_piece.mods[x], dst_piece.mods[x], pairs)
-        comp = rc.RepMap(src_piece, dst_piece, mats)
-        chi_maps.append(injs[vindex[w]].compose(comp).compose(projs[vindex[v]]))
-
-    details = {}
-    if not all(chi.is_valid() for chi in chi_maps):
-        raise IsoCheckFailed("a correspondence morphism is not natural")
-    flats = [Mat.column(f, chi.flatten()) for chi in chi_maps]
-    stacked = Mat.hstack(f, flats) if flats else Mat.zeros(f, 0, 0)
-    lhs_dim = rc.rep_hom_dim(tot_rep, tot_rep)
-    rhs_dim = rhs.dim
-    details["independent"] = (rank(stacked) == len(chi_maps)) if chi_maps else True
-    details["dims_match"] = lhs_dim == rhs_dim
-    if not (details["independent"] and details["dims_match"]):
-        raise IsoCheckFailed(f"correspondence is not bijective: {details}")
-    # structure constants agree
-    for i, ci in enumerate(chi_maps):
-        for j, cj in enumerate(chi_maps):
-            comp = ci.compose(cj)
-            flat = Mat.column(f, comp.flatten())
-            coords = solve_matrix(stacked, flat)
-            if coords is None:
-                raise IsoCheckFailed("composite escapes the correspondence span")
-            if tuple(coords.column_vector()) != rhs.mult[i][j]:
+            if side == "lambda":
+                at = {r: n for n, r in enumerate(dst._adjoint[3][x])}
+                pairs = [(n, at[concat(p, r)]) for n, r in enumerate(src._adjoint[3][x])]
+            else:
+                at = {r: n for n, r in enumerate(src._adjoint[3][x])}
+                pairs = [(at[concat(r, p)], n) for n, r in enumerate(dst._adjoint[3][x])]
+            mats[x] = rc._copy_map(gamma.blocks[(a_s, a_t)][1][t], src.mods[x], dst.mods[x], pairs)
+        try:
+            coords.append(express(i, j, rc.RepMap(src, dst, mats)))
+        except CompositionInconsistent as exc:
+            raise IsoCheckFailed(f"the map of ({p}, {g}) is not natural") from exc
+    if not lhs.dim == rhs.dim == rank(Mat.from_rows(f, coords)):
+        raise IsoCheckFailed(f"not bijective: dim lhs {lhs.dim}, dim (End A)Q' {rhs.dim}")
+    cols = list(zip(*coords))
+    for i, ci in enumerate(coords):
+        for j, cj in enumerate(coords):
+            if list(lhs.sc.multiply(ci, cj)) != [_dot(f, rhs.mult[i][j], c) for c in cols]:
                 raise IsoCheckFailed("structure constants disagree under the correspondence")
-    details["structure_constants"] = True
-    return EndIsoReport(lhs_dim, rhs_dim, True, side, details)
+    return EndIsoReport(lhs.dim, rhs.dim, True, side)
 
 
 # -- Hom vanishing between sink injectives and non-sink projectives ---------------------

@@ -223,8 +223,9 @@ def _connected_undirected(q: Quiver) -> bool:
 
 def subquiver(q: Quiver, keep) -> Quiver:
     """Full subquiver on the kept vertices (incident arrows dropped)."""
-    keep = [str(v) for v in keep]
-    keepset = set(keep)
+    keepset = {str(v) for v in keep}
+    if not keepset <= set(q.vertices):
+        raise UnknownVertex(f"unknown vertices {sorted(keepset - set(q.vertices))}")
     verts = [v for v in q.vertices if v in keepset]
     arrs = [(a.name, a.source, a.target) for a in q.arrows
             if a.source in keepset and a.target in keepset]
@@ -253,6 +254,9 @@ def d4(bits=(0, 0, 0)) -> Quiver:
 
     bit i = 0 orients edge i outward (c -> leaf), 1 inward (leaf -> c).
     """
+    bits = tuple(bits)
+    if len(bits) != 3 or any(b not in (0, 1) for b in bits):
+        raise QuivhomError(f"D_4 needs three bits, each 0 or 1, not {bits}")
     arrs = []
     for i, b in enumerate(bits, start=1):
         if b == 0:

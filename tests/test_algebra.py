@@ -506,6 +506,16 @@ def test_projective_module_is_built_once():
     assert alg.projective_module(a, 1) is alg.projective_module(a, "1")
 
 
+def test_unknown_vertices_are_refused():
+    a = kA3_rad2()
+    with pytest.raises(UnknownVertex):
+        alg.projective_module(a, "9")
+    assert "9" not in a._projectives
+    with pytest.raises(UnknownVertex):
+        a.idempotent_vector("9")
+    assert a.idempotent_vector("2") == tuple(int(p == qv.trivial_path("2")) for p in a.basis)
+
+
 def _count_covers(monkeypatch):
     calls = []
     real = alg.projective_cover

@@ -1,3 +1,5 @@
+import types
+
 import pytest
 
 from quivhom import algebra as alg
@@ -9,8 +11,8 @@ from quivhom import repdim
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
 from quivhom.bounds import Dim
-from quivhom.errors import NotSplit, QuivhomError
-from quivhom.exactlin import GF, QQ, Mat, solve_matrix, span_dim
+from quivhom.errors import IsoCheckFailed, NotSplit, QuivhomError
+from quivhom.exactlin import GF, QQ, Mat, rank, solve_matrix, span_dim
 
 
 def base_k():
@@ -170,29 +172,210 @@ def end_of(a, summands):
     return endo.end_algebra(summands, cats.mod_cat(a))
 
 
+def adjoint_lhs(q, gamma, side, vertices):
+    """End of the adjoints e^v_side(A_i), vertex-major over gamma's summands."""
+    adjoint = rc.left_adjoint if side == "lambda" else rc.right_adjoint
+    return endo.end_algebra([adjoint(q, v, m) for v in vertices for m in gamma.summands],
+                            cats.rep_cat(q, gamma.summands[0].algebra))
+
+
 def test_end_iso_k_a2():
     k = base_k()
-    rep = endo.adjoint_end_iso(qv.a_n(2), end_of(k, [alg.AlgMod(k, {"1": 1}, {})]), side="lambda")
+    q, gamma = qv.a_n(2), end_of(k, [alg.AlgMod(k, {"1": 1}, {})])
+    rep = endo.adjoint_end_iso(q, gamma, adjoint_lhs(q, gamma, "lambda", q.vertices))
     assert rep.verified and rep.lhs_dim == rep.rhs_dim == 3
 
 
 def test_end_iso_k_d4():
     k = base_k()
-    rep = endo.adjoint_end_iso(qv.d4((0, 0, 0)), end_of(k, [alg.AlgMod(k, {"1": 1}, {})]))
+    q, gamma = qv.d4((0, 0, 0)), end_of(k, [alg.AlgMod(k, {"1": 1}, {})])
+    rep = endo.adjoint_end_iso(q, gamma, adjoint_lhs(q, gamma, "lambda", q.vertices))
     assert rep.verified and rep.lhs_dim == 7
 
 
 def test_end_iso_dual_numbers_a2():
     d = dual_numbers()
     reg = alg.projective_module(d, "1")
-    rep = endo.adjoint_end_iso(qv.a_n(2), end_of(d, [reg]), side="lambda")
+    q, gamma = qv.a_n(2), end_of(d, [reg])
+    rep = endo.adjoint_end_iso(q, gamma, adjoint_lhs(q, gamma, "lambda", q.vertices))
     assert rep.verified and rep.lhs_dim == 6
 
 
 def test_end_iso_rho_side():
     k = base_k()
-    rep = endo.adjoint_end_iso(qv.d4((0, 0, 0)), end_of(k, [alg.AlgMod(k, {"1": 1}, {})]), side="rho")
+    q, gamma = qv.d4((0, 0, 0)), end_of(k, [alg.AlgMod(k, {"1": 1}, {})])
+    rep = endo.adjoint_end_iso(q, gamma, adjoint_lhs(q, gamma, "rho", q.vertices))
     assert rep.verified and rep.lhs_dim == 7
+
+
+def reference_adjoint_end_iso(q, gamma, side, vertices):
+    """The isomorphism check built on End(sum of the adjoints of A's sum) over
+    Lambda Q: its own hom space, and composites of maps of the sum solved in
+    the span of the correspondence.  Returns (lhs_dim, rhs_dim, verified)."""
+    a = gamma.summands[0].algebra
+    total, sinjs, sprojs = alg.direct_sum_mods(a, gamma.summands)
+    use_q = qv.subquiver(q, vertices)
+    rhs, rhs_labels = endo.path_block_algebra(gamma.sc, use_q)
+    adjoint = rc.left_adjoint if side == "lambda" else rc.right_adjoint
+    pieces = {v: adjoint(q, v, total) for v in use_q.vertices}
+    tot_rep, injs, projs = rc.rep_direct_sum(q, a, [pieces[v] for v in use_q.vertices])
+    vindex = {v: i for i, v in enumerate(use_q.vertices)}
+    f = a.field
+    chi_maps = []
+    for p, g in rhs_labels:
+        src, dst, t = gamma.sc.labels[g]
+        gm = sinjs[dst].compose(gamma.blocks[(src, dst)][1][t]).compose(sprojs[src])
+        v, w = p.target, p.source
+        src_piece, dst_piece = pieces[v], pieces[w]
+        mats = {}
+        for x in q.vertices:
+            if side == "lambda":
+                dst_idx = {pp: i for i, pp in enumerate(dst_piece._adjoint[3][x])}
+                pairs = [(i, dst_idx[qv.concat(p, qq)])
+                         for i, qq in enumerate(src_piece._adjoint[3][x])]
+            else:
+                src_idx = {pp: i for i, pp in enumerate(src_piece._adjoint[3][x])}
+                pairs = [(src_idx[qv.concat(rr, p)], j)
+                         for j, rr in enumerate(dst_piece._adjoint[3][x])]
+            mats[x] = rc._copy_map(gm, src_piece.mods[x], dst_piece.mods[x], pairs)
+        comp = rc.RepMap(src_piece, dst_piece, mats)
+        chi_maps.append(injs[vindex[w]].compose(comp).compose(projs[vindex[v]]))
+    if not all(chi.is_valid() for chi in chi_maps):
+        raise IsoCheckFailed("a correspondence morphism is not natural")
+    stacked = Mat.hstack(f, [Mat.column(f, chi.flatten()) for chi in chi_maps])
+    lhs_dim = rc.rep_hom_dim(tot_rep, tot_rep)
+    if rank(stacked) != len(chi_maps) or lhs_dim != rhs.dim:
+        raise IsoCheckFailed("correspondence is not bijective")
+    for i, ci in enumerate(chi_maps):
+        for j, cj in enumerate(chi_maps):
+            coords = solve_matrix(stacked, Mat.column(f, ci.compose(cj).flatten()))
+            if coords is None or tuple(coords.column_vector()) != rhs.mult[i][j]:
+                raise IsoCheckFailed("structure constants disagree under the correspondence")
+    return lhs_dim, rhs.dim, True
+
+
+def k3():
+    return qv.make_quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2")])
+
+
+ISO_CASES = [(name, make_q, field, "k")
+             for name, make_q in [("kronecker", qv.kronecker), ("k3", k3),
+                                  ("a2", lambda: qv.a_n(2)), ("a3_sink", lambda: a3_middle_sink())]
+             for field in (QQ, GF(2), GF(3))]
+ISO_CASES += [(f"d4{bits}", lambda bits=bits: qv.d4(bits), QQ, "k")
+              for bits, _ in qv.d4_orientations()]
+ISO_CASES += [(name, make_q, QQ, "dual") for name, make_q in
+              [("a2", lambda: qv.a_n(2)), ("kronecker", qv.kronecker)]]
+
+
+@pytest.mark.parametrize("name,make_q,field,base", ISO_CASES,
+                         ids=[f"{c[0]}-{'QQ' if c[2] is QQ else f'GF{c[2].p}'}-{c[3]}"
+                              for c in ISO_CASES])
+def test_end_iso_agrees_with_the_end_of_the_adjoint_of_the_sum(name, make_q, field, base):
+    # on the vertex sets of X1 and X3, and on every vertex, for both sides;
+    # base "dual" is A = Lambda = k[x]/x^2
+    q = make_q()
+    if base == "k":
+        k = alg.ground_field_algebra(field)
+        gamma = end_of(k, [alg.AlgMod(k, {"1": 1}, {})])
+    else:
+        d = dual_numbers()
+        gamma = end_of(d, [alg.projective_module(d, "1")])
+    s = qv.sinks(q)
+    non = [v for v in q.vertices if v not in s]
+    for side, verts in [("lambda", s), ("rho", non), ("lambda", q.vertices), ("rho", q.vertices)]:
+        if not verts:
+            continue
+        rep = endo.adjoint_end_iso(q, gamma, adjoint_lhs(q, gamma, side, verts))
+        assert rep.side == side
+        assert (rep.lhs_dim, rep.rhs_dim, rep.verified) == \
+            reference_adjoint_end_iso(q, gamma, side, verts), (side, verts)
+
+
+def test_end_iso_catches_a_swapped_structure_constant(monkeypatch):
+    k = base_k()
+    q, gamma = qv.d4((0, 0, 0)), end_of(k, [alg.AlgMod(k, {"1": 1}, {})])
+    lhs = adjoint_lhs(q, gamma, "lambda", q.vertices)
+    real = endo.path_block_algebra
+
+    def swapped(g, sub):
+        sc, labels = real(g, sub)
+        mult = [list(row) for row in sc.mult]
+        i, j = next((i, j) for i in range(sc.dim) for j in range(sc.dim) if any(mult[i][j]))
+        j2 = next(j2 for j2 in range(sc.dim) if mult[i][j2] != mult[i][j])
+        mult[i][j], mult[i][j2] = mult[i][j2], mult[i][j]
+        return types.SimpleNamespace(dim=sc.dim, mult=mult), labels
+
+    assert endo.adjoint_end_iso(q, gamma, lhs).verified
+    monkeypatch.setattr(endo, "path_block_algebra", swapped)
+    with pytest.raises(IsoCheckFailed):
+        endo.adjoint_end_iso(q, gamma, lhs)
+
+
+@pytest.mark.parametrize("side", ["lambda", "rho"])
+def test_end_iso_refuses_summands_of_the_other_side(side):
+    k = base_k()
+    q, gamma = qv.d4((0, 0, 0)), end_of(k, [alg.AlgMod(k, {"1": 1}, {})])
+    other = rc.right_adjoint if side == "lambda" else rc.left_adjoint
+    lhs = adjoint_lhs(q, gamma, side, q.vertices)
+    mixed = endo.end_algebra(lhs.summands[:-1] + [other(q, q.vertices[-1], gamma.summands[0])],
+                             lhs.cat)
+    with pytest.raises(QuivhomError):
+        endo.adjoint_end_iso(q, gamma, mixed)
+
+
+def test_end_iso_takes_the_corner_at_x1_and_refuses_end_x2():
+    # End(X2) mixes lambda at the non-sinks and rho at the sinks
+    k = base_k()
+    m = alg.AlgMod(k, {"1": 1}, {})
+    xbar = repdim.build_xbar(qv.kronecker(), k, [m])
+    e, n1, n2 = repdim.end_xbar(xbar), len(xbar.x1), len(xbar.x2)
+    assert endo.adjoint_end_iso(xbar.quiver, end_of(k, [m]), e.corner(range(n1))).verified
+    with pytest.raises(QuivhomError):
+        endo.adjoint_end_iso(xbar.quiver, end_of(k, [m]), e.corner(range(n1, n1 + n2)))
+
+
+def test_end_iso_refuses_reordered_summands():
+    d = dual_numbers()
+    q, gamma = qv.a_n(2), end_of(d, [alg.simple_module(d, "1"), alg.projective_module(d, "1")])
+    lhs = adjoint_lhs(q, gamma, "lambda", q.vertices)
+    assert endo.adjoint_end_iso(q, gamma, lhs).lhs_dim == lhs.dim == 15
+    swapped = [lhs.summands[i] for i in (1, 0, 2, 3)]
+    with pytest.raises(QuivhomError):
+        endo.adjoint_end_iso(q, gamma, endo.end_algebra(swapped, lhs.cat))
+    # vertex blocks out of the quiver's order, and gamma of another A
+    reversed_blocks = lhs.summands[2:] + lhs.summands[:2]
+    with pytest.raises(QuivhomError):
+        endo.adjoint_end_iso(q, gamma, endo.end_algebra(reversed_blocks, lhs.cat))
+    with pytest.raises(QuivhomError):
+        endo.adjoint_end_iso(q, end_of(d, [alg.projective_module(d, "1")]), lhs)
+
+
+def test_end_iso_builds_no_second_end_over_the_path_algebra(monkeypatch):
+    k = base_k()
+    q, gamma = qv.kronecker(), end_of(k, [alg.AlgMod(k, {"1": 1}, {})])
+    lhs = adjoint_lhs(q, gamma, "rho", q.vertices)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("adjoint_end_iso rebuilt a sum, an adjoint or a hom space")
+
+    for mod, name in [(rc, "rep_hom_basis"), (rc, "rep_direct_sum"), (rc, "left_adjoint"),
+                      (rc, "right_adjoint"), (alg, "direct_sum_mods")]:
+        monkeypatch.setattr(mod, name, refuse)
+    rep = endo.adjoint_end_iso(q, gamma, lhs)
+    assert rep.verified and rep.lhs_dim == rep.rhs_dim == lhs.dim
+
+
+def test_end_indices_outside_the_summands_are_refused():
+    k = base_k()
+    e = endo.end_algebra(xbar_summands(qv.kronecker(), k), cats.rep_cat(qv.kronecker(), k))
+    n = len(e.summands)
+    with pytest.raises(QuivhomError):
+        e.corner([n + 1])
+    with pytest.raises(QuivhomError):
+        e.positions([0], [n])
+    with pytest.raises(QuivhomError):
+        endo.hom_as_end_module(e, [0], [n + 3])
 
 
 def test_vanishing_d4_and_kronecker():

@@ -141,3 +141,14 @@ def test_only_derived_builds_tensor_maps():
                    if isinstance(n, ast.Call) and "tensor_map" in (getattr(n.func, "id", None),
                                                                    getattr(n.func, "attr", None)))
     assert not calls, "tensor_map called outside derived:\n" + "\n".join(calls)
+
+
+def test_end_iso_reads_the_end_algebra_it_is_given():
+    # the End isomorphisms of the repdim proof are checked in the End algebra
+    # passed in (a corner of End(X-bar)): no second End over Lambda Q, no sum
+    # of A and no sum of its adjoints
+    tree = ast.parse((SRC / "endo.py").read_text(encoding="utf-8"))
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "adjoint_end_iso")
+    found = sorted(_referenced_names(fn)
+                   & {"rep_hom_dim", "rep_hom_basis", "rep_direct_sum", "direct_sum_mods"})
+    assert not found, "adjoint_end_iso refers to " + ", ".join(found)

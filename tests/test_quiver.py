@@ -86,6 +86,20 @@ def test_subquiver():
     assert sub.vertices == ("c",) and sub.arrows == ()
 
 
+def test_subquiver_refuses_unknown_vertices():
+    q = qv.d4((0, 0, 0))
+    with pytest.raises(UnknownVertex):
+        qv.subquiver(q, ["9"])
+    with pytest.raises(UnknownVertex):
+        qv.subquiver(q, ["c", "9"])
+
+
+@pytest.mark.parametrize("bits", [(0, 0), (0, 2, 0), (0, 0, 0, 0), (), (1, -1, 0)])
+def test_d4_needs_three_bits(bits):
+    with pytest.raises(QuivhomError):
+        qv.d4(bits)
+
+
 def test_nontrivial_path_respects_topological_order():
     q = qv.d4((0, 1, 0))
     topo = list(q.topological)

@@ -210,8 +210,8 @@ def test_report_never_uses_the_trace_form_radical(monkeypatch):
 
 def test_kronecker_report_builds_end_xbar_once(monkeypatch):
     # End(X-bar) is the one End algebra over the path algebra: its corners,
-    # Hom modules and Hom vanishings solve no hom basis of their own, and
-    # each algebra keeps one ColumnData
+    # Hom modules, Hom vanishings and End isomorphisms solve no hom basis of
+    # their own, and each algebra keeps one ColumnData
     counts = {"rep_hom_basis": 0, "end_algebra": 0, "ColumnData": 0}
 
     def counting(name, real):
@@ -226,7 +226,7 @@ def test_kronecker_report_builds_end_xbar_once(monkeypatch):
     k = base_k()
     rep = repdim.repdim_bound_report(qv.kronecker(), k, [kmod(k)])
     assert rep.verdict == "PASS"
-    assert counts == {"rep_hom_basis": 38, "end_algebra": 3, "ColumnData": 6}
+    assert counts == {"rep_hom_basis": 36, "end_algebra": 3, "ColumnData": 6}
 
 
 def test_kronecker_report_runs_no_associativity_check(monkeypatch):
