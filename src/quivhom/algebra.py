@@ -12,11 +12,19 @@ Every quotient of a vector space in the library -- quotient modules, the
 tops that pick cover generators, simple tops, cohomology and the tensor
 products M (x)_R X -- is ``quotient_by_rows``: one rref of a spanning set,
 the non-pivot columns as the complement.
+
+A submodule's structure is read off the rows where its RREF basis is the
+identity (``_read_off_units``): a kernel basis (``_null_space``) is the
+identity at the non-pivot rows, and a column-space basis (the reduced rows
+transposed, ``_column_basis``) at its pivot rows, so basis * X = image has
+X = those rows of the image, and one product checks the other rows.  No
+system is solved to restrict a module to a kernel or a span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .bounds import Dim, dim_max, syzygy_pd
 from .errors import (
@@ -462,20 +470,36 @@ def projective_module(a: BQA, v: str) -> AlgMod:
 
 
 def map_from_projective(p: AlgMod, target: AlgMod, gen_image: Mat) -> ModMap:
-    """Unique module map P_v -> target sending the generator e_v to gen_image."""
-    a = p.algebra
+    """Unique module map P_v -> target sending the generator e_v to gen_image,
+    pushed along P_v's paths (``_push_along_paths``)."""
     v = p._proj_vertex
     if gen_image.cols != 1 or gen_image.rows != target.dims[v]:
         raise DimensionMismatch("generator image must be a column at the generating vertex")
-    f = a.field
-    mats = {}
-    for w in a.quiver.vertices:
-        cols = [eval_path(target, q).mul(gen_image) for q in p._proj_paths[w]]
-        if cols:
-            mats[w] = Mat.hstack(f, cols)
-        else:
-            mats[w] = Mat.zeros(f, target.dims[w], 0)
-    return ModMap(p, target, mats)
+    return ModMap(p, target, _push_along_paths(target, p, gen_image))
+
+
+def _push_along_paths(m: AlgMod, p: AlgMod, start: Mat):
+    """Images of the columns of ``start``, vectors of m at the generating
+    vertex of the projective p = P_v, under the basis paths of P_v acting on
+    m: per vertex w one matrix, column t * k + i holding path i of the k
+    paths ending at w applied to column t.  A path's image is its last arrow
+    applied to the image of the path before it, so each prefix is pushed
+    once, and only the given columns are."""
+    f, c = m.algebra.field, start.cols
+    pushed = {(): start}
+
+    def push(arrows):
+        got = pushed.get(arrows)
+        if got is None:
+            got = pushed[arrows] = m.mats[arrows[-1]].mul(push(arrows[:-1]))
+        return got
+
+    out = {}
+    for w, paths in p._proj_paths.items():
+        images = [push(q.arrows).entries for q in paths]
+        cols = [img[t::c] for t in range(c) for img in images]
+        out[w] = Mat(f, m.dims[w], len(cols), tuple(chain.from_iterable(zip(*cols))))
+    return out
 
 
 def injective_indecomposables(a: BQA):
@@ -497,16 +521,23 @@ def injective_indecomposables(a: BQA):
 
 def column_space(field: Field, mats):
     """Basis matrix (columns) of the joint column space of the given matrices."""
-    cols = []
-    rows = None
-    for m in mats:
-        rows = m.rows
-        for j in range(m.cols):
-            cols.append([m.at(i, j) for i in range(m.rows)])
-    if rows is None or not cols:
-        return Mat.zeros(field, rows or 0, 0)
-    basis = row_space(field, cols)
-    return basis.transpose()
+    return _column_basis(field, mats)[0]
+
+
+def _column_basis(field: Field, mats):
+    """(basis, pivots): ``column_space``'s basis, the reduced rows of the
+    stacked columns transposed, which is the identity at the rows
+    ``pivots``."""
+    mats = list(mats)
+    n = mats[-1].rows if mats else 0
+    red, pivots, _ = _reduced_span(_columns_as_rows(field, n, mats))
+    return Mat(field, len(pivots), n, red[:len(pivots) * n]).transpose(), pivots
+
+
+def _columns_as_rows(field: Field, n: int, mats) -> Mat:
+    """The columns of ``mats``, n rows each, as the rows of one matrix."""
+    cols = [m.entries[j::m.cols] for m in mats for j in range(m.cols)]
+    return Mat(field, len(cols), n, tuple(chain.from_iterable(cols)))
 
 
 def row_space(field: Field, rows):
@@ -524,22 +555,33 @@ def quotient_by_rows(span: Mat):
 
     ``free`` lists the non-pivot columns, the coordinates the quotient keeps.
     ``proj`` (len(free) x n) subtracts from v its pivot coordinates times the
-    reduced rows and reads the result at ``free``, so proj * span^T = 0;
-    ``lift`` (n x len(free)) holds the unit vectors at ``free``, so
-    proj * lift = I."""
+    reduced rows and reads the result at ``free``, so proj * span^T = 0: its
+    rows are the kernel basis of ``_null_space``.  ``lift`` (n x len(free))
+    holds the unit vectors at ``free``, so proj * lift = I."""
+    basis, free = _null_space(span)
+    f, n, d = span.field, span.cols, len(free)
+    lift = [f.zero()] * (n * d)
+    for t, c in enumerate(free):
+        lift[c * d + t] = f.one()
+    return basis.transpose(), Mat(f, n, d, tuple(lift)), free
+
+
+def _null_space(span: Mat):
+    """(basis, free): the kernel of ``span`` (r x n) as the columns of one
+    n x len(free) matrix, read off one rref.  Column t is 1 at the non-pivot
+    column free[t] and minus the reduced rows' entries there at the pivots,
+    so the basis is the identity at the rows ``free``; its columns are the
+    vectors of ``exactlin.kernel_basis``."""
     red, pivots, free = _reduced_span(span)
     f, n, d = span.field, span.cols, len(free)
-    zero, one, neg = f.zero(), f.one(), f.neg
-    proj, lift = [zero] * (d * n), [zero] * (n * d)
+    zero, neg = f.zero(), f.neg
+    ent = [zero] * (n * d)
     for t, c in enumerate(free):
-        proj[t * n + c] = one
-        lift[c * d + t] = one
+        ent[c * d + t] = f.one()
     for i, c in enumerate(pivots):
         row = red[i * n:(i + 1) * n]
-        for t, fc in enumerate(free):
-            if row[fc]:
-                proj[t * n + c] = neg(row[fc])
-    return Mat(f, d, n, tuple(proj)), Mat(f, n, d, tuple(lift)), free
+        ent[c * d:(c + 1) * d] = [neg(row[fc]) if row[fc] else zero for fc in free]
+    return Mat(f, n, d, tuple(ent)), free
 
 
 def _reduced_span(span: Mat):
@@ -551,6 +593,26 @@ def _reduced_span(span: Mat):
     red, _, pivots = rref(span)
     pivset = set(pivots)
     return red.entries, pivots, [c for c in range(span.cols) if c not in pivset]
+
+
+def _read_off_units(basis: Mat, units, image: Mat):
+    """The X with basis * X = image, for a ``basis`` that is the identity at
+    the rows ``units`` (as ``_null_space`` and ``_column_basis`` return
+    them): X is those rows of ``image``, unique since basis has full column
+    rank.  One product checks the other rows; None when they disagree, i.e.
+    when image does not lie in the span of basis."""
+    x = _rows(image, units)
+    unit = set(units)
+    rest = [i for i in range(basis.rows) if i not in unit]
+    if rest and _rows(basis, rest).mul(x) != _rows(image, rest):
+        return None
+    return x
+
+
+def _rows(m: Mat, idx) -> Mat:
+    """The rows ``idx`` of m."""
+    e, w = m.entries, m.cols
+    return Mat(m.field, len(idx), w, tuple(chain.from_iterable(e[i * w:(i + 1) * w] for i in idx)))
 
 
 def _pivot_columns(field: Field, sub: Mat, cand: Mat):
@@ -573,18 +635,20 @@ def radical_submodule(m: AlgMod):
 
 
 def kernel_of(f: ModMap):
-    """Kernel submodule with its inclusion map."""
+    """Kernel submodule with its inclusion map.
+
+    At each vertex the kernel basis (``_null_space``, one rref of f_v) is
+    the identity at the non-pivot rows, so each arrow's restriction is read
+    off those rows of the arrow applied to the basis (``_read_off_units``)."""
     a = f.source.algebra
-    fl = a.field
-    kbases = {}
+    kbases, units = {}, {}
     for v in a.quiver.vertices:
-        kb = kernel_basis(f.mats[v])
-        kbases[v] = Mat.hstack(fl, kb) if kb else Mat.zeros(fl, f.source.dims[v], 0)
+        kbases[v], units[v] = _null_space(f.mats[v])
     dims = {v: kbases[v].cols for v in a.quiver.vertices}
     mats = {}
     for arr in a.quiver.arrows:
         moved = f.source.mats[arr.name].mul(kbases[arr.source])
-        x = solve_matrix(kbases[arr.target], moved)
+        x = _read_off_units(kbases[arr.target], units[arr.target], moved)
         if x is None:
             raise QuivhomError("kernel is not arrow-stable; invalid module map")
         mats[arr.name] = x
@@ -614,33 +678,38 @@ def projective_cover(m: AlgMod):
     """Minimal projective cover (P, pi).
 
     One copy of P_v per unit vector e_j that lifts a basis vector of
-    (M/rad M)_v, j a non-pivot column of rad_v, the complement of
-    ``quotient_by_rows`` (no projection is built), with P_v -> M sending e_v
-    to e_j (see ``map_from_projective``): the path q of that copy goes to
-    column j of q acting on M, so each path of P_v is evaluated on M once."""
+    (M/rad M)_v: j runs over the non-pivot columns of one rref of the arrow
+    images into v stacked as rows (their row space is rad_v; the complement
+    of ``quotient_by_rows``, no radical basis or projection is built).  P_v
+    -> M sends e_v to e_j: pi's columns are those unit vectors pushed along
+    P_v's paths (``_push_along_paths``, as in ``map_from_projective``)."""
     a = m.algebra
     f = a.field
     verts = a.quiver.vertices
-    rad = radical_submodule(m)
     pieces = []
-    cols = {w: [] for w in verts}  # columns of pi at w, in P's basis order
+    blocks = {w: [] for w in verts}  # of pi at w, in P's basis order
     for v in verts:
-        chosen = _reduced_span(rad[v].transpose())[2]
+        n = m.dims[v]
+        if not n:
+            continue
+        images = [m.mats[arr.name] for arr in a.quiver.arrows_into(v)]
+        chosen = _reduced_span(_columns_as_rows(f, n, images))[2]
         if not chosen:
             continue
         pv = projective_module(a, v)
         pieces.extend([pv] * len(chosen))
-        for w in verts:
-            acts = [eval_path(m, q) for q in pv._proj_paths[w]]
-            cols[w].extend(x.col(j) for j in chosen for x in acts)
+        units = [f.zero()] * (n * len(chosen))
+        for t, j in enumerate(chosen):
+            units[j * len(chosen) + t] = f.one()
+        for w, block in _push_along_paths(m, pv, Mat(f, n, len(chosen), tuple(units))).items():
+            blocks[w].append(block)
     if not pieces:
         z = zero_module(a)
         return z, zero_map(z, m)
     dims = {w: sum(p.dims[w] for p in pieces) for w in verts}
     total = AlgMod(a, dims, {arr.name: Mat.block_diag(f, [p.mats[arr.name] for p in pieces])
                              for arr in a.quiver.arrows})
-    pi = ModMap(total, m, {w: Mat.hstack(f, cols[w]) if cols[w] else Mat.zeros(f, m.dims[w], 0)
-                           for w in verts})
+    pi = ModMap(total, m, {w: Mat.hstack(f, blocks[w]) for w in verts})
     return total, pi
 
 

@@ -62,10 +62,13 @@ class EndAlgebra:
     def corner(self, idx) -> "EndAlgebra":
         """End(sum of the summands at ``idx``, in summand order) as the corner
         eEe, a sub-table of E and so associative as E is; built once per index
-        list and shared, so not to be mutated."""
+        list and shared, so not to be mutated.  Each index may occur once."""
         idx = tuple(idx)
         got = self._corners.get(idx)
         if got is None:
+            repeated = sorted({i for i in idx if idx.count(i) > 1})
+            if repeated:
+                raise QuivhomError(f"summand indices {repeated} repeat: a corner takes each summand once")
             mult = self.sc.mult
             pos = self.positions(idx, idx)
             blocks, off = {}, 0

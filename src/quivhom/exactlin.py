@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .errors import DimensionMismatch, QuivhomError
@@ -234,8 +235,8 @@ class Mat:
         return Mat(f, n, m, tuple(out))
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, self.cols, self.rows,
-                   tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+        e, w = self.entries, self.cols
+        return Mat(self.field, w, self.rows, tuple(chain.from_iterable(e[j::w] for j in range(w))))
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -381,7 +382,7 @@ def rref(m: Mat):
     pivots = _eliminate(rows, m.field)
     rank = len(pivots)
     # move zero rows to the bottom (elimination already ordered pivot rows)
-    ent = tuple(x for row in rows for x in row)
+    ent = tuple(chain.from_iterable(rows))
     return Mat(m.field, m.rows, m.cols, ent), rank, tuple(pivots)
 
 

@@ -27,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .algebra import (SCAlgebra, _pivot_columns, column_space, eval_path, quotient_by_rows,
-                      radical_sc, sc_of_bqa)
+from .algebra import (SCAlgebra, _column_basis, _null_space, _pivot_columns, _read_off_units,
+                      column_space, eval_path, quotient_by_rows, radical_sc, sc_of_bqa)
 from .bounds import Dim, dim_max, syzygy_pd
 from .errors import CompositionInconsistent, DimensionMismatch, NotSplit, QuivhomError
-from .exactlin import Mat, _commuting_rows, _kernel_blocks, kernel_basis, rank, solve_matrix
+from .exactlin import Mat, _commuting_rows, _kernel_blocks, rank
 
 
 @dataclass
@@ -161,11 +161,22 @@ def radical_of(sc: SCAlgebra):
 
 
 def submodule_from_columns(m: SCModule, cols: Mat):
-    """Restrict the module structure to the span of the given columns: one
-    solve of basis * X = [a_1 basis | ... | a_d basis]."""
+    """Restrict the module structure to the span of the given columns.
+
+    The span's basis is ``algebra.column_space``'s, the identity at its pivot
+    rows, so the restricted actions are those rows of [a_1 basis | ... |
+    a_d basis], and one product checks the other rows
+    (``algebra._read_off_units``)."""
+    sub, incl, _ = _submodule_sc(m, cols)
+    return sub, incl
+
+
+def _submodule_sc(m: SCModule, cols: Mat):
+    """``submodule_from_columns`` with the pivot rows where the inclusion is
+    the identity."""
     f = m.sc.field
-    basis = column_space(f, [cols]) if cols.cols else Mat.zeros(f, m.dim, 0)
-    x = solve_matrix(basis, Mat.hstack(f, [a.mul(basis) for a in m.action]))
+    basis, units = _column_basis(f, [cols])
+    x = _read_off_units(basis, units, Mat.hstack(f, [a.mul(basis) for a in m.action]))
     if x is None:
         raise QuivhomError("span is not action-stable")
     r, w = basis.cols, x.cols
@@ -173,7 +184,7 @@ def submodule_from_columns(m: SCModule, cols: Mat):
                                                      for i in range(r))))
               for t in range(len(m.action))]
     sub = SCModule(m.sc, r, action)
-    return sub, SCMap(sub, m, basis)
+    return sub, SCMap(sub, m, basis), units
 
 
 def quotient_sc(m: SCModule, cols: Mat):
@@ -194,10 +205,9 @@ def radical_submodule_sc(m: SCModule):
 
 
 def kernel_of_sc(f_map: SCMap):
-    f = f_map.source.sc.field
-    kb = kernel_basis(f_map.mat)
-    cols = Mat.hstack(f, kb) if kb else Mat.zeros(f, f_map.source.dim, 0)
-    return submodule_from_columns(f_map.source, cols)
+    """Kernel submodule with its inclusion: the span of the kernel basis
+    (``algebra._null_space``) restricted by ``submodule_from_columns``."""
+    return submodule_from_columns(f_map.source, _null_space(f_map.mat)[0])
 
 
 class ColumnData:

@@ -378,6 +378,17 @@ def test_end_indices_outside_the_summands_are_refused():
         endo.hom_as_end_module(e, [0], [n + 3])
 
 
+def test_corner_refuses_repeated_indices():
+    k = base_k()
+    e = end_of(k, [alg.AlgMod(k, {"1": 1}, {})])
+    with pytest.raises(QuivhomError, match=r"indices \[0\] repeat"):
+        e.corner([0, 0])
+    e = endo.end_algebra(xbar_summands(qv.kronecker(), k), cats.rep_cat(qv.kronecker(), k))
+    with pytest.raises(QuivhomError, match=r"indices \[1, 2\] repeat"):
+        e.corner([2, 1, 0, 2, 1])
+    assert e.corner([2, 1, 0]).dim == e.corner([0, 1, 2]).dim
+
+
 def test_vanishing_d4_and_kronecker():
     k = base_k()
     m = alg.AlgMod(k, {"1": 1}, {})

@@ -152,3 +152,21 @@ def test_end_iso_reads_the_end_algebra_it_is_given():
     found = sorted(_referenced_names(fn)
                    & {"rep_hom_dim", "rep_hom_basis", "rep_direct_sum", "direct_sum_mods"})
     assert not found, "adjoint_end_iso refers to " + ", ".join(found)
+
+
+def test_submodules_are_read_off_unit_rows():
+    # kernels, spans and covers read a submodule's structure off the rows
+    # where its RREF basis is the identity, and push unit columns along
+    # paths: none of them solves a system or builds a full path matrix
+    pins = {"algebra.py": ("kernel_of", "projective_cover", "map_from_projective",
+                           "_push_along_paths", "_read_off_units"),
+            "scmodule.py": ("submodule_from_columns", "_submodule_sc"),
+            "trimat.py": ("triple_kernel",)}
+    found = []
+    for name, pinned in pins.items():
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        for fn in pinned:
+            bad = _referenced_names(defs[fn]) & {"solve_matrix", "eval_path"}
+            found += [f"{name}: {fn} refers to {b}" for b in sorted(bad)]
+    assert not found, "\n".join(found)
