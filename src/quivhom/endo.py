@@ -16,9 +16,13 @@ it; a certificate that always runs proves it is the radical, and a summand
 outside the hypothesis raises :class:`NotSplit` naming it.
 
 End(X-bar) is built once.  For summands indexed by I, End(sum_I X_i) is its
-corner eEe (e the sum of their idempotents; rad(eEe) = e.rad(E).e), and the
-actions on Hom(sum_I X_i, sum_J X_j) are sub-tables of E's structure
-constants: gamma o h = mult[gamma][h] and h o gamma = mult[h][gamma].
+corner eEe (e the sum of their idempotents), and the triangular algebra
+[[End R, 0], [Hom(R, S), End S]] is E's table on the blocks of R + S without
+Hom(S, R).  Both are sub-tables that take E's radical block by block
+(rad(eEe) = e.rad(E).e, Anderson-Fuller; the radical of a triangular ring is
+[[rad R, 0], [M, rad S]], Fossum-Griffith-Reiten), so only ``end_algebra``
+builds and certifies a radical.  The actions on Hom(sum_I X_i, sum_J X_j)
+are sub-tables too: gamma o h = mult[gamma][h] and h o gamma = mult[h][gamma].
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .bounds import Dim
 from .cats import Cat
 from .errors import CompositionInconsistent, IsoCheckFailed, NotSplit, QuivhomError
 from .exactlin import Mat, _kernel_blocks, rank, solve_matrix
-from .quiver import Quiver, concat, is_type_An, paths_between, sinks, subquiver, trivial_path
+from .quiver import Quiver, concat, paths_between, subquiver, trivial_path
 from .scmodule import SCModule, gldim_sc, table_actions
 
 
@@ -61,27 +65,60 @@ class EndAlgebra:
 
     def corner(self, idx) -> "EndAlgebra":
         """End(sum of the summands at ``idx``, in summand order) as the corner
-        eEe, a sub-table of E and so associative as E is; built once per index
-        list and shared, so not to be mutated.  Each index may occur once."""
+        eEe; built once per index list and shared, so not to be mutated.
+        Each index may occur once."""
         idx = tuple(idx)
         got = self._corners.get(idx)
         if got is None:
-            repeated = sorted({i for i in idx if idx.count(i) > 1})
-            if repeated:
-                raise QuivhomError(f"summand indices {repeated} repeat: a corner takes each summand once")
-            mult = self.sc.mult
-            pos = self.positions(idx, idx)
-            blocks, off = {}, 0
-            for a, i in enumerate(idx):
-                for b, j in enumerate(idx):
-                    basis = self.blocks[(i, j)][1]
-                    blocks[(a, b)] = (off, basis)
-                    off += len(basis)
-            got = self._corners[idx] = _end_from_blocks(
-                [self.summands[i] for i in idx], self.cat, blocks,
-                [[tuple(mult[x][y][z] for z in pos) for y in pos] for x in pos],
-                [[self.sc.idempotents[i][z] for z in pos] for i in idx])
+            got = self._corners[idx] = self._sub_table(idx, ())
         return got
+
+    def triangular(self, r_idx, s_idx) -> "EndAlgebra":
+        """Sigma = [[End R, 0], [Hom(R, S), End S]], R and S the sums of the
+        summands at ``r_idx`` and ``s_idx``: the sub-table of E on the blocks
+        of R + S without Hom(S, R), kept as an empty block.  A composite of
+        kept maps that runs from S to R has a factor in Hom(S, R), so no
+        product of kept blocks lands in the dropped one and this is Sigma's
+        multiplication table; it is End(R + S) when Hom(S, R) = 0."""
+        r_idx, s_idx = tuple(r_idx), tuple(s_idx)
+        return self._sub_table(r_idx + s_idx, {(i, j) for i in s_idx for j in r_idx})
+
+    def _sub_table(self, idx, dropped) -> "EndAlgebra":
+        """The sub-table of E on the blocks (i, j), i and j in ``idx``, less
+        the ``dropped`` ones; associative as E is when no product of kept
+        blocks lands in a dropped one.  Structure constants, idempotents and
+        radical are read off E, with no second certificate: the radical is
+        E's on each kept block whose reverse is kept (rad(eEe) = e.rad(E).e),
+        and the whole block where the reverse is dropped (the off-diagonal
+        bimodule of a triangular ring lies in its radical)."""
+        repeated = sorted({i for i in idx if idx.count(i) > 1})
+        if repeated:
+            raise QuivhomError(f"summand indices {repeated} repeat: a sub-table takes each summand once")
+        f, sc = self.cat.field, self.sc
+        rad_of = {}  # E's radical vectors by hom block; each lies in one
+        for x in sc.known_radical:
+            rad_of.setdefault(sc.labels[next(b for b, c in enumerate(x) if c)][:2], []).append(x)
+        kept = {(i, j): [] if (i, j) in dropped else self.positions((i,), (j,))
+                for i in idx for j in idx}
+        pos = [z for i in idx for j in idx for z in kept[(i, j)]]
+        unit_rows = Mat.identity(f, len(pos)).row_list()
+        blocks, radical, off = {}, [], 0
+        for a, i in enumerate(idx):
+            for b, j in enumerate(idx):
+                d = len(kept[(i, j)])
+                blocks[(a, b)] = (off, self.blocks[(i, j)][1] if d else [])
+                if (j, i) in dropped:
+                    radical.extend(unit_rows[off:off + d])
+                else:
+                    radical.extend(tuple(x[z] for z in pos) for x in rad_of.get((i, j), []))
+                off += d
+        sub = SCAlgebra(f, [[tuple(sc.mult[x][y][z] for z in pos) for y in pos] for x in pos],
+                        [sc.unit[z] for z in pos],
+                        idempotents=[[sc.idempotents[i][z] for z in pos] for i in idx],
+                        radical=radical,
+                        labels=[(a, b, t) for (a, b), (_, basis) in blocks.items()
+                                for t in range(len(basis))])
+        return EndAlgebra(sub, [self.summands[i] for i in idx], self.cat, blocks)
 
 
 def end_algebra(summands, cat: Cat) -> EndAlgebra:
@@ -116,7 +153,15 @@ def end_algebra(summands, cat: Cat) -> EndAlgebra:
                 for fi, fmap in enumerate(basis_f):
                     mult[off_f + fi][off_g + gi] = tuple(express(c, b, cat.compose(fmap, g)))
     idems = [express(i, i, cat.identity(s)) for i, s in enumerate(summands)]
-    return _end_from_blocks(summands, cat, blocks, mult, idems)
+    unit = [f.zero()] * dim
+    for e in idems:
+        unit = [f.add(u, x) for u, x in zip(unit, e)]
+    parts = _block_radical(f, blocks, mult, len(summands))
+    sc = SCAlgebra(f, mult, tuple(unit), idempotents=[tuple(e) for e in idems],
+                   radical=[x for _, vecs in parts.values() for x in vecs],
+                   labels=[(i, j, t) for (i, j), (_, basis) in blocks.items() for t in range(len(basis))])
+    _certify_radical(sc, blocks, parts)
+    return EndAlgebra(sc, summands, cat, blocks)
 
 
 def _block_reader(cat: Cat, blocks, dim):
@@ -140,21 +185,6 @@ def _block_reader(cat: Cat, blocks, dim):
         return vec
 
     return express
-
-
-def _end_from_blocks(summands, cat: Cat, blocks, mult, idems) -> EndAlgebra:
-    """Unit, block radical, ``SCAlgebra`` and radical certificate of the End
-    algebra with these blocks, structure constants and summand idempotents."""
-    f = cat.field
-    labels = [(i, j, t) for (i, j), (_, basis) in blocks.items() for t in range(len(basis))]
-    unit = [f.zero()] * len(mult)
-    for e in idems:
-        unit = [f.add(u, x) for u, x in zip(unit, e)]
-    parts = _block_radical(f, blocks, mult, len(summands))
-    sc = SCAlgebra(f, mult, tuple(unit), idempotents=[tuple(e) for e in idems],
-                   radical=[x for _, vecs in parts.values() for x in vecs], labels=labels)
-    _certify_radical(sc, blocks, parts)
-    return EndAlgebra(sc, summands, cat, blocks)
 
 
 def _residues(f, mult, off, d, i):
@@ -260,18 +290,6 @@ def hom_as_end_module(e: EndAlgebra, sources, targets) -> SCModule:
     basis = e.positions(sources, targets)
     return SCModule(e.corner(targets).sc, len(basis),
                     table_actions(e.sc, e.positions(targets, targets), basis))
-
-
-def hom_bimodule(e: EndAlgebra, sources, targets):
-    """Hom(sum sources, sum targets) as a bimodule over the corners at targets
-    (left, post-composition) and at sources (right, pre-composition).
-
-    Returns (dim, left action matrices, right action matrices), indexed by the
-    same hom-block basis as :func:`hom_as_end_module`.
-    """
-    basis = e.positions(sources, targets)
-    return (len(basis), table_actions(e.sc, e.positions(targets, targets), basis),
-            table_actions(e.sc, e.positions(sources, sources), basis, left=False))
 
 
 def validate_summands(summands, cat: Cat):
@@ -384,25 +402,3 @@ def adjoint_end_iso(q: Quiver, gamma: EndAlgebra, lhs: EndAlgebra) -> EndIsoRepo
                 raise IsoCheckFailed("structure constants disagree under the correspondence")
     return EndIsoReport(lhs.dim, rhs.dim, True, side)
 
-
-# -- Hom vanishing between sink injectives and non-sink projectives ---------------------
-
-@dataclass
-class VanishingReport:
-    hypothesis_ok: bool
-    pairs: list  # (sink v, non-sink w, dim)
-    all_zero: bool
-
-
-def sink_hom_vanishing(q: Quiver, a, module) -> VanishingReport:
-    """dim Hom(e^v_rho(A), e^w_lambda(A)) for sinks v and non-sinks w."""
-    hyp = not is_type_An(q)
-    s = sinks(q)
-    non = [v for v in q.vertices if v not in s]
-    pairs = []
-    for v in s:
-        ev = rc.right_adjoint(q, v, module)
-        for w in non:
-            ew = rc.left_adjoint(q, w, module)
-            pairs.append((v, w, rc.rep_hom_dim(ev, ew)))
-    return VanishingReport(hyp, pairs, all(d == 0 for _, _, d in pairs))

@@ -445,14 +445,6 @@ def inverse(m: Mat) -> Optional[Mat]:
     return x
 
 
-def span_dim(field: Field, vectors, length: int) -> int:
-    """Rank of the span of flat vectors (each of the given length)."""
-    vecs = [list(v) for v in vectors]
-    if not vecs:
-        return 0
-    return rank(Mat.from_rows(field, vecs))
-
-
 def _commuting_rows(field: Field, shapes, constraints):
     """Rows of the linear system phi_p . a - b . phi_q = 0 in flat unknowns.
 

@@ -12,12 +12,14 @@ compute gl.dim End(X1 + X2 + X3), which witnesses
 rep.dim of the path algebra <= gl.dim End(A) + 5.
 
 E = End(X-bar) is built once per report.  Every other algebra of the proof
-is a corner eEe of it (End(X1), End(X2), End(X3), End(X2rho); its radical
-is e.rad(E).e), every Hom module and the Sigma bimodule is a sub-table of
-its structure constants, and the Hom vanishings are its block sizes.  The
-two End isomorphisms, End(X1) = (End A)^sinks and End(X3) = (End A)Q' on
-the non-sinks, are checked in the corners at X1 and X3: no second End over
-the path algebra is built.
+is a sub-table of its structure constants and takes its radical from E:
+the corners eEe (End(X1), End(X2), End(X3), End(X2rho); radical e.rad(E).e)
+and the triangular algebra Sigma = [[End X1, 0], [Hom(X1, X2), End X2]],
+E's table on the blocks of X1 + X2 without Hom(X2, X1) (``triangular``).
+The Hom modules are sub-tables too, and the Hom vanishings are E's block
+sizes.  The two End isomorphisms, End(X1) = (End A)^sinks and
+End(X3) = (End A)Q' on the non-sinks, are checked in the corners at X1 and
+X3: no second End over the path algebra is built.
 
 The generator-cogenerator checks live here: ``check_gen_cogen_base`` tests A
 over the base algebra and ``is_gen_cogen`` tests X-bar over the path algebra,
@@ -33,7 +35,6 @@ from . import algebra as alg
 from . import cats
 from . import endo
 from . import repcat as rc
-from . import trimat as tm
 from .bounds import Dim
 from .errors import NotGenCogen, QuivhomError
 from .exactlin import QQ
@@ -192,11 +193,7 @@ def verify_proof_steps(xbar: XBar, e: endo.EndAlgebra, gamma: endo.EndAlgebra, n
     pd12 = pd_sc(endo.hom_as_end_module(e, i1, i2), cap)
     steps.append(StepResult("pd_hom_x1_x2_le_2", pd12.le_const(2), f"pd={pd12}"))
 
-    end_x1 = e.corner(i1)
-    dim_m, left, right = endo.hom_bimodule(e, i1, i2)
-    bimod = tm.Bimodule(end_x2.sc, end_x1.sc, dim_m, left, right)
-    sigma = tm.TriRingSpec(end_x1.sc, end_x2.sc, bimod, name="Sigma")
-    g_sigma = tm.trimat_gldim(sigma, cap)
+    g_sigma = endo.sc_gldim(e.triangular(i1, i2), cap)
     bound3 = n.add_const(3)
     steps.append(StepResult("gldim_sigma_le_n_plus_3", g_sigma.le(bound3),
                             f"gldim={g_sigma} bound={bound3}"))

@@ -24,6 +24,11 @@ places their phis, and a cover's X-side, a sum of column projectives Re_i,
 takes M (x) Re_i from a cache kept on the ``TriRingSpec``, as is the one
 M (x) 0 of every triple with X = 0.  ``tensor_basis`` is the general path
 (kernels, quotients, simple tops).
+
+Triples serve T2(Lambda) = [[Lambda, 0], [Lambda, Lambda]] (``t2_spec``) in
+the witnesses and functors of ``derived`` and in resolutions over T2, and
+general triangular rings as an oracle.  The repdim proof does not go through
+them: its Sigma is a sub-table of End(X-bar) (``endo.EndAlgebra.triangular``).
 """
 
 from __future__ import annotations
@@ -568,6 +573,10 @@ class SandwichReport:
 
 
 def gldim_sandwich_report(spec: TriRingSpec, cap: int = 20) -> SandwichReport:
+    """gl.dim of [[R, 0], [M, S]] against the triangular-ring bounds
+    max(gl.dim R, gl.dim S, pd_S M + 1) <= gl.dim <= max(gl.dim R + pd_S M + 1,
+    gl.dim S), the upper one being the bound the paper's proof applies to
+    Sigma.  Kept as public API for triangular rings given as triples."""
     gr = scm.gldim_sc(spec.r, cap)
     gs = scm.gldim_sc(spec.s, cap)
     pdm = scm.pd_sc(spec.m_as_left_s_module(), cap)

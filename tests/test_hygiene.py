@@ -170,3 +170,13 @@ def test_submodules_are_read_off_unit_rows():
             bad = _referenced_names(defs[fn]) & {"solve_matrix", "eval_path"}
             found += [f"{name}: {fn} refers to {b}" for b in sorted(bad)]
     assert not found, "\n".join(found)
+
+
+def test_repdim_imports_nothing_from_trimat():
+    # Sigma is a sub-table of End(X-bar): the repdim proof builds no triple
+    tree = ast.parse((SRC / "repdim.py").read_text(encoding="utf-8"))
+    found = sorted(f"repdim.py:{n.lineno}" for n in ast.walk(tree)
+                   if isinstance(n, (ast.Import, ast.ImportFrom))
+                   for name in (getattr(n, "module", None) or "", *(a.name for a in n.names))
+                   if name.split(".")[-1] == "trimat")
+    assert not found, "repdim imports trimat:\n" + "\n".join(found)

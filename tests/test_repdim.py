@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from quivhom import algebra as alg
@@ -8,6 +10,7 @@ from quivhom import quiver as qv
 from quivhom import repcat as rc
 from quivhom import repdim
 from quivhom import scmodule as scm
+from quivhom import trimat as tm
 from quivhom.bounds import Dim
 from quivhom.errors import NotGenCogen
 from quivhom.exactlin import GF, QQ
@@ -149,6 +152,29 @@ def test_proof_steps_single_vertex_degenerate():
             assert s.passed is True, (s.name, s.detail)
 
 
+def hom_vanishing(q):
+    """X-bar over ``q`` with A = k, and the detail of its hom_vanishing step."""
+    k = base_k()
+    xbar = repdim.build_xbar(q, k, [kmod(k)])
+    steps = repdim.verify_proof_steps(xbar, repdim.end_xbar(xbar), base_end(k), Dim.finite(0))
+    return xbar, next(s for s in steps if s.name == "hom_vanishing").detail.split()
+
+
+def test_vanishing_d4_and_kronecker():
+    # Hom(X2rho, X2lambda) sums Hom(e^v_rho(A), e^w_lambda(A)) over sinks v
+    # and non-sinks w
+    for q in [qv.d4((0, 0, 0)), qv.d4((1, 1, 1)), qv.kronecker()]:
+        xbar, detail = hom_vanishing(q)
+        assert xbar.hypothesis_ok
+        assert "Hom(X2rho,X2lambda)=0" in detail, detail
+
+
+def test_vanishing_a2_counterexample():
+    xbar, detail = hom_vanishing(qv.a_n(2))
+    assert not xbar.hypothesis_ok
+    assert "Hom(X2rho,X2lambda)=1" in detail  # Hom(I_2, P_1) = k on A_2
+
+
 def test_report_kronecker():
     k = base_k()
     rep = repdim.repdim_bound_report(qv.kronecker(), k, [kmod(k)])
@@ -227,6 +253,37 @@ def test_kronecker_report_builds_end_xbar_once(monkeypatch):
     rep = repdim.repdim_bound_report(qv.kronecker(), k, [kmod(k)])
     assert rep.verdict == "PASS"
     assert counts == {"rep_hom_basis": 36, "end_algebra": 3, "ColumnData": 6}
+
+
+@pytest.mark.parametrize("make_q", [qv.kronecker, lambda: qv.d4((0, 0, 0))],
+                         ids=["kronecker", "d4_000"])
+def test_report_certifies_one_radical_per_end_algebra(monkeypatch, make_q):
+    # corners and Sigma take E's radical, so only end_algebra builds and
+    # certifies one; Sigma is a sub-table of E, so no triple is built
+    counts = {"end_algebra": 0, "_block_radical": 0, "_certify_radical": 0}
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the repdim report called into trimat")
+
+    for name in counts:
+        monkeypatch.setattr(endo, name, counting(name, getattr(endo, name)))
+    for name, obj in list(vars(tm).items()):
+        if getattr(obj, "__module__", None) != tm.__name__:
+            continue
+        if inspect.isfunction(obj):
+            monkeypatch.setattr(tm, name, refuse)
+        elif inspect.isclass(obj):
+            monkeypatch.setattr(obj, "__init__", refuse)
+    k = base_k()
+    rep = repdim.repdim_bound_report(make_q(), k, [kmod(k)])
+    assert rep.verdict == "PASS"
+    assert counts == {"end_algebra": 3, "_block_radical": 3, "_certify_radical": 3}
 
 
 def test_kronecker_report_runs_no_associativity_check(monkeypatch):
