@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .bounds import Dim, dim_max, syzygy_pd
+from .bounds import Dim, dim_max
 from .errors import (
     AlgebraMismatch,
     CharPNotSupported,
@@ -727,9 +727,70 @@ def cover_is_minimal(p: AlgMod, pi: ModMap) -> bool:
     return True
 
 
+# -- minimal resolutions -------------------------------------------------------
+#
+# pd, ext_dims and minimal_resolution read one sequence of syzygy steps
+# (P_i, pi_i, K_i, incl_i): pi_0: P_0 -> M and pi_i: P_i -> K_{i-1} are
+# minimal covers, incl_i: K_i -> P_i is the kernel of pi_i, and the sequence
+# ends at the first zero K_i.  The steps of the most recent module are kept
+# in ``_kept``, keyed by content: the algebra object, the dims and copies of
+# the arrow matrices, compared with ``==`` (which short-circuits on identical
+# Mat objects).  The key holds its own matrices, so a reused id cannot hit,
+# a module whose matrix is replaced misses, and equal modules built
+# separately hit.  The slot is replaced, never mutated, so a caller that is
+# interrupted or races another keeps a consistent list of steps.
+
+_kept = None  # (algebra, dims, mats, steps) of the most recent module
+
+
+def _extend_steps(m: AlgMod, steps: list, n: int) -> list:
+    """Extend the syzygy steps of m in place to n steps, or up to the first
+    zero kernel, one ``projective_cover`` and one ``kernel_of`` per step."""
+    while len(steps) < n and not (steps and steps[-1][2].is_zero()):
+        p, pi = projective_cover(steps[-1][2] if steps else m)
+        k, incl = kernel_of(pi)
+        steps.append((p, pi, k, incl))
+    return steps
+
+
+def _kept_steps(m: AlgMod, n: int) -> list:
+    """The first n syzygy steps of m (fewer when a kernel is zero before),
+    extending the kept steps when they are of a module equal to m, and
+    otherwise starting afresh; the result replaces the slot."""
+    global _kept
+    got, steps = _kept, []
+    if got is not None and got[0] is m.algebra and got[1] == m.dims and got[2] == m.mats:
+        steps = got[3]
+        if len(steps) >= n or steps[-1][2].is_zero():
+            return steps
+    steps = _extend_steps(m, list(steps), n)
+    _kept = (m.algebra, dict(m.dims), dict(m.mats), steps)
+    return steps
+
+
+def _differentials(steps, n: int):
+    """(P_i, d_i, incl_i) for the first n steps: d_0 = pi_0 and
+    d_i = incl_{i-1} o pi_i: P_i -> P_{i-1}."""
+    return [(p, steps[i - 1][3].compose(pi) if i else pi, incl)
+            for i, (p, pi, _, incl) in enumerate(steps[:n])]
+
+
 def pd(m: AlgMod, cap: int = 20) -> Dim:
-    """Projective dimension by minimal syzygy iteration, capped."""
-    return syzygy_pd(m, cap, projective_cover, kernel_of)
+    """Projective dimension by minimal syzygies, capped: the index of the
+    first zero kernel, ``Dim.at_least(cap)`` when none comes by step cap.
+    A negative cap raises ``QuivhomError``; the zero module has pd 0.
+
+    Reads and extends the kept syzygy steps (see ``_kept``), so a later
+    ``ext_dims`` or ``minimal_resolution`` of an equal module builds no
+    cover again; one module's steps stay in memory until the next call."""
+    if cap < 0:
+        raise QuivhomError(f"cap must be at least 0, got {cap}")
+    if m.is_zero():
+        return Dim.finite(0)
+    steps = _kept_steps(m, cap + 1)
+    if len(steps) <= cap + 1 and steps[-1][2].is_zero():
+        return Dim.finite(len(steps) - 1)
+    return Dim.at_least(cap)
 
 
 def gldim(a: BQA, cap: int = 20) -> Dim:
@@ -737,33 +798,37 @@ def gldim(a: BQA, cap: int = 20) -> Dim:
 
 
 def minimal_resolution(m: AlgMod, length: int):
-    """[(P_0, d_0), (P_1, d_1), ...] with d_0: P_0 -> M, d_i: P_i -> P_{i-1}."""
+    """[(P_0, d_0), (P_1, d_1), ...] with d_0: P_0 -> M, d_i: P_i -> P_{i-1},
+    up to length + 1 terms, ending at the first zero kernel.  A negative
+    length raises ``QuivhomError``.
+
+    The terms are read off the kept syzygy steps shared with ``pd`` and
+    ``ext_dims`` (see ``_kept``): the P_i and d_0 may be the objects an
+    earlier call returned, and d_0's target may be an equal module built
+    earlier, so they must not be mutated."""
+    if length < 0:
+        raise QuivhomError(f"length must be at least 0, got {length}")
     return [(p, d) for p, d, _ in _resolution(m, length)]
 
 
 def _resolution(m: AlgMod, length: int):
-    """Up to length + 1 steps (P_i, d_i, K_i -> P_i); stops at the first
-    zero kernel K_i."""
-    out = []
-    current = m
-    for _ in range(length + 1):
-        p, pi = projective_cover(current)
-        if out:
-            prev_incl = out[-1][2]
-            d = prev_incl.compose(pi)
-        else:
-            d = pi
-        k, incl = kernel_of(pi)
-        out.append((p, d, incl))
-        current = k
-        if k.is_zero():
-            break
-    return out
+    """Up to length + 1 steps (P_i, d_i, K_i -> P_i) off the kept syzygy
+    steps; stops at the first zero kernel K_i."""
+    return _differentials(_kept_steps(m, length + 1), length + 1)
 
 
 def ext_dims(m: AlgMod, s: AlgMod, upto: int):
-    """dim Ext^i(M, S) for 0 <= i <= upto, from Hom(P_., S) cochain ranks."""
-    return _ext_dims(minimal_resolution(m, upto + 1), s, upto)
+    """dim Ext^i(M, S) for 0 <= i <= upto, from Hom(P_., S) cochain ranks.
+
+    S must be a module over M's algebra (``AlgebraMismatch``) and upto at
+    least 0 (``QuivhomError``); both are checked before anything is built.
+    The resolution is read off the kept syzygy steps shared with ``pd`` and
+    ``minimal_resolution`` (see ``_kept``)."""
+    if s.algebra is not m.algebra:
+        raise AlgebraMismatch("modules over different algebras")
+    if upto < 0:
+        raise QuivhomError(f"upto must be at least 0, got {upto}")
+    return _ext_dims(_resolution(m, upto + 1), s, upto)
 
 
 def _ext_dims(res, s: AlgMod, upto: int):
@@ -805,13 +870,17 @@ def _ext_dims(res, s: AlgMod, upto: int):
 
 
 def pd_via_ext(m: AlgMod, cap: int = 20) -> Dim:
-    """Independent oracle: pd = max { i : Ext^i(M, S) != 0 for some simple }."""
+    """Independent oracle: pd = max { i : Ext^i(M, S) != 0 for some simple }.
+
+    Builds its own syzygy steps in a fresh list: it neither reads nor
+    replaces the steps ``pd`` keeps, so it checks ``pd`` against a
+    resolution of its own."""
     if cap < 0:
         raise QuivhomError(f"cap must be at least 0, got {cap}")
     if m.is_zero():
         return Dim.finite(0)
     a = m.algebra
-    res = _resolution(m, cap + 1)
+    res = _differentials(_extend_steps(m, [], cap + 2), cap + 2)
     # finite within the cap iff a kernel came out zero by step cap
     if len(res) > cap + 1 or not res[-1][2].source.is_zero():
         return Dim.at_least(cap)

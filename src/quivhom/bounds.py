@@ -60,8 +60,9 @@ def syzygy_pd(m, cap: int, cover, kernel) -> Dim:
 
     Each step takes one cover ``(P, pi) = cover(current)`` and its kernel
     ``(K, incl) = kernel(pi)``; the module is projective when it is zero or
-    its kernel is.  A negative cap raises ``QuivhomError``.  Shared by every
-    module category of the library.
+    its kernel is.  A negative cap raises ``QuivhomError``.  Shared by the
+    SC modules and the triples; modules over a BQA keep their steps for
+    ``ext_dims`` too (``algebra.pd``).
     """
     if cap < 0:
         raise QuivhomError(f"cap must be at least 0, got {cap}")

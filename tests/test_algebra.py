@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -579,6 +581,179 @@ def test_pd_rejects_negative_cap():
                 pd(m, -1)
     with pytest.raises(QuivhomError, match="cap"):
         alg.gldim(a, -1)
+
+
+def test_resolution_lengths_reject_negative_values(monkeypatch):
+    a = kA2()
+    s1, s2 = alg.simple_module(a, "1"), alg.simple_module(a, "2")
+    calls = _count_covers(monkeypatch)
+    for m in (s1, alg.zero_module(a)):
+        with pytest.raises(QuivhomError, match="upto"):
+            alg.ext_dims(m, s2, -1)
+        with pytest.raises(QuivhomError, match="length"):
+            alg.minimal_resolution(m, -1)
+    assert not calls
+
+
+def test_ext_dims_checks_the_algebras_before_resolving(monkeypatch):
+    a, b = kA2(), kA2()
+    m = alg.simple_module(a, "1")
+    assert alg.pd(m) == Dim.finite(1)
+    calls = _count_covers(monkeypatch)
+    with pytest.raises(AlgebraMismatch):
+        alg.ext_dims(m, alg.simple_module(b, "2"), 2)
+    assert not calls
+    # nor did the refused call drop m's kept steps
+    assert alg.ext_dims(m, alg.simple_module(a, "2"), 2) == [0, 1, 0]
+    assert not calls
+
+
+# -- one kept resolution for pd, ext_dims and minimal_resolution --------------------------
+
+def a8_rad2():
+    q = qv.a_n(8)
+    rels = [[(1, qv.Path(str(i), str(i + 2), (f"a{i}", f"a{i + 1}")))] for i in range(1, 7)]
+    return alg.build_bqa(GF(101), q, rels, 2, name="A8/rad2")
+
+
+def _simples_and_injectives(a):
+    """A sum of two simples and two injectives, shaped like the module jobs
+    of the resolutions benchmark."""
+    verts = a.quiver.vertices
+    parts = [alg.simple_module(a, verts[0]), alg.simple_module(a, verts[2])]
+    return alg.direct_sum_mods(a, parts + alg.injective_indecomposables(a)[1:3])[0]
+
+
+def _pd_covers(d, cap):
+    """The covers pd builds: one per step up to the first zero kernel."""
+    return d.value + 1 if d.exact else cap + 1
+
+
+@pytest.mark.parametrize("make", [a8_rad2, lambda: nakayama(4, 3)], ids=["A8/rad2", "N(4,3)"])
+def test_pd_and_ext_dims_build_each_cover_once(monkeypatch, make):
+    a = make()
+    simples = [alg.simple_module(a, v) for v in a.quiver.vertices]
+    m = _simples_and_injectives(a)
+    calls = _count_covers(monkeypatch)
+    # pd first: ext_dims at every simple reads pd's steps
+    d = alg.pd(m, 12)
+    assert len(calls) == _pd_covers(d, 12)
+    exts = [alg.ext_dims(m, s, 3) for s in simples]
+    assert len(calls) == _pd_covers(d, 12)
+    # ext_dims first: pd extends its prefix, and no module is covered twice
+    monkeypatch.setattr(alg, "_kept", None)
+    del calls[:]
+    assert alg.ext_dims(m, simples[0], 3) == exts[0]
+    assert len(calls) == min(5, _pd_covers(d, 12))
+    assert alg.pd(m, 12) == d
+    assert len(calls) == _pd_covers(d, 12) == len({id(c) for c in calls})
+    # the slot holds one module: a second one evicts m's steps
+    other = alg.direct_sum_mods(a, simples[1:3])[0]
+    alg.pd(other, 12)
+    del calls[:]
+    assert alg.ext_dims(m, simples[1], 3) == exts[1]
+    assert len(calls) == min(5, _pd_covers(d, 12))
+    # an equal module built separately hits
+    alg.pd(m, 12)
+    del calls[:]
+    again = _simples_and_injectives(a)
+    assert again is not m and again == m
+    assert alg.pd(again, 12) == d and [alg.ext_dims(again, s, 3) for s in simples] == exts
+    assert not calls
+    # replacing an arrow matrix misses: an arrow scaled by 2 gives a module
+    # (the relations are monomial) that pd resolves afresh
+    arrow = next(n for n, x in m.mats.items() if not x.is_zero())
+    m.mats[arrow] = m.mats[arrow].scale(a.field.of_int(2))
+    assert m.check_relations()
+    d2 = alg.pd(m, 12)
+    assert len(calls) == _pd_covers(d2, 12)
+    assert d2 == alg.pd_via_ext(m, 12)
+
+
+def _two_loop_resolution(m, length):
+    """The resolution as its own cover/kernel loop, apart from pd's: up to
+    length + 1 steps (P_i, d_i, K_i -> P_i), ending at the first zero
+    kernel."""
+    out = []
+    current = m
+    for _ in range(length + 1):
+        p, pi = alg.projective_cover(current)
+        d = out[-1][2].compose(pi) if out else pi
+        k, incl = alg.kernel_of(pi)
+        out.append((p, d, incl))
+        current = k
+        if k.is_zero():
+            break
+    return out
+
+
+ORACLE_CASES = {"A8/rad2": a8_rad2, "N(4,3)": lambda: nakayama(4, 3),
+                "N(5,4)": lambda: nakayama(5, 4), "A3/rad2 over QQ": lambda: kA3_rad2(QQ)}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_kept_resolution_matches_a_separate_loop(monkeypatch, name):
+    a = ORACLE_CASES[name]()
+    rng = random.Random(sorted(ORACLE_CASES).index(name))
+    pool = _standard_modules(a)
+    simples = pool[:len(a.quiver.vertices)]
+    mods = [alg.direct_sum_mods(a, rng.sample(pool, rng.randint(2, 6)))[0] for _ in range(3)]
+    lengths = (0, 3, 13)
+    for m in mods + [pool[0], alg.zero_module(a)]:
+        ref = _two_loop_resolution(m, max(lengths))
+        want_res = {n: [(p, d) for p, d, _ in ref[:n + 1]] for n in lengths}
+        want_ext = [alg._ext_dims(ref[:5], s, 3) for s in simples]
+        want_pd = alg.pd_via_ext(m, 12)
+        # cold and warm: the slot starts empty, then the first call fills it
+        for first in ("resolution", "pd", "ext"):
+            monkeypatch.setattr(alg, "_kept", None)
+            runs = {"resolution": lambda: [alg.minimal_resolution(m, n) for n in lengths],
+                    "pd": lambda: alg.pd(m, 12),
+                    "ext": lambda: [alg.ext_dims(m, s, 3) for s in simples]}
+            got = {first: runs.pop(first)()}
+            got.update((k, run()) for k, run in runs.items())
+            assert got["resolution"] == [want_res[n] for n in lengths]
+            assert [alg.minimal_resolution(m, n) for n in reversed(lengths)] \
+                == [want_res[n] for n in reversed(lengths)]
+            assert got["ext"] == want_ext
+            assert got["pd"] == want_pd
+
+
+def test_kept_steps_stay_consistent_across_threads():
+    # the slot is replaced, never mutated: threads that evict each other's
+    # steps, or extend the same module's at once, all read whole resolutions
+    a = a8_rad2()
+    s = alg.simple_module(a, "2")
+    mods = [_simples_and_injectives(a), alg.direct_sum_mods(a, [alg.simple_module(a, v) for v in "135"])[0]]
+    want = [(alg.pd_via_ext(m, 12), alg._ext_dims(_two_loop_resolution(m, 4), s, 3)) for m in mods]
+    errors = []
+
+    def work(t):
+        try:
+            for i in range(8):
+                j = (i + t) % 2
+                if i % 3:
+                    got = (alg.pd(mods[j], 12), alg.ext_dims(mods[j], s, 3))
+                else:
+                    ext = alg.ext_dims(mods[j], s, 3)
+                    got = (alg.pd(mods[j], 12), ext)
+                if got != want[j]:
+                    errors.append((t, i, got))
+        except Exception as exc:  # reported through errors, read after join
+            errors.append((t, i, exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
 
 
 # -- malformed modules and maps ----------------------------------------------------------

@@ -180,3 +180,19 @@ def test_repdim_imports_nothing_from_trimat():
                    for name in (getattr(n, "module", None) or "", *(a.name for a in n.names))
                    if name.split(".")[-1] == "trimat")
     assert not found, "repdim imports trimat:\n" + "\n".join(found)
+
+
+def test_pd_oracle_builds_its_own_resolution():
+    # pd_via_ext checks pd, so it must not read the syzygy steps pd keeps:
+    # it refers neither to the slot nor to any function that reaches it
+    tree = ast.parse((SRC / "algebra.py").read_text(encoding="utf-8"))
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    readers = {"_kept", "_kept_steps"}
+    while True:
+        more = {name for name, fn in defs.items() if _referenced_names(fn) & readers} - readers
+        if not more:
+            break
+        readers |= more
+    assert {"pd", "ext_dims", "minimal_resolution"} <= readers
+    found = sorted(_referenced_names(defs["pd_via_ext"]) & readers)
+    assert not found, "pd_via_ext reaches pd's kept steps through " + ", ".join(found)

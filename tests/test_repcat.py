@@ -271,6 +271,24 @@ def test_rep_pd_builds_one_cover_per_step(monkeypatch):
     assert len(calls) == 4
 
 
+def test_rep_pd_reads_the_steps_of_an_equal_module(monkeypatch):
+    # rep_pd builds a new Lambda Q-module on every call; the kept steps are
+    # keyed by content, so asking again builds no cover
+    calls = []
+    real = alg.projective_cover
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(alg, "projective_cover", counting)
+    x = rc.rep_simple(qv.a_n(3), dual_numbers(), "1", "1")
+    assert rc.rep_pd(x, cap=4) == Dim.at_least(4)
+    assert len(calls) == 5
+    assert rc.rep_pd(x, cap=4) == Dim.at_least(4)
+    assert len(calls) == 5
+
+
 def _cover_one_adjoint_per_copy(x):
     """Reference assembly of the cover: a projective and its left adjoint
     rebuilt for every generator copy, one copy per top vector of X at (v, u)."""
