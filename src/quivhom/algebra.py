@@ -906,6 +906,10 @@ class SCAlgebra:
     Associativity is checked only by :meth:`validate` (dim^3 products), for
     tables built by hand: the library's own (``sc_of_bqa``,
     ``endo.end_algebra`` and its corners) are associative by construction.
+
+    ``multiply`` reads a sparse view of the table, for each pair (i, j) the
+    pairs (k, m) with m = mult[i][j][k] nonzero.  It is built once, with the
+    algebra, and shared by every product; like the table it is never mutated.
     """
 
     def __init__(self, field: Field, mult, unit, idempotents=None, radical=None, labels=None):
@@ -919,6 +923,9 @@ class SCAlgebra:
         # one shared zero: products then compare equal by identity where zero
         self._zero = field.zero()
         self._coldata = None  # built once by scmodule.column_data
+        # sparse view of the table: _terms[i][j] = the pairs (k, m), m != 0
+        self._terms = tuple(tuple(tuple((k, m) for k, m in enumerate(v) if m) for v in row)
+                            for row in self.mult)
         for b in Mat.identity(field, self.dim).row_list():
             b = tuple(b)
             if self.multiply(self.unit, b) != b or self.multiply(b, self.unit) != b:
@@ -937,20 +944,27 @@ class SCAlgebra:
                 raise CompositionInconsistent("idempotents do not sum to the unit")
 
     def multiply(self, x, y):
-        f = self.field
-        add, mul = f.add, f.mul
+        terms, p = self._terms, self.field.p
         out = [self._zero] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        if not ys:
+            return tuple(out)
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            row = self.mult[i]
-            for j, yj in enumerate(y):
-                if not yj:
+            row = terms[i]
+            for j, yj in ys:
+                t = row[j]
+                if not t:
                     continue
-                c = mul(xi, yj)
-                for k, m in enumerate(row[j]):
-                    if m:
-                        out[k] = add(out[k], mul(c, m))
+                c = xi * yj
+                if p is None:
+                    for k, m in t:
+                        out[k] += c * m
+                else:
+                    c %= p
+                    for k, m in t:
+                        out[k] = (out[k] + c * m) % p
         return tuple(out)
 
     def validate(self):

@@ -28,6 +28,7 @@ are sub-tables too: gamma o h = mult[gamma][h] and h o gamma = mult[h][gamma].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import repcat as rc
 from .algebra import SCAlgebra, _is_nilpotent
@@ -256,6 +257,12 @@ def _certify_radical(sc: SCAlgebra, blocks, parts):
     Conversely each corner of sc/J is k, and by construction J_ij holds every
     h with g o h in J_ii for all g (as J_ii lies in ker chi_i), so sc/J has
     no radical.  This holds in every characteristic.
+
+    The ideal check multiplies each x in J_ij (maps X_i -> X_j) by the basis
+    maps of the blocks (j, k) on the left and (k, i) on the right, and tests
+    the nonzero products.  Every other product of basis maps is a composite
+    of maps whose ends do not meet, which ``end_algebra`` leaves zero in the
+    table, so it lies in J trivially.
     """
     f = sc.field
     for (i, j), (_, vecs) in parts.items():
@@ -270,12 +277,16 @@ def _certify_radical(sc: SCAlgebra, blocks, parts):
                 return False
         return True
 
-    unit_vecs = Mat.identity(sc.field, sc.dim).row_list()
+    unit_vecs = Mat.identity(f, sc.dim).row_list()
+    out_of, into = {}, {}  # summand s -> unit vectors of the blocks (s, k), resp. (k, s)
+    for (a, b), (off, basis) in blocks.items():
+        out_of.setdefault(a, []).extend(unit_vecs[off:off + len(basis)])
+        into.setdefault(b, []).extend(unit_vecs[off:off + len(basis)])
     for (i, j), (_, vecs) in parts.items():
         for x in vecs:
-            for e in unit_vecs:
-                if not (in_radical(sc.multiply(e, x)) and in_radical(sc.multiply(x, e))):
-                    raise NotSplit(f"radical of Hom(summand {i}, summand {j}) is not an ideal")
+            prods = chain((sc.multiply(e, x) for e in out_of[j]), (sc.multiply(x, e) for e in into[i]))
+            if not all(in_radical(v) for v in prods if any(v)):
+                raise NotSplit(f"radical of Hom(summand {i}, summand {j}) is not an ideal")
     if not _is_nilpotent(sc, sc.known_radical):
         raise NotSplit("the block radical is not nilpotent")
 

@@ -4,7 +4,9 @@ Everything downstream (Hom spaces, resolutions, rank certificates) reduces to
 the three kernels in this module: ``rref``, ``kernel_basis`` and ``solve``.
 Scalars are ``fractions.Fraction`` over the rationals and plain ``int``
 residues over a prime field.  Elimination uses first-nonzero pivoting, so all
-outputs are reproducible.
+outputs are reproducible.  It touches only nonzero entries: zero tests are
+truth tests, and each row is updated in place on the pivot row's nonzero
+support, which gives the dense elimination's result entry for entry.
 """
 
 from __future__ import annotations
@@ -334,41 +336,53 @@ class Mat:
 
 
 def _eliminate(rows, field):
-    """In-place Gauss-Jordan on list-of-lists; returns pivot column list."""
+    """In-place Gauss-Jordan on list-of-lists; returns pivot column list.
+
+    Pivoting is first-nonzero.  The pivot row is scaled on its nonzero
+    entries only, and every other row is updated in place on the pivot row's
+    nonzero support from the pivot column c on: left of c the pivot row is
+    zero by construction.  So the result is the dense elimination's, entry
+    for entry.  The row lists are written in place, so callers pass fresh
+    copies (``Mat.row_list``).
+    """
     if not rows:
         return []
     ncols = len(rows[0])
     pivots = []
     r = 0
     nrows = len(rows)
-    zero = field.zero()
+    zero, one, p = field.zero(), field.one(), field.p
     for c in range(ncols):
         # first nonzero pivot at or below r
         pr = None
         for i in range(r, nrows):
-            if rows[i][c] != zero:
+            if rows[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != field.one():
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
         prow = rows[r]
+        support = [j for j in range(c + 1, ncols) if prow[j]]
+        inv = field.inv(prow[c])
+        if inv != one:
+            for j in support:
+                prow[j] = field.mul(inv, prow[j])
+            prow[c] = one
+        terms = [(j, prow[j]) for j in support]
         for i in range(nrows):
-            if i == r:
-                continue
-            factor = rows[i][c]
-            if factor == zero:
-                continue
             ri = rows[i]
-            if field.kind == "q":
-                rows[i] = [x - factor * y for x, y in zip(ri, prow)]
+            factor = ri[c]
+            if not factor or i == r:
+                continue
+            if p is None:
+                for j, y in terms:
+                    ri[j] -= factor * y
             else:
-                p = field.p
-                rows[i] = [(x - factor * y) % p for x, y in zip(ri, prow)]
+                for j, y in terms:
+                    ri[j] = (ri[j] - factor * y) % p
+            ri[c] = zero
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -467,15 +481,15 @@ def _commuting_rows(field: Field, shapes, constraints):
                 row = [zero] * total
                 for k in range(ar):
                     c = a.entries[k * ac + j]
-                    if c != zero:
+                    if c:
                         idx = off_p + i * ar + k
                         row[idx] = field.add(row[idx], c)
                 for l in range(bc):
                     c = b.entries[i * bc + l]
-                    if c != zero:
+                    if c:
                         idx = off_q + l * ac + j
                         row[idx] = field.sub(row[idx], c)
-                if any(x != zero for x in row):
+                if any(row):
                     rows.append(row)
     return rows
 

@@ -87,7 +87,7 @@ def _combination(field, dim, mats, coeffs) -> Mat:
     from its first nonzero term on; coefficients equal to one scale nothing."""
     out = None
     for i, c in enumerate(coeffs):
-        if c != field.zero():
+        if c:
             term = mats[i] if c == field.one() else mats[i].scale(c)
             out = term if out is None else out.add(term)
     return Mat.zeros(field, dim, dim) if out is None else out

@@ -6,6 +6,7 @@ import pytest
 
 from quivhom import algebra as alg
 from quivhom import quiver as qv
+from quivhom import repdim
 from quivhom import scmodule as scm
 from quivhom.bounds import Dim
 from quivhom.errors import (
@@ -773,3 +774,62 @@ def test_module_map_rejects_unknown_vertex():
         alg.ModMap(p, p, {"3": Mat.identity(QQ, 1)})
     # a key mapped to None is a known vertex whose map is zero
     assert alg.ModMap(p, p, {"1": None}).is_zero()
+
+
+# -- structure-constant products over the sparse view of the table ------------------------
+
+def _dense_multiply(sc, x, y):
+    """The product over the dense table that ``SCAlgebra.multiply`` replaced,
+    kept as the reference: every y_j is read again for every nonzero x_i."""
+    f = sc.field
+    out = [f.zero()] * sc.dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = sc.mult[i]
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            c = f.mul(xi, yj)
+            for k, m in enumerate(row[j]):
+                if m:
+                    out[k] = f.add(out[k], f.mul(c, m))
+    return tuple(out)
+
+
+def _xbar_tables(make_q):
+    k = alg.ground_field_algebra(QQ)
+    xbar = repdim.build_xbar(make_q(), k, [alg.AlgMod(k, {"1": 1}, {})])
+    e = repdim.end_xbar(xbar)
+    n1, n2 = len(xbar.x1), len(xbar.x2)
+    return e, range(n1), range(n1, n1 + n2)
+
+
+def _sc_tables():
+    kron, x1, x2 = _xbar_tables(qv.kronecker)
+    d4, _, _ = _xbar_tables(lambda: qv.d4((1, 0, 1)))
+    return {"A8/rad2": alg.sc_of_bqa(a8_rad2()), "N(4,3)": alg.sc_of_bqa(nakayama(4, 3)),
+            "dual-numbers-QQ": alg.sc_of_bqa(dual_numbers()), "End(Xbar)-kronecker": kron.sc,
+            "End(Xbar)-D4(1,0,1)": d4.sc, "corner-X2": kron.corner(x2).sc,
+            "triangular-X1-X2": kron.triangular(x1, x2).sc}
+
+
+def test_structure_constant_products_match_the_dense_table():
+    rng = random.Random(1919)
+    for name, sc in _sc_tables().items():
+        f = sc.field
+        units = [tuple(r) for r in Mat.identity(f, sc.dim).row_list()]
+        vecs = [tuple(f.zero() for _ in range(sc.dim))] + rng.sample(units, min(8, sc.dim))
+        for density in (0.1, 0.3, 1.0):
+            for _ in range(3):
+                vecs.append(tuple(f.of_int(rng.randint(-3, 3)) if rng.random() < density else f.zero()
+                                  for _ in range(sc.dim)))
+        if f.kind == "q":
+            vecs.append(tuple(QQ.parse(f"{rng.randint(-3, 3)}/{rng.randint(1, 4)}") for _ in range(sc.dim)))
+        for x in vecs:
+            for y in vecs:
+                got, want = sc.multiply(x, y), _dense_multiply(sc, x, y)
+                assert repr(got) == repr(want), name
+        for b in rng.sample(range(sc.dim), min(6, sc.dim)):  # whole rows of the table
+            for c in range(sc.dim):
+                assert sc.multiply(units[b], units[c]) == sc.mult[b][c], name

@@ -600,3 +600,83 @@ def test_sigma_sub_table_against_the_triangular_ring(name):
         assert endo.sc_gldim(e.corner(x1 + x2)) == Dim.finite(0)
     if e.cat.field.kind == "q":
         assert_radical_is_trace_form_radical(sigma)
+
+
+# -- the radical certificate: its failure branches and the products it skips ---------------
+
+def block_radical_parts(e):
+    n = len(e.summands)
+    return endo._block_radical(e.cat.field, e.blocks, e.sc.mult, n)
+
+
+def test_certificate_refuses_a_candidate_that_is_not_an_ideal():
+    e, _ = end_xbar_and_parts("kronecker-QQ")
+    parts = block_radical_parts(e)
+    assert endo._certify_radical(e.sc, e.blocks, parts) is None
+    # cut the candidate down to zero on one off-diagonal block: x o id = x
+    # still lands there, so the candidate is no longer an ideal
+    keys = [k for k, (_, vecs) in parts.items() if k[0] != k[1] and vecs]
+    assert keys
+    for key in keys:
+        planted = dict(parts)
+        planted[key] = (Mat.identity(QQ, len(e.blocks[key][1])).row_list(), parts[key][1])
+        with pytest.raises(NotSplit, match="not an ideal"):
+            endo._certify_radical(e.sc, e.blocks, planted)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_certificate_tests_both_sides_of_the_ideal(side):
+    # a candidate that only products on one side leave: on the left, x in
+    # (i, j) times e in (j, m) lands in (i, m), and with every J_(b, m),
+    # b != m, emptied no right product lands there; on the right, x times
+    # e in (m, i) lands in (m, j), and no left product does once every
+    # J_(m, b), b != m, is empty
+    e, _ = end_xbar_and_parts("kronecker-QQ")
+    sc, parts = e.sc, block_radical_parts(e)
+    units = Mat.identity(QQ, sc.dim).row_list()
+    found = None
+    for (i, j), (_, vecs) in parts.items():
+        for x in vecs:
+            for b, (src, dst, _) in enumerate(sc.labels):
+                if side == "left" and src == j and dst not in (i, j) and any(sc.multiply(units[b], x)):
+                    found = (i, dst), lambda key, m=dst: key[1] == m and key[0] != m
+                elif side == "right" and dst == i and src not in (i, j) and any(sc.multiply(x, units[b])):
+                    found = (src, j), lambda key, m=src: key[0] == m and key[1] != m
+    assert found is not None
+    target, emptied = found
+    planted = {key: (rows, [] if emptied(key) else vecs) for key, (rows, vecs) in parts.items()}
+    assert endo._certify_radical(sc, e.blocks, planted) is None
+    planted[target] = (Mat.identity(QQ, len(e.blocks[target][1])).row_list(), planted[target][1])
+    with pytest.raises(NotSplit, match="not an ideal"):
+        endo._certify_radical(sc, e.blocks, planted)
+
+
+def test_certificate_refuses_a_candidate_that_is_not_nilpotent():
+    e, _ = end_xbar_and_parts("kronecker-QQ")
+    sc = e.sc
+    # the same ideal test, but the unit among the radical vectors
+    planted = alg.SCAlgebra(QQ, sc.mult, sc.unit, idempotents=sc.idempotents,
+                            radical=list(sc.known_radical) + [sc.unit], labels=sc.labels)
+    with pytest.raises(NotSplit, match="not nilpotent"):
+        endo._certify_radical(planted, e.blocks, block_radical_parts(e))
+
+
+@pytest.mark.parametrize("make_q", [qv.kronecker, lambda: qv.d4((0, 0, 0))], ids=["kronecker", "d4_000"])
+def test_ideal_check_skips_only_zero_products(make_q):
+    # x in the block (i, j) is multiplied only by the blocks (j, k) on the
+    # left and (k, i) on the right; every other product must vanish
+    k = base_k()
+    e, _ = xbar_end_and_parts(make_q(), k, [alg.AlgMod(k, {"1": 1}, {})])
+    sc = e.sc
+    units = Mat.identity(QQ, sc.dim).row_list()
+    skipped = 0
+    for x in sc.known_radical:
+        i, j, _ = sc.labels[next(b for b, c in enumerate(x) if c)]
+        for b, (src, dst, _) in enumerate(sc.labels):
+            if src != j:
+                assert not any(sc.multiply(units[b], x))
+                skipped += 1
+            if dst != i:
+                assert not any(sc.multiply(x, units[b]))
+                skipped += 1
+    assert skipped > len(sc.known_radical) * sc.dim  # most products are skipped

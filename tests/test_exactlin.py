@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quivhom.exactlin import GF, QQ, Field, Mat, inverse, kernel_basis, rank, rref, solve
+from quivhom.exactlin import GF, QQ, Field, Mat, inverse, kernel_basis, rank, rref, solve, solve_matrix
 from quivhom.errors import QuivhomError
 
 
@@ -123,3 +123,103 @@ def test_stacking():
     assert Mat.hstack(QQ, [a, b]).row_list() == [[1, 2, 3, 4]]
     d = Mat.block_diag(QQ, [a, b])
     assert d.row_list() == [[1, 2, 0, 0], [0, 0, 3, 4]]
+
+
+# -- the sparse elimination against the dense one ------------------------------------
+
+def _dense_eliminate(rows, field):
+    """The dense Gauss-Jordan elimination that ``_eliminate`` replaced, kept
+    as the reference: every row update runs over all columns."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    zero = field.zero()
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if rows[i][c] != zero:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        if inv != field.one():
+            rows[r] = [field.mul(inv, x) for x in rows[r]]
+        prow = rows[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            factor = rows[i][c]
+            if factor == zero:
+                continue
+            ri = rows[i]
+            if field.kind == "q":
+                rows[i] = [x - factor * y for x, y in zip(ri, prow)]
+            else:
+                p = field.p
+                rows[i] = [(x - factor * y) % p for x, y in zip(ri, prow)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _elimination_inputs(field, rng):
+    """Seeded sparse and dense matrices, zero and empty shapes, rank-deficient
+    products, non-unit pivots and rows that vanish mid-elimination."""
+    out = [Mat.zeros(field, 0, 4), Mat.zeros(field, 4, 0), Mat.zeros(field, 0, 0),
+           Mat.zeros(field, 3, 5), M([[2, 4, 6], [3, 6, 9]], field), M([[0, 3, 1], [5, 0, 2]], field),
+           M([[1, 2, 0, 1], [0, 1, 1, 0], [1, 3, 1, 1], [2, 5, 1, 2]], field)]
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.choice((0.15, 0.4, 1.0))
+        out.append(Mat.from_rows(field, [[rng.randint(-5, 5) if rng.random() < density else 0
+                                          for _ in range(cols)] for _ in range(rows)]))
+    for _ in range(20):
+        rows, inner, cols = rng.randint(2, 7), rng.randint(1, 3), rng.randint(2, 7)
+        a = _random_matrix(rng, field, rows, inner)
+        b = _random_matrix(rng, field, inner, cols)
+        out.append(a.mul(b))  # rank at most inner
+    if field.kind == "q":
+        out.append(Mat.from_rows(field, [[QQ.parse(f"{rng.randint(-4, 4)}/{rng.randint(1, 5)}")
+                                          for _ in range(5)] for _ in range(4)]))
+    return out
+
+
+def _exact(m):
+    return None if m is None else (m.rows, m.cols, repr(m.entries))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=["QQ", "GF2", "GF3", "GF101"])
+def test_sparse_elimination_matches_the_dense_one(field, monkeypatch):
+    from quivhom import exactlin
+
+    rng = random.Random(19 + (field.p or 0))
+    for m in _elimination_inputs(field, rng):
+        before = tuple(m.entries)
+        rref(m)
+        assert m.entries == before  # rref eliminates a copy of the rows
+        b = _random_matrix(rng, field, m.rows, 2)  # mostly inconsistent
+        consistent = m.mul(_random_matrix(rng, field, m.cols, 2))
+        square = _random_matrix(rng, field, m.rows, m.rows)
+
+        def answers():
+            return [rref(m), kernel_basis(m), solve_matrix(m, b), solve_matrix(m, consistent),
+                    inverse(square), inverse(m)]
+
+        got = answers()
+        with monkeypatch.context() as mp:
+            mp.setattr(exactlin, "_eliminate", _dense_eliminate)
+            refs = answers()
+        (r, rk, piv), (r0, rk0, piv0) = got[0], refs[0]
+        assert (_exact(r), rk, piv) == (_exact(r0), rk0, piv0)
+        assert [_exact(v) for v in got[1]] == [_exact(v) for v in refs[1]]
+        assert got[3] is not None
+        for x, x0 in zip(got[2:], refs[2:]):
+            assert _exact(x) == _exact(x0)
