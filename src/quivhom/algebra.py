@@ -373,35 +373,33 @@ def zero_module(a: BQA) -> AlgMod:
     return AlgMod(a, {}, {})
 
 
-def direct_sum_mods(a: BQA, mods):
-    """Direct sum with injection and projection maps."""
+def sum_mods(a: BQA, mods) -> AlgMod:
+    """The direct sum of modules, summand after summand at every vertex
+    (the object only: ``direct_sum_mods`` adds its maps)."""
     mods = list(mods)
     f = a.field
     dims = {v: sum(m.dims[v] for m in mods) for v in a.quiver.vertices}
     mats = {}
     for arr in a.quiver.arrows:
         mats[arr.name] = Mat.block_diag(f, [m.mats[arr.name] for m in mods]) if mods else Mat.zeros(f, 0, 0)
-    total = AlgMod(a, dims, mats)
-    zero, one = f.zero(), f.one()
-    injs, projs = [], []
-    before = {v: 0 for v in a.quiver.vertices}
-    for m in mods:
-        imats, pmats = {}, {}
-        for v, n in dims.items():
-            # unit blocks: the projection's row r, and the injection's
-            # column r, have their one in place before[v] + r
-            d, at = m.dims[v], before[v]
-            pent = [zero] * (d * n)
-            ient = [zero] * (n * d)
-            for r in range(d):
-                pent[r * n + at + r] = one
-                ient[(at + r) * d + r] = one
-            pmats[v] = Mat(f, d, n, tuple(pent))
-            imats[v] = Mat(f, n, d, tuple(ient))
-            before[v] = at + d
-        injs.append(ModMap(m, total, imats))
-        projs.append(ModMap(total, m, pmats))
-    return total, injs, projs
+    return AlgMod(a, dims, mats)
+
+
+def summand_maps(total: AlgMod, mods):
+    """(injs, projs) of ``total``, the direct sum of ``mods``: unit blocks
+    at every vertex."""
+    units = {v: Mat.summand_units(total.algebra.field, [m.dims[v] for m in mods])
+             for v in total.dims}
+    injs = [ModMap(m, total, {v: u[k][0] for v, u in units.items()}) for k, m in enumerate(mods)]
+    projs = [ModMap(total, m, {v: u[k][1] for v, u in units.items()}) for k, m in enumerate(mods)]
+    return injs, projs
+
+
+def direct_sum_mods(a: BQA, mods):
+    """``sum_mods`` with its injections and projections."""
+    mods = list(mods)
+    total = sum_mods(a, mods)
+    return (total, *summand_maps(total, mods))
 
 
 def hom_basis(m: AlgMod, n: AlgMod):

@@ -20,6 +20,15 @@ w . psi_k = psi'_k . u, and a quotient by a subtriple, which exists when
 q_Y . psi_k vanishes on the X-part, takes psi-bar_k = q_Y . psi_k . s_X, so
 no tensor map is formed and nothing is solved.
 
+Direct sums come in two forms.  Each adapter builds the sum object in one
+function, ``sum_obj``, which returns the object alone; ``direct_sum`` is the
+form that returns maps, (object, injections, projections), and adds
+``sum_maps`` to the object ``sum_obj`` built.  Callers that place maps block
+by block (``diag``, ``stack``, ``copair``, ``split_into`` and the witness
+calculus of ``derived``) need only ``sum_obj``; ``components`` and
+``restrictions`` read the blocks of a map into or out of a sum without
+building its projections or injections.
+
 Every adapter builds its zero object once and ``zero_obj`` returns that one
 object (complexes pad with it outside their degrees), so it must never be
 mutated.
@@ -50,7 +59,8 @@ class Cat:
     keys: object            # obj -> ordered key list
     comp_dim: object        # (obj, key) -> int
     zero_obj: object        # () -> the adapter's one zero object, shared: never mutate it
-    direct_sum: object      # [objs] -> (obj, injs, projs)
+    sum_obj: object         # [objs] -> the direct sum object, with no maps
+    sum_maps: object        # (sum_obj(objs), objs) -> (injs, projs)
     identity: object
     zero_map: object
     compose: object
@@ -66,6 +76,12 @@ class Cat:
     is_zero_obj: object
     is_semisimple_base: object
 
+    def direct_sum(self, objs):
+        """The form of the direct sum that returns maps: (total, injs, projs)."""
+        objs = list(objs)
+        total = self.sum_obj(objs)
+        return (total, *self.sum_maps(total, objs))
+
     def total_dim(self, obj):
         return sum(self.comp_dim(obj, k) for k in self.keys(obj))
 
@@ -76,7 +92,7 @@ class Cat:
             out.extend(mats[k].entries)
         return out
 
-    # Every ``direct_sum`` concatenates its summands key by key, in summand
+    # Every direct sum concatenates its summands key by key, in summand
     # order, so a morphism into, out of or between direct sums is placed
     # block by block, with no products and no additions.
 
@@ -104,6 +120,29 @@ class Cat:
         return self.map_from_mats(src, dst, {
             k: Mat.hstack(self.field, [m[k] for m in mats]) if mats
             else Mat.zeros(self.field, self.comp_dim(dst, k), 0) for k in self.keys(dst)})
+
+    def _offsets(self, parts, k):
+        at = 0
+        for p in parts:
+            d = self.comp_dim(p, k)
+            yield at, at + d
+            at += d
+
+    def components(self, src, f, parts):
+        """The maps proj_i o f : src -> parts[i] of a map f from src into the
+        direct sum of ``parts``: its blocks of rows, so ``stack`` of them is f."""
+        mats = self.map_mats(f)
+        blocks = {k: list(self._offsets(parts, k)) for k in self.keys(src)}
+        return [self.map_from_mats(src, p, {k: mats[k].row_block(*blocks[k][i]) for k in blocks})
+                for i, p in enumerate(parts)]
+
+    def restrictions(self, dst, f, parts):
+        """The maps f o inj_i : parts[i] -> dst of a map f from the direct sum
+        of ``parts`` to dst: its blocks of columns, so ``copair`` of them is f."""
+        mats = self.map_mats(f)
+        blocks = {k: list(self._offsets(parts, k)) for k in self.keys(dst)}
+        return [self.map_from_mats(p, dst, {k: mats[k].col_block(*blocks[k][i]) for k in blocks})
+                for i, p in enumerate(parts)]
 
     # -- split tests ------------------------------------------------------------------
 
@@ -147,7 +186,7 @@ class Cat:
             for b in self.hom_basis(s, obj):
                 pieces.append(i)
                 maps.append(b)
-        total = self.direct_sum([summands[i] for i in pieces])[0]
+        total = self.sum_obj([summands[i] for i in pieces])
         u = self.copair(total, obj, maps)
         sec = self.section(u)
         return None if sec is None else (pieces, total, sec, u)
@@ -168,7 +207,8 @@ def mod_cat(a) -> Cat:
         keys=lambda m: list(a.quiver.vertices),
         comp_dim=lambda m, k: m.dims[k],
         zero_obj=lambda: zero,
-        direct_sum=lambda ms: alg.direct_sum_mods(a, ms),
+        sum_obj=lambda ms: alg.sum_mods(a, ms),
+        sum_maps=alg.summand_maps,
         identity=alg.identity_map,
         zero_map=alg.zero_map,
         compose=lambda f, g: f.compose(g),
@@ -216,7 +256,8 @@ def rep_cat(q, a) -> Cat:
         keys=keys,
         comp_dim=lambda x, k: x.mods[k[0]].dims[k[1]],
         zero_obj=lambda: zero,
-        direct_sum=lambda xs: rc.rep_direct_sum(q, a, xs),
+        sum_obj=lambda xs: rc.rep_sum(q, a, xs),
+        sum_maps=rc.rep_summand_maps,
         identity=rc.identity_repmap,
         zero_map=rc.zero_repmap,
         compose=lambda f, g: f.compose(g),
@@ -255,7 +296,8 @@ def sc_cat(sc) -> Cat:
         keys=lambda m: ["*"],
         comp_dim=lambda m, k: m.dim,
         zero_obj=lambda: zero,
-        direct_sum=lambda ms: scm.direct_sum_sc(sc, ms),
+        sum_obj=lambda ms: scm.sum_sc(sc, ms),
+        sum_maps=scm.summand_maps_sc,
         identity=lambda m: scm.SCMap(m, m, Mat.identity(sc.field, m.dim)),
         zero_map=lambda s, d: scm.SCMap(s, d, Mat.zeros(sc.field, d.dim, s.dim)),
         compose=lambda f, g: scm.SCMap(g.source, f.target, f.mat.mul(g.mat)),
@@ -300,7 +342,8 @@ def triple_cat(spec) -> Cat:
         keys=lambda t: ["x", "y"],
         comp_dim=lambda t, k: t.x.dim if k == "x" else t.y.dim,
         zero_obj=lambda: zero,
-        direct_sum=lambda ts: tm.triple_direct_sum(spec, ts),
+        sum_obj=lambda ts: tm.triple_sum(spec, ts),
+        sum_maps=tm.triple_summand_maps,
         identity=tm.identity_triple_map,
         zero_map=tm.zero_triple_map,
         compose=lambda a_, b_: a_.compose(b_),

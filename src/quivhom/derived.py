@@ -168,21 +168,28 @@ def shift_chain_map(f: ChainMap, k: int) -> ChainMap:
                     {i - k: m for i, m in f.comps.items()})
 
 
-def direct_sum_complexes(cat: Cat, cs):
+def sum_complexes(cat: Cat, cs) -> Complex:
+    """The direct sum of complexes, degree by degree, with the differentials
+    placed block diagonally (the complex only: ``direct_sum_complexes`` adds
+    its maps)."""
     cs = list(cs)
-    lo = min(c.lo for c in cs) if cs else 0
-    hi = max(c.hi for c in cs) if cs else 0
-    objs, degree_maps = {}, {}
-    for i in range(lo, hi + 1):
-        total, injs, projs = cat.direct_sum([c.obj(i) for c in cs])
-        objs[i] = total
-        degree_maps[i] = (injs, projs)
+    if not cs:
+        return zero_complex(cat)
+    lo, hi = min(c.lo for c in cs), max(c.hi for c in cs)
+    objs = {i: cat.sum_obj([c.obj(i) for c in cs]) for i in range(lo, hi + 1)}
     diffs = {i: cat.diag(objs[i], objs[i + 1], [c.diff(i) for c in cs]) for i in range(lo, hi)}
-    total = Complex(cat, lo, hi, objs, diffs)
-    injs, projs = [], []
-    for idx, c in enumerate(cs):
-        injs.append(ChainMap(c, total, {i: degree_maps[i][0][idx] for i in range(lo, hi + 1)}))
-        projs.append(ChainMap(total, c, {i: degree_maps[i][1][idx] for i in range(lo, hi + 1)}))
+    return Complex(cat, lo, hi, objs, diffs)
+
+
+def direct_sum_complexes(cat: Cat, cs):
+    """``sum_complexes`` with its injections and projections."""
+    cs = list(cs)
+    total = sum_complexes(cat, cs)
+    degree_maps = {i: cat.sum_maps(total.objs[i], [c.obj(i) for c in cs]) for i in total.degrees()}
+    injs = [ChainMap(c, total, {i: m[0][idx] for i, m in degree_maps.items()})
+            for idx, c in enumerate(cs)]
+    projs = [ChainMap(total, c, {i: m[1][idx] for i, m in degree_maps.items()})
+             for idx, c in enumerate(cs)]
     return total, injs, projs
 
 
@@ -330,16 +337,15 @@ class Node:
 
 
 def build_expression(cat: Cat, generators, entries) -> Complex:
-    """Direct sum of shifted generator summands, zero differentials."""
-    return expression_summand_maps(cat, generators, entries)[0]
-
-
-def expression_summand_maps(cat: Cat, generators, entries):
-    pieces = [shift_complex(concentrated(cat, generators[g]), s) for g, s in entries]
-    if not pieces:
-        z = zero_complex(cat)
-        return z, [], []
-    return direct_sum_complexes(cat, pieces)
+    """Direct sum of shifted generator summands, zero differentials: the
+    summand of an entry (g, s) is generator g in degree -s and zero
+    elsewhere, so degree i is the sum of the generators anchored there, in
+    entry order."""
+    if not entries:
+        return zero_complex(cat)
+    lo, hi = min(-s for _, s in entries), max(-s for _, s in entries)
+    return Complex(cat, lo, hi, {i: cat.sum_obj([generators[g] for g, s in entries if s == -i])
+                                 for i in range(lo, hi + 1)}, {})
 
 
 @dataclass
@@ -581,16 +587,16 @@ def witness_direct_sum(cat: Cat, ws):
     if len(ws) == 1:
         return ws[0]
     if all(isinstance(w, Leaf) for w in ws):
-        total, _, _ = direct_sum_complexes(cat, [w.target for w in ws])
+        total = sum_complexes(cat, [w.target for w in ws])
         any_replaced = any(w.replaced is not None for w in ws)
-        rtotal = total if not any_replaced else direct_sum_complexes(
-            cat, [w.replaced if w.replaced is not None else w.target for w in ws])[0]
+        rtotal = total if not any_replaced else sum_complexes(
+            cat, [w.replaced if w.replaced is not None else w.target for w in ws])
         entries = []
         for w in ws:
             entries.extend(w.entries)
         # the sum of the leaf expressions is, block by block, the expression
         # of the concatenated entry list
-        etotal, _, _ = direct_sum_complexes(cat, [w.incl.target for w in ws])
+        etotal = sum_complexes(cat, [w.incl.target for w in ws])
         incl = _diag_chain_map(cat, rtotal, etotal, [w.incl for w in ws])
         retr = _diag_chain_map(cat, etotal, rtotal, [w.retr for w in ws])
         if not any_replaced:
@@ -603,14 +609,14 @@ def witness_direct_sum(cat: Cat, ws):
             for w in ws])
         return Leaf(total, entries, incl, retr, rtotal, to_r, from_r)
     nodes = [w if isinstance(w, Node) else pad_to_node(w) for w in ws]
-    b_sum, _, _ = direct_sum_complexes(cat, [n.ses.b for n in nodes])
-    c_sum, _, _ = direct_sum_complexes(cat, [n.ses.c for n in nodes])
-    a_total, _, _ = direct_sum_complexes(cat, [n.ses.a for n in nodes])
+    b_sum = sum_complexes(cat, [n.ses.b for n in nodes])
+    c_sum = sum_complexes(cat, [n.ses.c for n in nodes])
+    a_total = sum_complexes(cat, [n.ses.a for n in nodes])
     incl = _diag_chain_map(cat, a_total, b_sum, [n.ses.incl for n in nodes])
     epi = _diag_chain_map(cat, b_sum, c_sum, [n.ses.epi for n in nodes])
     ses = ComplexSES(a_total, b_sum, c_sum, incl, epi, {})
     ses.sections = solve_sections(ses)
-    t_sum, _, _ = direct_sum_complexes(cat, [n.target for n in nodes])
+    t_sum = sum_complexes(cat, [n.target for n in nodes])
     fi = _diag_chain_map(cat, t_sum, c_sum, [
         n.factor_incl if n.factor_incl is not None else identity_chain_map(n.target)
         for n in nodes])
@@ -713,13 +719,17 @@ def pushforward_witness(w, functor: CFunctor, old_generators, new_generators, ge
     """Transport a witness through an additive functor.
 
     ``gen_index_map[g]`` names the new generator summand equal to F(old g);
-    the equality is checked structurally.  Sections are re-solved after
-    transport; broken exactness raises CertificateBrokenByFunctor.  The
-    result is not re-checked: ``witness_check`` on the witness that
-    contains it covers it.
+    the equality is checked structurally, which is what lets each leaf's
+    expression over the new generators hold the blocks F(old g) (see
+    ``_push``).  An index outside either generator list, or a leaf
+    generator missing from the map, raises ``QuivhomError``.  Sections are
+    re-solved after transport; broken exactness raises
+    CertificateBrokenByFunctor.  The result is not re-checked:
+    ``witness_check`` on the witness that contains it covers it.
     """
     cat = functor.dst_cat
-    for g_old, g_new in gen_index_map.items():
+    for g_old in gen_index_map:
+        g_new = _generator_image(gen_index_map, g_old, old_generators, new_generators)
         img = functor.on_obj(old_generators[g_old])
         if not cat.obj_equal(img, new_generators[g_new]):
             raise CertificateBrokenByFunctor(
@@ -727,37 +737,54 @@ def pushforward_witness(w, functor: CFunctor, old_generators, new_generators, ge
     return _push(w, functor, old_generators, new_generators, gen_index_map)
 
 
+def _generator_image(gmap, g, old_gens, new_gens):
+    """gmap[g], the new generator that F(old generator g) equals."""
+    if g not in gmap:
+        raise QuivhomError(f"generator {g} of a leaf has no image in the generator map")
+    new = gmap[g]
+    if not 0 <= g < len(old_gens) or not 0 <= new < len(new_gens):
+        raise QuivhomError(f"the generator map sends generator {g} to {new}, outside the "
+                           f"{len(old_gens)} old and {len(new_gens)} new generators")
+    return new
+
+
 def _push(w, functor, old_gens, new_gens, gmap):
+    """F applied to a witness, leaf expressions re-read over new_gens.
+
+    A leaf exhibits X' (its replacement, or else its target) as a factor of
+    an expression E = sum of shifted old generators.  F(E) is never built:
+    in degree i, E^i is the sum of the generators anchored there, so incl^i
+    is the stack of its components proj_k o incl^i and retr^i the copair of
+    its restrictions retr^i o inj_k.  F is a functor, so
+    F(proj_k o incl^i) = F(proj_k) o F(incl^i), and stacking the
+    F(proj_k o incl^i) into the new expression, whose summand k is
+    F(old g_k) by the generator check, is phi o F(incl) for the canonical
+    iso phi : F(E) -> sum F(g_k) (the F(proj_k) stacked); likewise the
+    copair of the F(retr^i o inj_k) is F(retr) o phi^-1.  Every matrix is
+    the one the iso would give, entry for entry, and F is applied only to
+    the objects of X', of the target and of the old generators."""
     cat = functor.dst_cat
     if isinstance(w, Leaf):
+        entries = [(_generator_image(gmap, g, old_gens, new_gens), s) for g, s in w.entries]
         new_target = functor.on_complex(w.target)
-        entries = [(gmap[g], s) for g, s in w.entries]
+        x_old = w.target if w.replaced is None else w.replaced
+        new_x = new_target if w.replaced is None else functor.on_complex(w.replaced)
         new_expr = build_expression(cat, new_gens, entries)
-        _, oinjs, oprojs = expression_summand_maps(functor.src_cat, old_gens, w.entries)
-        f_expr = functor.on_complex(w.incl.target)
-        # canonical iso F(sum) = sum F: in degree i, the F(proj_k) of the
-        # summands anchored there stacked, and its inverse with their
-        # F(inj_k) side by side (every other summand is zero in degree i)
-        degrees = range(min(f_expr.lo, new_expr.lo), max(f_expr.hi, new_expr.hi) + 1)
-        anchored = {i: [k for k, (_, s) in enumerate(w.entries) if s == -i] for i in degrees}
-        phi = ChainMap(f_expr, new_expr, {
-            i: cat.stack(f_expr.obj(i), new_expr.obj(i),
-                         [functor.on_map(oprojs[k].comp(i)) for k in anchored[i]])
-            for i in degrees})
-        phi_inv = ChainMap(new_expr, f_expr, {
-            i: cat.copair(new_expr.obj(i), f_expr.obj(i),
-                          [functor.on_map(oinjs[k].comp(i)) for k in anchored[i]])
-            for i in degrees})
-        if w.replaced is not None:
-            new_repl = functor.on_complex(w.replaced)
-            to_r = functor.on_chain_map(w.to_replaced, src_img=new_target, dst_img=new_repl)
-            from_r = functor.on_chain_map(w.from_replaced, src_img=new_repl, dst_img=new_target)
-            incl = phi.compose(functor.on_chain_map(w.incl, src_img=new_repl, dst_img=f_expr))
-            retr = functor.on_chain_map(w.retr, src_img=f_expr, dst_img=new_repl).compose(phi_inv)
-            return Leaf(new_target, entries, incl, retr, new_repl, to_r, from_r)
-        incl = phi.compose(functor.on_chain_map(w.incl, src_img=new_target, dst_img=f_expr))
-        retr = functor.on_chain_map(w.retr, src_img=f_expr, dst_img=new_target).compose(phi_inv)
-        return Leaf(new_target, entries, incl, retr)
+        src_cat = functor.src_cat
+        incl, retr = {}, {}
+        for i in range(min(x_old.lo, new_expr.lo), max(x_old.hi, new_expr.hi) + 1):
+            anchored = [old_gens[g] for g, s in w.entries if s == -i]
+            xi = x_old.obj(i)
+            incl[i] = cat.stack(new_x.obj(i), new_expr.obj(i), [
+                functor.on_map(c) for c in src_cat.components(xi, w.incl.comp(i), anchored)])
+            retr[i] = cat.copair(new_expr.obj(i), new_x.obj(i), [
+                functor.on_map(r) for r in src_cat.restrictions(xi, w.retr.comp(i), anchored)])
+        incl, retr = ChainMap(new_x, new_expr, incl), ChainMap(new_expr, new_x, retr)
+        if w.replaced is None:
+            return Leaf(new_target, entries, incl, retr)
+        to_r = functor.on_chain_map(w.to_replaced, src_img=new_target, dst_img=new_x)
+        from_r = functor.on_chain_map(w.from_replaced, src_img=new_x, dst_img=new_target)
+        return Leaf(new_target, entries, incl, retr, new_x, to_r, from_r)
     # node
     a_new = functor.on_complex(w.ses.a)
     b_new = functor.on_complex(w.ses.b)

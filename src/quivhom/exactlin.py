@@ -171,6 +171,17 @@ class Mat:
     def col(self, j: int) -> "Mat":
         return Mat(self.field, self.rows, 1, tuple(self.at(i, j) for i in range(self.rows)))
 
+    def row_block(self, start: int, stop: int) -> "Mat":
+        """The rows start..stop-1."""
+        w = self.cols
+        return Mat(self.field, stop - start, w, self.entries[start * w:stop * w])
+
+    def col_block(self, start: int, stop: int) -> "Mat":
+        """The columns start..stop-1."""
+        e, w = self.entries, self.cols
+        return Mat(self.field, self.rows, stop - start,
+                   tuple(chain.from_iterable(e[i * w + start:i * w + stop] for i in range(self.rows))))
+
     def column_vector(self):
         if self.cols != 1:
             raise DimensionMismatch("not a column")
@@ -278,6 +289,26 @@ class Mat:
             for m in mats:
                 ent.extend(m.entries[i * m.cols:(i + 1) * m.cols])
         return Mat(field, rows, sum(m.cols for m in mats), tuple(ent))
+
+    @staticmethod
+    def summand_units(field: Field, sizes):
+        """[(inj_k, proj_k)]: the coordinate inclusions of k^d_k into
+        k^(d_1 + ... + d_n), onto the coordinates after d_1 + ... + d_(k-1),
+        and the projections onto them."""
+        n = sum(sizes)
+        zero, one = field.zero(), field.one()
+        out, at = [], 0
+        for d in sizes:
+            # the projection's row r, and the injection's column r, have
+            # their one in place at + r
+            pent = [zero] * (d * n)
+            ient = [zero] * (n * d)
+            for r in range(d):
+                pent[r * n + at + r] = one
+                ient[(at + r) * d + r] = one
+            out.append((Mat(field, n, d, tuple(ient)), Mat(field, d, n, tuple(pent))))
+            at += d
+        return out
 
     @staticmethod
     def block_diag(field: Field, mats) -> "Mat":

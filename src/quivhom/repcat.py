@@ -232,24 +232,32 @@ def rep_zero(q: Quiver, a: BQA) -> Rep:
     return Rep(q, a, {}, {})
 
 
-def rep_direct_sum(q: Quiver, a: BQA, reps):
+def rep_sum(q: Quiver, a: BQA, reps) -> Rep:
+    """The direct sum of representations, vertex by vertex (the object
+    only: ``rep_direct_sum`` adds its maps)."""
     reps = list(reps)
-    mods, injm, projm = {}, {}, {}
-    for v in q.vertices:
-        total, injs, projs = alg.direct_sum_mods(a, [r.mods[v] for r in reps])
-        mods[v] = total
-        injm[v] = injs
-        projm[v] = projs
-    maps = {}
-    for arr in q.arrows:
-        f = a.field
-        mats = {u: Mat.block_diag(f, [r.maps[arr.name].mats[u] for r in reps])
-                for u in a.quiver.vertices}
-        maps[arr.name] = ModMap(mods[arr.source], mods[arr.target], mats)
-    total = Rep(q, a, mods, maps)
-    injs = [RepMap(r, total, {v: injm[v][i] for v in q.vertices}) for i, r in enumerate(reps)]
-    projs = [RepMap(total, r, {v: projm[v][i] for v in q.vertices}) for i, r in enumerate(reps)]
-    return total, injs, projs
+    f = a.field
+    mods = {v: alg.sum_mods(a, [r.mods[v] for r in reps]) for v in q.vertices}
+    maps = {arr.name: ModMap(mods[arr.source], mods[arr.target], {
+        u: Mat.block_diag(f, [r.maps[arr.name].mats[u] for r in reps]) for u in a.quiver.vertices})
+        for arr in q.arrows}
+    return Rep(q, a, mods, maps)
+
+
+def rep_summand_maps(total: Rep, reps):
+    """(injs, projs) of ``total``, the direct sum of ``reps``: the summand
+    maps of each vertex's sum."""
+    per_vertex = {v: alg.summand_maps(m, [r.mods[v] for r in reps]) for v, m in total.mods.items()}
+    injs = [RepMap(r, total, {v: m[0][i] for v, m in per_vertex.items()}) for i, r in enumerate(reps)]
+    projs = [RepMap(total, r, {v: m[1][i] for v, m in per_vertex.items()}) for i, r in enumerate(reps)]
+    return injs, projs
+
+
+def rep_direct_sum(q: Quiver, a: BQA, reps):
+    """``rep_sum`` with its injections and projections."""
+    reps = list(reps)
+    total = rep_sum(q, a, reps)
+    return (total, *rep_summand_maps(total, reps))
 
 
 def path_action(x: Rep, p: Path) -> ModMap:
@@ -421,7 +429,7 @@ def standard_presentation(x: Rep) -> StandardPresentation:
     vert_pieces = [left_adjoint(q, v, x.mods[v]) for v in q.vertices]
     b, b_injs, _ = rep_direct_sum(q, a, vert_pieces)
     arrow_pieces = [left_adjoint(q, arr.target, x.mods[arr.source]) for arr in q.arrows]
-    asum, _, _ = rep_direct_sum(q, a, arrow_pieces)
+    asum = rep_sum(q, a, arrow_pieces)
 
     # counit: on the copy of X_v indexed by a path p, act by X_p
     epi = _block_repmap(b, x, vert_pieces, [x], {

@@ -124,26 +124,28 @@ def sc_module_of_algmod(m, sc: SCAlgebra = None) -> SCModule:
     return SCModule(sc, total, action)
 
 
-def direct_sum_sc(sc: SCAlgebra, mods):
+def sum_sc(sc: SCAlgebra, mods) -> SCModule:
+    """The direct sum of modules, summand after summand (the object only:
+    ``direct_sum_sc`` adds its maps)."""
     mods = list(mods)
     f = sc.field
-    dim = sum(m.dim for m in mods)
     action = [Mat.block_diag(f, [m.action[i] for m in mods]) if mods else Mat.zeros(f, 0, 0)
               for i in range(sc.dim)]
-    total = SCModule(sc, dim, action)
-    injs, projs = [], []
-    at = 0
-    for m in mods:
-        rows = []
-        for r in range(m.dim):
-            row = [f.zero()] * dim
-            row[at + r] = f.one()
-            rows.append(row)
-        p = Mat.from_rows(f, rows) if rows else Mat.zeros(f, 0, dim)
-        projs.append(SCMap(total, m, p))
-        injs.append(SCMap(m, total, p.transpose()))
-        at += m.dim
-    return total, injs, projs
+    return SCModule(sc, sum(m.dim for m in mods), action)
+
+
+def summand_maps_sc(total: SCModule, mods):
+    """(injs, projs) of ``total``, the direct sum of ``mods``: unit blocks."""
+    units = Mat.summand_units(total.sc.field, [m.dim for m in mods])
+    return ([SCMap(m, total, inj) for m, (inj, _) in zip(mods, units)],
+            [SCMap(total, m, proj) for m, (_, proj) in zip(mods, units)])
+
+
+def direct_sum_sc(sc: SCAlgebra, mods):
+    """``sum_sc`` with its injections and projections."""
+    mods = list(mods)
+    total = sum_sc(sc, mods)
+    return (total, *summand_maps_sc(total, mods))
 
 
 def hom_basis_sc(m: SCModule, n: SCModule):
@@ -359,7 +361,7 @@ def _map_from_columns(m: SCModule, pieces, gens):
     column b of the summand, a basis element of Gamma*e_i, goes to b*gens[k]."""
     f = m.sc.field
     coldata = column_data(m.sc)
-    total, _, _ = direct_sum_sc(m.sc, [coldata.columns[i][0] for i in pieces])
+    total = sum_sc(m.sc, [coldata.columns[i][0] for i in pieces])
     piece_mats = [Mat.hstack(f, [m.action[b].mul(gen) for b in coldata._positions[i]])
                   for i, gen in zip(pieces, gens)]
     pi_mat = Mat.hstack(f, piece_mats) if piece_mats else Mat.zeros(f, m.dim, 0)

@@ -19,7 +19,7 @@ covers and split tests build no tensor map.  ``tensor_map`` is left to the
 functors of ``derived``, which transport maps to M (x) X itself.
 
 M (x)_R - is additive, so the tensor of a direct sum is never eliminated
-again: ``tensor_of_sum`` places the summands' tensors, ``triple_direct_sum``
+again: ``tensor_of_sum`` places the summands' tensors, ``triple_sum``
 places their phis, and a cover's X-side, a sum of column projectives Re_i,
 takes M (x) Re_i from a cache kept on the ``TriRingSpec``, as is the one
 M (x) 0 of every triple with X = 0.  ``tensor_basis`` is the general path
@@ -40,7 +40,7 @@ from .bounds import Dim, dim_max, syzygy_pd
 from .errors import AlgebraMismatch, CompositionInconsistent, DimensionMismatch, QuivhomError
 from .exactlin import Mat, _commuting_rows, _kernel_blocks, rank, solve_matrix
 from . import scmodule as scm
-from .scmodule import ColumnData, SCModule, direct_sum_sc
+from .scmodule import ColumnData, SCModule, sum_sc
 
 
 @dataclass
@@ -356,21 +356,36 @@ def zero_triple_map(s: TripleModule, t: TripleModule) -> TripleMap:
     return TripleMap(s, t, Mat.zeros(f, t.x.dim, s.x.dim), Mat.zeros(f, t.y.dim, s.y.dim))
 
 
-def triple_direct_sum(spec: TriRingSpec, triples):
+def triple_sum(spec: TriRingSpec, triples) -> TripleModule:
     """Sum of triples: X, Y and M (x) X are placed summand by summand, so phi
-    is each summand's phi at its Y rows and tensor columns."""
+    is each summand's phi at its Y rows and tensor columns (the object only:
+    ``triple_direct_sum`` adds its maps)."""
     triples = list(triples)
-    x, xinjs, xprojs = direct_sum_sc(spec.r, [t.x for t in triples])
-    y, yinjs, yprojs = direct_sum_sc(spec.s, [t.y for t in triples])
+    x = sum_sc(spec.r, [t.x for t in triples])
+    y = sum_sc(spec.s, [t.y for t in triples])
     td, places = tensor_of_sum(spec, [t.tensor for t in triples], [t.x.dim for t in triples])
     pieces, at = [], 0
     for t, cols in zip(triples, places):
         pieces.append((range(at, at + t.y.dim), cols, t.phi))
         at += t.y.dim
-    total = TripleModule(spec, x, y, _scatter(spec.r.field, y.dim, td.dim, pieces), td)
-    injs = [TripleMap(t, total, xinjs[i].mat, yinjs[i].mat) for i, t in enumerate(triples)]
-    projs = [TripleMap(total, t, xprojs[i].mat, yprojs[i].mat) for i, t in enumerate(triples)]
-    return total, injs, projs
+    return TripleModule(spec, x, y, _scatter(spec.r.field, y.dim, td.dim, pieces), td)
+
+
+def triple_summand_maps(total: TripleModule, triples):
+    """(injs, projs) of ``total``, the direct sum of ``triples``: unit
+    blocks on the X and on the Y parts."""
+    f = total.spec.r.field
+    xs = Mat.summand_units(f, [t.x.dim for t in triples])
+    ys = Mat.summand_units(f, [t.y.dim for t in triples])
+    return ([TripleMap(t, total, xi, yi) for t, (xi, _), (yi, _) in zip(triples, xs, ys)],
+            [TripleMap(total, t, xp, yp) for t, (_, xp), (_, yp) in zip(triples, xs, ys)])
+
+
+def triple_direct_sum(spec: TriRingSpec, triples):
+    """``triple_sum`` with its injections and projections."""
+    triples = list(triples)
+    total = triple_sum(spec, triples)
+    return (total, *triple_summand_maps(total, triples))
 
 
 def triple_hom_basis(a: TripleModule, b: TripleModule):
@@ -409,17 +424,18 @@ def triple_ses(t: TripleModule) -> TripleSES:
     f = spec.r.field
     tmod = tensor_module(spec, t.tensor)
     left = e2_lambda(spec, tmod)
-    mid_y, yinjs, yprojs = direct_sum_sc(spec.s, [tmod, t.y])
-    mid = TripleModule(spec, t.x, mid_y, yinjs[0].mat, t.tensor)
+    mid_y = sum_sc(spec.s, [tmod, t.y])
+    (inj0, proj0), (inj1, proj1) = Mat.summand_units(f, [tmod.dim, t.y.dim])
+    mid = TripleModule(spec, t.x, mid_y, inj0, t.tensor)
     # f: alpha -> (alpha, phi(alpha)); g: (x; alpha, beta) -> (x, phi(alpha) - beta)
     f_u = Mat.zeros(f, t.x.dim, 0)
-    f_w = yinjs[0].mat.add(yinjs[1].mat.mul(t.phi))
+    f_w = inj0.add(inj1.mul(t.phi))
     f_map = TripleMap(left, mid, f_u, f_w)
     g_u = Mat.identity(f, t.x.dim)
-    g_w = t.phi.mul(yprojs[0].mat).sub(yprojs[1].mat)
+    g_w = t.phi.mul(proj0).sub(proj1)
     g_map = TripleMap(mid, t, g_u, g_w)
     sec_u = Mat.identity(f, t.x.dim)
-    sec_w = yinjs[1].mat.neg()
+    sec_w = inj1.neg()
     return TripleSES(left, mid, t, f_map, g_map, sec_u, sec_w)
 
 
@@ -471,7 +487,7 @@ def triple_split_test(t: TripleModule) -> bool:
         return t.is_zero()
     # the direct sum concatenates the pieces' X and Y parts in order, so the
     # universal map places their blocks side by side
-    total, _, _ = triple_direct_sum(spec, [p.source for p in pieces])
+    total = triple_sum(spec, [p.source for p in pieces])
     u_map = TripleMap(total, t, Mat.hstack(f, [p.u for p in pieces]),
                       Mat.hstack(f, [p.w for p in pieces]))
     basis = triple_hom_basis(t, total)
@@ -506,10 +522,12 @@ def triple_projective_cover(t: TripleModule):
     pieces, gens = scm._cover_generators(t.y, _radical_y(t))
     pc, h = scm._map_from_columns(t.y, pieces, gens)
     # assemble the cover triple (P_X, tensor(P_X) + P_C)
-    cover_y, yinjs, yprojs = direct_sum_sc(spec.s, [tensor_module(spec, td), pc])
-    cover = TripleModule(spec, px, cover_y, yinjs[0].mat, td)
+    tmod = tensor_module(spec, td)
+    cover_y = sum_sc(spec.s, [tmod, pc])
+    (inj0, proj0), (_, proj1) = Mat.summand_units(spec.r.field, [tmod.dim, pc.dim])
+    cover = TripleModule(spec, px, cover_y, inj0, td)
     # w is phi . (M (x) pi_X) on the tensor block and h on P_C
-    w = t.psi_after(pix.mat, td.free).mul(yprojs[0].mat).add(h.mat.mul(yprojs[1].mat))
+    w = t.psi_after(pix.mat, td.free).mul(proj0).add(h.mat.mul(proj1))
     pi = TripleMap(cover, t, pix.mat, w)
     if rank(pi.u) != t.x.dim or rank(pi.w) != t.y.dim:
         raise CompositionInconsistent("triple cover is not surjective")

@@ -90,6 +90,23 @@ def test_direct_sum_projections_and_injections(case):
                 assert _is_zero(cat, comp)
 
 
+def test_sum_object_and_components_without_maps(case):
+    # sum_obj is the object direct_sum returns maps for; components and
+    # restrictions are the products with those maps, read off as blocks
+    cat, x, y, f = case
+    parts = [y, x, y]
+    total, injs, projs = cat.direct_sum(parts)
+    assert cat.obj_equal(cat.sum_obj(parts), total)
+    into = cat.stack(x, total, [f, cat.identity(x), cat.scale_map(f, QQ.of_int(3))])
+    comps = cat.components(x, into, parts)
+    assert all(_same(cat, c, cat.compose(p, into)) for c, p in zip(comps, projs))
+    assert _same(cat, cat.stack(x, total, comps), into)
+    out = cat.copair(total, y, [cat.identity(y), f, cat.zero_map(y, y)])
+    rests = cat.restrictions(y, out, parts)
+    assert all(_same(cat, r, cat.compose(out, i)) for r, i in zip(rests, injs))
+    assert _same(cat, cat.copair(total, y, rests), out)
+
+
 def test_kernel_inclusion(case):
     cat, x, y, f = case
     k, incl = cat.kernel(f)

@@ -12,7 +12,7 @@ from quivhom import quiver as qv
 from quivhom import repcat as rc
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
-from quivhom.errors import NotSemisimple
+from quivhom.errors import NotSemisimple, QuivhomError
 from quivhom.exactlin import QQ, Mat
 
 
@@ -400,3 +400,196 @@ def test_standard_triangle_builds_each_adjoint_piece_once(monkeypatch):
     assert set(callers) == {"standard_presentation"}
     assert len(callers) == (len(q.vertices) + len(q.arrows)) * 2
     assert ses.b.check() and ses.a.check()
+
+
+# -- transport through the adjoints, summand by summand -----------------------------
+
+def _reference_push_leaf(w, functor, old_gens, new_gens, gmap):
+    """(incl, retr, to_replaced, from_replaced) of a pushed leaf, through
+    F(E) for the leaf's expression E: incl = phi o F(incl) and
+    retr = F(retr) o phi^-1 for the canonical iso phi : F(E) -> sum F(g_k),
+    whose degree i stacks the F(proj_k) of the summands anchored there."""
+    cat, src_cat = functor.dst_cat, functor.src_cat
+    new_target = functor.on_complex(w.target)
+    new_expr = dv.build_expression(cat, new_gens, [(gmap[g], s) for g, s in w.entries])
+    pieces = [dv.shift_complex(dv.concentrated(src_cat, old_gens[g]), s) for g, s in w.entries]
+    _, oinjs, oprojs = dv.direct_sum_complexes(src_cat, pieces)
+    f_expr = functor.on_complex(w.incl.target)
+    degrees = range(min(f_expr.lo, new_expr.lo), max(f_expr.hi, new_expr.hi) + 1)
+    anchored = {i: [k for k, (_, s) in enumerate(w.entries) if s == -i] for i in degrees}
+    phi = dv.ChainMap(f_expr, new_expr, {
+        i: cat.stack(f_expr.obj(i), new_expr.obj(i),
+                     [functor.on_map(oprojs[k].comp(i)) for k in anchored[i]])
+        for i in degrees})
+    phi_inv = dv.ChainMap(new_expr, f_expr, {
+        i: cat.copair(new_expr.obj(i), f_expr.obj(i),
+                      [functor.on_map(oinjs[k].comp(i)) for k in anchored[i]])
+        for i in degrees})
+    if w.replaced is None:
+        new_x, to_r, from_r = new_target, None, None
+    else:
+        new_x = functor.on_complex(w.replaced)
+        to_r = functor.on_chain_map(w.to_replaced, src_img=new_target, dst_img=new_x)
+        from_r = functor.on_chain_map(w.from_replaced, src_img=new_x, dst_img=new_target)
+    incl = phi.compose(functor.on_chain_map(w.incl, src_img=new_x, dst_img=f_expr))
+    retr = functor.on_chain_map(w.retr, src_img=f_expr, dst_img=new_x).compose(phi_inv)
+    return incl, retr, to_r, from_r
+
+
+def _assert_same_chain_map(got, want):
+    if want is None:
+        assert got is None
+        return
+    cat = want.source.cat
+    assert dv.complexes_equal(got.source, want.source)
+    assert dv.complexes_equal(got.target, want.target)
+    assert sorted(got.comps) == sorted(want.comps)
+    for i in want.comps:
+        assert cat.map_mats(got.comps[i]) == cat.map_mats(want.comps[i]), i
+
+
+def _leaves(cat, gens):
+    """A leaf with a replacement, a shifted three-term one, one without a
+    replacement and a sum of leaves (whose expression is a sum of
+    expressions), over a semisimple base whose simples are ``gens``."""
+    g, h = gens[0], gens[-1]
+    one, zero = cat.identity(g), cat.zero_map
+    gg, ggg = cat.sum_obj([g, g]), cat.sum_obj([g, g, g])
+    gh, ghg = cat.sum_obj([g, h]), cat.sum_obj([g, h, g])
+    d = cat.copair(ghg, g, [one, zero(h, g), cat.scale_map(one, cat.field.of_int(2))])
+    replaced = dv.semisimple_split(dv.Complex(cat, 0, 1, {0: ghg, 1: g}, {0: d}), gens)
+    e = cat.copair(ggg, gg, [cat.stack(g, gg, [one, zero(g, g)]),
+                             cat.stack(g, gg, [zero(g, g), one]),
+                             cat.stack(g, gg, [one, one])])
+    shifted = dv.semisimple_split(dv.Complex(cat, -1, 1, {-1: ggg, 0: gg, 1: gh},
+                                             {-1: e, 0: zero(gg, gh)}), gens)
+    flat = dv.try_leaf(dv.Complex(cat, 0, 1, {0: gh, 1: gg}, {}), gens)
+    assert replaced.replaced is not None and shifted.replaced is not None
+    assert flat is not None and flat.replaced is None
+    return [replaced, shifted, flat, dv.witness_direct_sum(cat, [flat, replaced])]
+
+
+def _transport_cases():
+    """(functor, old generators, new generators, leaves) for the left
+    adjoints on Kronecker, an A3 and a D4 orientation (over k, and on
+    Kronecker over k x k, whose two simples make the summand order matter),
+    and for M (x) -, k1 and k2 over T2(k)."""
+    k = alg.ground_field_algebra(QQ)
+    gen = alg.AlgMod(k, {"1": 1}, {})
+    kk = alg.path_algebra(QQ, qv.make_quiver(["1", "2"], []))
+    simples = [alg.simple_module(kk, v) for v in "12"]
+    a3 = qv.make_quiver(["1", "2", "3"], [("a", "2", "1"), ("b", "2", "3")])
+    bases = [(k, [gen], q) for q in (qv.kronecker(), a3, qv.d4((1, 0, 1)))]
+    for a, gens, q in bases + [(kk, simples, qv.kronecker())]:
+        leaves = _leaves(cats.mod_cat(a), gens)
+        for v in q.vertices:
+            yield (dv.left_adjoint_functor(q, a, v), gens, [rc.left_adjoint(q, v, g) for g in gens],
+                   leaves)
+    spec, _ = _t2()
+    tens = dv.tensor_functor(spec)
+    for functor, sc in ((tens, spec.r), (dv.k1_functor(spec), spec.r), (dv.k2_functor(spec), spec.s)):
+        g = scm.SCModule(sc, 1, [Mat.identity(QQ, 1)])
+        yield functor, [g], [functor.on_obj(g)], _leaves(cats.sc_cat(sc), [g])
+
+
+def test_push_places_the_transport_through_the_expression_entry_for_entry():
+    for functor, old_gens, new_gens, leaves in _transport_cases():
+        gmap = {j: j for j in range(len(old_gens))}
+        for leaf in leaves:
+            for w in (leaf, dv.pad_to_node(leaf)):
+                out = dv.pushforward_witness(w, functor, old_gens, new_gens, gmap)
+                assert dv.witness_check(out, new_gens, out.depth(), functor.dst_cat)[0]
+                if isinstance(w, dv.Node):
+                    assert isinstance(out, dv.Node) and out.child_mid.depth() == 1
+                    out = out.child_mid
+                want = _reference_push_leaf(leaf, functor, old_gens, new_gens, gmap)
+                for got, ref in zip((out.incl, out.retr, out.to_replaced, out.from_replaced), want):
+                    _assert_same_chain_map(got, ref)
+
+
+def test_push_applies_the_functor_to_no_expression(monkeypatch):
+    k = alg.ground_field_algebra(QQ)
+    gen = alg.AlgMod(k, {"1": 1}, {})
+    mcat = cats.mod_cat(k)
+    for q in (qv.kronecker(), qv.d4((1, 0, 1))):
+        for leaf in _leaves(mcat, [gen]):
+            functor = dv.left_adjoint_functor(q, k, "1")
+            new_gens = [rc.left_adjoint(q, "1", gen)]
+            # the generator check has pushed the generator, and one zero
+            # object stands for all of them
+            functor.on_obj(gen)
+            functor.on_obj(mcat.zero_obj())
+            seen = []
+            real = rc.left_adjoint
+
+            def counting(qq, v, m):
+                seen.append(m)
+                return real(qq, v, m)
+
+            monkeypatch.setattr(rc, "left_adjoint", counting)
+            dv._push(leaf, functor, [gen], new_gens, {0: 0})
+            monkeypatch.setattr(rc, "left_adjoint", real)
+            # each nonzero object of the target and the replacement once,
+            # except the generator, whose image is kept
+            objs = [m for c in (leaf.target, leaf.replaced) if c is not None
+                    for m in c.objs.values() if not m.is_zero() and m is not gen]
+            assert sorted(map(id, seen)) == sorted({id(m) for m in objs})
+
+
+def test_witness_sums_and_split_tests_build_no_summand_maps(monkeypatch):
+    lists = _summand_lists()
+    k = alg.ground_field_algebra(QQ)
+    gen = alg.AlgMod(k, {"1": 1}, {})
+    mcat = cats.mod_cat(k)
+    leaves = _leaves(mcat, [gen])
+    q, kq, m, p1, p2 = _kronecker_reps()
+    rcat = cats.rep_cat(q, kq)
+    node, rgens = dv.rep_complex_witness(_two_term(rcat, p2, p1), [m], shortcut=False)
+    flat = dv.try_leaf(dv.Complex(rcat, 0, 1, {0: p2, 1: p1}, {}), rgens)
+
+    def refuse(field, sizes):
+        raise AssertionError("summand maps built")
+
+    monkeypatch.setattr(Mat, "summand_units", staticmethod(refuse))
+    with pytest.raises(AssertionError):
+        mcat.direct_sum([gen, gen])
+    for cat, cs in lists:
+        objs = [c.obj(i) for c in cs for i in c.degrees() if not c.cat.is_zero_obj(c.obj(i))]
+        expr = dv.build_expression(cat, objs, [(0, 0), (1, -1), (0, 2)])
+        assert (expr.lo, expr.hi) == (-2, 1)
+        assert cat.split_into(cat.sum_obj(objs[:2]), objs) is not None
+    assert isinstance(dv.witness_direct_sum(mcat, leaves), dv.Leaf)
+    assert isinstance(dv.witness_direct_sum(rcat, [flat, node]), dv.Node)
+
+
+def test_push_names_a_generator_missing_from_the_map():
+    k = alg.ground_field_algebra(QQ)
+    gen = alg.AlgMod(k, {"1": 1}, {})
+    q = qv.kronecker()
+    functor = dv.left_adjoint_functor(q, k, "1")
+    new_gens = [rc.left_adjoint(q, "1", gen)]
+    for leaf in _leaves(cats.mod_cat(k), [gen]):
+        for w in (leaf, dv.pad_to_node(leaf)):
+            with pytest.raises(QuivhomError, match="generator 0 of a leaf has no image"):
+                dv.pushforward_witness(w, functor, [gen], new_gens, {})
+            with pytest.raises(QuivhomError, match="generator 0 of a leaf has no image"):
+                dv._push(w, functor, [gen], new_gens, {})
+
+
+def test_push_names_a_generator_index_outside_the_lists():
+    k = alg.ground_field_algebra(QQ)
+    gen = alg.AlgMod(k, {"1": 1}, {})
+    q = qv.kronecker()
+    functor = dv.left_adjoint_functor(q, k, "2")
+    new_gens = [rc.left_adjoint(q, "2", gen)]
+    leaf = _leaves(cats.mod_cat(k), [gen])[0]
+    cases = [({0: 1}, "sends generator 0 to 1"), ({0: -1}, "sends generator 0 to -1"),
+             ({0: 0, 3: 0}, "sends generator 3 to 0")]
+    for gmap, message in cases:
+        with pytest.raises(QuivhomError, match=message):
+            dv.pushforward_witness(leaf, functor, [gen], new_gens, gmap)
+    # a leaf that uses the generator, pushed without the generator check
+    with pytest.raises(QuivhomError, match="sends generator 0 to 1"):
+        dv._push(leaf, functor, [gen], new_gens, {0: 1})
+    with pytest.raises(QuivhomError, match="sends generator 0 to 0, outside the 0 old"):
+        dv._push(leaf, functor, [], new_gens, {0: 0})

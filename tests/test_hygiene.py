@@ -196,3 +196,36 @@ def test_pd_oracle_builds_its_own_resolution():
     assert {"pd", "ext_dims", "minimal_resolution"} <= readers
     found = sorted(_referenced_names(defs["pd_via_ext"]) & readers)
     assert not found, "pd_via_ext reaches pd's kept steps through " + ", ".join(found)
+
+
+def _expression_transport(fn):
+    """What in ``fn`` transports a leaf through the functor image of its
+    expression: the chain-level sum with its maps, or ``on_complex`` of the
+    expression ``w.incl.target``."""
+    found = sorted(_referenced_names(fn) & {"expression_summand_maps", "direct_sum_complexes"})
+    found += sorted(f"on_complex({ast.unparse(a)})" for n in ast.walk(fn)
+                    if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "on_complex"
+                    for a in n.args if ast.unparse(a) == "w.incl.target")
+    return found
+
+
+def test_push_transports_leaves_summand_by_summand():
+    # a pushed leaf is placed from F(proj_k o incl) and F(retr o inj_k): no
+    # F(expression), and no injections or projections of the expression
+    tree = ast.parse((SRC / "derived.py").read_text(encoding="utf-8"))
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_push")
+    found = _expression_transport(fn)
+    assert not found, "_push transports through the expression: " + ", ".join(found)
+
+
+# the transport through F(expression) that the pin above rules out
+_TRANSPORT_THROUGH_THE_EXPRESSION = """
+def _push(w, functor, old_gens, new_gens, gmap):
+    _, oinjs, oprojs = expression_summand_maps(functor.src_cat, old_gens, w.entries)
+    f_expr = functor.on_complex(w.incl.target)
+"""
+
+
+def test_push_pin_flags_the_transport_through_the_expression():
+    fn = ast.parse(_TRANSPORT_THROUGH_THE_EXPRESSION).body[0]
+    assert _expression_transport(fn) == ["expression_summand_maps", "on_complex(w.incl.target)"]
