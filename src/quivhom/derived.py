@@ -2,14 +2,17 @@
 
 A generation witness is a tree certificate: leaves exhibit a complex (possibly
 after an explicit quasi-isomorphic replacement) as a direct factor of a finite
-sum of shifted generator summands; nodes carry a degreewise-split short exact
-sequence 0 -> A -> B -> C -> 0 realizing the rotated triangle B -> C -> A[1],
-with child witnesses for B and A[1] and the node target a direct factor of C.
-Then depth(node) = depth(B-child) + depth(A[1]-child) bounds the generation
-level of the target, and every certificate is checkable by exact rank
-arithmetic.  The two assembly theorems produce depth 2n+2 witnesses for
-complexes of representations (from per-vertex witnesses pushed through the
-adjoints) and for complexes of triples (via the triangular-ring triangle).
+sum of shifted generator summands; nodes carry a short exact sequence of
+complexes 0 -> A -> B -> C -> 0, checked exact by ranks degree by degree.  In
+the bounded derived category every such sequence is a triangle
+A -> B -> C -> A[1], split or not, so it realizes the rotated triangle
+B -> C -> A[1], with child witnesses for B and A[1] and the node target a
+direct factor of C.  Then depth(node) = depth(B-child) + depth(A[1]-child)
+bounds the generation level of the target, and every certificate is
+checkable by exact rank arithmetic.  The two assembly theorems produce depth
+2n+2 witnesses for complexes of representations (from per-vertex witnesses
+pushed through the adjoints) and for complexes of triples (via the
+triangular-ring triangle).
 """
 
 from __future__ import annotations
@@ -249,9 +252,12 @@ class ComplexSES:
     c: Complex
     incl: ChainMap
     epi: ChainMap
-    sections: dict  # degree -> {key: Mat}, a raw right inverse of epi per degree
 
     def verify(self, details=None) -> bool:
+        """Chain maps, zero composite and exactness degree by degree and key
+        by key: incl of full column rank, epi of full row rank (so epi has a
+        linear right inverse) and dim B = dim A + dim C.  Each check's result
+        goes into ``details`` under its name."""
         cat = self.a.cat
         checks = details if details is not None else {}
         checks["incl_chain"] = self.incl.check()
@@ -272,37 +278,7 @@ class ComplexSES:
         checks["incl_mono"] = mono
         checks["epi_onto"] = epi
         checks["dimension_count"] = dims
-        sec = True
-        for i in range(lo, hi + 1):
-            smats = self.sections.get(i)
-            if smats is None:
-                sec &= cat.total_dim(self.c.obj(i)) == 0
-                continue
-            em = cat.map_mats(self.epi.comp(i))
-            for k in em:
-                prod = em[k].mul(smats[k])
-                if not prod.is_identity():
-                    sec = False
-        checks["section_right_inverse"] = sec
         return all(checks.values())
-
-
-def solve_sections(ses: ComplexSES) -> dict:
-    """Raw per-degree right inverses of the epi (always solvable when onto)."""
-    cat = ses.a.cat
-    out = {}
-    lo = min(ses.b.lo, ses.c.lo)
-    hi = max(ses.b.hi, ses.c.hi)
-    for i in range(lo, hi + 1):
-        em = cat.map_mats(ses.epi.comp(i))
-        smats = {}
-        for k, m in em.items():
-            sol = solve_matrix(m, Mat.identity(cat.field, m.rows))
-            if sol is None:
-                raise QuivhomError("epi is not onto; cannot build a section")
-            smats[k] = sol
-        out[i] = smats
-    return out
 
 
 # ---------------------------------------------------------------------------------
@@ -502,8 +478,7 @@ def _split_degreewise(x: Complex, generators):
 def rep_standard_triangle(x: Complex) -> ComplexSES:
     """Degreewise canonical presentation of a complex of representations."""
     rcat = x.cat
-    sample = x.objs[x.lo]
-    q, a = sample.quiver, sample.algebra
+    q = x.objs[x.lo].quiver
     pres = {i: rc.standard_presentation(x.objs[i]) for i in x.degrees()}
     b_objs = {i: pres[i].vertices_term for i in x.degrees()}
     a_objs = {i: pres[i].arrows_term for i in x.degrees()}
@@ -517,27 +492,13 @@ def rep_standard_triangle(x: Complex) -> ComplexSES:
         a_diffs[i] = rcat.diag(src.arrows_term, dst.arrows_term, [
             rc.left_adjoint_map(q, arr.target, s, t, d.mats[arr.source])
             for arr, s, t in zip(q.arrows, src.arrow_pieces, dst.arrow_pieces)])
-    bcx = Complex(rcat, x.lo, x.hi, b_objs, b_diffs)
-    acx = Complex(rcat, x.lo, x.hi, a_objs, a_diffs)
-    incl = ChainMap(acx, bcx, {i: pres[i].incl for i in x.degrees()})
-    epi = ChainMap(bcx, x, {i: pres[i].epi for i in x.degrees()})
-    sections = {}
-    for i in x.degrees():
-        smats = {}
-        for v in q.vertices:
-            for u in a.quiver.vertices:
-                smats[(v, u)] = pres[i].section[v].mats[u]
-        sections[i] = smats
-    ses = ComplexSES(acx, bcx, x, incl, epi, sections)
-    details = {}
-    if not ses.verify(details):
-        raise QuivhomError(f"standard triangle failed verification: {details}")
-    return ses
+    return _verified_ses(x, a_objs, a_diffs, b_objs, b_diffs,
+                         {i: pres[i].incl for i in x.degrees()},
+                         {i: pres[i].epi for i in x.degrees()}, "standard triangle")
 
 
 def triple_standard_triangle(x: Complex) -> ComplexSES:
     """Degreewise triangular-ring exact sequence for a complex of triples."""
-    tcat = x.cat
     spec = x.objs[x.lo].spec
     f = spec.r.field
     ses_deg = {i: tm.triple_ses(x.objs[i]) for i in x.degrees()}
@@ -552,16 +513,21 @@ def triple_standard_triangle(x: Complex) -> ComplexSES:
         # middle y-part is tensor + Y in that order
         w = Mat.block_diag(f, [tu, d.w])
         b_diffs[i] = tm.TripleMap(b_objs[i], b_objs[i + 1], d.u, w)
-    acx = Complex(tcat, x.lo, x.hi, a_objs, a_diffs)
-    bcx = Complex(tcat, x.lo, x.hi, b_objs, b_diffs)
-    incl = ChainMap(acx, bcx, {i: ses_deg[i].f_map for i in x.degrees()})
-    epi = ChainMap(bcx, x, {i: ses_deg[i].g_map for i in x.degrees()})
-    sections = {i: {"x": ses_deg[i].section_u, "y": ses_deg[i].section_w}
-                for i in x.degrees()}
-    ses = ComplexSES(acx, bcx, x, incl, epi, sections)
+    return _verified_ses(x, a_objs, a_diffs, b_objs, b_diffs,
+                         {i: ses_deg[i].f_map for i in x.degrees()},
+                         {i: ses_deg[i].g_map for i in x.degrees()}, "triple triangle")
+
+
+def _verified_ses(x: Complex, a_objs, a_diffs, b_objs, b_diffs, incl, epi, name) -> ComplexSES:
+    """0 -> A -> B -> x -> 0 from its terms, differentials and maps degree by
+    degree over x's range, checked by ``ComplexSES.verify``; a failure raises
+    ``QuivhomError`` naming the triangle."""
+    acx = Complex(x.cat, x.lo, x.hi, a_objs, a_diffs)
+    bcx = Complex(x.cat, x.lo, x.hi, b_objs, b_diffs)
+    ses = ComplexSES(acx, bcx, x, ChainMap(acx, bcx, incl), ChainMap(bcx, x, epi))
     details = {}
     if not ses.verify(details):
-        raise QuivhomError(f"triple triangle failed verification: {details}")
+        raise QuivhomError(f"{name} failed verification: {details}")
     return ses
 
 
@@ -574,8 +540,7 @@ def pad_to_node(w) -> Node:
     t = w.target
     cat = t.cat
     z = zero_complex(cat)
-    ses = ComplexSES(z, t, t, zero_chain_map(z, t), identity_chain_map(t), {})
-    ses.sections = solve_sections(ses)
+    ses = ComplexSES(z, t, t, zero_chain_map(z, t), identity_chain_map(t))
     return Node(t, ses, w, empty_leaf(cat))
 
 
@@ -614,8 +579,7 @@ def witness_direct_sum(cat: Cat, ws):
     a_total = sum_complexes(cat, [n.ses.a for n in nodes])
     incl = _diag_chain_map(cat, a_total, b_sum, [n.ses.incl for n in nodes])
     epi = _diag_chain_map(cat, b_sum, c_sum, [n.ses.epi for n in nodes])
-    ses = ComplexSES(a_total, b_sum, c_sum, incl, epi, {})
-    ses.sections = solve_sections(ses)
+    ses = ComplexSES(a_total, b_sum, c_sum, incl, epi)
     t_sum = sum_complexes(cat, [n.target for n in nodes])
     fi = _diag_chain_map(cat, t_sum, c_sum, [
         n.factor_incl if n.factor_incl is not None else identity_chain_map(n.target)
@@ -722,9 +686,9 @@ def pushforward_witness(w, functor: CFunctor, old_generators, new_generators, ge
     the equality is checked structurally, which is what lets each leaf's
     expression over the new generators hold the blocks F(old g) (see
     ``_push``).  An index outside either generator list, or a leaf
-    generator missing from the map, raises ``QuivhomError``.  Sections are
-    re-solved after transport; broken exactness raises
-    CertificateBrokenByFunctor.  The result is not re-checked:
+    generator missing from the map, raises ``QuivhomError``.  Each node's
+    sequence is verified again after transport, and a functor that breaks its
+    exactness raises CertificateBrokenByFunctor.  The rest is not re-checked:
     ``witness_check`` on the witness that contains it covers it.
     """
     cat = functor.dst_cat
@@ -791,14 +755,9 @@ def _push(w, functor, old_gens, new_gens, gmap):
     c_new = functor.on_complex(w.ses.c)
     incl = functor.on_chain_map(w.ses.incl, src_img=a_new, dst_img=b_new)
     epi = functor.on_chain_map(w.ses.epi, src_img=b_new, dst_img=c_new)
-    ses = ComplexSES(a_new, b_new, c_new, incl, epi, {})
+    ses = ComplexSES(a_new, b_new, c_new, incl, epi)
     details = {}
-    base_ok = True
-    try:
-        ses.sections = solve_sections(ses)
-    except QuivhomError:
-        base_ok = False
-    if not base_ok or not ses.verify(details):
+    if not ses.verify(details):
         raise CertificateBrokenByFunctor(
             f"functor {functor.name} broke a short exact sequence: {details}")
     mid = _push(w.child_mid, functor, old_gens, new_gens, gmap)
@@ -822,15 +781,17 @@ def rep_complex_witness(x: Complex, base_generators, provider=None,
     rcat = x.cat
     sample = x.objs[x.lo]
     q, a = sample.quiver, sample.algebra
-    mcat = mod_cat(a)
     if provider is None:
         provider = lambda c: semisimple_split(c, base_generators)
+    # one functor per vertex: the generators, the mid part at v and the shift
+    # parts of the arrows into v share its image cache
+    functors = {v: left_adjoint_functor(q, a, v) for v in q.vertices}
     new_gens = []
     gen_of = {}
     for v in q.vertices:
         for j, g in enumerate(base_generators):
             gen_of[(v, j)] = len(new_gens)
-            new_gens.append(rc.left_adjoint(q, v, g))
+            new_gens.append(functors[v].on_obj(g))
     if shortcut:
         leaf = try_leaf(x, new_gens)
         if leaf is not None:
@@ -840,17 +801,16 @@ def rep_complex_witness(x: Complex, base_generators, provider=None,
     for v in q.vertices:
         xv = evaluate_complex(x, v)
         wv = provider(xv)
-        functor = left_adjoint_functor(q, a, v)
         gmap = {j: gen_of[(v, j)] for j in range(len(base_generators))}
-        mid_parts.append(pushforward_witness(wv, functor, base_generators, new_gens, gmap))
+        mid_parts.append(pushforward_witness(wv, functors[v], base_generators, new_gens, gmap))
     mid = witness_direct_sum(rcat, mid_parts) if mid_parts else empty_leaf(rcat)
     shift_parts = []
     for arr in q.arrows:
         xs = shift_complex(evaluate_complex(x, arr.source), 1)
         wv = provider(xs)
-        functor = left_adjoint_functor(q, a, arr.target)
         gmap = {j: gen_of[(arr.target, j)] for j in range(len(base_generators))}
-        shift_parts.append(pushforward_witness(wv, functor, base_generators, new_gens, gmap))
+        shift_parts.append(pushforward_witness(wv, functors[arr.target], base_generators,
+                                               new_gens, gmap))
     sh = witness_direct_sum(rcat, shift_parts) if shift_parts else empty_leaf(rcat)
     node = Node(x, ses, mid, sh)
     return node, new_gens

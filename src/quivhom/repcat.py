@@ -16,8 +16,8 @@ canonical presentation
 
     0 -> sum_a e^{t(a)}_lambda(X_{s(a)}) -> sum_v e^v_lambda(X_v) -> X -> 0
 
-constructed with verified exactness and a vertexwise splitting of the epi.
-Direct sums are placed vertex by vertex too.
+whose exactness ``derived.ComplexSES.verify`` checks by ranks.  Direct sums
+are placed vertex by vertex too.
 """
 
 from __future__ import annotations
@@ -401,10 +401,9 @@ def rep_hom_dim(x: Rep, y: Rep) -> int:
 
 @dataclass
 class StandardPresentation:
-    """0 -> arrows_term -> vertices_term -> target -> 0 with a vertexwise
-    section of the epi.  Exactness is not checked here:
-    ``derived.ComplexSES.verify`` checks it degree by degree for the triangle
-    built from these presentations.
+    """0 -> arrows_term -> vertices_term -> target -> 0.  Exactness is not
+    checked here: ``derived.ComplexSES.verify`` checks it by ranks, degree by
+    degree, for the triangle built from these presentations.
 
     ``vertex_pieces`` lists e^v_lambda(X_v) per vertex v and ``arrow_pieces``
     lists e^{t(a)}_lambda(X_{s(a)}) per arrow a, in quiver order: the summands
@@ -418,7 +417,6 @@ class StandardPresentation:
     target: Rep
     incl: RepMap
     epi: RepMap
-    section: dict  # vertex -> ModMap, a vertexwise right inverse of the epi
     vertex_pieces: list
     arrow_pieces: list
 
@@ -427,7 +425,7 @@ def standard_presentation(x: Rep) -> StandardPresentation:
     q, a = x.quiver, x.algebra
     f = a.field
     vert_pieces = [left_adjoint(q, v, x.mods[v]) for v in q.vertices]
-    b, b_injs, _ = rep_direct_sum(q, a, vert_pieces)
+    b = rep_sum(q, a, vert_pieces)
     arrow_pieces = [left_adjoint(q, arr.target, x.mods[arr.source]) for arr in q.arrows]
     asum = rep_sum(q, a, arrow_pieces)
 
@@ -455,16 +453,7 @@ def standard_presentation(x: Rep) -> StandardPresentation:
             mu[w] = _copy_map(ident[arr.source], piece.mods[w], target_s.mods[w], pairs)
         blocks[(vindex[arr.source], ai)] = RepMap(piece, target_s, mu).scale(f.neg(f.one()))
     incl = _block_repmap(asum, b, arrow_pieces, vert_pieces, blocks)
-
-    # vertexwise section of the epi through the trivial-path copies
-    section = {}
-    for vi, v in enumerate(q.vertices):
-        piece = vert_pieces[vi]
-        triv = _copy_map(ident[v], x.mods[v], piece.mods[v],
-                         [(0, piece._adjoint[3][v].index(trivial_path(v)))])
-        section[v] = b_injs[vi].mats[v].compose(triv)
-
-    return StandardPresentation(asum, b, x, incl, epi, section, vert_pieces, arrow_pieces)
+    return StandardPresentation(asum, b, x, incl, epi, vert_pieces, arrow_pieces)
 
 
 def _adjoint_transpose(x: Rep, piece: Rep) -> RepMap:

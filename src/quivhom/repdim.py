@@ -209,7 +209,6 @@ def verify_proof_steps(xbar: XBar, e: endo.EndAlgebra, gamma: endo.EndAlgebra, n
 @dataclass
 class PipelineReport:
     n: Dim
-    n_supplied: object
     gldim_end_xbar: Dim
     bound: int
     verdict: str
@@ -218,9 +217,8 @@ class PipelineReport:
 
     def to_json_dict(self):
         return {
-            "schema": 1,
+            "schema": 2,
             "n": str(self.n),
-            "n_supplied": None if self.n_supplied is None else str(self.n_supplied),
             "gldim_end_xbar": str(self.gldim_end_xbar),
             "bound": self.bound,
             "verdict": self.verdict,
@@ -236,8 +234,7 @@ def gldim_end_xbar(e: endo.EndAlgebra, cap: int = 20) -> Dim:
     return endo.sc_gldim(e, cap)
 
 
-def repdim_bound_report(q: Quiver, a, summands, cap: int = 20,
-                        n_supplied=None) -> PipelineReport:
+def repdim_bound_report(q: Quiver, a, summands, cap: int = 20) -> PipelineReport:
     xbar = build_xbar(q, a, summands)
     gamma = endo.end_algebra(summands, cats.mod_cat(a))
     n = endo.sc_gldim(gamma, cap)
@@ -259,7 +256,7 @@ def repdim_bound_report(q: Quiver, a, summands, cap: int = 20,
             verdict = "INCONCLUSIVE"
     if not xbar.hypothesis_ok:
         verdict = "OUT-OF-HYPOTHESIS:" + verdict
-    return PipelineReport(n, n_supplied, g, bound, verdict, xbar.hypothesis_ok, steps)
+    return PipelineReport(n, g, bound, verdict, xbar.hypothesis_ok, steps)
 
 
 # -- the orientation sweep over the D_4 star --------------------------------------------

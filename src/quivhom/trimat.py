@@ -406,20 +406,20 @@ def triple_hom_basis(a: TripleModule, b: TripleModule):
 
 @dataclass
 class TripleSES:
+    """0 -> left -> middle -> target -> 0 with f_map and g_map (``triple_ses``)."""
+
     left: TripleModule
     middle: TripleModule
     target: TripleModule
     f_map: TripleMap
     g_map: TripleMap
-    section_u: Mat  # raw linear right inverse of g, X component
-    section_w: Mat  # raw linear right inverse of g, Y component
 
 
 def triple_ses(t: TripleModule) -> TripleSES:
     """0 -> (0, M(x)X)_0 -> (X, M(x)X)_1 + (0, Y)_0 -> (X, Y)_phi -> 0.
 
     Exactness is not checked here: ``derived.ComplexSES.verify`` checks it
-    degree by degree for the triangle built from these sequences."""
+    by ranks, degree by degree, for the triangle built from these sequences."""
     spec = t.spec
     f = spec.r.field
     tmod = tensor_module(spec, t.tensor)
@@ -434,9 +434,7 @@ def triple_ses(t: TripleModule) -> TripleSES:
     g_u = Mat.identity(f, t.x.dim)
     g_w = t.phi.mul(proj0).sub(proj1)
     g_map = TripleMap(mid, t, g_u, g_w)
-    sec_u = Mat.identity(f, t.x.dim)
-    sec_w = inj1.neg()
-    return TripleSES(left, mid, t, f_map, g_map, sec_u, sec_w)
+    return TripleSES(left, mid, t, f_map, g_map)
 
 
 # -- projectivity -------------------------------------------------------------------

@@ -12,7 +12,7 @@ from quivhom import quiver as qv
 from quivhom import repcat as rc
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
-from quivhom.errors import NotSemisimple, QuivhomError
+from quivhom.errors import CertificateBrokenByFunctor, NotSemisimple, QuivhomError
 from quivhom.exactlin import QQ, Mat
 
 
@@ -400,6 +400,78 @@ def test_standard_triangle_builds_each_adjoint_piece_once(monkeypatch):
     assert set(callers) == {"standard_presentation"}
     assert len(callers) == (len(q.vertices) + len(q.arrows)) * 2
     assert ses.b.check() and ses.a.check()
+
+
+def test_rep_witness_builds_one_left_adjoint_functor_per_vertex(monkeypatch):
+    q, k = qv.kronecker(), alg.ground_field_algebra(QQ)
+    gen = alg.AlgMod(k, {"1": 1}, {})
+    m = alg.AlgMod(k, {"1": 1}, {})
+    cx = _two_term(cats.rep_cat(q, k), rc.left_adjoint(q, "2", m), rc.left_adjoint(q, "1", m))
+    functors, pushed = [], []
+    real_functor, real_adjoint = dv.left_adjoint_functor, rc.left_adjoint
+
+    def counting_functor(qq, a, v):
+        functors.append(v)
+        return real_functor(qq, a, v)
+
+    def counting_adjoint(qq, v, mod):
+        if mod is gen:
+            pushed.append(v)
+        return real_adjoint(qq, v, mod)
+
+    monkeypatch.setattr(dv, "left_adjoint_functor", counting_functor)
+    monkeypatch.setattr(rc, "left_adjoint", counting_adjoint)
+    w, gens = dv.rep_complex_witness(cx, [gen], shortcut=False)
+    _check(w, gens, cx)
+    # the generator checks of the mid and shift parts reuse the images
+    assert sorted(functors) == sorted(pushed) == sorted(q.vertices)
+
+
+# -- short exact sequences of complexes, checked by ranks ---------------------------
+
+FAULTS = ("incl_mono", "epi_onto", "composite_zero", "dimension_count", "incl_chain")
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("adapter", ("rep", "triple"))
+def test_verify_rejects_a_planted_broken_sequence(adapter, fault):
+    # 0 -> A -> A + C -> C -> 0 with A = (K -> P), d nonzero, and C = S in
+    # degree 0, then one fault planted
+    cat, k_, p, s = _resolution(adapter)
+    a = _two_term(cat, k_, p)
+    c = dv.concentrated(cat, s)
+    b, injs, projs = dv.direct_sum_complexes(cat, [a, c])
+    assert dv.ComplexSES(a, b, c, injs[0], projs[1]).verify()
+    incl, epi = injs[0], projs[1]
+    if fault == "incl_mono":
+        incl = dv.zero_chain_map(a, b)
+    elif fault == "epi_onto":
+        epi = dv.zero_chain_map(b, c)
+    elif fault == "composite_zero":  # 0 -> A -> A + A -> A -> 0 through one summand
+        c = a
+        b, injs, projs = dv.direct_sum_complexes(cat, [a, a])
+        incl, epi = injs[0], projs[0]
+    elif fault == "dimension_count":  # a second copy of C in the middle
+        b, injs, projs = dv.direct_sum_complexes(cat, [a, c, c])
+        incl, epi = injs[0], projs[1]
+    else:  # twice the injection in degree 0 only
+        incl = dv.ChainMap(a, b, {i: cat.scale_map(m, QQ.of_int(2)) if i == 0 else m
+                                  for i, m in incl.comps.items()})
+    details = {}
+    assert not dv.ComplexSES(a, b, c, incl, epi).verify(details)
+    assert details[fault] is False
+
+
+def test_push_raises_when_the_functor_breaks_a_node_sequence():
+    k = alg.ground_field_algebra(QQ)
+    gen = alg.AlgMod(k, {"1": 1}, {})
+    mcat = cats.mod_cat(k)
+    leaf = dv.semisimple_split(_k_complex(k, (2, 1), Mat.from_rows(QQ, [[1, 2]])), [gen])
+    # additive, and the identity on objects, but every map goes to zero
+    zero = dv.CFunctor("0", mcat, mcat, lambda m: m, lambda f: mcat.zero_map(f.source, f.target))
+    node = dv.pad_to_node(leaf)
+    with pytest.raises(CertificateBrokenByFunctor, match="'epi_onto': False"):
+        dv.pushforward_witness(node, zero, [gen], [gen], {0: 0})
 
 
 # -- transport through the adjoints, summand by summand -----------------------------

@@ -124,9 +124,8 @@ def _verify_presentation(pres):
     q, a = x.quiver, x.algebra
     cat = cats.rep_cat(q, a)
     acx, bcx, ccx = (dv.concentrated(cat, o) for o in (pres.arrows_term, pres.vertices_term, x))
-    sections = {0: {(v, u): pres.section[v].mats[u] for v in q.vertices for u in a.quiver.vertices}}
     ses = dv.ComplexSES(acx, bcx, ccx, dv.ChainMap(acx, bcx, {0: pres.incl}),
-                        dv.ChainMap(bcx, ccx, {0: pres.epi}), sections)
+                        dv.ChainMap(bcx, ccx, {0: pres.epi}))
     details = {}
     return ses.verify(details), details
 

@@ -182,7 +182,9 @@ def test_report_kronecker():
     assert rep.n == Dim.finite(0) and rep.bound == 5
     assert rep.gldim_end_xbar.exact and rep.gldim_end_xbar.value <= 5
     d = rep.to_json_dict()
-    assert d["schema"] == 1 and d["verdict"] == "PASS" and len(d["steps"]) == 8
+    assert d["schema"] == 2 and d["verdict"] == "PASS" and len(d["steps"]) == 8
+    assert set(d) == {"schema", "n", "gldim_end_xbar", "bound", "verdict", "hypothesis_ok",
+                      "steps"}
 
 
 def test_report_a2_out_of_hypothesis():

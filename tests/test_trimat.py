@@ -76,8 +76,7 @@ def _verify_ses(ses):
     ``ComplexSES.verify``: (ok, details)."""
     cat = cats.triple_cat(ses.target.spec)
     a, b, c = (dv.concentrated(cat, o) for o in (ses.left, ses.middle, ses.target))
-    cses = dv.ComplexSES(a, b, c, dv.ChainMap(a, b, {0: ses.f_map}), dv.ChainMap(b, c, {0: ses.g_map}),
-                         {0: {"x": ses.section_u, "y": ses.section_w}})
+    cses = dv.ComplexSES(a, b, c, dv.ChainMap(a, b, {0: ses.f_map}), dv.ChainMap(b, c, {0: ses.g_map}))
     details = {}
     return cses.verify(details), details
 
