@@ -374,8 +374,7 @@ def zero_module(a: BQA) -> AlgMod:
 
 
 def sum_mods(a: BQA, mods) -> AlgMod:
-    """The direct sum of modules, summand after summand at every vertex
-    (the object only: ``direct_sum_mods`` adds its maps)."""
+    """The direct sum of modules, summand after summand at every vertex."""
     mods = list(mods)
     f = a.field
     dims = {v: sum(m.dims[v] for m in mods) for v in a.quiver.vertices}
@@ -396,7 +395,8 @@ def summand_maps(total: AlgMod, mods):
 
 
 def direct_sum_mods(a: BQA, mods):
-    """``sum_mods`` with its injections and projections."""
+    """``sum_mods`` with its injections and projections: read only by the
+    benchmark's input builder, and kept until it calls ``sum_mods``."""
     mods = list(mods)
     total = sum_mods(a, mods)
     return (total, *summand_maps(total, mods))

@@ -20,14 +20,11 @@ w . psi_k = psi'_k . u, and a quotient by a subtriple, which exists when
 q_Y . psi_k vanishes on the X-part, takes psi-bar_k = q_Y . psi_k . s_X, so
 no tensor map is formed and nothing is solved.
 
-Direct sums come in two forms.  Each adapter builds the sum object in one
-function, ``sum_obj``, which returns the object alone; ``direct_sum`` is the
-form that returns maps, (object, injections, projections), and adds
-``sum_maps`` to the object ``sum_obj`` built.  Callers that place maps block
-by block (``diag``, ``stack``, ``copair``, ``split_into`` and the witness
-calculus of ``derived``) need only ``sum_obj``; ``components`` and
-``restrictions`` read the blocks of a map into or out of a sum without
-building its projections or injections.
+Each adapter builds a direct sum in one function, ``sum_obj``, which returns
+the object alone, and maps into, out of or between sums are placed block by
+block (``diag``, ``stack``, ``copair``).  ``components`` and ``restrictions``
+read those blocks back, so the projections and injections of a sum are
+``components``/``restrictions`` of its identity.
 
 Every adapter builds its zero object once and ``zero_obj`` returns that one
 object (complexes pad with it outside their degrees), so it must never be
@@ -60,7 +57,6 @@ class Cat:
     comp_dim: object        # (obj, key) -> int
     zero_obj: object        # () -> the adapter's one zero object, shared: never mutate it
     sum_obj: object         # [objs] -> the direct sum object, with no maps
-    sum_maps: object        # (sum_obj(objs), objs) -> (injs, projs)
     identity: object
     zero_map: object
     compose: object
@@ -73,14 +69,7 @@ class Cat:
     kernel: object          # morphism -> (obj, incl morphism)
     quotient: object        # (obj, {key: columns}) -> (obj, proj morphism)
     obj_equal: object
-    is_zero_obj: object
     is_semisimple_base: object
-
-    def direct_sum(self, objs):
-        """The form of the direct sum that returns maps: (total, injs, projs)."""
-        objs = list(objs)
-        total = self.sum_obj(objs)
-        return (total, *self.sum_maps(total, objs))
 
     def total_dim(self, obj):
         return sum(self.comp_dim(obj, k) for k in self.keys(obj))
@@ -208,7 +197,6 @@ def mod_cat(a) -> Cat:
         comp_dim=lambda m, k: m.dims[k],
         zero_obj=lambda: zero,
         sum_obj=lambda ms: alg.sum_mods(a, ms),
-        sum_maps=alg.summand_maps,
         identity=alg.identity_map,
         zero_map=alg.zero_map,
         compose=lambda f, g: f.compose(g),
@@ -221,7 +209,6 @@ def mod_cat(a) -> Cat:
         kernel=alg.kernel_of,
         quotient=quotient,
         obj_equal=lambda x, y: x.dims == y.dims and x.mats == y.mats,
-        is_zero_obj=lambda m: m.is_zero(),
         is_semisimple_base=lambda: a.is_semisimple(),
     )
 
@@ -257,7 +244,6 @@ def rep_cat(q, a) -> Cat:
         comp_dim=lambda x, k: x.mods[k[0]].dims[k[1]],
         zero_obj=lambda: zero,
         sum_obj=lambda xs: rc.rep_sum(q, a, xs),
-        sum_maps=rc.rep_summand_maps,
         identity=rc.identity_repmap,
         zero_map=rc.zero_repmap,
         compose=lambda f, g: f.compose(g),
@@ -270,7 +256,6 @@ def rep_cat(q, a) -> Cat:
         kernel=rc.rep_kernel,
         quotient=quotient,
         obj_equal=lambda x, y: rc.as_module(x) == rc.as_module(y),
-        is_zero_obj=lambda x: x.is_zero(),
         is_semisimple_base=lambda: a.is_semisimple(),
     )
 
@@ -297,7 +282,6 @@ def sc_cat(sc) -> Cat:
         comp_dim=lambda m, k: m.dim,
         zero_obj=lambda: zero,
         sum_obj=lambda ms: scm.sum_sc(sc, ms),
-        sum_maps=scm.summand_maps_sc,
         identity=lambda m: scm.SCMap(m, m, Mat.identity(sc.field, m.dim)),
         zero_map=lambda s, d: scm.SCMap(s, d, Mat.zeros(sc.field, d.dim, s.dim)),
         compose=lambda f, g: scm.SCMap(g.source, f.target, f.mat.mul(g.mat)),
@@ -310,7 +294,6 @@ def sc_cat(sc) -> Cat:
         kernel=kernel,
         quotient=quotient,
         obj_equal=lambda x, y: x.dim == y.dim and x.action == y.action,
-        is_zero_obj=lambda m: m.is_zero(),
         is_semisimple_base=is_ss,
     )
 
@@ -343,7 +326,6 @@ def triple_cat(spec) -> Cat:
         comp_dim=lambda t, k: t.x.dim if k == "x" else t.y.dim,
         zero_obj=lambda: zero,
         sum_obj=lambda ts: tm.triple_sum(spec, ts),
-        sum_maps=tm.triple_summand_maps,
         identity=tm.identity_triple_map,
         zero_map=tm.zero_triple_map,
         compose=lambda a_, b_: a_.compose(b_),
@@ -358,6 +340,5 @@ def triple_cat(spec) -> Cat:
         obj_equal=lambda a_, b_: (a_.x.dim == b_.x.dim and a_.y.dim == b_.y.dim
                                   and a_.x.action == b_.x.action
                                   and a_.y.action == b_.y.action and a_.phi == b_.phi),
-        is_zero_obj=lambda t: t.is_zero(),
         is_semisimple_base=lambda: False,
     )

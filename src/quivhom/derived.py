@@ -158,6 +158,17 @@ class ChainMap:
         return True
 
 
+def _same(a: Complex, b: Complex) -> bool:
+    """a and b are one complex: the identical object, taken without
+    comparing, or equal ones."""
+    return a is b or complexes_equal(a, b)
+
+
+def _runs(f: Optional[ChainMap], src: Complex, dst: Complex) -> bool:
+    """f is a chain map src -> dst."""
+    return f is not None and _same(f.source, src) and _same(f.target, dst)
+
+
 def identity_chain_map(x: Complex) -> ChainMap:
     return ChainMap(x, x, {i: x.cat.identity(x.obj(i)) for i in x.degrees()})
 
@@ -173,8 +184,8 @@ def shift_chain_map(f: ChainMap, k: int) -> ChainMap:
 
 def sum_complexes(cat: Cat, cs) -> Complex:
     """The direct sum of complexes, degree by degree, with the differentials
-    placed block diagonally (the complex only: ``direct_sum_complexes`` adds
-    its maps)."""
+    placed block diagonally.  Its summand maps are, degree by degree, the
+    ``Cat.components``/``Cat.restrictions`` of the identity."""
     cs = list(cs)
     if not cs:
         return zero_complex(cat)
@@ -182,18 +193,6 @@ def sum_complexes(cat: Cat, cs) -> Complex:
     objs = {i: cat.sum_obj([c.obj(i) for c in cs]) for i in range(lo, hi + 1)}
     diffs = {i: cat.diag(objs[i], objs[i + 1], [c.diff(i) for c in cs]) for i in range(lo, hi)}
     return Complex(cat, lo, hi, objs, diffs)
-
-
-def direct_sum_complexes(cat: Cat, cs):
-    """``sum_complexes`` with its injections and projections."""
-    cs = list(cs)
-    total = sum_complexes(cat, cs)
-    degree_maps = {i: cat.sum_maps(total.objs[i], [c.obj(i) for c in cs]) for i in total.degrees()}
-    injs = [ChainMap(c, total, {i: m[0][idx] for i, m in degree_maps.items()})
-            for idx, c in enumerate(cs)]
-    projs = [ChainMap(total, c, {i: m[1][idx] for i, m in degree_maps.items()})
-             for idx, c in enumerate(cs)]
-    return total, injs, projs
 
 
 def evaluate_complex(x: Complex, v: str) -> Complex:
@@ -254,12 +253,16 @@ class ComplexSES:
     epi: ChainMap
 
     def verify(self, details=None) -> bool:
-        """Chain maps, zero composite and exactness degree by degree and key
-        by key: incl of full column rank, epi of full row rank (so epi has a
-        linear right inverse) and dim B = dim A + dim C.  Each check's result
-        goes into ``details`` under its name."""
+        """The maps run A -> B -> C (``map_ends``, checked first); chain maps,
+        zero composite and exactness degree by degree and key by key: incl
+        of full column rank, epi of full row rank (so epi has a linear right
+        inverse) and dim B = dim A + dim C.  Each check's result goes into
+        ``details`` under its name."""
         cat = self.a.cat
         checks = details if details is not None else {}
+        checks["map_ends"] = _runs(self.incl, self.a, self.b) and _runs(self.epi, self.b, self.c)
+        if not checks["map_ends"]:
+            return False
         checks["incl_chain"] = self.incl.check()
         checks["epi_chain"] = self.epi.check()
         comp = self.epi.compose(self.incl)
@@ -331,11 +334,23 @@ class CheckFailure:
 
 
 def witness_check(w, generators, d: int, cat: Cat, locus: str = "root"):
-    """Full certificate verification; returns (ok, failure or None)."""
+    """Full certificate verification; returns (ok, failure or None).
+
+    Every map must run between the complexes it certifies: a leaf's
+    target -> X' -> target and X' -> expression -> X' (X' its replacement, or
+    else its target), a node's A -> B -> C and target -> C -> target.  A
+    leaf's entries must name generators of the list."""
     if w.depth() > d:
         return False, CheckFailure(locus, f"depth {w.depth()} exceeds {d}")
     if isinstance(w, Leaf):
+        if any(not 0 <= g < len(generators) for g, _ in w.entries):
+            return False, CheckFailure(locus, f"an entry is outside the {len(generators)} generators")
         x_prime = w.replaced if w.replaced is not None else w.target
+        if w.replaced is not None and not (_runs(w.to_replaced, w.target, x_prime)
+                                           and _runs(w.from_replaced, x_prime, w.target)):
+            return False, CheckFailure(locus, "replacement maps do not run target <-> replacement")
+        if not (_same(w.incl.source, x_prime) and _runs(w.retr, w.incl.target, x_prime)):
+            return False, CheckFailure(locus, "factor maps do not run X' -> expression -> X'")
         if w.replaced is not None:
             if not w.to_replaced.check() or not w.from_replaced.check():
                 return False, CheckFailure(locus, "replacement maps are not chain maps")
@@ -357,18 +372,21 @@ def witness_check(w, generators, d: int, cat: Cat, locus: str = "root"):
         if not w.ses.verify(details):
             bad = [k for k, v in details.items() if not v]
             return False, CheckFailure(locus, f"exact sequence fails: {', '.join(bad)}")
-        if not complexes_equal(w.child_mid.target, w.ses.b):
+        if not _same(w.child_mid.target, w.ses.b):
             return False, CheckFailure(locus, "middle child target mismatch")
         if not complexes_equal(w.child_shift.target, shift_complex(w.ses.a, 1)):
             return False, CheckFailure(locus, "shifted child target mismatch")
         if w.factor_incl is not None:
+            if not (_runs(w.factor_incl, w.target, w.ses.c)
+                    and _runs(w.factor_retr, w.ses.c, w.target)):
+                return False, CheckFailure(locus, "factor maps do not run target <-> quotient")
             if not w.factor_incl.check() or not w.factor_retr.check():
                 return False, CheckFailure(locus, "factor certificate maps invalid")
             comp = w.factor_retr.compose(w.factor_incl)
             if not comp.is_identity_on(w.target):
                 return False, CheckFailure(locus, "factor retraction not a left inverse")
         else:
-            if not complexes_equal(w.target, w.ses.c):
+            if not _same(w.target, w.ses.c):
                 return False, CheckFailure(locus, "target differs from quotient, no factor maps")
         ok, fail = witness_check(w.child_mid, generators, w.child_mid.depth(), cat,
                                  locus + ".mid")
@@ -435,7 +453,7 @@ def try_leaf(x: Complex, generators):
     d_x = d_x o retr o incl = retr o d_expr o incl = 0: a complex with a
     nonzero differential has no such split, and is ruled out before any
     hom basis is computed.  With d_x = 0 as well, the split is one of
-    objects, degree by degree (``_split_degreewise``)."""
+    objects, one ``Cat.split_into`` per degree (``_split_degreewise``)."""
     cat = x.cat
     if any(not m.is_zero() for i in range(x.lo, x.hi) for m in cat.map_mats(x.diffs[i]).values()):
         return None
@@ -449,25 +467,20 @@ def _split_degreewise(x: Complex, generators):
 
     Between complexes with zero differentials every family of morphisms is
     a chain map, so x splits off the expression exactly when each X^i splits
-    off its summands.  In degree i, retr is the copair u of a hom basis of
-    every Hom(generator, X^i), one summand per basis map, and incl is a
-    section of u (``Cat.section``)."""
+    off its summands.  Each degree is one ``Cat.split_into``: retr^i is its
+    copair u, incl^i its section of u.  The expression spans the degrees
+    where summands are anchored, as ``build_expression`` places them."""
     cat = x.cat
-    entries, pieces = [], {}
+    entries, objs, incl, retr = [], {}, {}, {}
     for i in x.degrees():
-        pieces[i] = []
-        for gi, gen in enumerate(generators):
-            for b in cat.hom_basis(gen, x.objs[i]):
-                entries.append((gi, -i))
-                pieces[i].append(b)
-    expr = build_expression(cat, generators, entries)
-    # in degree i only the summands anchored there have nonzero dimension
-    retr = {i: cat.copair(expr.obj(i), x.objs[i], pieces[i]) for i in x.degrees()}
-    incl = {}
-    for i, u in retr.items():
-        incl[i] = cat.section(u)
-        if incl[i] is None:
+        found = cat.split_into(x.objs[i], generators)
+        if found is None:
             return None
+        pieces, total, incl[i], retr[i] = found
+        if pieces:
+            objs[i] = total
+        entries.extend((g, -i) for g in pieces)
+    expr = Complex(cat, min(objs, default=0), max(objs, default=0), objs, {})
     return entries, ChainMap(x, expr, incl), ChainMap(expr, x, retr)
 
 
@@ -882,8 +895,7 @@ def _reanchor(w, old_gen_objs, new_gens, cat: Cat):
     for g, _ in w.entries:
         if g in splits:
             continue
-        obj = old_gen_objs[g]
-        found = _split_into_generators(obj, new_gens, cat)
+        found = _split_degreewise(concentrated(cat, old_gen_objs[g]), new_gens)
         if found is None:
             raise TensorNotExactOnCertificates(
                 f"tensored generator {g} is not a direct factor of the target generators")
@@ -905,13 +917,3 @@ def _reanchor(w, old_gen_objs, new_gens, cat: Cat):
     return Leaf(w.target, new_entries, incl, retr,
                 replaced=w.replaced, to_replaced=w.to_replaced,
                 from_replaced=w.from_replaced)
-
-
-def _split_into_generators(obj, generators, cat: Cat):
-    """(entries, incl, retr) exhibiting obj[0-shift] as a factor of generator sums."""
-    found = cat.split_into(obj, generators)
-    if found is None:
-        return None
-    pieces, total, sec, u = found
-    target, expr = concentrated(cat, obj), concentrated(cat, total)
-    return [(g, 0) for g in pieces], ChainMap(target, expr, {0: sec}), ChainMap(expr, target, {0: u})

@@ -310,7 +310,7 @@ def validate_summands(summands, cat: Cat):
     :func:`end_algebra` on the summand alone.
     """
     for i, s in enumerate(summands):
-        if cat.is_zero_obj(s):
+        if cat.total_dim(s) == 0:
             raise QuivhomError(f"summand {i} is zero")
         try:
             end_algebra([s], cat)

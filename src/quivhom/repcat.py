@@ -233,8 +233,7 @@ def rep_zero(q: Quiver, a: BQA) -> Rep:
 
 
 def rep_sum(q: Quiver, a: BQA, reps) -> Rep:
-    """The direct sum of representations, vertex by vertex (the object
-    only: ``rep_direct_sum`` adds its maps)."""
+    """The direct sum of representations, vertex by vertex."""
     reps = list(reps)
     f = a.field
     mods = {v: alg.sum_mods(a, [r.mods[v] for r in reps]) for v in q.vertices}
@@ -242,22 +241,6 @@ def rep_sum(q: Quiver, a: BQA, reps) -> Rep:
         u: Mat.block_diag(f, [r.maps[arr.name].mats[u] for r in reps]) for u in a.quiver.vertices})
         for arr in q.arrows}
     return Rep(q, a, mods, maps)
-
-
-def rep_summand_maps(total: Rep, reps):
-    """(injs, projs) of ``total``, the direct sum of ``reps``: the summand
-    maps of each vertex's sum."""
-    per_vertex = {v: alg.summand_maps(m, [r.mods[v] for r in reps]) for v, m in total.mods.items()}
-    injs = [RepMap(r, total, {v: m[0][i] for v, m in per_vertex.items()}) for i, r in enumerate(reps)]
-    projs = [RepMap(total, r, {v: m[1][i] for v, m in per_vertex.items()}) for i, r in enumerate(reps)]
-    return injs, projs
-
-
-def rep_direct_sum(q: Quiver, a: BQA, reps):
-    """``rep_sum`` with its injections and projections."""
-    reps = list(reps)
-    total = rep_sum(q, a, reps)
-    return (total, *rep_summand_maps(total, reps))
 
 
 def path_action(x: Rep, p: Path) -> ModMap:

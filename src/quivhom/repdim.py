@@ -21,10 +21,12 @@ sizes.  The two End isomorphisms, End(X1) = (End A)^sinks and
 End(X3) = (End A)Q' on the non-sinks, are checked in the corners at X1 and
 X3: no second End over the path algebra is built.
 
-The generator-cogenerator checks live here: ``check_gen_cogen_base`` tests A
-over the base algebra and ``is_gen_cogen`` tests X-bar over the path algebra,
-both by splitting each projective and injective off a sum of the summands
-with ``Cat.split_into``.
+``check_gen_cogen_base`` splits each P_u and I_u of the base off a sum of
+A's summands (``Cat.split_into``), and that is all X-bar needs: it sums
+e^v_lambda(A) and e^v_rho(A) over all vertices v, both functors are additive,
+and e^v_lambda(P_u), e^v_rho(I_u) are the indecomposable projectives and
+injectives of the path algebra.  ``is_gen_cogen`` is the oracle that tests
+X-bar over the path algebra itself.
 """
 
 from __future__ import annotations
@@ -76,37 +78,31 @@ def check_gen_cogen_base(a, summands):
 class GenCogenReport:
     ok: bool
     missing: list
-    checked: list
 
 
 def is_gen_cogen(q: Quiver, a, summands) -> GenCogenReport:
-    """Checks every e^v_lambda(P_i) and e^v_rho(I_i) against add(sum of summands)."""
+    """Checks every e^v_lambda(P_i) and e^v_rho(I_i) against add(sum of
+    summands): the oracle for ``build_xbar``, which needs A alone."""
     rcat = cats.rep_cat(q, a)
     injectives = alg.injective_indecomposables(a)
     targets = []
     for v in q.vertices:
-        for u in a.quiver.vertices:
-            targets.append((f"proj[{v},{u}]", rc.left_adjoint(q, v, alg.projective_module(a, u))))
-        for iu, imod in zip(a.quiver.vertices, injectives):
-            targets.append((f"inj[{v},{iu}]", rc.right_adjoint(q, v, imod)))
-    missing = []
-    checked = []
-    for label, t in targets:
-        ok = rcat.split_into(t, summands) is not None
-        checked.append((label, ok))
-        if not ok:
-            missing.append(label)
-    return GenCogenReport(not missing, missing, checked)
+        targets += [(f"proj[{v},{u}]", rc.left_adjoint(q, v, alg.projective_module(a, u)))
+                    for u in a.quiver.vertices]
+        targets += [(f"inj[{v},{u}]", rc.right_adjoint(q, v, imod))
+                    for u, imod in zip(a.quiver.vertices, injectives)]
+    missing = [label for label, t in targets if rcat.split_into(t, summands) is None]
+    return GenCogenReport(not missing, missing)
 
 
-def build_xbar(q: Quiver, a, summands, validate: bool = True) -> XBar:
+def build_xbar(q: Quiver, a, summands) -> XBar:
+    """X-bar from A's summands, checked indecomposable and to make A a
+    generator-cogenerator (else ``NotGenCogen``); then so is X-bar."""
     summands = list(summands)
-    cat = cats.mod_cat(a)
-    if validate:
-        endo.validate_summands(summands, cat)
-        missing = check_gen_cogen_base(a, summands)
-        if missing:
-            raise NotGenCogen(f"base summands miss {', '.join(missing)}")
+    endo.validate_summands(summands, cats.mod_cat(a))
+    missing = check_gen_cogen_base(a, summands)
+    if missing:
+        raise NotGenCogen(f"base summands miss {', '.join(missing)}")
     s = sinks(q)
     non = [v for v in q.vertices if v not in s]
 
@@ -122,13 +118,8 @@ def build_xbar(q: Quiver, a, summands, validate: bool = True) -> XBar:
 
     (x1, l1), (x2, l2) = bundle(("lambda", s)), bundle(("lambda", non), ("rho", s))
     x3, l3 = bundle(("rho", non))
-    xbar = XBar(q, a, x1, x2, x3, l1, l2, l3,
+    return XBar(q, a, x1, x2, x3, l1, l2, l3,
                 hypothesis_ok=not is_type_An(q), degenerate=not non)
-    if validate:
-        report = is_gen_cogen(q, a, xbar.all_summands())
-        if not report.ok:
-            raise NotGenCogen(f"X-bar misses {', '.join(report.missing)}")
-    return xbar
 
 
 @dataclass
@@ -275,7 +266,7 @@ def d4_orientation_projectivity_sweep(field=None) -> OrientationSweep:
     m = alg.AlgMod(a, {"1": 1}, {})
     entries = []
     for bits, q in d4_orientations():
-        xbar = build_xbar(q, a, [m], validate=False)
+        xbar = build_xbar(q, a, [m])
         n1, n2 = len(xbar.x1), len(xbar.x2)
         e = endo.end_algebra(xbar.x1 + xbar.x2, cats.rep_cat(q, a))
         n12 = endo.hom_as_end_module(e, range(n1), range(n1, n1 + n2))

@@ -125,27 +125,12 @@ def sc_module_of_algmod(m, sc: SCAlgebra = None) -> SCModule:
 
 
 def sum_sc(sc: SCAlgebra, mods) -> SCModule:
-    """The direct sum of modules, summand after summand (the object only:
-    ``direct_sum_sc`` adds its maps)."""
+    """The direct sum of modules, summand after summand."""
     mods = list(mods)
     f = sc.field
     action = [Mat.block_diag(f, [m.action[i] for m in mods]) if mods else Mat.zeros(f, 0, 0)
               for i in range(sc.dim)]
     return SCModule(sc, sum(m.dim for m in mods), action)
-
-
-def summand_maps_sc(total: SCModule, mods):
-    """(injs, projs) of ``total``, the direct sum of ``mods``: unit blocks."""
-    units = Mat.summand_units(total.sc.field, [m.dim for m in mods])
-    return ([SCMap(m, total, inj) for m, (inj, _) in zip(mods, units)],
-            [SCMap(total, m, proj) for m, (_, proj) in zip(mods, units)])
-
-
-def direct_sum_sc(sc: SCAlgebra, mods):
-    """``sum_sc`` with its injections and projections."""
-    mods = list(mods)
-    total = sum_sc(sc, mods)
-    return (total, *summand_maps_sc(total, mods))
 
 
 def hom_basis_sc(m: SCModule, n: SCModule):

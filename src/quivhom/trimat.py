@@ -358,8 +358,7 @@ def zero_triple_map(s: TripleModule, t: TripleModule) -> TripleMap:
 
 def triple_sum(spec: TriRingSpec, triples) -> TripleModule:
     """Sum of triples: X, Y and M (x) X are placed summand by summand, so phi
-    is each summand's phi at its Y rows and tensor columns (the object only:
-    ``triple_direct_sum`` adds its maps)."""
+    is each summand's phi at its Y rows and tensor columns."""
     triples = list(triples)
     x = sum_sc(spec.r, [t.x for t in triples])
     y = sum_sc(spec.s, [t.y for t in triples])
@@ -382,7 +381,8 @@ def triple_summand_maps(total: TripleModule, triples):
 
 
 def triple_direct_sum(spec: TriRingSpec, triples):
-    """``triple_sum`` with its injections and projections."""
+    """``triple_sum`` with its injections and projections: read only by the
+    benchmark's input builder, and kept until it calls ``triple_sum``."""
     triples = list(triples)
     total = triple_sum(spec, triples)
     return (total, *triple_summand_maps(total, triples))

@@ -76,11 +76,28 @@ def test_k2_functor_starts_in_s_modules():
 
 # -- direct sums of complexes, placed block by block -------------------------------
 
+def _sum_with_maps(cat, parts):
+    """(total, injs, projs) of a direct sum of objects: the summand maps are
+    the blocks of the identity."""
+    total = cat.sum_obj(parts)
+    ident = cat.identity(total)
+    return total, cat.restrictions(total, ident, parts), cat.components(total, ident, parts)
+
+
+def _sum_complexes_with_maps(cat, cs):
+    """``sum_complexes`` with its injections and projections, degree by degree."""
+    total = dv.sum_complexes(cat, cs)
+    maps = {i: _sum_with_maps(cat, [c.obj(i) for c in cs])[1:] for i in total.degrees()}
+    injs = [dv.ChainMap(c, total, {i: m[0][k] for i, m in maps.items()}) for k, c in enumerate(cs)]
+    projs = [dv.ChainMap(total, c, {i: m[1][k] for i, m in maps.items()}) for k, c in enumerate(cs)]
+    return total, injs, projs
+
+
 def _reference_sum(cat, cs):
     """Direct sum of complexes with each differential the sum of the
     inj o d o proj products over the summands."""
     lo, hi = min(c.lo for c in cs), max(c.hi for c in cs)
-    sums = {i: cat.direct_sum([c.obj(i) for c in cs]) for i in range(lo, hi + 1)}
+    sums = {i: _sum_with_maps(cat, [c.obj(i) for c in cs]) for i in range(lo, hi + 1)}
     diffs = {}
     for i in range(lo, hi):
         d = cat.zero_map(sums[i][0], sums[i + 1][0])
@@ -136,9 +153,9 @@ def _summand_lists():
     return out
 
 
-def test_direct_sum_complexes_matches_reference_assembly():
+def test_sum_complexes_matches_reference_assembly():
     for cat, cs in _summand_lists():
-        total, injs, projs = dv.direct_sum_complexes(cat, cs)
+        total, injs, projs = _sum_complexes_with_maps(cat, cs)
         ref = _reference_sum(cat, cs)
         assert (total.lo, total.hi) == (ref.lo, ref.hi) == (0, 3)
         assert dv.complexes_equal(total, ref)
@@ -146,10 +163,10 @@ def test_direct_sum_complexes_matches_reference_assembly():
         for c, inj, pr in zip(cs, injs, projs):
             assert inj.check() and pr.check()
             assert pr.compose(inj).is_identity_on(c)
-        assert dv.direct_sum_complexes(cat, [cs[1]])[0].is_zero()
+        assert dv.sum_complexes(cat, [cs[1]]).is_zero()
 
 
-def test_direct_sum_complexes_multiplies_no_matrices(monkeypatch):
+def test_sum_complexes_multiplies_no_matrices(monkeypatch):
     # the differentials of a sum are placed, not multiplied out, and so are
     # the objects: a sum of triples places the summands' tensors and phis
     lists = _summand_lists()
@@ -163,7 +180,7 @@ def test_direct_sum_complexes_multiplies_no_matrices(monkeypatch):
     monkeypatch.setattr(Mat, "mul", counting)
     for cat, cs in lists:
         del calls[:]
-        dv.direct_sum_complexes(cat, cs)
+        dv.sum_complexes(cat, cs)
         assert not calls, cat.name
 
 
@@ -185,7 +202,7 @@ def test_witness_direct_sum_of_leaves_and_of_leaf_and_node():
     l1, l2 = dv.semisimple_split(c1, [gen]), dv.semisimple_split(c2, [gen])
     w = dv.witness_direct_sum(c1.cat, [l1, l2])
     assert isinstance(w, dv.Leaf) and w.depth() == 1
-    total, _, _ = dv.direct_sum_complexes(c1.cat, [c1, c2])
+    total = dv.sum_complexes(c1.cat, [c1, c2])
     _check(w, [gen], total)
 
     q, k, m, p1, p2 = _kronecker_reps()
@@ -196,7 +213,7 @@ def test_witness_direct_sum_of_leaves_and_of_leaf_and_node():
     leaf = dv.try_leaf(flat, gens)
     w = dv.witness_direct_sum(rcat, [leaf, node])
     assert isinstance(w, dv.Node)
-    total, _, _ = dv.direct_sum_complexes(rcat, [flat, cx])
+    total = dv.sum_complexes(rcat, [flat, cx])
     _check(w, gens, total)
 
 
@@ -342,7 +359,7 @@ def test_is_quasi_iso_compares_cohomology_through_the_map(adapter):
     acyclic = [dv.Complex(cat, 0, 1, {0: x, 1: x}, {0: cat.identity(x)}) for x in (k_, p)]
     assert dv.is_quasi_iso(dv.zero_chain_map(*acyclic))
     # diag(1, 0) on P + P: equal cohomology dimensions, but not an isomorphism
-    pp = dv.concentrated(cat, cat.direct_sum([p, p])[0])
+    pp = dv.concentrated(cat, cat.sum_obj([p, p]))
     half = dv.ChainMap(pp, pp, {0: cat.diag(pp.objs[0], pp.objs[0],
                                             [cat.identity(p), cat.zero_map(p, p)])})
     assert half.check() and not dv.is_quasi_iso(half)
@@ -363,7 +380,7 @@ def test_semisimple_split_replacements_are_quasi_isos(adapter):
     else:
         spec, triple = _t2()
         cat, gen = cats.triple_cat(spec), triple(1, 1, Mat.from_rows(QQ, [[1]]))
-    two = cat.direct_sum([gen, gen])[0]
+    two = cat.sum_obj([gen, gen])
     ident = cat.identity(gen)
     cx = dv.Complex(cat, 0, 1, {0: two, 1: gen},
                     {0: cat.copair(two, gen, [ident, cat.scale_map(ident, QQ.of_int(2))])})
@@ -440,7 +457,7 @@ def test_verify_rejects_a_planted_broken_sequence(adapter, fault):
     cat, k_, p, s = _resolution(adapter)
     a = _two_term(cat, k_, p)
     c = dv.concentrated(cat, s)
-    b, injs, projs = dv.direct_sum_complexes(cat, [a, c])
+    b, injs, projs = _sum_complexes_with_maps(cat, [a, c])
     assert dv.ComplexSES(a, b, c, injs[0], projs[1]).verify()
     incl, epi = injs[0], projs[1]
     if fault == "incl_mono":
@@ -449,10 +466,10 @@ def test_verify_rejects_a_planted_broken_sequence(adapter, fault):
         epi = dv.zero_chain_map(b, c)
     elif fault == "composite_zero":  # 0 -> A -> A + A -> A -> 0 through one summand
         c = a
-        b, injs, projs = dv.direct_sum_complexes(cat, [a, a])
+        b, injs, projs = _sum_complexes_with_maps(cat, [a, a])
         incl, epi = injs[0], projs[0]
     elif fault == "dimension_count":  # a second copy of C in the middle
-        b, injs, projs = dv.direct_sum_complexes(cat, [a, c, c])
+        b, injs, projs = _sum_complexes_with_maps(cat, [a, c, c])
         incl, epi = injs[0], projs[1]
     else:  # twice the injection in degree 0 only
         incl = dv.ChainMap(a, b, {i: cat.scale_map(m, QQ.of_int(2)) if i == 0 else m
@@ -460,6 +477,62 @@ def test_verify_rejects_a_planted_broken_sequence(adapter, fault):
     details = {}
     assert not dv.ComplexSES(a, b, c, incl, epi).verify(details)
     assert details[fault] is False
+
+
+# -- forged certificates: every map is tied to the complexes it certifies ------------
+
+def _forgery_parts():
+    """An honest Kronecker witness (a node whose middle child is a sum of
+    pushed leaves with replacements), its generators, a leaf without a
+    replacement over them, and an unrelated complex to forge with."""
+    q, k, m, p1, p2 = _kronecker_reps()
+    rcat = cats.rep_cat(q, k)
+    cx = _two_term(rcat, p2, p1)
+    w, gens = dv.rep_complex_witness(cx, [m], shortcut=False)
+    flat = dv.try_leaf(dv.Complex(rcat, 0, 1, {0: p2, 1: p1}, {}), gens)
+    other = dv.concentrated(rcat, p2)
+    assert dv.witness_check(w, gens, 2, rcat)[0] and dv.witness_check(flat, gens, 1, rcat)[0]
+    assert not dv.complexes_equal(other, cx) and not dv.complexes_equal(other, flat.target)
+    return rcat, w, gens, flat, other
+
+
+def test_witness_check_ties_a_leaf_to_its_target():
+    rcat, w, gens, flat, other = _forgery_parts()
+    lf = w.child_mid
+    assert isinstance(lf, dv.Leaf) and lf.replaced is not None
+    forged = dv.Leaf(other, lf.entries, lf.incl, lf.retr, lf.replaced, lf.to_replaced,
+                     lf.from_replaced)
+    ok, failure = dv.witness_check(forged, gens, 1, rcat)
+    assert not ok and failure.reason == "replacement maps do not run target <-> replacement"
+    ok, failure = dv.witness_check(dataclasses.replace(flat, target=other), gens, 1, rcat)
+    assert not ok and failure.reason == "factor maps do not run X' -> expression -> X'"
+
+
+def test_witness_check_ties_a_node_to_its_target():
+    rcat, w, gens, _, other = _forgery_parts()
+    ident = dv.identity_chain_map(other)
+    forged = dv.Node(other, w.ses, w.child_mid, w.child_shift, ident, ident)
+    ok, failure = dv.witness_check(forged, gens, 2, rcat)
+    assert not ok and failure.reason == "factor maps do not run target <-> quotient"
+
+
+def test_witness_check_ties_a_sequence_to_its_quotient():
+    # the epi still lands in the true quotient, so every rank check holds
+    rcat, w, gens, _, other = _forgery_parts()
+    ses = dv.ComplexSES(w.ses.a, w.ses.b, other, w.ses.incl, w.ses.epi)
+    details = {}
+    assert not ses.verify(details) and details == {"map_ends": False}
+    ok, failure = dv.witness_check(dv.Node(other, ses, w.child_mid, w.child_shift), gens, 2, rcat)
+    assert not ok and failure.reason == "exact sequence fails: map_ends"
+
+
+def test_witness_check_refuses_a_generator_index_outside_the_list():
+    # past the end, and negative (which Python would wrap to the same generator)
+    rcat, _, gens, flat, _ = _forgery_parts()
+    for shift in (len(gens), -len(gens)):
+        forged = dataclasses.replace(flat, entries=[(g + shift, s) for g, s in flat.entries])
+        ok, failure = dv.witness_check(forged, gens, 1, rcat)
+        assert not ok and failure.reason == f"an entry is outside the {len(gens)} generators"
 
 
 def test_push_raises_when_the_functor_breaks_a_node_sequence():
@@ -485,7 +558,7 @@ def _reference_push_leaf(w, functor, old_gens, new_gens, gmap):
     new_target = functor.on_complex(w.target)
     new_expr = dv.build_expression(cat, new_gens, [(gmap[g], s) for g, s in w.entries])
     pieces = [dv.shift_complex(dv.concentrated(src_cat, old_gens[g]), s) for g, s in w.entries]
-    _, oinjs, oprojs = dv.direct_sum_complexes(src_cat, pieces)
+    _, oinjs, oprojs = _sum_complexes_with_maps(src_cat, pieces)
     f_expr = functor.on_complex(w.incl.target)
     degrees = range(min(f_expr.lo, new_expr.lo), max(f_expr.hi, new_expr.hi) + 1)
     anchored = {i: [k for k, (_, s) in enumerate(w.entries) if s == -i] for i in degrees}
@@ -624,9 +697,9 @@ def test_witness_sums_and_split_tests_build_no_summand_maps(monkeypatch):
 
     monkeypatch.setattr(Mat, "summand_units", staticmethod(refuse))
     with pytest.raises(AssertionError):
-        mcat.direct_sum([gen, gen])
+        alg.direct_sum_mods(k, [gen, gen])
     for cat, cs in lists:
-        objs = [c.obj(i) for c in cs for i in c.degrees() if not c.cat.is_zero_obj(c.obj(i))]
+        objs = [c.obj(i) for c in cs for i in c.degrees() if c.cat.total_dim(c.obj(i))]
         expr = dv.build_expression(cat, objs, [(0, 0), (1, -1), (0, 2)])
         assert (expr.lo, expr.hi) == (-2, 1)
         assert cat.split_into(cat.sum_obj(objs[:2]), objs) is not None

@@ -218,7 +218,10 @@ def reference_adjoint_end_iso(q, gamma, side, vertices):
     rhs, rhs_labels = endo.path_block_algebra(gamma.sc, use_q)
     adjoint = rc.left_adjoint if side == "lambda" else rc.right_adjoint
     pieces = {v: adjoint(q, v, total) for v in use_q.vertices}
-    tot_rep, injs, projs = rc.rep_direct_sum(q, a, [pieces[v] for v in use_q.vertices])
+    rcat, parts = cats.rep_cat(q, a), [pieces[v] for v in use_q.vertices]
+    tot_rep = rcat.sum_obj(parts)
+    ident = rcat.identity(tot_rep)
+    injs, projs = rcat.restrictions(tot_rep, ident, parts), rcat.components(tot_rep, ident, parts)
     vindex = {v: i for i, v in enumerate(use_q.vertices)}
     f = a.field
     chi_maps = []
@@ -359,7 +362,7 @@ def test_end_iso_builds_no_second_end_over_the_path_algebra(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("adjoint_end_iso rebuilt a sum, an adjoint or a hom space")
 
-    for mod, name in [(rc, "rep_hom_basis"), (rc, "rep_direct_sum"), (rc, "left_adjoint"),
+    for mod, name in [(rc, "rep_hom_basis"), (rc, "rep_sum"), (rc, "left_adjoint"),
                       (rc, "right_adjoint"), (alg, "direct_sum_mods")]:
         monkeypatch.setattr(mod, name, refuse)
     rep = endo.adjoint_end_iso(q, gamma, lhs)

@@ -87,6 +87,36 @@ def test_no_unreferenced_public_definitions():
     assert not dead, "unreferenced public definitions:\n" + "\n".join(dead)
 
 
+# Public definitions that no library module and no benchmark file reads: only
+# the tests do (as oracles, or as entry points checked there).  The list
+# may only shrink: it fails on an unlisted one, and on a listed one that
+# gains a library reader or is gone, so that it is taken off the list.
+READ_ONLY_BY_TESTS = [
+    "algebra.path_algebra", "algebra.map_from_projective", "algebra.cover_is_minimal",
+    "algebra.minimal_resolution", "exactlin.format", "exactlin.parse", "exactlin.solve",
+    "exactlin.inverse", "quiver.is_trivial", "quiver.single_vertex", "repcat.evaluate",
+    "repcat.adjunction_check", "repcat.rep_hom_dim", "repcat.rep_pd", "repcat.rep_simple",
+    "repcat.gldim_pathalgebra", "repdim.is_gen_cogen", "repdim.to_json_dict",
+    "repdim.d4_orientation_projectivity_sweep", "scmodule.regular_module",
+    "scmodule.sc_module_of_algmod", "trimat.is_projective_triple", "trimat.triple_radical",
+    "trimat.gldim_sandwich_report",
+]
+
+
+def test_public_definitions_read_only_by_tests_only_shrink():
+    root = SRC.parents[1]
+    readers = sorted(SRC.glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    used = set().union(*(_referenced_names(ast.parse(p.read_text(encoding="utf-8")))
+                         for p in readers))
+    found = {f"{p.stem}.{node.name}" for p in sorted(SRC.glob("*.py"))
+             for node in _public_definitions(ast.parse(p.read_text(encoding="utf-8")))
+             if node.name not in used}
+    new = sorted(found - set(READ_ONLY_BY_TESTS))
+    stale = sorted(set(READ_ONLY_BY_TESTS) - found)
+    assert not new, "public definitions read only by the tests: " + ", ".join(new)
+    assert not stale, "listed but now read by the library, or gone: " + ", ".join(stale)
+
+
 def test_column_data_is_built_only_in_scmodule():
     # one ColumnData per algebra: other library modules take the algebra's
     # shared one from scmodule.column_data instead of calling ColumnData(...)
@@ -150,7 +180,7 @@ def test_end_iso_reads_the_end_algebra_it_is_given():
     tree = ast.parse((SRC / "endo.py").read_text(encoding="utf-8"))
     fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "adjoint_end_iso")
     found = sorted(_referenced_names(fn)
-                   & {"rep_hom_dim", "rep_hom_basis", "rep_direct_sum", "direct_sum_mods"})
+                   & {"rep_hom_dim", "rep_hom_basis", "rep_sum", "direct_sum_mods"})
     assert not found, "adjoint_end_iso refers to " + ", ".join(found)
 
 

@@ -307,7 +307,7 @@ def _cover_one_adjoint_per_copy(x):
                 at_v = rc.left_adjoint(q, v, x.mods[v])
                 piece_maps.append(rc._adjoint_transpose(x, at_v).compose(
                     rc.left_adjoint_map(q, v, piece, at_v, h)))
-    total, _, _ = rc.rep_direct_sum(q, a, pieces)
+    total = rc.rep_sum(q, a, pieces)
     return total, rc._block_repmap(total, x, pieces, [x], {
         (0, i): g for i, g in enumerate(piece_maps)})
 
@@ -326,8 +326,8 @@ def test_cover_builds_one_adjoint_per_vertex_pair():
             assert mcat.split_into(proj, [adj]) is not None
             assert mcat.split_into(adj, [proj]) is not None
     # so the Lambda Q cover has the dims of the adjoint-based assembly
-    x, _, _ = rc.rep_direct_sum(q, d, [rc.rep_simple(q, d, "1", "1")] * 3
-                                + [rc.rep_simple(q, d, "2", "1")] * 3)
+    x = rc.rep_sum(q, d, [rc.rep_simple(q, d, "1", "1")] * 3
+                   + [rc.rep_simple(q, d, "2", "1")] * 3)
     ref_p, ref_pi = _cover_one_adjoint_per_copy(x)
     assert alg.cover_is_minimal(rc.as_module(ref_p), rc.as_module_map(ref_pi))
     p, pi = alg.projective_cover(rc.as_module(x))

@@ -61,7 +61,7 @@ def test_build_xbar_dual_numbers_kronecker():
 
 def test_build_xbar_rejects_non_gencogen():
     d = dual_numbers()
-    with pytest.raises(NotGenCogen):
+    with pytest.raises(NotGenCogen, match="base summands miss P_1, I_1"):
         repdim.build_xbar(qv.kronecker(), d, [alg.simple_module(d, "1")])
 
 
@@ -215,6 +215,29 @@ def k3():
     return qv.make_quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2")])
 
 
+ORACLE_QUIVERS = {"kronecker": qv.kronecker, "k3": k3, "a2": lambda: qv.a_n(2),
+                  "a3_sink": lambda: qv.make_quiver(["1", "2", "3"],
+                                                    [("a", "1", "2"), ("b", "3", "2")]),
+                  "single": qv.single_vertex,
+                  **{"d4_" + "".join(map(str, bits)): lambda bits=bits: qv.d4(bits)
+                     for bits, _ in qv.d4_orientations()}}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+@pytest.mark.parametrize("name", list(ORACLE_QUIVERS))
+def test_xbar_is_a_gen_cogen_over_the_path_algebra(name, field):
+    # build_xbar checks A alone; the oracle tests X-bar over Lambda Q itself
+    q, k = ORACLE_QUIVERS[name](), alg.ground_field_algebra(field)
+    xbar = repdim.build_xbar(q, k, [kmod(k)])
+    assert repdim.is_gen_cogen(q, k, xbar.all_summands()).ok
+
+
+def test_xbar_is_a_gen_cogen_over_the_dual_numbers_kronecker():
+    d, q = dual_numbers(), qv.kronecker()
+    xbar = repdim.build_xbar(q, d, [alg.simple_module(d, "1"), alg.projective_module(d, "1")])
+    assert repdim.is_gen_cogen(q, d, xbar.all_summands()).ok
+
+
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_report_over_prime_fields_matches_rationals(p):
     k = alg.ground_field_algebra(GF(p))
@@ -254,7 +277,7 @@ def test_kronecker_report_builds_end_xbar_once(monkeypatch):
     k = base_k()
     rep = repdim.repdim_bound_report(qv.kronecker(), k, [kmod(k)])
     assert rep.verdict == "PASS"
-    assert counts == {"rep_hom_basis": 36, "end_algebra": 3, "ColumnData": 6}
+    assert counts == {"rep_hom_basis": 16, "end_algebra": 3, "ColumnData": 6}
 
 
 @pytest.mark.parametrize("make_q", [qv.kronecker, lambda: qv.d4((0, 0, 0))],

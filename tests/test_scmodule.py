@@ -213,8 +213,7 @@ def _test_modules(sc, cd):
     cols = [col for col, _ in cd.columns]
     tops = [cd.simple_top(i) for i in range(len(cols))]
     rad, _ = scm.submodule_from_columns(reg, scm.radical_submodule_sc(reg))
-    sums = [scm.direct_sum_sc(sc, [cols[0], tops[-1], tops[0]])[0],
-            scm.direct_sum_sc(sc, tops + tops[:1])[0]]
+    sums = [scm.sum_sc(sc, [cols[0], tops[-1], tops[0]]), scm.sum_sc(sc, tops + tops[:1])]
     syz = [scm.kernel_of_sc(scm.projective_cover_sc(t)[1])[0] for t in tops]
     return [reg, rad] + cols + tops + sums + syz
 
@@ -242,7 +241,7 @@ def _connecting_block_modules():
     k = alg.ground_field_algebra(QQ)
     out = []
     for q in (qv.kronecker(), qv.d4((0, 0, 0)), qv.d4((1, 0, 1))):
-        xbar = repdim.build_xbar(q, k, [alg.AlgMod(k, {"1": 1}, {})], validate=False)
+        xbar = repdim.build_xbar(q, k, [alg.AlgMod(k, {"1": 1}, {})])
         n1, n2 = len(xbar.x1), len(xbar.x2)
         e = endo.end_algebra(xbar.x1 + xbar.x2, cats.rep_cat(q, k))
         out.append(endo.hom_as_end_module(e, range(n1), range(n1, n1 + n2)))
@@ -357,7 +356,7 @@ def _auslander_dual(field):
 def _end_xbar(q):
     def make(field):
         k = alg.ground_field_algebra(field)
-        xbar = repdim.build_xbar(q, k, [alg.AlgMod(k, {"1": 1}, {})], validate=False)
+        xbar = repdim.build_xbar(q, k, [alg.AlgMod(k, {"1": 1}, {})])
         return repdim.end_xbar(xbar).sc
     return make
 

@@ -199,8 +199,7 @@ def test_triple_pd_bound_property():
     for _ in range(10):
         xs = [pool_r[rng.randrange(len(pool_r))] for _ in range(rng.randint(1, 2))]
         ys = [pool_s[rng.randrange(len(pool_s))] for _ in range(rng.randint(1, 2))]
-        x, _, _ = scm.direct_sum_sc(spec.r, xs)
-        y, _, _ = scm.direct_sum_sc(spec.s, ys)
+        x, y = scm.sum_sc(spec.r, xs), scm.sum_sc(spec.s, ys)
         td = tm.tensor_basis(spec, x)
         tmod = tm.tensor_module(spec, td)
         basis = scm.hom_basis_sc(tmod, y)
@@ -338,7 +337,8 @@ def test_tensor_of_sum_equals_tensor_basis(make):
         xs = [pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 4))]
         tensors = [tm.tensor_basis(spec, x) for x in xs]
         td, places = tm.tensor_of_sum(spec, tensors, [x.dim for x in xs])
-        total, _, xprojs = scm.direct_sum_sc(spec.r, xs)
+        rcat, total = cats.sc_cat(spec.r), scm.sum_sc(spec.r, xs)
+        xprojs = rcat.components(total, rcat.identity(total), xs)
         assert td == tm.tensor_basis(spec, total)
         # summand b's tensor coordinate t is the sum's coordinate places[b][t]
         for x, tb, cols, p in zip(xs, tensors, places, xprojs):
@@ -402,7 +402,7 @@ def test_tensor_basis_equals_the_elimination_by_hand(make):
     pool = _x_pool(spec)
     rng = random.Random(23)
     for _ in range(12):
-        x, _, _ = scm.direct_sum_sc(spec.r, [rng.choice(pool) for _ in range(rng.randint(1, 3))])
+        x = scm.sum_sc(spec.r, [rng.choice(pool) for _ in range(rng.randint(1, 3))])
         # a random base change, so that X comes in no adapted basis
         g = Mat.from_rows(f, [[rng.randint(-1, 1) + (i == j) for j in range(x.dim)]
                               for i in range(x.dim)])
