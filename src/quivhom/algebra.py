@@ -14,11 +14,13 @@ products M (x)_R X -- is ``quotient_by_rows``: one rref of a spanning set,
 the non-pivot columns as the complement.
 
 A submodule's structure is read off the rows where its RREF basis is the
-identity (``_read_off_units``): a kernel basis (``_null_space``) is the
-identity at the non-pivot rows, and a column-space basis (the reduced rows
-transposed, ``_column_basis``) at its pivot rows, so basis * X = image has
-X = those rows of the image, and one product checks the other rows.  No
-system is solved to restrict a module to a kernel or a span.
+identity (``_read_off_units``): a kernel basis (``exactlin._null_space``)
+is the identity at the non-pivot rows, and a column-space basis (the
+reduced rows of ``exactlin._reduced_span`` transposed, ``_column_basis``)
+at its pivot rows, so basis * X = image has X = those rows of the image,
+and one product checks the other rows.  No system is solved to restrict a
+module to a kernel or a span.  Syzygies, pd, Ext and minimal resolutions
+read the steps of ``bounds.syzygy_steps``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .bounds import Dim, dim_max
+from .bounds import Dim, dim_max, syzygy_pd, syzygy_steps
 from .errors import (
     AlgebraMismatch,
     CharPNotSupported,
@@ -37,8 +39,10 @@ from .errors import (
     RelationNotParallel,
     UnknownVertex,
 )
-from .exactlin import Field, Mat, _commuting_rows, _kernel_blocks, kernel_basis, rank, rref, solve_matrix
-from .quiver import Path, Quiver, arrow_path, concat, make_quiver, paths_between, trivial_path
+from .exactlin import (Field, Mat, _commuting_rows, _kernel_blocks, _null_space, _reduced_span, rank,
+                       rref, solve_matrix)
+from .quiver import (Path, Quiver, arrow_path, concat, make_quiver, paths_between, single_vertex,
+                     trivial_path)
 
 
 def _paths_up_to(q: Quiver, n: int):
@@ -235,7 +239,7 @@ def path_algebra(field: Field, quiver: Quiver, name: str = "") -> BQA:
 
 
 def ground_field_algebra(field: Field, name: str = "k") -> BQA:
-    return BQA(field, make_quiver(["1"], []), [], 1, name=name)
+    return BQA(field, single_vertex(), [], 1, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +542,6 @@ def _columns_as_rows(field: Field, n: int, mats) -> Mat:
     return Mat(field, len(cols), n, tuple(chain.from_iterable(cols)))
 
 
-def row_space(field: Field, rows):
-    m = Mat.from_rows(field, rows)
-    red, rk, _ = rref(m)
-    keep = red.row_list()[:rk]
-    if not keep:
-        return Mat.zeros(field, 0, m.cols)
-    return Mat.from_rows(field, keep)
-
-
 def quotient_by_rows(span: Mat):
     """k^n modulo the row space of ``span`` (r x n, the rows need not be
     independent), read off one rref of ``span``: (proj, lift, free).
@@ -554,43 +549,14 @@ def quotient_by_rows(span: Mat):
     ``free`` lists the non-pivot columns, the coordinates the quotient keeps.
     ``proj`` (len(free) x n) subtracts from v its pivot coordinates times the
     reduced rows and reads the result at ``free``, so proj * span^T = 0: its
-    rows are the kernel basis of ``_null_space``.  ``lift`` (n x len(free))
-    holds the unit vectors at ``free``, so proj * lift = I."""
+    rows are the kernel basis of ``exactlin._null_space``.  ``lift``
+    (n x len(free)) holds the unit vectors at ``free``, so proj * lift = I."""
     basis, free = _null_space(span)
     f, n, d = span.field, span.cols, len(free)
     lift = [f.zero()] * (n * d)
     for t, c in enumerate(free):
         lift[c * d + t] = f.one()
     return basis.transpose(), Mat(f, n, d, tuple(lift)), free
-
-
-def _null_space(span: Mat):
-    """(basis, free): the kernel of ``span`` (r x n) as the columns of one
-    n x len(free) matrix, read off one rref.  Column t is 1 at the non-pivot
-    column free[t] and minus the reduced rows' entries there at the pivots,
-    so the basis is the identity at the rows ``free``; its columns are the
-    vectors of ``exactlin.kernel_basis``."""
-    red, pivots, free = _reduced_span(span)
-    f, n, d = span.field, span.cols, len(free)
-    zero, neg = f.zero(), f.neg
-    ent = [zero] * (n * d)
-    for t, c in enumerate(free):
-        ent[c * d + t] = f.one()
-    for i, c in enumerate(pivots):
-        row = red[i * n:(i + 1) * n]
-        ent[c * d:(c + 1) * d] = [neg(row[fc]) if row[fc] else zero for fc in free]
-    return Mat(f, n, d, tuple(ent)), free
-
-
-def _reduced_span(span: Mat):
-    """(rref entries, pivot columns, non-pivot columns) of ``span``; the
-    non-pivots are the generator columns of ``projective_cover``, which
-    needs no projection."""
-    if not span.rows:  # the zero subspace, as most radicals in a cover are
-        return (), (), list(range(span.cols))
-    red, _, pivots = rref(span)
-    pivset = set(pivots)
-    return red.entries, pivots, [c for c in range(span.cols) if c not in pivset]
 
 
 def _read_off_units(basis: Mat, units, image: Mat):
@@ -728,9 +694,8 @@ def cover_is_minimal(p: AlgMod, pi: ModMap) -> bool:
 # -- minimal resolutions -------------------------------------------------------
 #
 # pd, ext_dims and minimal_resolution read one sequence of syzygy steps
-# (P_i, pi_i, K_i, incl_i): pi_0: P_0 -> M and pi_i: P_i -> K_{i-1} are
-# minimal covers, incl_i: K_i -> P_i is the kernel of pi_i, and the sequence
-# ends at the first zero K_i.  The steps of the most recent module are kept
+# (P_i, pi_i, K_i, incl_i), ``bounds.syzygy_steps`` with ``projective_cover``
+# and ``kernel_of``.  The steps of the most recent module are kept
 # in ``_kept``, keyed by content: the algebra object, the dims and copies of
 # the arrow matrices, compared with ``==`` (which short-circuits on identical
 # Mat objects).  The key holds its own matrices, so a reused id cannot hit,
@@ -739,16 +704,6 @@ def cover_is_minimal(p: AlgMod, pi: ModMap) -> bool:
 # interrupted or races another keeps a consistent list of steps.
 
 _kept = None  # (algebra, dims, mats, steps) of the most recent module
-
-
-def _extend_steps(m: AlgMod, steps: list, n: int) -> list:
-    """Extend the syzygy steps of m in place to n steps, or up to the first
-    zero kernel, one ``projective_cover`` and one ``kernel_of`` per step."""
-    while len(steps) < n and not (steps and steps[-1][2].is_zero()):
-        p, pi = projective_cover(steps[-1][2] if steps else m)
-        k, incl = kernel_of(pi)
-        steps.append((p, pi, k, incl))
-    return steps
 
 
 def _kept_steps(m: AlgMod, n: int) -> list:
@@ -761,7 +716,7 @@ def _kept_steps(m: AlgMod, n: int) -> list:
         steps = got[3]
         if len(steps) >= n or steps[-1][2].is_zero():
             return steps
-    steps = _extend_steps(m, list(steps), n)
+    steps = syzygy_steps(m, list(steps), n, projective_cover, kernel_of)
     _kept = (m.algebra, dict(m.dims), dict(m.mats), steps)
     return steps
 
@@ -774,21 +729,12 @@ def _differentials(steps, n: int):
 
 
 def pd(m: AlgMod, cap: int = 20) -> Dim:
-    """Projective dimension by minimal syzygies, capped: the index of the
-    first zero kernel, ``Dim.at_least(cap)`` when none comes by step cap.
-    A negative cap raises ``QuivhomError``; the zero module has pd 0.
+    """Projective dimension by minimal syzygies, capped (``bounds.syzygy_pd``).
 
     Reads and extends the kept syzygy steps (see ``_kept``), so a later
     ``ext_dims`` or ``minimal_resolution`` of an equal module builds no
     cover again; one module's steps stay in memory until the next call."""
-    if cap < 0:
-        raise QuivhomError(f"cap must be at least 0, got {cap}")
-    if m.is_zero():
-        return Dim.finite(0)
-    steps = _kept_steps(m, cap + 1)
-    if len(steps) <= cap + 1 and steps[-1][2].is_zero():
-        return Dim.finite(len(steps) - 1)
-    return Dim.at_least(cap)
+    return syzygy_pd(m, cap, lambda n: _kept_steps(m, n))
 
 
 def gldim(a: BQA, cap: int = 20) -> Dim:
@@ -878,7 +824,7 @@ def pd_via_ext(m: AlgMod, cap: int = 20) -> Dim:
     if m.is_zero():
         return Dim.finite(0)
     a = m.algebra
-    res = _differentials(_extend_steps(m, [], cap + 2), cap + 2)
+    res = _differentials(syzygy_steps(m, [], cap + 2, projective_cover, kernel_of), cap + 2)
     # finite within the cap iff a kernel came out zero by step cap
     if len(res) > cap + 1 or not res[-1][2].source.is_zero():
         return Dim.at_least(cap)
@@ -1008,7 +954,8 @@ def _is_nilpotent(sc: SCAlgebra, vecs) -> bool:
                 p = sc.multiply(x, y)
                 if any(p):
                     nxt.append(p)
-        layer = [tuple(r) for r in row_space(sc.field, nxt).row_list()] if nxt else []
+        red, pivots, _ = _reduced_span(Mat.from_rows(sc.field, nxt))
+        layer = [red[i * sc.dim:(i + 1) * sc.dim] for i in range(len(pivots))]
     return not layer
 
 
@@ -1040,8 +987,8 @@ def radical_sc(sc: SCAlgebra):
             row.append(acc)
         rows.append(row)
     t = Mat.from_rows(f, rows) if n else Mat.zeros(f, 0, 0)
-    ker = kernel_basis(t)
-    rad = [tuple(v.column_vector()) for v in ker]
+    ker, free = _null_space(t)
+    rad = [ker.entries[j::len(free)] for j in range(len(free))]
     if rank(t) != n - len(rad):
         raise CompositionInconsistent("trace form rank inconsistent with its kernel")
     if not _is_nilpotent(sc, rad):

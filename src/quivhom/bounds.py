@@ -4,6 +4,13 @@
 means the computation was stopped with the value known to be ``>= c`` (it may
 be infinite).  Comparisons against a bound are three-valued: True, False, or
 None when the cap makes the question undecidable.
+
+Every projective dimension in the library is read off one syzygy loop,
+``syzygy_steps``, which takes the minimal cover and the kernel of its
+module kind as functions: the modules over a BQA (``algebra.pd``, which
+keeps its steps for ``ext_dims``, and the oracle ``algebra.pd_via_ext``),
+over a structure-constant algebra (``scmodule.pd_sc``) and the triples
+(``trimat.triple_pd``).
 """
 
 from __future__ import annotations
@@ -55,25 +62,31 @@ class Dim:
         return self.le(Dim.finite(bound))
 
 
-def syzygy_pd(m, cap: int, cover, kernel) -> Dim:
-    """Projective dimension of ``m`` by minimal syzygies, capped at ``cap``.
+def syzygy_steps(m, steps: list, n: int, cover, kernel) -> list:
+    """Extend the syzygy steps of ``m`` in place to n steps, or up to the
+    first zero kernel, and return them.  Step i is (P_i, pi_i, K_i, incl_i):
+    (P_i, pi_i) = cover(K_(i-1)), or cover(m) for i = 0, is a minimal cover
+    and (K_i, incl_i) = kernel(pi_i) its kernel."""
+    while len(steps) < n and not (steps and steps[-1][2].is_zero()):
+        p, pi = cover(steps[-1][2] if steps else m)
+        k, incl = kernel(pi)
+        steps.append((p, pi, k, incl))
+    return steps
 
-    Each step takes one cover ``(P, pi) = cover(current)`` and its kernel
-    ``(K, incl) = kernel(pi)``; the module is projective when it is zero or
-    its kernel is.  A negative cap raises ``QuivhomError``.  Shared by the
-    SC modules and the triples; modules over a BQA keep their steps for
-    ``ext_dims`` too (``algebra.pd``).
-    """
+
+def syzygy_pd(m, cap: int, steps) -> Dim:
+    """Projective dimension of ``m`` by minimal syzygies, capped at ``cap``:
+    the index of the first zero kernel among the first cap + 1 steps that
+    ``steps(cap + 1)`` returns (``syzygy_steps`` of m; later steps are not
+    read), ``Dim.at_least(cap)`` when none is zero.  A negative cap raises
+    ``QuivhomError``; the zero module has pd 0, and no step is asked for."""
     if cap < 0:
         raise QuivhomError(f"cap must be at least 0, got {cap}")
     if m.is_zero():
         return Dim.finite(0)
-    current = m
-    for i in range(cap + 1):
-        _, pi = cover(current)
-        current, _ = kernel(pi)
-        if current.is_zero():
-            return Dim.finite(i)
+    got = steps(cap + 1)[:cap + 1]
+    if got[-1][2].is_zero():
+        return Dim.finite(len(got) - 1)
     return Dim.at_least(cap)
 
 

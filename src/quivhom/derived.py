@@ -787,15 +787,13 @@ def _push(w, functor, old_gens, new_gens, gmap):
 # the two assembly theorems (upper-bound witnesses)
 
 
-def rep_complex_witness(x: Complex, base_generators, provider=None,
-                        shortcut: bool = True):
+def rep_complex_witness(x: Complex, base_generators, shortcut: bool = True):
     """Witness of depth <= 2n+2 over the pushed generators, for a complex of
-    representations; n+1 is the depth the provider achieves over the base."""
+    representations; n+1 is the depth ``semisimple_split`` achieves over the
+    base."""
     rcat = x.cat
     sample = x.objs[x.lo]
     q, a = sample.quiver, sample.algebra
-    if provider is None:
-        provider = lambda c: semisimple_split(c, base_generators)
     # one functor per vertex: the generators, the mid part at v and the shift
     # parts of the arrows into v share its image cache
     functors = {v: left_adjoint_functor(q, a, v) for v in q.vertices}
@@ -813,14 +811,14 @@ def rep_complex_witness(x: Complex, base_generators, provider=None,
     mid_parts = []
     for v in q.vertices:
         xv = evaluate_complex(x, v)
-        wv = provider(xv)
+        wv = semisimple_split(xv, base_generators)
         gmap = {j: gen_of[(v, j)] for j in range(len(base_generators))}
         mid_parts.append(pushforward_witness(wv, functors[v], base_generators, new_gens, gmap))
     mid = witness_direct_sum(rcat, mid_parts) if mid_parts else empty_leaf(rcat)
     shift_parts = []
     for arr in q.arrows:
         xs = shift_complex(evaluate_complex(x, arr.source), 1)
-        wv = provider(xs)
+        wv = semisimple_split(xs, base_generators)
         gmap = {j: gen_of[(arr.target, j)] for j in range(len(base_generators))}
         shift_parts.append(pushforward_witness(wv, functors[arr.target], base_generators,
                                                new_gens, gmap))
@@ -829,17 +827,12 @@ def rep_complex_witness(x: Complex, base_generators, provider=None,
     return node, new_gens
 
 
-def triple_complex_witness(x: Complex, r_generators, s_generators,
-                           provider_r=None, provider_s=None, shortcut: bool = True):
+def triple_complex_witness(x: Complex, r_generators, s_generators, shortcut: bool = True):
     """Witness for a complex of triples over k1(R-generators) + k2(S-generators)."""
     tcat = x.cat
     spec = x.objs[x.lo].spec
     rcat_ = sc_cat(spec.r)
     scat_ = sc_cat(spec.s)
-    if provider_r is None:
-        provider_r = lambda c: semisimple_split(c, r_generators)
-    if provider_s is None:
-        provider_s = lambda c: semisimple_split(c, s_generators)
     k1 = k1_functor(spec)
     k2 = k2_functor(spec)
     new_gens = []
@@ -864,14 +857,16 @@ def triple_complex_witness(x: Complex, r_generators, s_generators,
                      {i: x.objs[i].y for i in x.degrees()},
                      {i: scm.SCMap(x.objs[i].y, x.objs[i + 1].y, x.diffs[i].w)
                       for i in range(x.lo, x.hi)})
-    w_x = pushforward_witness(provider_r(x_cplx), k1, r_generators, new_gens, gmap_r)
-    w_y = pushforward_witness(provider_s(y_cplx), k2, s_generators, new_gens, gmap_s)
+    w_x = pushforward_witness(semisimple_split(x_cplx, r_generators), k1, r_generators,
+                              new_gens, gmap_r)
+    w_y = pushforward_witness(semisimple_split(y_cplx, s_generators), k2, s_generators,
+                              new_gens, gmap_s)
     mid = witness_direct_sum(tcat, [w_x, w_y])
     if not complexes_equal(mid.target, ses.b):
         raise QuivhomError("assembled middle differs from the triangle middle")
     # left term: transport the R-side witness through the tensor, re-anchor
     # its leaves in the S-generators, then push through k2; shift by 1
-    w_x2 = provider_r(shift_complex(x_cplx, 1))
+    w_x2 = semisimple_split(shift_complex(x_cplx, 1), r_generators)
     tens = tensor_functor(spec)
     try:
         w_t = _push(w_x2, tens, r_generators, r_generators,

@@ -32,12 +32,11 @@ from itertools import chain
 
 from . import repcat as rc
 from .algebra import SCAlgebra, _is_nilpotent
-from .bounds import Dim
 from .cats import Cat
 from .errors import CompositionInconsistent, IsoCheckFailed, NotSplit, QuivhomError
 from .exactlin import Mat, _kernel_blocks, rank, solve_matrix
 from .quiver import Quiver, concat, paths_between, subquiver, trivial_path
-from .scmodule import SCModule, gldim_sc, table_actions
+from .scmodule import SCModule, table_actions
 
 
 @dataclass
@@ -289,10 +288,6 @@ def _certify_radical(sc: SCAlgebra, blocks, parts):
                 raise NotSplit(f"radical of Hom(summand {i}, summand {j}) is not an ideal")
     if not _is_nilpotent(sc, sc.known_radical):
         raise NotSplit("the block radical is not nilpotent")
-
-
-def sc_gldim(e: EndAlgebra, cap: int = 20) -> Dim:
-    return gldim_sc(e.sc, cap)
 
 
 def hom_as_end_module(e: EndAlgebra, sources, targets) -> SCModule:

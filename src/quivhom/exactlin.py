@@ -1,7 +1,10 @@
 """Exact linear algebra over the rationals and prime fields.
 
 Everything downstream (Hom spaces, resolutions, rank certificates) reduces to
-the three kernels in this module: ``rref``, ``kernel_basis`` and ``solve``.
+one elimination, read in three ways: ``rref`` (with ``rank``), the reduced
+rows of a span with its pivot and non-pivot columns (``_reduced_span``), and
+the kernel basis that is the identity at the non-pivot rows
+(``_null_space``); ``solve_matrix`` eliminates an augmented matrix.
 Scalars are ``fractions.Fraction`` over the rationals and plain ``int``
 residues over a prime field.  Elimination uses first-nonzero pivoting, so all
 outputs are reproducible.  It touches only nonzero entries: zero tests are
@@ -435,28 +438,32 @@ def rank(m: Mat) -> int:
     return rref(m)[1]
 
 
-def kernel_basis(m: Mat):
-    """Basis of the right null space as a list of column vectors."""
-    r, rk, pivots = rref(m)
-    field = m.field
+def _reduced_span(span: Mat):
+    """(rref entries, pivot columns, non-pivot columns) of ``span``.  No rows
+    spans the zero subspace: every column is then a non-pivot, and nothing
+    is eliminated."""
+    if not span.rows:
+        return (), (), list(range(span.cols))
+    red, _, pivots = rref(span)
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [field.zero()] * m.cols
-        v[fc] = field.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(r.at(i, fc))
-        basis.append(Mat(field, m.cols, 1, tuple(v)))
-    return basis
+    return red.entries, pivots, [c for c in range(span.cols) if c not in pivset]
 
 
-def solve(a: Mat, b: Mat) -> Optional[Mat]:
-    """One exact solution of a x = b (b a column), or None if inconsistent."""
-    if b.cols != 1:
-        raise DimensionMismatch("rhs must be a column")
-    x = solve_matrix(a, b)
-    return x
+def _null_space(span: Mat):
+    """(basis, free): the kernel of ``span`` (r x n) as the columns of one
+    n x len(free) matrix, read off one rref.  Column t is 1 at the non-pivot
+    column free[t] and minus the reduced rows' entries there at the pivots,
+    so the basis is the identity at the rows ``free``."""
+    red, pivots, free = _reduced_span(span)
+    f, n, d = span.field, span.cols, len(free)
+    zero, neg = f.zero(), f.neg
+    ent = [zero] * (n * d)
+    for t, c in enumerate(free):
+        ent[c * d + t] = f.one()
+    for i, c in enumerate(pivots):
+        row = red[i * n:(i + 1) * n]
+        ent[c * d:(c + 1) * d] = [neg(row[fc]) if row[fc] else zero for fc in free]
+    return Mat(f, n, d, tuple(ent)), free
 
 
 def solve_matrix(a: Mat, b: Mat) -> Optional[Mat]:
@@ -526,18 +533,12 @@ def _commuting_rows(field: Field, shapes, constraints):
 
 
 def _kernel_blocks(field: Field, rows, shapes):
-    """Null space of ``rows``, each basis vector cut into the blocks of ``shapes``.
-
-    No rows means no constraint, so the basis is then the standard one.
-    """
+    """Null space of ``rows``, each basis vector cut into the blocks of ``shapes``."""
     total = sum(r * c for r, c in shapes)
-    if rows:
-        vecs = [k.entries for k in kernel_basis(Mat.from_rows(field, rows))]
-    else:
-        zero, one = field.zero(), field.one()
-        vecs = [[one if i == j else zero for i in range(total)] for j in range(total)]
+    basis, free = _null_space(Mat(field, len(rows), total, tuple(chain.from_iterable(rows))))
     out = []
-    for v in vecs:
+    for t in range(len(free)):
+        v = basis.entries[t::len(free)]
         blocks, at = [], 0
         for r, c in shapes:
             blocks.append(Mat(field, r, c, tuple(v[at:at + r * c])))

@@ -67,11 +67,6 @@ def make_quiver(vertices, arrows, require_acyclic: bool = True) -> Quiver:
     return Quiver(verts, tuple(arrs), topo)
 
 
-def validate(vertices, arrows) -> Quiver:
-    """Checked acyclic quiver with a cached topological order."""
-    return make_quiver(vertices, arrows, require_acyclic=True)
-
-
 def _topological_order(verts, arrs):
     indeg = {v: 0 for v in verts}
     for a in arrs:
@@ -235,18 +230,18 @@ def subquiver(q: Quiver, keep) -> Quiver:
 # -- stock quivers used across tests and the pipeline --------------------------
 
 def single_vertex() -> Quiver:
-    return validate(["1"], [])
+    return make_quiver(["1"], [])
 
 
 def a_n(n: int) -> Quiver:
     """Linear orientation 1 -> 2 -> ... -> n."""
     verts = [str(i) for i in range(1, n + 1)]
     arrs = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
-    return validate(verts, arrs)
+    return make_quiver(verts, arrs)
 
 
 def kronecker() -> Quiver:
-    return validate(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    return make_quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
 
 
 def d4(bits=(0, 0, 0)) -> Quiver:
@@ -263,7 +258,7 @@ def d4(bits=(0, 0, 0)) -> Quiver:
             arrs.append((f"a{i}", "c", str(i)))
         else:
             arrs.append((f"a{i}", str(i), "c"))
-    return validate(["1", "2", "3", "c"], arrs)
+    return make_quiver(["1", "2", "3", "c"], arrs)
 
 
 def d4_orientations():

@@ -41,7 +41,7 @@ from .bounds import Dim
 from .errors import NotGenCogen, QuivhomError
 from .exactlin import QQ
 from .quiver import Quiver, d4_orientations, is_type_An, sinks
-from .scmodule import is_projective_sc, pd_sc
+from .scmodule import gldim_sc, is_projective_sc, pd_sc
 
 
 @dataclass
@@ -176,7 +176,7 @@ def verify_proof_steps(xbar: XBar, e: endo.EndAlgebra, gamma: endo.EndAlgebra, n
         steps.append(StepResult("connecting_block_projective", True, "vacuous"))
 
     end_x2 = e.corner(i2)
-    g2 = endo.sc_gldim(end_x2, cap)
+    g2 = gldim_sc(end_x2.sc, cap)
     bound2 = n.add_const(2)
     steps.append(StepResult("gldim_end_x2_le_n_plus_2", g2.le(bound2),
                             f"gldim={g2} bound={bound2}"))
@@ -184,7 +184,7 @@ def verify_proof_steps(xbar: XBar, e: endo.EndAlgebra, gamma: endo.EndAlgebra, n
     pd12 = pd_sc(endo.hom_as_end_module(e, i1, i2), cap)
     steps.append(StepResult("pd_hom_x1_x2_le_2", pd12.le_const(2), f"pd={pd12}"))
 
-    g_sigma = endo.sc_gldim(e.triangular(i1, i2), cap)
+    g_sigma = gldim_sc(e.triangular(i1, i2).sc, cap)
     bound3 = n.add_const(3)
     steps.append(StepResult("gldim_sigma_le_n_plus_3", g_sigma.le(bound3),
                             f"gldim={g_sigma} bound={bound3}"))
@@ -222,13 +222,13 @@ class PipelineReport:
 
 def gldim_end_xbar(e: endo.EndAlgebra, cap: int = 20) -> Dim:
     """gl.dim End(X-bar), for ``e`` = :func:`end_xbar`."""
-    return endo.sc_gldim(e, cap)
+    return gldim_sc(e.sc, cap)
 
 
 def repdim_bound_report(q: Quiver, a, summands, cap: int = 20) -> PipelineReport:
     xbar = build_xbar(q, a, summands)
     gamma = endo.end_algebra(summands, cats.mod_cat(a))
-    n = endo.sc_gldim(gamma, cap)
+    n = gldim_sc(gamma.sc, cap)
     e = end_xbar(xbar)
     steps = verify_proof_steps(xbar, e, gamma, n, cap)
     g = gldim_end_xbar(e, cap)

@@ -15,6 +15,11 @@ on by a sub-table of the structure constants, and is grouped into an
 isomorphism class with the other columns so that duplicated idempotents are
 handled correctly.
 
+A submodule is read off the rows where its basis is the identity
+(``_restrict_sc``): a kernel takes the basis of ``exactlin._null_space``
+as it is, so each kernel is one elimination.  Projective dimensions read
+the syzygy steps of ``bounds.syzygy_steps``.
+
 Over a split algebra e_i kills every simple but the top S_i of Gamma*e_i, and
 e_i S_i is k, so the copies of S_i in M/JM are counted by dim e_i (M/JM) and
 a cover's generators are pivot columns: the columns of e_i acting on M that
@@ -27,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .algebra import (SCAlgebra, _column_basis, _null_space, _pivot_columns, _read_off_units,
-                      column_space, eval_path, quotient_by_rows, radical_sc, sc_of_bqa)
-from .bounds import Dim, dim_max, syzygy_pd
+from .algebra import (SCAlgebra, _pivot_columns, _read_off_units, column_space, eval_path,
+                      quotient_by_rows, radical_sc, sc_of_bqa)
+from .bounds import Dim, dim_max, syzygy_pd, syzygy_steps
 from .errors import CompositionInconsistent, DimensionMismatch, NotSplit, QuivhomError
-from .exactlin import Mat, _commuting_rows, _kernel_blocks, rank
+from .exactlin import Mat, _commuting_rows, _kernel_blocks, _null_space, rank
 
 
 @dataclass
@@ -147,22 +152,13 @@ def radical_of(sc: SCAlgebra):
     return radical_sc(sc)
 
 
-def submodule_from_columns(m: SCModule, cols: Mat):
-    """Restrict the module structure to the span of the given columns.
-
-    The span's basis is ``algebra.column_space``'s, the identity at its pivot
-    rows, so the restricted actions are those rows of [a_1 basis | ... |
-    a_d basis], and one product checks the other rows
-    (``algebra._read_off_units``)."""
-    sub, incl, _ = _submodule_sc(m, cols)
-    return sub, incl
-
-
-def _submodule_sc(m: SCModule, cols: Mat):
-    """``submodule_from_columns`` with the pivot rows where the inclusion is
-    the identity."""
+def _restrict_sc(m: SCModule, basis: Mat, units):
+    """(the submodule spanned by the columns of ``basis``, its inclusion),
+    for a basis that is the identity at the rows ``units``, as
+    ``exactlin._null_space`` and ``algebra._column_basis`` return them: the
+    restricted actions are those rows of [a_1 basis | ... | a_d basis], and
+    one product checks the other rows (``algebra._read_off_units``)."""
     f = m.sc.field
-    basis, units = _column_basis(f, [cols])
     x = _read_off_units(basis, units, Mat.hstack(f, [a.mul(basis) for a in m.action]))
     if x is None:
         raise QuivhomError("span is not action-stable")
@@ -171,7 +167,7 @@ def _submodule_sc(m: SCModule, cols: Mat):
                                                      for i in range(r))))
               for t in range(len(m.action))]
     sub = SCModule(m.sc, r, action)
-    return sub, SCMap(sub, m, basis), units
+    return sub, SCMap(sub, m, basis)
 
 
 def quotient_sc(m: SCModule, cols: Mat):
@@ -192,9 +188,9 @@ def radical_submodule_sc(m: SCModule):
 
 
 def kernel_of_sc(f_map: SCMap):
-    """Kernel submodule with its inclusion: the span of the kernel basis
-    (``algebra._null_space``) restricted by ``submodule_from_columns``."""
-    return submodule_from_columns(f_map.source, _null_space(f_map.mat)[0])
+    """Kernel submodule with its inclusion: the module restricted to the
+    kernel basis of ``exactlin._null_space``, one elimination."""
+    return _restrict_sc(f_map.source, *_null_space(f_map.mat))
 
 
 class ColumnData:
@@ -362,7 +358,7 @@ def is_projective_sc(m: SCModule) -> bool:
 
 
 def pd_sc(m: SCModule, cap: int = 20) -> Dim:
-    return syzygy_pd(m, cap, projective_cover_sc, kernel_of_sc)
+    return syzygy_pd(m, cap, lambda n: syzygy_steps(m, [], n, projective_cover_sc, kernel_of_sc))
 
 
 def gldim_sc(sc: SCAlgebra, cap: int = 20) -> Dim:

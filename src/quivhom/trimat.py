@@ -35,10 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import SCAlgebra, _null_space, _read_off_units, column_space, quotient_by_rows, sc_of_bqa
-from .bounds import Dim, dim_max, syzygy_pd
+from .algebra import SCAlgebra, _read_off_units, column_space, quotient_by_rows, sc_of_bqa
+from .bounds import Dim, dim_max, syzygy_pd, syzygy_steps
 from .errors import AlgebraMismatch, CompositionInconsistent, DimensionMismatch, QuivhomError
-from .exactlin import Mat, _commuting_rows, _kernel_blocks, rank, solve_matrix
+from .exactlin import Mat, _commuting_rows, _kernel_blocks, _null_space, rank, solve_matrix
 from . import scmodule as scm
 from .scmodule import ColumnData, SCModule, sum_sc
 
@@ -535,13 +535,15 @@ def triple_projective_cover(t: TripleModule):
 def triple_kernel(f_map: TripleMap):
     """(K, incl) for K = (ker u, ker w) with phi_K corestricted from phi:
     phi . (M (x) incl_X), the free columns of [psi_k . incl_X]_k, read off
-    the pivot rows where incl_Y is the identity (``_read_off_units``)."""
+    the non-pivot rows where the kernel basis incl_Y is the identity
+    (``_read_off_units``)."""
     s, t = f_map.source, f_map.target
     spec = s.spec
     kx, kx_incl = scm.kernel_of_sc(scm.SCMap(s.x, t.x, f_map.u))
-    ky, ky_incl, units = scm._submodule_sc(s.y, _null_space(f_map.w)[0])
+    basis, units = _null_space(f_map.w)
+    ky, ky_incl = scm._restrict_sc(s.y, basis, units)
     td_k = tensor_basis(spec, kx)
-    phi_k = _read_off_units(ky_incl.mat, units, s.psi_after(kx_incl.mat, td_k.free))
+    phi_k = _read_off_units(basis, units, s.psi_after(kx_incl.mat, td_k.free))
     if phi_k is None:
         raise CompositionInconsistent("kernel phi does not corestrict")
     k = TripleModule(spec, kx, ky, phi_k, td_k)
@@ -550,7 +552,7 @@ def triple_kernel(f_map: TripleMap):
 
 
 def triple_pd(t: TripleModule, cap: int = 20) -> Dim:
-    return syzygy_pd(t, cap, triple_projective_cover, triple_kernel)
+    return syzygy_pd(t, cap, lambda n: syzygy_steps(t, [], n, triple_projective_cover, triple_kernel))
 
 
 def simple_triples(spec: TriRingSpec):

@@ -18,7 +18,7 @@ from quivhom.errors import (
     RelationNotParallel,
     UnknownVertex,
 )
-from quivhom.exactlin import GF, QQ, Mat, kernel_basis, rank, rref, solve_matrix
+from quivhom.exactlin import GF, QQ, Mat, rank, rref, solve_matrix
 
 
 def kA2():
@@ -67,8 +67,8 @@ def test_relation_not_parallel():
 
 
 def test_commutative_square_with_relation():
-    q = qv.validate(["1", "2", "3", "4"],
-                    [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")])
+    q = qv.make_quiver(["1", "2", "3", "4"],
+                       [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")])
     ab = qv.Path("1", "4", ("a", "b"))
     cd = qv.Path("1", "4", ("c", "d"))
     a = alg.build_bqa(QQ, q, [[(1, ab), (-1, cd)]], 3)
@@ -167,7 +167,7 @@ def _hom_dim_oracle(m, n):
     if not blocks:
         return total
     big = Mat.vstack(f, blocks)
-    return len(kernel_basis(big))
+    return big.cols - rank(big)
 
 
 def test_hom_matches_kron_oracle_randomized():

@@ -39,7 +39,7 @@ def test_end_algebra_kA2_projectives():
     p2 = alg.projective_module(a, "2")
     e = endo.end_algebra([p1, p2], cat)
     assert e.dim == 3  # 1 + 1 + Hom(P1,P2)=0 + Hom(P2,P1)=1
-    assert endo.sc_gldim(e) == Dim.finite(1)
+    assert scm.gldim_sc(e.sc) == Dim.finite(1)
 
 
 def test_end_algebra_adjoint_summands():
@@ -59,7 +59,7 @@ def test_sc_gldim_auslander_of_dual_numbers():
     reg = alg.projective_module(d, "1")
     e = endo.end_algebra([simple, reg], cat)
     assert e.dim == 5  # End(k)+End(L)+Hom both ways = 1+2+1+1
-    assert endo.sc_gldim(e) == Dim.finite(2)  # Auslander algebra of k[x]/(x^2)
+    assert scm.gldim_sc(e.sc) == Dim.finite(2)  # Auslander algebra of k[x]/(x^2)
 
 
 def test_validate_summands():
@@ -593,14 +593,14 @@ def test_sigma_sub_table_against_the_triangular_ring(name):
                         scm.table_actions(e.sc, e.positions(x2, x2), m_pos),
                         scm.table_actions(e.sc, e.positions(x1, x1), m_pos, left=False))
     spec = tm.TriRingSpec(e.corner(x1).sc, e.corner(x2).sc, bimod, name="Sigma")
-    g_sigma = endo.sc_gldim(sigma)
+    g_sigma = scm.gldim_sc(sigma.sc)
     assert g_sigma == tm.trimat_gldim(spec)
     if name.startswith("single-vertex"):
         # X1 = X2 = k: the block Hom(X2, X1) = k is dropped, so Sigma is kA2,
         # while the corner End(X1 + X2) is the matrix ring M2(k)
         assert len(e.positions(x2, x1)) == 1
         assert g_sigma == Dim.finite(1)
-        assert endo.sc_gldim(e.corner(x1 + x2)) == Dim.finite(0)
+        assert scm.gldim_sc(e.corner(x1 + x2).sc) == Dim.finite(0)
     if e.cat.field.kind == "q":
         assert_radical_is_trace_form_radical(sigma)
 

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from quivhom.exactlin import GF, QQ, Field, Mat, inverse, kernel_basis, rank, rref, solve, solve_matrix
+from quivhom.exactlin import (GF, QQ, Field, Mat, _kernel_blocks, _null_space, _reduced_span, inverse, rank,
+                              rref, solve_matrix)
 from quivhom.errors import QuivhomError
 
 
@@ -42,9 +43,15 @@ def test_rref_rank_one():
     assert r.row_list() == [[1, 2], [0, 0]]
 
 
+def _kernel_columns(m):
+    """The columns of ``_null_space``'s basis, one Mat each."""
+    basis, free = _null_space(m)
+    return [basis.col(t) for t in range(len(free))]
+
+
 def test_kernel_identity_and_zero():
-    assert kernel_basis(Mat.identity(QQ, 3)) == []
-    ker = kernel_basis(Mat.zeros(QQ, 2, 3))
+    assert _kernel_columns(Mat.identity(QQ, 3)) == []
+    ker = _kernel_columns(Mat.zeros(QQ, 2, 3))
     assert len(ker) == 3
     for i, v in enumerate(ker):
         col = v.column_vector()
@@ -52,16 +59,16 @@ def test_kernel_identity_and_zero():
 
 
 def test_kernel_line():
-    (v,) = kernel_basis(M([[1, 1]]))
+    (v,) = _kernel_columns(M([[1, 1]]))
     a, b = v.column_vector()
     assert a + b == 0 and (a, b) != (0, 0)
 
 
 def test_solve_cases():
     b = Mat.column(QQ, [4, 5])
-    assert solve(Mat.identity(QQ, 2), b) == b
-    assert solve(M([[1], [0]]), Mat.column(QQ, [0, 1])) is None
-    x = solve(M([[2]]), Mat.column(QQ, [1]))
+    assert solve_matrix(Mat.identity(QQ, 2), b) == b
+    assert solve_matrix(M([[1], [0]]), Mat.column(QQ, [0, 1])) is None
+    x = solve_matrix(M([[2]]), Mat.column(QQ, [1]))
     assert x.column_vector() == [QQ.parse("1/2")]
 
 
@@ -77,7 +84,7 @@ def test_property_suite_rref_idempotent_and_rank_nullity():
         r, rk, piv = rref(m)
         r2, rk2, piv2 = rref(r)
         assert r2 == r and rk2 == rk and piv2 == piv
-        ker = kernel_basis(m)
+        ker = _kernel_columns(m)
         assert rk + len(ker) == cols
         for v in ker:
             assert m.mul(v).is_zero()
@@ -90,7 +97,7 @@ def test_property_solve_soundness():
         a = _random_matrix(rng, QQ, rows, cols)
         x0 = _random_matrix(rng, QQ, cols, 1)
         b = a.mul(x0)
-        x = solve(a, b)
+        x = solve_matrix(a, b)
         assert x is not None
         assert a.mul(x) == b
 
@@ -210,7 +217,7 @@ def test_sparse_elimination_matches_the_dense_one(field, monkeypatch):
         square = _random_matrix(rng, field, m.rows, m.rows)
 
         def answers():
-            return [rref(m), kernel_basis(m), solve_matrix(m, b), solve_matrix(m, consistent),
+            return [rref(m), _kernel_columns(m), solve_matrix(m, b), solve_matrix(m, consistent),
                     inverse(square), inverse(m)]
 
         got = answers()
@@ -223,3 +230,87 @@ def test_sparse_elimination_matches_the_dense_one(field, monkeypatch):
         assert got[3] is not None
         for x, x0 in zip(got[2:], refs[2:]):
             assert _exact(x) == _exact(x0)
+
+
+# -- the readers against the code they replaced ---------------------------------------
+
+def _kernel_basis(m):
+    """The kernel basis as a list of column vectors, one per non-pivot
+    column, as exactlin built it before ``_null_space``; kept as the
+    reference."""
+    r, rk, pivots = rref(m)
+    field = m.field
+    pivset = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivset]
+    basis = []
+    for fc in free:
+        v = [field.zero()] * m.cols
+        v[fc] = field.one()
+        for i, pc in enumerate(pivots):
+            v[pc] = field.neg(r.at(i, fc))
+        basis.append(Mat(field, m.cols, 1, tuple(v)))
+    return basis
+
+
+def _row_space(field, rows):
+    """The nonzero rows of the RREF, as the library built a row basis before
+    ``_reduced_span``; kept as the reference."""
+    m = Mat.from_rows(field, rows)
+    red, rk, _ = rref(m)
+    keep = red.row_list()[:rk]
+    if not keep:
+        return Mat.zeros(field, 0, m.cols)
+    return Mat.from_rows(field, keep)
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=["QQ", "GF2", "GF101"])
+
+
+@FIELDS
+def test_kernel_blocks_are_the_kernel_basis_vectors(field):
+    # every hom basis is _kernel_blocks: vector for vector the kernel basis,
+    # cut into blocks; no rows (Mat.zeros(field, 0, 4)) gives the standard basis
+    rng = random.Random(23 + (field.p or 0))
+    for m in _elimination_inputs(field, rng):
+        half = m.cols // 2
+        shapes = [(1, half), (m.cols - half, 1)]
+        got = _kernel_blocks(field, m.row_list(), shapes)
+        want = _kernel_basis(m)
+        assert [[(b.rows, b.cols) for b in blocks] for blocks in got] == [shapes] * len(want)
+        assert [tuple(x for b in blocks for x in b.entries) for blocks in got] \
+            == [v.entries for v in want]
+    zero, one = field.zero(), field.one()
+    got = _kernel_blocks(field, [], [(2, 3), (1, 2)])
+    assert [tuple(x for b in blocks for x in b.entries) for blocks in got] \
+        == [tuple(one if i == j else zero for i in range(8)) for j in range(8)]
+
+
+@FIELDS
+def test_null_space_is_the_identity_at_its_free_rows(field):
+    rng = random.Random(29 + (field.p or 0))
+    for m in _elimination_inputs(field, rng):
+        basis, free = _null_space(m)
+        pivots = rref(m)[2]
+        assert free == [c for c in range(m.cols) if c not in pivots]
+        assert [basis.col(t) for t in range(len(free))] == _kernel_basis(m)
+        assert Mat(field, len(free), len(free),
+                   tuple(basis.at(i, t) for i in free for t in range(len(free)))).is_identity()
+
+
+@FIELDS
+def test_reduced_span_is_the_row_space(field, monkeypatch):
+    from quivhom import exactlin
+
+    rng = random.Random(31 + (field.p or 0))
+    for m in _elimination_inputs(field, rng):
+        red, pivots, free = _reduced_span(m)
+        rk = len(pivots)
+        if m.rows:
+            assert Mat(field, rk, m.cols, red[:rk * m.cols]) == _row_space(field, m.row_list())
+        assert pivots == rref(m)[2]
+        assert sorted([*pivots, *free]) == list(range(m.cols)) and not set(pivots) & set(free)
+    # no rows spans the zero subspace: nothing is eliminated
+    calls = []
+    monkeypatch.setattr(exactlin, "rref", lambda m: calls.append(m))
+    assert _reduced_span(Mat.zeros(field, 0, 3)) == ((), (), [0, 1, 2])
+    assert calls == []

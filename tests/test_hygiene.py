@@ -93,8 +93,8 @@ def test_no_unreferenced_public_definitions():
 # gains a library reader or is gone, so that it is taken off the list.
 READ_ONLY_BY_TESTS = [
     "algebra.path_algebra", "algebra.map_from_projective", "algebra.cover_is_minimal",
-    "algebra.minimal_resolution", "exactlin.format", "exactlin.parse", "exactlin.solve",
-    "exactlin.inverse", "quiver.is_trivial", "quiver.single_vertex", "repcat.evaluate",
+    "algebra.minimal_resolution", "exactlin.format", "exactlin.parse",
+    "exactlin.inverse", "quiver.is_trivial", "repcat.evaluate",
     "repcat.adjunction_check", "repcat.rep_hom_dim", "repcat.rep_pd", "repcat.rep_simple",
     "repcat.gldim_pathalgebra", "repdim.is_gen_cogen", "repdim.to_json_dict",
     "repdim.d4_orientation_projectivity_sweep", "scmodule.regular_module",
@@ -143,7 +143,8 @@ def test_repcat_has_no_solver_of_its_own():
     tree = ast.parse((SRC / "repcat.py").read_text(encoding="utf-8"))
     imported = {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                 for alias in n.names}
-    found = sorted(imported & {"_commuting_rows", "_kernel_blocks", "kernel_basis", "syzygy_pd"})
+    found = sorted(imported & {"_commuting_rows", "_kernel_blocks", "kernel_basis", "syzygy_pd",
+                               "_null_space", "_reduced_span", "syzygy_steps"})
     assert not found, "repcat imports solver internals: " + ", ".join(found)
 
 
@@ -190,7 +191,7 @@ def test_submodules_are_read_off_unit_rows():
     # paths: none of them solves a system or builds a full path matrix
     pins = {"algebra.py": ("kernel_of", "projective_cover", "map_from_projective",
                            "_push_along_paths", "_read_off_units"),
-            "scmodule.py": ("submodule_from_columns", "_submodule_sc"),
+            "scmodule.py": ("_restrict_sc", "kernel_of_sc"),
             "trimat.py": ("triple_kernel",)}
     found = []
     for name, pinned in pins.items():
@@ -199,6 +200,34 @@ def test_submodules_are_read_off_unit_rows():
         for fn in pinned:
             bad = _referenced_names(defs[fn]) & {"solve_matrix", "eval_path"}
             found += [f"{name}: {fn} refers to {b}" for b in sorted(bad)]
+    assert not found, "\n".join(found)
+
+
+def _called_names(node):
+    return {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            for n in ast.walk(node) if isinstance(n, ast.Call)} - {None}
+
+
+def _syzygy_loops(tree):
+    """Functions of ``tree`` with a loop that calls both a cover and a kernel."""
+    return sorted({fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.While))
+                   for called in [_called_names(loop)]
+                   if any("cover" in c for c in called) and any("kernel" in c for c in called)})
+
+
+def test_one_reader_per_elimination_and_one_syzygy_loop():
+    # exactlin alone reads an elimination as a null space or a row-reduced
+    # span, and bounds alone steps through syzygies: every other module
+    # calls these instead of keeping a copy
+    readers = {"_null_space", "_reduced_span", "kernel_basis", "row_space"}
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    found = sorted(f"{name}: defines {n.name}" for name, tree in trees.items()
+                   if name != "exactlin.py" for n in ast.walk(tree)
+                   if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name in readers)
+    found += sorted(f"{name}: {fn} steps through syzygies" for name, tree in trees.items()
+                    if name != "bounds.py" for fn in _syzygy_loops(tree))
+    assert _syzygy_loops(trees["bounds.py"]) == ["syzygy_steps"]  # the pin sees the loop
     assert not found, "\n".join(found)
 
 

@@ -12,19 +12,19 @@ def test_validate_a2():
 
 def test_loop_rejected():
     with pytest.raises(CycleFound) as err:
-        qv.validate(["v"], [("l", "v", "v")])
+        qv.make_quiver(["v"], [("l", "v", "v")])
     assert "v" in str(err.value)
 
 
 def test_two_cycle_named():
     with pytest.raises(CycleFound) as err:
-        qv.validate(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+        qv.make_quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
     assert "1" in str(err.value) and "2" in str(err.value)
 
 
 def test_duplicate_vertex():
     with pytest.raises(DuplicateVertexId):
-        qv.validate(["1", "1"], [])
+        qv.make_quiver(["1", "1"], [])
 
 
 def test_kronecker_valid():
@@ -67,7 +67,7 @@ def test_sinks_sources():
 def test_is_type_an():
     assert qv.is_type_An(qv.a_n(2))
     assert qv.is_type_An(qv.single_vertex())
-    assert qv.is_type_An(qv.validate(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")]))
+    assert qv.is_type_An(qv.make_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")]))
     assert not qv.is_type_An(qv.d4((0, 0, 0)))
     assert not qv.is_type_An(qv.kronecker())
 

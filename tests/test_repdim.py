@@ -202,7 +202,7 @@ def test_gldim_end_xbar_permutation_and_duplicate():
     rcat = cats.rep_cat(xbar.quiver, k)
     summands = xbar.all_summands()
     for reordered in (summands[::-1], summands + [summands[1]]):
-        assert endo.sc_gldim(endo.end_algebra(reordered, rcat)) == base
+        assert scm.gldim_sc(endo.end_algebra(reordered, rcat).sc) == base
 
 
 def test_orientation_sweep():

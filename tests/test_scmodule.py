@@ -11,7 +11,7 @@ from quivhom import repdim
 from quivhom import scmodule as scm
 from quivhom.bounds import Dim
 from quivhom.errors import NotSplit, QuivhomError
-from quivhom.exactlin import GF, QQ, Mat, rank, solve_matrix
+from quivhom.exactlin import GF, QQ, Mat, rank, rref, solve_matrix
 
 
 def sc_kA2():
@@ -154,6 +154,16 @@ def test_simple_top_is_computed_once():
 
 # -- cover generators against the greedy orbit search they replace -----------------
 
+def _row_space(field, rows):
+    """The nonzero rows of the RREF of ``rows``, as one matrix."""
+    m = Mat.from_rows(field, rows)
+    red, rk, _ = rref(m)
+    keep = red.row_list()[:rk]
+    if not keep:
+        return Mat.zeros(field, 0, m.cols)
+    return Mat.from_rows(field, keep)
+
+
 def _greedy_cover_generators(m, cd):
     """Reference: per class, the first columns of e_i acting on M whose images
     in M/JM leave the span of the Gamma-orbits of the generators chosen so
@@ -176,7 +186,7 @@ def _greedy_cover_generators(m, cd):
             gens.append(e_act.col(j))
             rows = reached.row_list() + [proj.mul(a).mul(e_act.col(j)).column_vector()
                                          for a in m.action]
-            reached = alg.row_space(f, rows)
+            reached = _row_space(f, rows)
     assert reached.rows == proj.rows
     return pieces, gens
 
@@ -212,7 +222,7 @@ def _test_modules(sc, cd):
     reg = scm.regular_module(sc)
     cols = [col for col, _ in cd.columns]
     tops = [cd.simple_top(i) for i in range(len(cols))]
-    rad, _ = scm.submodule_from_columns(reg, scm.radical_submodule_sc(reg))
+    rad, _ = scm._restrict_sc(reg, *alg._column_basis(sc.field, [scm.radical_submodule_sc(reg)]))
     sums = [scm.sum_sc(sc, [cols[0], tops[-1], tops[0]]), scm.sum_sc(sc, tops + tops[:1])]
     syz = [scm.kernel_of_sc(scm.projective_cover_sc(t)[1])[0] for t in tops]
     return [reg, rad] + cols + tops + sums + syz
@@ -389,7 +399,8 @@ def test_basis_not_adapted_to_the_idempotents_is_not_split():
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
 def test_submodule_from_columns_solves_nothing(field, monkeypatch):
-    # the actions are read off the pivot rows of the span's RREF basis
+    # restricted to a span, the actions are read off the pivot rows of the
+    # span's RREF basis
     calls = []
     real_solve = exactlin.solve_matrix
 
@@ -404,7 +415,7 @@ def test_submodule_from_columns_solves_nothing(field, monkeypatch):
             for mod in (exactlin, alg):
                 monkeypatch.setattr(mod, "solve_matrix", counting)
             calls.clear()
-            sub, incl = scm.submodule_from_columns(m, cols)
+            sub, incl = scm._restrict_sc(m, *alg._column_basis(field, [cols]))
             monkeypatch.undo()
             assert calls == []
             assert incl.mat == cols and sub.check()

@@ -2,9 +2,12 @@
 
 Covers, maps from projectives, kernels and resolution steps are compared,
 entry for entry, with the formulas they replace: a full path matrix per
-path (``eval_path``) and one solve per arrow (``solve_matrix``), kept here
-as the oracle.  The error paths that the unit-row reader keeps are checked
-over QQ and GF(101).
+path (``eval_path``), a kernel basis built vector by vector and one solve
+per arrow (``solve_matrix``), kept here as the oracle.  The error paths
+that the unit-row reader keeps are checked over QQ and GF(101), and so is
+the cost of a kernel over a structure-constant algebra or of a triple: one
+elimination per nonzero side, and pd read off the same steps as the loop
+that stopped at the first zero kernel.
 """
 
 import random
@@ -12,11 +15,13 @@ import random
 import pytest
 
 from quivhom import algebra as alg
+from quivhom import exactlin
 from quivhom import quiver as qv
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
+from quivhom.bounds import Dim
 from quivhom.errors import CompositionInconsistent, QuivhomError
-from quivhom.exactlin import GF, QQ, Mat, kernel_basis, solve_matrix
+from quivhom.exactlin import GF, QQ, Mat, rank, rref, solve_matrix
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
 
@@ -92,12 +97,29 @@ def _cover_by_eval_path(m):
                                         else Mat.zeros(f, m.dims[w], 0) for w in verts})
 
 
+def _kernel_basis(m):
+    """The kernel basis as a list of column vectors, one per non-pivot
+    column of the RREF."""
+    r, rk, pivots = rref(m)
+    field = m.field
+    pivset = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivset]
+    basis = []
+    for fc in free:
+        v = [field.zero()] * m.cols
+        v[fc] = field.one()
+        for i, pc in enumerate(pivots):
+            v[pc] = field.neg(r.at(i, fc))
+        basis.append(Mat(field, m.cols, 1, tuple(v)))
+    return basis
+
+
 def _kernel_by_solve(g):
-    """kernel_basis per vertex, one augmented solve per arrow."""
+    """``_kernel_basis`` per vertex, one augmented solve per arrow."""
     a, f = g.source.algebra, g.source.algebra.field
     kb = {}
     for v in a.quiver.vertices:
-        vecs = kernel_basis(g.mats[v])
+        vecs = _kernel_basis(g.mats[v])
         kb[v] = Mat.hstack(f, vecs) if vecs else Mat.zeros(f, g.source.dims[v], 0)
     mats = {}
     for arr in a.quiver.arrows:
@@ -177,7 +199,7 @@ def test_submodule_from_columns_refuses_an_unstable_span(field):
     reg = scm.regular_module(sc)
     e1 = Mat.column(field, sc.idempotents[0])
     with pytest.raises(QuivhomError, match="not action-stable"):
-        scm.submodule_from_columns(reg, e1)
+        scm._restrict_sc(reg, *alg._column_basis(field, [e1]))
 
 
 @FIELDS
@@ -190,3 +212,112 @@ def test_triple_kernel_refuses_a_phi_that_does_not_corestrict(field):
     t = tm.TripleModule(spec, x, y, Mat.identity(field, 1))
     with pytest.raises(CompositionInconsistent, match="corestrict"):
         tm.triple_kernel(tm.TripleMap(t, t, Mat.zeros(field, 1, 1), Mat.identity(field, 1)))
+
+
+# -- kernels and pd over structure-constant algebras and triples ---------------------------
+
+def _sc_modules(sc):
+    cd = scm.column_data(sc)
+    cols = [col for col, _ in cd.columns]
+    tops = [cd.simple_top(i) for i in range(len(cols))]
+    return [scm.zero_sc_module(sc), scm.regular_module(sc), *cols, *tops,
+            scm.sum_sc(sc, tops + cols[:1])]
+
+
+def _triples(spec):
+    cd_r, cd_s = spec.coldata_r(), spec.coldata_s()
+    simples = [t for _, _, t in tm.simple_triples(spec)]
+    projs = ([tm.e1_lambda(spec, col) for col, _ in cd_r.columns]
+             + [tm.e2_lambda(spec, col) for col, _ in cd_s.columns])
+    return [tm.zero_triple(spec), *simples, *projs, tm.triple_sum(spec, simples + projs[:1])]
+
+
+SC_TEMPLATES = ["kA3", "dual", "A4/rad2", "N(3,2)", "D4"]
+
+
+def _count_rrefs(monkeypatch):
+    """Count every rref, whichever module's name for it is called."""
+    calls = []
+
+    def counting(m):
+        calls.append((m.rows, m.cols))
+        return rref(m)
+
+    for mod in (exactlin, alg):
+        monkeypatch.setattr(mod, "rref", counting)
+    return calls
+
+
+@FIELDS
+@pytest.mark.parametrize("name", SC_TEMPLATES)
+def test_sc_kernels_eliminate_once_per_nonzero_side(field, name, monkeypatch):
+    # the kernel basis of _null_space is restricted as it is: no second rref
+    # of the same span; a map into zero eliminates nothing
+    sc = alg.sc_of_bqa(TEMPLATES[name](field))
+    maps = [scm.projective_cover_sc(m)[1] for m in _sc_modules(sc)]
+    calls = _count_rrefs(monkeypatch)
+    twice_before = 0
+    for pi in maps:
+        calls.clear()
+        k, incl = scm.kernel_of_sc(pi)
+        assert len(calls) == (1 if pi.mat.rows else 0)
+        assert incl.is_valid() and pi.mat.mul(incl.mat).is_zero() and k.check()
+        assert k.dim == pi.mat.cols - rank(pi.mat)
+        twice_before += bool(pi.mat.rows and k.dim)
+    assert twice_before  # kernels that took a second rref of their basis
+
+
+@FIELDS
+@pytest.mark.parametrize("name", ["kA2", "dual", "A4/rad2"])
+def test_triple_kernels_eliminate_once_per_nonzero_side(field, name, monkeypatch):
+    # beyond the tensor of ker u, one rref per side: ker u and ker w
+    spec = tm.t2_spec(TEMPLATES[name](field))
+    covers = [tm.triple_projective_cover(t)[1] for t in _triples(spec)]
+    calls = _count_rrefs(monkeypatch)
+    both_sides = 0
+    for pi in covers:
+        calls.clear()
+        k, incl = tm.triple_kernel(pi)
+        made = len(calls)
+        calls.clear()
+        tm.tensor_basis(spec, k.x)
+        assert made - len(calls) == bool(pi.u.rows) + bool(pi.w.rows)
+        assert incl.is_valid() and k.check()
+        both_sides += bool(k.x.dim and k.y.dim)
+    assert both_sides
+
+
+def _pd_by_loop(m, cap, cover, kernel):
+    """pd as the loop that kept no steps computed it: one cover and one
+    kernel per step, stopping at the first zero kernel."""
+    if m.is_zero():
+        return Dim.finite(0)
+    current = m
+    for i in range(cap + 1):
+        _, pi = cover(current)
+        current, _ = kernel(pi)
+        if current.is_zero():
+            return Dim.finite(i)
+    return Dim.at_least(cap)
+
+
+@FIELDS
+def test_pd_of_sc_modules_and_triples_agrees_with_the_loop(field):
+    # zero modules, pd hitting the cap (dual numbers, the self-injective
+    # Nakayama algebra) and finite pd
+    seen = set()
+    for name in SC_TEMPLATES:
+        sc = alg.sc_of_bqa(TEMPLATES[name](field))
+        for m in _sc_modules(sc):
+            for cap in (0, 1, 3):
+                got = scm.pd_sc(m, cap)
+                assert got == _pd_by_loop(m, cap, scm.projective_cover_sc, scm.kernel_of_sc)
+                seen.add((m.is_zero(), got.exact))
+    for name in ("kA2", "dual", "A4/rad2"):
+        spec = tm.t2_spec(TEMPLATES[name](field))
+        for t in _triples(spec):
+            for cap in (0, 1, 3):
+                got = tm.triple_pd(t, cap)
+                assert got == _pd_by_loop(t, cap, tm.triple_projective_cover, tm.triple_kernel)
+                seen.add((t.is_zero(), got.exact))
+    assert seen == {(True, True), (False, True), (False, False)}
