@@ -332,13 +332,7 @@ class ModMap:
         self.mats = mats
 
     def is_valid(self) -> bool:
-        s, t = self.source, self.target
-        for a in s.algebra.quiver.arrows:
-            lhs = self.mats[a.target].mul(s.mats[a.name])
-            rhs = t.mats[a.name].mul(self.mats[a.source])
-            if lhs != rhs:
-                return False
-        return True
+        return _is_linear(self.source, self.target, self.mats)
 
     def compose(self, other: "ModMap") -> "ModMap":
         """self o other."""
@@ -362,6 +356,15 @@ class ModMap:
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.mats.values())
+
+
+def _is_linear(s: AlgMod, t: AlgMod, mats) -> bool:
+    """The blocks ``mats``, one per vertex, commute with every arrow: the
+    equations of a module map s -> t."""
+    for a in s.algebra.quiver.arrows:
+        if mats[a.target].mul(s.mats[a.name]) != t.mats[a.name].mul(mats[a.source]):
+            return False
+    return True
 
 
 def identity_map(m: AlgMod) -> ModMap:
@@ -824,9 +827,10 @@ def pd_via_ext(m: AlgMod, cap: int = 20) -> Dim:
     if m.is_zero():
         return Dim.finite(0)
     a = m.algebra
-    res = _differentials(syzygy_steps(m, [], cap + 2, projective_cover, kernel_of), cap + 2)
-    # finite within the cap iff a kernel came out zero by step cap
-    if len(res) > cap + 1 or not res[-1][2].source.is_zero():
+    res = _differentials(syzygy_steps(m, [], cap + 1, projective_cover, kernel_of), cap + 1)
+    # finite within the cap iff a kernel came out zero by step cap; a
+    # finite resolution ends there, so no later step is needed for Ext
+    if not res[-1][2].source.is_zero():
         return Dim.at_least(cap)
     best = 0
     for v in a.quiver.vertices:
@@ -989,8 +993,6 @@ def radical_sc(sc: SCAlgebra):
     t = Mat.from_rows(f, rows) if n else Mat.zeros(f, 0, 0)
     ker, free = _null_space(t)
     rad = [ker.entries[j::len(free)] for j in range(len(free))]
-    if rank(t) != n - len(rad):
-        raise CompositionInconsistent("trace form rank inconsistent with its kernel")
     if not _is_nilpotent(sc, rad):
         raise CompositionInconsistent("trace-form kernel is not nilpotent")
     return rad

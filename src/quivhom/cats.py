@@ -10,9 +10,10 @@ End algebras and Hom modules from ``hom_basis``, ``compose`` and
 ``flatten_map``.
 
 Representations are modules over the bound quiver algebra Lambda Q
-(``repcat.path_algebra_over``): ``rep_cat`` takes hom bases, kernels,
-quotients, validity and equality from ``algebra`` on that algebra, and places
-direct sums and block maps vertex by vertex.
+(``repcat.path_algebra_over``): ``rep_cat`` takes hom bases, kernels and
+quotients from ``algebra`` on that algebra, and checks maps, compares objects
+and places direct sums and block maps vertex by vertex, on the same
+equations and matrices.
 
 Triples (``triple_cat``) go through M's action psi_k = phi(m_k (x) -) :
 X -> Y (``trimat.TripleModule.psi``): morphisms are checked and solved by
@@ -34,7 +35,9 @@ The split helpers ``section``, ``retraction`` and ``split_into`` are the one
 place that answers "is X in add(Y)?" (is X a direct factor of a sum of copies
 of the given objects?) for every category: the generator-cogenerator checks
 of ``repdim`` and the leaves of the witness calculus in ``derived`` both call
-them.
+them.  A section or retraction of g is solved over a hom basis, and the
+composites of g with all basis maps come from one matrix product per key
+(``_one_sided_inverse``): no morphism is composed.
 """
 
 from __future__ import annotations
@@ -135,33 +138,56 @@ class Cat:
 
     # -- split tests ------------------------------------------------------------------
 
-    def combine(self, src, dst, basis, coeffs):
-        """The linear combination sum c.b : src -> dst of maps in ``basis``."""
-        zero = self.field.zero()
-        out = self.zero_map(src, dst)
-        for c, b in zip(coeffs, basis):
-            if c != zero:
-                out = self.add_map(out, self.scale_map(b, c))
-        return out
+    def _one_sided_inverse(self, g, section):
+        """h : B -> A with g o h = id_B (a section) or h o g = id_A (a
+        retraction) for g : A -> B, solved over a basis h_1, ..., h_n of
+        Hom(B, A); None when there is none.
 
-    def _one_sided_inverse(self, src, dst, side, ident):
-        """g : src -> dst with side(g) = id_ident, solved over Hom(src, dst), or None."""
+        The composites of g with all the basis maps come from one product
+        per key, and the system has a column per basis map, holding its
+        composite key by key in ``flatten_map``'s order.  The answer is
+        placed key by key as the solution's combination of the basis
+        blocks."""
+        src, dst = g.target, g.source
+        ident = src if section else dst
         basis = self.hom_basis(src, dst)
         if not basis:
             return self.zero_map(src, dst) if self.total_dim(ident) == 0 else None
         f = self.field
-        cols = [Mat.column(f, self.flatten_map(side(b))) for b in basis]
-        rhs = Mat.column(f, self.flatten_map(self.identity(ident)))
-        sol = solve_matrix(Mat.hstack(f, cols), rhs)
-        return None if sol is None else self.combine(src, dst, basis, sol.column_vector())
+        gm, hm = self.map_mats(g), [self.map_mats(h) for h in basis]
+        cols, rhs = [[] for _ in basis], []
+        for k in sorted(self.keys(ident), key=str):
+            d = self.comp_dim(ident, k)
+            hs = [m[k] for m in hm]
+            if section:  # column block i of g_k . [h_1 | ... | h_n] is g_k . h_i
+                p = gm[k].mul(Mat.hstack(f, hs))
+                comps = [p.col_block(i * d, (i + 1) * d) for i in range(len(hs))]
+            else:  # row block i of [h_1; ...; h_n] . g_k is h_i . g_k
+                p = Mat.vstack(f, hs).mul(gm[k])
+                comps = [p.row_block(i * d, (i + 1) * d) for i in range(len(hs))]
+            for col, c in zip(cols, comps):
+                col.extend(c.entries)
+            rhs.extend(Mat.identity(f, d).entries)
+        sol = solve_matrix(Mat.hstack(f, [Mat.column(f, c) for c in cols]), Mat.column(f, rhs))
+        if sol is None:
+            return None
+        zero, coeffs = f.zero(), sol.column_vector()
+        mats = {}
+        for k in self.keys(src):
+            acc = Mat.zeros(f, self.comp_dim(dst, k), self.comp_dim(src, k))
+            for c, m in zip(coeffs, hm):
+                if c != zero:
+                    acc = acc.add(m[k].scale(c))
+            mats[k] = acc
+        return self.map_from_mats(src, dst, mats)
 
     def section(self, u):
         """s with u o s = id, or None when u does not split."""
-        return self._one_sided_inverse(u.target, u.source, lambda s: self.compose(u, s), u.target)
+        return self._one_sided_inverse(u, section=True)
 
     def retraction(self, i):
         """r with r o i = id, or None when i does not split."""
-        return self._one_sided_inverse(i.target, i.source, lambda r: self.compose(r, i), i.source)
+        return self._one_sided_inverse(i, section=False)
 
     def split_into(self, obj, summands):
         """obj as a direct factor of a sum of summands: (pieces, total, section, u).
@@ -255,7 +281,8 @@ def rep_cat(q, a) -> Cat:
         hom_basis=rc.rep_hom_basis,
         kernel=rc.rep_kernel,
         quotient=quotient,
-        obj_equal=lambda x, y: rc.as_module(x) == rc.as_module(y),
+        obj_equal=lambda x, y: x.mods == y.mods and all(
+            x.maps[c.name].mats == y.maps[c.name].mats for c in q.arrows),
         is_semisimple_base=lambda: a.is_semisimple(),
     )
 

@@ -446,6 +446,33 @@ def semisimple_split(x: Complex, generators) -> Leaf:
                 from_replaced=ChainMap(hcx, x, g_comps))
 
 
+def shift_leaf(w: Leaf, k: int) -> Leaf:
+    """The leaf w of X, shifted: a leaf of X[k] with entries (g, s + k).
+
+    Its target, replacement and expression are those of w shifted by k, each
+    built once and shared by every map that runs between them, so ``_same``
+    matches them by identity; the maps keep w's components, re-indexed, as
+    ``shift_chain_map`` does.  An empty expression stays the zero complex in
+    degree 0, where ``_split_degreewise`` puts it.  For a leaf of
+    ``semisimple_split`` this is ``semisimple_split`` of X[k], matrix for
+    matrix: d and -d have the same rref, so the kernels, images, quotients
+    and splits of X[k] are those of X, and only the target's differentials
+    change sign (for odd k)."""
+    target = shift_complex(w.target, k)
+    x_prime = target if w.replaced is None else shift_complex(w.replaced, k)
+    expr = shift_complex(w.incl.target, k) if w.entries else w.incl.target
+
+    def moved(f, src, dst):
+        return ChainMap(src, dst, {i - k: m for i, m in f.comps.items()})
+
+    entries = [(g, s + k) for g, s in w.entries]
+    incl, retr = moved(w.incl, x_prime, expr), moved(w.retr, expr, x_prime)
+    if w.replaced is None:
+        return Leaf(target, entries, incl, retr)
+    return Leaf(target, entries, incl, retr, x_prime,
+                moved(w.to_replaced, target, x_prime), moved(w.from_replaced, x_prime, target))
+
+
 def try_leaf(x: Complex, generators):
     """Direct split of x into shifted generators, as a chain-level factor.
 
@@ -790,7 +817,14 @@ def _push(w, functor, old_gens, new_gens, gmap):
 def rep_complex_witness(x: Complex, base_generators, shortcut: bool = True):
     """Witness of depth <= 2n+2 over the pushed generators, for a complex of
     representations; n+1 is the depth ``semisimple_split`` achieves over the
-    base."""
+    base.
+
+    The node is the standard triangle.  Its mid part pushes the split of
+    each vertex complex X_v through e^v_lambda, and its shift part the split
+    of X_{s(a)}[1] through e^{t(a)}_lambda for each arrow a.  Each X_v is
+    split once: the shift part of a is ``shift_leaf`` of the leaf at s(a),
+    whose objects are the leaf's own, so the functor at t(a) builds their
+    images once for all arrows from s(a) to t(a)."""
     rcat = x.cat
     sample = x.objs[x.lo]
     q, a = sample.quiver, sample.algebra
@@ -808,19 +842,18 @@ def rep_complex_witness(x: Complex, base_generators, shortcut: bool = True):
         if leaf is not None:
             return leaf, new_gens
     ses = rep_standard_triangle(x)
+    leaves = {v: semisimple_split(evaluate_complex(x, v), base_generators) for v in q.vertices}
     mid_parts = []
     for v in q.vertices:
-        xv = evaluate_complex(x, v)
-        wv = semisimple_split(xv, base_generators)
         gmap = {j: gen_of[(v, j)] for j in range(len(base_generators))}
-        mid_parts.append(pushforward_witness(wv, functors[v], base_generators, new_gens, gmap))
+        mid_parts.append(pushforward_witness(leaves[v], functors[v], base_generators, new_gens,
+                                             gmap))
     mid = witness_direct_sum(rcat, mid_parts) if mid_parts else empty_leaf(rcat)
     shift_parts = []
     for arr in q.arrows:
-        xs = shift_complex(evaluate_complex(x, arr.source), 1)
-        wv = semisimple_split(xs, base_generators)
         gmap = {j: gen_of[(arr.target, j)] for j in range(len(base_generators))}
-        shift_parts.append(pushforward_witness(wv, functors[arr.target], base_generators,
+        shift_parts.append(pushforward_witness(shift_leaf(leaves[arr.source], 1),
+                                               functors[arr.target], base_generators,
                                                new_gens, gmap))
     sh = witness_direct_sum(rcat, shift_parts) if shift_parts else empty_leaf(rcat)
     node = Node(x, ses, mid, sh)
@@ -828,7 +861,13 @@ def rep_complex_witness(x: Complex, base_generators, shortcut: bool = True):
 
 
 def triple_complex_witness(x: Complex, r_generators, s_generators, shortcut: bool = True):
-    """Witness for a complex of triples over k1(R-generators) + k2(S-generators)."""
+    """Witness for a complex of triples over k1(R-generators) + k2(S-generators).
+
+    The node is the triangular-ring triangle.  Its mid part pushes the
+    splits of the X- and Y-complexes through k1 and k2; its shift part
+    transports the X-split shifted by 1 (``shift_leaf``, no second split)
+    through M (x) -, re-anchors it in the S-generators and pushes it
+    through k2."""
     tcat = x.cat
     spec = x.objs[x.lo].spec
     rcat_ = sc_cat(spec.r)
@@ -857,8 +896,8 @@ def triple_complex_witness(x: Complex, r_generators, s_generators, shortcut: boo
                      {i: x.objs[i].y for i in x.degrees()},
                      {i: scm.SCMap(x.objs[i].y, x.objs[i + 1].y, x.diffs[i].w)
                       for i in range(x.lo, x.hi)})
-    w_x = pushforward_witness(semisimple_split(x_cplx, r_generators), k1, r_generators,
-                              new_gens, gmap_r)
+    leaf_x = semisimple_split(x_cplx, r_generators)
+    w_x = pushforward_witness(leaf_x, k1, r_generators, new_gens, gmap_r)
     w_y = pushforward_witness(semisimple_split(y_cplx, s_generators), k2, s_generators,
                               new_gens, gmap_s)
     mid = witness_direct_sum(tcat, [w_x, w_y])
@@ -866,7 +905,7 @@ def triple_complex_witness(x: Complex, r_generators, s_generators, shortcut: boo
         raise QuivhomError("assembled middle differs from the triangle middle")
     # left term: transport the R-side witness through the tensor, re-anchor
     # its leaves in the S-generators, then push through k2; shift by 1
-    w_x2 = semisimple_split(shift_complex(x_cplx, 1), r_generators)
+    w_x2 = shift_leaf(leaf_x, 1)
     tens = tensor_functor(spec)
     try:
         w_t = _push(w_x2, tens, r_generators, r_generators,

@@ -6,9 +6,11 @@ quiver algebra: its vertices are the pairs (v, u) of a vertex of Q and one of
 Lambda, its arrows are Lambda's arrows at each v and Q's arrows at each u, and
 its relations are Lambda's relations at each v and one commutativity square
 per pair of arrows.  ``as_module`` reads X as a Lambda Q-module on the same
-matrices, so hom bases, kernels, validity, projective dimension and the global
+matrices, so hom bases, kernels, projective dimension and the global
 dimension of Lambda Q are the ones ``algebra`` computes for every bound quiver
-algebra (its minimal covers and radicals included).
+algebra (its minimal covers and radicals included).  ``RepMap.is_valid``
+checks the equations of a Lambda Q-module map vertex by vertex, with no
+conversion.
 
 What stays vertex by vertex are the paper's functors: evaluation at a vertex
 and its left and right adjoints (sums of copies indexed by paths), and the
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import algebra as alg
-from .algebra import AlgMod, BQA, ModMap
+from .algebra import AlgMod, BQA, ModMap, _is_linear
 from .bounds import Dim
 from .errors import AlgebraMismatch, DimensionMismatch, QuivhomError, UnknownVertex
 from .exactlin import Mat, rank, solve_matrix
@@ -96,7 +98,16 @@ class RepMap:
         self.mats = mats
 
     def is_valid(self) -> bool:
-        return as_module_map(self).is_valid()
+        """The equations of the Lambda Q-module map ``as_module_map(self)``,
+        read vertex by vertex with no conversion: each f_v is Lambda-linear
+        X_v -> Y_v, and f_w X(c)_u = Y(c)_u f_v for each arrow c: v -> w of Q
+        and each vertex u of Lambda."""
+        x, y = self.source, self.target
+        if not all(_is_linear(x.mods[v], y.mods[v], f.mats) for v, f in self.mats.items()):
+            return False
+        return all(self.mats[c.target].mats[u].mul(x.maps[c.name].mats[u])
+                   == y.maps[c.name].mats[u].mul(self.mats[c.source].mats[u])
+                   for c in x.quiver.arrows for u in x.algebra.quiver.vertices)
 
     def compose(self, other: "RepMap") -> "RepMap":
         return RepMap(other.source, self.target,

@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from quivhom import algebra as alg
+from quivhom import exactlin
 from quivhom import quiver as qv
 from quivhom import repdim
 from quivhom import scmodule as scm
@@ -293,6 +294,23 @@ def test_nilpotency_check():
     assert not alg._is_nilpotent(kron, list(kron.known_radical) + [kron.idempotents[0]])
 
 
+def test_radical_sc_reduces_its_trace_form_once(monkeypatch):
+    # the kernel's size is rank-nullity of its own rref, so the 6 x 6 trace
+    # form of kA3 is row-reduced once; the other reduction is the nilpotency
+    # check's
+    sc = alg.sc_of_bqa(kA3())
+    shapes = []
+    real = exactlin.rref
+
+    def counting(m):
+        shapes.append((m.rows, m.cols))
+        return real(m)
+
+    monkeypatch.setattr(exactlin, "rref", counting)
+    assert len(alg.radical_sc(sc)) == 3
+    assert shapes.count((6, 6)) == 1
+
+
 def test_radical_sc_charp_refused():
     a = alg.path_algebra(GF(5), qv.a_n(2))
     with pytest.raises(CharPNotSupported):
@@ -571,6 +589,18 @@ def test_pd_via_ext_builds_one_resolution(monkeypatch):
     monkeypatch.setattr(alg, "pd", no_pd)
     assert alg.pd_via_ext(m) == want == Dim.finite(7)
     assert len(calls) == 8
+
+
+def test_pd_via_ext_builds_as_many_steps_as_pd(monkeypatch):
+    # N(4,3) is self-injective, so S1 runs into the cap: cap + 1 syzygy
+    # steps decide it, for the oracle as for pd
+    s1 = alg.simple_module(nakayama(4, 3), "1")
+    calls = _count_covers(monkeypatch)
+    assert alg.pd_via_ext(s1, cap=12) == Dim.at_least(12)
+    assert len(calls) == 13
+    del calls[:]
+    assert alg.pd(s1, cap=12) == Dim.at_least(12)
+    assert len(calls) == 13
 
 
 def test_pd_rejects_negative_cap():

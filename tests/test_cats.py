@@ -1,6 +1,8 @@
 """Category laws and split tests for the four adapters in ``cats`` on small fixed
 inputs."""
 
+import random
+
 import pytest
 
 from quivhom import algebra as alg
@@ -9,7 +11,7 @@ from quivhom import quiver as qv
 from quivhom import repcat as rc
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
-from quivhom.exactlin import QQ, Mat, rank
+from quivhom.exactlin import QQ, Mat, rank, solve_matrix
 
 
 def _mod_case():
@@ -175,3 +177,155 @@ def test_retraction_exists_exactly_for_split_inclusions(case):
     assert _same(cat, cat.compose(r, injs[0]), cat.identity(x))
     s = cat.section(projs[1])
     assert _same(cat, cat.compose(projs[1], s), cat.identity(y))
+
+
+# -- one-sided inverses against the per-basis solver ----------------------------------
+
+def _reference_one_sided_inverse(cat, src, dst, side, ident):
+    """The solver the split helpers replaced: one composite side(b) per
+    basis map b of Hom(src, dst), flattened into a column, and the answer
+    summed up map by map."""
+    basis = cat.hom_basis(src, dst)
+    if not basis:
+        return cat.zero_map(src, dst) if cat.total_dim(ident) == 0 else None
+    f = cat.field
+    cols = [Mat.column(f, cat.flatten_map(side(b))) for b in basis]
+    rhs = Mat.column(f, cat.flatten_map(cat.identity(ident)))
+    sol = solve_matrix(Mat.hstack(f, cols), rhs)
+    if sol is None:
+        return None
+    out = cat.zero_map(src, dst)
+    for c, b in zip(sol.column_vector(), basis):
+        if c != f.zero():
+            out = cat.add_map(out, cat.scale_map(b, c))
+    return out
+
+
+def _reference_section(cat, u):
+    return _reference_one_sided_inverse(cat, u.target, u.source, lambda s: cat.compose(u, s),
+                                        u.target)
+
+
+def _reference_retraction(cat, i):
+    return _reference_one_sided_inverse(cat, i.target, i.source, lambda r: cat.compose(r, i),
+                                        i.source)
+
+
+def _dual_numbers():
+    loop = qv.make_quiver(["1"], [("x", "1", "1")], require_acyclic=False)
+    return alg.build_bqa(QQ, loop, [[(1, qv.Path("1", "1", ("x", "x")))]], 2, name="k[x]/(x^2)")
+
+
+def _objects(name):
+    """(cat, objects) with the zero object and a direct sum among them."""
+    if name in ("mod-kA3", "mod-dual"):
+        a = alg.path_algebra(QQ, qv.a_n(3), name="kA3") if name == "mod-kA3" else _dual_numbers()
+        vs = a.quiver.vertices
+        objs = [alg.projective_module(a, vs[0]), alg.projective_module(a, vs[-1]),
+                alg.simple_module(a, vs[0]), alg.injective_indecomposables(a)[0]]
+        cat = cats.mod_cat(a)
+    elif name == "rep":
+        q, k = qv.kronecker(), alg.ground_field_algebra(QQ)
+        m = alg.AlgMod(k, {"1": 1}, {})
+        objs = [rc.left_adjoint(q, "1", m), rc.left_adjoint(q, "2", m),
+                rc.rep_simple(q, k, "1", "1"), rc.rep_simple(q, k, "2", "1")]
+        cat = cats.rep_cat(q, k)
+    elif name == "sc":
+        a = alg.path_algebra(QQ, qv.a_n(2))
+        sc = alg.sc_of_bqa(a)
+        objs = [scm.regular_module(sc)] + [scm.sc_module_of_algmod(alg.simple_module(a, v), sc)
+                                           for v in a.quiver.vertices]
+        cat = cats.sc_cat(sc)
+    else:
+        spec = tm.t2_spec(alg.ground_field_algebra(QQ))
+
+        def triple(a, b, phi):
+            x = scm.SCModule(spec.r, a, [Mat.identity(QQ, a)])
+            y = scm.SCModule(spec.s, b, [Mat.identity(QQ, b)])
+            return tm.TripleModule(spec, x, y, phi)
+
+        objs = [triple(1, 1, Mat.from_rows(QQ, [[1]])), triple(1, 0, Mat.zeros(QQ, 0, 1)),
+                triple(0, 1, Mat.zeros(QQ, 1, 0))]
+        cat = cats.triple_cat(spec)
+    return cat, objs + [cat.zero_obj(), cat.sum_obj(objs[:2])]
+
+
+ADAPTER_OBJECTS = ("mod-kA3", "mod-dual", "rep", "sc", "triple")
+
+
+def _maps(rng, cat, objs):
+    """Every hom-basis map between the objects, a random combination of each
+    basis and each zero map."""
+    out = []
+    for x in objs:
+        for y in objs:
+            basis = cat.hom_basis(x, y)
+            out += basis + [cat.zero_map(x, y)]
+            if len(basis) > 1:
+                f = cat.zero_map(x, y)
+                for b in basis:
+                    f = cat.add_map(f, cat.scale_map(b, QQ.of_int(rng.choice([-2, -1, 1, 2]))))
+                out.append(f)
+    return out
+
+
+def _assert_same_answer(cat, got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got.source is want.source and got.target is want.target
+    assert [repr(e) for e in cat.flatten_map(got)] == [repr(e) for e in cat.flatten_map(want)]
+
+
+@pytest.mark.parametrize("name", ADAPTER_OBJECTS)
+def test_one_sided_inverses_match_the_per_basis_solver(name):
+    cat, objs = _objects(name)
+    answers = {"section": 0, "retraction": 0, "none": 0}
+    for g in _maps(random.Random(3), cat, objs):
+        for kind, got, want in (("section", cat.section(g), _reference_section(cat, g)),
+                                ("retraction", cat.retraction(g), _reference_retraction(cat, g))):
+            _assert_same_answer(cat, got, want)
+            answers[kind if want is not None else "none"] += 1
+    # split and non-split maps both occur, zero-dimensional ends included
+    assert all(answers.values()), answers
+
+
+@pytest.mark.parametrize("name", ADAPTER_OBJECTS)
+def test_split_into_matches_the_per_basis_solver(name):
+    cat, objs = _objects(name)
+    found = []
+    for obj in objs:
+        for summands in (objs, objs[:1], objs[1:3], [cat.zero_obj()]):
+            got = cat.split_into(obj, summands)
+            pieces = [i for i, s in enumerate(summands) for _ in cat.hom_basis(s, obj)]
+            if got is None:
+                total = cat.sum_obj([summands[i] for i in pieces])
+                maps = [b for s in summands for b in cat.hom_basis(s, obj)]
+                assert _reference_section(cat, cat.copair(total, obj, maps)) is None
+                found.append(False)
+                continue
+            assert got[0] == pieces
+            _, total, sec, u = got
+            _assert_same_answer(cat, sec, _reference_section(cat, u))
+            found.append(True)
+    assert any(found) and not all(found)
+
+
+def test_split_helpers_compose_no_morphisms(monkeypatch):
+    # the composites of a solve come from one product per key
+    cases = [(cat, _maps(random.Random(5), cat, objs), objs)
+             for cat, objs in map(_objects, ADAPTER_OBJECTS)]
+    composed = []
+
+    def refuse(self, other):
+        composed.append(type(self).__name__)
+        raise AssertionError("a morphism was composed")
+
+    for cls in (alg.ModMap, rc.RepMap, tm.TripleMap):
+        monkeypatch.setattr(cls, "compose", refuse)
+    for cat, maps, objs in cases:
+        for g in maps:
+            cat.section(g)
+            cat.retraction(g)
+        cat.split_into(objs[-1], objs)
+    assert not composed

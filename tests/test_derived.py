@@ -1,6 +1,7 @@
 """Generation witnesses on small complexes, checked by ``witness_check``."""
 
 import dataclasses
+import random
 import sys
 
 import pytest
@@ -13,7 +14,7 @@ from quivhom import repcat as rc
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
 from quivhom.errors import CertificateBrokenByFunctor, NotSemisimple, QuivhomError
-from quivhom.exactlin import QQ, Mat
+from quivhom.exactlin import GF, QQ, Mat
 
 
 def _sum_of_basis(cat, x, y):
@@ -738,3 +739,126 @@ def test_push_names_a_generator_index_outside_the_lists():
         dv._push(leaf, functor, [gen], new_gens, {0: 1})
     with pytest.raises(QuivhomError, match="sends generator 0 to 0, outside the 0 old"):
         dv._push(leaf, functor, [], new_gens, {0: 0})
+
+
+# -- leaves split each base complex once -----------------------------------------------
+
+def _semisimple_bases():
+    """(name, cat, simples) over semisimple bases: k over QQ and GF(101), k x k,
+    and the structure constants of k and of k x k."""
+    out = []
+    for field in (QQ, GF(101)):
+        k = alg.ground_field_algebra(field)
+        out.append((f"mod-k-{field.kind}", cats.mod_cat(k), [alg.AlgMod(k, {"1": 1}, {})]))
+    kk = alg.path_algebra(QQ, qv.make_quiver(["1", "2"], []))
+    simples = [alg.simple_module(kk, v) for v in "12"]
+    out.append(("mod-kxk", cats.mod_cat(kk), simples))
+    kq = alg.ground_field_algebra(QQ)
+    for name, a, gens in (("sc-k", kq, [alg.AlgMod(kq, {"1": 1}, {})]), ("sc-kxk", kk, simples)):
+        sc = alg.sc_of_bqa(a)
+        out.append((name, cats.sc_cat(sc), [scm.sc_module_of_algmod(g, sc) for g in gens]))
+    return out
+
+
+def _random_map(rng, cat, x, y):
+    f = cat.zero_map(x, y)
+    for b in cat.hom_basis(x, y):
+        f = cat.add_map(f, cat.scale_map(b, cat.field.of_int(rng.randint(-2, 2))))
+    return f
+
+
+def _random_complexes(rng, cat, gens, n):
+    """Complexes of sums of the generators in degrees -1..0 and 0..2 whose
+    differentials are random (d1, then d0 through the kernel of d1)."""
+    def obj():
+        return cat.sum_obj([g for g in gens for _ in range(rng.randint(0, 2))])
+
+    out = []
+    for _ in range(n):
+        x0, x1 = obj(), obj()
+        out.append(dv.Complex(cat, -1, 0, {-1: x0, 0: x1}, {-1: _random_map(rng, cat, x0, x1)}))
+        x0, x1, x2 = obj(), obj(), obj()
+        d1 = _random_map(rng, cat, x1, x2)
+        ker, incl = cat.kernel(d1)
+        d0 = cat.compose(incl, _random_map(rng, cat, x0, ker))
+        out.append(dv.Complex(cat, 0, 2, {0: x0, 1: x1, 2: x2}, {0: d0, 1: d1}))
+    return out
+
+
+def _assert_same_complex(got, want):
+    cat = want.cat
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    for i in want.degrees():
+        assert got.objs[i] is want.objs[i] or cat.obj_equal(got.objs[i], want.objs[i])
+    for i in range(want.lo, want.hi):
+        assert repr(cat.map_mats(got.diffs[i])) == repr(cat.map_mats(want.diffs[i])), i
+
+
+def _assert_same_leaf(got, want):
+    assert got.entries == want.entries
+    _assert_same_complex(got.target, want.target)
+    _assert_same_complex(got.incl.target, want.incl.target)
+    if want.replaced is None:
+        assert got.replaced is got.to_replaced is got.from_replaced is None
+    else:
+        _assert_same_complex(got.replaced, want.replaced)
+    for g, w in ((got.incl, want.incl), (got.retr, want.retr),
+                 (got.to_replaced, want.to_replaced), (got.from_replaced, want.from_replaced)):
+        if w is not None:
+            assert sorted(g.comps) == sorted(w.comps)
+            cat = w.source.cat
+            for i in w.comps:
+                assert repr(cat.map_mats(g.comps[i])) == repr(cat.map_mats(w.comps[i])), i
+
+
+@pytest.mark.parametrize("base", range(5), ids=[b[0] for b in _semisimple_bases()])
+def test_shift_leaf_is_the_split_of_the_shifted_complex(base):
+    _, cat, gens = _semisimple_bases()[base]
+    rng = random.Random(17 + base)
+    g = gens[0]
+    acyclic = dv.Complex(cat, 0, 1, {0: g, 1: g}, {0: cat.identity(g)})
+    nonempty = []
+    for x in _random_complexes(rng, cat, gens, 4) + [acyclic]:
+        leaf = dv.semisimple_split(x, gens)
+        for k in (1, -1, 2):
+            got = dv.shift_leaf(leaf, k)
+            _assert_same_leaf(got, dv.semisimple_split(dv.shift_complex(x, k), gens))
+            # each shifted complex is built once, and the maps run between them
+            assert got.to_replaced.source is got.from_replaced.target is got.target
+            assert got.incl.source is got.retr.target is got.replaced
+            assert got.to_replaced.target is got.from_replaced.source is got.replaced
+            assert got.incl.target is got.retr.source
+            assert dv.witness_check(got, gens, 1, cat) == (True, None)
+        nonempty.append(bool(leaf.entries))
+    assert any(nonempty) and not nonempty[-1]  # an acyclic complex has no entries
+    flat = dv.try_leaf(dv.concentrated(cat, cat.sum_obj(gens), 1), gens)
+    got = dv.shift_leaf(flat, 1)
+    _assert_same_leaf(got, dv.try_leaf(dv.concentrated(cat, flat.target.objs[1], 0), gens))
+    assert dv.witness_check(got, gens, 1, cat) == (True, None)
+
+
+def test_witnesses_split_each_base_complex_once(monkeypatch):
+    # the shift part of an arrow a is the split at s(a), shifted: one split
+    # per vertex of Kronecker, and one of the X-side for a triple complex
+    q, k, m, p1, p2 = _kronecker_reps()
+    rx = _two_term(cats.rep_cat(q, k), p2, p1)
+    spec, triple = _t2()
+    tx = _two_term(cats.triple_cat(spec), triple(0, 1, Mat.zeros(QQ, 1, 0)),
+                   triple(1, 1, Mat.from_rows(QQ, [[1]])))
+    r_gens = [scm.SCModule(spec.r, 1, [Mat.identity(QQ, 1)])]
+    s_gens = [scm.SCModule(spec.s, 1, [Mat.identity(QQ, 1)])]
+    splits = []
+    real = dv.semisimple_split
+
+    def counting(x, gens):
+        splits.append(x)
+        return real(x, gens)
+
+    monkeypatch.setattr(dv, "semisimple_split", counting)
+    w, gens = dv.rep_complex_witness(rx, [m], shortcut=False)
+    _check(w, gens, rx)
+    assert len(splits) == len(q.vertices)
+    del splits[:]
+    w, gens = dv.triple_complex_witness(tx, r_gens, s_gens, shortcut=False)
+    _check(w, gens, tx)
+    assert len(splits) == 2  # the X side and the Y side

@@ -381,6 +381,70 @@ def test_as_module_round_trip():
         rc.as_rep(qv.kronecker(), a, m)
 
 
+# -- validity and equality read vertex by vertex ------------------------------------------
+
+def _kronecker_over_dual_numbers():
+    """X_1 = X_2 = the regular module D of k[x]/x^2, X(a) = id and X(b) = 0."""
+    q, d = qv.kronecker(), dual_numbers()
+    p = alg.projective_module(d, "1")
+    x = rc.Rep(q, d, {"1": p, "2": p}, {"a": alg.identity_map(p), "b": alg.zero_map(p, p)})
+    return q, d, p, x
+
+
+def _with_blocks(f, blocks):
+    """f with the vertex maps of ``blocks`` (vertex -> Mat over D's vertex) replaced."""
+    mats = dict(f.mats)
+    for v, m in blocks.items():
+        mats[v] = alg.ModMap(f.source.mods[v], f.target.mods[v], {"1": m})
+    return rc.RepMap(f.source, f.target, mats)
+
+
+def test_rep_map_validity_matches_the_lambda_q_module_map():
+    q, d, p, x = _kronecker_over_dual_numbers()
+    ident = rc.identity_repmap(x)
+    two = Mat.from_rows(QQ, [[2, 0], [0, 2]])
+    top = Mat.from_rows(QQ, [[1, 0], [0, 0]])  # keeps 1, kills x: not D-linear
+    cases = {
+        "identity": (ident, True),
+        # f_2 = 2: D-linear, but f_2 X(a) = 2 differs from Y(a) f_1 = 1
+        "not natural": (_with_blocks(ident, {"2": two}), False),
+        # f_1 = f_2 = top commutes with X(a) = id and X(b) = 0, not with x
+        "not D-linear": (_with_blocks(ident, {"1": top, "2": top}), False),
+    }
+    assert not alg.ModMap(p, p, {"1": top}).is_valid()
+    for name, (f, want) in cases.items():
+        assert f.is_valid() == rc.as_module_map(f).is_valid() == want, name
+    # every basis map of random representations over D, and each with one
+    # block moved off its module maps
+    rng = random.Random(11)
+    for _ in range(6):
+        y, z = _random_rep_over_bqa(rng, q, d), _random_rep_over_bqa(rng, q, d)
+        for f in rc.rep_hom_basis(y, z):
+            assert f.is_valid() and rc.as_module_map(f).is_valid()
+            v = rng.choice(q.vertices)
+            block = f.mats[v].mats["1"]
+            if not block.rows or not block.cols:
+                continue
+            bumped = list(block.entries)
+            bumped[rng.randrange(len(bumped))] += 1
+            g = _with_blocks(f, {v: Mat(QQ, block.rows, block.cols, tuple(bumped))})
+            assert g.is_valid() == rc.as_module_map(g).is_valid()
+
+
+def test_rep_equality_matches_the_lambda_q_modules():
+    q, d, p, x = _kronecker_over_dual_numbers()
+    eq = cats.rep_cat(q, d).obj_equal
+    s = alg.simple_module(d, "1")
+    again = rc.Rep(q, d, {"1": alg.AlgMod(d, dict(p.dims), dict(p.mats)), "2": p},
+                   {"a": alg.identity_map(p), "b": alg.zero_map(p, p)})
+    swapped = rc.Rep(q, d, {"1": p, "2": p}, {"a": alg.zero_map(p, p), "b": alg.identity_map(p)})
+    other_module = rc.Rep(q, d, {"1": alg.AlgMod(d, {"1": 2}, {}), "2": p}, {})
+    other_dims = rc.Rep(q, d, {"1": s, "2": p}, {})
+    for y, want in ((x, True), (again, True), (swapped, False), (other_module, False),
+                    (other_dims, False)):
+        assert eq(x, y) == eq(y, x) == (rc.as_module(x) == rc.as_module(y)) == want
+
+
 # -- malformed representations -----------------------------------------------------------
 
 def test_rep_rejects_unknown_vertex():

@@ -104,9 +104,11 @@ def test_is_gen_cogen_single_vertex():
 
 @pytest.mark.parametrize("which", ["all", "p1_only"])
 def test_is_gen_cogen_composes_only_in_the_section_solves(monkeypatch, which):
-    # the universal map into each target is placed block by block, so the
-    # only compositions are u o h for h in a basis of Hom(target, total),
-    # where total sums a copy of S_i per basis map S_i -> target
+    # the universal map u into each target is placed block by block, and the
+    # section solve takes u o h for every h in a basis of Hom(target, total),
+    # where total sums a copy of S_i per basis map S_i -> target, from one
+    # product per key: nothing is composed, and outside the hom bases each
+    # solve multiplies once per vertex pair (v, u) of Q and the base
     q = qv.a_n(2)
     k = base_k()
     summands = _a2_adjoint_summands(q, k) if which == "all" \
@@ -114,16 +116,48 @@ def test_is_gen_cogen_composes_only_in_the_section_solves(monkeypatch, which):
     targets = [rc.left_adjoint(q, v, kmod(k)) for v in q.vertices] + \
         [rc.right_adjoint(q, v, alg.injective_indecomposables(k)[0]) for v in q.vertices]
     expected = sum(rc.rep_hom_dim(s, t) * rc.rep_hom_dim(t, s) for t in targets for s in summands)
-    calls = []
-    compose = rc.RepMap.compose
+    keys = len(q.vertices) * len(k.quiver.vertices)
+    composed, products, columns = [], [], []
+    where = {"section": 0, "hom_basis": 0}
 
-    def counting(self, other):
-        calls.append(1)
-        return compose(self, other)
+    def counting_compose(real):
+        def compose(self, other):
+            composed.append(1)
+            return real(self, other)
+        return compose
 
-    monkeypatch.setattr(rc.RepMap, "compose", counting)
+    def inside(name, real):
+        def call(*args, **kwargs):
+            where[name] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                where[name] -= 1
+        return call
+
+    mul = exactlin.Mat.mul
+
+    def counting_mul(self, other):
+        if where["section"] and not where["hom_basis"]:
+            products.append(1)
+        return mul(self, other)
+
+    solve = cats.solve_matrix
+
+    def counting_solve(a, b):
+        columns.append(a.cols)
+        return solve(a, b)
+
+    monkeypatch.setattr(rc.RepMap, "compose", counting_compose(rc.RepMap.compose))
+    monkeypatch.setattr(alg.ModMap, "compose", counting_compose(alg.ModMap.compose))
+    monkeypatch.setattr(cats.Cat, "section", inside("section", cats.Cat.section))
+    monkeypatch.setattr(rc, "rep_hom_basis", inside("hom_basis", rc.rep_hom_basis))
+    monkeypatch.setattr(exactlin.Mat, "mul", counting_mul)
+    monkeypatch.setattr(cats, "solve_matrix", counting_solve)
     repdim.is_gen_cogen(q, k, summands)
-    assert expected > 0 and len(calls) == expected
+    assert expected > 0 and sum(columns) == expected  # one column per basis map
+    assert not composed
+    assert columns and len(products) == keys * len(columns)
 
 
 def test_proof_steps_d4_outward():
