@@ -9,6 +9,17 @@ only need linear identities.  The same adapters serve ``endo``, which builds
 End algebras and Hom modules from ``hom_basis``, ``compose`` and
 ``flatten_map``.
 
+An adapter (``mod_cat``, ``rep_cat``, ``sc_cat``, ``triple_cat``) states only
+what differs between the categories: keys and component dimensions, the
+direct sum ``sum_obj``, a morphism's blocks (``map_mats``) and the morphism
+with given blocks (``map_from_mats``), the solvers, object equality and
+whether the base is semisimple.  ``Cat`` derives the block algebra, one
+``Mat`` operation per key: ``identity``, ``zero_map``, ``compose``,
+``add_map`` and ``scale_map``; ``is_morphism`` is the map's ``is_valid``.
+``Cat`` builds the zero object once, as the empty sum, and ``zero_obj``
+returns that one object (complexes pad with it outside their degrees), so
+it must never be mutated.
+
 Representations are modules over the bound quiver algebra Lambda Q
 (``repcat.path_algebra_over``): ``rep_cat`` takes hom bases, kernels and
 quotients from ``algebra`` on that algebra, and checks maps, compares objects
@@ -26,10 +37,6 @@ the object alone, and maps into, out of or between sums are placed block by
 block (``diag``, ``stack``, ``copair``).  ``components`` and ``restrictions``
 read those blocks back, so the projections and injections of a sum are
 ``components``/``restrictions`` of its identity.
-
-Every adapter builds its zero object once and ``zero_obj`` returns that one
-object (complexes pad with it outside their degrees), so it must never be
-mutated.
 
 The split helpers ``section``, ``retraction`` and ``split_into`` are the one
 place that answers "is X in add(Y)?" (is X a direct factor of a sum of copies
@@ -58,21 +65,49 @@ class Cat:
     field: object
     keys: object            # obj -> ordered key list
     comp_dim: object        # (obj, key) -> int
-    zero_obj: object        # () -> the adapter's one zero object, shared: never mutate it
     sum_obj: object         # [objs] -> the direct sum object, with no maps
-    identity: object
-    zero_map: object
-    compose: object
-    add_map: object
-    scale_map: object
     map_mats: object        # morphism -> {key: Mat}
     map_from_mats: object   # (src, dst, {key: Mat}) -> morphism (unchecked)
-    is_morphism: object
     hom_basis: object
     kernel: object          # morphism -> (obj, incl morphism)
     quotient: object        # (obj, {key: columns}) -> (obj, proj morphism)
     obj_equal: object
     is_semisimple_base: object
+
+    def __post_init__(self):
+        self._zero = self.sum_obj([])
+
+    # -- the block algebra of morphisms, one Mat operation per key ------------------
+
+    def zero_obj(self):
+        """The one zero object, the empty sum: shared, so never mutate it."""
+        return self._zero
+
+    def identity(self, x):
+        f = self.field
+        return self.map_from_mats(x, x, {k: Mat.identity(f, self.comp_dim(x, k))
+                                         for k in self.keys(x)})
+
+    def zero_map(self, x, y):
+        f = self.field
+        return self.map_from_mats(x, y, {k: Mat.zeros(f, self.comp_dim(y, k), self.comp_dim(x, k))
+                                         for k in self.keys(x)})
+
+    def compose(self, f, g):
+        """f o g; ends of different dimensions raise ``DimensionMismatch``."""
+        fm, gm = self.map_mats(f), self.map_mats(g)
+        return self.map_from_mats(g.source, f.target, {k: m.mul(gm[k]) for k, m in fm.items()})
+
+    def add_map(self, f, g):
+        fm, gm = self.map_mats(f), self.map_mats(g)
+        return self.map_from_mats(f.source, f.target, {k: m.add(gm[k]) for k, m in fm.items()})
+
+    def scale_map(self, f, c):
+        return self.map_from_mats(f.source, f.target,
+                                  {k: m.scale(c) for k, m in self.map_mats(f).items()})
+
+    def is_morphism(self, f) -> bool:
+        return f.is_valid()
 
     def total_dim(self, obj):
         return sum(self.comp_dim(obj, k) for k in self.keys(obj))
@@ -210,30 +245,17 @@ class Cat:
 # -- base-algebra modules -------------------------------------------------------------
 
 def mod_cat(a) -> Cat:
-    zero = alg.zero_module(a)
-
-    def quotient(obj, cols):
-        qm, qmap, _ = alg.quotient_module(obj, cols)
-        return qm, qmap
-
     return Cat(
         name=f"mod({a.name or 'algebra'})",
         field=a.field,
         keys=lambda m: list(a.quiver.vertices),
         comp_dim=lambda m, k: m.dims[k],
-        zero_obj=lambda: zero,
         sum_obj=lambda ms: alg.sum_mods(a, ms),
-        identity=alg.identity_map,
-        zero_map=alg.zero_map,
-        compose=lambda f, g: f.compose(g),
-        add_map=lambda f, g: f.add(g),
-        scale_map=lambda f, c: f.scale(c),
         map_mats=lambda f: dict(f.mats),
-        map_from_mats=lambda s, d, mats: alg.ModMap(s, d, dict(mats)),
-        is_morphism=lambda f: f.is_valid(),
+        map_from_mats=lambda s, d, mats: alg.ModMap(s, d, mats),
         hom_basis=alg.hom_basis,
         kernel=alg.kernel_of,
-        quotient=quotient,
+        quotient=lambda obj, cols: alg.quotient_module(obj, cols)[:2],
         obj_equal=lambda x, y: x.dims == y.dims and x.mats == y.mats,
         is_semisimple_base=lambda: a.is_semisimple(),
     )
@@ -242,8 +264,6 @@ def mod_cat(a) -> Cat:
 # -- representations ------------------------------------------------------------------
 
 def rep_cat(q, a) -> Cat:
-    zero = rc.rep_zero(q, a)
-
     def keys(x):
         return [(v, u) for v in q.vertices for u in a.quiver.vertices]
 
@@ -268,16 +288,9 @@ def rep_cat(q, a) -> Cat:
         field=a.field,
         keys=keys,
         comp_dim=lambda x, k: x.mods[k[0]].dims[k[1]],
-        zero_obj=lambda: zero,
         sum_obj=lambda xs: rc.rep_sum(q, a, xs),
-        identity=rc.identity_repmap,
-        zero_map=rc.zero_repmap,
-        compose=lambda f, g: f.compose(g),
-        add_map=lambda f, g: f.add(g),
-        scale_map=lambda f, c: f.scale(c),
         map_mats=map_mats,
         map_from_mats=map_from_mats,
-        is_morphism=lambda f: f.is_valid(),
         hom_basis=rc.rep_hom_basis,
         kernel=rc.rep_kernel,
         quotient=quotient,
@@ -290,50 +303,29 @@ def rep_cat(q, a) -> Cat:
 # -- raw structure-constant modules -----------------------------------------------------
 
 def sc_cat(sc) -> Cat:
-    zero = scm.zero_sc_module(sc)
-
-    def kernel(f):
-        return scm.kernel_of_sc(f)
-
     def quotient(obj, cols):
         qm, proj, _ = scm.quotient_sc(obj, cols["*"])
         return qm, scm.SCMap(obj, qm, proj)
-
-    def is_ss():
-        return len(scm.radical_of(sc)) == 0
 
     return Cat(
         name="scmod",
         field=sc.field,
         keys=lambda m: ["*"],
         comp_dim=lambda m, k: m.dim,
-        zero_obj=lambda: zero,
         sum_obj=lambda ms: scm.sum_sc(sc, ms),
-        identity=lambda m: scm.SCMap(m, m, Mat.identity(sc.field, m.dim)),
-        zero_map=lambda s, d: scm.SCMap(s, d, Mat.zeros(sc.field, d.dim, s.dim)),
-        compose=lambda f, g: scm.SCMap(g.source, f.target, f.mat.mul(g.mat)),
-        add_map=lambda f, g: scm.SCMap(f.source, f.target, f.mat.add(g.mat)),
-        scale_map=lambda f, c: scm.SCMap(f.source, f.target, f.mat.scale(c)),
         map_mats=lambda f: {"*": f.mat},
         map_from_mats=lambda s, d, mats: scm.SCMap(s, d, mats["*"]),
-        is_morphism=lambda f: f.is_valid(),
         hom_basis=scm.hom_basis_sc,
-        kernel=kernel,
+        kernel=scm.kernel_of_sc,
         quotient=quotient,
         obj_equal=lambda x, y: x.dim == y.dim and x.action == y.action,
-        is_semisimple_base=is_ss,
+        is_semisimple_base=lambda: not scm.radical_of(sc),
     )
 
 
 # -- triples ------------------------------------------------------------------------------
 
 def triple_cat(spec) -> Cat:
-    f = spec.r.field
-    zero = tm.zero_triple(spec)
-
-    def kernel(fm):
-        return tm.triple_kernel(fm)
-
     def quotient(obj, cols):
         qx, xproj, xsect = scm.quotient_sc(obj.x, cols["x"])
         qy, yproj, _ = scm.quotient_sc(obj.y, cols["y"])
@@ -348,21 +340,14 @@ def triple_cat(spec) -> Cat:
 
     return Cat(
         name="triple",
-        field=f,
+        field=spec.r.field,
         keys=lambda t: ["x", "y"],
         comp_dim=lambda t, k: t.x.dim if k == "x" else t.y.dim,
-        zero_obj=lambda: zero,
         sum_obj=lambda ts: tm.triple_sum(spec, ts),
-        identity=tm.identity_triple_map,
-        zero_map=tm.zero_triple_map,
-        compose=lambda a_, b_: a_.compose(b_),
-        add_map=lambda a_, b_: a_.add(b_),
-        scale_map=lambda a_, c: a_.scale(c),
         map_mats=lambda fm: {"x": fm.u, "y": fm.w},
         map_from_mats=lambda s, d, mats: tm.TripleMap(s, d, mats["x"], mats["y"]),
-        is_morphism=lambda fm: fm.is_valid(),
         hom_basis=tm.triple_hom_basis,
-        kernel=kernel,
+        kernel=tm.triple_kernel,
         quotient=quotient,
         obj_equal=lambda a_, b_: (a_.x.dim == b_.x.dim and a_.y.dim == b_.y.dim
                                   and a_.x.action == b_.x.action

@@ -46,6 +46,9 @@ class Complex:
     diffs: dict  # degree -> morphism X^i -> X^{i+1}, for lo..hi-1
 
     def __post_init__(self):
+        if any(not self.lo <= i <= self.hi for i in self.objs) \
+                or any(not self.lo <= i < self.hi for i in self.diffs):
+            raise QuivhomError(f"a term or differential lies outside degrees {self.lo}..{self.hi}")
         for i in range(self.lo, self.hi + 1):
             if i not in self.objs:
                 self.objs[i] = self.cat.zero_obj()
@@ -73,11 +76,17 @@ class Complex:
         return self.total_dim() == 0
 
     def check(self) -> bool:
+        """Each d^i runs X^i -> X^{i+1} and is a morphism, and d^{i+1} d^i = 0."""
+        cat = self.cat
+        if not all(_same_obj(cat, self.diffs[i].source, self.objs[i])
+                   and _same_obj(cat, self.diffs[i].target, self.objs[i + 1])
+                   for i in range(self.lo, self.hi)):
+            return False
         for i in range(self.lo, self.hi - 1):
-            comp = self.cat.compose(self.diffs[i + 1], self.diffs[i])
-            if any(not m.is_zero() for m in self.cat.map_mats(comp).values()):
+            comp = cat.compose(self.diffs[i + 1], self.diffs[i])
+            if any(not m.is_zero() for m in cat.map_mats(comp).values()):
                 return False
-        return all(self.cat.is_morphism(self.diffs[i]) for i in range(self.lo, self.hi))
+        return all(cat.is_morphism(self.diffs[i]) for i in range(self.lo, self.hi))
 
 
 def concentrated(cat: Cat, obj, degree: int = 0) -> Complex:
@@ -130,15 +139,27 @@ class ChainMap:
         return self.source.cat.zero_map(self.source.obj(i), self.target.obj(i))
 
     def check(self) -> bool:
-        cat = self.source.cat
-        lo = min(self.source.lo, self.target.lo)
-        hi = max(self.source.hi, self.target.hi)
+        """Each f^i runs X^i -> Y^i and is a morphism, and d_Y f^i = f^{i+1} d_X,
+        compared block by block.  A side whose differential block is zero is
+        the zero block, so a product is formed only with a nonzero
+        differential block."""
+        x, y = self.source, self.target
+        cat = x.cat
+        if not all(_same_obj(cat, f.source, x.obj(i)) and _same_obj(cat, f.target, y.obj(i))
+                   for i, f in self.comps.items()):
+            return False
+        lo, hi = min(x.lo, y.lo), max(x.hi, y.hi)
+        comps = {i: cat.map_mats(self.comp(i)) for i in range(lo, hi + 1)}
         for i in range(lo, hi):
-            lhs = cat.compose(self.target.diff(i), self.comp(i))
-            rhs = cat.compose(self.comp(i + 1), self.source.diff(i))
-            la, ra = cat.map_mats(lhs), cat.map_mats(rhs)
-            if any(la[k] != ra[k] for k in la):
-                return False
+            dy, dx = cat.map_mats(y.diff(i)), cat.map_mats(x.diff(i))
+            for k, f in comps[i].items():
+                zy, zx = dy[k].is_zero(), dx[k].is_zero()
+                if zy != zx:  # one side is the zero block
+                    same = (comps[i + 1][k].mul(dx[k]) if zy else dy[k].mul(f)).is_zero()
+                else:
+                    same = zy or dy[k].mul(f) == comps[i + 1][k].mul(dx[k])
+                if not same:
+                    return False
         return all(cat.is_morphism(self.comp(i)) for i in range(lo, hi + 1))
 
     def compose(self, other: "ChainMap") -> "ChainMap":
@@ -156,6 +177,11 @@ class ChainMap:
             if any(got[k] != ident[k] for k in ident):
                 return False
         return True
+
+
+def _same_obj(cat: Cat, a, b) -> bool:
+    """a and b are one object: the identical one, or equal ones."""
+    return a is b or cat.obj_equal(a, b)
 
 
 def _same(a: Complex, b: Complex) -> bool:
@@ -364,8 +390,8 @@ def witness_check(w, generators, d: int, cat: Cat, locus: str = "root"):
         comp = w.retr.compose(w.incl)
         if not comp.is_identity_on(x_prime):
             return False, CheckFailure(locus, "retraction is not a left inverse")
-        if not x_prime.check():
-            return False, CheckFailure(locus, "leaf target is not a complex")
+        if not x_prime.check() or (w.replaced is not None and not w.target.check()):
+            return False, CheckFailure(locus, "leaf target or replacement is not a complex")
         return True, None
     if isinstance(w, Node):
         details = {}

@@ -231,18 +231,6 @@ def as_rep_map(x: Rep, y: Rep, g: ModMap) -> RepMap:
                          for v in x.quiver.vertices})
 
 
-def identity_repmap(x: Rep) -> RepMap:
-    return RepMap(x, x, {v: alg.identity_map(x.mods[v]) for v in x.quiver.vertices})
-
-
-def zero_repmap(x: Rep, y: Rep) -> RepMap:
-    return RepMap(x, y, {})
-
-
-def rep_zero(q: Quiver, a: BQA) -> Rep:
-    return Rep(q, a, {}, {})
-
-
 def rep_sum(q: Quiver, a: BQA, reps) -> Rep:
     """The direct sum of representations, vertex by vertex."""
     reps = list(reps)

@@ -200,10 +200,13 @@ def tensor_of_sum(spec: TriRingSpec, tensors, xdims):
     proj, lift and the S-action are the summands' matrices placed there.
     The summands' ``free`` lists give those columns, so nothing is read back
     out of their matrices.  The result equals ``tensor_basis`` of the sum
-    entry for entry.  Returns it with, per summand, the tensor coordinates
+    entry for entry, and X = 0 gives the spec's shared zero tensor, as in
+    ``tensor_basis``.  Returns it with, per summand, the tensor coordinates
     its own ones land on."""
     f = spec.r.field
     mdim, xdim = spec.m.dim, sum(xdims)
+    if not xdim:
+        return spec.zero_tensor, [[] for _ in tensors]
     pure, off = [], 0
     for d in xdims:
         pure.append([k * xdim + off + j for k in range(mdim) for j in range(d)])
@@ -330,11 +333,6 @@ class TripleMap:
         return self.u.is_zero() and self.w.is_zero()
 
 
-def zero_triple(spec: TriRingSpec) -> TripleModule:
-    return TripleModule(spec, scm.zero_sc_module(spec.r), scm.zero_sc_module(spec.s),
-                        Mat.zeros(spec.r.field, 0, 0), spec.zero_tensor)
-
-
 def e1_lambda(spec: TriRingSpec, x: SCModule) -> TripleModule:
     td = tensor_basis(spec, x)
     return TripleModule(spec, x, tensor_module(spec, td),
@@ -349,11 +347,6 @@ def e2_lambda(spec: TriRingSpec, y: SCModule) -> TripleModule:
 def identity_triple_map(t: TripleModule) -> TripleMap:
     f = t.spec.r.field
     return TripleMap(t, t, Mat.identity(f, t.x.dim), Mat.identity(f, t.y.dim))
-
-
-def zero_triple_map(s: TripleModule, t: TripleModule) -> TripleMap:
-    f = s.spec.r.field
-    return TripleMap(s, t, Mat.zeros(f, t.x.dim, s.x.dim), Mat.zeros(f, t.y.dim, s.y.dim))
 
 
 def triple_sum(spec: TriRingSpec, triples) -> TripleModule:

@@ -11,6 +11,7 @@ from quivhom import quiver as qv
 from quivhom import repcat as rc
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
+from quivhom.errors import QuivhomError
 from quivhom.exactlin import QQ, Mat, rank, solve_matrix
 
 
@@ -329,3 +330,64 @@ def test_split_helpers_compose_no_morphisms(monkeypatch):
             cat.retraction(g)
         cat.split_into(objs[-1], objs)
     assert not composed
+
+
+# -- the block algebra on Cat against the morphism classes ---------------------------
+
+def _class_algebra(name, objs):
+    """identity, zero map, composite, sum, multiple and zero object as the
+    morphism classes form them (for raw SC modules, ``SCMap`` products)."""
+    if name == "sc":
+        sc, mk = objs[0].sc, scm.SCMap
+        return dict(identity=lambda x: mk(x, x, Mat.identity(QQ, x.dim)),
+                    zero_map=lambda x, y: mk(x, y, Mat.zeros(QQ, y.dim, x.dim)),
+                    compose=lambda f, g: mk(g.source, f.target, f.mat.mul(g.mat)),
+                    add_map=lambda f, g: mk(f.source, f.target, f.mat.add(g.mat)),
+                    scale_map=lambda f, c: mk(f.source, f.target, f.mat.scale(c)),
+                    zero=scm.zero_sc_module(sc))
+    ops = dict(compose=lambda f, g: f.compose(g), add_map=lambda f, g: f.add(g),
+               scale_map=lambda f, c: f.scale(c))
+    if name == "mod":
+        return dict(ops, identity=alg.identity_map, zero_map=alg.zero_map,
+                    zero=alg.zero_module(objs[0].algebra))
+    if name == "rep":
+        q, k = objs[0].quiver, objs[0].algebra
+        return dict(ops, identity=lambda x: rc.RepMap(x, x, {v: alg.identity_map(x.mods[v])
+                                                            for v in q.vertices}),
+                    zero_map=lambda x, y: rc.RepMap(x, y, {}), zero=rc.Rep(q, k, {}, {}))
+    spec = objs[0].spec
+    return dict(ops, identity=tm.identity_triple_map,
+                zero_map=lambda x, y: tm.TripleMap(x, y, Mat.zeros(QQ, y.x.dim, x.x.dim),
+                                                   Mat.zeros(QQ, y.y.dim, x.y.dim)),
+                zero=tm.TripleModule(spec, scm.zero_sc_module(spec.r), scm.zero_sc_module(spec.s),
+                                     Mat.zeros(QQ, 0, 0), spec.zero_tensor))
+
+
+@pytest.mark.parametrize("name", ["mod", "rep", "sc", "triple"])
+def test_block_algebra_matches_the_morphism_classes(name):
+    cat, objs = _objects("mod-dual" if name == "mod" else name)
+    ref = _class_algebra(name, objs)
+    z = cat.zero_obj()
+    assert z is cat.zero_obj() and cat.total_dim(z) == 0 and cat.obj_equal(z, ref["zero"])
+    for x in objs:
+        _assert_same_answer(cat, cat.identity(x), ref["identity"](x))
+        for y in objs:
+            _assert_same_answer(cat, cat.zero_map(x, y), ref["zero_map"](x, y))
+    rng = random.Random(7)
+    maps = _maps(rng, cat, objs)
+    composed = 0
+    for f in maps:
+        c = QQ.of_int(rng.choice([-2, 3]))
+        _assert_same_answer(cat, cat.scale_map(f, c), ref["scale_map"](f, c))
+        for g in maps:
+            if g.target is f.source:
+                _assert_same_answer(cat, cat.compose(f, g), ref["compose"](f, g))
+                composed += 1
+            if (g.source, g.target) == (f.source, f.target) and g is not f:
+                _assert_same_answer(cat, cat.add_map(f, g), ref["add_map"](f, g))
+    assert composed > len(maps)
+    # ends of different dimensions do not compose
+    x, y = next((x, y) for x in objs for y in objs
+                if any(cat.comp_dim(x, k) != cat.comp_dim(y, k) for k in cat.keys(x)))
+    with pytest.raises(QuivhomError):
+        cat.compose(cat.identity(x), cat.identity(y))

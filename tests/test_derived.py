@@ -536,6 +536,83 @@ def test_witness_check_refuses_a_generator_index_outside_the_list():
         assert not ok and failure.reason == f"an entry is outside the {len(gens)} generators"
 
 
+# -- chain maps and differentials are tied to the terms of their complexes -----------
+
+def _p1_and_s1_plus_s2():
+    """Over kA2: M = P1 (arrow 1) and N = S1 + S2 (arrow 0), of one dimension
+    vector, with N not in add(M)."""
+    a = alg.path_algebra(QQ, qv.a_n(2), name="kA2")
+    cat = cats.mod_cat(a)
+    m = alg.projective_module(a, "1")
+    n = cat.sum_obj([alg.simple_module(a, v) for v in a.quiver.vertices])
+    assert m.dims == n.dims and cat.split_into(n, [m]) is None
+    return cat, m, n
+
+
+def test_witness_check_ties_chain_maps_to_the_terms_of_their_complexes():
+    # the split of M, re-aimed at N: every matrix fits, but the maps run from M
+    cat, m, n = _p1_and_s1_plus_s2()
+    leaf = dv.try_leaf(dv.concentrated(cat, m), [m])
+    assert dv.witness_check(leaf, [m], 1, cat) == (True, None)
+    x, expr = dv.concentrated(cat, n), leaf.incl.target
+    forged = dv.Leaf(x, leaf.entries, dv.ChainMap(x, expr, leaf.incl.comps),
+                     dv.ChainMap(expr, x, leaf.retr.comps))
+    assert not forged.incl.check() and not forged.retr.check()
+    ok, failure = dv.witness_check(forged, [m], 1, cat)
+    assert not ok and failure.reason == "factor maps are not chain maps"
+
+
+def test_complex_check_ties_each_differential_to_its_terms():
+    # d : N -> M with the matrices of id_M, given as id_M itself
+    cat, m, n = _p1_and_s1_plus_s2()
+    assert dv.Complex(cat, 0, 1, {0: m, 1: m}, {0: cat.identity(m)}).check()
+    assert not dv.Complex(cat, 0, 1, {0: n, 1: m}, {0: cat.identity(m)}).check()
+    assert not dv.Complex(cat, 0, 1, {0: m, 1: n}, {0: cat.identity(m)}).check()
+
+
+def test_witness_check_checks_the_target_of_a_leaf_with_a_replacement():
+    # the replacement maps are read off the honest target; the forged one has
+    # its terms and matrices, but a differential that starts at another object
+    q, k, _, p1, _ = _kronecker_reps()
+    rcat = cats.rep_cat(q, k)
+    other = rc.Rep(q, k, p1.mods, {"a": p1.maps["a"]})
+    assert not rcat.obj_equal(other, p1)
+    x = dv.Complex(rcat, 0, 1, {0: p1, 1: p1}, {0: rcat.identity(p1)})
+    leaf = dv.semisimple_split(x, [p1])
+    assert dv.witness_check(leaf, [p1], 1, rcat) == (True, None)
+    d = rcat.map_from_mats(other, p1, rcat.map_mats(x.diffs[0]))
+    forged = dataclasses.replace(leaf, target=dv.Complex(rcat, 0, 1, {0: p1, 1: p1}, {0: d}))
+    ok, failure = dv.witness_check(forged, [p1], 1, rcat)
+    assert not ok and failure.reason == "leaf target or replacement is not a complex"
+
+
+def test_complex_refuses_a_term_or_differential_outside_its_degrees():
+    cat, m, n = _p1_and_s1_plus_s2()
+    with pytest.raises(QuivhomError, match="outside degrees 0..1"):
+        dv.Complex(cat, 0, 1, {0: n, 1: m, 5: m}, {})
+    with pytest.raises(QuivhomError, match="outside degrees 0..1"):
+        dv.Complex(cat, 0, 1, {0: m, 1: m}, {1: cat.identity(m)})
+
+
+def test_chain_map_check_forms_only_products_with_a_nonzero_differential_block(monkeypatch):
+    k = alg.ground_field_algebra(QQ)
+    gen = alg.AlgMod(k, {"1": 1}, {})
+    leaf = dv.semisimple_split(_k_complex(k, (2, 1), Mat.from_rows(QQ, [[1, 2]])), [gen])
+    products = []
+    mul = Mat.mul
+
+    def counting(self, other):
+        products.append((self.rows, self.cols, other.cols))
+        return mul(self, other)
+
+    monkeypatch.setattr(Mat, "mul", counting)
+    # the expression and the replacement have zero differentials
+    assert leaf.incl.check() and leaf.retr.check() and not products
+    # X -> H and H -> X: one product each, with X's one nonzero block
+    assert leaf.to_replaced.check() and len(products) == 1
+    assert leaf.from_replaced.check() and len(products) == 2
+
+
 def test_push_raises_when_the_functor_breaks_a_node_sequence():
     k = alg.ground_field_algebra(QQ)
     gen = alg.AlgMod(k, {"1": 1}, {})

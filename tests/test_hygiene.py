@@ -1,7 +1,10 @@
 """Static hygiene checks on the library sources (no linter needed)."""
 
 import ast
+import dataclasses
 import pathlib
+
+from quivhom import cats
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "quivhom"
 
@@ -288,3 +291,13 @@ def _push(w, functor, old_gens, new_gens, gmap):
 def test_push_pin_flags_the_transport_through_the_expression():
     fn = ast.parse(_TRANSPORT_THROUGH_THE_EXPRESSION).body[0]
     assert _expression_transport(fn) == ["expression_summand_maps", "on_complex(w.incl.target)"]
+
+
+def test_cat_states_only_what_differs():
+    # an adapter states what differs between the categories; the block
+    # algebra of morphisms (identity, zero map, compose, add, scale,
+    # is_morphism) and the zero object are Cat's own, so no adapter field
+    # forwards them
+    assert [f.name for f in dataclasses.fields(cats.Cat)] == [
+        "name", "field", "keys", "comp_dim", "sum_obj", "map_mats", "map_from_mats",
+        "hom_basis", "kernel", "quotient", "obj_equal", "is_semisimple_base"]

@@ -75,7 +75,7 @@ def test_rep_hom_examples():
     s2 = rc.rep_simple(q, k, "2", "1")
     assert rc.rep_hom_dim(p1, s1) == 1
     assert rc.rep_hom_dim(s2, s1) == 0
-    z = rc.rep_zero(q, k)
+    z = cats.rep_cat(q, k).zero_obj()
     assert rc.rep_hom_dim(z, z) == 0
 
 
@@ -375,8 +375,8 @@ def test_as_module_round_trip():
     assert m.check_relations() and x.check()
     y = rc.as_rep(q, a, m)
     assert (y.mods, y.maps) == (x.mods, x.maps)
-    ident = rc.as_module_map(rc.identity_repmap(x))
-    assert rc.as_rep_map(x, y, ident).mats == rc.identity_repmap(x).mats
+    ident = cats.rep_cat(q, a).identity(x)
+    assert rc.as_rep_map(x, y, rc.as_module_map(ident)).mats == ident.mats
     with pytest.raises(AlgebraMismatch):
         rc.as_rep(qv.kronecker(), a, m)
 
@@ -401,7 +401,7 @@ def _with_blocks(f, blocks):
 
 def test_rep_map_validity_matches_the_lambda_q_module_map():
     q, d, p, x = _kronecker_over_dual_numbers()
-    ident = rc.identity_repmap(x)
+    ident = cats.rep_cat(q, d).identity(x)
     two = Mat.from_rows(QQ, [[2, 0], [0, 2]])
     top = Mat.from_rows(QQ, [[1, 0], [0, 0]])  # keeps 1, kills x: not D-linear
     cases = {

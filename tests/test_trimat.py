@@ -469,7 +469,7 @@ def test_triples_with_zero_x_share_the_spec_zero_tensor(make, monkeypatch):
 
     monkeypatch.setattr(tm, "tensor_basis", refuse)
     y = spec.coldata_s().columns[0][0]
-    for t in (tm.zero_triple(spec), tm.e2_lambda(spec, y)):
+    for t in (cats.triple_cat(spec).zero_obj(), tm.e2_lambda(spec, y)):
         assert t.tensor is spec.zero_tensor and t.check()
 
 
@@ -539,7 +539,7 @@ def _psi_test_triples(spec):
 
 def _random_combination(rng, a, b, basis):
     f = a.spec.r.field
-    h = tm.zero_triple_map(a, b)
+    h = cats.triple_cat(a.spec).zero_map(a, b)
     for m in basis:
         h = h.add(m.scale(f.of_int(rng.randint(-1, 2))))
     return h
@@ -662,7 +662,7 @@ def test_triple_map_rejects_misshapen_components():
 
 def test_triple_pd_rejects_negative_cap():
     spec = t2k()
-    for t in (tm.e1_lambda(spec, vec_module(spec.r, 1)), tm.zero_triple(spec)):
+    for t in (tm.e1_lambda(spec, vec_module(spec.r, 1)), cats.triple_cat(spec).zero_obj()):
         with pytest.raises(QuivhomError, match="cap"):
             tm.triple_pd(t, -1)
     with pytest.raises(QuivhomError, match="cap"):

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from quivhom import algebra as alg
+from quivhom import cats
 from quivhom import exactlin
 from quivhom import quiver as qv
 from quivhom import scmodule as scm
@@ -229,7 +230,7 @@ def _triples(spec):
     simples = [t for _, _, t in tm.simple_triples(spec)]
     projs = ([tm.e1_lambda(spec, col) for col, _ in cd_r.columns]
              + [tm.e2_lambda(spec, col) for col, _ in cd_s.columns])
-    return [tm.zero_triple(spec), *simples, *projs, tm.triple_sum(spec, simples + projs[:1])]
+    return [cats.triple_cat(spec).zero_obj(), *simples, *projs, tm.triple_sum(spec, simples + projs[:1])]
 
 
 SC_TEMPLATES = ["kA3", "dual", "A4/rad2", "N(3,2)", "D4"]
