@@ -46,6 +46,8 @@ class Complex:
     diffs: dict  # degree -> morphism X^i -> X^{i+1}, for lo..hi-1
 
     def __post_init__(self):
+        if self.hi < self.lo:
+            raise QuivhomError(f"degrees {self.lo}..{self.hi} are empty: a complex needs lo <= hi")
         if any(not self.lo <= i <= self.hi for i in self.objs) \
                 or any(not self.lo <= i < self.hi for i in self.diffs):
             raise QuivhomError(f"a term or differential lies outside degrees {self.lo}..{self.hi}")

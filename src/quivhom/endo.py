@@ -196,7 +196,7 @@ def _residues(f, mult, off, d, i):
     """
     corner = range(off, off + d)
     if f.kind == "q":
-        return [sum((mult[b][h][h] for h in corner), f.zero()) / d for b in corner]
+        return [f.div(sum((mult[b][h][h] for h in corner), f.zero()), f.of_int(d)) for b in corner]
     power = f.p
     while power < d:
         power *= f.p

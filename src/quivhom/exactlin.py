@@ -5,8 +5,10 @@ one elimination, read in three ways: ``rref`` (with ``rank``), the reduced
 rows of a span with its pivot and non-pivot columns (``_reduced_span``), and
 the kernel basis that is the identity at the non-pivot rows
 (``_null_space``); ``solve_matrix`` eliminates an augmented matrix.
-Scalars are ``fractions.Fraction`` over the rationals and plain ``int``
-residues over a prime field.  Elimination uses first-nonzero pivoting, so all
+Over a prime field scalars are plain ``int`` residues.  Over the rationals a
+value has one type: an ``int`` when it is integral and a
+``fractions.Fraction`` only when it is not (Python mixes the two exactly), and
+no ``float`` enters.  Elimination uses first-nonzero pivoting, so all
 outputs are reproducible.  It touches only nonzero entries: zero tests are
 truth tests, and each row is updated in place on the pivot row's nonzero
 support, which gives the dense elimination's result entry for entry.
@@ -35,14 +37,27 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-# Fractions are immutable, so every rational zero and one can be the same object
-_Q0 = Fraction(0)
-_Q1 = Fraction(1)
+def _q(x: Fraction):
+    """The rational ``x`` in its one type: an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _integral(rows):
+    """Turn the integral Fractions of ``rows`` (lists of rationals) into ints,
+    in place."""
+    for row in rows:
+        row[:] = [_q(x) if x.__class__ is Fraction else x for x in row]
 
 
 @dataclass(frozen=True)
 class Field:
-    """Ground field: the rationals ('q') or a prime field ('fp')."""
+    """Ground field: the rationals ('q') or a prime field ('fp').
+
+    ``zero``/``one`` are ``0``/``1`` for both kinds.  Over the rationals,
+    ``of_int``, ``inv``, ``div`` and ``parse`` return an int when the value
+    is integral and a Fraction only when it is not; over GF(p) every scalar
+    is an int residue in 0..p-1.
+    """
 
     kind: str
     p: Optional[int] = None
@@ -59,13 +74,13 @@ class Field:
 
     # -- scalar arithmetic ------------------------------------------------
     def zero(self):
-        return _Q0 if self.kind == "q" else 0
+        return 0
 
     def one(self):
-        return _Q1 if self.kind == "q" else 1
+        return 1
 
     def of_int(self, n: int):
-        return Fraction(n) if self.kind == "q" else n % self.p
+        return n if self.kind == "q" else n % self.p
 
     def add(self, a, b):
         return a + b if self.kind == "q" else (a + b) % self.p
@@ -83,13 +98,15 @@ class Field:
         if self.kind == "q":
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(a)
+            return _q(1 / Fraction(a))
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
     def div(self, a, b):
+        if self.kind == "q":
+            return _q(Fraction(a) / b)
         return self.mul(a, self.inv(b))
 
     # -- text form ---------------------------------------------------------
@@ -103,7 +120,7 @@ class Field:
         text = text.strip()
         try:
             if self.kind == "q":
-                return Fraction(text)
+                return _q(Fraction(text))
             if "/" in text:
                 num, den = text.split("/")
                 return self.div(self.of_int(int(num)), self.of_int(int(den)))
@@ -428,6 +445,8 @@ def rref(m: Mat):
     """Reduced row-echelon form.  Returns (reduced matrix, rank, pivot cols)."""
     rows = m.row_list()
     pivots = _eliminate(rows, m.field)
+    if m.field.kind == "q":
+        _integral(rows)
     rank = len(pivots)
     # move zero rows to the bottom (elimination already ordered pivot rows)
     ent = tuple(chain.from_iterable(rows))
@@ -483,6 +502,8 @@ def solve_matrix(a: Mat, b: Mat) -> Optional[Mat]:
     for i, pc in enumerate(pivots):
         for j in range(b.cols):
             out[pc][j] = rows[i][a.cols + j]
+    if field.kind == "q":
+        _integral(out)
     return Mat.from_rows(field, out) if a.cols else Mat.zeros(field, 0, b.cols)
 
 

@@ -594,6 +594,19 @@ def test_complex_refuses_a_term_or_differential_outside_its_degrees():
         dv.Complex(cat, 0, 1, {0: m, 1: m}, {1: cat.identity(m)})
 
 
+def test_complex_refuses_an_empty_range_of_degrees():
+    # hi < lo has no degrees at all, so it would be a complex with no terms
+    # whose check() holds; the zero complex is zero_complex, in degree 0
+    cat, m, _ = _p1_and_s1_plus_s2()
+    with pytest.raises(QuivhomError, match="degrees 1..0 are empty"):
+        dv.Complex(cat, 1, 0, {}, {})
+    with pytest.raises(QuivhomError, match="degrees 3..1 are empty"):
+        dv.Complex(cat, 3, 1, {}, {})
+    assert dv.Complex(cat, 1, 1, {1: m}, {}).check()
+    z = dv.zero_complex(cat)
+    assert (z.lo, z.hi) == (0, 0) and z.is_zero()
+
+
 def test_chain_map_check_forms_only_products_with_a_nonzero_differential_block(monkeypatch):
     k = alg.ground_field_algebra(QQ)
     gen = alg.AlgMod(k, {"1": 1}, {})

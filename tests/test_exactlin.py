@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -314,3 +315,41 @@ def test_reduced_span_is_the_row_space(field, monkeypatch):
     monkeypatch.setattr(exactlin, "rref", lambda m: calls.append(m))
     assert _reduced_span(Mat.zeros(field, 0, 3)) == ((), (), [0, 1, 2])
     assert calls == []
+
+
+# -- one type per rational value ------------------------------------------------------
+
+def _one_type(x):
+    """An int, or a Fraction that is not integral: never a float, a bool or
+    an integral Fraction."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def test_rational_values_have_one_type():
+    for x in [QQ.zero(), QQ.one(), QQ.of_int(0), QQ.of_int(-7), QQ.inv(2), QQ.inv(Fraction(1, 3)),
+              QQ.inv(-1), QQ.inv(Fraction(-2, 3)), QQ.div(4, 2), QQ.div(Fraction(3, 2), Fraction(1, 2)),
+              QQ.div(1, 3), QQ.div(Fraction(4), Fraction(6)), QQ.parse("6/3"), QQ.parse(" -4 "),
+              QQ.parse("1/2"), QQ.parse("2.5"), QQ.parse("1e3")]:
+        assert _one_type(x), repr(x)
+    assert (QQ.zero(), QQ.one(), QQ.inv(Fraction(1, 3)), QQ.div(4, 2), QQ.parse("6/3")) == (0, 1, 3, 2, 2)
+    assert QQ.div(1, 3) == Fraction(1, 3) and QQ.parse("1e3") == 1000
+
+    def answers(m, b, square):
+        basis, _ = _null_space(m)
+        return [rref(m)[0], basis, solve_matrix(m, b), inverse(square), inverse(m)]
+
+    def as_fractions(m):
+        return Mat(QQ, m.rows, m.cols, tuple(Fraction(x) for x in m.entries))
+
+    def formatted(x):
+        return None if x is None else (x.rows, x.cols, [QQ.format(e) for e in x.entries])
+
+    rng = random.Random(43)
+    for m in _elimination_inputs(QQ, rng):
+        b = m.mul(_random_matrix(rng, QQ, m.cols, 2))
+        square = _random_matrix(rng, QQ, m.rows, m.rows)
+        got = answers(m, b, square)
+        for x in got:
+            assert x is None or all(_one_type(e) for e in x.entries), x
+        ref = answers(as_fractions(m), as_fractions(b), as_fractions(square))
+        assert [formatted(x) for x in got] == [formatted(x) for x in ref]

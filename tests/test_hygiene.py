@@ -301,3 +301,12 @@ def test_cat_states_only_what_differs():
     assert [f.name for f in dataclasses.fields(cats.Cat)] == [
         "name", "field", "keys", "comp_dim", "sum_obj", "map_mats", "map_from_mats",
         "hom_basis", "kernel", "quotient", "obj_equal", "is_semisimple_base"]
+
+
+def test_no_true_division_outside_exactlin():
+    # a / b of two ints is a float: scalars are divided by Field.div, so the
+    # only true division in the library is exactlin's, on Fractions
+    found = sorted(f"{p.name}:{n.lineno}" for p in sorted(SRC.glob("*.py")) if p.name != "exactlin.py"
+                   for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+                   if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div))
+    assert not found, "true division outside exactlin:\n" + "\n".join(found)

@@ -1,4 +1,5 @@
 import inspect
+from fractions import Fraction
 
 import pytest
 
@@ -219,6 +220,24 @@ def test_report_kronecker():
     assert d["schema"] == 2 and d["verdict"] == "PASS" and len(d["steps"]) == 8
     assert set(d) == {"schema", "n", "gldim_end_xbar", "bound", "verdict", "hypothesis_ok",
                       "steps"}
+
+
+def test_kronecker_report_residues_are_exact(monkeypatch):
+    # the residues chi_i read off End(X-bar) are rationals: an int when
+    # integral, else a Fraction, never a float (an int sum divided by / d)
+    seen = []
+    residues = endo._residues
+
+    def recording(*args):
+        out = residues(*args)
+        seen.extend(out)
+        return out
+
+    monkeypatch.setattr(endo, "_residues", recording)
+    k = base_k()
+    assert repdim.repdim_bound_report(qv.kronecker(), k, [kmod(k)]).verdict == "PASS"
+    assert seen
+    assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in seen), seen
 
 
 def test_report_a2_out_of_hypothesis():
