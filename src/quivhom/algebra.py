@@ -41,7 +41,7 @@ from .errors import (
 )
 from .exactlin import (Field, Mat, _commuting_rows, _kernel_blocks, _null_space, _reduced_span, rank,
                        rref, solve_matrix)
-from .quiver import (Path, Quiver, arrow_path, concat, make_quiver, paths_between, single_vertex,
+from .quiver import (Path, Quiver, arrow_path, concat, longest_path, make_quiver, single_vertex,
                      trivial_path)
 
 
@@ -230,12 +230,7 @@ def path_algebra(field: Field, quiver: Quiver, name: str = "") -> BQA:
     """Hereditary path algebra of an acyclic quiver (no relations)."""
     if not quiver.acyclic:
         raise QuivhomError("path_algebra requires an acyclic quiver; use build_bqa with relations")
-    longest = 0
-    for v in quiver.vertices:
-        for w in quiver.vertices:
-            for p in paths_between(quiver, v, w):
-                longest = max(longest, p.length)
-    return BQA(field, quiver, [], longest + 1, name=name)
+    return BQA(field, quiver, [], longest_path(quiver) + 1, name=name)
 
 
 def ground_field_algebra(field: Field, name: str = "k") -> BQA:

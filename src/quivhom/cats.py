@@ -20,11 +20,11 @@ whether the base is semisimple.  ``Cat`` derives the block algebra, one
 returns that one object (complexes pad with it outside their degrees), so
 it must never be mutated.
 
-Representations are modules over the bound quiver algebra Lambda Q
-(``repcat.path_algebra_over``): ``rep_cat`` takes hom bases, kernels and
-quotients from ``algebra`` on that algebra, and checks maps, compares objects
-and places direct sums and block maps vertex by vertex, on the same
-equations and matrices.
+A representation is a module over the bound quiver algebra Lambda Q
+(``repcat.path_algebra_over``), so ``rep_cat`` is ``mod_cat`` of Lambda Q:
+hom bases, kernels, quotients, direct sums, block maps and object equality
+are ``algebra``'s, keyed by the vertices (v, u) of Lambda Q.  It keeps only
+the name "rep" and the base's ``is_semisimple_base``.
 
 Triples (``triple_cat``) go through M's action psi_k = phi(m_k (x) -) :
 X -> Y (``trimat.TripleModule.psi``): morphisms are checked and solved by
@@ -49,7 +49,7 @@ composites of g with all basis maps come from one matrix product per key
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import algebra as alg
 from . import repcat as rc
@@ -252,7 +252,7 @@ def mod_cat(a) -> Cat:
         comp_dim=lambda m, k: m.dims[k],
         sum_obj=lambda ms: alg.sum_mods(a, ms),
         map_mats=lambda f: dict(f.mats),
-        map_from_mats=lambda s, d, mats: alg.ModMap(s, d, mats),
+        map_from_mats=alg.ModMap,
         hom_basis=alg.hom_basis,
         kernel=alg.kernel_of,
         quotient=lambda obj, cols: alg.quotient_module(obj, cols)[:2],
@@ -264,40 +264,10 @@ def mod_cat(a) -> Cat:
 # -- representations ------------------------------------------------------------------
 
 def rep_cat(q, a) -> Cat:
-    def keys(x):
-        return [(v, u) for v in q.vertices for u in a.quiver.vertices]
-
-    def map_mats(f):
-        return {(v, u): f.mats[v].mats[u] for v in q.vertices for u in a.quiver.vertices}
-
-    def map_from_mats(s, d, mats):
-        per_vertex = {}
-        for v in q.vertices:
-            per_vertex[v] = alg.ModMap(s.mods[v], d.mods[v],
-                                       {u: mats[(v, u)] for u in a.quiver.vertices})
-        return rc.RepMap(s, d, per_vertex)
-
-    def quotient(obj, cols):
-        qm, qmap, _ = alg.quotient_module(
-            rc.as_module(obj), {rc.lq_name(v, u): c for (v, u), c in cols.items()})
-        qr = rc.as_rep(q, a, qm)
-        return qr, rc.as_rep_map(obj, qr, qmap)
-
-    return Cat(
-        name="rep",
-        field=a.field,
-        keys=keys,
-        comp_dim=lambda x, k: x.mods[k[0]].dims[k[1]],
-        sum_obj=lambda xs: rc.rep_sum(q, a, xs),
-        map_mats=map_mats,
-        map_from_mats=map_from_mats,
-        hom_basis=rc.rep_hom_basis,
-        kernel=rc.rep_kernel,
-        quotient=quotient,
-        obj_equal=lambda x, y: x.mods == y.mods and all(
-            x.maps[c.name].mats == y.maps[c.name].mats for c in q.arrows),
-        is_semisimple_base=lambda: a.is_semisimple(),
-    )
+    """Representations of q in mod a: ``mod_cat`` of the path algebra aQ that
+    they are modules over, named "rep", whose base is semisimple when a is."""
+    return replace(mod_cat(rc.path_algebra_over(q, a)), name="rep",
+                   is_semisimple_base=a.is_semisimple)
 
 
 # -- raw structure-constant modules -----------------------------------------------------

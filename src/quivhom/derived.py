@@ -225,11 +225,10 @@ def sum_complexes(cat: Cat, cs) -> Complex:
 
 def evaluate_complex(x: Complex, v: str) -> Complex:
     """Vertexwise complex of base-algebra modules from a complex of representations."""
-    a = x.objs[x.lo].algebra
-    cat = mod_cat(a)
-    objs = {i: x.objs[i].mods[v] for i in x.degrees()}
-    diffs = {i: x.diffs[i].mats[v] for i in range(x.lo, x.hi)}
-    return Complex(cat, x.lo, x.hi, objs, diffs)
+    _, a = rc.quiver_and_base(x.objs[x.lo])
+    objs = {i: rc.evaluate(x.objs[i], v) for i in x.degrees()}
+    diffs = {i: rc.evaluate_map(x.diffs[i], v, objs[i], objs[i + 1]) for i in range(x.lo, x.hi)}
+    return Complex(mod_cat(a), x.lo, x.hi, objs, diffs)
 
 
 # ---------------------------------------------------------------------------------
@@ -428,10 +427,9 @@ def witness_check(w, generators, d: int, cat: Cat, locus: str = "root"):
     return False, CheckFailure(locus, "unknown witness kind")
 
 
-def empty_leaf(cat: Cat, target: Complex = None) -> Leaf:
+def empty_leaf(cat: Cat) -> Leaf:
     """Depth-zero witness of a zero complex."""
-    z = target if target is not None else zero_complex(cat)
-    e = zero_complex(cat)
+    z, e = zero_complex(cat), zero_complex(cat)
     return Leaf(z, [], ChainMap(z, e, {}), ChainMap(e, z, {}))
 
 
@@ -541,24 +539,31 @@ def _split_degreewise(x: Complex, generators):
 
 # ---------------------------------------------------------------------------------
 # the canonical triangles at complex level
+#
+# A complex of representations is a complex of Lambda Q-modules over
+# ``rep_cat``; its triangle is built vertex by vertex, from the evaluations
+# X_v (``evaluate_complex``) and their left adjoints, which read and write
+# the (v, u) blocks of those modules.
 
 
 def rep_standard_triangle(x: Complex) -> ComplexSES:
     """Degreewise canonical presentation of a complex of representations."""
     rcat = x.cat
-    q = x.objs[x.lo].quiver
+    q, _ = rc.quiver_and_base(x.objs[x.lo])
     pres = {i: rc.standard_presentation(x.objs[i]) for i in x.degrees()}
     b_objs = {i: pres[i].vertices_term for i in x.degrees()}
     a_objs = {i: pres[i].arrows_term for i in x.degrees()}
-    # the functorial differentials: each adjoint piece maps to its own block
+    # the functorial differentials: each adjoint piece e^w_lambda(X_v) maps
+    # to its own block by e^w_lambda(d_v)
+    at = {v: evaluate_complex(x, v) for v in q.vertices}
     b_diffs, a_diffs = {}, {}
     for i in range(x.lo, x.hi):
-        d, src, dst = x.diffs[i], pres[i], pres[i + 1]
+        src, dst = pres[i], pres[i + 1]
         b_diffs[i] = rcat.diag(src.vertices_term, dst.vertices_term, [
-            rc.left_adjoint_map(q, v, s, t, d.mats[v])
+            rc.left_adjoint_map(s, t, at[v].diffs[i])
             for v, s, t in zip(q.vertices, src.vertex_pieces, dst.vertex_pieces)])
         a_diffs[i] = rcat.diag(src.arrows_term, dst.arrows_term, [
-            rc.left_adjoint_map(q, arr.target, s, t, d.mats[arr.source])
+            rc.left_adjoint_map(s, t, at[arr.source].diffs[i])
             for arr, s, t in zip(q.arrows, src.arrow_pieces, dst.arrow_pieces)])
     return _verified_ses(x, a_objs, a_diffs, b_objs, b_diffs,
                          {i: pres[i].incl for i in x.degrees()},
@@ -710,7 +715,7 @@ def left_adjoint_functor(q, a, v) -> CFunctor:
     on_obj = _per_object(lambda m: rc.left_adjoint(q, v, m))
 
     def on_map(f):
-        return rc.left_adjoint_map(q, v, on_obj(f.source), on_obj(f.target), f)
+        return rc.left_adjoint_map(on_obj(f.source), on_obj(f.target), f)
 
     return CFunctor(f"e^{v}_lambda", mod_cat(a), rep_cat(q, a), on_obj, on_map)
 
@@ -854,8 +859,7 @@ def rep_complex_witness(x: Complex, base_generators, shortcut: bool = True):
     whose objects are the leaf's own, so the functor at t(a) builds their
     images once for all arrows from s(a) to t(a)."""
     rcat = x.cat
-    sample = x.objs[x.lo]
-    q, a = sample.quiver, sample.algebra
+    q, a = rc.quiver_and_base(x.objs[x.lo])
     # one functor per vertex: the generators, the mid part at v and the shift
     # parts of the arrows into v share its image cache
     functors = {v: left_adjoint_functor(q, a, v) for v in q.vertices}
@@ -876,14 +880,14 @@ def rep_complex_witness(x: Complex, base_generators, shortcut: bool = True):
         gmap = {j: gen_of[(v, j)] for j in range(len(base_generators))}
         mid_parts.append(pushforward_witness(leaves[v], functors[v], base_generators, new_gens,
                                              gmap))
-    mid = witness_direct_sum(rcat, mid_parts) if mid_parts else empty_leaf(rcat)
+    mid = witness_direct_sum(rcat, mid_parts)
     shift_parts = []
     for arr in q.arrows:
         gmap = {j: gen_of[(arr.target, j)] for j in range(len(base_generators))}
         shift_parts.append(pushforward_witness(shift_leaf(leaves[arr.source], 1),
                                                functors[arr.target], base_generators,
                                                new_gens, gmap))
-    sh = witness_direct_sum(rcat, shift_parts) if shift_parts else empty_leaf(rcat)
+    sh = witness_direct_sum(rcat, shift_parts)
     node = Node(x, ses, mid, sh)
     return node, new_gens
 
@@ -935,12 +939,12 @@ def triple_complex_witness(x: Complex, r_generators, s_generators, shortcut: boo
     # its leaves in the S-generators, then push through k2; shift by 1
     w_x2 = shift_leaf(leaf_x, 1)
     tens = tensor_functor(spec)
+    tens_gens = [tens.on_obj(g) for g in r_generators]
     try:
-        w_t = _push(w_x2, tens, r_generators, r_generators,
-                    {j: j for j in range(len(r_generators))})
+        w_t = _push(w_x2, tens, r_generators, tens_gens, {j: j for j in range(len(r_generators))})
     except CertificateBrokenByFunctor as exc:
         raise TensorNotExactOnCertificates(str(exc)) from exc
-    w_t = _reanchor(w_t, [tens.on_obj(g) for g in r_generators], s_generators, scat_)
+    w_t = _reanchor(w_t, tens_gens, s_generators, scat_)
     sh = pushforward_witness(w_t, k2, s_generators, new_gens, gmap_s)
     node = Node(x, ses, mid, sh)
     return node, new_gens

@@ -377,7 +377,8 @@ def adjoint_end_iso(q: Quiver, gamma: EndAlgebra, lhs: EndAlgebra) -> EndIsoRepo
     if verts != [v for v in q.vertices if v in verts]:
         raise QuivhomError(f"lhs vertices {verts} are not distinct vertices in quiver order")
     for k, (s, tag) in enumerate(zip(lhs.summands, tags)):
-        if s.quiver != q or tag[:3] != (side, verts[k // n_a], gamma.summands[k % n_a]):
+        want = (side, verts[k // n_a], gamma.summands[k % n_a])
+        if rc.quiver_and_base(s)[0] != q or tag[:3] != want:
             raise QuivhomError(f"summand {k} of lhs is not e^{verts[k // n_a]}_{side}(A_{k % n_a})")
     rhs, labels = path_block_algebra(gamma.sc, subquiver(q, verts))
     express = _block_reader(lhs.cat, lhs.blocks, lhs.dim)
@@ -386,17 +387,17 @@ def adjoint_end_iso(q: Quiver, gamma: EndAlgebra, lhs: EndAlgebra) -> EndIsoRepo
         a_s, a_t, t = gamma.sc.labels[g]
         i, j = verts.index(p.target) * n_a + a_s, verts.index(p.source) * n_a + a_t
         src, dst = lhs.summands[i], lhs.summands[j]
-        mats = {}
+        pairs = {}
         for x in q.vertices:
             if side == "lambda":
                 at = {r: n for n, r in enumerate(dst._adjoint[3][x])}
-                pairs = [(n, at[concat(p, r)]) for n, r in enumerate(src._adjoint[3][x])]
+                pairs[x] = [(n, at[concat(p, r)]) for n, r in enumerate(src._adjoint[3][x])]
             else:
                 at = {r: n for n, r in enumerate(src._adjoint[3][x])}
-                pairs = [(at[concat(r, p)], n) for n, r in enumerate(dst._adjoint[3][x])]
-            mats[x] = rc._copy_map(gamma.blocks[(a_s, a_t)][1][t], src.mods[x], dst.mods[x], pairs)
+                pairs[x] = [(at[concat(r, p)], n) for n, r in enumerate(dst._adjoint[3][x])]
+        chi = rc._copy_map(src, dst, gamma.blocks[(a_s, a_t)][1][t].mats, pairs)
         try:
-            coords.append(express(i, j, rc.RepMap(src, dst, mats)))
+            coords.append(express(i, j, chi))
         except CompositionInconsistent as exc:
             raise IsoCheckFailed(f"the map of ({p}, {g}) is not natural") from exc
     if not lhs.dim == rhs.dim == rank(Mat.from_rows(f, coords)):

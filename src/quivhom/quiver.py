@@ -169,6 +169,16 @@ def paths_between(q: Quiver, v: str, w: str):
     return out
 
 
+def longest_path(q: Quiver) -> int:
+    """The length of a longest path of an acyclic quiver, by one pass over
+    its topological order."""
+    longest = dict.fromkeys(q.vertices, 0)
+    for v in q.topological:
+        for a in q.arrows_from(v):
+            longest[a.target] = max(longest[a.target], longest[v] + 1)
+    return max(longest.values(), default=0)
+
+
 def sinks(q: Quiver):
     return [v for v in q.vertices if not q.arrows_from(v)]
 

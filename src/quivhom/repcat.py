@@ -1,25 +1,29 @@
 """Representations of an acyclic quiver in the modules of a base algebra.
 
 A representation X of Q in mod Lambda is a module over the path algebra
-Lambda Q = Lambda (x) kQ.  ``path_algebra_over`` presents Lambda Q as a bound
-quiver algebra: its vertices are the pairs (v, u) of a vertex of Q and one of
-Lambda, its arrows are Lambda's arrows at each v and Q's arrows at each u, and
-its relations are Lambda's relations at each v and one commutativity square
-per pair of arrows.  ``as_module`` reads X as a Lambda Q-module on the same
-matrices, so hom bases, kernels, projective dimension and the global
-dimension of Lambda Q are the ones ``algebra`` computes for every bound quiver
-algebra (its minimal covers and radicals included).  ``RepMap.is_valid``
-checks the equations of a Lambda Q-module map vertex by vertex, with no
-conversion.
+Lambda Q = Lambda (x) kQ (Assem-Simson-Skowronski, *Elements*, Ch. III), and
+that module is all the library stores: an ``AlgMod`` over
+``path_algebra_over(Q, Lambda)``, which presents Lambda Q as a bound quiver
+algebra.  Its vertices are the pairs (v, u) of a vertex of Q and one of
+Lambda, its arrows are Lambda's arrows at each v and Q's arrows at each u,
+and its relations are Lambda's relations at each v and one commutativity
+square per pair of arrows.  So X_v is X's blocks at the vertices (v, -) and
+the arrows of Lambda at v, X(c) its blocks at Q's arrow c, and a map of
+representations is a ``ModMap`` over Lambda Q whose block at (v, u) is f_v
+at u.  Hom bases, kernels, quotients, direct sums, projective dimension and
+the global dimension of Lambda Q are the ones ``algebra`` computes for every
+bound quiver algebra.  ``Rep`` builds X from vertex data, and
+``quiver_and_base`` reads (Q, Lambda) back off Lambda Q, which records them.
 
-What stays vertex by vertex are the paper's functors: evaluation at a vertex
-and its left and right adjoints (sums of copies indexed by paths), and the
-canonical presentation
+What stays vertex by vertex are the paper's functors, and they read and
+write the (v, u) blocks directly: evaluation at a vertex (``evaluate``,
+``evaluate_map``, ``arrow_map``), its left and right adjoints (one copy of M
+per path, each arrow b of Lambda acting by kron(I_n, M_b) and each arrow of
+Q by unit-block copy maps), and the canonical presentation
 
     0 -> sum_a e^{t(a)}_lambda(X_{s(a)}) -> sum_v e^v_lambda(X_v) -> X -> 0
 
-whose exactness ``derived.ComplexSES.verify`` checks by ranks.  Direct sums
-are placed vertex by vertex too.
+whose exactness ``derived.ComplexSES.verify`` checks by ranks.
 """
 
 from __future__ import annotations
@@ -27,107 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import algebra as alg
-from .algebra import AlgMod, BQA, ModMap, _is_linear
+from .algebra import AlgMod, BQA, ModMap
 from .bounds import Dim
-from .errors import AlgebraMismatch, DimensionMismatch, QuivhomError, UnknownVertex
+from .errors import AlgebraMismatch, QuivhomError, UnknownVertex
 from .exactlin import Mat, rank, solve_matrix
-from .quiver import Path, Quiver, arrow_path, concat, make_quiver, paths_between, trivial_path
+from .quiver import (Path, Quiver, arrow_path, concat, longest_path, make_quiver, paths_between,
+                     trivial_path)
 
-
-@dataclass
-class Rep:
-    quiver: Quiver
-    algebra: BQA
-    mods: dict
-    maps: dict
-
-    def __post_init__(self):
-        q, a = self.quiver, self.algebra
-        if not q.acyclic:
-            raise QuivhomError("representations require an acyclic quiver")
-        mods = {v: self.mods.get(v) or alg.zero_module(a) for v in q.vertices}
-        if not self.mods.keys() <= mods.keys():
-            raise UnknownVertex(f"unknown vertices {sorted(self.mods.keys() - mods.keys(), key=str)}")
-        if any(m.algebra is not a for m in mods.values()):
-            raise AlgebraMismatch("a vertex module is over another algebra")
-        maps = {arr.name: self.maps.get(arr.name) or alg.zero_map(mods[arr.source], mods[arr.target])
-                for arr in q.arrows}
-        if not self.maps.keys() <= maps.keys():
-            raise QuivhomError(f"unknown arrows {sorted(self.maps.keys() - maps.keys(), key=str)}")
-        for arr in q.arrows:
-            f, src, dst = maps[arr.name], mods[arr.source], mods[arr.target]
-            if f.source.algebra is not a:
-                raise AlgebraMismatch(f"the map of arrow {arr.name} is over another algebra")
-            for u, g in f.mats.items():
-                if g.rows != dst.dims[u] or g.cols != src.dims[u]:
-                    raise DimensionMismatch(f"arrow {arr.name}, base vertex {u}: "
-                                            f"map shape {g.rows}x{g.cols}")
-        self.mods, self.maps = mods, maps
-
-    def dim_total(self) -> int:
-        return sum(m.dim_total() for m in self.mods.values())
-
-    def dim_vector(self):
-        return {v: self.mods[v].dim_total() for v in self.quiver.vertices}
-
-    def is_zero(self) -> bool:
-        return self.dim_total() == 0
-
-    def check(self) -> bool:
-        return as_module(self).check_relations()
-
-
-@dataclass
-class RepMap:
-    source: Rep
-    target: Rep
-    mats: dict  # vertex -> ModMap
-
-    def __post_init__(self):
-        mats, missing = {}, 0
-        for v in self.source.quiver.vertices:
-            f = self.mats.get(v)
-            if f is None:
-                f = alg.zero_map(self.source.mods[v], self.target.mods[v])
-                missing += 1
-            mats[v] = f
-        # every key is known when they number the entries found; otherwise (an
-        # unknown key, or one mapped to None) the keys themselves are tested
-        if len(self.mats) + missing != len(mats) and not self.mats.keys() <= mats.keys():
-            raise UnknownVertex(f"unknown vertices {sorted(self.mats.keys() - mats.keys(), key=str)}")
-        self.mats = mats
-
-    def is_valid(self) -> bool:
-        """The equations of the Lambda Q-module map ``as_module_map(self)``,
-        read vertex by vertex with no conversion: each f_v is Lambda-linear
-        X_v -> Y_v, and f_w X(c)_u = Y(c)_u f_v for each arrow c: v -> w of Q
-        and each vertex u of Lambda."""
-        x, y = self.source, self.target
-        if not all(_is_linear(x.mods[v], y.mods[v], f.mats) for v, f in self.mats.items()):
-            return False
-        return all(self.mats[c.target].mats[u].mul(x.maps[c.name].mats[u])
-                   == y.maps[c.name].mats[u].mul(self.mats[c.source].mats[u])
-                   for c in x.quiver.arrows for u in x.algebra.quiver.vertices)
-
-    def compose(self, other: "RepMap") -> "RepMap":
-        return RepMap(other.source, self.target,
-                      {v: self.mats[v].compose(other.mats[v]) for v in self.mats})
-
-    def add(self, other: "RepMap") -> "RepMap":
-        return RepMap(self.source, self.target,
-                      {v: self.mats[v].add(other.mats[v]) for v in self.mats})
-
-    def scale(self, c) -> "RepMap":
-        return RepMap(self.source, self.target, {v: self.mats[v].scale(c) for v in self.mats})
-
-    def flatten(self):
-        out = []
-        for v in self.source.quiver.vertices:
-            out.extend(self.mats[v].flatten())
-        return out
-
-    def is_zero(self) -> bool:
-        return all(self.mats[v].is_zero() for v in self.mats)
+# a map of representations is a map of Lambda Q-modules, and its kernel the
+# module kernel; the names stay for the benchmark's input builder
+RepMap = ModMap
+rep_kernel = alg.kernel_of
 
 
 # -- the path algebra Lambda Q ------------------------------------------------------
@@ -138,6 +52,20 @@ def lq_name(*names) -> str:
     arrow b at v is ``lq_name("base", v, b)`` and Q's arrow c at u is
     ``lq_name("quiver", c, u)``, each the repr of its tuple of names."""
     return repr(names)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where a representation's vertex data sits in its Lambda Q-module:
+    ``at[v][u]`` names the vertex (v, u), ``base_arrow[v][b]`` Lambda's arrow
+    b at v and ``quiver_arrow[c][u]`` Q's arrow c at u, each inner dict in
+    the order of Lambda's vertices or arrows."""
+
+    quiver: Quiver
+    base: BQA
+    at: dict
+    base_arrow: dict
+    quiver_arrow: dict
 
 
 def path_algebra_over(q: Quiver, a: BQA) -> BQA:
@@ -156,192 +84,223 @@ def path_algebra_over(q: Quiver, a: BQA) -> BQA:
     if not q.acyclic:
         raise QuivhomError("representations require an acyclic quiver")
     bq = a.quiver
-    verts = [lq_name(v, u) for v in q.vertices for u in bq.vertices]
-    arrows = [(lq_name("base", v, b.name), lq_name(v, b.source), lq_name(v, b.target))
+    lay = _Layout(q, a, {v: {u: lq_name(v, u) for u in bq.vertices} for v in q.vertices},
+                  {v: {b.name: lq_name("base", v, b.name) for b in bq.arrows} for v in q.vertices},
+                  {c.name: {u: lq_name("quiver", c.name, u) for u in bq.vertices}
+                   for c in q.arrows})
+    verts = [n for v in q.vertices for n in lay.at[v].values()]
+    arrows = [(lay.base_arrow[v][b.name], lay.at[v][b.source], lay.at[v][b.target])
               for v in q.vertices for b in bq.arrows]
-    arrows += [(lq_name("quiver", c.name, u), lq_name(c.source, u), lq_name(c.target, u))
+    arrows += [(lay.quiver_arrow[c.name][u], lay.at[c.source][u], lay.at[c.target][u])
                for c in q.arrows for u in bq.vertices]
     ends = {name: (src, dst) for name, src, dst in arrows}
 
     def path(*names):
         return Path(ends[names[0]][0], ends[names[-1]][1], names)
 
-    rels = [[(coef, path(*(lq_name("base", v, b) for b in p.arrows))) for coef, p in rel]
+    rels = [[(coef, path(*(lay.base_arrow[v][b] for b in p.arrows))) for coef, p in rel]
             for v in q.vertices for rel in a.relations]
     # c then b equals b then c, for c: v -> w in Q and b: u -> t in Lambda
-    rels += [[(1, path(lq_name("quiver", c.name, b.source), lq_name("base", c.target, b.name))),
-              (-1, path(lq_name("base", c.source, b.name), lq_name("quiver", c.name, b.target)))]
+    rels += [[(1, path(lay.quiver_arrow[c.name][b.source], lay.base_arrow[c.target][b.name])),
+              (-1, path(lay.base_arrow[c.source][b.name], lay.quiver_arrow[c.name][b.target]))]
              for c in q.arrows for b in bq.arrows]
-    longest = {v: 0 for v in q.vertices}
-    for v in q.topological:
-        for c in q.arrows_from(v):
-            longest[c.target] = max(longest[c.target], longest[v] + 1)
-    bound = a.nbound + max(longest.values(), default=0)
-    lq = BQA(a.field, make_quiver(verts, arrows, require_acyclic=bq.acyclic), rels, bound,
-             name=f"({a.name or 'algebra'})Q")
+    lq = BQA(a.field, make_quiver(verts, arrows, require_acyclic=bq.acyclic), rels,
+             a.nbound + longest_path(q), name=f"({a.name or 'algebra'})Q")
+    lq._layout = lay
     a._path_algebras[q] = lq
     return lq
 
 
-def as_module(x: Rep) -> AlgMod:
-    """x as a module over ``path_algebra_over(Q, Lambda)``, on x's own
-    matrices; built anew on each call, not kept on x.  This and the other
-    conversions walk Lambda Q's vertices and arrows in the order that
-    ``path_algebra_over`` lists them, with no names to build."""
-    q, bq = x.quiver, x.algebra.quiver
-    lq = path_algebra_over(q, x.algebra)
-    mats = [x.mods[v].mats[b.name] for v in q.vertices for b in bq.arrows]
-    mats += [x.maps[c.name].mats[u] for c in q.arrows for u in bq.vertices]
-    return AlgMod(lq, dict(zip(lq.quiver.vertices,
-                               [x.mods[v].dims[u] for v in q.vertices for u in bq.vertices])),
-                  dict(zip([arr.name for arr in lq.quiver.arrows], mats)))
+def _layout(x: AlgMod) -> _Layout:
+    lay = getattr(x.algebra, "_layout", None)
+    if lay is None:
+        raise AlgebraMismatch("not a module over a path algebra built by path_algebra_over")
+    return lay
 
 
-def as_rep(q: Quiver, a: BQA, m: AlgMod) -> Rep:
-    """The representation of Q in mod Lambda that the Lambda Q-module m is:
-    the inverse of ``as_module``."""
-    lq = path_algebra_over(q, a)
-    if m.algebra is not lq:
-        raise AlgebraMismatch("not a module over the path algebra of this quiver and base")
-    bq = a.quiver
-    dims = iter([m.dims[w] for w in lq.quiver.vertices])
-    mats = iter([m.mats[arr.name] for arr in lq.quiver.arrows])
-    mods = {v: AlgMod(a, {u: next(dims) for u in bq.vertices}, {b.name: next(mats) for b in bq.arrows})
-            for v in q.vertices}
-    maps = {c.name: ModMap(mods[c.source], mods[c.target], {u: next(mats) for u in bq.vertices})
-            for c in q.arrows}
-    return Rep(q, a, mods, maps)
+def quiver_and_base(x: AlgMod):
+    """(Q, Lambda) of a representation x, read off its algebra Lambda Q."""
+    lay = _layout(x)
+    return lay.quiver, lay.base
 
 
-def as_module_map(f: RepMap) -> ModMap:
-    """f as a map of Lambda Q-modules between ``as_module`` of its ends."""
-    x = f.source
-    src = as_module(x)
-    return ModMap(src, as_module(f.target), dict(zip(
-        src.algebra.quiver.vertices,
-        [f.mats[v].mats[u] for v in x.quiver.vertices for u in x.algebra.quiver.vertices])))
+class Rep(AlgMod):
+    """The representation of Q with the Lambda-module ``mods[v]`` at each
+    vertex v and the module map ``maps[c]`` at each arrow c (zero where left
+    out), built as the Lambda Q-module it is: ``evaluate`` at v gives back
+    mods[v] and ``arrow_map`` at c gives back maps[c]."""
 
-
-def as_rep_map(x: Rep, y: Rep, g: ModMap) -> RepMap:
-    """The map x -> y that the Lambda Q-module map g is: the inverse of
-    ``as_module_map``."""
-    bverts = x.algebra.quiver.vertices
-    blocks = iter([g.mats[w] for w in g.source.algebra.quiver.vertices])
-    return RepMap(x, y, {v: ModMap(x.mods[v], y.mods[v], {u: next(blocks) for u in bverts})
-                         for v in x.quiver.vertices})
-
-
-def rep_sum(q: Quiver, a: BQA, reps) -> Rep:
-    """The direct sum of representations, vertex by vertex."""
-    reps = list(reps)
-    f = a.field
-    mods = {v: alg.sum_mods(a, [r.mods[v] for r in reps]) for v in q.vertices}
-    maps = {arr.name: ModMap(mods[arr.source], mods[arr.target], {
-        u: Mat.block_diag(f, [r.maps[arr.name].mats[u] for r in reps]) for u in a.quiver.vertices})
-        for arr in q.arrows}
-    return Rep(q, a, mods, maps)
-
-
-def path_action(x: Rep, p: Path) -> ModMap:
-    """The composite module map X_p : X_{source} -> X_{target} along a path."""
-    out = alg.identity_map(x.mods[p.source])
-    for a in p.arrows:
-        out = x.maps[a].compose(out)
-    return out
+    def __init__(self, q: Quiver, a: BQA, mods: dict, maps: dict):
+        lq = path_algebra_over(q, a)
+        lay = lq._layout
+        unknown = sorted(mods.keys() - lay.at.keys(), key=str)
+        if unknown:
+            raise UnknownVertex(f"unknown vertices {unknown}")
+        if any(m.algebra is not a for m in mods.values()):
+            raise AlgebraMismatch("a vertex module is over another algebra")
+        unknown = sorted(maps.keys() - lay.quiver_arrow.keys(), key=str)
+        if unknown:
+            raise QuivhomError(f"unknown arrows {unknown}")
+        if any(f.source.algebra is not a for f in maps.values()):
+            raise AlgebraMismatch("an arrow map is over another algebra")
+        dims, mats = {}, {}
+        for v, m in mods.items():
+            dims.update({lay.at[v][u]: d for u, d in m.dims.items()})
+            mats.update({lay.base_arrow[v][b]: g for b, g in m.mats.items()})
+        for c, f in maps.items():
+            mats.update({lay.quiver_arrow[c][u]: g for u, g in f.mats.items()})
+        # a map of the wrong shape raises DimensionMismatch here, naming its
+        # arrow of Lambda Q
+        super().__init__(lq, dims, mats)
 
 
 # -- evaluation and its adjoints ------------------------------------------------
 
-def evaluate(x: Rep, v: str) -> AlgMod:
-    v = str(v)
-    if v not in x.quiver.vertices:
+def evaluate(x: AlgMod, v: str) -> AlgMod:
+    """X_v, the Lambda-module at vertex v of a representation x."""
+    lay, v = _layout(x), str(v)
+    if v not in lay.at:
         raise UnknownVertex(f"unknown vertex {v}")
-    return x.mods[v]
+    return AlgMod(lay.base, {u: x.dims[n] for u, n in lay.at[v].items()},
+                  {b: x.mats[n] for b, n in lay.base_arrow[v].items()})
 
 
-def left_adjoint(q: Quiver, v: str, m: AlgMod) -> Rep:
+def evaluate_map(f: ModMap, v: str, src: AlgMod, dst: AlgMod) -> ModMap:
+    """f_v : src -> dst, the Lambda-module map at vertex v of a map f of
+    representations, between src = X_v and dst = Y_v (``evaluate`` of f's
+    ends, which the caller holds)."""
+    lay, v = _layout(f.source), str(v)
+    if v not in lay.at:
+        raise UnknownVertex(f"unknown vertex {v}")
+    return ModMap(src, dst, {u: f.mats[n] for u, n in lay.at[v].items()})
+
+
+def arrow_map(x: AlgMod, c: str, src: AlgMod, dst: AlgMod) -> ModMap:
+    """X(c) : src -> dst for an arrow c : v -> w of Q, between src = X_v and
+    dst = X_w."""
+    lay = _layout(x)
+    if c not in lay.quiver_arrow:
+        raise QuivhomError(f"unknown arrow {c}")
+    return ModMap(src, dst, {u: x.mats[n] for u, n in lay.quiver_arrow[c].items()})
+
+
+def _path_blocks(x: AlgMod, p: Path) -> dict:
+    """X_p : X_{source} -> X_{target} along a path p of Q, one block per
+    vertex u of Lambda."""
+    lay = _layout(x)
+    f = lay.base.field
+    out = {}
+    for u, n in lay.at[p.source].items():
+        m = Mat.identity(f, x.dims[n])
+        for c in p.arrows:
+            m = x.mats[lay.quiver_arrow[c][u]].mul(m)
+        out[u] = m
+    return out
+
+
+def left_adjoint(q: Quiver, v: str, m: AlgMod) -> AlgMod:
     """e^v_lambda(M): vertex w carries one copy of M per path v ~> w."""
     v = str(v)
     paths = {w: paths_between(q, v, w) for w in q.vertices}
-    mods = {w: _copies(m, len(paths[w])) for w in q.vertices}
-    ident = alg.identity_map(m)
-    maps = {}
+    pairs = {}
     for arr in q.arrows:
         # copy p at the source goes to copy p.arr at the target
         dst_index = {p: j for j, p in enumerate(paths[arr.target])}
-        pairs = [(i, dst_index[concat(p, arrow_path(arr))])
-                 for i, p in enumerate(paths[arr.source])]
-        maps[arr.name] = _copy_map(ident, mods[arr.source], mods[arr.target], pairs)
-    rep = Rep(q, m.algebra, mods, maps)
-    rep._adjoint = ("lambda", v, m, paths)
-    return rep
+        pairs[arr.name] = [(i, dst_index[concat(p, arrow_path(arr))])
+                           for i, p in enumerate(paths[arr.source])]
+    return _copies(q, m, ("lambda", v, m, paths), pairs)
 
 
-def right_adjoint(q: Quiver, v: str, m: AlgMod) -> Rep:
+def right_adjoint(q: Quiver, v: str, m: AlgMod) -> AlgMod:
     """e^v_rho(M): vertex w carries one copy of M per path w ~> v."""
     v = str(v)
     paths = {w: paths_between(q, w, v) for w in q.vertices}
-    mods = {w: _copies(m, len(paths[w])) for w in q.vertices}
-    ident = alg.identity_map(m)
-    maps = {}
+    pairs = {}
     for arr in q.arrows:
         # copy arr.qq at the source goes to copy qq at the target
         src_index = {p: i for i, p in enumerate(paths[arr.source])}
-        pairs = [(src_index[concat(arrow_path(arr), qq)], j)
-                 for j, qq in enumerate(paths[arr.target])]
-        maps[arr.name] = _copy_map(ident, mods[arr.source], mods[arr.target], pairs)
-    rep = Rep(q, m.algebra, mods, maps)
-    rep._adjoint = ("rho", v, m, paths)
-    return rep
+        pairs[arr.name] = [(src_index[concat(arrow_path(arr), qq)], j)
+                           for j, qq in enumerate(paths[arr.target])]
+    return _copies(q, m, ("rho", v, m, paths), pairs)
 
 
-def _copies(m: AlgMod, n: int) -> AlgMod:
-    """The direct sum of n copies of m: each arrow acts by kron(I_n, M)."""
-    ident = Mat.identity(m.algebra.field, n)
-    return AlgMod(m.algebra, {u: n * d for u, d in m.dims.items()},
-                  {name: Mat.kron(ident, mat) for name, mat in m.mats.items()})
+def _copies(q: Quiver, m: AlgMod, tag, pairs) -> AlgMod:
+    """The representation with one copy of m per path of ``tag[3][w]`` at
+    each vertex w: an arrow b of Lambda acts by kron(I_n, M_b), and an arrow
+    c of Q sends copy i to copy j by the identity for each (i, j) in
+    pairs[c].  The tag (side, vertex, m, paths) stays on it as ``_adjoint``."""
+    a = m.algebra
+    lq = path_algebra_over(q, a)
+    lay, f = lq._layout, a.field
+    n = {w: len(p) for w, p in tag[3].items()}
+    dims, mats = {}, {}
+    for w in q.vertices:
+        ident = Mat.identity(f, n[w])
+        dims.update({lay.at[w][u]: n[w] * d for u, d in m.dims.items()})
+        mats.update({lay.base_arrow[w][b]: Mat.kron(ident, g) for b, g in m.mats.items()})
+    for arr in q.arrows:
+        for u, name in lay.quiver_arrow[arr.name].items():
+            d = m.dims[u]
+            mats[name] = _copy_block(f, Mat.identity(f, d), n[arr.target] * d, n[arr.source] * d,
+                                     pairs[arr.name])
+    x = AlgMod(lq, dims, mats)
+    x._adjoint = tag
+    return x
 
 
-def _copy_map(g: ModMap, src: AlgMod, dst: AlgMod, pairs) -> ModMap:
-    """The map between a sum of copies of g's source and a sum of copies of
-    its target that places g from copy i to copy j for each (i, j) in pairs:
-    blocks, no products."""
-    f = g.source.algebra.field
-    mats = {}
-    for u, b in g.mats.items():
-        cols = src.dims[u]
-        ent = [f.zero()] * (dst.dims[u] * cols)
-        for i, j in pairs:
-            for r in range(b.rows):
-                at = (j * b.rows + r) * cols + i * b.cols
-                ent[at:at + b.cols] = b.entries[r * b.cols:(r + 1) * b.cols]
-        mats[u] = Mat(f, dst.dims[u], cols, tuple(ent))
-    return ModMap(src, dst, mats)
+def _copy_block(f, g: Mat, rows: int, cols: int, pairs) -> Mat:
+    """The rows x cols matrix that places g from column block i to row block
+    j for each (i, j) in pairs: blocks, no products."""
+    ent = [f.zero()] * (rows * cols)
+    for i, j in pairs:
+        for r in range(g.rows):
+            at = (j * g.rows + r) * cols + i * g.cols
+            ent[at:at + g.cols] = g.entries[r * g.cols:(r + 1) * g.cols]
+    return Mat(f, rows, cols, tuple(ent))
 
 
-def left_adjoint_map(q: Quiver, v: str, src_rep: Rep, dst_rep: Rep, f: ModMap) -> RepMap:
-    """e^v_lambda on morphisms: one copy of f per path."""
-    return RepMap(src_rep, dst_rep, {
-        w: _copy_map(f, src_rep.mods[w], dst_rep.mods[w],
-                     [(i, i) for i in range(len(src_rep._adjoint[3][w]))])
-        for w in q.vertices})
+def _copy_map(src: AlgMod, dst: AlgMod, blocks: dict, pairs: dict) -> ModMap:
+    """The map src -> dst between sums of copies (``_copies``) that places, at
+    each vertex w of Q, the Lambda-module map with ``blocks`` (one per vertex
+    of Lambda) from copy i to copy j for each (i, j) in pairs[w]."""
+    lay = _layout(src)
+    f = lay.base.field
+    return ModMap(src, dst, {n: _copy_block(f, blocks[u], dst.dims[n], src.dims[n], pairs[w])
+                             for w, names in lay.at.items() for u, n in names.items()})
 
 
-def adjunction_check(q: Quiver, v: str, m: AlgMod, x: Rep):
+def left_adjoint_map(src: AlgMod, dst: AlgMod, f: ModMap) -> ModMap:
+    """e^v_lambda on morphisms, src = e^v_lambda(M) -> dst = e^v_lambda(N)
+    for f : M -> N: one copy of f per path."""
+    return _copy_map(src, dst, f.mats,
+                     {w: [(i, i) for i in range(len(p))] for w, p in src._adjoint[3].items()})
+
+
+def adjunction_check(q: Quiver, v: str, m: AlgMod, x: AlgMod):
     """Dimension equality and the explicit bijection for both adjunctions."""
     v = str(v)
-    ident = alg.identity_map(m)
+    f = m.algebra.field
+    x_v = evaluate(x, v)
     el = left_adjoint(q, v, m)
-    b_rep = rep_hom_basis(el, x)
-    b_mod = alg.hom_basis(m, x.mods[v])
+    el_v = evaluate(el, v)
+    b_rep = alg.hom_basis(el, x)
+    b_mod = alg.hom_basis(m, x_v)
     # the copy of M indexed by the trivial path, included at v
-    inj = _copy_map(ident, m, el.mods[v], [(0, el._adjoint[3][v].index(trivial_path(v)))])
-    lam_ok, lam_mat = _bijection([phi.mats[v].compose(inj) for phi in b_rep], b_mod)
+    k = el._adjoint[3][v].index(trivial_path(v))
+    inj = ModMap(m, el_v, {u: _copy_block(f, Mat.identity(f, d), el_v.dims[u], d, [(0, k)])
+                           for u, d in m.dims.items()})
+    lam_ok, lam_mat = _bijection([evaluate_map(phi, v, el_v, x_v).compose(inj) for phi in b_rep],
+                                 b_mod)
     er = right_adjoint(q, v, m)
-    b_rep2 = rep_hom_basis(x, er)
-    b_mod2 = alg.hom_basis(x.mods[v], m)
-    proj = _copy_map(ident, er.mods[v], m, [(er._adjoint[3][v].index(trivial_path(v)), 0)])
-    rho_ok, rho_mat = _bijection([proj.compose(psi.mats[v]) for psi in b_rep2], b_mod2)
+    er_v = evaluate(er, v)
+    b_rep2 = alg.hom_basis(x, er)
+    b_mod2 = alg.hom_basis(x_v, m)
+    # the copy of M indexed by the trivial path, projected out at v
+    k = er._adjoint[3][v].index(trivial_path(v))
+    proj = ModMap(er_v, m, {u: _copy_block(f, Mat.identity(f, d), d, er_v.dims[u], [(k, 0)])
+                            for u, d in m.dims.items()})
+    rho_ok, rho_mat = _bijection([proj.compose(evaluate_map(psi, v, x_v, er_v)) for psi in b_rep2],
+                                 b_mod2)
     return {
         "lambda_dims": (len(b_rep), len(b_mod)),
         "rho_dims": (len(b_rep2), len(b_mod2)),
@@ -367,18 +326,6 @@ def _bijection(images, basis):
     return rank(mat) == len(images), mat
 
 
-# -- hom spaces -------------------------------------------------------------------
-
-def rep_hom_basis(x: Rep, y: Rep):
-    """Basis of natural transformations x -> y: the hom basis of the Lambda
-    Q-modules they are."""
-    return [as_rep_map(x, y, g) for g in alg.hom_basis(as_module(x), as_module(y))]
-
-
-def rep_hom_dim(x: Rep, y: Rep) -> int:
-    return len(rep_hom_basis(x, y))
-
-
 # -- the canonical presentation --------------------------------------------------
 
 @dataclass
@@ -394,92 +341,78 @@ class StandardPresentation:
     (``left_adjoint_map`` on each piece, placed as a diagonal block).
     """
 
-    arrows_term: Rep
-    vertices_term: Rep
-    target: Rep
-    incl: RepMap
-    epi: RepMap
+    arrows_term: AlgMod
+    vertices_term: AlgMod
+    target: AlgMod
+    incl: ModMap
+    epi: ModMap
     vertex_pieces: list
     arrow_pieces: list
 
 
-def standard_presentation(x: Rep) -> StandardPresentation:
-    q, a = x.quiver, x.algebra
+def standard_presentation(x: AlgMod) -> StandardPresentation:
+    q, a = quiver_and_base(x)
     f = a.field
-    vert_pieces = [left_adjoint(q, v, x.mods[v]) for v in q.vertices]
-    b = rep_sum(q, a, vert_pieces)
-    arrow_pieces = [left_adjoint(q, arr.target, x.mods[arr.source]) for arr in q.arrows]
-    asum = rep_sum(q, a, arrow_pieces)
+    mods = {v: evaluate(x, v) for v in q.vertices}
+    vert_pieces = [left_adjoint(q, v, mods[v]) for v in q.vertices]
+    b = alg.sum_mods(x.algebra, vert_pieces)
+    arrow_pieces = [left_adjoint(q, arr.target, mods[arr.source]) for arr in q.arrows]
+    asum = alg.sum_mods(x.algebra, arrow_pieces)
 
     # counit: on the copy of X_v indexed by a path p, act by X_p
-    epi = _block_repmap(b, x, vert_pieces, [x], {
+    epi = _block_map(b, x, vert_pieces, [x], {
         (0, vi): _adjoint_transpose(x, piece) for vi, piece in enumerate(vert_pieces)})
 
     # inclusion: the piece of arrow a goes by nu_a to the piece of t(a) and
     # by -mu_a to the piece of s(a)
     vindex = {v: i for i, v in enumerate(q.vertices)}
-    ident = {v: alg.identity_map(x.mods[v]) for v in q.vertices}
     blocks = {}
     for ai, arr in enumerate(q.arrows):
         piece = arrow_pieces[ai]  # e^{t(a)}_lambda(X_{s(a)})
         target_t = vert_pieces[vindex[arr.target]]  # e^{t(a)}_lambda(X_{t(a)})
         target_s = vert_pieces[vindex[arr.source]]  # e^{s(a)}_lambda(X_{s(a)})
         blocks[(vindex[arr.target], ai)] = left_adjoint_map(
-            q, arr.target, piece, target_t, x.maps[arr.name])
+            piece, target_t, arrow_map(x, arr.name, mods[arr.source], mods[arr.target]))
         # mu_a: the copy of a path p goes to the copy of a.p
-        mu = {}
+        pairs = {}
         for w in q.vertices:
             dst_index = {p: j for j, p in enumerate(target_s._adjoint[3][w])}
-            pairs = [(i, dst_index[concat(arrow_path(arr), p)])
-                     for i, p in enumerate(piece._adjoint[3][w])]
-            mu[w] = _copy_map(ident[arr.source], piece.mods[w], target_s.mods[w], pairs)
-        blocks[(vindex[arr.source], ai)] = RepMap(piece, target_s, mu).scale(f.neg(f.one()))
-    incl = _block_repmap(asum, b, arrow_pieces, vert_pieces, blocks)
+            pairs[w] = [(i, dst_index[concat(arrow_path(arr), p)])
+                        for i, p in enumerate(piece._adjoint[3][w])]
+        ident = alg.identity_map(mods[arr.source]).mats
+        blocks[(vindex[arr.source], ai)] = _copy_map(piece, target_s, ident, pairs).scale(
+            f.neg(f.one()))
+    incl = _block_map(asum, b, arrow_pieces, vert_pieces, blocks)
     return StandardPresentation(asum, b, x, incl, epi, vert_pieces, arrow_pieces)
 
 
-def _adjoint_transpose(x: Rep, piece: Rep) -> RepMap:
+def _adjoint_transpose(x: AlgMod, piece: AlgMod) -> ModMap:
     """The counit e^v_lambda(X_v) -> x, the map adjoint to the identity of
     X_v: the copy of X_v indexed by a path p acts by X_p."""
-    a = x.algebra
+    lay = _layout(x)
+    f = lay.base.field
     m = piece._adjoint[2]
     mats = {}
-    for w in x.quiver.vertices:
-        acts = [path_action(x, p) for p in piece._adjoint[3][w]]
-        mats[w] = ModMap(piece.mods[w], x.mods[w], {
-            u: Mat.from_blocks(a.field, [x.mods[w].dims[u]], [m.dims[u]] * len(acts),
-                               {(0, k): act.mats[u] for k, act in enumerate(acts)})
-            for u in a.quiver.vertices})
-    return RepMap(piece, x, mats)
+    for w, names in lay.at.items():
+        acts = [_path_blocks(x, p) for p in piece._adjoint[3][w]]
+        for u, n in names.items():
+            mats[n] = Mat.from_blocks(f, [x.dims[n]], [m.dims[u]] * len(acts),
+                                      {(0, k): act[u] for k, act in enumerate(acts)})
+    return ModMap(piece, x, mats)
 
 
-def _block_repmap(src: Rep, dst: Rep, src_pieces, dst_pieces, blocks) -> RepMap:
+def _block_map(src: AlgMod, dst: AlgMod, src_pieces, dst_pieces, blocks) -> ModMap:
     """The map src -> dst between the direct sums of src_pieces and of
     dst_pieces whose block (i, j) is blocks[(i, j)] : src_pieces[j] ->
     dst_pieces[i]; absent blocks are zero."""
-    a = src.algebra
-    mats = {}
-    for w in src.quiver.vertices:
-        mats[w] = ModMap(src.mods[w], dst.mods[w], {
-            u: Mat.from_blocks(a.field, [p.mods[w].dims[u] for p in dst_pieces],
-                               [p.mods[w].dims[u] for p in src_pieces],
-                               {ij: g.mats[w].mats[u] for ij, g in blocks.items()})
-            for u in a.quiver.vertices})
-    return RepMap(src, dst, mats)
+    f = src.algebra.field
+    return ModMap(src, dst, {
+        n: Mat.from_blocks(f, [p.dims[n] for p in dst_pieces], [p.dims[n] for p in src_pieces],
+                           {ij: g.mats[n] for ij, g in blocks.items()})
+        for n in src.dims})
 
 
-# -- kernels and projective dimension ---------------------------------------------
-
-def rep_kernel(f_map: RepMap):
-    x = f_map.source
-    k, incl = alg.kernel_of(as_module_map(f_map))
-    kr = as_rep(x.quiver, x.algebra, k)
-    return kr, as_rep_map(kr, x, incl)
-
-
-def rep_pd(x: Rep, cap: int = 20) -> Dim:
-    return alg.pd(as_module(x), cap)
-
+# -- distinguished representations and the global dimension -------------------------
 
 def rep_simple(q: Quiver, a: BQA, v: str, u: str) -> Rep:
     """Simple path-algebra module: the base simple at u placed at vertex v."""

@@ -322,7 +322,7 @@ def test_split_helpers_compose_no_morphisms(monkeypatch):
         composed.append(type(self).__name__)
         raise AssertionError("a morphism was composed")
 
-    for cls in (alg.ModMap, rc.RepMap, tm.TripleMap):
+    for cls in (alg.ModMap, tm.TripleMap):
         monkeypatch.setattr(cls, "compose", refuse)
     for cat, maps, objs in cases:
         for g in maps:
@@ -351,10 +351,8 @@ def _class_algebra(name, objs):
         return dict(ops, identity=alg.identity_map, zero_map=alg.zero_map,
                     zero=alg.zero_module(objs[0].algebra))
     if name == "rep":
-        q, k = objs[0].quiver, objs[0].algebra
-        return dict(ops, identity=lambda x: rc.RepMap(x, x, {v: alg.identity_map(x.mods[v])
-                                                            for v in q.vertices}),
-                    zero_map=lambda x, y: rc.RepMap(x, y, {}), zero=rc.Rep(q, k, {}, {}))
+        return dict(ops, identity=alg.identity_map, zero_map=alg.zero_map,
+                    zero=rc.Rep(*rc.quiver_and_base(objs[0]), {}, {}))
     spec = objs[0].spec
     return dict(ops, identity=tm.identity_triple_map,
                 zero_map=lambda x, y: tm.TripleMap(x, y, Mat.zeros(QQ, y.x.dim, x.x.dim),

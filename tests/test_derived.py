@@ -75,6 +75,24 @@ def test_k2_functor_starts_in_s_modules():
     assert k2.dst_cat.is_morphism(img)
 
 
+def test_triple_witness_with_r_not_s_pushes_the_tensor_into_s_modules():
+    # R = k and S = k x k differ, with M = S as an S-k-bimodule: the shift
+    # part of e2(S) -> e1(k) is pushed through M (x) - into S-modules, where
+    # it is anchored in M (x) k before it is re-anchored in the S-generators
+    r = alg.sc_of_bqa(alg.ground_field_algebra(QQ))
+    kk = alg.path_algebra(QQ, qv.make_quiver(["1", "2"], []))
+    s = alg.sc_of_bqa(kk)
+    m = tm.Bimodule(s, r, s.dim, scm.regular_module(s).action, [Mat.identity(QQ, s.dim)])
+    spec = tm.TriRingSpec(r, s, m)
+    r_gens = [scm.SCModule(r, 1, [Mat.identity(QQ, 1)])]
+    s_gens = [scm.sc_module_of_algmod(alg.simple_module(kk, v), s) for v in "12"]
+    cx = _two_term(cats.triple_cat(spec), tm.e2_lambda(spec, scm.regular_module(s)),
+                   tm.e1_lambda(spec, r_gens[0]))
+    w, gens = dv.triple_complex_witness(cx, r_gens, s_gens, shortcut=False)
+    _check(w, gens, cx)
+    assert w.depth() == 2
+
+
 # -- direct sums of complexes, placed block by block -------------------------------
 
 def _sum_with_maps(cat, parts):
@@ -288,7 +306,7 @@ def test_try_leaf_solves_nothing_when_a_differential_is_nonzero():
 
     def counting(x, y):
         calls.append(1)
-        return rc.rep_hom_basis(x, y)
+        return alg.hom_basis(x, y)
 
     rcat = dataclasses.replace(cats.rep_cat(q, k), hom_basis=counting)
     gens = [rc.left_adjoint(q, v, m) for v in q.vertices]
@@ -575,7 +593,8 @@ def test_witness_check_checks_the_target_of_a_leaf_with_a_replacement():
     # its terms and matrices, but a differential that starts at another object
     q, k, _, p1, _ = _kronecker_reps()
     rcat = cats.rep_cat(q, k)
-    other = rc.Rep(q, k, p1.mods, {"a": p1.maps["a"]})
+    mods = {v: rc.evaluate(p1, v) for v in q.vertices}
+    other = rc.Rep(q, k, mods, {"a": rc.arrow_map(p1, "a", mods["1"], mods["2"])})
     assert not rcat.obj_equal(other, p1)
     x = dv.Complex(rcat, 0, 1, {0: p1, 1: p1}, {0: rcat.identity(p1)})
     leaf = dv.semisimple_split(x, [p1])

@@ -161,7 +161,7 @@ def test_non_split_or_decomposable_end_is_refused(field):
     # End is the field Q(i) over QQ, GF(9) over GF(3) (not split), and
     # GF(5) x GF(5) over GF(5) (decomposable)
     x, cat = rotation_rep(field)
-    assert x.check()
+    assert x.check_relations()
     with pytest.raises(NotSplit, match="summand 0"):
         endo.end_algebra([x], cat)
     with pytest.raises(NotSplit):
@@ -230,23 +230,22 @@ def reference_adjoint_end_iso(q, gamma, side, vertices):
         gm = sinjs[dst].compose(gamma.blocks[(src, dst)][1][t]).compose(sprojs[src])
         v, w = p.target, p.source
         src_piece, dst_piece = pieces[v], pieces[w]
-        mats = {}
+        pairs = {}
         for x in q.vertices:
             if side == "lambda":
                 dst_idx = {pp: i for i, pp in enumerate(dst_piece._adjoint[3][x])}
-                pairs = [(i, dst_idx[qv.concat(p, qq)])
-                         for i, qq in enumerate(src_piece._adjoint[3][x])]
+                pairs[x] = [(i, dst_idx[qv.concat(p, qq)])
+                            for i, qq in enumerate(src_piece._adjoint[3][x])]
             else:
                 src_idx = {pp: i for i, pp in enumerate(src_piece._adjoint[3][x])}
-                pairs = [(src_idx[qv.concat(rr, p)], j)
-                         for j, rr in enumerate(dst_piece._adjoint[3][x])]
-            mats[x] = rc._copy_map(gm, src_piece.mods[x], dst_piece.mods[x], pairs)
-        comp = rc.RepMap(src_piece, dst_piece, mats)
+                pairs[x] = [(src_idx[qv.concat(rr, p)], j)
+                            for j, rr in enumerate(dst_piece._adjoint[3][x])]
+        comp = rc._copy_map(src_piece, dst_piece, gm.mats, pairs)
         chi_maps.append(injs[vindex[w]].compose(comp).compose(projs[vindex[v]]))
     if not all(chi.is_valid() for chi in chi_maps):
         raise IsoCheckFailed("a correspondence morphism is not natural")
     stacked = Mat.hstack(f, [Mat.column(f, chi.flatten()) for chi in chi_maps])
-    lhs_dim = rc.rep_hom_dim(tot_rep, tot_rep)
+    lhs_dim = alg.hom_dim(tot_rep, tot_rep)
     if rank(stacked) != len(chi_maps) or lhs_dim != rhs.dim:
         raise IsoCheckFailed("correspondence is not bijective")
     for i, ci in enumerate(chi_maps):
@@ -362,7 +361,7 @@ def test_end_iso_builds_no_second_end_over_the_path_algebra(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("adjoint_end_iso rebuilt a sum, an adjoint or a hom space")
 
-    for mod, name in [(rc, "rep_hom_basis"), (rc, "rep_sum"), (rc, "left_adjoint"),
+    for mod, name in [(alg, "hom_basis"), (alg, "sum_mods"), (rc, "left_adjoint"),
                       (rc, "right_adjoint"), (alg, "direct_sum_mods")]:
         monkeypatch.setattr(mod, name, refuse)
     rep = endo.adjoint_end_iso(q, gamma, lhs)

@@ -4,7 +4,11 @@ import ast
 import dataclasses
 import pathlib
 
+from quivhom import algebra as alg
 from quivhom import cats
+from quivhom import quiver as qv
+from quivhom import repcat as rc
+from quivhom.exactlin import QQ
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "quivhom"
 
@@ -97,8 +101,7 @@ def test_no_unreferenced_public_definitions():
 READ_ONLY_BY_TESTS = [
     "algebra.path_algebra", "algebra.map_from_projective", "algebra.cover_is_minimal",
     "algebra.minimal_resolution", "exactlin.format", "exactlin.parse",
-    "exactlin.inverse", "quiver.is_trivial", "repcat.evaluate",
-    "repcat.adjunction_check", "repcat.rep_hom_dim", "repcat.rep_pd", "repcat.rep_simple",
+    "exactlin.inverse", "quiver.is_trivial", "repcat.adjunction_check", "repcat.rep_simple",
     "repcat.gldim_pathalgebra", "repdim.is_gen_cogen", "repdim.to_json_dict",
     "repdim.d4_orientation_projectivity_sweep", "scmodule.regular_module",
     "scmodule.sc_module_of_algmod", "trimat.is_projective_triple", "trimat.triple_radical",
@@ -184,7 +187,8 @@ def test_end_iso_reads_the_end_algebra_it_is_given():
     tree = ast.parse((SRC / "endo.py").read_text(encoding="utf-8"))
     fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "adjoint_end_iso")
     found = sorted(_referenced_names(fn)
-                   & {"rep_hom_dim", "rep_hom_basis", "rep_sum", "direct_sum_mods"})
+                   & {"hom_basis", "hom_dim", "sum_mods", "direct_sum_mods", "left_adjoint",
+                      "right_adjoint"})
     assert not found, "adjoint_end_iso refers to " + ", ".join(found)
 
 
@@ -310,3 +314,19 @@ def test_no_true_division_outside_exactlin():
                    for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
                    if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div))
     assert not found, "true division outside exactlin:\n" + "\n".join(found)
+
+
+def test_a_representation_is_stored_once_as_its_lambda_q_module():
+    # rep_cat is mod_cat of Lambda Q, so its hom bases, kernels and maps are
+    # algebra's; repcat keeps no second storage of a representation and no
+    # converters to and from it
+    q, k = qv.kronecker(), alg.ground_field_algebra(QQ)
+    cat = cats.rep_cat(q, k)
+    assert (cat.hom_basis, cat.kernel, cat.map_from_mats) == (alg.hom_basis, alg.kernel_of,
+                                                              alg.ModMap)
+    assert cat.zero_obj().algebra is rc.path_algebra_over(q, k) and rc.RepMap is alg.ModMap
+    tree = ast.parse((SRC / "repcat.py").read_text(encoding="utf-8"))
+    defined = {n.name for n in tree.body if isinstance(n, _DEFINITIONS)}
+    found = sorted(defined & {"as_module", "as_rep", "as_module_map", "as_rep_map", "RepMap",
+                              "rep_sum", "rep_hom_basis", "rep_hom_dim", "rep_pd"})
+    assert not found, "repcat defines " + ", ".join(found)

@@ -118,3 +118,17 @@ def test_concat():
     assert p.arrows == ("a1", "a2")
     with pytest.raises(QuivhomError):
         qv.concat(p2, p1)
+
+
+def test_longest_path_is_the_longest_enumerated_path():
+    # path algebras and Lambda Q take their nilpotency bound from it
+    zigzag = qv.make_quiver(["1", "2", "3", "4"], [("a", "2", "1"), ("b", "2", "3"), ("c", "4", "3")])
+    chain_with_shortcut = qv.make_quiver(["1", "2", "3"],
+                                         [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")])
+    quivers = [qv.single_vertex(), qv.a_n(2), qv.a_n(5), qv.kronecker(), zigzag,
+               chain_with_shortcut, qv.make_quiver(["1", "2"], [])]
+    quivers += [q for _, q in qv.d4_orientations()]
+    for q in quivers:
+        want = max(p.length for v in q.vertices for w in q.vertices
+                   for p in qv.paths_between(q, v, w))
+        assert qv.longest_path(q) == want

@@ -20,6 +20,11 @@ def kmod(a, d=1):
     return alg.AlgMod(a, {"1": d}, {})
 
 
+def dim_vector(x):
+    q, _ = rc.quiver_and_base(x)
+    return {v: rc.evaluate(x, v).dim_total() for v in q.vertices}
+
+
 def dual_numbers():
     loop = qv.make_quiver(["1"], [("x", "1", "1")], require_acyclic=False)
     x = qv.Path("1", "1", ("x", "x"))
@@ -30,25 +35,25 @@ def test_left_adjoint_a2():
     q = qv.a_n(2)
     k = base_k()
     p1 = rc.left_adjoint(q, "1", kmod(k))
-    assert p1.dim_vector() == {"1": 1, "2": 1}
-    assert p1.maps["a1"].mats["1"].is_identity()
+    assert dim_vector(p1) == {"1": 1, "2": 1}
+    assert p1.mats[rc.lq_name("quiver", "a1", "1")].is_identity()
     p2 = rc.left_adjoint(q, "2", kmod(k))
-    assert p2.dim_vector() == {"1": 0, "2": 1}
+    assert dim_vector(p2) == {"1": 0, "2": 1}
 
 
 def test_right_adjoint_a2():
     q = qv.a_n(2)
     k = base_k()
     i2 = rc.right_adjoint(q, "2", kmod(k))
-    assert i2.dim_vector() == {"1": 1, "2": 1}
+    assert dim_vector(i2) == {"1": 1, "2": 1}
     i1 = rc.right_adjoint(q, "1", kmod(k))
-    assert i1.dim_vector() == {"1": 1, "2": 0}
+    assert dim_vector(i1) == {"1": 1, "2": 0}
 
 
 def test_left_adjoint_d4_center():
     q = qv.d4((0, 0, 0))
     pc = rc.left_adjoint(q, "c", kmod(base_k()))
-    assert pc.dim_vector() == {"1": 1, "2": 1, "3": 1, "c": 1}
+    assert dim_vector(pc) == {"1": 1, "2": 1, "3": 1, "c": 1}
 
 
 def test_evaluate():
@@ -63,8 +68,8 @@ def test_single_vertex_adjoints_are_identity():
     q = qv.single_vertex()
     k = base_k()
     m = kmod(k, 2)
-    assert rc.left_adjoint(q, "1", m).dim_vector() == {"1": 2}
-    assert rc.right_adjoint(q, "1", m).dim_vector() == {"1": 2}
+    assert dim_vector(rc.left_adjoint(q, "1", m)) == {"1": 2}
+    assert dim_vector(rc.right_adjoint(q, "1", m)) == {"1": 2}
 
 
 def test_rep_hom_examples():
@@ -73,10 +78,10 @@ def test_rep_hom_examples():
     p1 = rc.left_adjoint(q, "1", kmod(k))
     s1 = rc.rep_simple(q, k, "1", "1")
     s2 = rc.rep_simple(q, k, "2", "1")
-    assert rc.rep_hom_dim(p1, s1) == 1
-    assert rc.rep_hom_dim(s2, s1) == 0
+    assert alg.hom_dim(p1, s1) == 1
+    assert alg.hom_dim(s2, s1) == 0
     z = cats.rep_cat(q, k).zero_obj()
-    assert rc.rep_hom_dim(z, z) == 0
+    assert alg.hom_dim(z, z) == 0
 
 
 def test_adjunction_check_cases():
@@ -121,8 +126,7 @@ def _verify_presentation(pres):
     """The presentation as a sequence of complexes concentrated in degree 0,
     checked by ``ComplexSES.verify``: (ok, details)."""
     x = pres.target
-    q, a = x.quiver, x.algebra
-    cat = cats.rep_cat(q, a)
+    cat = cats.rep_cat(*rc.quiver_and_base(x))
     acx, bcx, ccx = (dv.concentrated(cat, o) for o in (pres.arrows_term, pres.vertices_term, x))
     ses = dv.ComplexSES(acx, bcx, ccx, dv.ChainMap(acx, bcx, {0: pres.incl}),
                         dv.ChainMap(bcx, ccx, {0: pres.epi}))
@@ -138,8 +142,8 @@ def test_standard_presentation_s1_over_kA2():
     ok, details = _verify_presentation(pres)
     assert ok, details
     # matches the minimal resolution 0 -> P_2 -> P_1 -> S_1 -> 0
-    assert pres.vertices_term.dim_vector() == {"1": 1, "2": 1}
-    assert pres.arrows_term.dim_vector() == {"1": 0, "2": 1}
+    assert dim_vector(pres.vertices_term) == {"1": 1, "2": 1}
+    assert dim_vector(pres.arrows_term) == {"1": 0, "2": 1}
 
 
 def test_standard_presentation_single_vertex():
@@ -180,7 +184,7 @@ def test_rep_pd_projectives():
     for q in [qv.a_n(2), qv.d4((0, 0, 0)), qv.kronecker()]:
         for v in q.vertices:
             p = rc.left_adjoint(q, v, kmod(k))
-            assert rc.rep_pd(p) == Dim.finite(0)
+            assert alg.pd(p) == Dim.finite(0)
 
 
 def test_gldim_pathalgebra_hereditary():
@@ -204,17 +208,22 @@ def test_rep_pd_bound_property():
         x = _random_rep_over_bqa(rng, q, a)
         n = 0
         for v in q.vertices:
-            pdv = alg.pd(x.mods[v])
+            pdv = alg.pd(rc.evaluate(x, v))
             assert pdv.exact
             n = max(n, pdv.value)
-        rp = rc.rep_pd(x)
+        rp = alg.pd(x)
         assert rp.exact and rp.value <= n + 1
         # the Ext oracle on the same Lambda Q-module
-        assert rp == alg.pd_via_ext(rc.as_module(x))
+        assert rp == alg.pd_via_ext(x)
 
 
 def _random_rep_over_bqa(rng, q, a):
     """Random rep: random module per vertex, random hom-combination per arrow."""
+    return rc.Rep(q, a, *_random_vertex_data(rng, q, a))
+
+
+def _random_vertex_data(rng, q, a):
+    """(modules, maps) of ``_random_rep_over_bqa``."""
     mods = {}
     for v in q.vertices:
         pieces = []
@@ -232,7 +241,7 @@ def _random_rep_over_bqa(rng, q, a):
         for b in basis:
             f = f.add(b.scale(QQ.of_int(rng.randint(-1, 1))))
         maps[arr.name] = f
-    return rc.Rep(q, a, mods, maps)
+    return mods, maps
 
 
 def test_end_of_adjoint_matches_end_of_module():
@@ -244,8 +253,8 @@ def test_end_of_adjoint_matches_end_of_module():
             el = rc.left_adjoint(q, v, reg)
             er = rc.right_adjoint(q, v, reg)
             d = len(alg.hom_basis(reg, reg))
-            assert rc.rep_hom_dim(el, el) == d
-            assert rc.rep_hom_dim(er, er) == d
+            assert alg.hom_dim(el, el) == d
+            assert alg.hom_dim(er, er) == d
 
 
 def test_rep_pd_builds_one_cover_per_step(monkeypatch):
@@ -262,17 +271,17 @@ def test_rep_pd_builds_one_cover_per_step(monkeypatch):
     # over k A_2: the simple at the source has pd 1, the one at the sink pd 0
     for v, d in (("1", 1), ("2", 0)):
         del calls[:]
-        assert rc.rep_pd(rc.rep_simple(q, k, v, "1")) == Dim.finite(d)
+        assert alg.pd(rc.rep_simple(q, k, v, "1")) == Dim.finite(d)
         assert len(calls) == d + 1
     del calls[:]
     d = dual_numbers()
-    assert rc.rep_pd(rc.rep_simple(qv.a_n(1), d, "1", "1"), cap=3) == Dim.at_least(3)
+    assert alg.pd(rc.rep_simple(qv.a_n(1), d, "1", "1"), cap=3) == Dim.at_least(3)
     assert len(calls) == 4
 
 
 def test_rep_pd_reads_the_steps_of_an_equal_module(monkeypatch):
-    # rep_pd builds a new Lambda Q-module on every call; the kept steps are
-    # keyed by content, so asking again builds no cover
+    # each call builds the representation anew; the kept steps are keyed by
+    # content, so asking again builds no cover
     calls = []
     real = alg.projective_cover
 
@@ -281,35 +290,36 @@ def test_rep_pd_reads_the_steps_of_an_equal_module(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(alg, "projective_cover", counting)
-    x = rc.rep_simple(qv.a_n(3), dual_numbers(), "1", "1")
-    assert rc.rep_pd(x, cap=4) == Dim.at_least(4)
+    q, d = qv.a_n(3), dual_numbers()
+    assert alg.pd(rc.rep_simple(q, d, "1", "1"), cap=4) == Dim.at_least(4)
     assert len(calls) == 5
-    assert rc.rep_pd(x, cap=4) == Dim.at_least(4)
+    assert alg.pd(rc.rep_simple(q, d, "1", "1"), cap=4) == Dim.at_least(4)
     assert len(calls) == 5
 
 
 def _cover_one_adjoint_per_copy(x):
     """Reference assembly of the cover: a projective and its left adjoint
     rebuilt for every generator copy, one copy per top vector of X at (v, u)."""
-    q, a = x.quiver, x.algebra
+    q, a = rc.quiver_and_base(x)
     f = a.field
-    rad = alg.radical_submodule(rc.as_module(x))
+    rad = alg.radical_submodule(x)
     pieces, piece_maps = [], []
     for v in q.vertices:
+        x_v = rc.evaluate(x, v)
         for u in a.quiver.vertices:
-            units = Mat.identity(f, x.mods[v].dims[u])
+            units = Mat.identity(f, x_v.dims[u])
             for j in alg.quotient_by_rows(rad[rc.lq_name(v, u)].transpose())[2]:
                 pu = alg.projective_module(a, u)
                 piece = rc.left_adjoint(q, v, pu)
                 pieces.append(piece)
                 # the map adjoint to h : P_u -> X_v, through the counit at v
-                h = alg.map_from_projective(pu, x.mods[v], units.col(j))
-                at_v = rc.left_adjoint(q, v, x.mods[v])
+                h = alg.map_from_projective(pu, x_v, units.col(j))
+                at_v = rc.left_adjoint(q, v, x_v)
                 piece_maps.append(rc._adjoint_transpose(x, at_v).compose(
-                    rc.left_adjoint_map(q, v, piece, at_v, h)))
-    total = rc.rep_sum(q, a, pieces)
-    return total, rc._block_repmap(total, x, pieces, [x], {
-        (0, i): g for i, g in enumerate(piece_maps)})
+                    rc.left_adjoint_map(piece, at_v, h)))
+    rcat = cats.rep_cat(q, a)
+    total = rcat.sum_obj(pieces)
+    return total, rcat.copair(total, x, piece_maps)
 
 
 def test_cover_builds_one_adjoint_per_vertex_pair():
@@ -321,18 +331,17 @@ def test_cover_builds_one_adjoint_per_vertex_pair():
     for v in q.vertices:
         for u in d.quiver.vertices:
             proj = alg.projective_module(lq, rc.lq_name(v, u))
-            adj = rc.as_module(rc.left_adjoint(q, v, alg.projective_module(d, u)))
+            adj = rc.left_adjoint(q, v, alg.projective_module(d, u))
             assert proj.dims == adj.dims
             assert mcat.split_into(proj, [adj]) is not None
             assert mcat.split_into(adj, [proj]) is not None
     # so the Lambda Q cover has the dims of the adjoint-based assembly
-    x = rc.rep_sum(q, d, [rc.rep_simple(q, d, "1", "1")] * 3
-                   + [rc.rep_simple(q, d, "2", "1")] * 3)
+    x = mcat.sum_obj([rc.rep_simple(q, d, "1", "1")] * 3 + [rc.rep_simple(q, d, "2", "1")] * 3)
     ref_p, ref_pi = _cover_one_adjoint_per_copy(x)
-    assert alg.cover_is_minimal(rc.as_module(ref_p), rc.as_module_map(ref_pi))
-    p, pi = alg.projective_cover(rc.as_module(x))
+    assert alg.cover_is_minimal(ref_p, ref_pi)
+    p, pi = alg.projective_cover(x)
     assert alg.cover_is_minimal(p, pi)
-    assert p.dims == rc.as_module(ref_p).dims
+    assert p.dims == ref_p.dims
 
 
 # -- Lambda Q as a bound quiver algebra ----------------------------------------------
@@ -366,19 +375,30 @@ def test_path_algebra_over_has_the_tensor_dimension(base):
         assert rc.path_algebra_over(q, a) is lq
 
 
-def test_as_module_round_trip():
+def test_rep_evaluates_back_to_its_vertex_data():
+    # Rep builds the Lambda Q-module; evaluation at each vertex and arrow
+    # gives back the vertex modules and arrow maps it was built from
     rng = random.Random(5)
     a = kA2()
-    q = qv.d4((0, 0, 1))
-    x = _random_rep_over_bqa(rng, q, a)
-    m = rc.as_module(x)
-    assert m.check_relations() and x.check()
-    y = rc.as_rep(q, a, m)
-    assert (y.mods, y.maps) == (x.mods, x.maps)
-    ident = cats.rep_cat(q, a).identity(x)
-    assert rc.as_rep_map(x, y, rc.as_module_map(ident)).mats == ident.mats
+    for q in [qv.d4((0, 0, 1)), qv.kronecker(), qv.a_n(3)]:
+        for _ in range(3):
+            mods, maps = _random_vertex_data(rng, q, a)
+            x = rc.Rep(q, a, mods, maps)
+            assert isinstance(x, rc.Rep) and x.algebra is rc.path_algebra_over(q, a)
+            assert x.check_relations() and rc.quiver_and_base(x) == (q, a)
+            at = {v: rc.evaluate(x, v) for v in q.vertices}
+            assert at == mods
+            for arr in q.arrows:
+                assert rc.arrow_map(x, arr.name, at[arr.source], at[arr.target]) == maps[arr.name]
     with pytest.raises(AlgebraMismatch):
-        rc.as_rep(qv.kronecker(), a, m)
+        rc.evaluate(alg.simple_module(a, "1"), "1")
+    with pytest.raises(UnknownVertex):
+        rc.evaluate(x, "9")
+    with pytest.raises(QuivhomError, match="unknown arrow"):
+        rc.arrow_map(x, "z", at["1"], at["1"])
+    cyclic = qv.make_quiver(["1"], [("c", "1", "1")], require_acyclic=False)
+    with pytest.raises(QuivhomError, match="acyclic"):
+        rc.Rep(cyclic, a, {}, {})
 
 
 # -- validity and equality read vertex by vertex ------------------------------------------
@@ -392,11 +412,27 @@ def _kronecker_over_dual_numbers():
 
 
 def _with_blocks(f, blocks):
-    """f with the vertex maps of ``blocks`` (vertex -> Mat over D's vertex) replaced."""
+    """f with its blocks at (v, D's vertex) replaced by ``blocks`` (v -> Mat)."""
     mats = dict(f.mats)
     for v, m in blocks.items():
-        mats[v] = alg.ModMap(f.source.mods[v], f.target.mods[v], {"1": m})
-    return rc.RepMap(f.source, f.target, mats)
+        mats[rc.lq_name(v, "1")] = m
+    return alg.ModMap(f.source, f.target, mats)
+
+
+def _natural_vertex_by_vertex(f):
+    """The equations of a map f : X -> Y of representations, read vertex by
+    vertex: each f_v is Lambda-linear X_v -> Y_v, and f_w X(c) = Y(c) f_v for
+    each arrow c: v -> w of Q."""
+    q, _ = rc.quiver_and_base(f.source)
+    xs = {v: rc.evaluate(f.source, v) for v in q.vertices}
+    ys = {v: rc.evaluate(f.target, v) for v in q.vertices}
+    fs = {v: rc.evaluate_map(f, v, xs[v], ys[v]) for v in q.vertices}
+    if not all(g.is_valid() for g in fs.values()):
+        return False
+    return all(
+        fs[c.target].compose(rc.arrow_map(f.source, c.name, xs[c.source], xs[c.target])).mats
+        == rc.arrow_map(f.target, c.name, ys[c.source], ys[c.target]).compose(fs[c.source]).mats
+        for c in q.arrows)
 
 
 def test_rep_map_validity_matches_the_lambda_q_module_map():
@@ -413,22 +449,22 @@ def test_rep_map_validity_matches_the_lambda_q_module_map():
     }
     assert not alg.ModMap(p, p, {"1": top}).is_valid()
     for name, (f, want) in cases.items():
-        assert f.is_valid() == rc.as_module_map(f).is_valid() == want, name
+        assert f.is_valid() == _natural_vertex_by_vertex(f) == want, name
     # every basis map of random representations over D, and each with one
     # block moved off its module maps
     rng = random.Random(11)
     for _ in range(6):
         y, z = _random_rep_over_bqa(rng, q, d), _random_rep_over_bqa(rng, q, d)
-        for f in rc.rep_hom_basis(y, z):
-            assert f.is_valid() and rc.as_module_map(f).is_valid()
+        for f in alg.hom_basis(y, z):
+            assert f.is_valid() and _natural_vertex_by_vertex(f)
             v = rng.choice(q.vertices)
-            block = f.mats[v].mats["1"]
+            block = f.mats[rc.lq_name(v, "1")]
             if not block.rows or not block.cols:
                 continue
             bumped = list(block.entries)
             bumped[rng.randrange(len(bumped))] += 1
             g = _with_blocks(f, {v: Mat(QQ, block.rows, block.cols, tuple(bumped))})
-            assert g.is_valid() == rc.as_module_map(g).is_valid()
+            assert g.is_valid() == _natural_vertex_by_vertex(g)
 
 
 def test_rep_equality_matches_the_lambda_q_modules():
@@ -442,7 +478,7 @@ def test_rep_equality_matches_the_lambda_q_modules():
     other_dims = rc.Rep(q, d, {"1": s, "2": p}, {})
     for y, want in ((x, True), (again, True), (swapped, False), (other_module, False),
                     (other_dims, False)):
-        assert eq(x, y) == eq(y, x) == (rc.as_module(x) == rc.as_module(y)) == want
+        assert eq(x, y) == eq(y, x) == (x == y) == want
 
 
 # -- malformed representations -----------------------------------------------------------
@@ -484,6 +520,6 @@ def test_rep_pd_rejects_negative_cap():
     q, k = qv.kronecker(), base_k()
     x = rc.Rep(q, k, {"1": kmod(k)}, {})
     with pytest.raises(QuivhomError, match="cap"):
-        rc.rep_pd(x, -1)
+        alg.pd(x, -1)
     with pytest.raises(QuivhomError, match="cap"):
         rc.gldim_pathalgebra(q, k, -1)

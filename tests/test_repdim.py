@@ -116,7 +116,7 @@ def test_is_gen_cogen_composes_only_in_the_section_solves(monkeypatch, which):
         else [rc.left_adjoint(q, "1", kmod(k))]
     targets = [rc.left_adjoint(q, v, kmod(k)) for v in q.vertices] + \
         [rc.right_adjoint(q, v, alg.injective_indecomposables(k)[0]) for v in q.vertices]
-    expected = sum(rc.rep_hom_dim(s, t) * rc.rep_hom_dim(t, s) for t in targets for s in summands)
+    expected = sum(alg.hom_dim(s, t) * alg.hom_dim(t, s) for t in targets for s in summands)
     keys = len(q.vertices) * len(k.quiver.vertices)
     composed, products, columns = [], [], []
     where = {"section": 0, "hom_basis": 0}
@@ -149,10 +149,9 @@ def test_is_gen_cogen_composes_only_in_the_section_solves(monkeypatch, which):
         columns.append(a.cols)
         return solve(a, b)
 
-    monkeypatch.setattr(rc.RepMap, "compose", counting_compose(rc.RepMap.compose))
     monkeypatch.setattr(alg.ModMap, "compose", counting_compose(alg.ModMap.compose))
     monkeypatch.setattr(cats.Cat, "section", inside("section", cats.Cat.section))
-    monkeypatch.setattr(rc, "rep_hom_basis", inside("hom_basis", rc.rep_hom_basis))
+    monkeypatch.setattr(alg, "hom_basis", inside("hom_basis", alg.hom_basis))
     monkeypatch.setattr(exactlin.Mat, "mul", counting_mul)
     monkeypatch.setattr(cats, "solve_matrix", counting_solve)
     repdim.is_gen_cogen(q, k, summands)
@@ -316,7 +315,7 @@ def test_kronecker_report_builds_end_xbar_once(monkeypatch):
     # End(X-bar) is the one End algebra over the path algebra: its corners,
     # Hom modules, Hom vanishings and End isomorphisms solve no hom basis of
     # their own, and each algebra keeps one ColumnData
-    counts = {"rep_hom_basis": 0, "end_algebra": 0, "ColumnData": 0}
+    counts = {"hom_basis over Lambda Q": 0, "end_algebra": 0, "ColumnData": 0}
 
     def counting(name, real):
         def wrapped(*args, **kwargs):
@@ -324,13 +323,19 @@ def test_kronecker_report_builds_end_xbar_once(monkeypatch):
             return real(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(rc, "rep_hom_basis", counting("rep_hom_basis", rc.rep_hom_basis))
+    q, k = qv.kronecker(), base_k()
+    lq, hom_basis = rc.path_algebra_over(q, k), alg.hom_basis
+
+    def counting_hom_basis(m, n):
+        counts["hom_basis over Lambda Q"] += m.algebra is lq
+        return hom_basis(m, n)
+
+    monkeypatch.setattr(alg, "hom_basis", counting_hom_basis)
     monkeypatch.setattr(endo, "end_algebra", counting("end_algebra", endo.end_algebra))
     monkeypatch.setattr(scm.ColumnData, "__init__", counting("ColumnData", scm.ColumnData.__init__))
-    k = base_k()
-    rep = repdim.repdim_bound_report(qv.kronecker(), k, [kmod(k)])
+    rep = repdim.repdim_bound_report(q, k, [kmod(k)])
     assert rep.verdict == "PASS"
-    assert counts == {"rep_hom_basis": 16, "end_algebra": 3, "ColumnData": 6}
+    assert counts == {"hom_basis over Lambda Q": 16, "end_algebra": 3, "ColumnData": 6}
 
 
 @pytest.mark.parametrize("make_q", [qv.kronecker, lambda: qv.d4((0, 0, 0))],
