@@ -252,9 +252,12 @@ class AlgMod:
     def __post_init__(self):
         q = self.algebra.quiver
         f = self.algebra.field
-        dims = {v: int(self.dims.get(v, 0)) for v in q.vertices}
+        dims = {v: self.dims.get(v, 0) for v in q.vertices}
         if not self.dims.keys() <= dims.keys():
             raise UnknownVertex(f"unknown vertices {sorted(self.dims.keys() - dims.keys(), key=str)}")
+        for v, d in dims.items():
+            if not isinstance(d, int) or d < 0:
+                raise DimensionMismatch(f"vertex {v}: dimension {d!r} is not a natural number")
         self.dims = dims
         mats, missing = {}, 0
         for a in q.arrows:

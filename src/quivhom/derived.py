@@ -12,7 +12,8 @@ bounds the generation level of the target, and every certificate is
 checkable by exact rank arithmetic.  The two assembly theorems produce depth
 2n+2 witnesses for complexes of representations (from per-vertex witnesses
 pushed through the adjoints) and for complexes of triples (via the
-triangular-ring triangle).
+triangular-ring triangle).  Both end in one gluing step (``_glue``), which
+reads the terms of the standard triangle off the children it covers.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ class Complex:
     diffs: dict  # degree -> morphism X^i -> X^{i+1}, for lo..hi-1
 
     def __post_init__(self):
+        # the zero padding goes into copies, never into the caller's dicts
+        self.objs, self.diffs = dict(self.objs), dict(self.diffs)
         if self.hi < self.lo:
             raise QuivhomError(f"degrees {self.lo}..{self.hi} are empty: a complex needs lo <= hi")
         if any(not self.lo <= i <= self.hi for i in self.objs) \
@@ -538,70 +541,35 @@ def _split_degreewise(x: Complex, generators):
 
 
 # ---------------------------------------------------------------------------------
-# the canonical triangles at complex level
+# the standard triangle at complex level
 #
-# A complex of representations is a complex of Lambda Q-modules over
-# ``rep_cat``; its triangle is built vertex by vertex, from the evaluations
-# X_v (``evaluate_complex``) and their left adjoints, which read and write
-# the (v, u) blocks of those modules.
+# Both assembly theorems cover x by its standard triangle 0 -> A -> B -> x -> 0:
+# for representations B = sum_v e^v_lambda(X_v) and A = sum_a e^{t(a)}_lambda(X_{s(a)}),
+# for triples B = k1(X) + k2(Y) and A = k2(M (x) X).  These terms are the
+# functor images that the mid child (a witness of B) and the shift child (a
+# witness of A[1]) push into, so ``_glue`` reads them off the children, and
+# only the maps A^i -> B^i -> x^i come from ``repcat.standard_presentation``
+# or ``trimat.triple_ses``, degree by degree.
 
 
-def rep_standard_triangle(x: Complex) -> ComplexSES:
-    """Degreewise canonical presentation of a complex of representations."""
-    rcat = x.cat
-    q, _ = rc.quiver_and_base(x.objs[x.lo])
-    pres = {i: rc.standard_presentation(x.objs[i]) for i in x.degrees()}
-    b_objs = {i: pres[i].vertices_term for i in x.degrees()}
-    a_objs = {i: pres[i].arrows_term for i in x.degrees()}
-    # the functorial differentials: each adjoint piece e^w_lambda(X_v) maps
-    # to its own block by e^w_lambda(d_v)
-    at = {v: evaluate_complex(x, v) for v in q.vertices}
-    b_diffs, a_diffs = {}, {}
-    for i in range(x.lo, x.hi):
-        src, dst = pres[i], pres[i + 1]
-        b_diffs[i] = rcat.diag(src.vertices_term, dst.vertices_term, [
-            rc.left_adjoint_map(s, t, at[v].diffs[i])
-            for v, s, t in zip(q.vertices, src.vertex_pieces, dst.vertex_pieces)])
-        a_diffs[i] = rcat.diag(src.arrows_term, dst.arrows_term, [
-            rc.left_adjoint_map(s, t, at[arr.source].diffs[i])
-            for arr, s, t in zip(q.arrows, src.arrow_pieces, dst.arrow_pieces)])
-    return _verified_ses(x, a_objs, a_diffs, b_objs, b_diffs,
-                         {i: pres[i].incl for i in x.degrees()},
-                         {i: pres[i].epi for i in x.degrees()}, "standard triangle")
+def _glue(x: Complex, mid_parts, shift_parts, maps_at) -> Node:
+    """The node of x over its standard triangle.
 
-
-def triple_standard_triangle(x: Complex) -> ComplexSES:
-    """Degreewise triangular-ring exact sequence for a complex of triples."""
-    spec = x.objs[x.lo].spec
-    f = spec.r.field
-    ses_deg = {i: tm.triple_ses(x.objs[i]) for i in x.degrees()}
-    a_objs = {i: ses_deg[i].left for i in x.degrees()}
-    b_objs = {i: ses_deg[i].middle for i in x.degrees()}
-    a_diffs, b_diffs = {}, {}
-    for i in range(x.lo, x.hi):
-        d = x.diffs[i]
-        tu = tm.tensor_map(spec, x.objs[i].tensor, x.objs[i + 1].tensor, d.u)
-        a_diffs[i] = tm.TripleMap(a_objs[i], a_objs[i + 1],
-                                  Mat.zeros(f, 0, 0), tu)
-        # middle y-part is tensor + Y in that order
-        w = Mat.block_diag(f, [tu, d.w])
-        b_diffs[i] = tm.TripleMap(b_objs[i], b_objs[i + 1], d.u, w)
-    return _verified_ses(x, a_objs, a_diffs, b_objs, b_diffs,
-                         {i: ses_deg[i].f_map for i in x.degrees()},
-                         {i: ses_deg[i].g_map for i in x.degrees()}, "triple triangle")
-
-
-def _verified_ses(x: Complex, a_objs, a_diffs, b_objs, b_diffs, incl, epi, name) -> ComplexSES:
-    """0 -> A -> B -> x -> 0 from its terms, differentials and maps degree by
-    degree over x's range, checked by ``ComplexSES.verify``; a failure raises
-    ``QuivhomError`` naming the triangle."""
-    acx = Complex(x.cat, x.lo, x.hi, a_objs, a_diffs)
-    bcx = Complex(x.cat, x.lo, x.hi, b_objs, b_diffs)
-    ses = ComplexSES(acx, bcx, x, ChainMap(acx, bcx, incl), ChainMap(bcx, x, epi))
+    B is the target of the mid child, the sum of ``mid_parts``, and A is the
+    target of the shift child, the sum of ``shift_parts``, shifted back by
+    one; ``maps_at(i, A^i, B^i)`` gives (incl^i, epi^i).  The sequence is
+    checked by ``ComplexSES.verify``, and a failure raises ``QuivhomError``."""
+    cat = x.cat
+    mid, sh = witness_direct_sum(cat, mid_parts), witness_direct_sum(cat, shift_parts)
+    a, b = shift_complex(sh.target, -1), mid.target
+    incl, epi = {}, {}
+    for i in x.degrees():
+        incl[i], epi[i] = maps_at(i, a.obj(i), b.obj(i))
+    ses = ComplexSES(a, b, x, ChainMap(a, b, incl), ChainMap(b, x, epi))
     details = {}
     if not ses.verify(details):
-        raise QuivhomError(f"{name} failed verification: {details}")
-    return ses
+        raise QuivhomError(f"standard triangle failed verification: {details}")
+    return Node(x, ses, mid, sh)
 
 
 # ---------------------------------------------------------------------------------
@@ -855,13 +823,13 @@ def rep_complex_witness(x: Complex, base_generators, shortcut: bool = True):
     The node is the standard triangle.  Its mid part pushes the split of
     each vertex complex X_v through e^v_lambda, and its shift part the split
     of X_{s(a)}[1] through e^{t(a)}_lambda for each arrow a.  Each X_v is
-    split once: the shift part of a is ``shift_leaf`` of the leaf at s(a),
-    whose objects are the leaf's own, so the functor at t(a) builds their
-    images once for all arrows from s(a) to t(a)."""
-    rcat = x.cat
+    evaluated and split once: the shift part of a is ``shift_leaf`` of the
+    leaf at s(a), whose objects are the leaf's own, so the functor at t(a)
+    builds their images once for all arrows from s(a) to t(a), and the
+    presentation of each degree reads its pieces from the same images."""
     q, a = rc.quiver_and_base(x.objs[x.lo])
-    # one functor per vertex: the generators, the mid part at v and the shift
-    # parts of the arrows into v share its image cache
+    # one functor per vertex: the generators, the mid part at v, the shift
+    # parts of the arrows into v and the presentations share its image cache
     functors = {v: left_adjoint_functor(q, a, v) for v in q.vertices}
     new_gens = []
     gen_of = {}
@@ -873,23 +841,27 @@ def rep_complex_witness(x: Complex, base_generators, shortcut: bool = True):
         leaf = try_leaf(x, new_gens)
         if leaf is not None:
             return leaf, new_gens
-    ses = rep_standard_triangle(x)
-    leaves = {v: semisimple_split(evaluate_complex(x, v), base_generators) for v in q.vertices}
+    at = {v: evaluate_complex(x, v) for v in q.vertices}
+    leaves = {v: semisimple_split(at[v], base_generators) for v in q.vertices}
     mid_parts = []
     for v in q.vertices:
         gmap = {j: gen_of[(v, j)] for j in range(len(base_generators))}
         mid_parts.append(pushforward_witness(leaves[v], functors[v], base_generators, new_gens,
                                              gmap))
-    mid = witness_direct_sum(rcat, mid_parts)
     shift_parts = []
     for arr in q.arrows:
         gmap = {j: gen_of[(arr.target, j)] for j in range(len(base_generators))}
         shift_parts.append(pushforward_witness(shift_leaf(leaves[arr.source], 1),
                                                functors[arr.target], base_generators,
                                                new_gens, gmap))
-    sh = witness_direct_sum(rcat, shift_parts)
-    node = Node(x, ses, mid, sh)
-    return node, new_gens
+
+    def presentation(i, a_i, b_i):
+        pres = rc.standard_presentation(
+            x.objs[i], [functors[v].on_obj(at[v].objs[i]) for v in q.vertices],
+            [functors[arr.target].on_obj(at[arr.source].objs[i]) for arr in q.arrows], b_i, a_i)
+        return pres.incl, pres.epi
+
+    return _glue(x, mid_parts, shift_parts, presentation), new_gens
 
 
 def triple_complex_witness(x: Complex, r_generators, s_generators, shortcut: bool = True):
@@ -900,7 +872,6 @@ def triple_complex_witness(x: Complex, r_generators, s_generators, shortcut: boo
     transports the X-split shifted by 1 (``shift_leaf``, no second split)
     through M (x) -, re-anchors it in the S-generators and pushes it
     through k2."""
-    tcat = x.cat
     spec = x.objs[x.lo].spec
     rcat_ = sc_cat(spec.r)
     scat_ = sc_cat(spec.s)
@@ -918,7 +889,6 @@ def triple_complex_witness(x: Complex, r_generators, s_generators, shortcut: boo
         leaf = try_leaf(x, new_gens)
         if leaf is not None:
             return leaf, new_gens
-    ses = triple_standard_triangle(x)
     # middle: k1(X-component) + k2(Y-component)
     x_cplx = Complex(rcat_, x.lo, x.hi,
                      {i: x.objs[i].x for i in x.degrees()},
@@ -932,9 +902,6 @@ def triple_complex_witness(x: Complex, r_generators, s_generators, shortcut: boo
     w_x = pushforward_witness(leaf_x, k1, r_generators, new_gens, gmap_r)
     w_y = pushforward_witness(semisimple_split(y_cplx, s_generators), k2, s_generators,
                               new_gens, gmap_s)
-    mid = witness_direct_sum(tcat, [w_x, w_y])
-    if not complexes_equal(mid.target, ses.b):
-        raise QuivhomError("assembled middle differs from the triangle middle")
     # left term: transport the R-side witness through the tensor, re-anchor
     # its leaves in the S-generators, then push through k2; shift by 1
     w_x2 = shift_leaf(leaf_x, 1)
@@ -946,8 +913,8 @@ def triple_complex_witness(x: Complex, r_generators, s_generators, shortcut: boo
         raise TensorNotExactOnCertificates(str(exc)) from exc
     w_t = _reanchor(w_t, tens_gens, s_generators, scat_)
     sh = pushforward_witness(w_t, k2, s_generators, new_gens, gmap_s)
-    node = Node(x, ses, mid, sh)
-    return node, new_gens
+    return _glue(x, [w_x, w_y], [sh],
+                 lambda i, a_i, b_i: tm.triple_ses(x.objs[i], a_i, b_i)), new_gens
 
 
 def _reanchor(w, old_gen_objs, new_gens, cat: Cat):

@@ -19,11 +19,14 @@ What stays vertex by vertex are the paper's functors, and they read and
 write the (v, u) blocks directly: evaluation at a vertex (``evaluate``,
 ``evaluate_map``, ``arrow_map``), its left and right adjoints (one copy of M
 per path, each arrow b of Lambda acting by kron(I_n, M_b) and each arrow of
-Q by unit-block copy maps), and the canonical presentation
+Q by unit-block copy maps), and the maps of the canonical presentation
 
     0 -> sum_a e^{t(a)}_lambda(X_{s(a)}) -> sum_v e^v_lambda(X_v) -> X -> 0
 
-whose exactness ``derived.ComplexSES.verify`` checks by ranks.
+(``standard_presentation``).  Its terms are built by the caller, which in
+``derived`` reads them off the functor images its witness pushes, and each
+X_v is read off the ``_adjoint`` tag of its piece; ``derived.ComplexSES.verify``
+checks exactness by ranks.
 """
 
 from __future__ import annotations
@@ -332,36 +335,27 @@ def _bijection(images, basis):
 class StandardPresentation:
     """0 -> arrows_term -> vertices_term -> target -> 0.  Exactness is not
     checked here: ``derived.ComplexSES.verify`` checks it by ranks, degree by
-    degree, for the triangle built from these presentations.
-
-    ``vertex_pieces`` lists e^v_lambda(X_v) per vertex v and ``arrow_pieces``
-    lists e^{t(a)}_lambda(X_{s(a)}) per arrow a, in quiver order: the summands
-    of ``vertices_term`` and ``arrows_term``, block by block.  A map of
-    targets therefore lifts to both terms one piece at a time
-    (``left_adjoint_map`` on each piece, placed as a diagonal block).
-    """
+    degree, for the standard triangle glued from these presentations."""
 
     arrows_term: AlgMod
     vertices_term: AlgMod
     target: AlgMod
     incl: ModMap
     epi: ModMap
-    vertex_pieces: list
-    arrow_pieces: list
 
 
-def standard_presentation(x: AlgMod) -> StandardPresentation:
+def standard_presentation(x: AlgMod, vertex_pieces, arrow_pieces, vertices_term: AlgMod,
+                          arrows_term: AlgMod) -> StandardPresentation:
+    """The canonical presentation of x on terms its caller has built:
+    ``vertex_pieces`` lists e^v_lambda(X_v) per vertex v and ``arrow_pieces``
+    e^{t(a)}_lambda(X_{s(a)}) per arrow a, in quiver order, and the terms are
+    their direct sums.  Each X_v is read off its piece's ``_adjoint`` tag, so
+    nothing is evaluated and no adjoint is built here."""
     q, a = quiver_and_base(x)
     f = a.field
-    mods = {v: evaluate(x, v) for v in q.vertices}
-    vert_pieces = [left_adjoint(q, v, mods[v]) for v in q.vertices]
-    b = alg.sum_mods(x.algebra, vert_pieces)
-    arrow_pieces = [left_adjoint(q, arr.target, mods[arr.source]) for arr in q.arrows]
-    asum = alg.sum_mods(x.algebra, arrow_pieces)
-
     # counit: on the copy of X_v indexed by a path p, act by X_p
-    epi = _block_map(b, x, vert_pieces, [x], {
-        (0, vi): _adjoint_transpose(x, piece) for vi, piece in enumerate(vert_pieces)})
+    epi = _block_map(vertices_term, x, vertex_pieces, [x], {
+        (0, vi): _adjoint_transpose(x, piece) for vi, piece in enumerate(vertex_pieces)})
 
     # inclusion: the piece of arrow a goes by nu_a to the piece of t(a) and
     # by -mu_a to the piece of s(a)
@@ -369,21 +363,21 @@ def standard_presentation(x: AlgMod) -> StandardPresentation:
     blocks = {}
     for ai, arr in enumerate(q.arrows):
         piece = arrow_pieces[ai]  # e^{t(a)}_lambda(X_{s(a)})
-        target_t = vert_pieces[vindex[arr.target]]  # e^{t(a)}_lambda(X_{t(a)})
-        target_s = vert_pieces[vindex[arr.source]]  # e^{s(a)}_lambda(X_{s(a)})
+        target_t = vertex_pieces[vindex[arr.target]]  # e^{t(a)}_lambda(X_{t(a)})
+        target_s = vertex_pieces[vindex[arr.source]]  # e^{s(a)}_lambda(X_{s(a)})
+        m = piece._adjoint[2]  # X_{s(a)}
         blocks[(vindex[arr.target], ai)] = left_adjoint_map(
-            piece, target_t, arrow_map(x, arr.name, mods[arr.source], mods[arr.target]))
+            piece, target_t, arrow_map(x, arr.name, m, target_t._adjoint[2]))
         # mu_a: the copy of a path p goes to the copy of a.p
         pairs = {}
         for w in q.vertices:
             dst_index = {p: j for j, p in enumerate(target_s._adjoint[3][w])}
             pairs[w] = [(i, dst_index[concat(arrow_path(arr), p)])
                         for i, p in enumerate(piece._adjoint[3][w])]
-        ident = alg.identity_map(mods[arr.source]).mats
-        blocks[(vindex[arr.source], ai)] = _copy_map(piece, target_s, ident, pairs).scale(
-            f.neg(f.one()))
-    incl = _block_map(asum, b, arrow_pieces, vert_pieces, blocks)
-    return StandardPresentation(asum, b, x, incl, epi, vert_pieces, arrow_pieces)
+        blocks[(vindex[arr.source], ai)] = _copy_map(piece, target_s, alg.identity_map(m).mats,
+                                                     pairs).scale(f.neg(f.one()))
+    incl = _block_map(arrows_term, vertices_term, arrow_pieces, vertex_pieces, blocks)
+    return StandardPresentation(arrows_term, vertices_term, x, incl, epi)
 
 
 def _adjoint_transpose(x: AlgMod, piece: AlgMod) -> ModMap:

@@ -25,6 +25,11 @@ takes M (x) Re_i from a cache kept on the ``TriRingSpec``, as is the one
 M (x) 0 of every triple with X = 0.  ``tensor_basis`` is the general path
 (kernels, quotients, simple tops).
 
+The canonical sequence 0 -> (0, M(x)X)_0 -> (X, M(x)X)_1 + (0, Y)_0 ->
+(X, Y)_phi -> 0 is the standard triangle of a complex of triples:
+``triple_ses`` gives its two maps on terms the caller has built, which
+``derived`` reads off the functor images its witness pushes.
+
 Triples serve T2(Lambda) = [[Lambda, 0], [Lambda, Lambda]] (``t2_spec``) in
 the witnesses and functors of ``derived`` and in resolutions over T2, and
 general triangular rings as an oracle.  The repdim proof does not go through
@@ -397,37 +402,18 @@ def triple_hom_basis(a: TripleModule, b: TripleModule):
 
 # -- the canonical exact sequence ----------------------------------------------------
 
-@dataclass
-class TripleSES:
-    """0 -> left -> middle -> target -> 0 with f_map and g_map (``triple_ses``)."""
-
-    left: TripleModule
-    middle: TripleModule
-    target: TripleModule
-    f_map: TripleMap
-    g_map: TripleMap
-
-
-def triple_ses(t: TripleModule) -> TripleSES:
-    """0 -> (0, M(x)X)_0 -> (X, M(x)X)_1 + (0, Y)_0 -> (X, Y)_phi -> 0.
+def triple_ses(t: TripleModule, left: TripleModule, middle: TripleModule):
+    """(f, g) of 0 -> (0, M(x)X)_0 -> (X, M(x)X)_1 + (0, Y)_0 -> (X, Y)_phi -> 0,
+    on the terms ``left`` and ``middle`` its caller has built: f sends alpha
+    to (alpha, phi(alpha)) and g sends (x; alpha, beta) to (x, phi(alpha) - beta).
 
     Exactness is not checked here: ``derived.ComplexSES.verify`` checks it
-    by ranks, degree by degree, for the triangle built from these sequences."""
-    spec = t.spec
-    f = spec.r.field
-    tmod = tensor_module(spec, t.tensor)
-    left = e2_lambda(spec, tmod)
-    mid_y = sum_sc(spec.s, [tmod, t.y])
-    (inj0, proj0), (inj1, proj1) = Mat.summand_units(f, [tmod.dim, t.y.dim])
-    mid = TripleModule(spec, t.x, mid_y, inj0, t.tensor)
-    # f: alpha -> (alpha, phi(alpha)); g: (x; alpha, beta) -> (x, phi(alpha) - beta)
-    f_u = Mat.zeros(f, t.x.dim, 0)
-    f_w = inj0.add(inj1.mul(t.phi))
-    f_map = TripleMap(left, mid, f_u, f_w)
-    g_u = Mat.identity(f, t.x.dim)
-    g_w = t.phi.mul(proj0).sub(proj1)
-    g_map = TripleMap(mid, t, g_u, g_w)
-    return TripleSES(left, mid, t, f_map, g_map)
+    by ranks, degree by degree, for the triangle glued from these maps."""
+    f = t.spec.r.field
+    (inj0, proj0), (inj1, proj1) = Mat.summand_units(f, [left.y.dim, t.y.dim])
+    f_map = TripleMap(left, middle, Mat.zeros(f, t.x.dim, 0), inj0.add(inj1.mul(t.phi)))
+    g_map = TripleMap(middle, t, Mat.identity(f, t.x.dim), t.phi.mul(proj0).sub(proj1))
+    return f_map, g_map
 
 
 # -- projectivity -------------------------------------------------------------------

@@ -14,6 +14,7 @@ from quivhom.errors import (
     AlgebraMismatch,
     CharPNotSupported,
     CompositionInconsistent,
+    DimensionMismatch,
     NotAdmissible,
     QuivhomError,
     RelationNotParallel,
@@ -534,6 +535,19 @@ def test_unknown_vertices_are_refused():
     with pytest.raises(UnknownVertex):
         a.idempotent_vector("9")
     assert a.idempotent_vector("2") == tuple(int(p == qv.trivial_path("2")) for p in a.basis)
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "2"])
+def test_module_dimensions_are_natural_numbers(bad):
+    # a negative or fractional dimension is refused where the module is made,
+    # naming its vertex, over k and over kA2 alike
+    k = alg.ground_field_algebra(QQ)
+    with pytest.raises(DimensionMismatch, match=f"vertex 1: dimension {bad!r}"):
+        alg.AlgMod(k, {"1": bad}, {})
+    with pytest.raises(DimensionMismatch, match=f"vertex 2: dimension {bad!r}"):
+        alg.AlgMod(kA2(), {"1": 1, "2": bad}, {})
+    m = alg.AlgMod(k, {"1": 0}, {})
+    assert m.is_zero() and m.dim_total() == 0 and alg.pd(m) == Dim.finite(0)
 
 
 def _count_covers(monkeypatch):

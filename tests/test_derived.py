@@ -413,29 +413,39 @@ def test_semisimple_split_replacements_are_quasi_isos(adapter):
     assert dv.is_quasi_iso(leaf.to_replaced) and dv.is_quasi_iso(leaf.from_replaced)
 
 
-def test_standard_triangle_builds_each_adjoint_piece_once(monkeypatch):
+def test_rep_witness_builds_each_adjoint_piece_once(monkeypatch):
+    # the standard triangle's terms are the images the children push into:
+    # each left adjoint is built once per (vertex, module), none of them by
+    # the presentation, and each vertex module is evaluated once per degree
     k = alg.ground_field_algebra(QQ)
     q = qv.d4((1, 0, 1))
     m = alg.AlgMod(k, {"1": 1}, {})
-    rcat = cats.rep_cat(q, k)
-    x0, x1 = rc.left_adjoint(q, "c", m), rc.left_adjoint(q, "1", m)
-    cx = _two_term(rcat, x0, x1)
+    cx = _two_term(cats.rep_cat(q, k), rc.left_adjoint(q, "c", m), rc.left_adjoint(q, "1", m))
     assert not cx.diffs[0].is_zero()
-    callers = []
-    real = rc.left_adjoint
+    adjoints, callers, evaluated = [], [], []
+    real_adjoint, real_evaluate = rc.left_adjoint, rc.evaluate
 
-    def counting(qq, v, mod):
+    def counting_adjoint(qq, v, mod):
         frame = sys._getframe(1)
         while frame.f_code.co_name.startswith("<"):  # comprehension frames
             frame = frame.f_back
         callers.append(frame.f_code.co_name)
-        return real(qq, v, mod)
+        adjoints.append((v, mod))  # held, so that no id is reused
+        return real_adjoint(qq, v, mod)
 
-    monkeypatch.setattr(rc, "left_adjoint", counting)
-    ses = dv.rep_standard_triangle(cx)
-    assert set(callers) == {"standard_presentation"}
-    assert len(callers) == (len(q.vertices) + len(q.arrows)) * 2
-    assert ses.b.check() and ses.a.check()
+    def counting_evaluate(x, v):
+        evaluated.append((v, x))
+        return real_evaluate(x, v)
+
+    monkeypatch.setattr(rc, "left_adjoint", counting_adjoint)
+    monkeypatch.setattr(rc, "evaluate", counting_evaluate)
+    w, gens = dv.rep_complex_witness(cx, [m], shortcut=False)
+    _check(w, gens, cx)
+    assert isinstance(w, dv.Node) and w.ses.b is w.child_mid.target
+    assert len({(v, id(mod)) for v, mod in adjoints}) == len(adjoints)
+    assert "standard_presentation" not in callers
+    assert sorted((v, id(x)) for v, x in evaluated) == sorted(
+        (v, id(cx.objs[i])) for v in q.vertices for i in cx.degrees())
 
 
 def test_rep_witness_builds_one_left_adjoint_functor_per_vertex(monkeypatch):
@@ -611,6 +621,18 @@ def test_complex_refuses_a_term_or_differential_outside_its_degrees():
         dv.Complex(cat, 0, 1, {0: n, 1: m, 5: m}, {})
     with pytest.raises(QuivhomError, match="outside degrees 0..1"):
         dv.Complex(cat, 0, 1, {0: m, 1: m}, {1: cat.identity(m)})
+
+
+def test_complex_pads_copies_of_the_callers_dicts():
+    # the zero terms and differentials a complex adds stay its own, so the
+    # caller's dicts can build another complex over other degrees
+    cat, m, _ = _p1_and_s1_plus_s2()
+    objs, diffs = {0: m}, {}
+    wide = dv.Complex(cat, 0, 2, objs, diffs)
+    assert (objs, diffs) == ({0: m}, {})
+    assert sorted(wide.objs) == [0, 1, 2] and sorted(wide.diffs) == [0, 1]
+    narrow = dv.Complex(cat, 0, 0, objs, diffs)
+    assert narrow.objs == {0: m} and narrow.diffs == {} and narrow.check()
 
 
 def test_complex_refuses_an_empty_range_of_degrees():

@@ -330,3 +330,28 @@ def test_a_representation_is_stored_once_as_its_lambda_q_module():
     found = sorted(defined & {"as_module", "as_rep", "as_module_map", "as_rep_map", "RepMap",
                               "rep_sum", "rep_hom_basis", "rep_hom_dim", "rep_pd"})
     assert not found, "repcat defines " + ", ".join(found)
+
+
+def test_one_gluing_step_for_both_standard_triangles():
+    # the terms of the standard triangle are the functor images that the
+    # witness children push into: the presentation and the triple sequence
+    # build only its maps, on terms they are given, and derived glues both
+    # triangles in one step that both witness builders end in
+    pins = {"repcat.py": "standard_presentation", "trimat.py": "triple_ses"}
+    found = []
+    for name, pinned in pins.items():
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == pinned)
+        bad = _referenced_names(fn) & {"left_adjoint", "evaluate", "e1_lambda", "e2_lambda",
+                                       "tensor_module", "tensor_basis"}
+        found += [f"{name}: {pinned} refers to {b}" for b in sorted(bad)]
+    assert not found, "\n".join(found)
+    tree = ast.parse((SRC / "derived.py").read_text(encoding="utf-8"))
+    defs = {n.name: n for n in tree.body if isinstance(n, _DEFINITIONS)}
+    assert not [name for name in defs if "triangle" in name or name == "_verified_ses"]
+    builders = sorted(name for name, fn in defs.items()
+                      if _called_names(fn) & {"standard_presentation", "triple_ses"})
+    assert builders == ["rep_complex_witness", "triple_complex_witness"]
+    for name in builders:
+        last = defs[name].body[-1]
+        assert isinstance(last, ast.Return) and "_glue" in _called_names(last), name

@@ -122,6 +122,18 @@ def _random_rep(rng, q, a):
     return rc.Rep(q, a, mods, maps)
 
 
+def _presentation(x):
+    """``standard_presentation`` of x on pieces built here: e^v_lambda(X_v) per
+    vertex, e^{t(a)}_lambda(X_{s(a)}) per arrow, and their direct sums."""
+    q, _ = rc.quiver_and_base(x)
+    mods = {v: rc.evaluate(x, v) for v in q.vertices}
+    vertex_pieces = [rc.left_adjoint(q, v, mods[v]) for v in q.vertices]
+    arrow_pieces = [rc.left_adjoint(q, arr.target, mods[arr.source]) for arr in q.arrows]
+    return rc.standard_presentation(x, vertex_pieces, arrow_pieces,
+                                    alg.sum_mods(x.algebra, vertex_pieces),
+                                    alg.sum_mods(x.algebra, arrow_pieces))
+
+
 def _verify_presentation(pres):
     """The presentation as a sequence of complexes concentrated in degree 0,
     checked by ``ComplexSES.verify``: (ok, details)."""
@@ -138,7 +150,7 @@ def test_standard_presentation_s1_over_kA2():
     q = qv.a_n(2)
     k = base_k()
     s1 = rc.rep_simple(q, k, "1", "1")
-    pres = rc.standard_presentation(s1)
+    pres = _presentation(s1)
     ok, details = _verify_presentation(pres)
     assert ok, details
     # matches the minimal resolution 0 -> P_2 -> P_1 -> S_1 -> 0
@@ -150,7 +162,7 @@ def test_standard_presentation_single_vertex():
     q = qv.single_vertex()
     k = base_k()
     x = rc.left_adjoint(q, "1", kmod(k, 2))
-    pres = rc.standard_presentation(x)
+    pres = _presentation(x)
     ok, details = _verify_presentation(pres)
     assert ok, details
     assert pres.arrows_term.is_zero()
@@ -160,7 +172,7 @@ def test_standard_presentation_pc_over_d4():
     q = qv.d4((0, 0, 0))
     k = base_k()
     pc = rc.left_adjoint(q, "c", kmod(k))
-    pres = rc.standard_presentation(pc)
+    pres = _presentation(pc)
     ok, details = _verify_presentation(pres)
     assert ok, details
     # middle P_c + P_1 + P_2 + P_3 (dims 4 + 1 + 1 + 1), left P_1 + P_2 + P_3
@@ -174,7 +186,7 @@ def test_standard_presentation_randomized():
     for q in [qv.a_n(3), qv.d4((1, 1, 0)), qv.kronecker()]:
         for _ in range(6):
             x = _random_rep(rng, q, k)
-            pres = rc.standard_presentation(x)
+            pres = _presentation(x)
             ok, details = _verify_presentation(pres)
             assert ok, details
 
@@ -507,6 +519,18 @@ def test_rep_rejects_arrow_map_of_wrong_shape():
     m1, m2 = kmod(k), kmod(k, 2)
     with pytest.raises(DimensionMismatch):
         rc.Rep(qv.kronecker(), k, {"1": m1, "2": m2}, {"a": alg.identity_map(m1)})
+
+
+def test_rep_dimensions_are_natural_numbers():
+    # refused at the vertex module, and again at the vertex (v, u) of Lambda Q
+    # when a vertex module's dimensions were changed after it was made
+    k = base_k()
+    with pytest.raises(DimensionMismatch, match="vertex 1: dimension -1"):
+        rc.Rep(qv.kronecker(), k, {"1": kmod(k, -1)}, {})
+    m = kmod(k)
+    m.dims["1"] = -1
+    with pytest.raises(DimensionMismatch, match=r"vertex \('2', '1'\): dimension -1"):
+        rc.Rep(qv.kronecker(), k, {"2": m}, {})
 
 
 def test_rep_map_rejects_unknown_vertex():
