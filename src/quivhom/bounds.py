@@ -8,9 +8,9 @@ None when the cap makes the question undecidable.
 Every projective dimension in the library is read off one syzygy loop,
 ``syzygy_steps``, which takes the minimal cover and the kernel of its
 module kind as functions: the modules over a BQA (``algebra.pd``, which
-keeps its steps for ``ext_dims``, and the oracle ``algebra.pd_via_ext``),
-over a structure-constant algebra (``scmodule.pd_sc``) and the triples
-(``trimat.triple_pd``).
+keeps its steps for ``ext_dims``, and the oracle ``algebra.pd_via_ext``)
+and over a structure-constant algebra (``scmodule.pd_sc``), which includes
+the triples, the modules over a triangular ring (``trimat.triple_pd``).
 """
 
 from __future__ import annotations

@@ -26,11 +26,13 @@ hom bases, kernels, quotients, direct sums, block maps and object equality
 are ``algebra``'s, keyed by the vertices (v, u) of Lambda Q.  It keeps only
 the name "rep" and the base's ``is_semisimple_base``.
 
-Triples (``triple_cat``) go through M's action psi_k = phi(m_k (x) -) :
-X -> Y (``trimat.TripleModule.psi``): morphisms are checked and solved by
-w . psi_k = psi'_k . u, and a quotient by a subtriple, which exists when
-q_Y . psi_k vanishes on the X-part, takes psi-bar_k = q_Y . psi_k . s_X, so
-no tensor map is formed and nothing is solved.
+A triple is a module over the triangular ring T = [[R, 0], [M, S]], with
+its X coordinates first (``trimat.TripleModule``, which keeps the block
+where each basis element of T acts), so ``triple_cat`` is ``sc_cat`` of T
+read in two blocks: its keys "x" and "y" are the X and the Y coordinates, a
+morphism is the block diagonal diag(u, w) (``trimat.TripleMap``), and hom
+bases, kernels and quotients are ``scmodule``'s over T, each read back in
+blocks.  Its direct sums place the X parts first, then the Y parts.
 
 Each adapter builds a direct sum in one function, ``sum_obj``, which returns
 the object alone, and maps into, out of or between sums are placed block by
@@ -296,31 +298,31 @@ def sc_cat(sc) -> Cat:
 # -- triples ------------------------------------------------------------------------------
 
 def triple_cat(spec) -> Cat:
+    """Triples as modules over T (``trimat``): the keys are the X and the Y
+    block of each T-module, and hom bases, kernels and quotients are
+    ``scmodule``'s over T, read back as triples."""
+    f = spec.r.field
+
     def quotient(obj, cols):
-        qx, xproj, xsect = scm.quotient_sc(obj.x, cols["x"])
-        qy, yproj, _ = scm.quotient_sc(obj.y, cols["y"])
-        # the columns span a subtriple when every psi_k maps the X-part into
-        # the Y-part; then psi-bar_k = q_Y . psi_k . s_X, and phi-bar is its
-        # free columns
-        if any(not yproj.mul(p).mul(cols["x"]).is_zero() for p in obj.psi()):
+        sub = Mat.block_diag(f, [cols["x"], cols["y"]])
+        qm, proj, _ = scm.quotient_sc(obj, sub)
+        # the columns span a subtriple when every action maps them into their span
+        if any(not proj.mul(a).mul(sub).is_zero() for a in obj.action):
             raise QuivhomError("quotient phi does not descend; columns not a subtriple")
-        td_q = tm.tensor_basis(spec, qx)
-        qt = tm.TripleModule(spec, qx, qy, yproj.mul(obj.psi_after(xsect, td_q.free)), td_q)
-        return qt, tm.TripleMap(obj, qt, xproj, yproj)
+        qt = tm.TripleModule.of_module(spec, qm)
+        return qt, tm.TripleMap.of_map(scm.SCMap(obj, qt, proj))
 
     return Cat(
         name="triple",
-        field=spec.r.field,
+        field=f,
         keys=lambda t: ["x", "y"],
-        comp_dim=lambda t, k: t.x.dim if k == "x" else t.y.dim,
+        comp_dim=lambda t, k: t.xdim if k == "x" else t.dim - t.xdim,
         sum_obj=lambda ts: tm.triple_sum(spec, ts),
         map_mats=lambda fm: {"x": fm.u, "y": fm.w},
         map_from_mats=lambda s, d, mats: tm.TripleMap(s, d, mats["x"], mats["y"]),
-        hom_basis=tm.triple_hom_basis,
+        hom_basis=lambda a_, b_: [tm.TripleMap.of_map(h) for h in scm.hom_basis_sc(a_, b_)],
         kernel=tm.triple_kernel,
         quotient=quotient,
-        obj_equal=lambda a_, b_: (a_.x.dim == b_.x.dim and a_.y.dim == b_.y.dim
-                                  and a_.x.action == b_.x.action
-                                  and a_.y.action == b_.y.action and a_.phi == b_.phi),
+        obj_equal=lambda a_, b_: a_.xdim == b_.xdim and a_.dim == b_.dim and a_.blocks == b_.blocks,
         is_semisimple_base=lambda: False,
     )

@@ -322,8 +322,8 @@ def test_split_helpers_compose_no_morphisms(monkeypatch):
         composed.append(type(self).__name__)
         raise AssertionError("a morphism was composed")
 
-    for cls in (alg.ModMap, tm.TripleMap):
-        monkeypatch.setattr(cls, "compose", refuse)
+    # (SCMap, and so a map of triples, has no compose method to call)
+    monkeypatch.setattr(alg.ModMap, "compose", refuse)
     for cat, maps, objs in cases:
         for g in maps:
             cat.section(g)
@@ -336,29 +336,32 @@ def test_split_helpers_compose_no_morphisms(monkeypatch):
 
 def _class_algebra(name, objs):
     """identity, zero map, composite, sum, multiple and zero object as the
-    morphism classes form them (for raw SC modules, ``SCMap`` products)."""
-    if name == "sc":
-        sc, mk = objs[0].sc, scm.SCMap
+    morphism classes form them (for raw SC modules and triples, the modules
+    over T, ``SCMap`` products; a triple's read in its blocks)."""
+    if name in ("sc", "triple"):
+        mk = scm.SCMap
+        if name == "sc":
+            zero = scm.zero_sc_module(objs[0].sc)
+        else:
+            spec = objs[0].spec
+            zero = tm.TripleModule(spec, scm.zero_sc_module(spec.r), scm.zero_sc_module(spec.s),
+                                   Mat.zeros(QQ, 0, 0), spec.zero_tensor)
+
+            def mk(s, d, m):
+                return tm.TripleMap.of_map(scm.SCMap(s, d, m))
         return dict(identity=lambda x: mk(x, x, Mat.identity(QQ, x.dim)),
                     zero_map=lambda x, y: mk(x, y, Mat.zeros(QQ, y.dim, x.dim)),
                     compose=lambda f, g: mk(g.source, f.target, f.mat.mul(g.mat)),
                     add_map=lambda f, g: mk(f.source, f.target, f.mat.add(g.mat)),
                     scale_map=lambda f, c: mk(f.source, f.target, f.mat.scale(c)),
-                    zero=scm.zero_sc_module(sc))
+                    zero=zero)
     ops = dict(compose=lambda f, g: f.compose(g), add_map=lambda f, g: f.add(g),
                scale_map=lambda f, c: f.scale(c))
     if name == "mod":
         return dict(ops, identity=alg.identity_map, zero_map=alg.zero_map,
                     zero=alg.zero_module(objs[0].algebra))
-    if name == "rep":
-        return dict(ops, identity=alg.identity_map, zero_map=alg.zero_map,
-                    zero=rc.Rep(*rc.quiver_and_base(objs[0]), {}, {}))
-    spec = objs[0].spec
-    return dict(ops, identity=tm.identity_triple_map,
-                zero_map=lambda x, y: tm.TripleMap(x, y, Mat.zeros(QQ, y.x.dim, x.x.dim),
-                                                   Mat.zeros(QQ, y.y.dim, x.y.dim)),
-                zero=tm.TripleModule(spec, scm.zero_sc_module(spec.r), scm.zero_sc_module(spec.s),
-                                     Mat.zeros(QQ, 0, 0), spec.zero_tensor))
+    return dict(ops, identity=alg.identity_map, zero_map=alg.zero_map,
+                zero=rc.Rep(*rc.quiver_and_base(objs[0]), {}, {}))
 
 
 @pytest.mark.parametrize("name", ["mod", "rep", "sc", "triple"])

@@ -104,7 +104,7 @@ READ_ONLY_BY_TESTS = [
     "exactlin.inverse", "quiver.is_trivial", "repcat.adjunction_check", "repcat.rep_simple",
     "repcat.gldim_pathalgebra", "repdim.is_gen_cogen", "repdim.to_json_dict",
     "repdim.d4_orientation_projectivity_sweep", "scmodule.regular_module",
-    "scmodule.sc_module_of_algmod", "trimat.is_projective_triple", "trimat.triple_radical",
+    "scmodule.sc_module_of_algmod", "trimat.is_projective_triple",
     "trimat.gldim_sandwich_report",
 ]
 
@@ -154,6 +154,17 @@ def test_repcat_has_no_solver_of_its_own():
     assert not found, "repcat imports solver internals: " + ", ".join(found)
 
 
+def test_trimat_has_no_solver_of_its_own():
+    # a triple is a module over the triangular ring T, so trimat solves
+    # nothing itself: hom bases, kernels, covers and pd are scmodule's over T
+    tree = ast.parse((SRC / "trimat.py").read_text(encoding="utf-8"))
+    imported = {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                for alias in n.names}
+    found = sorted(imported & {"_commuting_rows", "_kernel_blocks", "_null_space", "solve_matrix",
+                               "_read_off_units", "syzygy_pd", "syzygy_steps"})
+    assert not found, "trimat imports solver internals: " + ", ".join(found)
+
+
 def test_one_quotient_construction():
     # every quotient of k^n is algebra.quotient_by_rows: no other module
     # (trimat's tensors included) reads an rref of its own, or defines a
@@ -171,8 +182,8 @@ def test_one_quotient_construction():
 
 
 def test_only_derived_builds_tensor_maps():
-    # triples are solved and checked through M's action psi_k (trimat), so
-    # the tensor map M (x) u is built only by the functors of derived
+    # triples are solved and checked as modules over T, through M's action
+    # psi_k, so the tensor map M (x) u is built only by the functors of derived
     calls = sorted(f"{p.name}:{n.lineno}" for p in sorted(SRC.glob("*.py")) if p.name != "derived.py"
                    for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
                    if isinstance(n, ast.Call) and "tensor_map" in (getattr(n.func, "id", None),

@@ -103,8 +103,8 @@ def test_triple_ses_e2():
     left, middle = _ses_terms(t)
     ok, details = _verify_ses(left, middle, t, *tm.triple_ses(t, left, middle))
     assert ok, details
-    assert left.dim_total() == 0
-    assert middle.dim_total() == t.dim_total()
+    assert left.dim == 0
+    assert middle.dim == t.dim
 
 
 def test_triple_ses_ranks_t2k():
@@ -113,14 +113,14 @@ def test_triple_ses_ranks_t2k():
     left, middle = _ses_terms(t)
     ok, details = _verify_ses(left, middle, t, *tm.triple_ses(t, left, middle))
     assert ok, details
-    assert (left.dim_total(), middle.dim_total(), t.dim_total()) == (1, 3, 2)
+    assert (left.dim, middle.dim, t.dim) == (1, 3, 2)
 
 
 def test_projective_examples():
     spec = t2k()
     col = tm.e1_lambda(spec, vec_module(spec.r, 1))  # (R, M(x)R)_1
     ok, det = tm.is_projective_triple(col)
-    assert ok and det["lifting_test"]
+    assert ok and det["projective_over_t"]
     row = tm.e2_lambda(spec, vec_module(spec.s, 1))  # (0, S)_0
     ok, _ = tm.is_projective_triple(row)
     assert ok
@@ -227,7 +227,7 @@ def test_triple_pd_bound_property():
 def test_triple_hom_basis_identity():
     spec = t2k()
     t = triple_over_t2(spec, 1, 1, [[1]])
-    basis = tm.triple_hom_basis(t, t)
+    basis = scm.hom_basis_sc(t, t)
     assert len(basis) == 1  # End of the projective column is k
     for b in basis:
         assert b.is_valid()
@@ -238,7 +238,7 @@ def test_triple_direct_sum_maps_valid():
     t1 = triple_over_t2(spec, 1, 1, [[1]])
     t2 = triple_over_t2(spec, 1, 2, [[1], [0]])
     total, injs, projs = tm.triple_direct_sum(spec, [t1, t2])
-    assert total.dim_total() == t1.dim_total() + t2.dim_total()
+    assert total.dim == t1.dim + t2.dim
     for m in injs + projs:
         assert m.is_valid()
 
@@ -276,18 +276,42 @@ def _cover_test_triples(spec):
     return out + [total, mixed]
 
 
+def _triple_cover(t):
+    """``scmodule``'s cover of t over T as a map of triples: each column
+    projective T e_i keeps its X coordinates (R e_i) first, so the cover
+    is their ``triple_sum``, and pi's columns are reordered as it orders
+    the coordinates, X parts first."""
+    spec = t.spec
+    pieces, _, pi = scm.column_cover_sc(t)
+    columns = [tm.TripleModule.of_module(spec, scm.column_data(spec.t).columns[i][0])
+               for i in pieces]
+    cover = tm.triple_sum(spec, columns)
+    xs, ys, at = [], [], 0
+    for c in columns:
+        xs.extend(range(at, at + c.xdim))
+        ys.extend(range(at + c.xdim, at + c.dim))
+        at += c.dim
+    mat = Mat.hstack(t.spec.r.field, [pi.mat.col(j) for j in xs + ys]) if at \
+        else Mat.zeros(t.spec.r.field, t.dim, 0)
+    return cover, scm.SCMap(cover, t, mat)
+
+
 @pytest.mark.parametrize("make", [t2_a4_rad2, t2k])
 def test_triple_covers_are_surjective_and_minimal(make):
+    # scmodule's cover over T: onto, with its kernel inside the radical
+    # rad P = (rad X_P, rad Y_P + im phi_P)
     spec = make()
     f = spec.r.field
     for t in _cover_test_triples(spec):
-        cover, pi = tm.triple_projective_cover(t)
+        cover, pi = _triple_cover(t)
         assert cover.check() and pi.is_valid()
-        assert rank(pi.u) == t.x.dim and rank(pi.w) == t.y.dim
+        blocks = tm.TripleMap.of_map(pi)
+        assert rank(blocks.u) == t.x.dim and rank(blocks.w) == t.y.dim
         _, incl = tm.triple_kernel(pi)
-        rad_x, rad_y = tm.triple_radical(cover)
-        assert rank(Mat.hstack(f, [rad_x, incl.u])) == rank(rad_x)
-        assert rank(Mat.hstack(f, [rad_y, incl.w])) == rank(rad_y)
+        rad = scm.radical_submodule_sc(cover)
+        assert rank(Mat.hstack(f, [rad, incl.mat])) == rank(rad)
+        rad_y = Mat.hstack(f, [scm.radical_submodule_sc(cover.y), cover.phi])
+        assert rank(rad) == rank(scm.radical_submodule_sc(cover.x)) + rank(rad_y)
 
 
 def test_t2_a4_rad2_gldim():
@@ -301,10 +325,9 @@ def test_triple_cover_solves_no_hom_system(monkeypatch):
         raise AssertionError("hom_basis_sc called by a triple cover")
 
     monkeypatch.setattr(scm, "hom_basis_sc", refuse)
-    monkeypatch.setattr(tm, "hom_basis_sc", refuse, raising=False)
     spec = t2_a4_rad2()
     for t in _cover_test_triples(spec):
-        tm.triple_projective_cover(t)
+        scm.projective_cover_sc(t)
 
 
 # -- tensors of direct sums, placed ---------------------------------------------------
@@ -337,6 +360,9 @@ def _x_pool(spec):
 @pytest.mark.parametrize("make", [t2_a4_rad2, t2_kA2, t2k, m_zero],
                          ids=["T2(A4/rad2)", "T2(kA2)", "T2(k)", "M=0"])
 def test_tensor_of_sum_equals_tensor_basis(make):
+    # M (x) (X_1 + ... + X_n) is the summands' tensors placed: pure pair
+    # (m_k, x_j) of X_b is k * dim X + off_b + j of the sum, and the sum keeps
+    # exactly the summands' free pairs there
     spec = make()
     f = spec.r.field
     pool = _x_pool(spec)
@@ -344,10 +370,15 @@ def test_tensor_of_sum_equals_tensor_basis(make):
     for _ in range(25):
         xs = [pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 4))]
         tensors = [tm.tensor_basis(spec, x) for x in xs]
-        td, places = tm.tensor_of_sum(spec, tensors, [x.dim for x in xs])
         rcat, total = cats.sc_cat(spec.r), scm.sum_sc(spec.r, xs)
         xprojs = rcat.components(total, rcat.identity(total), xs)
-        assert td == tm.tensor_basis(spec, total)
+        td = tm.tensor_basis(spec, total)
+        pure, off = [], 0
+        for x, tb in zip(xs, tensors):
+            pure.append([(c // x.dim) * total.dim + off + c % x.dim for c in tb.free])
+            off += x.dim
+        assert td.free == sorted(c for cols in pure for c in cols)
+        places = [[td.free.index(c) for c in cols] for cols in pure]
         # summand b's tensor coordinate t is the sum's coordinate places[b][t]
         for x, tb, cols, p in zip(xs, tensors, places, xprojs):
             sel = Mat(f, tb.dim, td.dim, tuple(f.one() if cols[t] == c else f.zero()
@@ -449,19 +480,18 @@ def test_triple_direct_sum_places_phi(make):
         assert all(m.is_valid() for m in injs + projs)
 
 
-def test_triple_cover_reads_cached_column_tensors(monkeypatch):
+def test_triple_cover_builds_no_tensor(monkeypatch):
+    # a cover over T is read off T's column projectives: no M (x) X is formed
     spec = t2_a4_rad2()
     triples = _cover_test_triples(spec)
-    for i in range(len(spec.coldata_r().columns)):
-        spec.column_tensor(i)
 
     def refuse(*args):
         raise AssertionError("tensor_basis called by a triple cover")
 
     monkeypatch.setattr(tm, "tensor_basis", refuse)
     for t in triples:
-        cover, _ = tm.triple_projective_cover(t)
-        assert cover.tensor.dim == cover.x.dim  # M (x) X = X over T2
+        cover, pi = scm.projective_cover_sc(t)
+        assert cover.dim >= t.dim and rank(pi.mat) == t.dim
 
 
 @pytest.mark.parametrize("make", [t2_a4_rad2, t2k, m_zero], ids=["T2(A4/rad2)", "T2(k)", "M=0"])
@@ -542,14 +572,14 @@ def _quotient_phi_by_solve(proj):
 def _psi_test_triples(spec):
     """The cover test triples and the kernels of their covers."""
     out = _cover_test_triples(spec)
-    return out + [tm.triple_kernel(tm.triple_projective_cover(t)[1])[0] for t in out]
+    return out + [tm.triple_kernel(_triple_cover(t)[1])[0] for t in out]
 
 
 def _random_combination(rng, a, b, basis):
-    f = a.spec.r.field
-    h = cats.triple_cat(a.spec).zero_map(a, b)
+    f, cat = a.spec.r.field, cats.triple_cat(a.spec)
+    h = cat.zero_map(a, b)
     for m in basis:
-        h = h.add(m.scale(f.of_int(rng.randint(-1, 2))))
+        h = cat.add_map(h, cat.scale_map(m, f.of_int(rng.randint(-1, 2))))
     return h
 
 
@@ -566,7 +596,7 @@ def test_triple_hom_basis_equals_the_tensor_map_construction(make):
     pairs = [(t, t) for t in ends] + [(rng.choice(pool), rng.choice(pool)) for _ in range(12)]
     nonzero = 0
     for a, b in pairs:
-        got = [(h.u, h.w) for h in tm.triple_hom_basis(a, b)]
+        got = [(h.u, h.w) for h in cats.triple_cat(spec).hom_basis(a, b)]
         assert got == _hom_basis_by_tensor_maps(a, b)
         nonzero += bool(got)
     assert nonzero >= sum(not t.is_zero() for t in ends)  # End of a nonzero triple is nonzero
@@ -581,7 +611,7 @@ def test_is_valid_agrees_with_the_tensor_map_check(make):
     verdicts = []
     for _ in range(30):
         a, b = rng.choice(pool), rng.choice(pool)
-        h = _random_combination(rng, a, b, tm.triple_hom_basis(a, b))
+        h = _random_combination(rng, a, b, cats.triple_cat(spec).hom_basis(a, b))
         maps = [h]
         for part in ("u", "w"):
             m = getattr(h, part)
@@ -604,14 +634,14 @@ def test_kernel_and_quotient_phi_equal_the_solved_ones(make):
     cat = cats.triple_cat(spec)
     pool = _cover_test_triples(spec)
     rng = random.Random(41)
-    maps = [tm.triple_projective_cover(t)[1] for t in pool]
+    maps = [_triple_cover(t)[1] for t in pool]
     for _ in range(12):
         a, b = rng.choice(pool), rng.choice(pool)
-        maps.append(_random_combination(rng, a, b, tm.triple_hom_basis(a, b)))
+        maps.append(_random_combination(rng, a, b, cats.triple_cat(spec).hom_basis(a, b)))
     for h in maps:
         k, incl = tm.triple_kernel(h)
         assert k.phi == _kernel_phi_by_solve(incl)
-        q, proj = cat.quotient(h.source, {"x": incl.u, "y": incl.w})
+        q, proj = cat.quotient(h.source, cat.map_mats(incl))
         assert q.phi == _quotient_phi_by_solve(proj)
         assert q.check() and proj.is_valid()
 
@@ -640,11 +670,11 @@ def test_triple_maps_build_no_tensor_map(monkeypatch):
     calls = []
     monkeypatch.setattr(tm, "tensor_map", lambda *args: calls.append(args))
     for t in pool:
-        cover, pi = tm.triple_projective_cover(t)
+        cover, pi = _triple_cover(t)
         assert pi.is_valid()
         k, incl = tm.triple_kernel(pi)
-        cat.quotient(cover, {"x": incl.u, "y": incl.w})
-        assert tm.triple_hom_basis(k, k) or k.is_zero()
+        cat.quotient(cover, cat.map_mats(incl))
+        assert scm.hom_basis_sc(k, k) or k.is_zero()
     assert calls == []
 
 
@@ -675,3 +705,129 @@ def test_triple_pd_rejects_negative_cap():
             tm.triple_pd(t, -1)
     with pytest.raises(QuivhomError, match="cap"):
         tm.trimat_gldim(spec, -1)
+
+
+# -- T as a structure-constant algebra ------------------------------------------------
+
+def _r_ne_s_specs():
+    """The R != S specs of the witness tests: R = k, S = kA2 or k x k, M = S."""
+    r = alg.sc_of_bqa(k_bqa())
+    out = []
+    for base in (alg.path_algebra(QQ, qv.a_n(2)),
+                 alg.path_algebra(QQ, qv.make_quiver(["1", "2"], []))):
+        s = alg.sc_of_bqa(base)
+        m = tm.Bimodule(s, r, s.dim, scm.regular_module(s).action, [Mat.identity(QQ, s.dim)])
+        out.append(tm.TriRingSpec(r, s, m))
+    return out
+
+
+def _t_specs():
+    return [t2k(), t2_kA2(), t2_dual(), *_r_ne_s_specs()]
+
+
+@pytest.mark.parametrize("at", range(5), ids=["T2(k)", "T2(kA2)", "T2(dual numbers)",
+                                              "k<kA2", "k<kxk"])
+def test_t_is_the_triangular_ring(at):
+    # T on the basis R, then M, then S is associative, its attached radical
+    # rad R + M + rad S is the trace-form radical, and its basis is adapted
+    # to its idempotents, so its column projectives are read off the table
+    spec = _t_specs()[at]
+    t = spec.t
+    t.validate()
+    assert t.dim == spec.r.dim + spec.m.dim + spec.s.dim
+    attached = Mat.from_rows(QQ, t.known_radical)
+    trace_form = alg.radical_sc(t)
+    both = Mat.from_rows(QQ, list(t.known_radical) + [list(v) for v in trace_form])
+    assert rank(attached) == len(trace_form) == rank(both)
+    cd = scm.column_data(t)
+    assert len(cd.columns) == len(spec.r.idempotents) + len(spec.s.idempotents)
+    # (r, m, s)(r', m', s') = (rr', m r' + s m', ss') on the unit vectors
+    e = Mat.identity(QQ, t.dim).row_list()
+    r_unit, s_unit = e[0], e[spec.r.dim + spec.m.dim]
+    m_first = e[spec.r.dim]
+    assert t.multiply(r_unit, m_first) == (QQ.zero(),) * t.dim
+    assert t.multiply(m_first, m_first) == (QQ.zero(),) * t.dim
+    assert t.multiply(s_unit, r_unit) == (QQ.zero(),) * t.dim
+
+
+def test_spec_refuses_a_bimodule_over_other_algebras():
+    # M = kA2 as a kA2-k-bimodule has S = kA2 and R = k, not R = kA2 and S = k
+    a2 = alg.sc_of_bqa(alg.path_algebra(QQ, qv.a_n(2)))
+    k = alg.sc_of_bqa(k_bqa())
+    m = tm.Bimodule(a2, k, a2.dim, scm.regular_module(a2).action, [Mat.identity(QQ, a2.dim)])
+    assert m.check()
+    with pytest.raises(AlgebraMismatch):
+        tm.TriRingSpec(a2, k, m)
+    assert tm.TriRingSpec(k, a2, m).t.dim == 7
+
+
+def test_spec_refuses_a_bimodule_basis_not_adapted_to_the_idempotents():
+    # R = k x k acting on M = k^2 on the right by e_1 -> [[1, 1], [0, 0]]:
+    # a bimodule, but m_2 e_1 = m_1 is neither m_2 nor 0
+    kk = alg.sc_of_bqa(alg.path_algebra(QQ, qv.make_quiver(["1", "2"], [])))
+    k = alg.sc_of_bqa(k_bqa())
+    p = Mat.from_rows(QQ, [[1, 1], [0, 0]])
+    m = tm.Bimodule(k, kk, 2, [Mat.identity(QQ, 2)], [p, Mat.identity(QQ, 2).sub(p)])
+    assert m.check()
+    with pytest.raises(QuivhomError, match="not adapted"):
+        tm.TriRingSpec(kk, k, m)
+
+
+# -- answers pinned across the move to modules over T -------------------------------------
+
+def _resolution_pool(spec):
+    """The resolutions benchmark's pieces: simples and the e1/e2 columns."""
+    pool = [t for _, _, t in tm.simple_triples(spec)]
+    pool += [tm.e1_lambda(spec, col) for col, _ in spec.coldata_r().columns]
+    return pool + [tm.e2_lambda(spec, col) for col, _ in spec.coldata_s().columns]
+
+
+# (indices into the pool, pd), drawn by random.Random(29), recorded when
+# triples kept their own cover and kernel
+PD_PINS = [((2, 11, 9, 2, 11, 12, 13, 0), 4), ((3, 14, 7, 11), 1), ((15, 10, 13, 6), 1),
+           ((5, 7, 13, 13, 6, 13, 9), 2), ((7, 13, 15, 4, 9, 9), 3),
+           ((15, 12, 3, 11, 4, 8, 4, 10), 3), ((12, 5, 13, 13), 2),
+           ((9, 4, 10, 6, 8, 0, 0), 4), ((13, 4, 13, 4, 9, 0, 1), 4), ((9, 3, 0, 1), 4),
+           ((0, 4, 5, 14), 4), ((7, 2, 0, 6, 8, 15), 4)]
+
+
+def test_triple_pd_of_sums_over_t2_a4_rad2_is_pinned():
+    spec = t2_a4_rad2()
+    pool = _resolution_pool(spec)
+    assert len(pool) == 16
+    rng = random.Random(29)
+    for idx, pd in PD_PINS:
+        assert idx == tuple(rng.randrange(len(pool)) for _ in range(rng.randint(4, 8)))
+        total, _, _ = tm.triple_direct_sum(spec, [pool[i] for i in idx])
+        assert tm.triple_pd(total, 20) == Dim.finite(pd)
+
+
+def test_trimat_gldim_is_pinned():
+    assert tm.trimat_gldim(t2_a4_rad2()) == Dim.finite(4)
+    assert tm.trimat_gldim(t2k()) == Dim.finite(1)
+    # R = k[x]/(x^2), S = k, M = k: gl.dim R is infinite, so the cap is hit
+    r = alg.sc_of_bqa(dual_numbers())
+    s = alg.sc_of_bqa(k_bqa())
+    m = tm.Bimodule(s, r, 1, [Mat.identity(QQ, 1)], [Mat.identity(QQ, 1), Mat.zeros(QQ, 1, 1)])
+    spec = tm.TriRingSpec(r, s, m)
+    for cap in (3, 6):
+        assert tm.trimat_gldim(spec, cap) == Dim.at_least(cap)
+    assert tm.trimat_gldim(t2_dual(), 5) == Dim.at_least(5)
+
+
+@pytest.mark.parametrize("make", [t2_a4_rad2, t2k])
+def test_projectivity_verdicts_agree_on_the_pool(make):
+    # the FGR criterion and the cover over T agree on every piece, and on a
+    # sum with a simple in it, which is not projective
+    spec = make()
+    pool = _cover_test_triples(spec)
+    verdicts = []
+    for t in pool:
+        ok, det = tm.is_projective_triple(t)
+        assert ok == det["projective_over_t"]
+        verdicts.append(ok)
+    assert True in verdicts and False in verdicts
+    simple = next(t for _, _, t in tm.simple_triples(spec))
+    total = tm.triple_sum(spec, [tm.e1_lambda(spec, spec.coldata_r().columns[0][0]), simple])
+    ok, det = tm.is_projective_triple(total)
+    assert not ok and not det["projective_over_t"]
