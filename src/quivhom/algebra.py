@@ -869,6 +869,7 @@ class SCAlgebra:
         # one shared zero: products then compare equal by identity where zero
         self._zero = field.zero()
         self._coldata = None  # built once by scmodule.column_data
+        self._gradings = None  # built once by scmodule._gradings
         # sparse view of the table: _terms[i][j] = the pairs (k, m), m != 0
         self._terms = tuple(tuple(tuple((k, m) for k, m in enumerate(v) if m) for v in row)
                             for row in self.mult)
@@ -962,16 +963,27 @@ def _is_nilpotent(sc: SCAlgebra, vecs) -> bool:
 
 
 def radical_sc(sc: SCAlgebra):
-    """Jacobson radical via the trace form of the regular representation (char 0).
+    """Jacobson radical via the trace form of the regular representation,
+    in characteristic 0 or p > dim A.
 
     The fallback for structure-constant algebras built without a radical, and
     the independent oracle for the radicals that ``sc_of_bqa`` and
     ``endo.end_algebra`` attach.  O(dim^4) field operations.
+
+    The kernel T of (a, b) -> tr(L_a L_b) is a two-sided ideal that holds
+    rad A.  For a in T and 1 <= k <= dim A, tr(L_a^k) = tr(L_a L_(a^(k-1)))
+    = 0, and Newton's identities, which divide by k, make L_a nilpotent when
+    k is invertible up to dim A: in characteristic 0 or p > dim A, T is a
+    nil ideal, hence rad A.  For p <= dim A the kernel can be larger (kA2
+    over GF(2): dim 2 against a radical of dim 1), and the char-p radical
+    algorithms (Ronyai 1990; Cohen-Ivanyos-Wales 1997) are not implemented:
+    ``CharPNotSupported``.  The nilpotency check runs in every case.
     """
-    if sc.field.kind != "q":
-        raise CharPNotSupported("trace-form radical requires characteristic zero")
     f = sc.field
     n = sc.dim
+    if f.p is not None and f.p <= n:
+        raise CharPNotSupported(f"trace-form radical needs characteristic 0 or p > dim A: "
+                                f"p = {f.p}, dim A = {n}")
     # T[i][j] = trace(L_i L_j) = sum_{l,k} mult[i][l][k] * mult[j][k][l]
     rows = []
     for i in range(n):

@@ -22,7 +22,9 @@ Hom(S, R).  Both are sub-tables that take E's radical block by block
 (rad(eEe) = e.rad(E).e, Anderson-Fuller; the radical of a triangular ring is
 [[rad R, 0], [M, rad S]], Fossum-Griffith-Reiten), so only ``end_algebra``
 builds and certifies a radical.  The actions on Hom(sum_I X_i, sum_J X_j)
-are sub-tables too: gamma o h = mult[gamma][h] and h o gamma = mult[h][gamma].
+are sub-tables too: gamma o h = mult[gamma][h] and h o gamma = mult[h][gamma],
+read block by block: a map into the k-th target summand has the grade of
+the k-th idempotent of the corner (``hom_as_end_module``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .cats import Cat
 from .errors import CompositionInconsistent, IsoCheckFailed, NotSplit, QuivhomError
 from .exactlin import Mat, _kernel_blocks, rank, solve_matrix
 from .quiver import Quiver, concat, paths_between, subquiver, trivial_path
-from .scmodule import SCModule, table_actions
+from .scmodule import SCModule, _table_module
 
 
 @dataclass
@@ -292,10 +294,16 @@ def _certify_radical(sc: SCAlgebra, blocks, parts):
 
 def hom_as_end_module(e: EndAlgebra, sources, targets) -> SCModule:
     """Hom(sum of the summands at ``sources``, sum of those at ``targets``)
-    as a left module over ``e.corner(targets)`` by post-composition."""
-    basis = e.positions(sources, targets)
-    return SCModule(e.corner(targets).sc, len(basis),
-                    table_actions(e.sc, e.positions(targets, targets), basis))
+    as a left module over ``e.corner(targets)`` by post-composition, graded
+    by the corner's idempotents: a map into the k-th target summand has
+    grade k, and its blocks are sub-tables of E."""
+    targets, basis, ends = list(targets), [], []
+    for i in sources:
+        for k, j in enumerate(targets):
+            pos = e.positions((i,), (j,))
+            basis.extend(pos)
+            ends.extend([k] * len(pos))
+    return _table_module(e.corner(targets).sc, e.sc, e.positions(targets, targets), basis, ends)
 
 
 def validate_summands(summands, cat: Cat):

@@ -335,6 +335,8 @@ class Mat:
         mats = list(mats)
         rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)
+        if not rows or not cols:
+            return Mat(field, rows, cols, ())
         z = field.zero()
         ent = [z] * (rows * cols)
         r0 = c0 = 0

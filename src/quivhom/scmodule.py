@@ -1,77 +1,282 @@
 """Left modules over structure-constant algebras, with minimal covers.
 
 This is the engine shared by the endomorphism-ring and triangular-matrix-ring
-layers.  A module is a plain vector space with one action matrix per algebra
-basis element.  Minimal projective covers are driven by the radical the
-algebra carries (``sc_of_bqa`` and ``endo.end_algebra`` attach one, in every
-characteristic); the characteristic-zero trace-form radical ``radical_sc`` is
-only the fallback for algebras built without one.
+layers.  Minimal projective covers are driven by the radical the algebra
+carries (``sc_of_bqa`` and ``endo.end_algebra`` attach one, in every
+characteristic); the trace-form radical ``radical_sc`` is only the fallback
+for algebras built without one.
 
-Column projectives are read off the Peirce grading, so the basis must be
-adapted to the idempotents: b*e_i and e_j*b are b or 0 for every basis
-element b (the bases of ``sc_of_bqa``, ``endo.end_algebra`` and its corners
-are).  Gamma*e_i is then spanned by the basis elements starting at i, acted
-on by a sub-table of the structure constants, and is grouped into an
-isomorphism class with the other columns so that duplicated idempotents are
-handled correctly.
+A module is stored by its Peirce grading (Assem-Simson-Skowronski, I-III).
+Each coordinate keeps its place and has a grade: the idempotent e_i of the
+algebra that fixes it, so e_i M is spanned by the coordinates of grade i and
+e_i acts as the projection onto them.  A basis element b in e_j Gamma e_i
+maps e_i M into e_j M and kills the other grades, so it is kept only as its
+block, the rows of grade j by the columns of grade i (``blocks[b]``, at
+``at[b] = (j, i)``).  ``action[b]`` places the block into a full matrix when
+it is read (``_place``, the one placement) and keeps nothing.  So sums,
+kernels, J*M, quotients, covers and hom bases work one grade at a time: a
+module map sends grade i to grade i, a submodule is the sum of its grades,
+and the reduced bases read grade by grade are those of the whole space,
+entry for entry, since a reduced basis depends only on the subspace and the
+order of the coordinates.
+
+A module given by full action matrices is graded when every idempotent acts
+as a coordinate projection and every basis element acts only in its block.
+A module that is not, or one over an algebra that lists no idempotents or
+whose basis is not adapted to them, has a single grade: each basis element
+acts by one full block, and the same code runs on it.  Modules of different
+gradings meet (in sums, maps and hom bases) with one grade each.
+
+The graded bases (those of ``sc_of_bqa``, ``endo.end_algebra`` and its
+corners, and the triangular rings of ``trimat``) are adapted to the
+idempotents: b*e_i and e_j*b are b or 0 for every basis element b.  Column
+projectives are read off that grading: Gamma*e_i is spanned by the basis
+elements starting at i, acted on by a sub-table of the structure constants,
+and is grouped into an isomorphism class with the other columns so that
+duplicated idempotents are handled correctly.
 
 A submodule is read off the rows where its basis is the identity
-(``_restrict_sc``): a kernel takes the basis of ``exactlin._null_space``
-as it is, so each kernel is one elimination.  Projective dimensions read
-the syzygy steps of ``bounds.syzygy_steps``.
+(``_restrict_sc``), one ``algebra._read_off_units`` per grade: a kernel
+takes the basis of ``exactlin._null_space`` as it is, one elimination per
+grade.  Projective dimensions read the syzygy steps of ``bounds.syzygy_steps``.
 
 Over a split algebra e_i kills every simple but the top S_i of Gamma*e_i, and
 e_i S_i is k, so the copies of S_i in M/JM are counted by dim e_i (M/JM) and
-a cover's generators are pivot columns: the columns of e_i acting on M that
-are independent modulo JM and of each other.  A module is projective exactly
-when that minimal cover is an isomorphism.
+a cover's generators are pivot columns: the columns of e_i acting on M (unit
+vectors of grade i) that are independent modulo JM and of each other.  A
+module is projective exactly when that minimal cover is an isomorphism.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
-from .algebra import (SCAlgebra, _pivot_columns, _read_off_units, column_space, eval_path,
+from .algebra import (SCAlgebra, _column_basis, _pivot_columns, _read_off_units, eval_path,
                       quotient_by_rows, radical_sc, sc_of_bqa)
 from .bounds import Dim, dim_max, syzygy_pd, syzygy_steps
 from .errors import CompositionInconsistent, DimensionMismatch, NotSplit, QuivhomError
-from .exactlin import Mat, _commuting_rows, _kernel_blocks, _null_space, rank
+from .exactlin import Mat, _commuting_rows, _null_space, rank
 
 
-@dataclass
+def _gradings(sc: SCAlgebra):
+    """(peirce, one, n) for ``sc``, built once per algebra.  ``peirce[b]`` is
+    the block (j, i) of basis element b, b in e_j Gamma e_i, and n the number
+    of idempotents; ``peirce`` is None when the algebra lists no idempotents
+    or its basis is not adapted to them (b*e_i or e_j*b neither b nor 0).
+    ``one`` puts every basis element at (0, 0), the grading with one grade;
+    with one idempotent the two are the same object."""
+    if sc._gradings is None:
+        one = ((0, 0),) * sc.dim
+        peirce, n = None, 1
+        if sc.idempotents is not None:
+            n = len(sc.idempotents)
+            starts, ends = [None] * sc.dim, [None] * sc.dim
+            adapted = True
+            for b, vec in enumerate(Mat.identity(sc.field, sc.dim).row_list()):
+                vec = tuple(vec)
+                for i, e in enumerate(sc.idempotents):
+                    for grade, prod in ((starts, sc.multiply(vec, e)), (ends, sc.multiply(e, vec))):
+                        if prod == vec:
+                            grade[b] = i
+                        elif any(prod):
+                            adapted = False
+            if adapted:
+                peirce = one if n == 1 else tuple(zip(ends, starts))
+        sc._gradings = (peirce, one, n)
+    return sc._gradings
+
+
+def _take(m: Mat, rows, cols) -> Mat:
+    """The submatrix of m on the increasing rows ``rows`` and columns
+    ``cols``: m itself when they are all of its rows and columns."""
+    if len(rows) == m.rows and len(cols) == m.cols:
+        return m
+    e, w = m.entries, m.cols
+    return Mat(m.field, len(rows), len(cols), tuple([e[r * w + c] for r in rows for c in cols]))
+
+
+def _places(m: "SCModule"):
+    """The place of each coordinate among those of its grade."""
+    out = [0] * m.dim
+    for cs in m.coords:
+        for p, c in enumerate(cs):
+            out[c] = p
+    return out
+
+
+def _nonzeros(m: Mat) -> int:
+    return len(m.entries) - m.entries.count(0)
+
+
 class SCModule:
-    sc: SCAlgebra
-    dim: int
-    action: list  # one Mat per algebra basis element
+    """A module over ``sc`` by its Peirce grading: ``grade[c]`` is the grade
+    of coordinate c, and basis element b acts by ``blocks[b]`` from the
+    grade at[b][1] to the grade at[b][0] (see the module docstring).
+    ``SCModule(sc, dim, action)`` reads the grading off full action
+    matrices; ``action`` places the blocks back when read."""
 
-    def __post_init__(self):
-        if len(self.action) != self.sc.dim:
+    def __init__(self, sc: SCAlgebra, dim: int, action):
+        action = list(action)
+        if len(action) != sc.dim:
             raise DimensionMismatch("one action matrix per basis element required")
-        for m in self.action:
-            if (m.rows, m.cols) != (self.dim, self.dim):
+        for m in action:
+            if (m.rows, m.cols) != (dim, dim):
                 raise DimensionMismatch("action matrices must be square of the module dimension")
+        self._set(sc, *_grading_of(sc, dim, action))
+
+    def _set(self, sc: SCAlgebra, grade, at, blocks) -> "SCModule":
+        """Hold the grading and the blocks; ``coords`` lists the coordinates
+        of each grade in order."""
+        self.sc, self.grade, self.at, self.blocks = sc, tuple(grade), at, list(blocks)
+        self.dim = len(self.grade)
+        peirce, _, n = sc._gradings or _gradings(sc)
+        if at is peirce and n > 1:
+            self.coords = [[] for _ in range(n)]
+            for c, g in enumerate(self.grade):
+                self.coords[g].append(c)
+        else:
+            self.coords = [list(range(self.dim))]
+        return self
+
+    @classmethod
+    def _of_blocks(cls, sc: SCAlgebra, grade, at, blocks) -> "SCModule":
+        return cls.__new__(cls)._set(sc, grade, at, blocks)
+
+    @property
+    def action(self):
+        """One full matrix per algebra basis element, placed when read."""
+        return _Placed(self)
 
     def act_vector(self, coeffs) -> Mat:
         """Matrix of the action of an algebra element given by coefficients."""
-        return _combination(self.sc.field, self.dim, self.action, coeffs)
+        return _place(self, _act_blocks(self, coeffs))
 
     def is_zero(self) -> bool:
         return self.dim == 0
 
     def check(self) -> bool:
-        """Unit acts as identity; action respects the structure constants."""
-        f = self.sc.field
-        if not self.act_vector(self.sc.unit).is_identity() and self.dim > 0:
+        """Unit acts as identity; action respects the structure constants.
+        Checked block by block: a_b a_c is the product of the blocks when
+        the grades meet and zero when they do not."""
+        f, sc = self.sc.field, self.sc
+        unit = _act_blocks(self, sc.unit)
+        want = {(g, g): Mat.identity(f, len(cs)) for g, cs in enumerate(self.coords) if cs}
+        if not _same_blocks(unit, want):
             return False
-        for i in range(self.sc.dim):
-            ai = self.action[i]
-            for j in range(self.sc.dim):
-                lhs = ai.mul(self.action[j])
-                rhs = self.act_vector(self.sc.mult[i][j])
-                if lhs != rhs:
+        for b, (jb, ib) in enumerate(self.at):
+            for c, (jc, ic) in enumerate(self.at):
+                lhs = {(jb, ic): self.blocks[b].mul(self.blocks[c])} if ib == jc else {}
+                if not _same_blocks(lhs, _act_blocks(self, sc.mult[b][c])):
                     return False
         return True
+
+    def __eq__(self, other):
+        if not isinstance(other, SCModule):
+            return NotImplemented
+        if self.sc is not other.sc or self.dim != other.dim:
+            return False
+        if self.at is other.at:
+            return self.grade == other.grade and self.blocks == other.blocks
+        return list(self.action) == list(other.action)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"SCModule(dim={self.dim}, grades={[len(cs) for cs in self.coords]})"
+
+
+class _Placed(Sequence):
+    """A module's action matrices, each placed from its block when read."""
+
+    def __init__(self, m: SCModule):
+        self.m = m
+
+    def __len__(self):
+        return len(self.m.blocks)
+
+    def __getitem__(self, b):
+        m = self.m
+        return _place(m, {m.at[b]: m.blocks[b]})
+
+    def __eq__(self, other):
+        return list(self) == list(other)
+
+    def __repr__(self):
+        return repr(list(self))
+
+
+def _place(m: SCModule, parts) -> Mat:
+    """The dim x dim matrix with each block of ``parts`` ({(j, i): block})
+    at the rows of grade j and the columns of grade i, zero elsewhere: the
+    one place where blocks become a full action matrix."""
+    n, f = m.dim, m.sc.field
+    if len(parts) == 1:
+        ((j, i), blk), = parts.items()
+        if blk.rows == blk.cols == n:  # one grade: the block is the matrix
+            return blk
+    ent = [f.zero()] * (n * n)
+    for (j, i), blk in parts.items():
+        cols, w, e = m.coords[i], blk.cols, blk.entries
+        for p, r in enumerate(m.coords[j]):
+            for q, c in enumerate(cols):
+                ent[r * n + c] = e[p * w + q]
+    return Mat(f, n, n, tuple(ent))
+
+
+def _act_blocks(m: SCModule, coeffs):
+    """The action of the algebra element with coefficients ``coeffs`` as
+    blocks: {(j, i): sum of c_b blocks[b] over the b at (j, i)}, summed from
+    the first nonzero term on; coefficients equal to one scale nothing."""
+    one, out = m.sc.field.one(), {}
+    for b, c in enumerate(coeffs):
+        if c:
+            blk, key = m.blocks[b], m.at[b]
+            term = blk if c == one else blk.scale(c)
+            out[key] = out[key].add(term) if key in out else term
+    return out
+
+
+def _same_blocks(a: dict, b: dict) -> bool:
+    """Whether two block dicts place to the same matrix (absent is zero)."""
+    return all((a[k] == b[k]) if k in a and k in b else (a.get(k) or b.get(k)).is_zero()
+               for k in a.keys() | b.keys())
+
+
+def _grading_of(sc: SCAlgebra, dim: int, action):
+    """(grade, at, blocks) of the module with the full action matrices
+    ``action``: the Peirce grading when each idempotent acts as the
+    projection onto coordinates of its grade and each basis element only in
+    its block, else one grade with the matrices as blocks."""
+    peirce, one, _ = _gradings(sc)
+    if peirce is not None and peirce is not one:
+        grade = [None] * dim
+        graded = True
+        for g, e in enumerate(sc.idempotents):
+            act = _combination(sc.field, dim, action, e).entries
+            for r in range(dim):
+                for c in range(dim):
+                    v = act[r * dim + c]
+                    if r == c and v == sc.field.one() and grade[r] is None:
+                        grade[r] = g
+                    elif v:
+                        graded = False
+        if graded and None not in grade:
+            coords = [[c for c in range(dim) if grade[c] == g] for g in range(len(sc.idempotents))]
+            blocks = [_take(a, coords[j], coords[i]) for a, (j, i) in zip(action, peirce)]
+            if all(_nonzeros(blk) == _nonzeros(a) for blk, a in zip(blocks, action)):
+                return grade, peirce, blocks
+    return (0,) * dim, one, action
+
+
+def _one_grade(mods):
+    """The modules with one grading: as they are when they share one, else
+    each with one grade, its action matrices placed as its blocks."""
+    if all(m.at is mods[0].at for m in mods):
+        return mods
+    return [SCModule._of_blocks(m.sc, (0,) * m.dim, _gradings(m.sc)[1], list(m.action))
+            for m in mods]
 
 
 @dataclass
@@ -81,10 +286,31 @@ class SCMap:
     mat: Mat
 
     def is_valid(self) -> bool:
-        for i in range(self.source.sc.dim):
-            if self.mat.mul(self.source.action[i]) != self.target.action[i].mul(self.mat):
+        """g . a_b = a'_b . h for every basis element b at (j, i), g and h
+        the map's blocks at grades j and i; a map with an entry between
+        different grades is none."""
+        m, n = self.source, self.target
+        if m.at is not n.at:
+            m, n = _one_grade([m, n])
+        blocks = self._blocks(n, m)
+        if blocks is None:
+            return False
+        for a, b, (j, i) in zip(m.blocks, n.blocks, m.at):
+            if blocks[j].mul(a) != b.mul(blocks[i]):
                 return False
         return True
+
+    def _blocks(self, target: SCModule, source: SCModule):
+        """The map between ``source`` and ``target`` (its ends, or their one
+        grade copies) grade by grade, from each grade of the source to the
+        same grade of the target, or None when it has an entry between
+        different grades.  A matrix of the wrong shape raises
+        ``DimensionMismatch``."""
+        if (self.mat.rows, self.mat.cols) != (target.dim, source.dim):
+            raise DimensionMismatch(f"a {self.mat.rows}x{self.mat.cols} matrix is no map "
+                                    f"from dimension {source.dim} to {target.dim}")
+        blocks = [_take(self.mat, tc, sc) for tc, sc in zip(target.coords, source.coords)]
+        return blocks if sum(map(_nonzeros, blocks)) == _nonzeros(self.mat) else None
 
 
 def _combination(field, dim, mats, coeffs) -> Mat:
@@ -99,11 +325,41 @@ def _combination(field, dim, mats, coeffs) -> Mat:
 
 
 def zero_sc_module(sc: SCAlgebra) -> SCModule:
-    return SCModule(sc, 0, [Mat.zeros(sc.field, 0, 0) for _ in range(sc.dim)])
+    return sum_sc(sc, [])
 
 
 def regular_module(sc: SCAlgebra) -> SCModule:
-    return SCModule(sc, sc.dim, table_actions(sc, range(sc.dim), range(sc.dim)))
+    return _table_module(sc, sc, range(sc.dim), range(sc.dim))
+
+
+def _table_module(over: SCAlgebra, table: SCAlgebra, acting, basis, ends=None) -> SCModule:
+    """The span of ``table``'s basis elements at ``basis`` (closed under the
+    products used) as a module over ``over``, whose t-th basis element acts
+    as table's element acting[t] by left multiplication, g*h = mult[g][h].
+    Graded by over's idempotents, ``ends[k]`` the one that fixes basis[k]
+    (by default its end in table's own grading, for table = over); the
+    blocks are read off the table and no other coordinate is read."""
+    peirce, one, _ = _gradings(over)
+    basis = list(basis)
+    if peirce is None:
+        at, grade = one, (0,) * len(basis)
+    else:
+        at = peirce
+        grade = ends if ends is not None else [peirce[h][0] for h in basis]
+    m = SCModule._of_blocks(over, grade, at, [])
+    for g, (j, i) in zip(acting, at):
+        m.blocks.append(_sub_table(table, g, [basis[k] for k in m.coords[j]],
+                                   [basis[k] for k in m.coords[i]]))
+    return m
+
+
+def _sub_table(sc: SCAlgebra, g, rows, cols, left: bool = True) -> Mat:
+    """The matrix whose column t is the product g*h (h*g if not ``left``),
+    h = cols[t], read at the coordinates ``rows``: the one reader of
+    sub-tables of the structure constants."""
+    mult = sc.mult
+    prods = [mult[g][h] for h in cols] if left else [mult[h][g] for h in cols]
+    return Mat(sc.field, len(rows), len(cols), tuple(p[r] for r in rows for p in prods))
 
 
 def sc_module_of_algmod(m, sc: SCAlgebra = None) -> SCModule:
@@ -130,20 +386,41 @@ def sc_module_of_algmod(m, sc: SCAlgebra = None) -> SCModule:
 
 
 def sum_sc(sc: SCAlgebra, mods) -> SCModule:
-    """The direct sum of modules, summand after summand."""
-    mods = list(mods)
+    """The direct sum of modules, summand after summand: each block is the
+    summands' blocks placed diagonally."""
+    mods = _one_grade(list(mods))
     f = sc.field
-    action = [Mat.block_diag(f, [m.action[i] for m in mods]) if mods else Mat.zeros(f, 0, 0)
-              for i in range(sc.dim)]
-    return SCModule(sc, sum(m.dim for m in mods), action)
+    peirce, one, _ = _gradings(sc)
+    at = mods[0].at if mods else (one if peirce is None else peirce)
+    return SCModule._of_blocks(sc, [g for m in mods for g in m.grade], at,
+                               [Mat.block_diag(f, [m.blocks[b] for m in mods]) for b in range(sc.dim)])
 
 
 def hom_basis_sc(m: SCModule, n: SCModule):
-    """Basis of module maps m -> n (matrices commuting with every action)."""
+    """Basis of module maps m -> n (matrices commuting with every action).
+
+    A module map sends grade i to grade i, so the unknowns are the entries
+    of equal grades, in the order of the full matrix, and basis element b at
+    (j, i) gives the equations g_j . a_b = a'_b . g_i of its blocks."""
     f = m.sc.field
-    shapes = [(n.dim, m.dim)]
-    rows = _commuting_rows(f, shapes, [(0, ma, 0, na) for ma, na in zip(m.action, n.action)])
-    return [SCMap(m, n, blocks[0]) for blocks in _kernel_blocks(f, rows, shapes)]
+    mg, ng = _one_grade([m, n])
+    shapes = [(len(r), len(c)) for r, c in zip(ng.coords, mg.coords)]
+    rows = _commuting_rows(f, shapes, [(j, a, i, b) for a, b, (j, i)
+                                       in zip(mg.blocks, ng.blocks, mg.at)])
+    # the unknowns in the block layout, by their entries of the full matrix,
+    # put in the order of the full matrix
+    full = [r * m.dim + c for rows_g, cols_g in zip(ng.coords, mg.coords) for r in rows_g for c in cols_g]
+    order = sorted(range(len(full)), key=full.__getitem__)
+    if order != list(range(len(full))):
+        rows, full = [[row[k] for k in order] for row in rows], [full[k] for k in order]
+    basis, free = _null_space(Mat(f, len(rows), len(full), tuple(chain.from_iterable(rows))))
+    out = []
+    for t in range(len(free)):
+        ent = [f.zero()] * (n.dim * m.dim)
+        for e, v in zip(full, basis.entries[t::len(free)]):
+            ent[e] = v
+        out.append(SCMap(m, n, Mat(f, n.dim, m.dim, tuple(ent))))
+    return out
 
 
 def radical_of(sc: SCAlgebra):
@@ -152,45 +429,127 @@ def radical_of(sc: SCAlgebra):
     return radical_sc(sc)
 
 
+def _join(m: SCModule, of, blocks) -> Mat:
+    """The matrix whose column t is the next column of blocks[of[t]],
+    placed at the rows of its grade."""
+    f, w = m.sc.field, len(of)
+    ent, nxt = [f.zero()] * (m.dim * w), [0] * len(blocks)
+    for t, g in enumerate(of):
+        blk, q = blocks[g], nxt[g]
+        nxt[g] += 1
+        for p, r in enumerate(m.coords[g]):
+            ent[r * w + t] = blk.entries[p * blk.cols + q]
+    return Mat(f, m.dim, w, tuple(ent))
+
+
+def _submodule(m: SCModule, of, parts) -> SCModule:
+    """The submodule whose grade-g part has the basis parts[g][0], the
+    identity at its rows parts[g][1], its coordinates of grades ``of``.
+    Basis element b at (j, i) acts by the X with basis_j . X = a_b . basis_i,
+    and the images that land in grade j are read off its unit rows by one
+    ``algebra._read_off_units``, which checks the other rows."""
+    f = m.sc.field
+    landing = [[] for _ in parts]
+    blocks = [None] * len(m.at)
+    for b, (j, i) in enumerate(m.at):
+        if parts[j][0].rows and parts[i][0].cols:
+            landing[j].append(b)
+        else:  # nothing to read: no rows in grade j, or no columns in grade i
+            blocks[b] = Mat.zeros(f, parts[j][0].cols, parts[i][0].cols)
+    for j, (basis, units) in enumerate(parts):
+        if not landing[j]:
+            continue
+        images = [m.blocks[b].mul(parts[m.at[b][1]][0]) for b in landing[j]]
+        x = _read_off_units(basis, units, Mat.hstack(f, images))
+        if x is None:
+            raise QuivhomError("span is not action-stable")
+        at = 0
+        for b, img in zip(landing[j], images):
+            blocks[b] = x.col_block(at, at + img.cols)
+            at += img.cols
+    return SCModule._of_blocks(m.sc, of, m.at, blocks)
+
+
 def _restrict_sc(m: SCModule, basis: Mat, units):
     """(the submodule spanned by the columns of ``basis``, its inclusion),
     for a basis that is the identity at the rows ``units``, as
     ``exactlin._null_space`` and ``algebra._column_basis`` return them: the
-    restricted actions are those rows of [a_1 basis | ... | a_d basis], and
-    one product checks the other rows (``algebra._read_off_units``)."""
-    f = m.sc.field
-    x = _read_off_units(basis, units, Mat.hstack(f, [a.mul(basis) for a in m.action]))
-    if x is None:
-        raise QuivhomError("span is not action-stable")
-    r, w = basis.cols, x.cols
-    action = [Mat(f, r, r, tuple(chain.from_iterable(x.entries[i * w + t * r:i * w + t * r + r]
-                                                     for i in range(r))))
-              for t in range(len(m.action))]
-    sub = SCModule(m.sc, r, action)
+    restricted actions are read off those rows grade by grade
+    (``_submodule``)."""
+    of, place, parts = [m.grade[u] for u in units], _places(m), []  # of its unit row's grade
+    for g, cs in enumerate(m.coords):
+        ks = [t for t, h in enumerate(of) if h == g]
+        parts.append((_take(basis, cs, ks), [place[units[t]] for t in ks]))
+    if sum(_nonzeros(b) for b, _ in parts) != _nonzeros(basis):
+        raise QuivhomError("span is not action-stable: a column mixes grades")
+    sub = _submodule(m, of, parts)
     return sub, SCMap(sub, m, basis)
 
 
 def quotient_sc(m: SCModule, cols: Mat):
     """(M / span(cols), the projection onto it, a linear section of the
-    projection), in ``algebra.quotient_by_rows``'s complement; span(cols)
-    must be a submodule, and the columns need not be independent."""
-    proj, sect, _ = quotient_by_rows(cols.transpose())
-    return SCModule(m.sc, proj.rows, [proj.mul(a).mul(sect) for a in m.action]), proj, sect
+    projection), in ``algebra.quotient_by_rows``'s complement, grade by
+    grade; the columns need not be independent.
+
+    span(cols) must be a submodule: the sum of its grades (clear when each
+    column lies in one grade, else its rank is the sum of theirs) and stable
+    under every block (proj_j . a_b kills the grade-i rows of the columns).
+    Else ``QuivhomError``."""
+    spans = [_take(cols, cs, range(cols.cols)) for cs in m.coords]
+    parts = [quotient_by_rows(span.transpose()) for span in spans]
+    kept = sum(len(free) for _, _, free in parts)
+    mixed = any(sum(1 for span in spans if any(span.entries[c::span.cols])) > 1
+                for c in range(cols.cols))
+    if mixed and rank(cols) != m.dim - kept:
+        raise QuivhomError("span is not a submodule: it is not the sum of its grades")
+    blocks = []
+    for a, (j, i) in zip(m.blocks, m.at):
+        p = parts[j][0].mul(a)
+        if not p.mul(spans[i]).is_zero():
+            raise QuivhomError("span is not a submodule: it is not action-stable")
+        blocks.append(p.mul(parts[i][1]))
+    of = [g for _, g in sorted((cs[c], g) for g, (cs, (_, _, free)) in enumerate(zip(m.coords, parts))
+                               for c in free)]
+    proj = _join(m, of, [p.transpose() for p, _, _ in parts]).transpose()
+    return SCModule._of_blocks(m.sc, of, m.at, blocks), proj, _join(m, of, [s for _, s, _ in parts])
 
 
 def radical_submodule_sc(m: SCModule):
-    """J*M as an inclusion, J the algebra radical."""
+    """J*M as the columns of ``algebra.column_space``'s reduced basis, J the
+    algebra radical, read grade by grade: e_j J*M is spanned by the columns
+    of the blocks at (j, i) of the Peirce components of the radical vectors."""
+    return _join(m, *_radical_parts(m))
+
+
+def _radical_parts(m: SCModule):
+    """(grades, bases) of J*M: per grade g the reduced basis of e_g J*M,
+    and the grade of each column of the whole basis (``_join``), whose
+    columns are ordered by their pivot rows."""
     f = m.sc.field
-    rad = radical_of(m.sc)
-    images = [m.act_vector(r) for r in rad]
-    cols = column_space(f, images) if images else Mat.zeros(f, m.dim, 0)
-    return cols
+    images = [[] for _ in m.coords]
+    for r in radical_of(m.sc):
+        for (j, _), blk in _act_blocks(m, r).items():
+            images[j].append(blk)
+    bases, pivots = [], []
+    for g, (cs, mats) in enumerate(zip(m.coords, images)):
+        basis, piv = _column_basis(f, mats) if mats and cs else (Mat.zeros(f, len(cs), 0), ())
+        bases.append(basis)
+        pivots.extend((cs[p], g) for p in piv)
+    return [g for _, g in sorted(pivots)], bases
 
 
 def kernel_of_sc(f_map: SCMap):
-    """Kernel submodule with its inclusion: the module restricted to the
-    kernel basis of ``exactlin._null_space``, one elimination."""
-    return _restrict_sc(f_map.source, *_null_space(f_map.mat))
+    """Kernel submodule with its inclusion: per grade the null space of the
+    map's block (``exactlin._null_space``, the identity at its free rows),
+    one elimination per grade, and the module restricted to their sum."""
+    m, n = _one_grade([f_map.source, f_map.target])
+    blocks = f_map._blocks(n, m)
+    if blocks is None:
+        raise QuivhomError("the map has an entry between different grades: no module map")
+    parts = [_null_space(blk) for blk in blocks]
+    units = sorted(cs[c] for cs, (_, free) in zip(m.coords, parts) for c in free)
+    sub, incl = _restrict_sc(m, _join(m, [m.grade[u] for u in units], [b for b, _ in parts]), units)
+    return sub, SCMap(sub, f_map.source, incl.mat)
 
 
 class ColumnData:
@@ -200,41 +559,34 @@ class ColumnData:
     The basis must be adapted to the idempotents (else :class:`NotSplit`):
     b*e_i and e_j*b are b or 0 for every basis element b, so b lies in one
     block e_j Gamma e_i.  Column i, Gamma*e_i, is spanned by the basis
-    elements with b*e_i = b; its action is the sub-table a*b = mult[a][b] on
-    them and its inclusion into Gamma their 0/1 position matrix.  J*Gamma*e_i
-    = J*e_i is spanned by the radical vectors restricted to those positions,
-    so the simple top is the quotient by them, and dim e_j J e_i is the rank
-    of their restriction to the block.  Split: dim e_i Gamma e_i / e_i J e_i
-    is 1.  Classes: Gamma*e_i and Gamma*e_j are isomorphic iff
-    e_i Gamma e_j != e_i J e_j.
+    elements with b*e_i = b, graded by their ends; its action is the
+    sub-table a*b = mult[a][b] on them and its inclusion into Gamma their
+    0/1 position matrix.  The simple top is the quotient by J*Gamma*e_i =
+    J*e_i, spanned by the radical vectors restricted to those positions, and
+    dim e_j J e_i is the rank of their restriction to the block.
+    Split: dim e_i Gamma e_i / e_i J e_i is 1.  Classes: Gamma*e_i and
+    Gamma*e_j are isomorphic iff e_i Gamma e_j != e_i J e_j.
     """
 
     def __init__(self, sc: SCAlgebra):
         if sc.idempotents is None:
             raise NotSplit("algebra carries no idempotent list")
+        peirce, _, n = _gradings(sc)
+        if peirce is None:
+            raise NotSplit("basis is not adapted to the idempotents")
         self.sc = sc
         f = sc.field
-        n = len(sc.idempotents)
-        starts, ends = [None] * sc.dim, [None] * sc.dim
-        for b, vec in enumerate(Mat.identity(f, sc.dim).row_list()):
-            vec = tuple(vec)
-            for i, e in enumerate(sc.idempotents):
-                for grade, prod in ((starts, sc.multiply(vec, e)), (ends, sc.multiply(e, vec))):
-                    if prod == vec:
-                        grade[b] = i
-                    elif any(prod):
-                        raise NotSplit(f"basis element {b} is not adapted to idempotent {i}")
-        self._positions = [[b for b in range(sc.dim) if starts[b] == i] for i in range(n)]
+        self._positions = [[b for b in range(sc.dim) if peirce[b][1] == i] for i in range(n)]
         self.idem_mats = list(sc.idempotents)
         self.radical = radical_of(sc)
         self.columns = []
         for pos in self._positions:
             incl = Mat(f, sc.dim, len(pos), tuple(f.one() if b == c else f.zero()
                                                   for b in range(sc.dim) for c in pos))
-            self.columns.append((SCModule(sc, len(pos), table_actions(sc, range(sc.dim), pos)), incl))
+            self.columns.append((_table_module(sc, sc, range(sc.dim), pos), incl))
 
         def over_radical(i, j):  # dim e_i Gamma e_j - dim e_i J e_j
-            block = [b for b in self._positions[j] if ends[b] == i]
+            block = [b for b in self._positions[j] if peirce[b][0] == i]
             vecs = [v for v in ([r[b] for b in block] for r in self.radical) if any(v)]
             return len(block) - (rank(Mat.from_rows(f, vecs)) if vecs else 0)
 
@@ -260,10 +612,8 @@ class ColumnData:
         mutate it."""
         top = self._tops.get(i)
         if top is None:
-            pos = self._positions[i]
-            rad = Mat(self.sc.field, len(pos), len(self.radical),
-                      tuple(r[b] for b in pos for r in self.radical))
-            top = self._tops[i] = quotient_sc(self.columns[i][0], rad)[0]
+            col = self.columns[i][0]
+            top = self._tops[i] = quotient_sc(col, radical_submodule_sc(col))[0]
         return top
 
 
@@ -271,13 +621,7 @@ def table_actions(sc: SCAlgebra, acting, basis, left: bool = True):
     """One matrix per basis index g in ``acting`` on the span of the basis
     elements at ``basis``: g*h = mult[g][h] if ``left``, else h*g = mult[h][g].
     The span must be closed under these products; no other coordinate is read."""
-    mult = sc.mult
-    d = len(basis)
-    out = []
-    for g in acting:
-        cols = [mult[g][h] for h in basis] if left else [mult[h][g] for h in basis]
-        out.append(Mat(sc.field, d, d, tuple(col[r] for r in basis for col in cols)))
-    return out
+    return [_sub_table(sc, g, basis, basis, left) for g in acting]
 
 
 def column_data(sc: SCAlgebra) -> ColumnData:
@@ -297,39 +641,41 @@ def projective_cover_sc(m: SCModule):
 def column_cover_sc(m: SCModule):
     """The minimal cover as (pieces, P, pi): P is the sum of the column
     projectives Gamma*e_i, i in ``pieces``, in that order."""
-    pieces, gens = _cover_generators(m, radical_submodule_sc(m))
+    pieces, gens = _cover_generators(m, *_radical_parts(m))
     if not pieces:
         z = zero_sc_module(m.sc)
         return [], z, SCMap(z, m, Mat.zeros(m.sc.field, m.dim, 0))
-    total, pi = _map_from_columns(m, pieces, gens)
-    if rank(pi.mat) != m.dim:
-        raise CompositionInconsistent("projective cover is not surjective")
-    return pieces, total, pi
+    return (pieces,) + _map_from_columns(m, pieces, gens)
 
 
-def _cover_generators(m: SCModule, sub: Mat):
-    """Generators of a minimal cover of M / span(sub): column indices
-    ``pieces`` and vectors ``gens``, gens[k] in e_i M for i = pieces[k].
-    ``sub`` has full column rank and spans a submodule containing JM, so
-    the quotient is semisimple.  Both lists are empty when it is zero.
+def _cover_generators(m: SCModule, of, subs):
+    """Generators of a minimal cover of M / sub: column indices ``pieces``
+    and coordinates ``gens`` of M, the k-th generator being e_i applied to
+    the unit vector at gens[k], i = pieces[k].  sub is given grade by grade,
+    as ``_radical_parts`` gives J*M: bases ``subs`` of its grades, and the
+    grades ``of`` of its basis; it contains JM, so the quotient is
+    semisimple.  Both lists are empty when it is zero.
 
     Gamma is split, so e_i S is k for S the top of Gamma*e_i and zero for
     every other simple: dim e_i (M / sub) is the multiplicity of that top.
     The generators of a class are the columns of e_i acting on M that are
     independent modulo sub and of each other, i.e. the pivots beyond sub of
-    rref([sub | e_i M]); each spans one copy of the simple, and together
-    they reach the whole isotypic part."""
-    if sub.cols == m.dim:
+    rref([sub | e_i M]), read in e_i's block: with the Peirce grading e_i is
+    the identity on grade i, so they are unit vectors of grade i, taken
+    modulo the grade-i part of sub.  Each spans one copy of the simple, and
+    together they reach the whole isotypic part."""
+    if len(of) == m.dim:
         return [], []
     coldata = column_data(m.sc)
     pieces, gens = [], []
-    reached = sub.cols
+    reached = len(of)
     for members in coldata.classes.values():
         i = members[0]
-        e_act = m.act_vector(coldata.idem_mats[i])
-        chosen = _pivot_columns(m.sc.field, sub, e_act)
+        ((g, _), e_blk), = _act_blocks(m, coldata.idem_mats[i]).items()
+        # no generator where sub fills the grade (or the grade is empty)
+        chosen = _pivot_columns(m.sc.field, subs[g], e_blk) if subs[g].cols < e_blk.rows else []
         pieces.extend([i] * len(chosen))
-        gens.extend(e_act.col(j) for j in chosen)
+        gens.extend(m.coords[g][q] for q in chosen)
         reached += len(chosen) * coldata.simple_top(i).dim
     if reached != m.dim:
         raise CompositionInconsistent("cover generators do not span the top")
@@ -338,15 +684,25 @@ def _cover_generators(m: SCModule, sub: Mat):
 
 def _map_from_columns(m: SCModule, pieces, gens):
     """(P, pi): P the sum of the column projectives Gamma*e_i, i in
-    ``pieces``, and pi sending gamma in the k-th summand to gamma*gens[k]:
-    column b of the summand, a basis element of Gamma*e_i, goes to b*gens[k]."""
+    ``pieces``, and pi sending gamma in the k-th summand to gamma*e_i*u,
+    u the unit vector at gens[k]: column b of the summand, a basis element
+    of Gamma*e_i at (j, i), goes to a_b*e_i*u = a_b*u, the column of b's
+    block at u, in grade j.  pi is onto when each of its blocks, grade to
+    grade, has full row rank."""
     f = m.sc.field
     coldata = column_data(m.sc)
     total = sum_sc(m.sc, [coldata.columns[i][0] for i in pieces])
-    piece_mats = [Mat.hstack(f, [m.action[b].mul(gen) for b in coldata._positions[i]])
-                  for i, gen in zip(pieces, gens)]
-    pi_mat = Mat.hstack(f, piece_mats) if piece_mats else Mat.zeros(f, m.dim, 0)
-    return total, SCMap(total, m, pi_mat)
+    of, cols = [], [[] for _ in m.coords]
+    place = _places(m)
+    for i, c in zip(pieces, gens):
+        for b in coldata._positions[i]:
+            of.append(m.at[b][0])
+            cols[of[-1]].append(m.blocks[b].col(place[c]))
+    blocks = [Mat.hstack(f, cs) if cs else Mat.zeros(f, len(rows), 0)
+              for cs, rows in zip(cols, m.coords)]
+    if any(blk.rows and rank(blk) != blk.rows for blk in blocks):
+        raise CompositionInconsistent("projective cover is not surjective")
+    return total, SCMap(total, m, _join(m, of, blocks))
 
 
 def is_projective_sc(m: SCModule) -> bool:

@@ -5,10 +5,15 @@ S-linear phi : M (x)_R X -> Y (Fossum-Griffith-Reiten, *Trivial extensions
 of abelian categories*, 1975).  ``TriRingSpec`` builds T once as an
 ``SCAlgebra`` on the basis of R, then M, then S, and a triple is stored only
 as the T-module it is, X's coordinates first: R acts on X, S on Y and the
-basis element m_k of M by psi_k = phi(m_k (x) -) : X -> Y.  ``TripleModule``
-builds it from (X, Y, phi) and reads the three back, and a map of triples
-is the T-module map diag(u, w) (``TripleMap``).  So hom bases, kernels,
-quotients, covers, pd and gl.dim are ``scmodule``'s over T.
+basis element m_k of M by psi_k = phi(m_k (x) -) : X -> Y.  Like every
+``scmodule`` module it is stored by its Peirce grading, whose grades are
+R's idempotents, then S's: each basis element of T keeps only its block,
+x_c, y_b, or the block of psi_k from a grade of X to a grade of Y, and
+trimat keeps no placement of its own (a triple whose X or Y is not graded
+has one grade).  ``TripleModule`` builds it from (X, Y, phi) and reads the
+three back, and a map of triples is the T-module map diag(u, w)
+(``TripleMap``).  So hom bases, kernels, quotients, covers, pd and gl.dim
+are ``scmodule``'s over T.
 
 What stays here is the tensor M (x)_R -, which phi is defined on and which
 ``derived`` pushes witnesses through, the column projectives
@@ -20,7 +25,6 @@ triple: its Sigma is a sub-table of End(X-bar) (``endo.EndAlgebra.triangular``).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -43,6 +47,7 @@ class Bimodule:
     right: list
 
     def __post_init__(self):
+        self.left, self.right = list(self.left), list(self.right)
         if len(self.left) != self.s.dim or len(self.right) != self.r.dim:
             raise DimensionMismatch("one action matrix per algebra basis element")
         if any((m.rows, m.cols) != (self.dim, self.dim) for m in self.left + self.right):
@@ -71,8 +76,6 @@ class TriRingSpec:
     m: Bimodule
     name: str = ""
     t: SCAlgebra = field(init=False, repr=False, compare=False)
-    # per basis element of T, the (row, column) block of (X, Y) where it acts
-    blocks_at: list = field(init=False, repr=False, compare=False)
     # M (x) 0, shared by every triple with X = 0; callers must not mutate it
     zero_tensor: "TensorData" = field(init=False, repr=False, compare=False)
 
@@ -85,7 +88,6 @@ class TriRingSpec:
         self.zero_tensor = TensorData([], z, z, [z] * self.s.dim)
         self.t = _triangular_algebra(self.r, self.s, self.m)
         scm.column_data(self.t)
-        self.blocks_at = [(0, 0)] * self.r.dim + [(1, 0)] * self.m.dim + [(1, 1)] * self.s.dim
 
     def coldata_r(self) -> ColumnData:
         return scm.column_data(self.r)
@@ -185,31 +187,13 @@ def tensor_map(spec: TriRingSpec, td_src: TensorData, td_dst: TensorData, u: Mat
 
 # -- triples -----------------------------------------------------------------------
 
-class _Actions(Sequence):
-    """T's actions on a triple, each placed from its block when read and not
-    kept, so a triple holds only its blocks, not dim T full-size matrices."""
-
-    def __init__(self, spec: TriRingSpec, sizes, blocks):
-        self.f, self.at, self.sizes, self.blocks = spec.r.field, spec.blocks_at, sizes, blocks
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __getitem__(self, g):
-        return Mat.from_blocks(self.f, self.sizes, self.sizes, {self.at[g]: self.blocks[g]})
-
-    def __eq__(self, other):
-        return list(self) == list(other)
-
-    def __repr__(self):
-        return repr(list(self))
-
-
 class TripleModule(SCModule):
-    """(X, Y)_phi as a T-module: R acts by diag(x_c, 0), S by diag(0, y_b)
-    and m_k by psi_k = phi(m_k (x) -) in the Y x X block.  ``blocks`` holds
-    x_c, psi_k and y_b in the order of T's basis, ``action`` places them, and
-    ``x``, ``y``, ``phi`` and M (x) X (``tensor``, if not passed) are read back once."""
+    """(X, Y)_phi as a T-module, X's coordinates first: R acts on X, S on Y
+    and m_k by psi_k = phi(m_k (x) -) : X -> Y.  When X and Y are graded by
+    R's and S's idempotents its grades are R's, then S's, and each basis
+    element of T keeps its block: x_c, the block of psi_k, y_b; else it has
+    one grade.  ``x``, ``y``, ``phi`` and M (x) X (``tensor``, if not
+    passed) are read back once."""
 
     def __init__(self, spec: TriRingSpec, x: SCModule, y: SCModule, phi: Mat, tensor=None):
         if x.sc is not spec.r or y.sc is not spec.s:
@@ -218,13 +202,26 @@ class TripleModule(SCModule):
         if (phi.rows, phi.cols) != (y.dim, td.dim):
             raise DimensionMismatch("phi must map the tensor onto Y")
         a, psi = x.dim, phi.mul(td.proj)
-        self._hold(spec, a, y.dim, [*x.action, *(psi.col_block(k * a, k * a + a)
-                                                 for k in range(spec.m.dim)), *y.action])
+        self._assemble(spec, x, y, [psi.col_block(k * a, k * a + a) for k in range(spec.m.dim)])
         self.__dict__["tensor"] = td
 
-    def _hold(self, spec: TriRingSpec, xdim: int, ydim: int, blocks) -> "TripleModule":
-        self.sc, self.dim, self.spec, self.xdim, self.blocks = spec.t, xdim + ydim, spec, xdim, blocks
-        self.action = _Actions(spec, [xdim, ydim], blocks)
+    def _assemble(self, spec: TriRingSpec, x: SCModule, y: SCModule, psis) -> "TripleModule":
+        """Hold (X, Y, psi_k) as the T-module: by blocks when X and Y are
+        graded and each psi_k lies in its block, e_j M e_i taking grade i of
+        X to grade j of Y; else from its full matrices, with one grade."""
+        peirce, nr, f = scm._gradings(spec.t)[0], len(spec.r.idempotents), spec.r.field
+        self.spec, self.xdim = spec, x.dim
+        if x.at is scm._gradings(spec.r)[0] and y.at is scm._gradings(spec.s)[0]:
+            blocks = [scm._take(p, y.coords[j - nr], x.coords[i])
+                      for p, (j, i) in zip(psis, peirce[spec.r.dim:])]
+            if all(scm._nonzeros(b) == scm._nonzeros(p) for b, p in zip(blocks, psis)):
+                return self._set(spec.t, (*x.grade, *(nr + g for g in y.grade)), peirce,
+                                 [*x.blocks, *blocks, *y.blocks])
+        sizes, zx, zy = [x.dim, y.dim], Mat.zeros(f, x.dim, x.dim), Mat.zeros(f, y.dim, y.dim)
+        SCModule.__init__(self, spec.t, x.dim + y.dim,
+                          [*(Mat.block_diag(f, [a, zy]) for a in x.action),
+                           *(Mat.from_blocks(f, sizes, sizes, {(1, 0): p}) for p in psis),
+                           *(Mat.block_diag(f, [zx, b]) for b in y.action)])
         return self
 
     @classmethod
@@ -236,17 +233,29 @@ class TripleModule(SCModule):
         a = sum(1 for i in range(n) if e.entries[i * n + i])
         if e != Mat.block_diag(f, [Mat.identity(f, a), Mat.zeros(f, n - a, n - a)]):
             raise QuivhomError("the coordinates where R's unit acts do not come first")
-        spans = ((0, a), (a, n))
-        return cls.__new__(cls)._hold(spec, a, n - a, [g.row_block(*spans[i]).col_block(*spans[j])
-                                                       for g, (i, j) in zip(m.action, spec.blocks_at)])
+        t = cls._of_blocks(m.sc, m.grade, m.at, m.blocks)
+        t.spec, t.xdim = spec, a
+        return t
+
+    def _part(self, over: SCAlgebra, basis: range, lo: int, hi: int) -> SCModule:
+        """X (over R, on the coordinates lo..hi-1 = 0..a-1) or Y (over S, on
+        a..n-1): the actions of T's basis elements at ``basis``, cut there."""
+        return SCModule(over, hi - lo, [self.action[b].row_block(lo, hi).col_block(lo, hi)
+                                        for b in basis])
 
     @cached_property
     def x(self) -> SCModule:
-        return SCModule(self.spec.r, self.xdim, self.blocks[:self.spec.r.dim])
+        return self._part(self.spec.r, range(self.spec.r.dim), 0, self.xdim)
 
     @cached_property
     def y(self) -> SCModule:
-        return SCModule(self.spec.s, self.dim - self.xdim, self.blocks[-self.spec.s.dim:])
+        return self._part(self.spec.s, range(self.sc.dim - self.spec.s.dim, self.sc.dim),
+                          self.xdim, self.dim)
+
+    def _psis(self):
+        """psi_k : X -> Y for each basis element m_k of M, cut from its action."""
+        a, n, r0 = self.xdim, self.dim, self.spec.r.dim
+        return [self.action[r0 + k].row_block(a, n).col_block(0, a) for k in range(self.spec.m.dim)]
 
     @cached_property
     def tensor(self) -> TensorData:
@@ -255,8 +264,8 @@ class TripleModule(SCModule):
     @cached_property
     def phi(self) -> Mat:
         """Column t is psi_k x_j for the pure pair free[t] = k * dim X + j."""
-        a, r0, f = self.xdim, self.spec.r.dim, self.spec.r.field
-        cols = [self.blocks[r0 + c // a].col(c % a) for c in self.tensor.free]
+        a, f, psis = self.xdim, self.spec.r.field, self._psis()
+        cols = [psis[c // a].col(c % a) for c in self.tensor.free]
         return Mat.hstack(f, cols) if cols else Mat.zeros(f, self.dim - a, 0)
 
 
@@ -274,12 +283,6 @@ class TripleMap(SCMap):
     @cached_property
     def mat(self) -> Mat:
         return Mat.block_diag(self.u.field, [self.u, self.w])
-
-    def is_valid(self) -> bool:
-        """``SCMap.is_valid`` on the blocks: g . a = a' . h, g and h the map at a's blocks."""
-        uw = (self.u, self.w)
-        return all(uw[i].mul(a) == b.mul(uw[j]) for a, b, (i, j)
-                   in zip(self.source.blocks, self.target.blocks, self.source.spec.blocks_at))
 
     @classmethod
     def of_map(cls, f: SCMap) -> "TripleMap":
@@ -302,12 +305,22 @@ def e2_lambda(spec: TriRingSpec, y: SCModule) -> TripleModule:
 
 def triple_sum(spec: TriRingSpec, triples) -> TripleModule:
     """The direct sum with the X parts first, then the Y parts, summand
-    after summand in each: every block is the summands' blocks placed
-    diagonally."""
+    after summand in each.  When every summand is graded, the coordinates of
+    each grade are the summands' in order, so every block is the summands'
+    blocks placed diagonally; else the parts are summed and assembled."""
     triples, f = list(triples), spec.r.field
-    return TripleModule.__new__(TripleModule)._hold(
-        spec, sum(t.xdim for t in triples), sum(t.dim - t.xdim for t in triples),
-        [Mat.block_diag(f, [t.blocks[g] for t in triples]) for g in range(spec.t.dim)])
+    if all(t.at is scm._gradings(spec.t)[0] for t in triples):
+        total = TripleModule._of_blocks(
+            spec.t, [*(g for t in triples for g in t.grade[:t.xdim]),
+                     *(g for t in triples for g in t.grade[t.xdim:])],
+            scm._gradings(spec.t)[0],
+            [Mat.block_diag(f, [t.blocks[g] for t in triples]) for g in range(spec.t.dim)])
+        total.spec, total.xdim = spec, sum(t.xdim for t in triples)
+        return total
+    psis = [t._psis() for t in triples]
+    return TripleModule.__new__(TripleModule)._assemble(
+        spec, scm.sum_sc(spec.r, [t.x for t in triples]), scm.sum_sc(spec.s, [t.y for t in triples]),
+        [Mat.block_diag(f, [p[k] for p in psis]) for k in range(spec.m.dim)])
 
 
 def triple_direct_sum(spec: TriRingSpec, triples):

@@ -9,6 +9,7 @@ from quivhom import exactlin
 from quivhom import quiver as qv
 from quivhom import repdim
 from quivhom import scmodule as scm
+from quivhom import trimat as tm
 from quivhom.bounds import Dim
 from quivhom.errors import (
     AlgebraMismatch,
@@ -313,9 +314,44 @@ def test_radical_sc_reduces_its_trace_form_once(monkeypatch):
 
 
 def test_radical_sc_charp_refused():
-    a = alg.path_algebra(GF(5), qv.a_n(2))
-    with pytest.raises(CharPNotSupported):
+    # the trace form gives the radical only for p > dim A: over GF(2) the
+    # trace-form kernel of kA2 (dim 3) has dim 2, its radical dim 1
+    a = alg.path_algebra(GF(2), qv.a_n(2))
+    with pytest.raises(CharPNotSupported, match="p = 2, dim A = 3"):
         alg.radical_sc(alg.sc_of_bqa(a))
+
+
+def _linear_rad2(field, n):
+    rels = [[(1, qv.Path(str(i), str(i + 2), (f"a{i}", f"a{i + 1}")))] for i in range(1, n - 1)]
+    return alg.build_bqa(field, qv.a_n(n), rels, 2)
+
+
+def _cyclic_nakayama(field, n, length):
+    arrows = [(f"c{i}", str(i), str(i % n + 1)) for i in range(1, n + 1)]
+    q = qv.make_quiver([str(i) for i in range(1, n + 1)], arrows, require_acyclic=False)
+    rels = []
+    for i in range(1, n + 1):
+        names = [f"c{(i - 1 + k) % n + 1}" for k in range(length)]
+        rels.append([(1, qv.Path(str(i), str((i - 1 + length) % n + 1), tuple(names)))])
+    return alg.build_bqa(field, q, rels, length)
+
+
+def _t2_a4_rad2(field):
+    return tm.t2_spec(_linear_rad2(field, 4)).t
+
+
+@pytest.mark.parametrize("name, make, dims", [
+    ("T2(A4/rad2)", _t2_a4_rad2, (21, 13)),
+    ("A8/rad2", lambda f: alg.sc_of_bqa(_linear_rad2(f, 8)), (15, 7)),
+    ("N(4,3)", lambda f: alg.sc_of_bqa(_cyclic_nakayama(f, 4, 3)), (12, 8)),
+    ("kA2", lambda f: alg.sc_of_bqa(alg.path_algebra(f, qv.a_n(2))), (3, 1)),
+])
+def test_radical_sc_in_characteristic_above_the_dimension(name, make, dims):
+    # p = 101 > dim A: the trace-form kernel is the radical the algebra carries
+    sc = make(GF(101))
+    rad = alg.radical_sc(sc)
+    assert (sc.dim, len(rad)) == dims
+    assert rank(Mat.from_rows(sc.field, list(rad) + list(sc.known_radical))) == len(rad)
 
 
 def test_hereditary_gldim_bound():

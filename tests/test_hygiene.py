@@ -2,13 +2,17 @@
 
 import ast
 import dataclasses
+import inspect
 import pathlib
+import random
 
 from quivhom import algebra as alg
 from quivhom import cats
 from quivhom import quiver as qv
 from quivhom import repcat as rc
-from quivhom.exactlin import QQ
+from quivhom import scmodule as scm
+from quivhom import trimat as tm
+from quivhom.exactlin import GF, QQ
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "quivhom"
 
@@ -366,3 +370,72 @@ def test_one_gluing_step_for_both_standard_triangles():
     for name in builders:
         last = defs[name].body[-1]
         assert isinstance(last, ast.Return) and "_glue" in _called_names(last), name
+
+
+# -- modules by their Peirce grading ---------------------------------------------------------
+
+def _t2_a4_rad2_triples():
+    """The triple pool of the resolutions_fp benchmark, T2(A4/rad2) over
+    GF(101): simple triples and the column projectives k1(Re_i), k2(Se_j),
+    and seeded direct sums of them."""
+    field = GF(101)
+    rels = [[(1, qv.Path(str(i), str(i + 2), (f"a{i}", f"a{i + 1}")))] for i in range(1, 3)]
+    spec = tm.t2_spec(alg.build_bqa(field, qv.a_n(4), rels, 2))
+    pool = [t for _, _, t in tm.simple_triples(spec)]
+    pool += [tm.e1_lambda(spec, col) for col, _ in spec.coldata_r().columns]
+    pool += [tm.e2_lambda(spec, col) for col, _ in spec.coldata_s().columns]
+    rng = random.Random(1)
+    return pool + [tm.triple_sum(spec, rng.sample(pool, rng.randint(2, 4))) for _ in range(8)]
+
+
+def test_pd_over_t_places_no_full_action_matrix(monkeypatch):
+    # every cover, radical and kernel step of pd over T works on the blocks
+    # of the Peirce grading: scmodule._place, the one placement of blocks
+    # into a full action matrix, is never called
+    triples = _t2_a4_rad2_triples()
+    placed = []
+    real = scm._place
+    monkeypatch.setattr(scm, "_place", lambda m, parts: placed.append(m.dim) or real(m, parts))
+    pds = [scm.pd_sc(t, 20) for t in triples]
+    assert placed == [] and {d.value for d in pds} >= {0, 1}
+    triples[0].action[0]  # reading an action places it
+    assert placed == [triples[0].dim]
+
+
+def test_trimat_defines_no_action_placer_of_its_own():
+    # a triple is a module over T stored by T's grading: trimat keeps no
+    # per-basis-element block table and no lazy view of T's actions, and
+    # reads full actions only through scmodule's placement
+    tree = ast.parse((SRC / "trimat.py").read_text(encoding="utf-8"))
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, _DEFINITIONS)}
+    assert not defined & {"_Actions", "_hold", "__getitem__", "__iter__"}
+    assert not _referenced_names(tree) & {"blocks_at", "Sequence", "_place"}
+
+
+# the public signatures of scmodule when modules came to be stored by their
+# Peirce grading: the storage changed, the calls did not
+SCMODULE_SIGNATURES = {
+    "SCModule": ["sc", "dim", "action"], "SCModule.act_vector": ["self", "coeffs"],
+    "SCModule.is_zero": ["self"], "SCModule.check": ["self"],
+    "SCMap": ["source", "target", "mat"], "SCMap.is_valid": ["self"],
+    "zero_sc_module": ["sc"], "regular_module": ["sc"], "sc_module_of_algmod": ["m", "sc"],
+    "sum_sc": ["sc", "mods"], "hom_basis_sc": ["m", "n"], "radical_of": ["sc"],
+    "quotient_sc": ["m", "cols"], "radical_submodule_sc": ["m"], "kernel_of_sc": ["f_map"],
+    "ColumnData": ["sc"], "ColumnData.simple_top": ["self", "i"],
+    "table_actions": ["sc", "acting", "basis", "left"], "column_data": ["sc"],
+    "projective_cover_sc": ["m"], "column_cover_sc": ["m"], "is_projective_sc": ["m"],
+    "pd_sc": ["m", "cap"], "gldim_sc": ["sc", "cap"],
+}
+
+
+def test_no_public_scmodule_signature_gains_a_parameter():
+    found = {}
+    for name, obj in vars(scm).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != scm.__name__:
+            continue
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            found[name] = list(inspect.signature(obj).parameters)
+        if inspect.isclass(obj):
+            found.update((f"{name}.{m}", list(inspect.signature(f).parameters))
+                         for m, f in vars(obj).items() if not m.startswith("_") and inspect.isfunction(f))
+    assert found == SCMODULE_SIGNATURES

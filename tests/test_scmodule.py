@@ -9,9 +9,11 @@ from quivhom import exactlin
 from quivhom import quiver as qv
 from quivhom import repdim
 from quivhom import scmodule as scm
+from quivhom import trimat as tm
 from quivhom.bounds import Dim
-from quivhom.errors import NotSplit, QuivhomError
-from quivhom.exactlin import GF, QQ, Mat, rank, rref, solve_matrix
+from quivhom.errors import DimensionMismatch, NotSplit, QuivhomError
+from quivhom.exactlin import (GF, QQ, Mat, _commuting_rows, _kernel_blocks, _null_space, rank, rref,
+                              solve_matrix)
 
 
 def sc_kA2():
@@ -167,7 +169,8 @@ def _row_space(field, rows):
 def _greedy_cover_generators(m, cd):
     """Reference: per class, the first columns of e_i acting on M whose images
     in M/JM leave the span of the Gamma-orbits of the generators chosen so
-    far, as many as the class occurs in the top."""
+    far, as many as the class occurs in the top; each generator is given by
+    its column, a coordinate of M."""
     f = m.sc.field
     proj, _, _ = alg.quotient_by_rows(scm.radical_submodule_sc(m).transpose())
     if proj.rows == 0:
@@ -183,7 +186,7 @@ def _greedy_cover_generators(m, cd):
             j = next(j for j in range(cand.cols) if not cand.col(j).is_zero()
                      and (reached.rows == 0 or solve_matrix(reached.transpose(), cand.col(j)) is None))
             pieces.append(i0)
-            gens.append(e_act.col(j))
+            gens.append(j)
             rows = reached.row_list() + [proj.mul(a).mul(e_act.col(j)).column_vector()
                                          for a in m.action]
             reached = _row_space(f, rows)
@@ -236,7 +239,7 @@ def test_cover_generators_are_the_greedy_ones(name, field):
     if name == "End(P1+P2+P1)":
         assert sorted(len(members) for members in cd.classes.values()) == [1, 2]
     for m in _test_modules(sc, cd):
-        pieces, gens = scm._cover_generators(m, scm.radical_submodule_sc(m))
+        pieces, gens = scm._cover_generators(m, *scm._radical_parts(m))
         assert (pieces, gens) == _greedy_cover_generators(m, cd)
         p, pi = scm.projective_cover_sc(m)
         assert pi.is_valid() and rank(pi.mat) == m.dim
@@ -279,24 +282,24 @@ def test_cover_generators_act_once_per_class_and_solve_nothing(monkeypatch):
     sc = _end_with_duplicate(QQ)
     cd = scm.column_data(sc)
     mods = _test_modules(sc, cd)
-    subs = [scm.radical_submodule_sc(m) for m in mods]
+    subs = [scm._radical_parts(m) for m in mods]
     acts = []
-    real_act = scm.SCModule.act_vector
+    real_act = scm._act_blocks
 
-    def counting(self, coeffs):
+    def counting(m, coeffs):
         acts.append(coeffs)
-        return real_act(self, coeffs)
+        return real_act(m, coeffs)
 
     def refuse(*args):
         raise AssertionError("cover generators solved a linear system")
 
-    monkeypatch.setattr(scm.SCModule, "act_vector", counting)
+    monkeypatch.setattr(scm, "_act_blocks", counting)
     for mod in (exactlin, alg):
         monkeypatch.setattr(mod, "solve_matrix", refuse)
     for m, sub in zip(mods, subs):
         acts.clear()
-        scm._cover_generators(m, sub)
-        assert len(acts) == (len(cd.classes) if sub.cols < m.dim else 0)
+        scm._cover_generators(m, *sub)
+        assert len(acts) == (len(cd.classes) if len(sub[0]) < m.dim else 0)
 
 
 def test_is_projective_sc_solves_no_hom_system(monkeypatch):
@@ -430,3 +433,197 @@ def test_pd_sc_rejects_negative_cap():
             scm.pd_sc(m, -1)
     with pytest.raises(QuivhomError, match="cap"):
         scm.gldim_sc(sc, -1)
+
+
+# -- graded modules against the dense module code they replace --------------------------
+#
+# The references below are the dense forms of sum_sc, _restrict_sc,
+# radical_submodule_sc and hom_basis_sc, and of the cover, kernel and
+# quotient they fed: every action a full matrix, every submodule read off
+# [a_1 basis | ... | a_d basis].  The graded code must give the same
+# matrices, entry for entry and in the same order.
+
+def _dense_sum(sc, mods):
+    f = sc.field
+    return [Mat.block_diag(f, [m.action[i] for m in mods]) if mods else Mat.zeros(f, 0, 0)
+            for i in range(sc.dim)]
+
+
+def _dense_hom_basis(m, n):
+    f = m.sc.field
+    shapes = [(n.dim, m.dim)]
+    rows = _commuting_rows(f, shapes, [(0, ma, 0, na) for ma, na in zip(m.action, n.action)])
+    return [blocks[0] for blocks in _kernel_blocks(f, rows, shapes)]
+
+
+def _dense_restrict(m, basis, units):
+    f = m.sc.field
+    x = alg._read_off_units(basis, units, Mat.hstack(f, [a.mul(basis) for a in m.action]))
+    r, w = basis.cols, x.cols
+    return [Mat(f, r, r, tuple(x.entries[i * w + t * r + c] for i in range(r) for c in range(r)))
+            for t in range(len(m.action))]
+
+
+def _dense_radical(m, rad):
+    f = m.sc.field
+    images = [m.act_vector(r) for r in rad]
+    return alg.column_space(f, images) if images else Mat.zeros(f, m.dim, 0)
+
+
+def _dense_cover(m, rad):
+    """(pieces, pi) of the minimal cover, generators the pivot columns of e_i
+    acting on M beyond JM, pi pushing each along its column's basis."""
+    f, cd = m.sc.field, scm.column_data(m.sc)
+    sub = _dense_radical(m, rad)
+    pieces, gens = [], []
+    if sub.cols < m.dim:
+        for members in cd.classes.values():
+            e_act = m.act_vector(cd.idem_mats[members[0]])
+            chosen = alg._pivot_columns(f, sub, e_act)
+            pieces += [members[0]] * len(chosen)
+            gens += [e_act.col(j) for j in chosen]
+    cols = [m.action[b].mul(g) for i, g in zip(pieces, gens) for b in cd._positions[i]]
+    return pieces, Mat.hstack(f, cols) if cols else Mat.zeros(f, m.dim, 0)
+
+
+def _assert_graded_is_dense(m, others, rad):
+    """Sum, J*M, cover, kernel, quotient and hom bases of m, each against
+    its dense reference."""
+    f, sc = m.sc.field, m.sc
+    assert list(scm.sum_sc(sc, [m, m]).action) == _dense_sum(sc, [m, m])
+    jm = scm.radical_submodule_sc(m)
+    assert jm == _dense_radical(m, rad)
+    pieces, total, pi = scm.column_cover_sc(m)
+    assert (pieces, pi.mat) == _dense_cover(m, rad)
+    assert list(total.action) == _dense_sum(sc, [scm.column_data(sc).columns[i][0] for i in pieces])
+    k, incl = scm.kernel_of_sc(pi)
+    basis, units = _null_space(pi.mat)
+    assert incl.mat == basis and list(k.action) == _dense_restrict(total, basis, units)
+    q, proj, sect = scm.quotient_sc(m, jm)
+    dproj, dsect, _ = alg.quotient_by_rows(jm.transpose())
+    assert (proj, sect) == (dproj, dsect)
+    assert list(q.action) == [dproj.mul(a).mul(dsect) for a in m.action]
+    sub, sub_incl = scm._restrict_sc(m, *alg._column_basis(f, [jm]))
+    assert list(sub.action) == _dense_restrict(m, *alg._column_basis(f, [jm]))
+    for n in others:
+        assert [h.mat for h in scm.hom_basis_sc(m, n)] == _dense_hom_basis(m, n)
+        assert [h.mat for h in scm.hom_basis_sc(n, m)] == _dense_hom_basis(n, m)
+
+
+def _a4_rad2(field):
+    rels = [[(1, qv.Path(str(i), str(i + 2), (f"a{i}", f"a{i + 1}")))] for i in range(1, 3)]
+    return alg.build_bqa(field, qv.a_n(4), rels, 2)
+
+
+def test_graded_sums_over_t2_a4_rad2_are_the_dense_ones():
+    # seeded sums of simple triples, projectives and their syzygies over
+    # T2(A4/rad2) over GF(101); J*M against the trace-form radical, the
+    # characteristic-p oracle for p > dim T = 21
+    spec = tm.t2_spec(_a4_rad2(GF(101)))
+    t, cd = spec.t, scm.column_data(spec.t)
+    rad = alg.radical_sc(t)
+    pool = [cd.simple_top(i) for i in range(len(cd.columns))] + [col for col, _ in cd.columns]
+    pool += [scm.kernel_of_sc(scm.projective_cover_sc(s)[1])[0] for s in pool[:4]]
+    rng = random.Random(7)
+    sums = [scm.sum_sc(t, [rng.choice(pool) for _ in range(rng.randint(2, 3))]) for _ in range(6)]
+    # a sum interleaves its summands' grades, so hom unknowns are reordered
+    assert any(list(m.grade) != sorted(m.grade) for m in sums)
+    for m in sums:
+        assert len(m.coords) == len(t.idempotents)
+        _assert_graded_is_dense(m, rng.sample(pool, 2) + sums, rad)
+
+
+def test_graded_end_xbar_hom_modules_are_the_dense_ones():
+    # the Hom modules of the Kronecker report over QQ, graded by the
+    # idempotents of their corners of End(X-bar)
+    mods = _connecting_block_modules()[:2]
+    for m in mods:
+        corner = m.sc
+        assert len(m.coords) == len(corner.idempotents)
+        cd = scm.column_data(corner)
+        tops = [cd.simple_top(members[0]) for members in cd.classes.values()]
+        _assert_graded_is_dense(m, tops[:2], alg.radical_sc(corner))
+
+
+def _in_mixed_basis(m):
+    """m in the basis g = I + (ones above the diagonal), which mixes grades."""
+    f, n = m.sc.field, m.dim
+    g = Mat.from_rows(f, [[1 if j >= i else 0 for j in range(n)] for i in range(n)])
+    ginv = exactlin.inverse(g)
+    return scm.SCModule(m.sc, n, [g.mul(a).mul(ginv) for a in m.action])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_one_grade_modules_run_the_same_code(field):
+    # the regular module (and its radical) in a basis that mixes grades has
+    # one grade: the same code computes on full blocks, agrees with the
+    # dense references, and keeps pd and hom dimensions
+    sc = alg.sc_of_bqa(_a3_rad2(field))
+    reg = scm.regular_module(sc)
+    rad = scm._restrict_sc(reg, *alg._column_basis(field, [scm.radical_submodule_sc(reg)]))[0]
+    cd = scm.column_data(sc)
+    tops = [cd.simple_top(i) for i in range(len(cd.columns))]
+    for m in (reg, rad):
+        mixed = _in_mixed_basis(m)
+        assert (len(m.coords), len(mixed.coords)) == (3, 1)
+        assert mixed.check() and scm.pd_sc(mixed) == scm.pd_sc(m)
+        for n in tops + [reg]:
+            assert len(scm.hom_basis_sc(n, mixed)) == len(scm.hom_basis_sc(n, m))
+            assert len(scm.hom_basis_sc(mixed, n)) == len(scm.hom_basis_sc(m, n))
+        _assert_graded_is_dense(mixed, tops, scm.radical_of(sc))
+        # a graded and a one-grade module meet with one grade each
+        total = scm.sum_sc(sc, [m, mixed])
+        assert len(total.coords) == 1 and list(total.action) == _dense_sum(sc, [m, mixed])
+
+
+# -- maps of the wrong shape ----------------------------------------------------------------
+
+def test_maps_of_the_wrong_shape_are_refused():
+    # the grade blocks are cut by the ends' coordinates, so a matrix that is
+    # too small must not fail inside the cut, and one that is too large must
+    # not be cut down to a module map when its extra entries are zero
+    sc = sc_kA2()
+    reg = scm.regular_module(sc)
+    assert reg.dim == 3
+    small = scm.SCMap(reg, reg, Mat.identity(QQ, 2))
+    tall = scm.SCMap(reg, reg, Mat.vstack(QQ, [Mat.identity(QQ, 3), Mat.zeros(QQ, 1, 3)]))
+    for bad in (small, tall):
+        with pytest.raises(DimensionMismatch):
+            bad.is_valid()
+        with pytest.raises(DimensionMismatch):
+            scm.kernel_of_sc(bad)
+    assert scm.SCMap(reg, reg, Mat.identity(QQ, 3)).is_valid()
+
+
+# -- quotients by spans that are no submodules -------------------------------------------
+
+def test_quotient_by_a_span_that_is_no_submodule_is_refused():
+    # over kA2 the arrow moves e_1 out of its span in the regular module:
+    # before the check, sc_cat's quotient returned a projection that is no
+    # module map
+    sc = sc_kA2()
+    reg = scm.regular_module(sc)
+    e1 = Mat.column(QQ, sc.idempotents[0])
+    with pytest.raises(QuivhomError, match="not a submodule"):
+        cats.sc_cat(sc).quotient(reg, {"*": e1})
+    # e_1 + e_2 spans no sum of grades
+    with pytest.raises(QuivhomError, match="not the sum of its grades"):
+        scm.quotient_sc(reg, Mat.column(QQ, sc.unit))
+    q, proj = cats.sc_cat(sc).quotient(reg, {"*": scm.radical_submodule_sc(reg)})
+    assert proj.is_valid() and q.check()
+
+
+def test_quotient_of_a_triple_by_a_span_that_is_no_subtriple_is_refused():
+    # (k, k)_id over T2(k): x + y mixes the grades X and Y, and y alone is
+    # stable but x alone is not (phi carries it onto y)
+    spec = tm.t2_spec(alg.ground_field_algebra(QQ))
+    x = scm.SCModule(spec.r, 1, [Mat.identity(QQ, 1)])
+    y = scm.SCModule(spec.s, 1, [Mat.identity(QQ, 1)])
+    t = tm.TripleModule(spec, x, y, Mat.identity(QQ, 1))
+    with pytest.raises(QuivhomError, match="not the sum of its grades"):
+        scm.quotient_sc(t, Mat.column(QQ, [1, 1]))
+    cat = cats.triple_cat(spec)
+    with pytest.raises(QuivhomError, match="not action-stable"):
+        cat.quotient(t, {"x": Mat.identity(QQ, 1), "y": Mat.zeros(QQ, 1, 0)})
+    q, proj = cat.quotient(t, {"x": Mat.zeros(QQ, 1, 0), "y": Mat.identity(QQ, 1)})
+    assert proj.is_valid() and q.check() and (q.x.dim, q.y.dim) == (1, 0)

@@ -656,7 +656,7 @@ def test_quotient_refuses_exactly_what_the_solve_refuses(make):
     for col, _ in spec.coldata_r().columns:
         t = tm.e1_lambda(spec, col)
         cols = {"x": Mat.identity(f, t.x.dim), "y": Mat.zeros(f, t.y.dim, 0)}
-        with pytest.raises(QuivhomError, match="not a subtriple"):
+        with pytest.raises(QuivhomError, match="not a submodule"):
             cat.quotient(t, cols)
         qx, xproj, _ = scm.quotient_sc(t.x, cols["x"])
         qt = tm.TripleModule(spec, qx, t.y, Mat.zeros(f, t.y.dim, 0))
