@@ -243,7 +243,9 @@ def ground_field_algebra(field: Field, name: str = "k") -> BQA:
 
 @dataclass
 class AlgMod:
-    """Left module over a BQA, stored vertexwise."""
+    """Left module over a BQA, stored vertexwise: a natural number per
+    vertex, and per arrow a matrix of the matching shape over the algebra's
+    field (else ``DimensionMismatch`` or ``AlgebraMismatch``)."""
 
     algebra: BQA
     dims: dict
@@ -267,6 +269,8 @@ class AlgMod:
                 missing += 1
             if (m.rows, m.cols) != (dims[a.target], dims[a.source]):
                 raise DimensionMismatch(f"arrow {a.name}: matrix shape {m.rows}x{m.cols}")
+            if m.field is not f and m.field != f:
+                raise AlgebraMismatch(f"arrow {a.name}: matrix over {m.field}, not the algebra's {f}")
             mats[a.name] = m
         # every key is known when they number the entries found; otherwise (an
         # unknown key, or one mapped to None) the keys themselves are tested
@@ -847,8 +851,10 @@ def pd_via_ext(m: AlgMod, cap: int = 20) -> Dim:
 class SCAlgebra:
     """Associative algebra given by structure constants on an explicit basis.
 
-    Construction checks the unit and, when given, that the idempotents are
-    orthogonal idempotents summing to the unit (O(dim + n^2) products).
+    Construction checks that the table is dim x dim x dim and the unit and
+    idempotents have dim coordinates (else ``DimensionMismatch``), the unit,
+    and, when given, that the idempotents are orthogonal idempotents summing
+    to the unit (O(dim + n^2) products).
     Associativity is checked only by :meth:`validate` (dim^3 products), for
     tables built by hand: the library's own (``sc_of_bqa``,
     ``endo.end_algebra`` and its corners) are associative by construction.
@@ -864,6 +870,12 @@ class SCAlgebra:
         self.dim = len(self.mult)
         self.unit = tuple(unit)
         self.idempotents = tuple(tuple(e) for e in idempotents) if idempotents is not None else None
+        n = self.dim
+        if any(len(row) != n or any(len(v) != n for v in row) for row in self.mult):
+            raise DimensionMismatch(f"structure constants of dimension {n} need a {n}x{n}x{n} table")
+        for name, vec in (("unit", self.unit), *(("idempotent", e) for e in self.idempotents or ())):
+            if len(vec) != n:
+                raise DimensionMismatch(f"{name} has {len(vec)} coordinates, not the dimension {n}")
         self.known_radical = tuple(tuple(r) for r in radical) if radical is not None else None
         self.labels = tuple(labels) if labels is not None else None
         # one shared zero: products then compare equal by identity where zero

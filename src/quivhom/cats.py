@@ -49,6 +49,24 @@ of ``repdim`` and the leaves of the witness calculus in ``derived`` both call
 them.  A section or retraction of g is solved over a hom basis, and the
 composites of g with all basis maps come from one matrix product per key
 (``_one_sided_inverse``): no morphism is composed.
+
+Where the base acts on both ends by scalars alone (a module over a bound
+quiver algebra with no arrows, or over a one-dimensional SC algebra, read
+off the objects), Hom(B, A) is every block matrix, and the split is solved
+key by key with no hom basis (``_keywise_inverse``): a section of u is
+``solve_matrix(u_k, I)`` and a retraction of i is
+``solve_matrix(i_k^T, I)^T``, per key.  The answer is the general solver's,
+entry for entry.  Its hom basis there is the unit matrices, key after key
+in row-major order, so its system is the per-key systems side by side, one
+per column of the answer (a row, for a retraction), and these share no
+unknown.  In each, the unknowns come in the order of u_k's columns (i_k's
+rows), so first-nonzero pivoting picks the same pivot columns: a column
+is a pivot exactly when it is independent of the columns before it.  The
+free unknowns are 0 in both, and the pivot unknowns are then determined.
+A key whose identity block is empty is met by the empty block, and one
+with nothing to map through has no split, with no elimination.
+``_one_sided_inverse`` stays the solver of every other category, and the
+oracle of this one.
 """
 
 from __future__ import annotations
@@ -219,12 +237,36 @@ class Cat:
             mats[k] = acc
         return self.map_from_mats(src, dst, mats)
 
+    def _keywise_inverse(self, g, section):
+        """``_one_sided_inverse`` of g where Hom(B, A) is every block matrix
+        (see the module docstring): per key, g_k h_k = I for a section and
+        g_k^T h_k^T = I for a retraction, one ``solve_matrix`` each, and
+        none where the identity block is empty or nothing maps through."""
+        f = self.field
+        mats = {}
+        for k, m in self.map_mats(g).items():
+            n, other = (m.rows, m.cols) if section else (m.cols, m.rows)
+            if not n:
+                mats[k] = Mat.zeros(f, m.cols, m.rows)
+                continue
+            if not other:
+                return None
+            h = solve_matrix(m if section else m.transpose(), Mat.identity(f, n))
+            if h is None:
+                return None
+            mats[k] = h if section else h.transpose()
+        return self.map_from_mats(g.target, g.source, mats)
+
     def section(self, u):
         """s with u o s = id, or None when u does not split."""
+        if _acts_by_scalars(u.source) and _acts_by_scalars(u.target):
+            return self._keywise_inverse(u, section=True)
         return self._one_sided_inverse(u, section=True)
 
     def retraction(self, i):
         """r with r o i = id, or None when i does not split."""
+        if _acts_by_scalars(i.source) and _acts_by_scalars(i.target):
+            return self._keywise_inverse(i, section=False)
         return self._one_sided_inverse(i, section=False)
 
     def split_into(self, obj, summands):
@@ -243,6 +285,17 @@ class Cat:
         u = self.copair(total, obj, maps)
         sec = self.section(u)
         return None if sec is None else (pieces, total, sec, u)
+
+
+def _acts_by_scalars(x) -> bool:
+    """Whether the base acts on x by scalars alone, so that every family of
+    blocks between two such objects is a morphism: x is a module over a
+    bound quiver algebra with no arrows (it has no arrow matrices), or over
+    a one-dimensional SC algebra, whose basis element is a multiple of the
+    unit and so acts on a module as a multiple of the identity."""
+    if isinstance(x, alg.AlgMod):
+        return not x.mats
+    return isinstance(x, scm.SCModule) and x.sc.dim == 1
 
 
 # -- base-algebra modules -------------------------------------------------------------

@@ -12,6 +12,11 @@ no ``float`` enters.  Elimination uses first-nonzero pivoting, so all
 outputs are reproducible.  It touches only nonzero entries: zero tests are
 truth tests, and each row is updated in place on the pivot row's nonzero
 support, which gives the dense elimination's result entry for entry.
+
+A matrix is a ``Mat``: an immutable value held in four slots (field, shape
+and the row-major tuple of entries), with no per-object ``__dict__``, so
+the many small matrices of a witness cost one small object each.  It
+compares and hashes by its four fields, as a frozen dataclass would.
 """
 
 from __future__ import annotations
@@ -96,9 +101,13 @@ class Field:
 
     def inv(self, a):
         if self.kind == "q":
-            if a == 0:
+            if not a:
                 raise ZeroDivisionError("inverse of zero")
-            return _q(1 / Fraction(a))
+            # 1/a read off a: an int's is itself at +-1, a Fraction's has its
+            # numerator and denominator swapped
+            if a.__class__ is int:
+                return a if a == 1 or a == -1 else Fraction(1, a)
+            return _q(Fraction(a.denominator, a.numerator))
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -106,7 +115,8 @@ class Field:
 
     def div(self, a, b):
         if self.kind == "q":
-            return _q(Fraction(a) / b)
+            # a / b of two ints would be a float
+            return _q(Fraction(a, b) if a.__class__ is int and b.__class__ is int else a / b)
         return self.mul(a, self.inv(b))
 
     # -- text form ---------------------------------------------------------
@@ -136,20 +146,48 @@ def GF(p: int) -> Field:
     return Field("fp", p)
 
 
-@dataclass(frozen=True)
 class Mat:
-    """Immutable dense matrix, entries in row-major order."""
+    """Immutable dense matrix, entries in row-major order.
 
-    field: Field
-    rows: int
-    cols: int
-    entries: tuple
+    A value of four slots, ``field``, ``rows``, ``cols`` and ``entries`` (a
+    tuple), with no ``__dict__``: ``__init__`` checks the length and sets
+    the slots through their descriptors, and every other assignment or
+    deletion of an attribute raises.  Equality, hash and ``repr`` are those
+    of a frozen dataclass with these four fields, in this order.
+    """
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    __slots__ = ("field", "rows", "cols", "entries")
+
+    def __init__(self, field: Field, rows: int, cols: int, entries: tuple):
+        if len(entries) != rows * cols:
             raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
+        _set_field(self, field)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: a Mat is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: a Mat is immutable")
+
+    def __reduce__(self):
+        return Mat, (self.field, self.rows, self.cols, self.entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.rows, self.cols, self.entries) == \
+            (other.field, other.rows, other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.field, self.rows, self.cols, self.entries))
+
+    def __repr__(self):
+        return f"Mat(field={self.field!r}, rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -386,6 +424,10 @@ class Mat:
 
     def flatten(self):
         return list(self.entries)
+
+
+# the slots' own setters, which Mat.__init__ calls past its __setattr__
+_set_field, _set_rows, _set_cols, _set_entries = (Mat.__dict__[n].__set__ for n in Mat.__slots__)
 
 
 def _eliminate(rows, field):

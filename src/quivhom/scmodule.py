@@ -566,6 +566,8 @@ class ColumnData:
     dim e_j J e_i is the rank of their restriction to the block.
     Split: dim e_i Gamma e_i / e_i J e_i is 1.  Classes: Gamma*e_i and
     Gamma*e_j are isomorphic iff e_i Gamma e_j != e_i J e_j.
+    The sum of the columns that a cover maps from is kept per list of
+    pieces (``_column_sum``), as the tops are per column.
     """
 
     def __init__(self, sc: SCAlgebra):
@@ -604,6 +606,17 @@ class ColumnData:
         for i, c in enumerate(self.class_of):
             self.classes.setdefault(c, []).append(i)
         self._tops = {}
+        self._sums = {}
+
+    def _column_sum(self, pieces) -> SCModule:
+        """The sum of the column projectives Gamma*e_i, i in ``pieces``, in
+        that order.  Built once per list of pieces; the result is shared, so
+        callers must not mutate it."""
+        key = tuple(pieces)
+        total = self._sums.get(key)
+        if total is None:
+            total = self._sums[key] = sum_sc(self.sc, [self.columns[i][0] for i in key])
+        return total
 
     def simple_top(self, i):
         """Top of the i-th column projective as an SCModule.
@@ -691,7 +704,7 @@ def _map_from_columns(m: SCModule, pieces, gens):
     grade, has full row rank."""
     f = m.sc.field
     coldata = column_data(m.sc)
-    total = sum_sc(m.sc, [coldata.columns[i][0] for i in pieces])
+    total = coldata._column_sum(pieces)
     of, cols = [], [[] for _ in m.coords]
     place = _places(m)
     for i, c in zip(pieces, gens):

@@ -913,3 +913,29 @@ def test_structure_constant_products_match_the_dense_table():
         for b in rng.sample(range(sc.dim), min(6, sc.dim)):  # whole rows of the table
             for c in range(sc.dim):
                 assert sc.multiply(units[b], units[c]) == sc.mult[b][c], name
+
+
+# -- malformed inputs raise typed errors at the constructor ------------------------------
+
+def test_a_ragged_structure_table_is_refused():
+    with pytest.raises(DimensionMismatch):
+        alg.SCAlgebra(QQ, [[(1, 0)], [(0, 1)]], (1, 0))
+    with pytest.raises(DimensionMismatch):
+        alg.SCAlgebra(QQ, [[(1, 0), (0, 1)], [(0, 1), (0,)]], (1, 0))
+
+
+def test_a_unit_or_idempotent_of_the_wrong_length_is_refused():
+    with pytest.raises(DimensionMismatch):
+        alg.SCAlgebra(QQ, [[(1,)]], (1, 0))
+    with pytest.raises(DimensionMismatch):
+        alg.SCAlgebra(QQ, [[(1,)]], (1,), idempotents=[(1, 0)])
+    assert alg.SCAlgebra(QQ, [[(1,)]], (1,), idempotents=[(1,)]).dim == 1
+
+
+def test_a_module_with_an_arrow_matrix_over_another_field_is_refused():
+    a = alg.path_algebra(QQ, qv.a_n(2))
+    with pytest.raises(AlgebraMismatch):
+        alg.AlgMod(a, {"1": 1, "2": 1}, {"a1": Mat.identity(GF(3), 1)})
+    # an equal field built apart is the same field
+    m = alg.AlgMod(a, {"1": 1, "2": 1}, {"a1": Mat.identity(exactlin.Field("q"), 1)})
+    assert m.check_relations()

@@ -1,6 +1,7 @@
 """Category laws and split tests for the four adapters in ``cats`` on small fixed
 inputs."""
 
+import dataclasses
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from quivhom import repcat as rc
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
 from quivhom.errors import QuivhomError
-from quivhom.exactlin import QQ, Mat, rank, solve_matrix
+from quivhom.exactlin import GF, QQ, Mat, rank, solve_matrix
 
 
 def _mod_case():
@@ -330,6 +331,90 @@ def test_split_helpers_compose_no_morphisms(monkeypatch):
             cat.retraction(g)
         cat.split_into(objs[-1], objs)
     assert not composed
+
+
+# -- the per-key split path, where Hom(X, Y) is every block matrix --------------------
+
+def _scalar_objects(name, field):
+    """(cat, objects, block maker) of a category whose base acts by scalars:
+    mod k, mod of an arrowless algebra with two vertices, and modules over a
+    one-dimensional SC algebra whose basis element is twice the unit.  The
+    objects run over the dimensions 0..2 at every key."""
+    if name in ("mod-k", "mod-k+k"):
+        a = alg.ground_field_algebra(field) if name == "mod-k" else \
+            alg.path_algebra(field, qv.make_quiver(["1", "2"], []))
+        vs = list(a.quiver.vertices)
+        dims = [dict(zip(vs, d)) for d in ([0] * len(vs), [1] * len(vs), [2] * len(vs),
+                                           list(range(len(vs))), list(range(len(vs)))[::-1])]
+        objs = [alg.AlgMod(a, d, {}) for d in dims]
+        return cats.mod_cat(a), objs, lambda x, y, mats: alg.ModMap(x, y, mats)
+    two = field.of_int(2)
+    sc = alg.SCAlgebra(field, [[(two,)]], (field.inv(two),))
+    objs = [scm.SCModule(sc, d, [Mat.identity(field, d).scale(two)]) for d in (0, 1, 2, 3)]
+    return cats.sc_cat(sc), objs, lambda x, y, mats: scm.SCMap(x, y, mats["*"])
+
+
+def _block_maps(rng, cat, objs, make):
+    """Seeded block maps between the objects, entries in -1..1: zero ends,
+    rank-deficient blocks and invertible ones all occur."""
+    f = cat.field
+    out = []
+    for x in objs:
+        for y in objs:
+            for _ in range(3):
+                out.append(make(x, y, {k: Mat(f, cat.comp_dim(y, k), cat.comp_dim(x, k), tuple(
+                    f.of_int(rng.choice([-1, 0, 1, 1]))
+                    for _ in range(cat.comp_dim(y, k) * cat.comp_dim(x, k)))) for k in cat.keys(x)}))
+    return out
+
+
+SCALAR_CASES = [pytest.param(name, field, id=f"{name}-{tag}") for name in ("mod-k", "mod-k+k", "sc-k")
+                for field, tag in ((QQ, "QQ"), (GF(3), "GF3"))]
+
+
+@pytest.mark.parametrize("name,field", SCALAR_CASES)
+def test_keywise_splits_match_the_hom_basis_solver(name, field):
+    cat, objs, make = _scalar_objects(name, field)
+    counted = dataclasses.replace(cat, hom_basis=lambda x, y: calls.append((x, y)) or [])
+    calls, answers = [], {"split": 0, "none": 0, "zero end": 0}
+    for g in _block_maps(random.Random(11), cat, objs, make):
+        assert cat.is_morphism(g)
+        for side in ("section", "retraction"):
+            got = getattr(counted, side)(g)
+            want = cat._one_sided_inverse(g, section=side == "section")
+            if want is None:
+                assert got is None
+                answers["none"] += 1
+                continue
+            assert got.source is want.source and got.target is want.target
+            assert cat.map_mats(got) == cat.map_mats(want)
+            answers["zero end" if 0 in (cat.total_dim(g.source), cat.total_dim(g.target))
+                    else "split"] += 1
+    # the per-key path builds no hom basis, and meets every kind of answer
+    assert not calls
+    assert all(answers.values()), answers
+
+
+@pytest.mark.parametrize("name", ["rep", "triple"])
+def test_splits_over_a_non_scalar_base_take_the_general_solver(name, monkeypatch):
+    cat, objs = _objects(name)
+    general = []
+    solver = cats.Cat._one_sided_inverse
+
+    def counting(self, g, section):
+        general.append(g)
+        return solver(self, g, section)
+
+    def refuse(self, g, section):
+        raise AssertionError("the per-key path ran on a base that acts by more than scalars")
+
+    monkeypatch.setattr(cats.Cat, "_one_sided_inverse", counting)
+    monkeypatch.setattr(cats.Cat, "_keywise_inverse", refuse)
+    maps = _maps(random.Random(5), cat, objs)
+    for g in maps:
+        cat.section(g)
+        cat.retraction(g)
+    assert len(general) == 2 * len(maps)
 
 
 # -- the block algebra on Cat against the morphism classes ---------------------------

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import inspect
+import pickle
 import random
 from fractions import Fraction
 
@@ -353,3 +357,82 @@ def test_rational_values_have_one_type():
             assert x is None or all(_one_type(e) for e in x.entries), x
         ref = answers(as_fractions(m), as_fractions(b), as_fractions(square))
         assert [formatted(x) for x in got] == [formatted(x) for x in ref]
+
+
+def test_inv_and_div_match_the_fraction_forms():
+    # QQ.inv and QQ.div read 1/a off a; their values and types are those of
+    # _q(1 / Fraction(a)) and _q(Fraction(a) / b)
+    def ref_inv(a):
+        x = 1 / Fraction(a)
+        return x.numerator if x.denominator == 1 else x
+
+    def ref_div(a, b):
+        x = Fraction(a) / b
+        return x.numerator if x.denominator == 1 else x
+
+    rng = random.Random(31)
+    values = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 7), Fraction(5, 3)]
+    values += [rng.choice([rng.randint(-40, 40), Fraction(rng.randint(-40, 40), rng.randint(1, 40))])
+               for _ in range(300)]
+    values = [QQ.parse(str(v)) for v in values if v]  # integral values as ints
+    for a in values:
+        got, want = QQ.inv(a), ref_inv(a)
+        assert (got, type(got)) == (want, type(want)), a
+        for b in [0] + values[:40]:
+            got, want = QQ.div(b, a), ref_div(b, a)
+            assert (got, type(got)) == (want, type(want)), (b, a)
+    for bad in (0, QQ.zero()):
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(bad)
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(1, bad)
+
+
+# -- Mat is a slotted immutable value ---------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class _FrozenMat:
+    """The frozen dataclass that Mat's equality, hash and repr follow."""
+
+    field: Field
+    rows: int
+    cols: int
+    entries: tuple
+
+
+def test_mat_is_a_slotted_immutable_value():
+    m = Mat(QQ, 2, 2, (1, Fraction(1, 2), 0, -3))
+    assert not hasattr(m, "__dict__") and Mat.__slots__ == ("field", "rows", "cols", "entries")
+    for name in ("rows", "entries", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    assert (m.field, m.rows, m.cols, m.entries) == (QQ, 2, 2, (1, Fraction(1, 2), 0, -3))
+    with pytest.raises(QuivhomError):
+        Mat(QQ, 2, 2, (1, 2, 3))
+    # mul is a plain function on the class, so it can be wrapped there
+    assert inspect.isfunction(Mat.__dict__["mul"])
+    assert copy.copy(m) == m and pickle.loads(pickle.dumps(m)) == m
+
+
+def test_mat_equality_and_hash_are_the_frozen_dataclass_ones():
+    rng = random.Random(17)
+    mats = []
+    for field in (QQ, GF(3), GF(5)):
+        for rows, cols in ((0, 0), (0, 2), (2, 0), (1, 4), (4, 1), (2, 2)):
+            for _ in range(3):
+                ent = tuple(field.of_int(rng.randint(-1, 1)) for _ in range(rows * cols))
+                mats.append((Mat(field, rows, cols, ent), _FrozenMat(field, rows, cols, ent)))
+    for a, fa in mats:
+        # equal across separately built matrices, with equal hashes
+        twin = Mat(a.field, a.rows, a.cols, tuple(list(a.entries)))
+        assert twin == a and hash(twin) == hash(a) == hash(fa) and twin is not a
+        assert repr(a) == repr(fa).replace("_FrozenMat(", "Mat(", 1)
+        assert a != fa and a != a.entries
+        for b, fb in mats:
+            assert (a == b) == (fa == fb)
+    # unequal across fields and across shapes with the same entries
+    assert Mat(QQ, 1, 1, (1,)) != Mat(GF(3), 1, 1, (1,))
+    assert len({Mat(QQ, 1, 4, (1, 0, 0, 1)), Mat(QQ, 4, 1, (1, 0, 0, 1)),
+                Mat(QQ, 2, 2, (1, 0, 0, 1))}) == 3

@@ -627,3 +627,29 @@ def test_quotient_of_a_triple_by_a_span_that_is_no_subtriple_is_refused():
         cat.quotient(t, {"x": Mat.identity(QQ, 1), "y": Mat.zeros(QQ, 1, 0)})
     q, proj = cat.quotient(t, {"x": Mat.zeros(QQ, 1, 0), "y": Mat.identity(QQ, 1)})
     assert proj.is_valid() and q.check() and (q.x.dim, q.y.dim) == (1, 0)
+
+
+def test_a_repeated_cover_sums_its_columns_once(monkeypatch):
+    # P, the sum of the column projectives of a cover, is kept per list of
+    # pieces on the algebra's ColumnData: a repeated cover does not rebuild it
+    a = alg.path_algebra(QQ, qv.a_n(3))
+    sc = alg.sc_of_bqa(a)
+    cd = scm.column_data(sc)
+    sums, sum_sc = [], scm.sum_sc
+
+    def counting(over, mods):
+        mods = list(mods)
+        sums.append(len(mods))
+        return sum_sc(over, mods)
+
+    monkeypatch.setattr(scm, "sum_sc", counting)
+
+    def module():
+        return scm.sc_module_of_algmod(alg.sum_mods(a, [alg.projective_module(a, "1"),
+                                                        alg.simple_module(a, "3")]), sc)
+
+    covers = [scm.column_cover_sc(m) for m in (module(), module(), module())]
+    pieces, total, _ = covers[0]
+    assert len(pieces) == 2 and sums == [2]
+    assert all(c[0] == pieces and c[1] is total for c in covers)
+    assert list(total.action) == list(sum_sc(sc, [cd.columns[i][0] for i in pieces]).action)
