@@ -20,7 +20,8 @@ reduced rows of ``exactlin._reduced_span`` transposed, ``_column_basis``)
 at its pivot rows, so basis * X = image has X = those rows of the image,
 and one product checks the other rows.  No system is solved to restrict a
 module to a kernel or a span.  Syzygies, pd, Ext and minimal resolutions
-read the steps of ``bounds.syzygy_steps``.
+read the steps of ``bounds.syzygy_steps``; a cover's P is kept per tuple of
+pieces, and Ext reads Hom(P_i, N) off those pieces with no hom basis.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     UnknownVertex,
 )
 from .exactlin import (Field, Mat, _commuting_rows, _kernel_blocks, _null_space, _reduced_span, rank,
-                       rref, solve_matrix)
+                       rref)
 from .quiver import (Path, Quiver, arrow_path, concat, longest_path, make_quiver, single_vertex,
                      trivial_path)
 
@@ -161,6 +162,7 @@ class BQA:
         self._nf = nf
         self._products = {}
         self._projectives = {}
+        self._projective_sums = {}  # _projective_sum, by tuple of piece vertices
         self._path_algebras = {}  # repcat.path_algebra_over, by quiver
         self._vertex_paths = {v: [p for p in self.basis if p.source == v] for v in self.quiver.vertices}
 
@@ -326,6 +328,8 @@ class ModMap:
                 missing += 1
             if (m.rows, m.cols) != (self.target.dims[v], self.source.dims[v]):
                 raise DimensionMismatch(f"vertex {v}: map shape {m.rows}x{m.cols}")
+            if m.field is not f and m.field != f:
+                raise AlgebraMismatch(f"vertex {v}: block over {m.field}, not the algebra's {f}")
             mats[v] = m
         # every key is known when they number the entries found; otherwise (an
         # unknown key, or one mapped to None) the keys themselves are tested
@@ -385,11 +389,11 @@ def zero_module(a: BQA) -> AlgMod:
 def sum_mods(a: BQA, mods) -> AlgMod:
     """The direct sum of modules, summand after summand at every vertex."""
     mods = list(mods)
+    if not mods:
+        return zero_module(a)
     f = a.field
     dims = {v: sum(m.dims[v] for m in mods) for v in a.quiver.vertices}
-    mats = {}
-    for arr in a.quiver.arrows:
-        mats[arr.name] = Mat.block_diag(f, [m.mats[arr.name] for m in mods]) if mods else Mat.zeros(f, 0, 0)
+    mats = {arr.name: Mat.block_diag(f, [m.mats[arr.name] for m in mods]) for arr in a.quiver.arrows}
     return AlgMod(a, dims, mats)
 
 
@@ -474,6 +478,22 @@ def projective_module(a: BQA, v: str) -> AlgMod:
     mod._proj_paths = plists
     a._projectives[v] = mod
     return mod
+
+
+def _projective_sum(a: BQA, pieces) -> AlgMod:
+    """P = P_(v_1) + ... + P_(v_r), the sum of the indecomposable
+    projectives at the vertices ``pieces``, in that order, recording them as
+    ``P._pieces``.
+
+    Built once per algebra and tuple of pieces; the result is shared, so
+    callers must not mutate it."""
+    pieces = tuple(pieces)
+    got = a._projective_sums.get(pieces)
+    if got is None:
+        got = sum_mods(a, [projective_module(a, v) for v in pieces])
+        got._pieces = pieces
+        a._projective_sums[pieces] = got
+    return got
 
 
 def map_from_projective(p: AlgMod, target: AlgMod, gen_image: Mat) -> ModMap:
@@ -651,7 +671,8 @@ def projective_cover(m: AlgMod):
     images into v stacked as rows (their row space is rad_v; the complement
     of ``quotient_by_rows``, no radical basis or projection is built).  P_v
     -> M sends e_v to e_j: pi's columns are those unit vectors pushed along
-    P_v's paths (``_push_along_paths``, as in ``map_from_projective``)."""
+    P_v's paths (``_push_along_paths``, as in ``map_from_projective``).
+    P is the algebra's shared ``_projective_sum`` of these pieces."""
     a = m.algebra
     f = a.field
     verts = a.quiver.vertices
@@ -665,21 +686,17 @@ def projective_cover(m: AlgMod):
         chosen = _reduced_span(_columns_as_rows(f, n, images))[2]
         if not chosen:
             continue
-        pv = projective_module(a, v)
-        pieces.extend([pv] * len(chosen))
+        pieces.extend([v] * len(chosen))
         units = [f.zero()] * (n * len(chosen))
         for t, j in enumerate(chosen):
             units[j * len(chosen) + t] = f.one()
-        for w, block in _push_along_paths(m, pv, Mat(f, n, len(chosen), tuple(units))).items():
+        for w, block in _push_along_paths(m, projective_module(a, v),
+                                          Mat(f, n, len(chosen), tuple(units))).items():
             blocks[w].append(block)
+    total = _projective_sum(a, pieces)
     if not pieces:
-        z = zero_module(a)
-        return z, zero_map(z, m)
-    dims = {w: sum(p.dims[w] for p in pieces) for w in verts}
-    total = AlgMod(a, dims, {arr.name: Mat.block_diag(f, [p.mats[arr.name] for p in pieces])
-                             for arr in a.quiver.arrows})
-    pi = ModMap(total, m, {w: Mat.hstack(f, blocks[w]) for w in verts})
-    return total, pi
+        return total, zero_map(total, m)
+    return total, ModMap(total, m, {w: Mat.hstack(f, blocks[w]) for w in verts})
 
 
 def cover_is_minimal(p: AlgMod, pi: ModMap) -> bool:
@@ -706,7 +723,10 @@ def cover_is_minimal(p: AlgMod, pi: ModMap) -> bool:
 # Mat objects).  The key holds its own matrices, so a reused id cannot hit,
 # a module whose matrix is replaced misses, and equal modules built
 # separately hit.  The slot is replaced, never mutated, so a caller that is
-# interrupted or races another keeps a consistent list of steps.
+# interrupted or races another keeps a consistent list of steps.  Once a
+# kernel repeats an earlier one, the later steps are the earlier tuples
+# again (``bounds.syzygy_steps``): a tail step is shared with the step one
+# period before it, and its pi targets the equal earlier kernel.
 
 _kept = None  # (algebra, dims, mats, steps) of the most recent module
 
@@ -738,7 +758,9 @@ def pd(m: AlgMod, cap: int = 20) -> Dim:
 
     Reads and extends the kept syzygy steps (see ``_kept``), so a later
     ``ext_dims`` or ``minimal_resolution`` of an equal module builds no
-    cover again; one module's steps stay in memory until the next call."""
+    cover again; one module's steps stay in memory until the next call.
+    A periodic resolution is built up to its first repeated kernel only,
+    whatever the cap."""
     return syzygy_pd(m, cap, lambda n: _kept_steps(m, n))
 
 
@@ -754,7 +776,9 @@ def minimal_resolution(m: AlgMod, length: int):
     The terms are read off the kept syzygy steps shared with ``pd`` and
     ``ext_dims`` (see ``_kept``): the P_i and d_0 may be the objects an
     earlier call returned, and d_0's target may be an equal module built
-    earlier, so they must not be mutated."""
+    earlier, so they must not be mutated.  In a periodic tail a term is the
+    P_i of one period before, and d_i is incl_(i-1) composed with that
+    step's pi, which targets a kernel equal to K_(i-1)."""
     if length < 0:
         raise QuivhomError(f"length must be at least 0, got {length}")
     return [(p, d) for p, d, _ in _resolution(m, length)]
@@ -780,42 +804,72 @@ def ext_dims(m: AlgMod, s: AlgMod, upto: int):
     return _ext_dims(_resolution(m, upto + 1), s, upto)
 
 
-def _ext_dims(res, s: AlgMod, upto: int):
+def _ext_dims(res, n: AlgMod, upto: int):
     """``ext_dims`` over a given resolution: steps (P_i, d_i, ...) of M, at
-    least upto + 2 of them unless it stops at a zero kernel."""
-    f = s.algebra.field
-    homs = [hom_basis(res[i][0], s) if i < len(res) else [] for i in range(upto + 2)]
-    deltas = []
+    least upto + 2 of them unless it stops at a zero kernel.
+
+    No hom basis is solved: Hom(P_i, N) is read off the pieces of P_i
+    (``_pieces``, see ``_projective_sum``) as the sum of e_(v_k) N over its
+    pieces P_(v_k), the basis map (k, x) sending the generator of piece k
+    to the basis vector x of N at v_k.  delta_i(b) = b o d_(i+1) is
+    computed from d_(i+1), never assumed zero.  b o d_(i+1) sends a
+    generator of P_(i+1) at u to b applied to d_(i+1)'s column there, whose
+    entries in piece k are coefficients of the paths of P_(v_k) ending at u,
+    and b sends the path q to q acting on x.  So at each u one product, of
+    the paths acting on N (``_push_along_paths``, once per vertex v_k) by
+    the generator columns of d_(i+1) at u, holds every basis map's values
+    on those generators.  Only ranks are read, so the rows and columns of
+    each delta_i may come in any fixed order."""
+    a, f = n.algebra, n.algebra.field
+    verts = a.quiver.vertices
+    acting = {}
+
+    def paths_on(v):
+        """Per vertex u the paths of P_v ending at u acting on N_v: row
+        x * dim N_u + z, column i holds coordinate z of path i applied to
+        the basis vector x of N_v."""
+        got = acting.get(v)
+        if got is None:
+            nv, pv = n.dims[v], projective_module(a, v)
+            got = acting[v] = {}
+            for u, blk in _push_along_paths(n, pv, Mat.identity(f, nv)).items():
+                # blk has column x * k + i for path i of the k ending at u
+                e, k = blk.entries, pv.dims[u]
+                got[u] = Mat(f, nv * n.dims[u], k, tuple(chain.from_iterable(
+                    e[(z * nv + x) * k:(z * nv + x + 1) * k]
+                    for x in range(nv) for z in range(n.dims[u]))))
+        return got
+
+    def generators(p):
+        """Per vertex u the coordinates of P's generators at u."""
+        at, off = {u: [] for u in verts}, dict.fromkeys(verts, 0)
+        for v in p._pieces:
+            pv = projective_module(a, v)
+            at[v].append(off[v] + pv._proj_paths[v].index(trivial_path(v)))
+            for u in verts:
+                off[u] += pv.dims[u]
+        return at
+
+    homs = [sum(n.dims[v] for v in res[i][0]._pieces) if i < len(res) else 0
+            for i in range(upto + 2)]
+    ranks = []
     for i in range(upto + 1):
-        # delta_i : Hom(P_i, S) -> Hom(P_{i+1}, S),  b -> b o d_{i+1}
-        if i + 1 < len(res) and homs[i]:
-            d = res[i + 1][1]
-            basis_next = homs[i + 1]
-            flat_next = Mat.hstack(f, [Mat.column(f, b.flatten()) for b in basis_next]) \
-                if basis_next else None
-            cols = []
-            for b in homs[i]:
-                flat = Mat.column(f, b.compose(d).flatten())
-                if flat_next is not None:
-                    x = solve_matrix(flat_next, flat)
-                    if x is None:
-                        raise CompositionInconsistent("hom basis does not span the composite")
-                    cols.append(x)
-                else:
-                    if not flat.is_zero():
-                        raise CompositionInconsistent("nonzero composite with empty hom space")
-                    cols.append(Mat.zeros(f, 0, 1))
-            dmat = Mat.hstack(f, cols) if cols else Mat.zeros(f, len(homs[i + 1]), 0)
-        else:
-            dmat = Mat.zeros(f, len(homs[i + 1]), len(homs[i]))
-        deltas.append(dmat)
-    out = []
-    for i in range(upto + 1):
-        h = len(homs[i])
-        r_out = rank(deltas[i])
-        r_in = rank(deltas[i - 1]) if i >= 1 else 0
-        out.append(h - r_out - r_in)
-    return out
+        if not (homs[i] and homs[i + 1]):
+            ranks.append(0)
+            continue
+        p, d = res[i][0], res[i + 1][1]
+        parts = []
+        for u, gens in generators(res[i + 1][0]).items():
+            if not (gens and n.dims[u]):
+                continue
+            dm = d.mats[u]
+            g = Mat(f, dm.rows, len(gens), tuple(dm.entries[r * dm.cols + c]
+                                                 for r in range(dm.rows) for c in gens))
+            w = Mat.block_diag(f, [paths_on(v)[u] for v in p._pieces]).mul(g)
+            # rows (k, x, z), the values of basis map (k, x): one row each
+            parts.append(Mat(f, homs[i], n.dims[u] * len(gens), w.entries))
+        ranks.append(rank(Mat.hstack(f, parts)) if parts else 0)
+    return [homs[i] - ranks[i] - (ranks[i - 1] if i else 0) for i in range(upto + 1)]
 
 
 def pd_via_ext(m: AlgMod, cap: int = 20) -> Dim:
@@ -823,7 +877,8 @@ def pd_via_ext(m: AlgMod, cap: int = 20) -> Dim:
 
     Builds its own syzygy steps in a fresh list: it neither reads nor
     replaces the steps ``pd`` keeps, so it checks ``pd`` against a
-    resolution of its own."""
+    resolution of its own.  The Ext dimensions are cochain ranks of
+    Hom(P_., S), each delta computed from its differential (``_ext_dims``)."""
     if cap < 0:
         raise QuivhomError(f"cap must be at least 0, got {cap}")
     if m.is_zero():

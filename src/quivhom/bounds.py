@@ -11,6 +11,18 @@ module kind as functions: the modules over a BQA (``algebra.pd``, which
 keeps its steps for ``ext_dims``, and the oracle ``algebra.pd_via_ext``)
 and over a structure-constant algebra (``scmodule.pd_sc``), which includes
 the triples, the modules over a triangular ring (``trimat.triple_pd``).
+
+The loop stops building once the resolution turns periodic.  A cover and
+its kernel depend only on the content of their argument (the algebra
+object, the dimensions and the matrices), so a kernel K_j equal to an
+earlier K_i (the module's own ``==``) makes step j + 1 equal to step i + 1
+entry for entry, and by induction the rest of the resolution repeats with
+period j - i.  Over a self-injective base every non-projective module has
+infinite pd, and over a Nakayama algebra the syzygies of a module are
+eventually periodic up to isomorphism (Gustafson 1985); when the computed
+kernels repeat as matrices, a capped pd costs the covers up to the first
+repeat instead of cap + 1, whatever the cap.  A module of finite pd has no
+repeated nonzero kernel, so there the comparisons are all it costs.
 """
 
 from __future__ import annotations
@@ -66,8 +78,23 @@ def syzygy_steps(m, steps: list, n: int, cover, kernel) -> list:
     """Extend the syzygy steps of ``m`` in place to n steps, or up to the
     first zero kernel, and return them.  Step i is (P_i, pi_i, K_i, incl_i):
     (P_i, pi_i) = cover(K_(i-1)), or cover(m) for i = 0, is a minimal cover
-    and (K_i, incl_i) = kernel(pi_i) its kernel."""
+    and (K_i, incl_i) = kernel(pi_i) its kernel.
+
+    Before covering the last kernel K_j, it is compared with the earlier
+    kernels; when it equals some K_i, the steps i + 1, i + 2, ... are
+    appended again, the same tuples, until n are held, and no further cover
+    or kernel is built (see the module docstring).  Such a tail step's pi
+    has the equal earlier kernel as its target.  A list extended by a later
+    call finds its period again from its last kernel."""
     while len(steps) < n and not (steps and steps[-1][2].is_zero()):
+        if steps:
+            last = steps[-1][2]
+            i = next((i for i, step in enumerate(steps[:-1]) if step[2] == last), None)
+            if i is not None:
+                period = len(steps) - 1 - i
+                while len(steps) < n:
+                    steps.append(steps[-period])
+                return steps
         p, pi = cover(steps[-1][2] if steps else m)
         k, incl = kernel(pi)
         steps.append((p, pi, k, incl))

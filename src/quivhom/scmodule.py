@@ -727,6 +727,9 @@ def is_projective_sc(m: SCModule) -> bool:
 
 
 def pd_sc(m: SCModule, cap: int = 20) -> Dim:
+    """Projective dimension by minimal syzygies, capped (``bounds.syzygy_pd``),
+    off the steps of ``bounds.syzygy_steps``: built up to the first zero
+    kernel, or up to the first kernel equal to an earlier one."""
     return syzygy_pd(m, cap, lambda n: syzygy_steps(m, [], n, projective_cover_sc, kernel_of_sc))
 
 

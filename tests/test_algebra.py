@@ -7,10 +7,11 @@ import pytest
 from quivhom import algebra as alg
 from quivhom import exactlin
 from quivhom import quiver as qv
+from quivhom import repcat as rc
 from quivhom import repdim
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
-from quivhom.bounds import Dim
+from quivhom.bounds import Dim, syzygy_steps
 from quivhom.errors import (
     AlgebraMismatch,
     CharPNotSupported,
@@ -643,14 +644,15 @@ def test_pd_via_ext_builds_one_resolution(monkeypatch):
 
 def test_pd_via_ext_builds_as_many_steps_as_pd(monkeypatch):
     # N(4,3) is self-injective, so S1 runs into the cap: cap + 1 syzygy
-    # steps decide it, for the oracle as for pd
+    # steps decide it, for the oracle as for pd; its syzygies have period 8,
+    # so both build the 9 covers up to the first repeated kernel
     s1 = alg.simple_module(nakayama(4, 3), "1")
     calls = _count_covers(monkeypatch)
     assert alg.pd_via_ext(s1, cap=12) == Dim.at_least(12)
-    assert len(calls) == 13
+    assert len(calls) == 9
     del calls[:]
     assert alg.pd(s1, cap=12) == Dim.at_least(12)
-    assert len(calls) == 13
+    assert len(calls) == 9
 
 
 def test_pd_rejects_negative_cap():
@@ -705,35 +707,34 @@ def _simples_and_injectives(a):
     return alg.direct_sum_mods(a, parts + alg.injective_indecomposables(a)[1:3])[0]
 
 
-def _pd_covers(d, cap):
-    """The covers pd builds: one per step up to the first zero kernel."""
-    return d.value + 1 if d.exact else cap + 1
-
-
-@pytest.mark.parametrize("make", [a8_rad2, lambda: nakayama(4, 3)], ids=["A8/rad2", "N(4,3)"])
-def test_pd_and_ext_dims_build_each_cover_once(monkeypatch, make):
+# the covers pd(m, 12) builds: one per step up to the first zero kernel
+# (A8/rad2, pd 7) or up to the first kernel equal to an earlier one (N(4,3):
+# the fifth kernel repeats one, and the steps after it are read off)
+@pytest.mark.parametrize("make, covers", [(a8_rad2, 8), (lambda: nakayama(4, 3), 5)],
+                         ids=["A8/rad2", "N(4,3)"])
+def test_pd_and_ext_dims_build_each_cover_once(monkeypatch, make, covers):
     a = make()
     simples = [alg.simple_module(a, v) for v in a.quiver.vertices]
     m = _simples_and_injectives(a)
     calls = _count_covers(monkeypatch)
     # pd first: ext_dims at every simple reads pd's steps
     d = alg.pd(m, 12)
-    assert len(calls) == _pd_covers(d, 12)
+    assert len(calls) == covers
     exts = [alg.ext_dims(m, s, 3) for s in simples]
-    assert len(calls) == _pd_covers(d, 12)
+    assert len(calls) == covers
     # ext_dims first: pd extends its prefix, and no module is covered twice
     monkeypatch.setattr(alg, "_kept", None)
     del calls[:]
     assert alg.ext_dims(m, simples[0], 3) == exts[0]
-    assert len(calls) == min(5, _pd_covers(d, 12))
+    assert len(calls) == min(5, covers)
     assert alg.pd(m, 12) == d
-    assert len(calls) == _pd_covers(d, 12) == len({id(c) for c in calls})
+    assert len(calls) == covers == len({id(c) for c in calls})
     # the slot holds one module: a second one evicts m's steps
     other = alg.direct_sum_mods(a, simples[1:3])[0]
     alg.pd(other, 12)
     del calls[:]
     assert alg.ext_dims(m, simples[1], 3) == exts[1]
-    assert len(calls) == min(5, _pd_covers(d, 12))
+    assert len(calls) == min(5, covers)
     # an equal module built separately hits
     alg.pd(m, 12)
     del calls[:]
@@ -747,7 +748,7 @@ def test_pd_and_ext_dims_build_each_cover_once(monkeypatch, make):
     m.mats[arrow] = m.mats[arrow].scale(a.field.of_int(2))
     assert m.check_relations()
     d2 = alg.pd(m, 12)
-    assert len(calls) == _pd_covers(d2, 12)
+    assert len(calls) == covers
     assert d2 == alg.pd_via_ext(m, 12)
 
 
@@ -835,6 +836,142 @@ def test_kept_steps_stay_consistent_across_threads():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert not errors
+
+
+# -- periodic resolutions are built once -------------------------------------------------
+
+def _plain_steps(m, n, cover, kernel):
+    """The syzygy steps as a loop that covers every kernel and compares
+    none: n steps, or up to the first zero kernel."""
+    steps, current = [], m
+    for _ in range(n):
+        p, pi = cover(current)
+        k, incl = kernel(pi)
+        steps.append((p, pi, k, incl))
+        if k.is_zero():
+            break
+        current = k
+    return steps
+
+
+def _periodic_cases():
+    """(module kind, modules): BQA simples and sums over N(4,3) and N(5,4),
+    the dual-number representations of the representation tests, modules
+    over sc_of_bqa(N(4,3)), and triples over T2(A4/rad2)."""
+    cases = []
+    for a in (nakayama(4, 3), nakayama(5, 4)):
+        simples = [alg.simple_module(a, v) for v in a.quiver.vertices]
+        pool = _standard_modules(a)
+        rng = random.Random(a.dim)
+        sums = [alg.sum_mods(a, rng.sample(pool, rng.randint(2, 5))) for _ in range(4)]
+        cases.append(("bqa", simples + [alg.sum_mods(a, simples[:2])] + sums))
+    d = dual_numbers()
+    cases.append(("bqa", [rc.rep_simple(qv.a_n(1), d, "1", "1"), rc.rep_simple(qv.a_n(3), d, "1", "1"),
+                          rc.rep_simple(qv.a_n(2), d, "2", "1")]))
+    n43 = nakayama(4, 3)
+    sc = alg.sc_of_bqa(n43)
+    cases.append(("sc", [scm.sc_module_of_algmod(m, sc) for m in _standard_modules(n43)[:4]]
+                  + [scm.sc_module_of_algmod(alg.sum_mods(n43, _standard_modules(n43)[::3]), sc)]))
+    spec = tm.t2_spec(_linear_rad2(GF(101), 4))
+    triples = [t for _, _, t in tm.simple_triples(spec)]
+    triples += [tm.e2_lambda(spec, col) for col, _ in spec.coldata_s().columns[:2]]
+    cases.append(("sc", triples + [tm.triple_sum(spec, triples[::2])]))
+    return cases
+
+
+_LOOPS = {"bqa": (alg.projective_cover, alg.kernel_of), "sc": (scm.projective_cover_sc, scm.kernel_of_sc)}
+
+
+def test_periodic_steps_match_a_plain_loop():
+    # the tail after a repeated kernel holds the steps a plain loop builds,
+    # matrix for matrix: P, pi, K and incl; also when a later call extends
+    # the list and finds the period again from its last kernel
+    cap, repeated = 12, 0
+    for kind, mods in _periodic_cases():
+        cover, kernel = _LOOPS[kind]
+        for m in mods:
+            want = _plain_steps(m, cap + 1, cover, kernel)
+            built = []
+
+            def counting(x):
+                built.append(x)
+                return cover(x)
+
+            got = syzygy_steps(m, [], cap + 1, counting, kernel)
+            assert got == want
+            repeated += len(built) < len(got)
+            assert syzygy_steps(m, syzygy_steps(m, [], 3, cover, kernel), cap + 1, cover, kernel) == want
+    assert repeated >= 10  # the cases reach the periodic tail
+
+
+def test_pd_builds_as_many_covers_at_any_cap(monkeypatch):
+    # S1 over N(4,3) has period 8: its ninth kernel equals the first, and
+    # the steps after it are read off, not built, so the cap sets no count
+    s1 = alg.simple_module(nakayama(4, 3), "1")
+    calls = _count_covers(monkeypatch)
+    assert alg.pd(s1, cap=12) == Dim.at_least(12)
+    assert len(calls) == 9
+    monkeypatch.setattr(alg, "_kept", None)
+    del calls[:]
+    assert alg.pd(s1, cap=1000) == Dim.at_least(1000)
+    assert len(calls) == 9
+    steps = alg._kept[3]
+    assert len(steps) == 1001 and steps[1000] is steps[1000 - 8]
+
+
+def _ext_dims_by_hom_bases(res, s, upto):
+    """The Ext ranks that ``_ext_dims`` computed before it read Hom(P_i, S)
+    off the cover's pieces, kept as the reference: a ``hom_basis`` per term,
+    and each column of delta_i by solving b o d_(i+1) in the next basis."""
+    f = s.algebra.field
+    homs = [alg.hom_basis(res[i][0], s) if i < len(res) else [] for i in range(upto + 2)]
+    deltas = []
+    for i in range(upto + 1):
+        if i + 1 < len(res) and homs[i]:
+            d, basis_next = res[i + 1][1], homs[i + 1]
+            flat_next = Mat.hstack(f, [Mat.column(f, b.flatten()) for b in basis_next]) \
+                if basis_next else None
+            cols = []
+            for b in homs[i]:
+                flat = Mat.column(f, b.compose(d).flatten())
+                if flat_next is not None:
+                    x = solve_matrix(flat_next, flat)
+                    assert x is not None
+                    cols.append(x)
+                else:
+                    assert flat.is_zero()
+                    cols.append(Mat.zeros(f, 0, 1))
+            deltas.append(Mat.hstack(f, cols))
+        else:
+            deltas.append(Mat.zeros(f, len(homs[i + 1]), len(homs[i])))
+    return [len(homs[i]) - rank(deltas[i]) - (rank(deltas[i - 1]) if i else 0)
+            for i in range(upto + 1)]
+
+
+# N(2,3) and the dual numbers have paths from a vertex back to itself, so a
+# generator is told apart from the other paths at its vertex
+EXT_ROUTE_CASES = {"N(4,3)": lambda: nakayama(4, 3), "N(5,4)": lambda: nakayama(5, 4),
+                   "A8/rad2": a8_rad2, "A3/rad2": kA3_rad2, "N(2,3)": lambda: nakayama(2, 3),
+                   "dual-numbers": lambda: dual_numbers(GF(101))}
+
+
+@pytest.mark.parametrize("name", sorted(EXT_ROUTE_CASES))
+def test_ext_dims_read_off_the_pieces_match_the_hom_basis_route(name):
+    a = EXT_ROUTE_CASES[name]()
+    pool = _standard_modules(a)
+    rng = random.Random(len(name))
+
+    def sums():
+        return [alg.sum_mods(a, rng.sample(pool, rng.randint(2, min(5, len(pool))))) for _ in range(3)]
+
+    mods = [pool[0], pool[-1]] + sums()
+    # simple, projective and injective, and sums, whose spaces of dimension
+    # above 1 tell the basis maps' values apart from their coordinates
+    targets = pool + sums()
+    for m in mods:
+        res = _two_loop_resolution(m, 4)
+        for n in targets:
+            assert alg._ext_dims(res, n, 3) == _ext_dims_by_hom_bases(res, n, 3)
 
 
 # -- malformed modules and maps ----------------------------------------------------------
@@ -930,6 +1067,14 @@ def test_a_unit_or_idempotent_of_the_wrong_length_is_refused():
     with pytest.raises(DimensionMismatch):
         alg.SCAlgebra(QQ, [[(1,)]], (1,), idempotents=[(1, 0)])
     assert alg.SCAlgebra(QQ, [[(1,)]], (1,), idempotents=[(1,)]).dim == 1
+
+
+def test_a_module_map_with_a_block_over_another_field_is_refused():
+    x = alg.simple_module(alg.ground_field_algebra(QQ), "1")
+    with pytest.raises(AlgebraMismatch):
+        alg.ModMap(x, x, {"1": Mat.identity(GF(3), 1)})
+    # an equal field built apart is the same field
+    assert alg.ModMap(x, x, {"1": Mat.identity(exactlin.Field("q"), 1)}).is_valid()
 
 
 def test_a_module_with_an_arrow_matrix_over_another_field_is_refused():

@@ -279,6 +279,33 @@ def test_pd_oracle_builds_its_own_resolution():
     assert not found, "pd_via_ext reaches pd's kept steps through " + ", ".join(found)
 
 
+def _definitions(*names):
+    """Functions and methods of the given library modules, by name."""
+    defs = {}
+    for name in names:
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        for n in tree.body:
+            members = n.body if isinstance(n, ast.ClassDef) else [n]
+            defs.update((m.name, m) for m in members if isinstance(m, ast.FunctionDef))
+    return defs
+
+
+def test_ext_dims_solves_no_hom_system():
+    # Hom(P_i, N) is read off the pieces of P_i, and delta_i off d_(i+1)'s
+    # generator columns: _ext_dims reaches no hom basis and no solver, through
+    # any function or method of algebra or exactlin it refers to
+    defs = _definitions("algebra.py", "exactlin.py")
+    reached, todo = set(), ["_ext_dims"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(n for n in _referenced_names(defs[name]) if n in defs)
+    assert "rank" in reached and "_push_along_paths" in reached  # the pin follows the calls
+    found = sorted(reached & {"hom_basis", "hom_dim", "solve_matrix", "_kernel_blocks"})
+    assert not found, "_ext_dims reaches " + ", ".join(found)
+
+
 def _expression_transport(fn):
     """What in ``fn`` transports a leaf through the functor image of its
     expression: the chain-level sum with its maps, or ``on_complex`` of the

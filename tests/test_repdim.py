@@ -398,8 +398,8 @@ def test_end_xbar_columns_are_read_off_the_grading(monkeypatch):
         raise AssertionError("column data solved a system or built the regular module")
 
     monkeypatch.setattr(alg.SCAlgebra, "multiply", counting)
-    for mod in (alg, exactlin):
-        monkeypatch.setattr(mod, "solve_matrix", refuse)
+    for mod in (alg, exactlin):  # alg binds the name only while it imports it
+        monkeypatch.setattr(mod, "solve_matrix", refuse, raising=False)
     monkeypatch.setattr(scm, "regular_module", refuse)
     cd = scm.column_data(e.sc)
     assert len(cd.columns) == len(e.summands)
