@@ -160,7 +160,6 @@ class BQA:
                 raise NotAdmissible(
                     f"path {p} of length {self.nbound} is nonzero modulo the relations")
         self._nf = nf
-        self._products = {}
         self._projectives = {}
         self._projective_sums = {}  # _projective_sum, by tuple of piece vertices
         self._path_algebras = {}  # repcat.path_algebra_over, by quiver
@@ -176,18 +175,10 @@ class BQA:
 
     def product(self, i: int, j: int):
         """b_i * b_j in function-composition order (b_j acts first)."""
-        key = (i, j)
-        got = self._products.get(key)
-        if got is not None:
-            return got
         p, q = self.basis[i], self.basis[j]
-        f = self.field
         if p.source != q.target or p.length + q.length > self.nbound:
-            vec = (f.zero(),) * self.dim
-        else:
-            vec = self.path_nf(concat(q, p))
-        self._products[key] = vec
-        return vec
+            return (self.field.zero(),) * self.dim
+        return self.path_nf(concat(q, p))
 
     def unit_vector(self):
         f = self.field
@@ -649,7 +640,9 @@ def kernel_of(f: ModMap):
 def quotient_module(m: AlgMod, incl: dict):
     """Quotient of m by the submodule spanned by the columns of per-vertex
     matrices (not necessarily independent), in ``quotient_by_rows``'s
-    complement: (M / N, the projection, a linear section of it per vertex)."""
+    complement: (M / N, the projection, a linear section of it per vertex).
+    The span must be a submodule: proj_t . M_a kills span_s for every arrow
+    a: s -> t, else ``QuivhomError``."""
     a = m.algebra
     projs, sects = {}, {}
     for v in a.quiver.vertices:
@@ -657,7 +650,10 @@ def quotient_module(m: AlgMod, incl: dict):
     dims = {v: projs[v].rows for v in a.quiver.vertices}
     mats = {}
     for arr in a.quiver.arrows:
-        mats[arr.name] = projs[arr.target].mul(m.mats[arr.name]).mul(sects[arr.source])
+        p = projs[arr.target].mul(m.mats[arr.name])
+        if not p.mul(incl[arr.source]).is_zero():
+            raise QuivhomError(f"span is not a submodule: arrow {arr.name} leaves it")
+        mats[arr.name] = p.mul(sects[arr.source])
     qm = AlgMod(a, dims, mats)
     qmap = ModMap(m, qm, projs)
     return qm, qmap, sects

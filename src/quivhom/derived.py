@@ -688,15 +688,15 @@ def left_adjoint_functor(q, a, v) -> CFunctor:
     return CFunctor(f"e^{v}_lambda", mod_cat(a), rep_cat(q, a), on_obj, on_map)
 
 
-def tensor_functor(spec) -> CFunctor:
-    td_of = _per_object(lambda m: tm.tensor_basis(spec, m))
-    on_obj = _per_object(lambda m: tm.tensor_module(spec, td_of(m)))
+def tensor_functor(spec, k1: CFunctor) -> CFunctor:
+    """M (x) -, the Y side of k1(X) = (X, M (x) X)_1: M (x) X is k1(X).y and
+    M (x) u is k1(u).w, so every tensor is the one that k1 has built."""
 
     def on_map(f):
-        mat = tm.tensor_map(spec, td_of(f.source), td_of(f.target), f.mat)
-        return scm.SCMap(on_obj(f.source), on_obj(f.target), mat)
+        g = k1.on_map(f)
+        return scm.SCMap(g.source.y, g.target.y, g.w)
 
-    return CFunctor("M(x)-", sc_cat(spec.r), sc_cat(spec.s), on_obj, on_map)
+    return CFunctor("M(x)-", sc_cat(spec.r), sc_cat(spec.s), lambda m: k1.on_obj(m).y, on_map)
 
 
 def k1_functor(spec) -> CFunctor:
@@ -856,10 +856,9 @@ def rep_complex_witness(x: Complex, base_generators, shortcut: bool = True):
                                                new_gens, gmap))
 
     def presentation(i, a_i, b_i):
-        pres = rc.standard_presentation(
+        return rc.standard_presentation(
             x.objs[i], [functors[v].on_obj(at[v].objs[i]) for v in q.vertices],
             [functors[arr.target].on_obj(at[arr.source].objs[i]) for arr in q.arrows], b_i, a_i)
-        return pres.incl, pres.epi
 
     return _glue(x, mid_parts, shift_parts, presentation), new_gens
 
@@ -871,7 +870,8 @@ def triple_complex_witness(x: Complex, r_generators, s_generators, shortcut: boo
     splits of the X- and Y-complexes through k1 and k2; its shift part
     transports the X-split shifted by 1 (``shift_leaf``, no second split)
     through M (x) -, re-anchors it in the S-generators and pushes it
-    through k2."""
+    through k2.  M (x) - is read off the mid part's k1, so each tensor is
+    built once."""
     spec = x.objs[x.lo].spec
     rcat_ = sc_cat(spec.r)
     scat_ = sc_cat(spec.s)
@@ -905,7 +905,7 @@ def triple_complex_witness(x: Complex, r_generators, s_generators, shortcut: boo
     # left term: transport the R-side witness through the tensor, re-anchor
     # its leaves in the S-generators, then push through k2; shift by 1
     w_x2 = shift_leaf(leaf_x, 1)
-    tens = tensor_functor(spec)
+    tens = tensor_functor(spec, k1)
     tens_gens = [tens.on_obj(g) for g in r_generators]
     try:
         w_t = _push(w_x2, tens, r_generators, tens_gens, {j: j for j in range(len(r_generators))})

@@ -306,21 +306,6 @@ def hom_as_end_module(e: EndAlgebra, sources, targets) -> SCModule:
     return _table_module(e.corner(targets).sc, e.sc, e.positions(targets, targets), basis, ends)
 
 
-def validate_summands(summands, cat: Cat):
-    """Each summand must be nonzero and indecomposable with split local End.
-
-    Checked in every characteristic by the radical certificate of
-    :func:`end_algebra` on the summand alone.
-    """
-    for i, s in enumerate(summands):
-        if cat.total_dim(s) == 0:
-            raise QuivhomError(f"summand {i} is zero")
-        try:
-            end_algebra([s], cat)
-        except NotSplit as exc:
-            raise NotSplit(f"summand {i} is not indecomposable with split local End") from exc
-
-
 # -- path-block algebra and the End iso -----------------------------------------------
 
 def path_block_algebra(gamma: SCAlgebra, q: Quiver) -> tuple:

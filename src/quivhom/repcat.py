@@ -331,26 +331,16 @@ def _bijection(images, basis):
 
 # -- the canonical presentation --------------------------------------------------
 
-@dataclass
-class StandardPresentation:
-    """0 -> arrows_term -> vertices_term -> target -> 0.  Exactness is not
-    checked here: ``derived.ComplexSES.verify`` checks it by ranks, degree by
-    degree, for the standard triangle glued from these presentations."""
-
-    arrows_term: AlgMod
-    vertices_term: AlgMod
-    target: AlgMod
-    incl: ModMap
-    epi: ModMap
-
-
 def standard_presentation(x: AlgMod, vertex_pieces, arrow_pieces, vertices_term: AlgMod,
-                          arrows_term: AlgMod) -> StandardPresentation:
-    """The canonical presentation of x on terms its caller has built:
+                          arrows_term: AlgMod):
+    """(incl, epi) of the canonical presentation 0 -> arrows_term ->
+    vertices_term -> x -> 0, on terms its caller has built:
     ``vertex_pieces`` lists e^v_lambda(X_v) per vertex v and ``arrow_pieces``
     e^{t(a)}_lambda(X_{s(a)}) per arrow a, in quiver order, and the terms are
     their direct sums.  Each X_v is read off its piece's ``_adjoint`` tag, so
-    nothing is evaluated and no adjoint is built here."""
+    nothing is evaluated and no adjoint is built here.  Exactness is not
+    checked here: ``derived.ComplexSES.verify`` checks it by ranks, degree by
+    degree, for the standard triangle glued from these maps."""
     q, a = quiver_and_base(x)
     f = a.field
     # counit: on the copy of X_v indexed by a path p, act by X_p
@@ -377,7 +367,7 @@ def standard_presentation(x: AlgMod, vertex_pieces, arrow_pieces, vertices_term:
         blocks[(vindex[arr.source], ai)] = _copy_map(piece, target_s, alg.identity_map(m).mats,
                                                      pairs).scale(f.neg(f.one()))
     incl = _block_map(arrows_term, vertices_term, arrow_pieces, vertex_pieces, blocks)
-    return StandardPresentation(arrows_term, vertices_term, x, incl, epi)
+    return incl, epi
 
 
 def _adjoint_transpose(x: AlgMod, piece: AlgMod) -> ModMap:

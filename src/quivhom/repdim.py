@@ -46,6 +46,9 @@ from .scmodule import gldim_sc, is_projective_sc, pd_sc
 
 @dataclass
 class XBar:
+    """X-bar = X1 + X2 + X3 over Lambda Q, with gamma = End(A), built once
+    by ``build_xbar``: the report reads n = gl.dim End(A) off it."""
+
     quiver: Quiver
     algebra: object
     x1: list
@@ -56,6 +59,7 @@ class XBar:
     labels3: list
     hypothesis_ok: bool
     degenerate: bool
+    gamma: endo.EndAlgebra
 
     def all_summands(self):
         return self.x1 + self.x2 + self.x3
@@ -96,10 +100,19 @@ def is_gen_cogen(q: Quiver, a, summands) -> GenCogenReport:
 
 
 def build_xbar(q: Quiver, a, summands) -> XBar:
-    """X-bar from A's summands, checked indecomposable and to make A a
-    generator-cogenerator (else ``NotGenCogen``); then so is X-bar."""
+    """X-bar from A's summands, checked nonzero (else ``QuivhomError``),
+    indecomposable with split local End and to make A a
+    generator-cogenerator (else ``NotGenCogen``); then so is X-bar.
+
+    End(A) is built here, once, and kept as ``gamma``: its radical
+    certificate is the check of the summands, and raises ``NotSplit``
+    naming the summand that breaks it."""
     summands = list(summands)
-    endo.validate_summands(summands, cats.mod_cat(a))
+    cat = cats.mod_cat(a)
+    for i, s in enumerate(summands):
+        if cat.total_dim(s) == 0:
+            raise QuivhomError(f"summand {i} is zero")
+    gamma = endo.end_algebra(summands, cat)
     missing = check_gen_cogen_base(a, summands)
     if missing:
         raise NotGenCogen(f"base summands miss {', '.join(missing)}")
@@ -119,7 +132,7 @@ def build_xbar(q: Quiver, a, summands) -> XBar:
     (x1, l1), (x2, l2) = bundle(("lambda", s)), bundle(("lambda", non), ("rho", s))
     x3, l3 = bundle(("rho", non))
     return XBar(q, a, x1, x2, x3, l1, l2, l3,
-                hypothesis_ok=not is_type_An(q), degenerate=not non)
+                hypothesis_ok=not is_type_An(q), degenerate=not non, gamma=gamma)
 
 
 @dataclass
@@ -227,10 +240,9 @@ def gldim_end_xbar(e: endo.EndAlgebra, cap: int = 20) -> Dim:
 
 def repdim_bound_report(q: Quiver, a, summands, cap: int = 20) -> PipelineReport:
     xbar = build_xbar(q, a, summands)
-    gamma = endo.end_algebra(summands, cats.mod_cat(a))
-    n = gldim_sc(gamma.sc, cap)
+    n = gldim_sc(xbar.gamma.sc, cap)
     e = end_xbar(xbar)
-    steps = verify_proof_steps(xbar, e, gamma, n, cap)
+    steps = verify_proof_steps(xbar, e, xbar.gamma, n, cap)
     g = gldim_end_xbar(e, cap)
     bound = n.value + 5
     if not n.exact:

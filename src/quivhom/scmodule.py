@@ -115,7 +115,9 @@ class SCModule:
     of coordinate c, and basis element b acts by ``blocks[b]`` from the
     grade at[b][1] to the grade at[b][0] (see the module docstring).
     ``SCModule(sc, dim, action)`` reads the grading off full action
-    matrices; ``action`` places the blocks back when read."""
+    matrices, and refuses a module with one grade on which the unit does
+    not act as the identity (a Peirce grading already sums the idempotents
+    to it); ``action`` places the blocks back when read."""
 
     def __init__(self, sc: SCAlgebra, dim: int, action):
         action = list(action)
@@ -124,7 +126,10 @@ class SCModule:
         for m in action:
             if (m.rows, m.cols) != (dim, dim):
                 raise DimensionMismatch("action matrices must be square of the module dimension")
-        self._set(sc, *_grading_of(sc, dim, action))
+        grade, at, blocks = _grading_of(sc, dim, action)
+        if at is _gradings(sc)[1] and not _combination(sc.field, dim, action, sc.unit).is_identity():
+            raise QuivhomError("the unit of the algebra does not act as the identity")
+        self._set(sc, grade, at, blocks)
 
     def _set(self, sc: SCAlgebra, grade, at, blocks) -> "SCModule":
         """Hold the grading and the blocks; ``coords`` lists the coordinates

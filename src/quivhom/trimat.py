@@ -10,10 +10,10 @@ basis element m_k of M by psi_k = phi(m_k (x) -) : X -> Y.  Like every
 R's idempotents, then S's: each basis element of T keeps only its block,
 x_c, y_b, or the block of psi_k from a grade of X to a grade of Y, and
 trimat keeps no placement of its own (a triple whose X or Y is not graded
-has one grade).  ``TripleModule`` builds it from (X, Y, phi) and reads the
-three back, and a map of triples is the T-module map diag(u, w)
-(``TripleMap``).  So hom bases, kernels, quotients, covers, pd and gl.dim
-are ``scmodule``'s over T.
+has one grade).  ``TripleModule`` builds it from (X, Y, phi) and keeps the
+three, and a map of triples is the T-module map diag(u, w) (``TripleMap``).
+So hom bases, kernels, quotients, covers, pd and gl.dim are ``scmodule``'s
+over T.
 
 What stays here is the tensor M (x)_R -, which phi is defined on and which
 ``derived`` pushes witnesses through, the column projectives
@@ -192,8 +192,12 @@ class TripleModule(SCModule):
     and m_k by psi_k = phi(m_k (x) -) : X -> Y.  When X and Y are graded by
     R's and S's idempotents its grades are R's, then S's, and each basis
     element of T keeps its block: x_c, the block of psi_k, y_b; else it has
-    one grade.  ``x``, ``y``, ``phi`` and M (x) X (``tensor``, if not
-    passed) are read back once."""
+    one grade.  The constructor keeps the ``x``, ``y``, ``phi`` and
+    M (x) X (``tensor``, built here if not passed) that it is given: the
+    T-module is assembled from them, and column t of the phi read back
+    would be psi_k x_j = phi.proj.e_t = phi e_t, since proj is the identity
+    at the free pairs.  Triples made by ``of_module`` and ``triple_sum``
+    read their parts back off T, once, when first asked."""
 
     def __init__(self, spec: TriRingSpec, x: SCModule, y: SCModule, phi: Mat, tensor=None):
         if x.sc is not spec.r or y.sc is not spec.s:
@@ -203,7 +207,7 @@ class TripleModule(SCModule):
             raise DimensionMismatch("phi must map the tensor onto Y")
         a, psi = x.dim, phi.mul(td.proj)
         self._assemble(spec, x, y, [psi.col_block(k * a, k * a + a) for k in range(spec.m.dim)])
-        self.__dict__["tensor"] = td
+        self.__dict__.update(x=x, y=y, phi=phi, tensor=td)
 
     def _assemble(self, spec: TriRingSpec, x: SCModule, y: SCModule, psis) -> "TripleModule":
         """Hold (X, Y, psi_k) as the T-module: by blocks when X and Y are

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import threading
@@ -551,6 +552,50 @@ def test_quotient_modules_agree_with_the_solve_based_complement(make):
         assert proj.mul(cols).is_zero() and proj.mul(sect).is_identity()
         assert _intertwines(proj, old_sect, [old_proj.mul(x).mul(old_sect) for x in sm.action],
                             sq.action)
+
+
+def test_quotient_module_by_a_span_that_is_no_submodule_is_refused():
+    # P_1 over kA2 modulo its top at vertex 1: the arrow carries that top
+    # out of the span, so no quotient module exists
+    a = kA2()
+    p1 = alg.projective_module(a, "1")
+    assert p1.dims == {"1": 1, "2": 1}
+    with pytest.raises(QuivhomError, match="not a submodule"):
+        alg.quotient_module(p1, {"1": Mat.identity(QQ, 1), "2": Mat.zeros(QQ, 1, 0)})
+    q, qmap, _ = alg.quotient_module(p1, {"1": Mat.zeros(QQ, 1, 0), "2": Mat.identity(QQ, 1)})
+    assert q.dims == {"1": 1, "2": 0} and qmap.is_valid()
+
+
+@pytest.mark.parametrize("make", [lambda: nakayama(4, 3), lambda: _linear_rad2(GF(101), 8),
+                                  lambda: kA3_rad2(QQ), dual_numbers],
+                         ids=["N(4,3)", "A8/rad2", "kA3/rad2", "k[x]/x^2"])
+def test_a_module_and_its_structure_constant_image_agree(make):
+    # the same module as an AlgMod and as its sc_module_of_algmod image over
+    # sc_of_bqa: equal hom dimensions, kernel and quotient dimension vectors
+    # (an SCModule's grades are the vertices, in quiver order) and pd
+    a = make()
+    f, sc, verts = a.field, alg.sc_of_bqa(a), a.quiver.vertices
+    rng = random.Random(5)
+    mods = _standard_modules(a)
+    mods.append(alg.direct_sum_mods(a, rng.sample(mods, 3))[0])
+    flat = [scm.sc_module_of_algmod(m, sc) for m in mods]
+
+    def dims(m):
+        return [m.dims[v] for v in verts] if isinstance(m, alg.AlgMod) else [len(c) for c in m.coords]
+
+    for m, sm in zip(mods, flat):
+        assert dims(sm) == dims(m) and scm.pd_sc(sm, 6) == alg.pd(m, 6)
+    pairs = list(itertools.product(zip(mods, flat), repeat=2))
+    for (m, sm), (n, sn) in rng.sample(pairs, min(24, len(pairs))):
+        basis = alg.hom_basis(m, n)
+        assert len(scm.hom_basis_sc(sm, sn)) == len(basis)
+        g = alg.ModMap(m, n, {v: Mat.zeros(f, n.dims[v], m.dims[v]) for v in verts})
+        for b, c in zip(basis, (f.of_int(rng.randint(1, 3)) for _ in basis)):
+            g = alg.ModMap(m, n, {v: g.mats[v].add(b.mats[v].scale(c)) for v in verts})
+        sg = scm.SCMap(sm, sn, Mat.block_diag(f, [g.mats[v] for v in verts]))
+        assert sg.is_valid()
+        assert dims(scm.kernel_of_sc(sg)[0]) == dims(alg.kernel_of(g)[0])
+        assert dims(scm.quotient_sc(sn, sg.mat)[0]) == dims(alg.quotient_module(n, g.mats)[0])
 
 
 def test_projective_module_is_built_once():

@@ -269,7 +269,7 @@ def test_pushforward_strict_through_each_functor():
 
 def test_tensor_functor_builds_each_image_once():
     spec, _ = _t2()
-    tens = dv.tensor_functor(spec)
+    tens = dv.tensor_functor(spec, dv.k1_functor(spec))
     x = scm.SCModule(spec.r, 2, [Mat.identity(QQ, 2)])
     f = scm.SCMap(x, x, Mat.identity(QQ, 2))
     img = tens.on_obj(x)
@@ -763,7 +763,7 @@ def _transport_cases():
             yield (dv.left_adjoint_functor(q, a, v), gens, [rc.left_adjoint(q, v, g) for g in gens],
                    leaves)
     spec, _ = _t2()
-    tens = dv.tensor_functor(spec)
+    tens = dv.tensor_functor(spec, dv.k1_functor(spec))
     for functor, sc in ((tens, spec.r), (dv.k1_functor(spec), spec.r), (dv.k2_functor(spec), spec.s)):
         g = scm.SCModule(sc, 1, [Mat.identity(QQ, 1)])
         yield functor, [g], [functor.on_obj(g)], _leaves(cats.sc_cat(sc), [g])

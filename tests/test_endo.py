@@ -63,16 +63,18 @@ def test_sc_gldim_auslander_of_dual_numbers():
 
 
 def test_validate_summands():
-    k = base_k()
-    cat = cats.mod_cat(k)
-    with pytest.raises(QuivhomError):
-        endo.validate_summands([alg.zero_module(k)], cat)
-    endo.validate_summands([alg.AlgMod(k, {"1": 1}, {})], cat)
+    # build_xbar refuses a zero summand itself, and a decomposable one by the
+    # radical certificate of End(A), which it builds once
+    k, q = base_k(), qv.kronecker()
+    with pytest.raises(QuivhomError, match="summand 0 is zero"):
+        repdim.build_xbar(q, k, [alg.zero_module(k)])
+    assert repdim.build_xbar(q, k, [alg.AlgMod(k, {"1": 1}, {})]).gamma.dim == 1
     d = dual_numbers()
-    catd = cats.mod_cat(d)
     decomposable, _, _ = alg.direct_sum_mods(d, [alg.simple_module(d, "1")] * 2)
     with pytest.raises(QuivhomError):
-        endo.validate_summands([decomposable], catd)
+        repdim.build_xbar(q, d, [decomposable])
+    with pytest.raises(QuivhomError):
+        endo.end_algebra([decomposable], cats.mod_cat(d))
 
 
 def assert_radical_is_trace_form_radical(e):
@@ -141,7 +143,7 @@ def test_decomposable_summand_is_refused():
     cat = cats.mod_cat(d)
     s_plus_s, _, _ = alg.direct_sum_mods(d, [alg.simple_module(d, "1")] * 2)
     with pytest.raises(QuivhomError, match="summand 1"):
-        endo.validate_summands([alg.simple_module(d, "1"), s_plus_s], cat)
+        repdim.build_xbar(qv.kronecker(), d, [alg.simple_module(d, "1"), s_plus_s])
     with pytest.raises(NotSplit, match="summand 0"):
         endo.end_algebra([s_plus_s], cat)
 
@@ -164,8 +166,8 @@ def test_non_split_or_decomposable_end_is_refused(field):
     assert x.check_relations()
     with pytest.raises(NotSplit, match="summand 0"):
         endo.end_algebra([x], cat)
-    with pytest.raises(NotSplit):
-        endo.validate_summands([x], cat)
+    with pytest.raises(NotSplit, match="summand 0"):
+        repdim.build_xbar(qv.single_vertex(), x.algebra, [x])
 
 
 def end_of(a, summands):

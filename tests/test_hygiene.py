@@ -8,11 +8,12 @@ import random
 
 from quivhom import algebra as alg
 from quivhom import cats
+from quivhom import derived as dv
 from quivhom import quiver as qv
 from quivhom import repcat as rc
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
-from quivhom.exactlin import GF, QQ
+from quivhom.exactlin import GF, QQ, Mat
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "quivhom"
 
@@ -427,6 +428,75 @@ def test_pd_over_t_places_no_full_action_matrix(monkeypatch):
     assert placed == [] and {d.value for d in pds} >= {0, 1}
     triples[0].action[0]  # reading an action places it
     assert placed == [triples[0].dim]
+
+
+def _t2_k_complexes():
+    """Seeded two- and three-term complexes of triples over T2(k), as in the
+    derived_witness benchmark: (k^a, k^b)_phi with random nonzero phi and
+    differentials, a three-term d0 factoring through the kernel of d1."""
+    spec = tm.t2_spec(alg.ground_field_algebra(QQ))
+    cat, rng = cats.triple_cat(spec), random.Random(2)
+
+    def scalars(n):
+        return tuple(QQ.of_int(rng.choice((-1, 1, 2))) for _ in range(n))
+
+    def triple():
+        a, b = rng.randint(0, 2), rng.randint(0, 2)
+        return tm.TripleModule(spec, scm.SCModule(spec.r, a, [Mat.identity(QQ, a)]),
+                               scm.SCModule(spec.s, b, [Mat.identity(QQ, b)]), Mat(QQ, b, a, scalars(a * b)))
+
+    def morphism(x, y):
+        basis = cat.hom_basis(x, y)
+        f = cat.zero_map(x, y)
+        for b, c in zip(basis, scalars(len(basis))):
+            f = cat.add_map(f, cat.scale_map(b, c))
+        return f
+
+    out = []
+    for _ in range(6):
+        x0, x1 = triple(), triple()
+        out.append(dv.Complex(cat, 0, 1, {0: x0, 1: x1}, {0: morphism(x0, x1)}))
+        x1, x2 = triple(), triple()
+        d1 = morphism(x1, x2)
+        ker, incl = tm.triple_kernel(d1)
+        x0 = triple()
+        out.append(dv.Complex(cat, 0, 2, {0: x0, 1: x1, 2: x2},
+                              {0: cat.compose(incl, morphism(x0, ker)), 1: d1}))
+    return spec, out
+
+
+def test_t2_witness_places_no_full_action_and_tensors_each_x_once(monkeypatch):
+    # a triple keeps the X, Y and phi it is built from, and M (x) - is the Y
+    # side of the witness's own k1: building and checking a T2(k) witness
+    # reads no part back off T's full actions, and tensors each R-module
+    # object once
+    spec, complexes = _t2_k_complexes()
+    r_gens = [scm.SCModule(spec.r, 1, [Mat.identity(QQ, 1)])]
+    s_gens = [scm.SCModule(spec.s, 1, [Mat.identity(QQ, 1)])]
+    placed, tensored = [], []
+    real_place, real_tensor = scm._place, tm.tensor_basis
+
+    def place(m, parts):
+        if len(parts) != 1 or next(iter(parts.values())).rows != m.dim:
+            placed.append(m.dim)  # blocks placed into a full matrix
+        return real_place(m, parts)
+
+    def tensor(spec_, x):
+        tensored.append(x)  # kept, so that no id is reused
+        return real_tensor(spec_, x)
+
+    monkeypatch.setattr(scm, "_place", place)
+    monkeypatch.setattr(tm, "tensor_basis", tensor)
+    nodes = 0
+    for cx in complexes:
+        for shortcut in (True, False):
+            tensored.clear()
+            w, gens = dv.triple_complex_witness(cx, r_gens, s_gens, shortcut=shortcut)
+            ok, failure = dv.witness_check(w, gens, 2, cx.cat)
+            assert ok, failure
+            nodes += isinstance(w, dv.Node)
+            assert tensored and len({id(x) for x in tensored}) == len(tensored)
+    assert placed == [] and nodes >= len(complexes)
 
 
 def test_trimat_defines_no_action_placer_of_its_own():

@@ -1,4 +1,5 @@
 import random
+import types
 
 import pytest
 
@@ -124,14 +125,17 @@ def _random_rep(rng, q, a):
 
 def _presentation(x):
     """``standard_presentation`` of x on pieces built here: e^v_lambda(X_v) per
-    vertex, e^{t(a)}_lambda(X_{s(a)}) per arrow, and their direct sums."""
+    vertex, e^{t(a)}_lambda(X_{s(a)}) per arrow, and their direct sums, kept
+    with its maps as a namespace."""
     q, _ = rc.quiver_and_base(x)
     mods = {v: rc.evaluate(x, v) for v in q.vertices}
     vertex_pieces = [rc.left_adjoint(q, v, mods[v]) for v in q.vertices]
     arrow_pieces = [rc.left_adjoint(q, arr.target, mods[arr.source]) for arr in q.arrows]
-    return rc.standard_presentation(x, vertex_pieces, arrow_pieces,
-                                    alg.sum_mods(x.algebra, vertex_pieces),
-                                    alg.sum_mods(x.algebra, arrow_pieces))
+    vertices_term = alg.sum_mods(x.algebra, vertex_pieces)
+    arrows_term = alg.sum_mods(x.algebra, arrow_pieces)
+    incl, epi = rc.standard_presentation(x, vertex_pieces, arrow_pieces, vertices_term, arrows_term)
+    return types.SimpleNamespace(arrows_term=arrows_term, vertices_term=vertices_term, target=x,
+                                 incl=incl, epi=epi)
 
 
 def _verify_presentation(pres):

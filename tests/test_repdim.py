@@ -335,7 +335,7 @@ def test_kronecker_report_builds_end_xbar_once(monkeypatch):
     monkeypatch.setattr(scm.ColumnData, "__init__", counting("ColumnData", scm.ColumnData.__init__))
     rep = repdim.repdim_bound_report(q, k, [kmod(k)])
     assert rep.verdict == "PASS"
-    assert counts == {"hom_basis over Lambda Q": 16, "end_algebra": 3, "ColumnData": 6}
+    assert counts == {"hom_basis over Lambda Q": 16, "end_algebra": 2, "ColumnData": 6}
 
 
 @pytest.mark.parametrize("make_q", [qv.kronecker, lambda: qv.d4((0, 0, 0))],
@@ -366,7 +366,7 @@ def test_report_certifies_one_radical_per_end_algebra(monkeypatch, make_q):
     k = base_k()
     rep = repdim.repdim_bound_report(make_q(), k, [kmod(k)])
     assert rep.verdict == "PASS"
-    assert counts == {"end_algebra": 3, "_block_radical": 3, "_certify_radical": 3}
+    assert counts == {"end_algebra": 2, "_block_radical": 2, "_certify_radical": 2}
 
 
 def test_kronecker_report_runs_no_associativity_check(monkeypatch):

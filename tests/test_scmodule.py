@@ -595,6 +595,18 @@ def test_maps_of_the_wrong_shape_are_refused():
     assert scm.SCMap(reg, reg, Mat.identity(QQ, 3)).is_valid()
 
 
+def test_a_non_unital_action_is_refused():
+    # over k the action [0] makes no unital module; a module with one grade
+    # is checked at the constructor, a Peirce-graded one sums its
+    # idempotents to the identity by its grading
+    k = alg.SCAlgebra(QQ, [[(1,)]], (1,))
+    with pytest.raises(QuivhomError, match="unit"):
+        scm.SCModule(k, 1, [Mat(QQ, 1, 1, (0,))])
+    assert scm.SCModule(k, 1, [Mat.identity(QQ, 1)]).check()
+    with pytest.raises(QuivhomError, match="unit"):
+        scm.SCModule(sc_kA2(), 1, [Mat.zeros(QQ, 1, 1)] * 3)
+
+
 # -- quotients by spans that are no submodules -------------------------------------------
 
 def test_quotient_by_a_span_that_is_no_submodule_is_refused():
