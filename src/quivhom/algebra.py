@@ -163,6 +163,7 @@ class BQA:
         self._projectives = {}
         self._projective_sums = {}  # _projective_sum, by tuple of piece vertices
         self._path_algebras = {}  # repcat.path_algebra_over, by quiver
+        self._sc = None  # sc_of_bqa, built once
         self._vertex_paths = {v: [p for p in self.basis if p.source == v] for v in self.quiver.vertices}
 
     # -- structure ---------------------------------------------------------
@@ -357,9 +358,13 @@ class ModMap:
 
 def _is_linear(s: AlgMod, t: AlgMod, mats) -> bool:
     """The blocks ``mats``, one per vertex, commute with every arrow: the
-    equations of a module map s -> t."""
+    equations of a module map s -> t.  Both sides of the equation of an
+    arrow a are t_{t(a)} x s_{s(a)} matrices, so it holds, unchecked, when
+    t_{t(a)} or s_{s(a)} is zero."""
+    sd, td = s.dims, t.dims
     for a in s.algebra.quiver.arrows:
-        if mats[a.target].mul(s.mats[a.name]) != t.mats[a.name].mul(mats[a.source]):
+        if td[a.target] and sd[a.source] and \
+                mats[a.target].mul(s.mats[a.name]) != t.mats[a.name].mul(mats[a.source]):
             return False
     return True
 
@@ -994,7 +999,11 @@ class SCAlgebra:
 
 
 def sc_of_bqa(a: BQA) -> SCAlgebra:
-    """Structure-constant view of a bound quiver algebra."""
+    """Structure-constant view of a bound quiver algebra, built once per
+    algebra (modules over it compare their algebras by identity); the
+    result is shared, so callers must not mutate it."""
+    if a._sc is not None:
+        return a._sc
     f = a.field
     mult = [[a.product(i, j) for j in range(a.dim)] for i in range(a.dim)]
     idems = [a.idempotent_vector(v) for v in a.quiver.vertices]
@@ -1004,7 +1013,8 @@ def sc_of_bqa(a: BQA) -> SCAlgebra:
         vec[i] = f.one()
         rad.append(tuple(vec))
     labels = [str(p) for p in a.basis]
-    return SCAlgebra(f, mult, a.unit_vector(), idempotents=idems, radical=rad, labels=labels)
+    a._sc = SCAlgebra(f, mult, a.unit_vector(), idempotents=idems, radical=rad, labels=labels)
+    return a._sc
 
 
 def _is_nilpotent(sc: SCAlgebra, vecs) -> bool:

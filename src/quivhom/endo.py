@@ -383,11 +383,11 @@ def adjoint_end_iso(q: Quiver, gamma: EndAlgebra, lhs: EndAlgebra) -> EndIsoRepo
         pairs = {}
         for x in q.vertices:
             if side == "lambda":
-                at = {r: n for n, r in enumerate(dst._adjoint[3][x])}
-                pairs[x] = [(n, at[concat(p, r)]) for n, r in enumerate(src._adjoint[3][x])]
+                at = dst._adjoint[3].index[x]
+                pairs[x] = [(n, at[concat(p, r)]) for n, r in enumerate(src._adjoint[3].paths[x])]
             else:
-                at = {r: n for n, r in enumerate(src._adjoint[3][x])}
-                pairs[x] = [(at[concat(r, p)], n) for n, r in enumerate(dst._adjoint[3][x])]
+                at = src._adjoint[3].index[x]
+                pairs[x] = [(at[concat(r, p)], n) for n, r in enumerate(dst._adjoint[3].paths[x])]
         chi = rc._copy_map(src, dst, gamma.blocks[(a_s, a_t)][1][t].mats, pairs)
         try:
             coords.append(express(i, j, chi))

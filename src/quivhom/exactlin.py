@@ -17,6 +17,15 @@ A matrix is a ``Mat``: an immutable value held in four slots (field, shape
 and the row-major tuple of entries), with no per-object ``__dict__``, so
 the many small matrices of a witness cost one small object each.  It
 compares and hashes by its four fields, as a frozen dataclass would.
+
+A shape with no entries (a zero-dimensional vertex, an empty grade, a
+zero object of a complex) costs nothing.  Being immutable, such a matrix is
+shared: ``Mat.zeros`` of a shape with no entries, and ``Mat.identity`` of
+size 0, hand out one value per field and shape, kept in ``_EMPTY``; each
+holds an empty tuple.  ``mul``, ``transpose``, ``scale``, ``block_diag``,
+``from_blocks`` and ``rref`` answer a shape with no entries with that
+shared value, or the operand itself, once their field and shape checks
+have passed, and the answer equals the general code's.
 """
 
 from __future__ import annotations
@@ -146,6 +155,10 @@ def GF(p: int) -> Field:
     return Field("fp", p)
 
 
+# Mat.zeros of a shape with no entries: one shared value per (field, rows, cols)
+_EMPTY = {}
+
+
 class Mat:
     """Immutable dense matrix, entries in row-major order.
 
@@ -203,11 +216,20 @@ class Mat:
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Mat":
-        z = field.zero()
-        return Mat(field, rows, cols, (z,) * (rows * cols))
+        """The zero matrix; one shared value per field and shape with no
+        entries."""
+        if rows and cols:
+            return Mat(field, rows, cols, (field.zero(),) * (rows * cols))
+        key = (field, rows, cols)
+        got = _EMPTY.get(key)
+        if got is None:
+            got = _EMPTY[key] = Mat(field, rows, cols, ())
+        return got
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
+        if not n:
+            return Mat.zeros(field, 0, 0)
         z, o = field.zero(), field.one()
         ent = [z] * (n * n)
         for i in range(n):
@@ -266,6 +288,8 @@ class Mat:
         return Mat(f, self.rows, self.cols, tuple(f.neg(a) for a in self.entries))
 
     def scale(self, c) -> "Mat":
+        if not self.entries:
+            return self
         f = self.field
         return Mat(f, self.rows, self.cols, tuple(f.mul(c, a) for a in self.entries))
 
@@ -275,6 +299,8 @@ class Mat:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = self.field
         n, m, k = self.rows, other.cols, self.cols
+        if not (n and m and k):
+            return Mat.zeros(f, n, m)
         a, b = self.entries, other.entries
         zero = f.zero()
         out = [zero] * (n * m)
@@ -307,6 +333,8 @@ class Mat:
 
     def transpose(self) -> "Mat":
         e, w = self.entries, self.cols
+        if not e:
+            return Mat.zeros(self.field, w, self.rows)
         return Mat(self.field, w, self.rows, tuple(chain.from_iterable(e[j::w] for j in range(w))))
 
     def is_zero(self) -> bool:
@@ -374,7 +402,7 @@ class Mat:
         rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)
         if not rows or not cols:
-            return Mat(field, rows, cols, ())
+            return Mat.zeros(field, rows, cols)
         z = field.zero()
         ent = [z] * (rows * cols)
         r0 = c0 = 0
@@ -397,11 +425,14 @@ class Mat:
         for n in col_sizes:
             coff.append(coff[-1] + n)
         rows, cols = roff[-1], coff[-1]
-        ent = [field.zero()] * (rows * cols)
         for (i, j), m in blocks.items():
             if (m.rows, m.cols) != (row_sizes[i], col_sizes[j]):
                 raise DimensionMismatch(f"block ({i}, {j}) is {m.rows}x{m.cols}, "
                                         f"expected {row_sizes[i]}x{col_sizes[j]}")
+        if not rows or not cols:
+            return Mat.zeros(field, rows, cols)
+        ent = [field.zero()] * (rows * cols)
+        for (i, j), m in blocks.items():
             for r in range(m.rows):
                 base = (roff[i] + r) * cols + coff[j]
                 ent[base:base + m.cols] = m.entries[r * m.cols:(r + 1) * m.cols]
@@ -487,6 +518,8 @@ def _eliminate(rows, field):
 
 def rref(m: Mat):
     """Reduced row-echelon form.  Returns (reduced matrix, rank, pivot cols)."""
+    if not m.entries:
+        return m, 0, ()
     rows = m.row_list()
     pivots = _eliminate(rows, m.field)
     if m.field.kind == "q":

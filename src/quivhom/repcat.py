@@ -27,6 +27,19 @@ Q by unit-block copy maps), and the maps of the canonical presentation
 ``derived`` reads them off the functor images its witness pushes, and each
 X_v is read off the ``_adjoint`` tag of its piece; ``derived.ComplexSES.verify``
 checks exactness by ranks.
+
+What e^v_lambda(M) or e^v_rho(M) takes from (Q, Lambda, side, v) alone is
+its plan: the paths that index the copies at each vertex w and their
+numbering, the copy pairs of each arrow of Q, the diagonal pairs of
+``left_adjoint_map``, and the identity-copy block of each arrow for each
+dimension of M at a vertex of Lambda.  ``_adjoint_plan`` builds it once per
+side and vertex and keeps it on Lambda Q beside its layout, as
+``projective_module`` keeps projectives on their algebra; it is the one
+reader of ``paths_between`` here.  A plan is shared by every adjoint built
+from it (each carries it in its ``_adjoint`` tag (side, v, M, plan)) and is
+never mutated: its blocks are placed once, on first use, and a ``Mat`` is
+immutable.  The presentation and ``endo.adjoint_end_iso`` read path indices
+off the plans of their pieces.
 """
 
 from __future__ import annotations
@@ -37,7 +50,7 @@ from . import algebra as alg
 from .algebra import AlgMod, BQA, ModMap
 from .bounds import Dim
 from .errors import AlgebraMismatch, QuivhomError, UnknownVertex
-from .exactlin import Mat, rank, solve_matrix
+from .exactlin import Field, Mat, rank, solve_matrix
 from .quiver import (Path, Quiver, arrow_path, concat, longest_path, make_quiver, paths_between,
                      trivial_path)
 
@@ -110,6 +123,7 @@ def path_algebra_over(q: Quiver, a: BQA) -> BQA:
     lq = BQA(a.field, make_quiver(verts, arrows, require_acyclic=bq.acyclic), rels,
              a.nbound + longest_path(q), name=f"({a.name or 'algebra'})Q")
     lq._layout = lay
+    lq._adjoint_plans = {}  # _adjoint_plan, by (side, vertex)
     a._path_algebras[q] = lq
     return lq
 
@@ -201,53 +215,94 @@ def _path_blocks(x: AlgMod, p: Path) -> dict:
     return out
 
 
-def left_adjoint(q: Quiver, v: str, m: AlgMod) -> AlgMod:
-    """e^v_lambda(M): vertex w carries one copy of M per path v ~> w."""
-    v = str(v)
-    paths = {w: paths_between(q, v, w) for w in q.vertices}
+@dataclass(frozen=True, eq=False)
+class _AdjointPlan:
+    """What e^v_side(M) takes from (Q, Lambda, side, v) alone: built once
+    per Lambda Q, side and vertex by ``_adjoint_plan``, shared by every
+    adjoint and never mutated.  ``paths[w]`` lists the paths that index the
+    copies of M at w (v ~> w for side "lambda", w ~> v for "rho") and
+    ``index[w]`` numbers them; ``pairs[c]`` holds the copy pairs (i, j) of
+    Q's arrow c and ``diag[w]`` the pairs (i, i) at w.  ``blocks`` keeps
+    the identity-copy block of each arrow c for each dimension d that M has
+    at a vertex of Lambda, each placed on first use by ``copy_block`` and
+    never changed."""
+
+    field: Field
+    paths: dict
+    index: dict
+    pairs: dict
+    diag: dict
+    blocks: dict
+
+    def copy_block(self, arr, d: int) -> Mat:
+        """I_d from copy i to copy j of the arrow ``arr`` of Q, for each
+        (i, j) in pairs[arr]: placed on first use, then shared."""
+        key = (arr.name, d)
+        got = self.blocks.get(key)
+        if got is None:
+            f = self.field
+            got = self.blocks[key] = _copy_block(f, Mat.identity(f, d),
+                                                 len(self.paths[arr.target]) * d,
+                                                 len(self.paths[arr.source]) * d, self.pairs[arr.name])
+        return got
+
+
+def _adjoint_plan(lq: BQA, side: str, v: str) -> _AdjointPlan:
+    """The plan of e^v_side over Lambda Q, kept on Lambda Q: the one place
+    in this module that enumerates paths."""
+    plan = lq._adjoint_plans.get((side, v))
+    if plan is not None:
+        return plan
+    q = lq._layout.quiver
+    paths = {w: tuple(paths_between(q, v, w) if side == "lambda" else paths_between(q, w, v))
+             for w in q.vertices}
+    index = {w: {p: i for i, p in enumerate(ps)} for w, ps in paths.items()}
     pairs = {}
     for arr in q.arrows:
-        # copy p at the source goes to copy p.arr at the target
-        dst_index = {p: j for j, p in enumerate(paths[arr.target])}
-        pairs[arr.name] = [(i, dst_index[concat(p, arrow_path(arr))])
-                           for i, p in enumerate(paths[arr.source])]
-    return _copies(q, m, ("lambda", v, m, paths), pairs)
+        if side == "lambda":
+            # copy p at the source goes to copy p.arr at the target
+            pairs[arr.name] = tuple((i, index[arr.target][concat(p, arrow_path(arr))])
+                                    for i, p in enumerate(paths[arr.source]))
+        else:
+            # copy arr.qq at the source goes to copy qq at the target
+            pairs[arr.name] = tuple((index[arr.source][concat(arrow_path(arr), qq)], j)
+                                    for j, qq in enumerate(paths[arr.target]))
+    diag = {w: tuple((i, i) for i in range(len(ps))) for w, ps in paths.items()}
+    plan = _AdjointPlan(lq.field, paths, index, pairs, diag, {})
+    lq._adjoint_plans[(side, v)] = plan
+    return plan
+
+
+def left_adjoint(q: Quiver, v: str, m: AlgMod) -> AlgMod:
+    """e^v_lambda(M): vertex w carries one copy of M per path v ~> w."""
+    return _copies(q, m, "lambda", str(v))
 
 
 def right_adjoint(q: Quiver, v: str, m: AlgMod) -> AlgMod:
     """e^v_rho(M): vertex w carries one copy of M per path w ~> v."""
-    v = str(v)
-    paths = {w: paths_between(q, w, v) for w in q.vertices}
-    pairs = {}
-    for arr in q.arrows:
-        # copy arr.qq at the source goes to copy qq at the target
-        src_index = {p: i for i, p in enumerate(paths[arr.source])}
-        pairs[arr.name] = [(src_index[concat(arrow_path(arr), qq)], j)
-                           for j, qq in enumerate(paths[arr.target])]
-    return _copies(q, m, ("rho", v, m, paths), pairs)
+    return _copies(q, m, "rho", str(v))
 
 
-def _copies(q: Quiver, m: AlgMod, tag, pairs) -> AlgMod:
-    """The representation with one copy of m per path of ``tag[3][w]`` at
-    each vertex w: an arrow b of Lambda acts by kron(I_n, M_b), and an arrow
-    c of Q sends copy i to copy j by the identity for each (i, j) in
-    pairs[c].  The tag (side, vertex, m, paths) stays on it as ``_adjoint``."""
+def _copies(q: Quiver, m: AlgMod, side: str, v: str) -> AlgMod:
+    """e^v_side(m), one copy of m per path of its plan at each vertex w: an
+    arrow b of Lambda acts by kron(I_n, M_b), and an arrow c of Q by the
+    plan's identity-copy blocks.  The tag (side, v, m, plan) stays on it as
+    ``_adjoint``."""
     a = m.algebra
     lq = path_algebra_over(q, a)
+    plan = _adjoint_plan(lq, side, v)
     lay, f = lq._layout, a.field
-    n = {w: len(p) for w, p in tag[3].items()}
     dims, mats = {}, {}
     for w in q.vertices:
-        ident = Mat.identity(f, n[w])
-        dims.update({lay.at[w][u]: n[w] * d for u, d in m.dims.items()})
+        n = len(plan.paths[w])
+        ident = Mat.identity(f, n)
+        dims.update({lay.at[w][u]: n * d for u, d in m.dims.items()})
         mats.update({lay.base_arrow[w][b]: Mat.kron(ident, g) for b, g in m.mats.items()})
     for arr in q.arrows:
         for u, name in lay.quiver_arrow[arr.name].items():
-            d = m.dims[u]
-            mats[name] = _copy_block(f, Mat.identity(f, d), n[arr.target] * d, n[arr.source] * d,
-                                     pairs[arr.name])
+            mats[name] = plan.copy_block(arr, m.dims[u])
     x = AlgMod(lq, dims, mats)
-    x._adjoint = tag
+    x._adjoint = (side, v, m, plan)
     return x
 
 
@@ -275,8 +330,7 @@ def _copy_map(src: AlgMod, dst: AlgMod, blocks: dict, pairs: dict) -> ModMap:
 def left_adjoint_map(src: AlgMod, dst: AlgMod, f: ModMap) -> ModMap:
     """e^v_lambda on morphisms, src = e^v_lambda(M) -> dst = e^v_lambda(N)
     for f : M -> N: one copy of f per path."""
-    return _copy_map(src, dst, f.mats,
-                     {w: [(i, i) for i in range(len(p))] for w, p in src._adjoint[3].items()})
+    return _copy_map(src, dst, f.mats, src._adjoint[3].diag)
 
 
 def adjunction_check(q: Quiver, v: str, m: AlgMod, x: AlgMod):
@@ -289,7 +343,7 @@ def adjunction_check(q: Quiver, v: str, m: AlgMod, x: AlgMod):
     b_rep = alg.hom_basis(el, x)
     b_mod = alg.hom_basis(m, x_v)
     # the copy of M indexed by the trivial path, included at v
-    k = el._adjoint[3][v].index(trivial_path(v))
+    k = el._adjoint[3].index[v][trivial_path(v)]
     inj = ModMap(m, el_v, {u: _copy_block(f, Mat.identity(f, d), el_v.dims[u], d, [(0, k)])
                            for u, d in m.dims.items()})
     lam_ok, lam_mat = _bijection([evaluate_map(phi, v, el_v, x_v).compose(inj) for phi in b_rep],
@@ -299,7 +353,7 @@ def adjunction_check(q: Quiver, v: str, m: AlgMod, x: AlgMod):
     b_rep2 = alg.hom_basis(x, er)
     b_mod2 = alg.hom_basis(x_v, m)
     # the copy of M indexed by the trivial path, projected out at v
-    k = er._adjoint[3][v].index(trivial_path(v))
+    k = er._adjoint[3].index[v][trivial_path(v)]
     proj = ModMap(er_v, m, {u: _copy_block(f, Mat.identity(f, d), d, er_v.dims[u], [(k, 0)])
                             for u, d in m.dims.items()})
     rho_ok, rho_mat = _bijection([proj.compose(evaluate_map(psi, v, x_v, er_v)) for psi in b_rep2],
@@ -359,11 +413,9 @@ def standard_presentation(x: AlgMod, vertex_pieces, arrow_pieces, vertices_term:
         blocks[(vindex[arr.target], ai)] = left_adjoint_map(
             piece, target_t, arrow_map(x, arr.name, m, target_t._adjoint[2]))
         # mu_a: the copy of a path p goes to the copy of a.p
-        pairs = {}
-        for w in q.vertices:
-            dst_index = {p: j for j, p in enumerate(target_s._adjoint[3][w])}
-            pairs[w] = [(i, dst_index[concat(arrow_path(arr), p)])
-                        for i, p in enumerate(piece._adjoint[3][w])]
+        step, dst_index = arrow_path(arr), target_s._adjoint[3].index
+        pairs = {w: [(i, dst_index[w][concat(step, p)]) for i, p in enumerate(ps)]
+                 for w, ps in piece._adjoint[3].paths.items()}
         blocks[(vindex[arr.source], ai)] = _copy_map(piece, target_s, alg.identity_map(m).mats,
                                                      pairs).scale(f.neg(f.one()))
     incl = _block_map(arrows_term, vertices_term, arrow_pieces, vertex_pieces, blocks)
@@ -378,7 +430,7 @@ def _adjoint_transpose(x: AlgMod, piece: AlgMod) -> ModMap:
     m = piece._adjoint[2]
     mats = {}
     for w, names in lay.at.items():
-        acts = [_path_blocks(x, p) for p in piece._adjoint[3][w]]
+        acts = [_path_blocks(x, p) for p in piece._adjoint[3].paths[w]]
         for u, n in names.items():
             mats[n] = Mat.from_blocks(f, [x.dims[n]], [m.dims[u]] * len(acts),
                                       {(0, k): act[u] for k, act in enumerate(acts)})

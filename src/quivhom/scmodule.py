@@ -56,7 +56,8 @@ from itertools import chain
 from .algebra import (SCAlgebra, _column_basis, _pivot_columns, _read_off_units, eval_path,
                       quotient_by_rows, radical_sc, sc_of_bqa)
 from .bounds import Dim, dim_max, syzygy_pd, syzygy_steps
-from .errors import CompositionInconsistent, DimensionMismatch, NotSplit, QuivhomError
+from .errors import (AlgebraMismatch, CompositionInconsistent, DimensionMismatch, NotSplit,
+                     QuivhomError)
 from .exactlin import Mat, _commuting_rows, _null_space, rank
 
 
@@ -293,7 +294,8 @@ class SCMap:
     def is_valid(self) -> bool:
         """g . a_b = a'_b . h for every basis element b at (j, i), g and h
         the map's blocks at grades j and i; a map with an entry between
-        different grades is none."""
+        different grades is none.  Both sides of the equation of b are
+        b.rows x a.cols matrices, so it holds, unchecked, when either is 0."""
         m, n = self.source, self.target
         if m.at is not n.at:
             m, n = _one_grade([m, n])
@@ -301,7 +303,7 @@ class SCMap:
         if blocks is None:
             return False
         for a, b, (j, i) in zip(m.blocks, n.blocks, m.at):
-            if blocks[j].mul(a) != b.mul(blocks[i]):
+            if b.rows and a.cols and blocks[j].mul(a) != b.mul(blocks[i]):
                 return False
         return True
 
@@ -391,9 +393,13 @@ def sc_module_of_algmod(m, sc: SCAlgebra = None) -> SCModule:
 
 
 def sum_sc(sc: SCAlgebra, mods) -> SCModule:
-    """The direct sum of modules, summand after summand: each block is the
-    summands' blocks placed diagonally."""
-    mods = _one_grade(list(mods))
+    """The direct sum of modules over ``sc``, summand after summand: each
+    block is the summands' blocks placed diagonally.  A summand over
+    another algebra (compared by identity) raises ``AlgebraMismatch``."""
+    mods = list(mods)
+    if any(m.sc is not sc for m in mods):
+        raise AlgebraMismatch("a summand is over another algebra")
+    mods = _one_grade(mods)
     f = sc.field
     peirce, one, _ = _gradings(sc)
     at = mods[0].at if mods else (one if peirce is None else peirce)
@@ -406,7 +412,11 @@ def hom_basis_sc(m: SCModule, n: SCModule):
 
     A module map sends grade i to grade i, so the unknowns are the entries
     of equal grades, in the order of the full matrix, and basis element b at
-    (j, i) gives the equations g_j . a_b = a'_b . g_i of its blocks."""
+    (j, i) gives the equations g_j . a_b = a'_b . g_i of its blocks.  The
+    modules must be over one algebra, compared by identity (else
+    ``AlgebraMismatch``)."""
+    if m.sc is not n.sc:
+        raise AlgebraMismatch("modules over different algebras")
     f = m.sc.field
     mg, ng = _one_grade([m, n])
     shapes = [(len(r), len(c)) for r, c in zip(ng.coords, mg.coords)]

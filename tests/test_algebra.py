@@ -1129,3 +1129,33 @@ def test_a_module_with_an_arrow_matrix_over_another_field_is_refused():
     # an equal field built apart is the same field
     m = alg.AlgMod(a, {"1": 1, "2": 1}, {"a1": Mat.identity(exactlin.Field("q"), 1)})
     assert m.check_relations()
+
+
+def _a4_with_zero_ends():
+    """Over kA4 (1 -> 2 -> 3 -> 4), M = k at 2 and 3, zero at 1 and 4: the
+    arrows a1 and a3 have a zero-dimensional end, a2 acts by 1."""
+    a = alg.path_algebra(QQ, qv.a_n(4))
+    m = alg.AlgMod(a, {"2": 1, "3": 1}, {"a2": Mat.from_rows(QQ, [[1]])})
+    return a, m
+
+
+def _every_equation(f):
+    """The equations of a module map, each compared, empty ones included."""
+    s, t = f.source, f.target
+    return all(f.mats[c.target].mul(s.mats[c.name]) == t.mats[c.name].mul(f.mats[c.source])
+               for c in s.algebra.quiver.arrows)
+
+
+def test_map_validity_skips_only_equations_with_no_entries():
+    _, m = _a4_with_zero_ends()
+    for c2, c3, want in [(1, 1, True), (3, 3, True), (1, 2, False), (0, 1, False), (2, 0, False)]:
+        f = alg.ModMap(m, m, {"2": Mat.from_rows(QQ, [[c2]]), "3": Mat.from_rows(QQ, [[c3]])})
+        assert f.is_valid() == _every_equation(f) == want, (c2, c3)
+    # into N = k -> k -> k -> 0, which M embeds in: a1's equation is empty
+    # at the source only, a3's at the target only
+    one = Mat.from_rows(QQ, [[1]])
+    n = alg.AlgMod(m.algebra, {"1": 1, "2": 1, "3": 1}, {"a1": one, "a2": one})
+    (f,) = alg.hom_basis(m, n)
+    assert f.is_valid() and _every_equation(f)
+    bumped = alg.ModMap(m, n, {**f.mats, "3": f.mats["3"].scale(2)})
+    assert not bumped.is_valid() and not _every_equation(bumped)

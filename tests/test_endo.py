@@ -235,13 +235,13 @@ def reference_adjoint_end_iso(q, gamma, side, vertices):
         pairs = {}
         for x in q.vertices:
             if side == "lambda":
-                dst_idx = {pp: i for i, pp in enumerate(dst_piece._adjoint[3][x])}
+                dst_idx = {pp: i for i, pp in enumerate(dst_piece._adjoint[3].paths[x])}
                 pairs[x] = [(i, dst_idx[qv.concat(p, qq)])
-                            for i, qq in enumerate(src_piece._adjoint[3][x])]
+                            for i, qq in enumerate(src_piece._adjoint[3].paths[x])]
             else:
-                src_idx = {pp: i for i, pp in enumerate(src_piece._adjoint[3][x])}
+                src_idx = {pp: i for i, pp in enumerate(src_piece._adjoint[3].paths[x])}
                 pairs[x] = [(src_idx[qv.concat(rr, p)], j)
-                            for j, rr in enumerate(dst_piece._adjoint[3][x])]
+                            for j, rr in enumerate(dst_piece._adjoint[3].paths[x])]
         comp = rc._copy_map(src_piece, dst_piece, gm.mats, pairs)
         chi_maps.append(injs[vindex[w]].compose(comp).compose(projs[vindex[v]]))
     if not all(chi.is_valid() for chi in chi_maps):

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from quivhom import exactlin
 from quivhom.exactlin import (GF, QQ, Field, Mat, _kernel_blocks, _null_space, _reduced_span, inverse, rank,
                               rref, solve_matrix)
-from quivhom.errors import QuivhomError
+from quivhom.errors import DimensionMismatch, QuivhomError
 
 
 def M(rows, field=QQ):
@@ -436,3 +437,95 @@ def test_mat_equality_and_hash_are_the_frozen_dataclass_ones():
     assert Mat(QQ, 1, 1, (1,)) != Mat(GF(3), 1, 1, (1,))
     assert len({Mat(QQ, 1, 4, (1, 0, 0, 1)), Mat(QQ, 4, 1, (1, 0, 0, 1)),
                 Mat(QQ, 2, 2, (1, 0, 0, 1))}) == 3
+
+
+# -- empty shapes --------------------------------------------------------------
+
+# the general code's answers, written out entry by entry
+def _ref_zeros(f, rows, cols):
+    return Mat(f, rows, cols, tuple(f.zero() for _ in range(rows * cols)))
+
+
+def _ref_mul(a, b):
+    f = a.field
+    ent = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = f.zero()
+            for t in range(a.cols):
+                acc = f.add(acc, f.mul(a.at(i, t), b.at(t, j)))
+            ent.append(acc)
+    return Mat(f, a.rows, b.cols, tuple(ent))
+
+
+def _ref_transpose(m):
+    return Mat(m.field, m.cols, m.rows, tuple(m.at(i, j) for j in range(m.cols) for i in range(m.rows)))
+
+
+def _ref_place(f, rows, cols, placed):
+    """rows x cols, with each (r0, c0, block) of ``placed`` at (r0, c0)."""
+    ent = [[f.zero()] * cols for _ in range(rows)]
+    for r0, c0, blk in placed:
+        for i in range(blk.rows):
+            for j in range(blk.cols):
+                ent[r0 + i][c0 + j] = blk.at(i, j)
+    return Mat(f, rows, cols, tuple(x for row in ent for x in row))
+
+
+_EMPTY_SHAPES = [(0, 0), (0, 3), (3, 0)]
+
+
+@pytest.mark.parametrize("f", [QQ, GF(3)])
+def test_empty_shapes_give_the_general_answers(f):
+    rng = random.Random(5)
+
+    def rand(rows, cols):
+        return Mat(f, rows, cols, tuple(f.of_int(rng.randint(-2, 2)) for _ in range(rows * cols)))
+
+    assert Mat.identity(f, 0) == _ref_zeros(f, 0, 0) and Mat.identity(f, 0) is Mat.zeros(f, 0, 0)
+    for rows, cols in _EMPTY_SHAPES + [(2, 3)]:
+        assert Mat.zeros(f, rows, cols) == _ref_zeros(f, rows, cols)
+    for rows, cols in _EMPTY_SHAPES:
+        m = Mat(f, rows, cols, ())
+        assert m.transpose() == _ref_transpose(m)
+        assert m.scale(f.of_int(2)) == m
+        assert rref(m) == (m, 0, ())
+    # an empty operand, and an empty inner dimension with a nonempty result
+    for n, k, c in [(0, 2, 3), (2, 3, 0), (0, 0, 0), (2, 0, 3), (0, 2, 0)]:
+        a, b = rand(n, k), rand(k, c)
+        assert a.mul(b) == _ref_mul(a, b)
+    blocks = [rand(0, 2), rand(3, 0), rand(0, 0), rand(2, 0)]
+    assert Mat.block_diag(f, blocks) == _ref_place(f, 5, 2, [(0, 0, blocks[0]), (0, 2, blocks[1]),
+                                                           (3, 2, blocks[2]), (3, 2, blocks[3])])
+    assert Mat.block_diag(f, [rand(0, 2), rand(0, 1)]) == _ref_zeros(f, 0, 3)
+    assert Mat.block_diag(f, [rand(2, 0), rand(1, 0)]) == _ref_zeros(f, 3, 0)
+    assert Mat.block_diag(f, []) == _ref_zeros(f, 0, 0)
+    assert Mat.from_blocks(f, [0, 0], [2, 1], {(0, 0): rand(0, 2), (1, 1): rand(0, 1)}) \
+        == _ref_zeros(f, 0, 3)
+    assert Mat.from_blocks(f, [2], [0, 0], {(0, 1): rand(2, 0)}) == _ref_zeros(f, 2, 0)
+    assert Mat.from_blocks(f, [], [], {}) == _ref_zeros(f, 0, 0)
+
+
+def test_empty_operands_still_fail_their_checks():
+    with pytest.raises(DimensionMismatch):
+        Mat.zeros(QQ, 0, 2).mul(Mat.zeros(QQ, 3, 0))
+    with pytest.raises(DimensionMismatch, match="field"):
+        Mat.zeros(QQ, 0, 2).mul(Mat.zeros(GF(3), 2, 0))
+    with pytest.raises(DimensionMismatch, match="block"):
+        Mat.from_blocks(QQ, [0], [2], {(0, 0): Mat.zeros(QQ, 0, 3)})
+    with pytest.raises(DimensionMismatch, match="block"):
+        Mat.from_blocks(QQ, [2], [0], {(0, 0): Mat.zeros(QQ, 3, 0)})
+
+
+def test_only_empty_zeros_are_shared_and_they_are_immutable():
+    z = Mat.zeros(QQ, 0, 0)
+    for name in Mat.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(z, name, 1)
+    assert Mat.zeros(QQ, 0, 0) == _ref_zeros(QQ, 0, 0)
+    for rows, cols in _EMPTY_SHAPES:
+        assert Mat.zeros(QQ, rows, cols) is Mat.zeros(QQ, rows, cols)
+        assert Mat.zeros(QQ, rows, cols) is not Mat.zeros(GF(3), rows, cols)
+    assert Mat.zeros(QQ, 2, 2) is not Mat.zeros(QQ, 2, 2)
+    assert Mat.zeros(QQ, 2, 2) != Mat.zeros(GF(3), 2, 2)
+    assert all(not m.entries for m in exactlin._EMPTY.values())

@@ -536,3 +536,16 @@ def test_no_public_scmodule_signature_gains_a_parameter():
             found.update((f"{name}.{m}", list(inspect.signature(f).parameters))
                          for m, f in vars(obj).items() if not m.startswith("_") and inspect.isfunction(f))
     assert found == SCMODULE_SIGNATURES
+
+
+def test_paths_are_enumerated_once_per_plan_and_path_block_algebra():
+    # an adjoint's copies are indexed by its plan, built once per Lambda Q,
+    # side and vertex: in repcat only the plan builder enumerates paths, and
+    # in endo only the path-block algebra (End A)Q
+    pinned = {"repcat.py": {"_adjoint_plan"}, "endo.py": {"path_block_algebra"}}
+    for name, allowed in pinned.items():
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        readers = {getattr(n, "name", f"line {n.lineno}") for n in tree.body
+                   if not isinstance(n, ast.ImportFrom) and "paths_between" in _referenced_names(n)}
+        assert readers == allowed, f"{name}: paths_between read by {sorted(readers)}"
+

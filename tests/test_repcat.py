@@ -554,3 +554,105 @@ def test_rep_pd_rejects_negative_cap():
         alg.pd(x, -1)
     with pytest.raises(QuivhomError, match="cap"):
         rc.gldim_pathalgebra(q, k, -1)
+
+
+# -- adjoint plans -----------------------------------------------------------------
+
+def _a3_orientations():
+    return [qv.a_n(3), qv.make_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")]),
+            qv.make_quiver(["1", "2", "3"], [("a", "2", "1"), ("b", "2", "3")])]
+
+
+def _diag_copies(g, n):
+    """n copies of g down the diagonal, entry by entry."""
+    f, r, c = g.field, g.rows, g.cols
+    ent = [[f.zero()] * (n * c) for _ in range(n * r)]
+    for k in range(n):
+        for i in range(r):
+            for j in range(c):
+                ent[k * r + i][k * c + j] = g.at(i, j)
+    return Mat(f, n * r, n * c, tuple(x for row in ent for x in row))
+
+
+def _reference_paths(q, side, v):
+    return {w: tuple(qv.paths_between(q, v, w) if side == "lambda" else qv.paths_between(q, w, v))
+            for w in q.vertices}
+
+
+def _reference_adjoint(q, side, v, m):
+    """e^v_side(m) straight from paths_between: one copy of m per path, and
+    Q's arrow c taking copy p to copy p.c (lambda), or copy c.r to copy r
+    (rho), by the identity."""
+    f, paths = m.algebra.field, _reference_paths(q, side, v)
+    dims, mats = {}, {}
+    for w, ps in paths.items():
+        dims.update({rc.lq_name(w, u): len(ps) * d for u, d in m.dims.items()})
+        mats.update({rc.lq_name("base", w, b): _diag_copies(g, len(ps)) for b, g in m.mats.items()})
+    for c in q.arrows:
+        src, dst = paths[c.source], paths[c.target]
+        for u, d in m.dims.items():
+            ent = [[f.zero()] * (len(src) * d) for _ in range(len(dst) * d)]
+            for i, p in enumerate(src):
+                for j, r in enumerate(dst):
+                    if (r.arrows == p.arrows + (c.name,) if side == "lambda"
+                            else p.arrows == (c.name,) + r.arrows):
+                        for t in range(d):
+                            ent[j * d + t][i * d + t] = f.one()
+            mats[rc.lq_name("quiver", c.name, u)] = Mat(f, len(dst) * d, len(src) * d,
+                                                         tuple(x for row in ent for x in row))
+    return alg.AlgMod(rc.path_algebra_over(q, m.algebra), dims, mats)
+
+
+@pytest.mark.parametrize("q", [qv.kronecker(), *_a3_orientations(), qv.d4((0, 1, 0))],
+                         ids=["kronecker", "a3", "a3_sink", "a3_source", "d4"])
+def test_adjoints_and_their_maps_equal_the_path_reference(q):
+    a, k = kA2(), base_k()
+    p1, s2 = alg.projective_module(a, "1"), alg.simple_module(a, "2")
+    # zero vertex spaces: S_2 and the zero module at vertex 1 of kA2, and
+    # every vertex with no path to or from v
+    mods = [p1, s2, alg.zero_module(a), kmod(k, 2), alg.zero_module(k)]
+    maps = [g for m, n in [(p1, p1), (s2, p1), (s2, s2)] for g in alg.hom_basis(m, n)]
+    maps += [alg.identity_map(kmod(k, 2)), alg.zero_map(alg.zero_module(a), p1)]
+    for v in q.vertices:
+        for side, adjoint in (("lambda", rc.left_adjoint), ("rho", rc.right_adjoint)):
+            for m in mods:
+                x = adjoint(q, v, m)
+                assert x == _reference_adjoint(q, side, v, m)
+                assert x._adjoint[:3] == (side, v, m)
+                assert x._adjoint[3].paths == _reference_paths(q, side, v)
+        for g in maps:
+            src, dst = rc.left_adjoint(q, v, g.source), rc.left_adjoint(q, v, g.target)
+            paths = _reference_paths(q, "lambda", v)
+            want = alg.ModMap(src, dst, {rc.lq_name(w, u): _diag_copies(b, len(ps))
+                                         for w, ps in paths.items() for u, b in g.mats.items()})
+            got = rc.left_adjoint_map(src, dst, g)
+            assert got == want and got.is_valid()
+
+
+def test_adjoint_plans_enumerate_paths_once_per_side_and_vertex_pair(monkeypatch):
+    calls, real = [], rc.paths_between
+
+    def counting(q, v, w):
+        calls.append((v, w))
+        return real(q, v, w)
+
+    monkeypatch.setattr(rc, "paths_between", counting)
+    k = base_k()  # a new base, so its Lambda Q holds no plan yet
+    q = qv.d4((0, 1, 0))
+    mods = [kmod(k), kmod(k, 2), alg.zero_module(k)]
+    for _ in range(3):
+        for v in q.vertices:
+            for m in mods:
+                rc.left_adjoint(q, v, m)
+                rc.right_adjoint(q, v, m)
+    # lambda enumerates (v, w) and rho (w, v), each once per pair of vertices
+    pairs = [(v, w) for v in q.vertices for w in q.vertices]
+    assert sorted(calls) == sorted(pairs * 2)
+    # a plan and its identity-copy blocks are shared by the adjoints that use them
+    x, y = rc.left_adjoint(q, "c", kmod(k)), rc.left_adjoint(q, "c", kmod(k))
+    assert x._adjoint[3] is y._adjoint[3]
+    names = [rc.lq_name("quiver", c.name, "1") for c in q.arrows]
+    assert all(x.mats[n] is y.mats[n] for n in names)
+    # another base gets plans of its own
+    rc.left_adjoint(q, "c", kmod(base_k()))
+    assert len(calls) == 2 * len(pairs) + len(q.vertices)

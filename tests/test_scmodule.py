@@ -11,7 +11,7 @@ from quivhom import repdim
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
 from quivhom.bounds import Dim
-from quivhom.errors import DimensionMismatch, NotSplit, QuivhomError
+from quivhom.errors import AlgebraMismatch, DimensionMismatch, NotSplit, QuivhomError
 from quivhom.exactlin import (GF, QQ, Mat, _commuting_rows, _kernel_blocks, _null_space, rank, rref,
                               solve_matrix)
 
@@ -665,3 +665,34 @@ def test_a_repeated_cover_sums_its_columns_once(monkeypatch):
     assert len(pieces) == 2 and sums == [2]
     assert all(c[0] == pieces and c[1] is total for c in covers)
     assert list(total.action) == list(sum_sc(sc, [cd.columns[i][0] for i in pieces]).action)
+
+
+def test_modules_over_different_algebras_are_refused():
+    a = alg.path_algebra(QQ, qv.a_n(2))
+    p1 = alg.projective_module(a, "1")
+    x, y = scm.sc_module_of_algmod(p1), scm.sc_module_of_algmod(p1)
+    # the structure-constant view is kept once per algebra, so flattening
+    # one module twice gives two equal modules over it
+    assert x.sc is y.sc is alg.sc_of_bqa(a) and x == y
+    assert len(scm.hom_basis_sc(x, y)) == 1 and scm.sum_sc(x.sc, [x, y]).dim == 4
+    sc = x.sc
+    other = alg.SCAlgebra(sc.field, sc.mult, sc.unit, sc.idempotents, sc.known_radical)
+    z = scm.sc_module_of_algmod(p1, other)
+    assert z != x
+    for call in (lambda: scm.hom_basis_sc(x, z), lambda: scm.hom_basis_sc(z, x),
+                 lambda: scm.sum_sc(sc, [x, z]), lambda: scm.sum_sc(other, [x])):
+        with pytest.raises(AlgebraMismatch):
+            call()
+
+
+def test_sc_map_validity_skips_only_equations_with_no_entries():
+    # M = k at 2 and 3 of kA4, zero at 1 and 4, flattened: the basis
+    # elements at the grades of 1 and 4 give equations with no entries
+    a = alg.path_algebra(QQ, qv.a_n(4))
+    m = scm.sc_module_of_algmod(
+        alg.AlgMod(a, {"2": 1, "3": 1}, {"a2": Mat.from_rows(QQ, [[1]])}))
+    assert m.dim == 2
+    for c2, c3, want in [(1, 1, True), (3, 3, True), (1, 2, False), (0, 1, False)]:
+        g = scm.SCMap(m, m, Mat.from_rows(QQ, [[c2, 0], [0, c3]]))
+        every = all(g.mat.mul(act) == act.mul(g.mat) for act in m.action)
+        assert g.is_valid() == every == want, (c2, c3)
