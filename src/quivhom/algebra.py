@@ -507,22 +507,34 @@ def _push_along_paths(m: AlgMod, p: AlgMod, start: Mat):
     m: per vertex w one matrix, column t * k + i holding path i of the k
     paths ending at w applied to column t.  A path's image is its last arrow
     applied to the image of the path before it, so each prefix is pushed
-    once, and only the given columns are."""
-    f, c = m.algebra.field, start.cols
-    pushed = {(): start}
-
-    def push(arrows):
-        got = pushed.get(arrows)
-        if got is None:
-            got = pushed[arrows] = m.mats[arrows[-1]].mul(push(arrows[:-1]))
-        return got
-
+    once, and only the given columns are.  No image is formed at, or
+    through, a vertex where m is zero: such a path's image is zero (None
+    in ``pushed``), and so is the block at such a w."""
+    f, c, dims = m.algebra.field, start.cols, m.dims
+    pushed = {(): start if start.entries else None}
     out = {}
     for w, paths in p._proj_paths.items():
-        images = [push(q.arrows).entries for q in paths]
+        n = dims[w]
+        if not (n and c and paths):
+            out[w] = Mat.zeros(f, n, len(paths) * c)
+            continue
+        zero = (f.zero(),) * (n * c)
+        images = [zero if img is None else img.entries
+                  for img in (_pushed(m, pushed, q.arrows) for q in paths)]
         cols = [img[t::c] for t in range(c) for img in images]
-        out[w] = Mat(f, m.dims[w], len(cols), tuple(chain.from_iterable(zip(*cols))))
+        out[w] = Mat(f, n, len(cols), tuple(chain.from_iterable(zip(*cols))))
     return out
+
+
+def _pushed(m: AlgMod, pushed: dict, arrows: tuple):
+    """The image under the path ``arrows`` kept in ``pushed`` (see
+    ``_push_along_paths``), pushing its prefixes first where they are not
+    kept yet; None where it is zero."""
+    if arrows in pushed:
+        return pushed[arrows]
+    before, arr = _pushed(m, pushed, arrows[:-1]), m.mats[arrows[-1]]
+    got = pushed[arrows] = arr.mul(before) if before is not None and arr.rows else None
+    return got
 
 
 def injective_indecomposables(a: BQA):
@@ -584,9 +596,13 @@ def _read_off_units(basis: Mat, units, image: Mat):
     """The X with basis * X = image, for a ``basis`` that is the identity at
     the rows ``units`` (as ``_null_space`` and ``_column_basis`` return
     them): X is those rows of ``image``, unique since basis has full column
-    rank.  One product checks the other rows; None when they disagree, i.e.
-    when image does not lie in the span of basis."""
+    rank.  One product checks the other rows (with no unit rows, a zero
+    test of image); None when they disagree, i.e. when image does not lie
+    in the span of basis."""
     x = _rows(image, units)
+    if not units:
+        # basis has no columns: image lies in its span iff it is zero
+        return x if image.is_zero() else None
     unit = set(units)
     rest = [i for i in range(basis.rows) if i not in unit]
     if rest and _rows(basis, rest).mul(x) != _rows(image, rest):
@@ -624,14 +640,27 @@ def kernel_of(f: ModMap):
 
     At each vertex the kernel basis (``_null_space``, one rref of f_v) is
     the identity at the non-pivot rows, so each arrow's restriction is read
-    off those rows of the arrow applied to the basis (``_read_off_units``)."""
+    off those rows of the arrow applied to the basis (``_read_off_units``).
+    Where there is nothing to compute, nothing is: at a vertex where the
+    source is zero the kernel is the empty basis, with no null space
+    formed, and an arrow whose kernel is zero at its source, or whose
+    source module is zero at its target, restricts to the zero block, with
+    no product or read-off."""
     a = f.source.algebra
+    fld = a.field
+    sdims = f.source.dims
     kbases, units = {}, {}
     for v in a.quiver.vertices:
-        kbases[v], units[v] = _null_space(f.mats[v])
+        if sdims[v]:
+            kbases[v], units[v] = _null_space(f.mats[v])
+        else:
+            kbases[v], units[v] = Mat.zeros(fld, 0, 0), []
     dims = {v: kbases[v].cols for v in a.quiver.vertices}
     mats = {}
     for arr in a.quiver.arrows:
+        if not (dims[arr.source] and sdims[arr.target]):
+            mats[arr.name] = Mat.zeros(fld, dims[arr.target], dims[arr.source])
+            continue
         moved = f.source.mats[arr.name].mul(kbases[arr.source])
         x = _read_off_units(kbases[arr.target], units[arr.target], moved)
         if x is None:

@@ -8,7 +8,9 @@ the kernel basis that is the identity at the non-pivot rows
 Over a prime field scalars are plain ``int`` residues.  Over the rationals a
 value has one type: an ``int`` when it is integral and a
 ``fractions.Fraction`` only when it is not (Python mixes the two exactly), and
-no ``float`` enters.  Elimination uses first-nonzero pivoting, so all
+no ``float`` enters.  Eliminations, products, sums and scalings keep the
+rule: an integral result is an ``int``, and only a ``Fraction`` is
+normalised.  Elimination uses first-nonzero pivoting, so all
 outputs are reproducible.  It touches only nonzero entries: zero tests are
 truth tests, and each row is updated in place on the pivot row's nonzero
 support, which gives the dense elimination's result entry for entry.
@@ -21,11 +23,21 @@ compares and hashes by its four fields, as a frozen dataclass would.
 A shape with no entries (a zero-dimensional vertex, an empty grade, a
 zero object of a complex) costs nothing.  Being immutable, such a matrix is
 shared: ``Mat.zeros`` of a shape with no entries, and ``Mat.identity`` of
-size 0, hand out one value per field and shape, kept in ``_EMPTY``; each
-holds an empty tuple.  ``mul``, ``transpose``, ``scale``, ``block_diag``,
-``from_blocks`` and ``rref`` answer a shape with no entries with that
-shared value, or the operand itself, once their field and shape checks
-have passed, and the answer equals the general code's.
+size 0, hand out one value per field and shape, kept in ``_EMPTY`` and
+keyed by the field's kind and modulus; each holds an empty tuple.
+
+Some shapes are answered directly, each only once the operation's field
+and shape checks have passed (fields compare by identity first), and each
+answer is the general code's, entry for entry and type for type:
+
+* a shape with no entries: ``mul``, ``transpose``, ``scale``,
+  ``block_diag``, ``from_blocks`` and ``rref`` return the shared value, or
+  the operand itself;
+* a one-row matrix: ``rref`` scales the row by the inverse of its first
+  nonzero entry, as the elimination would, with no elimination loop.
+
+A ``Mat`` refuses a negative shape, and the stacking and placing
+constructors a part over another field, as ``mul`` and ``add`` do.
 """
 
 from __future__ import annotations
@@ -56,11 +68,17 @@ def _q(x: Fraction):
     return x.numerator if x.denominator == 1 else x
 
 
+def _one_type(values) -> tuple:
+    """The rationals ``values`` as a tuple, each in its one type: only a
+    Fraction is normalised, so an int passes as it is."""
+    return tuple(_q(x) if x.__class__ is Fraction else x for x in values)
+
+
 def _integral(rows):
     """Turn the integral Fractions of ``rows`` (lists of rationals) into ints,
     in place."""
     for row in rows:
-        row[:] = [_q(x) if x.__class__ is Fraction else x for x in row]
+        row[:] = _one_type(row)
 
 
 @dataclass(frozen=True)
@@ -155,7 +173,8 @@ def GF(p: int) -> Field:
     return Field("fp", p)
 
 
-# Mat.zeros of a shape with no entries: one shared value per (field, rows, cols)
+# Mat.zeros of a shape with no entries: one shared value per
+# (field.kind, field.p, rows, cols)
 _EMPTY = {}
 
 
@@ -172,7 +191,10 @@ class Mat:
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: Field, rows: int, cols: int, entries: tuple):
-        if len(entries) != rows * cols:
+        # (rows | cols) < 0 iff either is negative
+        if len(entries) != rows * cols or (rows | cols) < 0:
+            if (rows | cols) < 0:
+                raise DimensionMismatch(f"negative shape {rows}x{cols}")
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
@@ -220,7 +242,7 @@ class Mat:
         entries."""
         if rows and cols:
             return Mat(field, rows, cols, (field.zero(),) * (rows * cols))
-        key = (field, rows, cols)
+        key = (field.kind, field.p, rows, cols)  # no dataclass hash runs
         got = _EMPTY.get(key)
         if got is None:
             got = _EMPTY[key] = Mat(field, rows, cols, ())
@@ -268,15 +290,14 @@ class Mat:
         return list(self.entries)
 
     # -- arithmetic -----------------------------------------------------------
-    def _samefield(self, other: "Mat"):
-        if self.field != other.field:
-            raise DimensionMismatch("field mismatch")
-
     def add(self, other: "Mat") -> "Mat":
-        self._samefield(other)
+        if other.field is not self.field and other.field != self.field:
+            raise DimensionMismatch("field mismatch")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in add")
         f = self.field
+        if f.kind == "q":
+            return Mat(f, self.rows, self.cols, _one_type(a + b for a, b in zip(self.entries, other.entries)))
         return Mat(f, self.rows, self.cols,
                    tuple(f.add(a, b) for a, b in zip(self.entries, other.entries)))
 
@@ -291,10 +312,13 @@ class Mat:
         if not self.entries:
             return self
         f = self.field
+        if f.kind == "q":
+            return Mat(f, self.rows, self.cols, _one_type(c * a for a in self.entries))
         return Mat(f, self.rows, self.cols, tuple(f.mul(c, a) for a in self.entries))
 
     def mul(self, other: "Mat") -> "Mat":
-        self._samefield(other)
+        if other.field is not self.field and other.field != self.field:
+            raise DimensionMismatch("field mismatch")
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = self.field
@@ -316,6 +340,7 @@ class Mat:
                     for j in range(m):
                         if brow[j]:
                             out[base + j] += coef * brow[j]
+            out = _one_type(out)
         else:
             p = f.p
             for i in range(n):
@@ -359,6 +384,7 @@ class Mat:
                 raise DimensionMismatch("vstack column mismatch")
             ent.extend(m.entries)
             rows += m.rows
+        _check_fields(field, mats)
         return Mat(field, rows, cols, tuple(ent))
 
     @staticmethod
@@ -370,6 +396,7 @@ class Mat:
         for m in mats:
             if m.rows != rows:
                 raise DimensionMismatch("hstack row mismatch")
+        _check_fields(field, mats)
         ent = []
         for i in range(rows):
             for m in mats:
@@ -399,6 +426,7 @@ class Mat:
     @staticmethod
     def block_diag(field: Field, mats) -> "Mat":
         mats = list(mats)
+        _check_fields(field, mats)
         rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)
         if not rows or not cols:
@@ -425,10 +453,14 @@ class Mat:
         for n in col_sizes:
             coff.append(coff[-1] + n)
         rows, cols = roff[-1], coff[-1]
+        nr, nc = len(row_sizes), len(col_sizes)
         for (i, j), m in blocks.items():
+            if not (0 <= i < nr and 0 <= j < nc):
+                raise DimensionMismatch(f"block ({i}, {j}) lies outside the {nr}x{nc} grid")
             if (m.rows, m.cols) != (row_sizes[i], col_sizes[j]):
                 raise DimensionMismatch(f"block ({i}, {j}) is {m.rows}x{m.cols}, "
                                         f"expected {row_sizes[i]}x{col_sizes[j]}")
+        _check_fields(field, blocks.values())
         if not rows or not cols:
             return Mat.zeros(field, rows, cols)
         ent = [field.zero()] * (rows * cols)
@@ -455,6 +487,15 @@ class Mat:
 
     def flatten(self):
         return list(self.entries)
+
+
+def _check_fields(field: Field, mats):
+    """``DimensionMismatch`` when one of the parts ``mats`` of a stacking or
+    placement is over another field than ``field`` (compared by identity
+    first, so the usual shared field costs no dataclass ``__eq__``)."""
+    for m in mats:
+        if m.field is not field and m.field != field:
+            raise DimensionMismatch("field mismatch")
 
 
 # the slots' own setters, which Mat.__init__ calls past its __setattr__
@@ -520,6 +561,8 @@ def rref(m: Mat):
     """Reduced row-echelon form.  Returns (reduced matrix, rank, pivot cols)."""
     if not m.entries:
         return m, 0, ()
+    if m.rows == 1:
+        return _rref_row(m)
     rows = m.row_list()
     pivots = _eliminate(rows, m.field)
     if m.field.kind == "q":
@@ -528,6 +571,27 @@ def rref(m: Mat):
     # move zero rows to the bottom (elimination already ordered pivot rows)
     ent = tuple(chain.from_iterable(rows))
     return Mat(m.field, m.rows, m.cols, ent), rank, tuple(pivots)
+
+
+def _rref_row(m: Mat):
+    """``rref`` of a one-row matrix, as ``_eliminate`` reduces it: the row
+    scaled by the inverse of its first nonzero entry, on its nonzero
+    entries."""
+    f, row = m.field, list(m.entries)
+    pivots = ()
+    for c, x in enumerate(row):
+        if x:
+            inv = f.inv(x)
+            if inv != 1:
+                for j in range(c + 1, len(row)):
+                    if row[j]:
+                        row[j] = f.mul(inv, row[j])
+                row[c] = 1
+            pivots = (c,)
+            break
+    if f.kind == "q":
+        _integral([row])
+    return Mat(f, 1, m.cols, tuple(row)), len(pivots), pivots
 
 
 def rank(m: Mat) -> int:

@@ -308,7 +308,13 @@ def _copies(q: Quiver, m: AlgMod, side: str, v: str) -> AlgMod:
 
 def _copy_block(f, g: Mat, rows: int, cols: int, pairs) -> Mat:
     """The rows x cols matrix that places g from column block i to row block
-    j for each (i, j) in pairs: blocks, no products."""
+    j for each (i, j) in pairs: blocks, no products.  A shape with no
+    entries is the shared ``Mat.zeros``, and one copy that fills the shape
+    is g itself."""
+    if not (rows and cols):
+        return Mat.zeros(f, rows, cols)
+    if (g.rows, g.cols) == (rows, cols) and len(pairs) == 1 and pairs[0] == (0, 0) and g.field is f:
+        return g
     ent = [f.zero()] * (rows * cols)
     for i, j in pairs:
         for r in range(g.rows):

@@ -359,6 +359,26 @@ def test_rational_values_have_one_type():
         ref = answers(as_fractions(m), as_fractions(b), as_fractions(square))
         assert [formatted(x) for x in got] == [formatted(x) for x in ref]
 
+    # products, sums and scalings keep the rule, whether their operands hold
+    # non-integral Fractions, integral Fractions or ints
+    def rational(rows, cols):
+        return Mat(QQ, rows, cols, tuple(rng.choice((Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                                                     Fraction(rng.randint(-3, 3)), rng.randint(-3, 3)))
+                                         for _ in range(rows * cols)))
+
+    half = Mat(QQ, 1, 2, (Fraction(1, 2), Fraction(3, 2)))
+    fixed = [half.mul(Mat(QQ, 2, 1, (2, 2))), half.add(half), half.scale(2), half.scale(Fraction(4, 3)),
+             Mat(QQ, 1, 1, (Fraction(1, 2),)).mul(Mat(QQ, 1, 1, (4,))), half.sub(half)]
+    assert [x.entries for x in fixed] == [(4,), (1, 3), (1, 3), (Fraction(2, 3), 2), (2,), (0, 0)]
+    for _ in range(60):
+        n, k, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a, a2, b = rational(n, k), rational(n, k), rational(k, c)
+        s = rng.choice((2, Fraction(3, 2), Fraction(4), 0))
+        for x, ref in [(a.mul(b), _ref_mul(a, b)), (a.add(a2), _ref_add(a, a2)),
+                       (a.sub(a2), _ref_add(a, a2.neg())), (a.scale(s), _ref_scale(a, s))]:
+            assert all(_one_type(e) for e in x.entries), x
+            assert x == ref
+
 
 def test_inv_and_div_match_the_fraction_forms():
     # QQ.inv and QQ.div read 1/a off a; their values and types are those of
@@ -458,6 +478,16 @@ def _ref_mul(a, b):
     return Mat(f, a.rows, b.cols, tuple(ent))
 
 
+def _ref_add(a, b):
+    f = a.field
+    return Mat(f, a.rows, a.cols, tuple(f.add(x, y) for x, y in zip(a.entries, b.entries)))
+
+
+def _ref_scale(m, c):
+    f = m.field
+    return Mat(f, m.rows, m.cols, tuple(f.mul(c, x) for x in m.entries))
+
+
 def _ref_transpose(m):
     return Mat(m.field, m.cols, m.rows, tuple(m.at(i, j) for j in range(m.cols) for i in range(m.rows)))
 
@@ -529,3 +559,61 @@ def test_only_empty_zeros_are_shared_and_they_are_immutable():
     assert Mat.zeros(QQ, 2, 2) is not Mat.zeros(QQ, 2, 2)
     assert Mat.zeros(QQ, 2, 2) != Mat.zeros(GF(3), 2, 2)
     assert all(not m.entries for m in exactlin._EMPTY.values())
+
+
+# -- one-row rref, field and shape checks --------------------------------
+
+def _direct_inputs(f, rng):
+    """Seeded scalars over f: zeros, ones and, over QQ, non-integral and
+    integral Fractions beside ints."""
+    if f.kind == "q":
+        pool = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3), Fraction(3), Fraction(-2), Fraction(0)]
+    else:
+        pool = [0, 1, f.p - 1] + [rng.randrange(f.p) for _ in range(4)]
+    return lambda rows, cols: Mat(f, rows, cols, tuple(rng.choice(pool) for _ in range(rows * cols)))
+
+
+@pytest.mark.parametrize("f", [QQ, GF(2), GF(101)], ids=["QQ", "GF2", "GF101"])
+def test_one_row_rref_equals_the_elimination(f):
+    # rref answers a one-row matrix directly; _eliminate on the same row is
+    # the reference, values and types
+    rng = random.Random(17 + (f.p or 0))
+    rand = _direct_inputs(f, rng)
+    for cols in [0, 1, 2, 3, 5, 8] * 6:
+        m = rand(1, cols)
+        rows = m.row_list()
+        pivots = exactlin._eliminate(rows, f)
+        if f.kind == "q":
+            exactlin._integral(rows)
+        want = (Mat(f, 1, cols, tuple(rows[0])), len(pivots), tuple(pivots))
+        red, rk, piv = rref(m)
+        assert (_exact(red), rk, piv) == (_exact(want[0]), want[1], want[2])
+
+
+def test_stacking_refuses_a_part_over_another_field():
+    for f, g in [(QQ, GF(3)), (GF(3), QQ), (GF(3), GF(5))]:
+        one, other = Mat.identity(f, 1), Mat.identity(g, 1)
+        for build in [lambda: Mat.hstack(f, [other, one]), lambda: Mat.vstack(f, [one, other]),
+                      lambda: Mat.block_diag(f, [other]), lambda: Mat.hstack(f, [other]),
+                      lambda: Mat.block_diag(f, [one, Mat.zeros(g, 0, 0)]),
+                      lambda: Mat.from_blocks(f, [1, 1], [1], {(0, 0): one, (1, 0): other}),
+                      lambda: Mat.from_blocks(f, [1], [1], {(0, 0): other})]:
+            with pytest.raises(DimensionMismatch, match="field mismatch"):
+                build()
+    # an equal field built apart is the same field
+    assert Mat.hstack(GF(3), [Mat.identity(GF(3), 1), Mat.identity(GF(3), 1)]).field == GF(3)
+
+
+def test_from_blocks_refuses_a_key_outside_its_grid():
+    one = Mat.identity(QQ, 1)
+    for key in [(1, 0), (0, 1), (-1, 0), (0, -1)]:
+        with pytest.raises(DimensionMismatch, match="outside"):
+            Mat.from_blocks(QQ, [1], [1], {key: one})
+
+
+def test_mat_refuses_a_negative_shape():
+    for rows, cols, entries in [(-1, -1, (5,)), (-2, 0, ()), (0, -3, ()), (-1, 2, ())]:
+        with pytest.raises(DimensionMismatch, match="negative"):
+            Mat(QQ, rows, cols, entries)
+    with pytest.raises(DimensionMismatch):
+        Mat.zeros(GF(3), -1, 0)

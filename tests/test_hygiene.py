@@ -549,3 +549,92 @@ def test_paths_are_enumerated_once_per_plan_and_path_block_algebra():
                    if not isinstance(n, ast.ImportFrom) and "paths_between" in _referenced_names(n)}
         assert readers == allowed, f"{name}: paths_between read by {sorted(readers)}"
 
+
+
+def _a8_rad2_and_nakayama_5_4():
+    """A8 with rad^2 = 0 and the cyclic Nakayama algebra N(5, 4), over GF(101)."""
+    fp = GF(101)
+    q = qv.a_n(8)
+    a8 = alg.build_bqa(fp, q, [[(1, qv.Path(str(i), str(i + 2), (f"a{i}", f"a{i + 1}")))]
+                               for i in range(1, 7)], 2)
+    cyc = qv.make_quiver([str(i) for i in range(1, 6)],
+                         [(f"c{i}", str(i), str(i % 5 + 1)) for i in range(1, 6)],
+                         require_acyclic=False)
+    rels = [[(1, qv.Path(str(i), str((i + 3) % 5 + 1),
+                         tuple(f"c{(i + t - 1) % 5 + 1}" for t in range(4))))] for i in range(1, 6)]
+    return a8, alg.build_bqa(fp, cyc, rels, 4)
+
+
+def test_syzygy_steps_pass_no_operand_without_entries(monkeypatch):
+    # a zero vertex space costs nothing in a syzygy step: kernel_of forms no
+    # null space, product or read-off there, and a cover pushes no image
+    # through it, so no product and no elimination inside kernel_of or
+    # projective_cover sees an operand without entries
+    from quivhom import exactlin
+    from quivhom.bounds import syzygy_steps
+
+    empty, inside, seen = [], [0], [0]
+    real_mul, real_rref = Mat.mul, exactlin.rref
+
+    def mul(a, b):
+        if inside[0]:
+            seen[0] += 1
+            if not (a.entries and b.entries):
+                empty.append(("mul", a.rows, a.cols, b.rows, b.cols))
+        return real_mul(a, b)
+
+    def rref(m):
+        if inside[0]:
+            seen[0] += 1
+            if not m.entries:
+                empty.append(("rref", m.rows, m.cols))
+        return real_rref(m)
+
+    def watched(fn):
+        def run(x):
+            inside[0] += 1
+            try:
+                return fn(x)
+            finally:
+                inside[0] -= 1
+        return run
+
+    monkeypatch.setattr(Mat, "mul", mul)
+    monkeypatch.setattr(exactlin, "rref", rref)
+    rng = random.Random(11)
+    zero_spaces = 0
+    for a in _a8_rad2_and_nakayama_5_4():
+        pool = ([alg.simple_module(a, v) for v in a.quiver.vertices]
+                + [alg.projective_module(a, v) for v in a.quiver.vertices]
+                + alg.injective_indecomposables(a))
+        for _ in range(12):
+            m = alg.sum_mods(a, rng.sample(pool, rng.randint(1, 5)))
+            zero_spaces += sum(not d for d in m.dims.values())
+            syzygy_steps(m, [], 6, watched(alg.projective_cover), watched(alg.kernel_of))
+    assert zero_spaces and seen[0]
+    assert empty == []
+
+
+def test_pushing_along_paths_leaves_no_cyclic_garbage():
+    # _push_along_paths (under covers, map_from_projective and _ext_dims)
+    # pushes prefixes with no self-referencing closure, so it frees its
+    # intermediate images by reference counting, without waiting for the
+    # cyclic collector.  Only that function runs with the collector off: its
+    # modules, projectives and start columns are built beforehand.
+    import gc
+
+    runs = []
+    for a in _a8_rad2_and_nakayama_5_4():
+        f = a.field
+        m = alg.sum_mods(a, [alg.simple_module(a, "1"), alg.projective_module(a, "2"),
+                             alg.injective_indecomposables(a)[2]])
+        runs.extend((m, alg.projective_module(a, v), Mat.identity(f, m.dims[v]))
+                    for v in a.quiver.vertices)
+    gc.collect()
+    gc.disable()
+    try:
+        for m, p, start in runs:
+            alg._push_along_paths(m, p, start)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -629,6 +629,53 @@ def test_adjoints_and_their_maps_equal_the_path_reference(q):
             assert got == want and got.is_valid()
 
 
+def _reference_copy_block(f, g, rows, cols, pairs):
+    """g placed from column block i to row block j for each (i, j) in
+    pairs, entry by entry."""
+    ent = [[f.zero()] * cols for _ in range(rows)]
+    for i, j in pairs:
+        for r in range(g.rows):
+            for c in range(g.cols):
+                ent[j * g.rows + r][i * g.cols + c] = g.at(r, c)
+    return Mat(f, rows, cols, tuple(x for row in ent for x in row))
+
+
+def test_copy_blocks_build_no_matrix_for_empty_shapes_or_single_copies(monkeypatch):
+    # count the copy blocks of the adjoints and their maps on the reference
+    # quivers: a shape with no entries is the shared Mat.zeros, and one copy
+    # at (0, 0) that fills the shape is the block itself, so only the other
+    # calls build a matrix
+    calls, real = [], rc._copy_block
+
+    def counting(f, g, rows, cols, pairs):
+        out = real(f, g, rows, cols, pairs)
+        calls.append((f, g, rows, cols, tuple(pairs), out))
+        return out
+
+    monkeypatch.setattr(rc, "_copy_block", counting)
+    a, k = kA2(), base_k()
+    p1, s2 = alg.projective_module(a, "1"), alg.simple_module(a, "2")
+    maps = [g for m, n in [(p1, p1), (s2, p1), (s2, s2)] for g in alg.hom_basis(m, n)]
+    maps += [alg.identity_map(kmod(k, 2)), alg.zero_map(alg.zero_module(a), p1)]
+    for q in [qv.kronecker(), *_a3_orientations(), qv.d4((0, 1, 0))]:
+        for v in q.vertices:
+            for g in maps:
+                rc.left_adjoint_map(rc.left_adjoint(q, v, g.source), rc.left_adjoint(q, v, g.target), g)
+    empty = single = built = 0
+    for f, g, rows, cols, pairs, out in calls:
+        assert out == _reference_copy_block(f, g, rows, cols, pairs)
+        if not rows * cols:
+            assert out is Mat.zeros(f, rows, cols)
+            empty += 1
+        elif (g.rows, g.cols) == (rows, cols) and pairs == ((0, 0),):
+            assert out is g
+            single += 1
+        else:
+            assert out is not g
+            built += 1
+    assert (empty, single, built) == (357, 159, 9)
+
+
 def test_adjoint_plans_enumerate_paths_once_per_side_and_vertex_pair(monkeypatch):
     calls, real = [], rc.paths_between
 
