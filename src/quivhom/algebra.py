@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .bounds import Dim, dim_max, syzygy_pd, syzygy_steps
+from .bounds import Dim, syzygy_pd, syzygy_steps
 from .errors import (
     AlgebraMismatch,
     CharPNotSupported,
@@ -795,7 +795,12 @@ def pd(m: AlgMod, cap: int = 20) -> Dim:
 
 
 def gldim(a: BQA, cap: int = 20) -> Dim:
-    return dim_max(pd(simple_module(a, v), cap) for v in a.quiver.vertices)
+    """Global dimension, capped: the projective dimension of A/J, the sum of
+    the simples (one at each vertex, every arrow acting by zero), in one
+    resolution.  gl.dim A = pd(A/J) (Auslander 1955), and the minimal
+    resolution of a sum is the sum of the minimal resolutions, so this is
+    the largest pd of a simple, capped answers included."""
+    return pd(AlgMod(a, {v: 1 for v in a.quiver.vertices}, {}), cap)
 
 
 def minimal_resolution(m: AlgMod, length: int):
@@ -966,6 +971,7 @@ class SCAlgebra:
         # one shared zero: products then compare equal by identity where zero
         self._zero = field.zero()
         self._coldata = None  # built once by scmodule.column_data
+        self._radical = None  # the trace-form radical, built once by scmodule.radical_of
         self._gradings = None  # built once by scmodule._gradings
         # sparse view of the table: _terms[i][j] = the pairs (k, m), m != 0
         self._terms = tuple(tuple(tuple((k, m) for k, m in enumerate(v) if m) for v in row)

@@ -87,30 +87,33 @@ def _topological_order(verts, arrs):
 def _find_cycle(verts, arrs):
     color = {v: 0 for v in verts}
     stack = []
-
-    def dfs(v):
-        color[v] = 1
-        stack.append(v)
-        for a in arrs:
-            if a.source != v:
-                continue
-            w = a.target
-            if color[w] == 1:
-                return stack[stack.index(w):] + [w]
-            if color[w] == 0:
-                found = dfs(w)
-                if found:
-                    return found
-        stack.pop()
-        color[v] = 2
-        return None
-
     for v in verts:
         if color[v] == 0:
-            cyc = dfs(v)
+            cyc = _cycle_from(v, arrs, color, stack)
             if cyc:
                 return cyc
     return verts  # unreachable when a cycle exists
+
+
+def _cycle_from(v, arrs, color, stack):
+    """Depth-first search from v for a cycle through the vertices on
+    ``stack`` (colour 1: open, 2: done); the cycle as a closed vertex list,
+    or None.  A module-level helper, so no call leaves a reference cycle."""
+    color[v] = 1
+    stack.append(v)
+    for a in arrs:
+        if a.source != v:
+            continue
+        w = a.target
+        if color[w] == 1:
+            return stack[stack.index(w):] + [w]
+        if color[w] == 0:
+            found = _cycle_from(w, arrs, color, stack)
+            if found:
+                return found
+    stack.pop()
+    color[v] = 2
+    return None
 
 
 @dataclass(frozen=True)
@@ -155,18 +158,20 @@ def paths_between(q: Quiver, v: str, w: str):
     if not q.acyclic:
         raise QuivhomError("path enumeration requires an acyclic quiver")
     out = []
+    _walk(q, v, w, [], out)
+    return sorted((Path(v, w, arrows) for arrows in out), key=lambda p: p.arrows)
 
-    def walk(at, arrows_so_far):
-        if at == w:
-            out.append(Path(v, w, tuple(arrows_so_far)))
-        for a in sorted(q.arrows_from(at), key=lambda a: a.name):
-            arrows_so_far.append(a.name)
-            walk(a.target, arrows_so_far)
-            arrows_so_far.pop()
 
-    walk(v, [])
-    out.sort(key=lambda p: p.arrows)
-    return out
+def _walk(q: Quiver, at: str, w: str, prefix: list, out: list):
+    """Append to ``out`` the arrow names of every path to w that continues
+    ``prefix``, a path ending at ``at``.  A module-level helper, so no call
+    leaves a reference cycle."""
+    if at == w:
+        out.append(tuple(prefix))
+    for a in sorted(q.arrows_from(at), key=lambda a: a.name):
+        prefix.append(a.name)
+        _walk(q, a.target, w, prefix, out)
+        prefix.pop()
 
 
 def longest_path(q: Quiver) -> int:

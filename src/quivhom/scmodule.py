@@ -4,7 +4,7 @@ This is the engine shared by the endomorphism-ring and triangular-matrix-ring
 layers.  Minimal projective covers are driven by the radical the algebra
 carries (``sc_of_bqa`` and ``endo.end_algebra`` attach one, in every
 characteristic); the trace-form radical ``radical_sc`` is only the fallback
-for algebras built without one.
+for algebras built without one, computed once per algebra (``radical_of``).
 
 A module is stored by its Peirce grading (Assem-Simson-Skowronski, I-III).
 Each coordinate keeps its place and has a grade: the idempotent e_i of the
@@ -45,6 +45,12 @@ e_i S_i is k, so the copies of S_i in M/JM are counted by dim e_i (M/JM) and
 a cover's generators are pivot columns: the columns of e_i acting on M (unit
 vectors of grade i) that are independent modulo JM and of each other.  A
 module is projective exactly when that minimal cover is an isomorphism.
+
+The simple tops are read off the Peirce blocks of their columns, one
+coordinate per grade of the class, with no quotient module built
+(``ColumnData.simple_top``).  A global dimension is one resolution: gl.dim
+Gamma = pd(Gamma/J) (Auslander 1955), and Gamma/J is, up to multiplicities,
+the sum of one simple top per isomorphism class (``gldim_sc``).
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from itertools import chain
 
 from .algebra import (SCAlgebra, _column_basis, _pivot_columns, _read_off_units, eval_path,
                       quotient_by_rows, radical_sc, sc_of_bqa)
-from .bounds import Dim, dim_max, syzygy_pd, syzygy_steps
+from .bounds import Dim, syzygy_pd, syzygy_steps
 from .errors import (AlgebraMismatch, CompositionInconsistent, DimensionMismatch, NotSplit,
                      QuivhomError)
 from .exactlin import Mat, _commuting_rows, _null_space, rank
@@ -439,9 +445,14 @@ def hom_basis_sc(m: SCModule, n: SCModule):
 
 
 def radical_of(sc: SCAlgebra):
+    """A spanning list of the radical of ``sc``: the one it carries, else the
+    trace-form radical ``radical_sc``, computed once per algebra and kept on
+    it, as ``column_data`` is."""
     if sc.known_radical is not None:
         return list(sc.known_radical)
-    return radical_sc(sc)
+    if sc._radical is None:
+        sc._radical = tuple(radical_sc(sc))
+    return list(sc._radical)
 
 
 def _join(m: SCModule, of, blocks) -> Mat:
@@ -529,17 +540,12 @@ def quotient_sc(m: SCModule, cols: Mat):
     return SCModule._of_blocks(m.sc, of, m.at, blocks), proj, _join(m, of, [s for _, s, _ in parts])
 
 
-def radical_submodule_sc(m: SCModule):
-    """J*M as the columns of ``algebra.column_space``'s reduced basis, J the
-    algebra radical, read grade by grade: e_j J*M is spanned by the columns
-    of the blocks at (j, i) of the Peirce components of the radical vectors."""
-    return _join(m, *_radical_parts(m))
-
-
 def _radical_parts(m: SCModule):
-    """(grades, bases) of J*M: per grade g the reduced basis of e_g J*M,
-    and the grade of each column of the whole basis (``_join``), whose
-    columns are ordered by their pivot rows."""
+    """(grades, bases) of J*M, J the algebra radical, read grade by grade:
+    per grade g the reduced basis of e_g J*M (``algebra._column_basis``),
+    spanned by the columns of the blocks at (g, i) of the Peirce components
+    of the radical vectors, and the grade of each column of the whole basis
+    (``_join``), whose columns are ordered by their pivot rows."""
     f = m.sc.field
     images = [[] for _ in m.coords]
     for r in radical_of(m.sc):
@@ -576,11 +582,20 @@ class ColumnData:
     block e_j Gamma e_i.  Column i, Gamma*e_i, is spanned by the basis
     elements with b*e_i = b, graded by their ends; its action is the
     sub-table a*b = mult[a][b] on them and its inclusion into Gamma their
-    0/1 position matrix.  The simple top is the quotient by J*Gamma*e_i =
-    J*e_i, spanned by the radical vectors restricted to those positions, and
-    dim e_j J e_i is the rank of their restriction to the block.
+    0/1 position matrix.  J*Gamma*e_i = J*e_i is spanned by the radical
+    vectors restricted to those positions, and dim e_j J e_i is the rank of
+    their restriction to the block.
     Split: dim e_i Gamma e_i / e_i J e_i is 1.  Classes: Gamma*e_i and
     Gamma*e_j are isomorphic iff e_i Gamma e_j != e_i J e_j.
+
+    The simple top Gamma*e_i / J*e_i is read off the blocks (``simple_top``):
+    e_j of it is e_j Gamma e_i / e_j J e_i, which is k for j in i's class
+    and zero for every other j.  A grade j of the class keeps the coordinate
+    that ``algebra.quotient_by_rows`` leaves of J's restriction to the
+    block, with its projection proj_j, and a basis element b at (j, h) acts
+    by the scalar proj_j . (b . u_h), u_h the unit vector at h's kept
+    coordinate: ``quotient_sc`` of the column by J*e_i, entry for entry,
+    with its check that proj_j . b kills e_h J e_i.
     The sum of the columns that a cover maps from is kept per list of
     pieces (``_column_sum``), as the tops are per column.
     """
@@ -604,8 +619,8 @@ class ColumnData:
 
         def over_radical(i, j):  # dim e_i Gamma e_j - dim e_i J e_j
             block = [b for b in self._positions[j] if peirce[b][0] == i]
-            vecs = [v for v in ([r[b] for b in block] for r in self.radical) if any(v)]
-            return len(block) - (rank(Mat.from_rows(f, vecs)) if vecs else 0)
+            rows = self._radical_rows(block)
+            return len(block) - (rank(rows) if rows.rows else 0)
 
         for i in range(n):
             top = over_radical(i, i)
@@ -623,6 +638,14 @@ class ColumnData:
         self._tops = {}
         self._sums = {}
 
+    def _radical_rows(self, block) -> Mat:
+        """The radical vectors restricted to the basis elements ``block``
+        (those zero there left out), as the rows of a matrix: they span J's
+        part of the span of ``block``."""
+        f = self.sc.field
+        vecs = [v for v in ([r[b] for b in block] for r in self.radical) if any(v)]
+        return Mat.from_rows(f, vecs) if vecs else Mat.zeros(f, 0, len(block))
+
     def _column_sum(self, pieces) -> SCModule:
         """The sum of the column projectives Gamma*e_i, i in ``pieces``, in
         that order.  Built once per list of pieces; the result is shared, so
@@ -634,15 +657,32 @@ class ColumnData:
         return total
 
     def simple_top(self, i):
-        """Top of the i-th column projective as an SCModule.
-
-        Computed once per column; the result is shared, so callers must not
-        mutate it."""
+        """Top of the i-th column projective as an SCModule, read off the
+        Peirce blocks (see the class docstring); its dimension is the size
+        of i's class.  Computed once per column; the result is shared, so
+        callers must not mutate it."""
         top = self._tops.get(i)
         if top is None:
-            col = self.columns[i][0]
-            top = self._tops[i] = quotient_sc(col, radical_submodule_sc(col))[0]
+            top = self._tops[i] = self._top(i)
         return top
+
+    def _top(self, i) -> SCModule:
+        f, col, pos = self.sc.field, self.columns[i][0], self._positions[i]
+        spans = [self._radical_rows([pos[c] for c in cs]) for cs in col.coords]  # e_h J e_i
+        proj, free = {}, [()] * len(spans)
+        for j in self.classes[self.class_of[i]]:
+            proj[j], _, free[j] = quotient_by_rows(spans[j])
+        blocks = []
+        for b, (j, h) in enumerate(col.at):
+            if j not in proj:  # grade j of the top is zero
+                blocks.append(Mat.zeros(f, 0, len(free[h])))
+                continue
+            row = proj[j].mul(col.blocks[b])
+            if spans[h].rows and not row.is_zero() and not row.mul(spans[h].transpose()).is_zero():
+                raise QuivhomError("span is not a submodule: it is not action-stable")
+            blocks.append(_take(row, range(row.rows), free[h]))
+        of = [g for _, g in sorted((col.coords[g][c], g) for g in proj for c in free[g])]
+        return SCModule._of_blocks(self.sc, of, col.at, blocks)
 
 
 def table_actions(sc: SCAlgebra, acting, basis, left: bool = True):
@@ -749,6 +789,10 @@ def pd_sc(m: SCModule, cap: int = 20) -> Dim:
 
 
 def gldim_sc(sc: SCAlgebra, cap: int = 20) -> Dim:
-    """Max projective dimension over the simple tops of the column projectives."""
+    """Global dimension, capped: pd of the top Gamma/J, the sum of one simple
+    top per isomorphism class, in one resolution.  gl.dim Gamma = pd(Gamma/J)
+    (Auslander 1955), and the minimal resolution of a sum is the sum of the
+    minimal resolutions, so this is the largest pd of a simple top, capped
+    answers included."""
     cd = column_data(sc)
-    return dim_max(pd_sc(cd.simple_top(members[0]), cap) for members in cd.classes.values())
+    return pd_sc(sum_sc(sc, [cd.simple_top(members[0]) for members in cd.classes.values()]), cap)

@@ -12,7 +12,7 @@ from quivhom import repcat as rc
 from quivhom import repdim
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
-from quivhom.bounds import Dim, syzygy_steps
+from quivhom.bounds import Dim, dim_max, syzygy_steps
 from quivhom.errors import (
     AlgebraMismatch,
     CharPNotSupported,
@@ -354,6 +354,22 @@ def test_radical_sc_in_characteristic_above_the_dimension(name, make, dims):
     rad = alg.radical_sc(sc)
     assert (sc.dim, len(rad)) == dims
     assert rank(Mat.from_rows(sc.field, list(rad) + list(sc.known_radical))) == len(rad)
+
+
+@pytest.mark.parametrize("name, make", [
+    ("A8/rad2", lambda: _linear_rad2(GF(101), 8)),
+    ("N(4,3)", lambda: _cyclic_nakayama(GF(101), 4, 3)),
+    ("N(5,4)", lambda: _cyclic_nakayama(QQ, 5, 4)),
+    ("(k[x]/x2)Q", lambda: rc.path_algebra_over(qv.kronecker(), dual_numbers())),
+    ("kA3", lambda: alg.path_algebra(QQ, qv.a_n(3))),
+])
+def test_gldim_is_the_largest_pd_of_a_simple(name, make):
+    # gldim resolves A/J once; the minimal resolution of a sum is the sum of
+    # those of its summands, so the values agree finite and capped
+    a = make()
+    for cap in (0, 1, 2, 3, 8, 20):
+        want = dim_max(alg.pd(alg.simple_module(a, v), cap) for v in a.quiver.vertices)
+        assert alg.gldim(a, cap) == want, cap
 
 
 def test_hereditary_gldim_bound():

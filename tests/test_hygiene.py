@@ -517,7 +517,7 @@ SCMODULE_SIGNATURES = {
     "SCMap": ["source", "target", "mat"], "SCMap.is_valid": ["self"],
     "zero_sc_module": ["sc"], "regular_module": ["sc"], "sc_module_of_algmod": ["m", "sc"],
     "sum_sc": ["sc", "mods"], "hom_basis_sc": ["m", "n"], "radical_of": ["sc"],
-    "quotient_sc": ["m", "cols"], "radical_submodule_sc": ["m"], "kernel_of_sc": ["f_map"],
+    "quotient_sc": ["m", "cols"], "kernel_of_sc": ["f_map"],
     "ColumnData": ["sc"], "ColumnData.simple_top": ["self", "i"],
     "table_actions": ["sc", "acting", "basis", "left"], "column_data": ["sc"],
     "projective_cover_sc": ["m"], "column_cover_sc": ["m"], "is_projective_sc": ["m"],
@@ -638,3 +638,28 @@ def test_pushing_along_paths_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_quiver_walks_leave_no_cyclic_garbage():
+    # paths_between and _find_cycle recurse through module-level helpers,
+    # not through closures that refer to themselves, so each call frees its
+    # frames by reference counting.  The quivers are built beforehand; only
+    # the two walks run with the collector off.
+    import gc
+
+    acyclic = [q for _, q in qv.d4_orientations()] + [qv.kronecker(), qv.a_n(5)]
+    cyclic = [qv.make_quiver([str(i) for i in range(1, 6)],
+                             [(f"c{i}", str(i), str(i % 5 + 1)) for i in range(1, 6)],
+                             require_acyclic=False),
+              qv.make_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "2")],
+                             require_acyclic=False)]
+    gc.collect()
+    gc.disable()
+    try:
+        paths = [qv.paths_between(q, v, w) for q in acyclic for v in q.vertices for w in q.vertices]
+        cycles = [qv._find_cycle(q.vertices, q.arrows) for q in cyclic]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert sum(map(len, paths)) == 8 * 7 + 12 + 4 + 15  # D4: 6 + 6 paths of length 2
+    assert cycles == [["1", "2", "3", "4", "5", "1"], ["2", "3", "2"]]

@@ -10,10 +10,16 @@ from quivhom import quiver as qv
 from quivhom import repdim
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
-from quivhom.bounds import Dim
+from quivhom.bounds import Dim, dim_max, syzygy_steps
 from quivhom.errors import AlgebraMismatch, DimensionMismatch, NotSplit, QuivhomError
 from quivhom.exactlin import (GF, QQ, Mat, _commuting_rows, _kernel_blocks, _null_space, rank, rref,
                               solve_matrix)
+
+
+def radical_submodule_sc(m):
+    """J*M as the columns of its reduced basis, read grade by grade by the
+    cover's ``_radical_parts``: the reference for quotients by J*M."""
+    return scm._join(m, *scm._radical_parts(m))
 
 
 def sc_kA2():
@@ -150,7 +156,7 @@ def test_simple_top_is_computed_once():
         for i, (col, _) in enumerate(cd.columns):
             top = cd.simple_top(i)
             assert cd.simple_top(i) is top
-            fresh, _, _ = scm.quotient_sc(col, scm.radical_submodule_sc(col))
+            fresh, _, _ = scm.quotient_sc(col, radical_submodule_sc(col))
             assert top == fresh and top.dim == 1
 
 
@@ -172,7 +178,7 @@ def _greedy_cover_generators(m, cd):
     far, as many as the class occurs in the top; each generator is given by
     its column, a coordinate of M."""
     f = m.sc.field
-    proj, _, _ = alg.quotient_by_rows(scm.radical_submodule_sc(m).transpose())
+    proj, _, _ = alg.quotient_by_rows(radical_submodule_sc(m).transpose())
     if proj.rows == 0:
         return [], []
     reached = Mat.zeros(f, 0, proj.rows)
@@ -225,7 +231,7 @@ def _test_modules(sc, cd):
     reg = scm.regular_module(sc)
     cols = [col for col, _ in cd.columns]
     tops = [cd.simple_top(i) for i in range(len(cols))]
-    rad, _ = scm._restrict_sc(reg, *alg._column_basis(sc.field, [scm.radical_submodule_sc(reg)]))
+    rad, _ = scm._restrict_sc(reg, *alg._column_basis(sc.field, [radical_submodule_sc(reg)]))
     sums = [scm.sum_sc(sc, [cols[0], tops[-1], tops[0]]), scm.sum_sc(sc, tops + tops[:1])]
     syz = [scm.kernel_of_sc(scm.projective_cover_sc(t)[1])[0] for t in tops]
     return [reg, rad] + cols + tops + sums + syz
@@ -244,7 +250,7 @@ def test_cover_generators_are_the_greedy_ones(name, field):
         p, pi = scm.projective_cover_sc(m)
         assert pi.is_valid() and rank(pi.mat) == m.dim
         k, incl = scm.kernel_of_sc(pi)
-        rad_p = scm.radical_submodule_sc(p)
+        rad_p = radical_submodule_sc(p)
         assert rank(Mat.hstack(field, [rad_p, incl.mat])) == rad_p.cols  # ker in rad P
 
 
@@ -342,7 +348,7 @@ def _reference_column_data(sc):
             if corner_dim(ei, ej, units) > corner_dim(ei, ej, scm.radical_of(sc)):
                 class_of[i] = class_of[j]
                 break
-    tops = [scm.quotient_sc(col, scm.radical_submodule_sc(col))[0] for col, _ in columns]
+    tops = [scm.quotient_sc(col, radical_submodule_sc(col))[0] for col, _ in columns]
     return columns, class_of, tops
 
 
@@ -414,7 +420,7 @@ def test_submodule_from_columns_solves_nothing(field, monkeypatch):
     for make in SC_ALGEBRAS.values():
         sc = make(field)
         for m in _test_modules(sc, scm.column_data(sc)):
-            cols = scm.radical_submodule_sc(m)
+            cols = radical_submodule_sc(m)
             for mod in (exactlin, alg):  # alg binds the name only while it imports it
                 monkeypatch.setattr(mod, "solve_matrix", counting, raising=False)
             calls.clear()
@@ -491,7 +497,7 @@ def _assert_graded_is_dense(m, others, rad):
     its dense reference."""
     f, sc = m.sc.field, m.sc
     assert list(scm.sum_sc(sc, [m, m]).action) == _dense_sum(sc, [m, m])
-    jm = scm.radical_submodule_sc(m)
+    jm = radical_submodule_sc(m)
     assert jm == _dense_radical(m, rad)
     pieces, total, pi = scm.column_cover_sc(m)
     assert (pieces, pi.mat) == _dense_cover(m, rad)
@@ -560,7 +566,7 @@ def test_one_grade_modules_run_the_same_code(field):
     # dense references, and keeps pd and hom dimensions
     sc = alg.sc_of_bqa(_a3_rad2(field))
     reg = scm.regular_module(sc)
-    rad = scm._restrict_sc(reg, *alg._column_basis(field, [scm.radical_submodule_sc(reg)]))[0]
+    rad = scm._restrict_sc(reg, *alg._column_basis(field, [radical_submodule_sc(reg)]))[0]
     cd = scm.column_data(sc)
     tops = [cd.simple_top(i) for i in range(len(cd.columns))]
     for m in (reg, rad):
@@ -621,7 +627,7 @@ def test_quotient_by_a_span_that_is_no_submodule_is_refused():
     # e_1 + e_2 spans no sum of grades
     with pytest.raises(QuivhomError, match="not the sum of its grades"):
         scm.quotient_sc(reg, Mat.column(QQ, sc.unit))
-    q, proj = cats.sc_cat(sc).quotient(reg, {"*": scm.radical_submodule_sc(reg)})
+    q, proj = cats.sc_cat(sc).quotient(reg, {"*": radical_submodule_sc(reg)})
     assert proj.is_valid() and q.check()
 
 
@@ -696,3 +702,188 @@ def test_sc_map_validity_skips_only_equations_with_no_entries():
         g = scm.SCMap(m, m, Mat.from_rows(QQ, [[c2, 0], [0, c3]]))
         every = all(g.mat.mul(act) == act.mul(g.mat) for act in m.action)
         assert g.is_valid() == every == want, (c2, c3)
+
+
+# -- simple tops and gl.dim against the per-simple constructions they replace ----------
+#
+# A simple top is read off the Peirce blocks, and gl.dim is one resolution
+# of the top Gamma/J.  The references: the quotient of the column by the
+# radical submodule, and the largest pd of the simple tops, each resolved on
+# its own.
+
+def _k3():
+    return qv.make_quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2")])
+
+
+def _a3_middle_sink():
+    return qv.make_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")])
+
+
+REPORT_QUIVERS = {"Kronecker": qv.kronecker, "k3": _k3, "A2": lambda: qv.a_n(2),
+                  "A3 middle sink": _a3_middle_sink,
+                  **{f"D4{bits}": (lambda bits=bits: qv.d4(bits)) for bits, _ in qv.d4_orientations()}}
+
+
+def _report_algebras(q, field=QQ):
+    """The algebras whose gl.dim the report over q with A = k computes:
+    E = End(X-bar), Sigma and End(X2)."""
+    k = alg.ground_field_algebra(field)
+    xbar = repdim.build_xbar(q, k, [alg.AlgMod(k, {"1": 1}, {})])
+    n1, n2 = len(xbar.x1), len(xbar.x2)
+    i1, i2 = range(n1), range(n1, n1 + n2)
+    e = repdim.end_xbar(xbar)
+    return {"E": e.sc, "Sigma": e.triangular(i1, i2).sc, "End(X2)": e.corner(i2).sc}
+
+
+def _kronecker_end_with_duplicate(field):
+    # End(X-bar + X_1) over the Kronecker quiver: X_1 and its copy form a class of two
+    k, q = alg.ground_field_algebra(field), qv.kronecker()
+    summands = repdim.build_xbar(q, k, [alg.AlgMod(k, {"1": 1}, {})]).all_summands()
+    return endo.end_algebra(summands + [summands[1]], cats.rep_cat(q, k)).sc
+
+
+def _nakayama(field, n, length):
+    """The cyclic quiver on n vertices with every path of the given length zero."""
+    arrows = [(f"c{i}", str(i), str(i % n + 1)) for i in range(1, n + 1)]
+    q = qv.make_quiver([str(i) for i in range(1, n + 1)], arrows, require_acyclic=False)
+    rels = [[(1, qv.Path(str(i), str((i - 1 + length) % n + 1),
+                         tuple(f"c{(i - 1 + t) % n + 1}" for t in range(length))))]
+            for i in range(1, n + 1)]
+    return alg.build_bqa(field, q, rels, length)
+
+
+def _linear_rad2(field, n):
+    rels = [[(1, qv.Path(str(i), str(i + 2), (f"a{i}", f"a{i + 1}")))] for i in range(1, n - 1)]
+    return alg.build_bqa(field, qv.a_n(n), rels, 2)
+
+
+TOP_ALGEBRAS = {
+    **{f"{part} {name}": (lambda name=name, part=part: _report_algebras(REPORT_QUIVERS[name]())[part])
+       for name in REPORT_QUIVERS for part in ("E", "Sigma", "End(X2)")},
+    "E Kronecker + X_1": lambda: _kronecker_end_with_duplicate(QQ),
+    "E Kronecker + X_1 over GF(3)": lambda: _kronecker_end_with_duplicate(GF(3)),
+    "E Kronecker over GF(2)": lambda: _report_algebras(qv.kronecker(), GF(2))["E"],
+    "E k3 over GF(3)": lambda: _report_algebras(_k3(), GF(3))["E"],
+    "E D4(1, 0, 1) over GF(2)": lambda: _report_algebras(qv.d4((1, 0, 1)), GF(2))["E"],
+    "End(P1+P2+P1) over GF(2)": lambda: _end_with_duplicate(GF(2)),
+    "Auslander(dual) over GF(3)": lambda: _auslander_dual(GF(3)),
+    "M2": lambda: _m2(QQ),
+    "N(4,3)": lambda: alg.sc_of_bqa(_nakayama(GF(101), 4, 3)),
+    "N(5,4)": lambda: alg.sc_of_bqa(_nakayama(QQ, 5, 4)),
+    "N(3,2) over GF(2)": lambda: alg.sc_of_bqa(_nakayama(GF(2), 3, 2)),
+    "A8/rad2": lambda: alg.sc_of_bqa(_linear_rad2(GF(101), 8)),
+    "dual": lambda: alg.sc_of_bqa(_dual(QQ)),
+    "T2(A4/rad2)": lambda: tm.t2_spec(_a4_rad2(GF(101))).t,
+    "T2(k)": lambda: tm.t2_spec(alg.ground_field_algebra(QQ)).t,
+    "T2(dual)": lambda: tm.t2_spec(_dual(QQ)).t,
+}
+
+
+def _typed(m):
+    """m's grading and blocks, with the type of every entry."""
+    return (m.grade, m.at, [(b.rows, b.cols, b.entries, tuple(map(type, b.entries)))
+                            for b in m.blocks])
+
+
+@pytest.mark.parametrize("name", list(TOP_ALGEBRAS))
+def test_simple_tops_are_the_quotients_by_the_radical_submodule(name):
+    sc = TOP_ALGEBRAS[name]()
+    cd = scm.column_data(sc)
+    for i, (col, _) in enumerate(cd.columns):
+        top = cd.simple_top(i)
+        ref = scm.quotient_sc(col, radical_submodule_sc(col))[0]
+        assert top.at is ref.at and _typed(top) == _typed(ref), i
+        assert top.dim == len(cd.classes[cd.class_of[i]]) and top.check()
+
+
+def test_the_reference_algebras_have_classes_of_two():
+    # the tops of a class of two have two grades, one scalar per basis
+    # element between them
+    for name in ("E Kronecker + X_1", "E Kronecker + X_1 over GF(3)", "End(P1+P2+P1) over GF(2)", "M2"):
+        cd = scm.column_data(TOP_ALGEBRAS[name]())
+        assert max(map(len, cd.classes.values())) == 2, name
+
+
+@pytest.mark.parametrize("name", list(TOP_ALGEBRAS))
+def test_gldim_sc_is_the_largest_pd_of_a_simple_top(name):
+    # the minimal resolution of the top is the sum of those of its simples,
+    # so the values agree finite and capped
+    sc = TOP_ALGEBRAS[name]()
+    cd = scm.column_data(sc)
+    tops = [cd.simple_top(members[0]) for members in cd.classes.values()]
+    for cap in (0, 1, 2, 3, 8, 20):
+        assert scm.gldim_sc(sc, cap) == dim_max(scm.pd_sc(top, cap) for top in tops), cap
+
+
+def test_gldim_sc_reaches_its_cap_on_the_reference_algebras():
+    got = {name: scm.gldim_sc(TOP_ALGEBRAS[name](), 3)
+           for name in ("N(4,3)", "N(5,4)", "dual", "A8/rad2", "T2(A4/rad2)", "E Kronecker")}
+    assert got == {"N(4,3)": Dim.at_least(3), "N(5,4)": Dim.at_least(3), "dual": Dim.at_least(3),
+                   "A8/rad2": Dim.at_least(3), "T2(A4/rad2)": Dim.at_least(3),
+                   "E Kronecker": Dim.finite(3)}
+
+
+CARTAN_ALGEBRAS = [f"{part} {name}" for name in REPORT_QUIVERS
+                   for part in ("E", "Sigma", "End(X2)")] + ["T2(A4/rad2)", "A8/rad2"]
+
+
+@pytest.mark.parametrize("name", CARTAN_ALGEBRAS)
+def test_the_top_resolution_satisfies_the_cartan_identity(name):
+    # over an algebra of finite gl.dim, sum_i (-1)^i [P_i] = [Gamma/J] in the
+    # Grothendieck group: with C the Cartan matrix (C[j][i] = dim e_j Gamma
+    # e_i, read off the Peirce blocks), C times the alternating sum of the
+    # piece counts of the P_i is dim e_j (Gamma/J) = 1 at every idempotent
+    sc = TOP_ALGEBRAS[name]()
+    cd = scm.column_data(sc)
+    n = len(sc.idempotents)
+    cartan = [[0] * n for _ in range(n)]
+    for j, i in scm._gradings(sc)[0]:
+        cartan[j][i] += 1
+    top = scm.sum_sc(sc, [cd.simple_top(members[0]) for members in cd.classes.values()])
+    pieces = []
+
+    def cover(m):
+        got, p, pi = scm.column_cover_sc(m)
+        pieces.append(got)
+        return p, pi
+
+    steps = syzygy_steps(top, [], 21, cover, scm.kernel_of_sc)
+    assert steps[-1][2].is_zero() and len(pieces) == len(steps)
+    assert scm.gldim_sc(sc) == Dim.finite(len(steps) - 1)
+    euler = [0] * n
+    for t, got in enumerate(pieces):
+        for i in got:
+            euler[i] += (-1) ** t
+    assert [sum(c * x for c, x in zip(row, euler)) for row in cartan] == [1] * n
+
+
+def test_radical_of_computes_the_trace_form_radical_once_per_algebra(monkeypatch):
+    # a table built without a radical: covers, classes and tops all read it,
+    # and radical_of computes it once and keeps it on the algebra
+    known = alg.sc_of_bqa(_a3_rad2(QQ))
+    bare = alg.SCAlgebra(known.field, known.mult, known.unit, idempotents=known.idempotents)
+    want = scm.gldim_sc(known)
+    calls, real = [], scm.radical_sc
+
+    def counting(sc):
+        calls.append(sc)
+        return real(sc)
+
+    monkeypatch.setattr(scm, "radical_sc", counting)
+    assert scm.gldim_sc(bare) == want == Dim.finite(2)
+    assert scm.is_projective_sc(scm.regular_module(bare))
+    assert calls == [bare]
+    assert scm.radical_of(bare) == list(real(bare))
+    assert len(calls) == 1 and scm.radical_of(known) == list(known.known_radical)
+
+
+def test_a_radical_that_is_no_left_ideal_is_refused_by_the_top():
+    # kA3 given span(a1, a2) as its radical, without the path a1*a2: a2 moves
+    # a1 in J e_1 out of it, so the top of Gamma*e_1 is no quotient module
+    sc = alg.sc_of_bqa(alg.path_algebra(QQ, qv.a_n(3)))
+    rad = [tuple(int(label == name) for label in sc.labels) for name in ("a1", "a2")]
+    bad = alg.SCAlgebra(QQ, sc.mult, sc.unit, idempotents=sc.idempotents, radical=rad)
+    cd = scm.column_data(bad)
+    first = next(i for i, (col, _) in enumerate(cd.columns) if col.dim == 3)
+    with pytest.raises(QuivhomError, match="not action-stable"):
+        cd.simple_top(first)
