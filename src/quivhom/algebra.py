@@ -27,6 +27,7 @@ pieces, and Ext reads Hom(P_i, N) off those pieces with no hom basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 
 from .bounds import Dim, syzygy_pd, syzygy_steps
@@ -42,8 +43,8 @@ from .errors import (
 )
 from .exactlin import (Field, Mat, _commuting_rows, _kernel_blocks, _null_space, _reduced_span, rank,
                        rref)
-from .quiver import (Path, Quiver, arrow_path, concat, longest_path, make_quiver, single_vertex,
-                     trivial_path)
+from .quiver import (Path, Quiver, arrow_path, check_path, concat, longest_path, make_quiver,
+                     single_vertex, trivial_path)
 
 
 def _paths_up_to(q: Quiver, n: int):
@@ -63,18 +64,22 @@ def _path_key(p: Path):
 
 
 class BQA:
-    """Bound quiver algebra over a field; basis = path normal forms."""
+    """Bound quiver algebra over a field; basis = path normal forms.  A relation
+    lists (coefficient: an int, or over QQ a Fraction; path of the quiver) terms."""
 
     def __init__(self, field: Field, quiver: Quiver, relations, nbound: int, name: str = ""):
-        if nbound < 1:
-            raise QuivhomError("nilpotency bound must be >= 1")
+        if not isinstance(nbound, int) or nbound < 1:
+            raise QuivhomError(f"nilpotency bound must be an int >= 1, not {nbound!r}")
         self.field = field
         self.quiver = quiver
         self.nbound = nbound
         self.name = name
         self.relations = []
         for rel in relations:
-            terms = [(field.of_int(c) if isinstance(c, int) else c, p) for c, p in rel]
+            for c, _ in rel:
+                if not isinstance(c, int) and not (field.kind == "q" and isinstance(c, Fraction)):
+                    raise QuivhomError(f"relation coefficient {c!r} is not a scalar of {field}")
+            terms = [(field.of_int(c) if isinstance(c, int) else c, check_path(quiver, p)) for c, p in rel]
             if not terms:
                 continue
             src = {p.source for _, p in terms}
@@ -954,7 +959,7 @@ class SCAlgebra:
     algebra, and shared by every product; like the table it is never mutated.
     """
 
-    def __init__(self, field: Field, mult, unit, idempotents=None, radical=None, labels=None):
+    def __init__(self, field: Field, mult, unit, idempotents=None, radical=None):
         self.field = field
         self.mult = tuple(tuple(tuple(v) for v in row) for row in mult)
         self.dim = len(self.mult)
@@ -967,7 +972,6 @@ class SCAlgebra:
             if len(vec) != n:
                 raise DimensionMismatch(f"{name} has {len(vec)} coordinates, not the dimension {n}")
         self.known_radical = tuple(tuple(r) for r in radical) if radical is not None else None
-        self.labels = tuple(labels) if labels is not None else None
         # one shared zero: products then compare equal by identity where zero
         self._zero = field.zero()
         self._coldata = None  # built once by scmodule.column_data
@@ -1047,8 +1051,7 @@ def sc_of_bqa(a: BQA) -> SCAlgebra:
         vec = [f.zero()] * a.dim
         vec[i] = f.one()
         rad.append(tuple(vec))
-    labels = [str(p) for p in a.basis]
-    a._sc = SCAlgebra(f, mult, a.unit_vector(), idempotents=idems, radical=rad, labels=labels)
+    a._sc = SCAlgebra(f, mult, a.unit_vector(), idempotents=idems, radical=rad)
     return a._sc
 
 

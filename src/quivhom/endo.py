@@ -3,7 +3,8 @@
 The summands may be base-algebra modules or quiver representations; the
 category adapter :class:`cats.Cat` (``cats.mod_cat`` / ``cats.rep_cat``)
 hides the difference.  Products compose in the usual order
-(f * g = f o g), so Hom(U, W) is a left End(W)-module by post-composition.
+(f * g = f o g), so Hom(U, W) is a left End(W)-module by post-composition,
+and the hom block of a basis index is read off ``blocks`` (``block_of``).
 The isomorphism End(sum_v e^v_side(A)) = (End A)Q' is checked in the End
 algebra of the adjoints (in the pipeline, a corner of End(X-bar)): the map
 attached to a path p and a basis map g of End A places g between the copies
@@ -65,6 +66,11 @@ class EndAlgebra:
                 out.extend(range(off, off + len(basis)))
         return out
 
+    def block_of(self, b):
+        """(i, j, t): b is the t-th basis map of the first hom block ending after b."""
+        (i, j), (off, _) = next((k, v) for k, v in self.blocks.items() if b < v[0] + len(v[1]))
+        return i, j, b - off
+
     def corner(self, idx) -> "EndAlgebra":
         """End(sum of the summands at ``idx``, in summand order) as the corner
         eEe; built once per index list and shared, so not to be mutated.
@@ -99,7 +105,7 @@ class EndAlgebra:
         f, sc = self.cat.field, self.sc
         rad_of = {}  # E's radical vectors by hom block; each lies in one
         for x in sc.known_radical:
-            rad_of.setdefault(sc.labels[next(b for b, c in enumerate(x) if c)][:2], []).append(x)
+            rad_of.setdefault(self.block_of(next(b for b, c in enumerate(x) if c))[:2], []).append(x)
         kept = {(i, j): [] if (i, j) in dropped else self.positions((i,), (j,))
                 for i in idx for j in idx}
         pos = [z for i in idx for j in idx for z in kept[(i, j)]]
@@ -117,9 +123,7 @@ class EndAlgebra:
         sub = SCAlgebra(f, [[tuple(sc.mult[x][y][z] for z in pos) for y in pos] for x in pos],
                         [sc.unit[z] for z in pos],
                         idempotents=[[sc.idempotents[i][z] for z in pos] for i in idx],
-                        radical=radical,
-                        labels=[(a, b, t) for (a, b), (_, basis) in blocks.items()
-                                for t in range(len(basis))])
+                        radical=radical)
         return EndAlgebra(sub, [self.summands[i] for i in idx], self.cat, blocks)
 
 
@@ -160,8 +164,7 @@ def end_algebra(summands, cat: Cat) -> EndAlgebra:
         unit = [f.add(u, x) for u, x in zip(unit, e)]
     parts = _block_radical(f, blocks, mult, len(summands))
     sc = SCAlgebra(f, mult, tuple(unit), idempotents=[tuple(e) for e in idems],
-                   radical=[x for _, vecs in parts.values() for x in vecs],
-                   labels=[(i, j, t) for (i, j), (_, basis) in blocks.items() for t in range(len(basis))])
+                   radical=[x for _, vecs in parts.values() for x in vecs])
     _certify_radical(sc, blocks, parts)
     return EndAlgebra(sc, summands, cat, blocks)
 
@@ -332,8 +335,7 @@ def path_block_algebra(gamma: SCAlgebra, q: Quiver) -> tuple:
     for v in q.vertices:
         pi = path_index[trivial_path(v)]
         unit[pi * n:(pi + 1) * n] = gamma.unit
-    sc = SCAlgebra(f, mult, tuple(unit), labels=[(str(p), g) for p, g in labels])
-    return sc, labels
+    return SCAlgebra(f, mult, tuple(unit)), labels
 
 
 @dataclass
@@ -377,7 +379,7 @@ def adjoint_end_iso(q: Quiver, gamma: EndAlgebra, lhs: EndAlgebra) -> EndIsoRepo
     express = _block_reader(lhs.cat, lhs.blocks, lhs.dim)
     coords = []
     for p, g in labels:
-        a_s, a_t, t = gamma.sc.labels[g]
+        a_s, a_t, t = gamma.block_of(g)
         i, j = verts.index(p.target) * n_a + a_s, verts.index(p.source) * n_a + a_t
         src, dst = lhs.summands[i], lhs.summands[j]
         pairs = {}

@@ -29,6 +29,10 @@ class UnknownVertex(QuivhomError):
     pass
 
 
+class NotAPath(QuivhomError):
+    pass
+
+
 class NotAdmissible(QuivhomError):
     pass
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import CycleFound, DuplicateArrowId, DuplicateVertexId, QuivhomError, UnknownVertex
+from .errors import (CycleFound, DuplicateArrowId, DuplicateVertexId, NotAPath, QuivhomError,
+                     UnknownVertex)
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,21 @@ def trivial_path(v: str) -> Path:
 
 def arrow_path(a: Arrow) -> Path:
     return Path(a.source, a.target, (a.name,))
+
+
+def check_path(q: Quiver, p: Path) -> Path:
+    """``p``, a path of ``q`` (else ``UnknownVertex`` for an end, or
+    ``NotAPath`` for arrows that do not run from its source to its target)."""
+    if p.source not in q.vertices or p.target not in q.vertices:
+        raise UnknownVertex(f"path {p} runs from {p.source} to {p.target}: not both vertices")
+    arrows, at = {a.name: a for a in q.arrows}, p.source
+    for name in p.arrows:
+        if name not in arrows or arrows[name].source != at:
+            raise NotAPath(f"path {p}: no arrow {name!r} of the quiver leaves {at}")
+        at = arrows[name].target
+    if at != p.target:
+        raise NotAPath(f"path {p} ends at {at}, not at its target {p.target}")
+    return p
 
 
 def concat(first: Path, second: Path) -> Path:

@@ -47,18 +47,15 @@ from .scmodule import gldim_sc, is_projective_sc, pd_sc
 @dataclass
 class XBar:
     """X-bar = X1 + X2 + X3 over Lambda Q, with gamma = End(A), built once
-    by ``build_xbar``: the report reads n = gl.dim End(A) off it."""
+    by ``build_xbar``: the report reads n = gl.dim End(A) off it.  A summand
+    e^v_side(A_i) holds (side, v, A_i) in its ``_adjoint`` tag."""
 
     quiver: Quiver
     algebra: object
     x1: list
     x2: list
     x3: list
-    labels1: list
-    labels2: list
-    labels3: list
     hypothesis_ok: bool
-    degenerate: bool
     gamma: endo.EndAlgebra
 
     def all_summands(self):
@@ -119,20 +116,12 @@ def build_xbar(q: Quiver, a, summands) -> XBar:
     s = sinks(q)
     non = [v for v in q.vertices if v not in s]
 
-    def bundle(*parts):  # (kind, vertices): the adjoints of every summand
-        objs, labels = [], []
-        for kind, verts in parts:
-            adjoint = rc.left_adjoint if kind == "lambda" else rc.right_adjoint
-            for v in verts:
-                for i, m in enumerate(summands):
-                    objs.append(adjoint(q, v, m))
-                    labels.append((kind, v, i))
-        return objs, labels
+    def bundle(*parts):  # (adjoint, vertices): the adjoints of every summand
+        return [adjoint(q, v, m) for adjoint, verts in parts for v in verts for m in summands]
 
-    (x1, l1), (x2, l2) = bundle(("lambda", s)), bundle(("lambda", non), ("rho", s))
-    x3, l3 = bundle(("rho", non))
-    return XBar(q, a, x1, x2, x3, l1, l2, l3,
-                hypothesis_ok=not is_type_An(q), degenerate=not non, gamma=gamma)
+    lam, rho = rc.left_adjoint, rc.right_adjoint
+    return XBar(q, a, bundle((lam, s)), bundle((lam, non), (rho, s)), bundle((rho, non)),
+                hypothesis_ok=not is_type_An(q), gamma=gamma)
 
 
 @dataclass
@@ -156,8 +145,8 @@ def verify_proof_steps(xbar: XBar, e: endo.EndAlgebra, gamma: endo.EndAlgebra, n
     n1, n2 = len(xbar.x1), len(xbar.x2)
     i1, i2 = range(n1), range(n1, n1 + n2)
     i3 = range(n1 + n2, len(e.summands))
-    lam2 = [n1 + k for k, l in enumerate(xbar.labels2) if l[0] == "lambda"]
-    rho2 = [n1 + k for k, l in enumerate(xbar.labels2) if l[0] == "rho"]
+    lam2, rho2 = ([n1 + k for k, x in enumerate(xbar.x2) if x._adjoint[0] == side]
+                  for side in ("lambda", "rho"))
     vanish = {
         "Hom(X1,X3)": len(e.positions(i1, i3)),
         "Hom(X2,X1)": len(e.positions(i2, i1)),

@@ -36,9 +36,10 @@ and is grouped into an isomorphism class with the other columns so that
 duplicated idempotents are handled correctly.
 
 A submodule is read off the rows where its basis is the identity
-(``_restrict_sc``), one ``algebra._read_off_units`` per grade: a kernel
-takes the basis of ``exactlin._null_space`` as it is, one elimination per
-grade.  Projective dimensions read the syzygy steps of ``bounds.syzygy_steps``.
+(``_submodule``), one ``algebra._read_off_units`` per grade: a kernel
+takes the basis of ``exactlin._null_space`` of each grade as it is, one
+elimination per grade.  Projective dimensions read the syzygy steps of
+``bounds.syzygy_steps``.
 
 Over a split algebra e_i kills every simple but the top S_i of Gamma*e_i, and
 e_i S_i is k, so the copies of S_i in M/JM are counted by dim e_i (M/JM) and
@@ -102,15 +103,6 @@ def _take(m: Mat, rows, cols) -> Mat:
         return m
     e, w = m.entries, m.cols
     return Mat(m.field, len(rows), len(cols), tuple([e[r * w + c] for r in rows for c in cols]))
-
-
-def _places(m: "SCModule"):
-    """The place of each coordinate among those of its grade."""
-    out = [0] * m.dim
-    for cs in m.coords:
-        for p, c in enumerate(cs):
-            out[c] = p
-    return out
 
 
 def _nonzeros(m: Mat) -> int:
@@ -496,22 +488,6 @@ def _submodule(m: SCModule, of, parts) -> SCModule:
     return SCModule._of_blocks(m.sc, of, m.at, blocks)
 
 
-def _restrict_sc(m: SCModule, basis: Mat, units):
-    """(the submodule spanned by the columns of ``basis``, its inclusion),
-    for a basis that is the identity at the rows ``units``, as
-    ``exactlin._null_space`` and ``algebra._column_basis`` return them: the
-    restricted actions are read off those rows grade by grade
-    (``_submodule``)."""
-    of, place, parts = [m.grade[u] for u in units], _places(m), []  # of its unit row's grade
-    for g, cs in enumerate(m.coords):
-        ks = [t for t, h in enumerate(of) if h == g]
-        parts.append((_take(basis, cs, ks), [place[units[t]] for t in ks]))
-    if sum(_nonzeros(b) for b, _ in parts) != _nonzeros(basis):
-        raise QuivhomError("span is not action-stable: a column mixes grades")
-    sub = _submodule(m, of, parts)
-    return sub, SCMap(sub, m, basis)
-
-
 def quotient_sc(m: SCModule, cols: Mat):
     """(M / span(cols), the projection onto it, a linear section of the
     projection), in ``algebra.quotient_by_rows``'s complement, grade by
@@ -520,7 +496,10 @@ def quotient_sc(m: SCModule, cols: Mat):
     span(cols) must be a submodule: the sum of its grades (clear when each
     column lies in one grade, else its rank is the sum of theirs) and stable
     under every block (proj_j . a_b kills the grade-i rows of the columns).
-    Else ``QuivhomError``."""
+    Else ``QuivhomError``.  A zero span gives (M, I, I), as the general code would."""
+    if not any(cols.entries):
+        one = Mat.identity(m.sc.field, m.dim)
+        return m, one, one
     spans = [_take(cols, cs, range(cols.cols)) for cs in m.coords]
     parts = [quotient_by_rows(span.transpose()) for span in spans]
     kept = sum(len(free) for _, _, free in parts)
@@ -562,25 +541,25 @@ def _radical_parts(m: SCModule):
 def kernel_of_sc(f_map: SCMap):
     """Kernel submodule with its inclusion: per grade the null space of the
     map's block (``exactlin._null_space``, the identity at its free rows),
-    one elimination per grade, and the module restricted to their sum."""
+    one elimination per grade, is that grade of the kernel (``_submodule``)."""
     m, n = _one_grade([f_map.source, f_map.target])
     blocks = f_map._blocks(n, m)
     if blocks is None:
         raise QuivhomError("the map has an entry between different grades: no module map")
     parts = [_null_space(blk) for blk in blocks]
-    units = sorted(cs[c] for cs, (_, free) in zip(m.coords, parts) for c in free)
-    sub, incl = _restrict_sc(m, _join(m, [m.grade[u] for u in units], [b for b, _ in parts]), units)
-    return sub, SCMap(sub, f_map.source, incl.mat)
+    of = [m.grade[u] for u in sorted(cs[c] for cs, (_, free) in zip(m.coords, parts) for c in free)]
+    sub = _submodule(m, of, parts)
+    return sub, SCMap(sub, f_map.source, _join(m, of, [b for b, _ in parts]))
 
 
 class ColumnData:
     """Projectives Gamma*e_i with their isomorphism classes (split case),
     read off the Peirce grading; :func:`column_data` keeps one per algebra.
 
-    The basis must be adapted to the idempotents (else :class:`NotSplit`):
-    b*e_i and e_j*b are b or 0 for every basis element b, so b lies in one
-    block e_j Gamma e_i.  Column i, Gamma*e_i, is spanned by the basis
-    elements with b*e_i = b, graded by their ends; its action is the
+    The basis must be adapted to the idempotents, read off ``sc`` and not
+    copied (else :class:`NotSplit`): b*e_i and e_j*b are b or 0, so each
+    basis element b lies in one block e_j Gamma e_i.  Gamma*e_i is spanned
+    by the b with b*e_i = b, graded by their ends; its action is the
     sub-table a*b = mult[a][b] on them and its inclusion into Gamma their
     0/1 position matrix.  J*Gamma*e_i = J*e_i is spanned by the radical
     vectors restricted to those positions, and dim e_j J e_i is the rank of
@@ -609,7 +588,6 @@ class ColumnData:
         self.sc = sc
         f = sc.field
         self._positions = [[b for b in range(sc.dim) if peirce[b][1] == i] for i in range(n)]
-        self.idem_mats = list(sc.idempotents)
         self.radical = radical_of(sc)
         self.columns = []
         for pos in self._positions:
@@ -739,7 +717,7 @@ def _cover_generators(m: SCModule, of, subs):
     reached = len(of)
     for members in coldata.classes.values():
         i = members[0]
-        ((g, _), e_blk), = _act_blocks(m, coldata.idem_mats[i]).items()
+        ((g, _), e_blk), = _act_blocks(m, m.sc.idempotents[i]).items()
         # no generator where sub fills the grade (or the grade is empty)
         chosen = _pivot_columns(m.sc.field, subs[g], e_blk) if subs[g].cols < e_blk.rows else []
         pieces.extend([i] * len(chosen))
@@ -761,7 +739,7 @@ def _map_from_columns(m: SCModule, pieces, gens):
     coldata = column_data(m.sc)
     total = coldata._column_sum(pieces)
     of, cols = [], [[] for _ in m.coords]
-    place = _places(m)
+    place = {c: p for cs in m.coords for p, c in enumerate(cs)}  # c's place in its grade
     for i, c in zip(pieces, gens):
         for b in coldata._positions[i]:
             of.append(m.at[b][0])

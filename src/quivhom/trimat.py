@@ -15,12 +15,12 @@ three, and a map of triples is the T-module map diag(u, w) (``TripleMap``).
 So hom bases, kernels, quotients, covers, pd and gl.dim are ``scmodule``'s
 over T.
 
-What stays here is the tensor M (x)_R -, which phi is defined on and which
-``derived`` pushes witnesses through, the column projectives
-e^1_lambda(Re_i) = (Re_i, M(x)Re_i)_1 and e^2_lambda(Se_j) = (0, Se_j)_0,
-and the maps of the standard triangle 0 -> (0, M(x)X)_0 -> (X, M(x)X)_1 +
-(0, Y)_0 -> (X, Y)_phi -> 0 (``triple_ses``).  The repdim proof builds no
-triple: its Sigma is a sub-table of End(X-bar) (``endo.EndAlgebra.triangular``).
+What stays here is the tensor M (x)_R -, on which phi is defined and
+through which ``derived`` pushes witnesses (``scmodule.quotient_sc`` of
+M (x)_k X, M's left S-module kept on the spec with I_X on each block), the
+column projectives e^1_lambda(Re_i) = (Re_i, M(x)Re_i)_1 and
+e^2_lambda(Se_j) = (0, Se_j)_0, and the maps of the standard triangle
+(``triple_ses``).  The repdim proof builds no triple: Sigma is a sub-table of End(X-bar).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
-from .algebra import SCAlgebra, quotient_by_rows, sc_of_bqa
+from .algebra import SCAlgebra, sc_of_bqa
 from .bounds import Dim, dim_max
 from .errors import AlgebraMismatch, CompositionInconsistent, DimensionMismatch, QuivhomError
 from .exactlin import Mat, rank
@@ -85,7 +85,8 @@ class TriRingSpec:
         if not self.m.check():
             raise QuivhomError("bimodule axioms fail")
         z = Mat.zeros(self.r.field, 0, 0)
-        self.zero_tensor = TensorData([], z, z, [z] * self.s.dim)
+        self.zero_tensor = TensorData([], z, z, scm.zero_sc_module(self.s))
+        self._m_left = SCModule(self.s, self.m.dim, self.m.left)  # M over S, shared: never mutate
         self.t = _triangular_algebra(self.r, self.s, self.m)
         scm.column_data(self.t)
 
@@ -96,7 +97,7 @@ class TriRingSpec:
         return scm.column_data(self.s)
 
     def m_as_left_s_module(self) -> SCModule:
-        return SCModule(self.s, self.m.dim, list(self.m.left))
+        return self._m_left
 
 
 def _triangular_algebra(r: SCAlgebra, s: SCAlgebra, m: Bimodule) -> SCAlgebra:
@@ -143,7 +144,7 @@ class TensorData:
     free: list  # the pure coordinates (m_k, x_j), k*xdim + j, the quotient keeps
     proj: Mat  # (tensor dim) x (m*x): quotient projection
     lift: Mat  # (m*x) x (tensor dim): section of proj, the unit vectors at free
-    s_action: list  # induced left S-action matrices on the tensor
+    module: SCModule  # the tensor as a left S-module
 
     @property
     def dim(self) -> int:
@@ -151,12 +152,16 @@ class TensorData:
 
 
 def tensor_basis(spec: TriRingSpec, x: SCModule) -> TensorData:
-    """M (x)_R X as the quotient of the free span of pure pairs (m_k, x_j) by
-    the relations m c (x) x - m (x) c x, c in the basis of R
-    (``quotient_by_rows``).  X = 0 gives the spec's shared zero tensor."""
+    """M (x)_R X: ``scmodule.quotient_sc`` of M (x)_k X (the left S-module M
+    with I_X tensored on each block, the pure pair (m_k, x_j) at
+    k * dim X + j) by the relations m c (x) x - m (x) c x, c in the basis of
+    R, each in the S-grade of its m.  X = 0 gives the spec's shared zero
+    tensor, and an X not over R raises ``AlgebraMismatch``."""
+    if x.sc is not spec.r:
+        raise AlgebraMismatch("X must be a module over the triple ring's R")
     if not x.dim:
         return spec.zero_tensor
-    f, mdim, xdim = spec.r.field, spec.m.dim, x.dim
+    f, mdim, xdim, ml = spec.r.field, spec.m.dim, x.dim, spec.m_as_left_s_module()
     rel_rows = []
     for rho, act in zip(spec.m.right, x.action):
         for i in range(mdim):
@@ -168,15 +173,12 @@ def tensor_basis(spec: TriRingSpec, x: SCModule) -> TensorData:
                 row[at] = [f.sub(a, b) for a, b in zip(row[at], act.entries[j::xdim])]
                 if any(row):
                     rel_rows.append(row)
-    proj, lift, free = quotient_by_rows(Mat.from_rows(f, rel_rows) if rel_rows
-                                        else Mat.zeros(f, 0, mdim * xdim))
-    one_x = Mat.identity(f, xdim)
-    s_action = [proj.mul(Mat.kron(b, one_x)).mul(lift) for b in spec.m.left]
-    return TensorData(free, proj, lift, s_action)
-
-
-def tensor_module(spec: TriRingSpec, td: TensorData) -> SCModule:
-    return SCModule(spec.s, td.dim, list(td.s_action))
+    mx = SCModule._of_blocks(spec.s, [g for g in ml.grade for _ in range(xdim)], ml.at,
+                             [Mat.kron(b, Mat.identity(f, xdim)) for b in ml.blocks])
+    module, proj, lift = scm.quotient_sc(mx, Mat.from_rows(f, rel_rows).transpose() if rel_rows
+                                         else Mat.zeros(f, mdim * xdim, 0))
+    free = [lift.entries[t::lift.cols].index(f.one()) for t in range(lift.cols)]
+    return TensorData(free, proj, lift, module)
 
 
 def tensor_map(spec: TriRingSpec, td_src: TensorData, td_dst: TensorData, u: Mat) -> Mat:
@@ -192,22 +194,26 @@ class TripleModule(SCModule):
     and m_k by psi_k = phi(m_k (x) -) : X -> Y.  When X and Y are graded by
     R's and S's idempotents its grades are R's, then S's, and each basis
     element of T keeps its block: x_c, the block of psi_k, y_b; else it has
-    one grade.  The constructor keeps the ``x``, ``y``, ``phi`` and
-    M (x) X (``tensor``, built here if not passed) that it is given: the
-    T-module is assembled from them, and column t of the phi read back
-    would be psi_k x_j = phi.proj.e_t = phi e_t, since proj is the identity
-    at the free pairs.  Triples made by ``of_module`` and ``triple_sum``
-    read their parts back off T, once, when first asked."""
+    one grade.  The constructor keeps the ``x``, ``y`` and ``phi`` it is
+    given and M (x) X (``tensor``, from ``tensor_basis``): the T-module is
+    assembled from them, and column t of the phi read back would be
+    psi_k x_j = phi.proj.e_t = phi e_t, since proj is the identity at the
+    free pairs.  Triples made by ``of_module`` and ``triple_sum`` read their
+    parts back off T, once, when first asked."""
 
-    def __init__(self, spec: TriRingSpec, x: SCModule, y: SCModule, phi: Mat, tensor=None):
-        if x.sc is not spec.r or y.sc is not spec.s:
-            raise AlgebraMismatch("X must be over R and Y over S of the triple's ring")
-        td = tensor_basis(spec, x) if tensor is None else tensor
+    def __init__(self, spec: TriRingSpec, x: SCModule, y: SCModule, phi: Mat):
+        self._keep(spec, x, y, phi, tensor_basis(spec, x))
+
+    def _keep(self, spec: TriRingSpec, x: SCModule, y: SCModule, phi: Mat, td: TensorData):
+        """(X, Y)_phi on ``td``, the tensor of X that e1/e2_lambda hold."""
+        if y.sc is not spec.s:
+            raise AlgebraMismatch("Y must be a module over the triple ring's S")
         if (phi.rows, phi.cols) != (y.dim, td.dim):
             raise DimensionMismatch("phi must map the tensor onto Y")
         a, psi = x.dim, phi.mul(td.proj)
         self._assemble(spec, x, y, [psi.col_block(k * a, k * a + a) for k in range(spec.m.dim)])
         self.__dict__.update(x=x, y=y, phi=phi, tensor=td)
+        return self
 
     def _assemble(self, spec: TriRingSpec, x: SCModule, y: SCModule, psis) -> "TripleModule":
         """Hold (X, Y, psi_k) as the T-module: by blocks when X and Y are
@@ -299,12 +305,14 @@ class TripleMap(SCMap):
 
 def e1_lambda(spec: TriRingSpec, x: SCModule) -> TripleModule:
     td = tensor_basis(spec, x)
-    return TripleModule(spec, x, tensor_module(spec, td), Mat.identity(spec.r.field, td.dim), td)
+    return TripleModule.__new__(TripleModule)._keep(spec, x, td.module,
+                                                    Mat.identity(spec.r.field, td.dim), td)
 
 
 def e2_lambda(spec: TriRingSpec, y: SCModule) -> TripleModule:
-    return TripleModule(spec, scm.zero_sc_module(spec.r), y, Mat.zeros(spec.r.field, y.dim, 0),
-                        spec.zero_tensor)
+    return TripleModule.__new__(TripleModule)._keep(spec, scm.zero_sc_module(spec.r), y,
+                                                    Mat.zeros(spec.r.field, y.dim, 0),
+                                                    spec.zero_tensor)
 
 
 def triple_sum(spec: TriRingSpec, triples) -> TripleModule:

@@ -19,6 +19,7 @@ from quivhom.errors import (
     CompositionInconsistent,
     DimensionMismatch,
     NotAdmissible,
+    NotAPath,
     QuivhomError,
     RelationNotParallel,
     UnknownVertex,
@@ -69,6 +70,34 @@ def test_relation_not_parallel():
     p12 = qv.paths_between(q, "1", "2")[0]
     with pytest.raises(RelationNotParallel):
         alg.build_bqa(QQ, q, [[(1, p12)]], 3)
+
+
+# a relation term that is no path of A3, or a coefficient or bound that is no
+# scalar or int, is refused by name, not by a KeyError, a TypeError or a
+# NotAdmissible about another path
+@pytest.mark.parametrize("path", [qv.Path("1", "3", ("zz", "a2")),  # unknown arrow
+                                  qv.Path("1", "3", ("a2", "a1")),  # arrows that do not chain
+                                  qv.Path("2", "3", ("a1", "a2"))],  # ends that disagree
+                         ids=["unknown-arrow", "no-chain", "wrong-source"])
+def test_relation_term_that_is_no_path_is_refused(path):
+    with pytest.raises(NotAPath):
+        alg.build_bqa(QQ, qv.a_n(3), [[(1, path)]], 2)
+
+
+def test_relation_term_with_an_end_outside_the_quiver_is_refused():
+    with pytest.raises(UnknownVertex):
+        alg.build_bqa(QQ, qv.a_n(3), [[(1, qv.Path("9", "3", ("a1", "a2")))]], 2)
+
+
+@pytest.mark.parametrize("coeff", [1.5, "1"], ids=["float", "string"])
+def test_relation_coefficient_that_is_no_scalar_is_refused(coeff):
+    with pytest.raises(QuivhomError, match="not a scalar"):
+        alg.build_bqa(QQ, qv.a_n(3), [[(coeff, qv.Path("1", "3", ("a1", "a2")))]], 2)
+
+
+def test_nilpotency_bound_that_is_no_int_is_refused():
+    with pytest.raises(QuivhomError, match="must be an int"):
+        alg.build_bqa(QQ, qv.a_n(3), [], "2")
 
 
 def test_commutative_square_with_relation():

@@ -430,7 +430,7 @@ def _class_algebra(name, objs):
         else:
             spec = objs[0].spec
             zero = tm.TripleModule(spec, scm.zero_sc_module(spec.r), scm.zero_sc_module(spec.s),
-                                   Mat.zeros(QQ, 0, 0), spec.zero_tensor)
+                                   Mat.zeros(QQ, 0, 0))
 
             def mk(s, d, m):
                 return tm.TripleMap.of_map(scm.SCMap(s, d, m))

@@ -13,7 +13,8 @@ from quivhom import quiver as qv
 from quivhom import repcat as rc
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
-from quivhom.errors import CertificateBrokenByFunctor, NotSemisimple, QuivhomError
+from quivhom.errors import (CertificateBrokenByFunctor, NotSemisimple, QuivhomError,
+                            TensorNotExactOnCertificates)
 from quivhom.exactlin import GF, QQ, Mat
 
 
@@ -91,6 +92,23 @@ def test_triple_witness_with_r_not_s_pushes_the_tensor_into_s_modules():
     w, gens = dv.triple_complex_witness(cx, r_gens, s_gens, shortcut=False)
     _check(w, gens, cx)
     assert w.depth() == 2
+
+
+def test_triple_witness_refuses_a_tensor_outside_the_s_generators():
+    # the same ring, with S_1 alone as S-generator: M (x) k = S_1 + S_2 is no
+    # direct factor of a sum of copies of S_1, so re-anchoring the shift part
+    # of (k, 0)_0 in the S-generators fails
+    r = alg.sc_of_bqa(alg.ground_field_algebra(QQ))
+    kk = alg.path_algebra(QQ, qv.make_quiver(["1", "2"], []))
+    s = alg.sc_of_bqa(kk)
+    m = tm.Bimodule(s, r, s.dim, scm.regular_module(s).action, [Mat.identity(QQ, s.dim)])
+    spec = tm.TriRingSpec(r, s, m)
+    r_gens = [scm.SCModule(r, 1, [Mat.identity(QQ, 1)])]
+    s_gens = [scm.sc_module_of_algmod(alg.simple_module(kk, "1"), s)]
+    t = tm.TripleModule(spec, r_gens[0], scm.zero_sc_module(s), Mat.zeros(QQ, 0, 2))
+    cx = dv.Complex(cats.triple_cat(spec), 0, 0, {0: t}, {})
+    with pytest.raises(TensorNotExactOnCertificates, match="not a direct factor"):
+        dv.triple_complex_witness(cx, r_gens, s_gens, shortcut=False)
 
 
 # -- direct sums of complexes, placed block by block -------------------------------

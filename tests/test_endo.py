@@ -228,7 +228,7 @@ def reference_adjoint_end_iso(q, gamma, side, vertices):
     f = a.field
     chi_maps = []
     for p, g in rhs_labels:
-        src, dst, t = gamma.sc.labels[g]
+        src, dst, t = gamma.block_of(g)
         gm = sinjs[dst].compose(gamma.blocks[(src, dst)][1][t]).compose(sprojs[src])
         v, w = p.target, p.source
         src_piece, dst_piece = pieces[v], pieces[w]
@@ -473,7 +473,7 @@ def xbar_end_and_parts(q, a, summands):
     parts = {"X1": list(range(n1)), "X2": list(range(n1, n1 + n2)),
              "X3": list(range(n1 + n2, len(xbar.all_summands())))}
     for side in ("lambda", "rho"):
-        parts["X2" + side] = [n1 + j for j, l in enumerate(xbar.labels2) if l[0] == side]
+        parts["X2" + side] = [n1 + j for j, x in enumerate(xbar.x2) if x._adjoint[0] == side]
     return repdim.end_xbar(xbar), parts
 
 
@@ -529,7 +529,7 @@ def reexpressed_actions(e, sources, targets, post):
         return vec
 
     out = []
-    for src, dst, t in acting.sc.labels:
+    for src, dst, t in map(acting.block_of, range(acting.dim)):
         gamma = acting.blocks[(src, dst)][1][t]
         cols = []
         for (i, j), (_, basis) in blocks.items():
@@ -641,7 +641,7 @@ def test_certificate_tests_both_sides_of_the_ideal(side):
     found = None
     for (i, j), (_, vecs) in parts.items():
         for x in vecs:
-            for b, (src, dst, _) in enumerate(sc.labels):
+            for b, (src, dst, _) in enumerate(map(e.block_of, range(sc.dim))):
                 if side == "left" and src == j and dst not in (i, j) and any(sc.multiply(units[b], x)):
                     found = (i, dst), lambda key, m=dst: key[1] == m and key[0] != m
                 elif side == "right" and dst == i and src not in (i, j) and any(sc.multiply(x, units[b])):
@@ -660,7 +660,7 @@ def test_certificate_refuses_a_candidate_that_is_not_nilpotent():
     sc = e.sc
     # the same ideal test, but the unit among the radical vectors
     planted = alg.SCAlgebra(QQ, sc.mult, sc.unit, idempotents=sc.idempotents,
-                            radical=list(sc.known_radical) + [sc.unit], labels=sc.labels)
+                            radical=list(sc.known_radical) + [sc.unit])
     with pytest.raises(NotSplit, match="not nilpotent"):
         endo._certify_radical(planted, e.blocks, block_radical_parts(e))
 
@@ -675,8 +675,8 @@ def test_ideal_check_skips_only_zero_products(make_q):
     units = Mat.identity(QQ, sc.dim).row_list()
     skipped = 0
     for x in sc.known_radical:
-        i, j, _ = sc.labels[next(b for b, c in enumerate(x) if c)]
-        for b, (src, dst, _) in enumerate(sc.labels):
+        i, j, _ = e.block_of(next(b for b, c in enumerate(x) if c))
+        for b, (src, dst, _) in enumerate(map(e.block_of, range(sc.dim))):
             if src != j:
                 assert not any(sc.multiply(units[b], x))
                 skipped += 1

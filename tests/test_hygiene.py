@@ -184,6 +184,13 @@ def test_one_quotient_construction():
                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
                    and any(w in n.name for w in ("complement", "quotient_by", "projection")))
     assert not found, "complements defined outside algebra:\n" + "\n".join(found)
+    # M (x)_R X is scmodule's quotient of M (x)_k X: trimat reads no
+    # quotient of its own and places no S-action on the tensor by hand
+    tensor = next(n for n in trees["trimat.py"].body
+                  if isinstance(n, ast.FunctionDef) and n.name == "tensor_basis")
+    assert "quotient_sc" in _called_names(tensor)
+    assert not _referenced_names(trees["trimat.py"]) & {"quotient_by_rows", "tensor_module",
+                                                        "s_action"}
 
 
 def test_only_derived_builds_tensor_maps():
@@ -214,7 +221,7 @@ def test_submodules_are_read_off_unit_rows():
     # paths: none of them solves a system or builds a full path matrix
     pins = {"algebra.py": ("kernel_of", "projective_cover", "map_from_projective",
                            "_push_along_paths", "_read_off_units"),
-            "scmodule.py": ("_restrict_sc", "kernel_of_sc"),
+            "scmodule.py": ("_submodule", "kernel_of_sc"),
             "trimat.py": ("triple_kernel",)}
     found = []
     for name, pinned in pins.items():
@@ -536,6 +543,19 @@ def test_no_public_scmodule_signature_gains_a_parameter():
             found.update((f"{name}.{m}", list(inspect.signature(f).parameters))
                          for m, f in vars(obj).items() if not m.startswith("_") and inspect.isfunction(f))
     assert found == SCMODULE_SIGNATURES
+
+
+# the public parameters of the constructors of an algebra and of a triple:
+# each part is passed once, so no labels beside an End algebra's blocks and
+# no tensor beside the X it is built from
+CONSTRUCTOR_SIGNATURES = {"SCAlgebra": ["field", "mult", "unit", "idempotents", "radical"],
+                          "TripleModule": ["spec", "x", "y", "phi"]}
+
+
+def test_no_constructor_takes_a_restated_part():
+    found = {name: list(inspect.signature(cls).parameters)
+             for name, cls in (("SCAlgebra", alg.SCAlgebra), ("TripleModule", tm.TripleModule))}
+    assert found == CONSTRUCTOR_SIGNATURES
 
 
 def test_paths_are_enumerated_once_per_plan_and_path_block_algebra():

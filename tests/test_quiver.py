@@ -1,7 +1,7 @@
 import pytest
 
 from quivhom import quiver as qv
-from quivhom.errors import CycleFound, DuplicateVertexId, QuivhomError, UnknownVertex
+from quivhom.errors import CycleFound, DuplicateArrowId, DuplicateVertexId, QuivhomError, UnknownVertex
 
 
 def test_validate_a2():
@@ -25,6 +25,11 @@ def test_two_cycle_named():
 def test_duplicate_vertex():
     with pytest.raises(DuplicateVertexId):
         qv.make_quiver(["1", "1"], [])
+
+
+def test_duplicate_arrow():
+    with pytest.raises(DuplicateArrowId):
+        qv.make_quiver(["1", "2"], [("a", "1", "2"), ("a", "2", "1")])
 
 
 def test_kronecker_valid():

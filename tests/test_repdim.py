@@ -39,7 +39,7 @@ def test_build_xbar_d4_outward():
     k = base_k()
     xbar = repdim.build_xbar(qv.d4((0, 0, 0)), k, [kmod(k)])
     assert len(xbar.x1) == 3 and len(xbar.x2) == 4 and len(xbar.x3) == 1
-    assert xbar.hypothesis_ok and not xbar.degenerate
+    assert xbar.hypothesis_ok and xbar.x3
     # X1 = simples at sinks, X2 = P_c + three injectives, X3 = S_c
     assert sorted(x.dim_total() for x in xbar.x1) == [1, 1, 1]
     assert sorted(x.dim_total() for x in xbar.x2) == [2, 2, 2, 4]
@@ -49,7 +49,7 @@ def test_build_xbar_d4_outward():
 def test_build_xbar_single_vertex_degenerate():
     k = base_k()
     xbar = repdim.build_xbar(qv.single_vertex(), k, [kmod(k)])
-    assert xbar.degenerate and not xbar.x3
+    assert not xbar.x3
     assert len(xbar.x1) == 1 and len(xbar.x2) == 1
 
 

@@ -22,6 +22,22 @@ def radical_submodule_sc(m):
     return scm._join(m, *scm._radical_parts(m))
 
 
+def restrict_sc(m, basis, units):
+    """(the submodule spanned by the columns of ``basis``, its inclusion),
+    for a basis that is the identity at the rows ``units``: the basis cut
+    into grades and handed to ``scmodule._submodule``, which reads the
+    restricted actions off those rows grade by grade."""
+    of, parts = [m.grade[u] for u in units], []
+    place = {c: p for cs in m.coords for p, c in enumerate(cs)}  # c's place in its grade
+    for g, cs in enumerate(m.coords):
+        ks = [t for t, h in enumerate(of) if h == g]
+        parts.append((scm._take(basis, cs, ks), [place[units[t]] for t in ks]))
+    if sum(scm._nonzeros(b) for b, _ in parts) != scm._nonzeros(basis):
+        raise QuivhomError("span is not action-stable: a column mixes grades")
+    sub = scm._submodule(m, of, parts)
+    return sub, scm.SCMap(sub, m, basis)
+
+
 def sc_kA2():
     return alg.sc_of_bqa(alg.path_algebra(QQ, qv.a_n(2)))
 
@@ -185,8 +201,8 @@ def _greedy_cover_generators(m, cd):
     pieces, gens = [], []
     for members in cd.classes.values():
         i0 = members[0]
-        e_act = m.act_vector(cd.idem_mats[i0])
-        cls_top = sum(rank(proj.mul(m.act_vector(cd.idem_mats[i]))) for i in members)
+        e_act = m.act_vector(cd.sc.idempotents[i0])
+        cls_top = sum(rank(proj.mul(m.act_vector(cd.sc.idempotents[i]))) for i in members)
         cand = proj.mul(e_act)
         for _ in range(cls_top // cd.simple_top(i0).dim):
             j = next(j for j in range(cand.cols) if not cand.col(j).is_zero()
@@ -231,7 +247,7 @@ def _test_modules(sc, cd):
     reg = scm.regular_module(sc)
     cols = [col for col, _ in cd.columns]
     tops = [cd.simple_top(i) for i in range(len(cols))]
-    rad, _ = scm._restrict_sc(reg, *alg._column_basis(sc.field, [radical_submodule_sc(reg)]))
+    rad, _ = restrict_sc(reg, *alg._column_basis(sc.field, [radical_submodule_sc(reg)]))
     sums = [scm.sum_sc(sc, [cols[0], tops[-1], tops[0]]), scm.sum_sc(sc, tops + tops[:1])]
     syz = [scm.kernel_of_sc(scm.projective_cover_sc(t)[1])[0] for t in tops]
     return [reg, rad] + cols + tops + sums + syz
@@ -264,8 +280,8 @@ def _connecting_block_modules():
         n1, n2 = len(xbar.x1), len(xbar.x2)
         e = endo.end_algebra(xbar.x1 + xbar.x2, cats.rep_cat(q, k))
         out.append(endo.hom_as_end_module(e, range(n1), range(n1, n1 + n2)))
-        lam2 = [n1 + j for j, l in enumerate(xbar.labels2) if l[0] == "lambda"]
-        rho2 = [n1 + j for j, l in enumerate(xbar.labels2) if l[0] == "rho"]
+        lam2 = [n1 + j for j, x in enumerate(xbar.x2) if x._adjoint[0] == "lambda"]
+        rho2 = [n1 + j for j, x in enumerate(xbar.x2) if x._adjoint[0] == "rho"]
         out.append(endo.hom_as_end_module(e, lam2, rho2))
     return out
 
@@ -424,7 +440,7 @@ def test_submodule_from_columns_solves_nothing(field, monkeypatch):
             for mod in (exactlin, alg):  # alg binds the name only while it imports it
                 monkeypatch.setattr(mod, "solve_matrix", counting, raising=False)
             calls.clear()
-            sub, incl = scm._restrict_sc(m, *alg._column_basis(field, [cols]))
+            sub, incl = restrict_sc(m, *alg._column_basis(field, [cols]))
             monkeypatch.undo()
             assert calls == []
             assert incl.mat == cols and sub.check()
@@ -443,7 +459,7 @@ def test_pd_sc_rejects_negative_cap():
 
 # -- graded modules against the dense module code they replace --------------------------
 #
-# The references below are the dense forms of sum_sc, _restrict_sc,
+# The references below are the dense forms of sum_sc, restrict_sc,
 # radical_submodule_sc and hom_basis_sc, and of the cover, kernel and
 # quotient they fed: every action a full matrix, every submodule read off
 # [a_1 basis | ... | a_d basis].  The graded code must give the same
@@ -484,7 +500,7 @@ def _dense_cover(m, rad):
     pieces, gens = [], []
     if sub.cols < m.dim:
         for members in cd.classes.values():
-            e_act = m.act_vector(cd.idem_mats[members[0]])
+            e_act = m.act_vector(cd.sc.idempotents[members[0]])
             chosen = alg._pivot_columns(f, sub, e_act)
             pieces += [members[0]] * len(chosen)
             gens += [e_act.col(j) for j in chosen]
@@ -509,7 +525,7 @@ def _assert_graded_is_dense(m, others, rad):
     dproj, dsect, _ = alg.quotient_by_rows(jm.transpose())
     assert (proj, sect) == (dproj, dsect)
     assert list(q.action) == [dproj.mul(a).mul(dsect) for a in m.action]
-    sub, sub_incl = scm._restrict_sc(m, *alg._column_basis(f, [jm]))
+    sub, sub_incl = restrict_sc(m, *alg._column_basis(f, [jm]))
     assert list(sub.action) == _dense_restrict(m, *alg._column_basis(f, [jm]))
     for n in others:
         assert [h.mat for h in scm.hom_basis_sc(m, n)] == _dense_hom_basis(m, n)
@@ -566,7 +582,7 @@ def test_one_grade_modules_run_the_same_code(field):
     # dense references, and keeps pd and hom dimensions
     sc = alg.sc_of_bqa(_a3_rad2(field))
     reg = scm.regular_module(sc)
-    rad = scm._restrict_sc(reg, *alg._column_basis(field, [radical_submodule_sc(reg)]))[0]
+    rad = restrict_sc(reg, *alg._column_basis(field, [radical_submodule_sc(reg)]))[0]
     cd = scm.column_data(sc)
     tops = [cd.simple_top(i) for i in range(len(cd.columns))]
     for m in (reg, rad):
@@ -629,6 +645,21 @@ def test_quotient_by_a_span_that_is_no_submodule_is_refused():
         scm.quotient_sc(reg, Mat.column(QQ, sc.unit))
     q, proj = cats.sc_cat(sc).quotient(reg, {"*": radical_submodule_sc(reg)})
     assert proj.is_valid() and q.check()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+@pytest.mark.parametrize("name", list(SC_ALGEBRAS))
+def test_quotient_by_a_zero_span_is_the_module_itself(name, field):
+    # M / 0 is answered directly: M with the identity as projection and
+    # section, the dense quotient by the zero span entry for entry
+    sc = SC_ALGEBRAS[name](field)
+    for m in _test_modules(sc, scm.column_data(sc)):
+        for width in (0, 2):
+            zero = Mat.zeros(field, m.dim, width)
+            q, proj, sect = scm.quotient_sc(m, zero)
+            dproj, dsect, _ = alg.quotient_by_rows(zero.transpose())
+            assert q is m and (proj, sect) == (dproj, dsect)
+            assert list(q.action) == [dproj.mul(a).mul(dsect) for a in m.action]
 
 
 def test_quotient_of_a_triple_by_a_span_that_is_no_subtriple_is_refused():
@@ -880,8 +911,9 @@ def test_radical_of_computes_the_trace_form_radical_once_per_algebra(monkeypatch
 def test_a_radical_that_is_no_left_ideal_is_refused_by_the_top():
     # kA3 given span(a1, a2) as its radical, without the path a1*a2: a2 moves
     # a1 in J e_1 out of it, so the top of Gamma*e_1 is no quotient module
-    sc = alg.sc_of_bqa(alg.path_algebra(QQ, qv.a_n(3)))
-    rad = [tuple(int(label == name) for label in sc.labels) for name in ("a1", "a2")]
+    a = alg.path_algebra(QQ, qv.a_n(3))
+    sc = alg.sc_of_bqa(a)
+    rad = [tuple(int(str(p) == name) for p in a.basis) for name in ("a1", "a2")]
     bad = alg.SCAlgebra(QQ, sc.mult, sc.unit, idempotents=sc.idempotents, radical=rad)
     cd = scm.column_data(bad)
     first = next(i for i, (col, _) in enumerate(cd.columns) if col.dim == 3)

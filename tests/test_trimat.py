@@ -81,7 +81,7 @@ def _ses_terms(t):
     """(left, middle) of the sequence of t: (0, M(x)X)_0 and the sum
     (X, M(x)X)_1 + (0, Y)_0, built here as ``derived``'s functors build them."""
     spec = t.spec
-    left = tm.e2_lambda(spec, tm.tensor_module(spec, t.tensor))
+    left = tm.e2_lambda(spec, t.tensor.module)
     return left, tm.triple_sum(spec, [tm.e1_lambda(spec, t.x), tm.e2_lambda(spec, t.y)])
 
 
@@ -215,12 +215,12 @@ def test_triple_pd_bound_property():
         ys = [pool_s[rng.randrange(len(pool_s))] for _ in range(rng.randint(1, 2))]
         x, y = scm.sum_sc(spec.r, xs), scm.sum_sc(spec.s, ys)
         td = tm.tensor_basis(spec, x)
-        tmod = tm.tensor_module(spec, td)
+        tmod = td.module
         basis = scm.hom_basis_sc(tmod, y)
         phi = Mat.zeros(QQ, y.dim, td.dim)
         for b in basis:
             phi = phi.add(b.mat.scale(QQ.of_int(rng.randint(-1, 1))))
-        t = tm.TripleModule(spec, x, y, phi, td)
+        t = tm.TripleModule(spec, x, y, phi)
         assert t.check()
         n = 0
         for d in (scm.pd_sc(x, 10), scm.pd_sc(y, 10)):
@@ -269,7 +269,7 @@ def _y_in_new_basis(t):
     g = Mat.from_rows(f, [[1 if j >= i else 0 for j in range(n)] for i in range(n)])
     ginv = inverse(g)
     y = scm.SCModule(t.spec.s, n, [g.mul(a).mul(ginv) for a in t.y.action])
-    return tm.TripleModule(t.spec, t.x, y, g.mul(t.phi), t.tensor)
+    return tm.TripleModule(t.spec, t.x, y, g.mul(t.phi))
 
 
 def _cover_test_triples(spec):
@@ -455,7 +455,7 @@ def test_tensor_basis_equals_the_elimination_by_hand(make):
         if ginv is not None:
             x = scm.SCModule(spec.r, x.dim, [g.mul(a).mul(ginv) for a in x.action])
         td = tm.tensor_basis(spec, x)
-        assert (td.dim, td.proj, td.lift, td.s_action) == _tensor_by_elimination(spec, x)
+        assert (td.dim, td.proj, td.lift, list(td.module.action)) == _tensor_by_elimination(spec, x)
         unit = Mat.identity(f, td.lift.rows)
         assert td.lift == (Mat.hstack(f, [unit.col(c) for c in td.free]) if td.free
                            else Mat.zeros(f, td.lift.rows, 0))
@@ -506,7 +506,7 @@ def test_triples_with_zero_x_share_the_spec_zero_tensor(make, monkeypatch):
     zx = scm.zero_sc_module(spec.r)
     assert tm.tensor_basis(spec, zx) is spec.zero_tensor
     td = spec.zero_tensor
-    assert (td.dim, td.proj, td.lift, td.s_action) == _tensor_by_elimination(spec, zx)
+    assert (td.dim, td.proj, td.lift, list(td.module.action)) == _tensor_by_elimination(spec, zx)
 
     def refuse(*args):
         raise AssertionError("tensor_basis called for X = 0")

@@ -192,6 +192,18 @@ def test_kernel_of_a_map_that_breaks_an_arrow_is_refused(field):
         alg.kernel_of(g)
 
 
+def _restrict_sc(m, basis, units):
+    """The submodule spanned by the columns of ``basis``, the identity at
+    the rows ``units``: the basis cut into grades and handed to
+    ``scmodule._submodule``, which reads the actions off those rows."""
+    of, parts = [m.grade[u] for u in units], []
+    place = {c: p for cs in m.coords for p, c in enumerate(cs)}  # c's place in its grade
+    for g, cs in enumerate(m.coords):
+        ks = [t for t, h in enumerate(of) if h == g]
+        parts.append((scm._take(basis, cs, ks), [place[units[t]] for t in ks]))
+    return scm._submodule(m, of, parts)
+
+
 @FIELDS
 def test_submodule_from_columns_refuses_an_unstable_span(field):
     # in the regular module of kA2 the arrow moves e_1 out of its span
@@ -200,7 +212,7 @@ def test_submodule_from_columns_refuses_an_unstable_span(field):
     reg = scm.regular_module(sc)
     e1 = Mat.column(field, sc.idempotents[0])
     with pytest.raises(QuivhomError, match="not action-stable"):
-        scm._restrict_sc(reg, *alg._column_basis(field, [e1]))
+        _restrict_sc(reg, *alg._column_basis(field, [e1]))
 
 
 @FIELDS

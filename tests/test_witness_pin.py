@@ -114,7 +114,7 @@ class _Digest:
             self.obj(x.y)
             self.mat(x.phi)
             self.text(f"free{x.tensor.free};")
-            for m in [x.tensor.proj, x.tensor.lift, *x.tensor.s_action]:
+            for m in [x.tensor.proj, x.tensor.lift, *x.tensor.module.action]:
                 self.mat(m)
         else:
             self.text(f"sc{x.dim};")
