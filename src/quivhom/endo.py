@@ -10,6 +10,10 @@ algebra of the adjoints (in the pipeline, a corner of End(X-bar)): the map
 attached to a path p and a basis map g of End A places g between the copies
 indexed by paths, and is re-expressed by the reader of every End table.
 
+Every End table is handed its Peirce grading where it is built: a basis map
+X_i -> X_j lies in e_j E e_i (``scmodule._grade_by``, two products per basis
+element), so column projectives and tops are read off it with no product.
+
 Summands must be indecomposable with split local End (End(X)/rad = k), as the
 summands of a basic generator-cogenerator are.  ``end_algebra`` then builds
 the radical of End from the hom blocks, in every characteristic, and attaches
@@ -39,7 +43,7 @@ from .cats import Cat
 from .errors import CompositionInconsistent, IsoCheckFailed, NotSplit, QuivhomError
 from .exactlin import Mat, _kernel_blocks, rank, solve_matrix
 from .quiver import Quiver, concat, paths_between, subquiver, trivial_path
-from .scmodule import SCModule, _table_module
+from .scmodule import SCModule, _grade_by, _table_module
 
 
 @dataclass
@@ -94,11 +98,13 @@ class EndAlgebra:
     def _sub_table(self, idx, dropped) -> "EndAlgebra":
         """The sub-table of E on the blocks (i, j), i and j in ``idx``, less
         the ``dropped`` ones; associative as E is when no product of kept
-        blocks lands in a dropped one.  Structure constants, idempotents and
-        radical are read off E, with no second certificate: the radical is
-        E's on each kept block whose reverse is kept (rad(eEe) = e.rad(E).e),
-        and the whole block where the reverse is dropped (the off-diagonal
-        bimodule of a triangular ring lies in its radical)."""
+        blocks lands in a dropped one.  Structure constants, idempotents,
+        radical and grading are read off E, with no second certificate: the
+        radical is E's on each kept block whose reverse is kept
+        (rad(eEe) = e.rad(E).e), and the whole block where the reverse is
+        dropped (the off-diagonal bimodule of a triangular ring lies in its
+        radical); the block (a, b), maps from summand idx[a] to idx[b], lies
+        at (b, a)."""
         repeated = sorted({i for i in idx if idx.count(i) > 1})
         if repeated:
             raise QuivhomError(f"summand indices {repeated} repeat: a sub-table takes each summand once")
@@ -110,11 +116,12 @@ class EndAlgebra:
                 for i in idx for j in idx}
         pos = [z for i in idx for j in idx for z in kept[(i, j)]]
         unit_rows = Mat.identity(f, len(pos)).row_list()
-        blocks, radical, off = {}, [], 0
+        blocks, radical, grading, off = {}, [], [], 0
         for a, i in enumerate(idx):
             for b, j in enumerate(idx):
                 d = len(kept[(i, j)])
                 blocks[(a, b)] = (off, self.blocks[(i, j)][1] if d else [])
+                grading.extend([(b, a)] * d)
                 if (j, i) in dropped:
                     radical.extend(unit_rows[off:off + d])
                 else:
@@ -124,6 +131,7 @@ class EndAlgebra:
                         [sc.unit[z] for z in pos],
                         idempotents=[[sc.idempotents[i][z] for z in pos] for i in idx],
                         radical=radical)
+        _grade_by(sub, grading)
         return EndAlgebra(sub, [self.summands[i] for i in idx], self.cat, blocks)
 
 
@@ -134,7 +142,8 @@ def end_algebra(summands, cat: Cat) -> EndAlgebra:
     the exact re-expression of their composite (a composite outside the span
     raises :class:`CompositionInconsistent`), the basis maps are linearly
     independent, and composition is associative.  So no dim^3 check runs; the
-    unit and idempotent axioms are checked by ``SCAlgebra``.
+    unit and idempotent axioms are checked by ``SCAlgebra``, and the Peirce
+    grading of the hom blocks (a map X_i -> X_j at (j, i)) by ``_grade_by``.
 
     The summands must be indecomposable with split local End (End(X)/rad = k).
     The Jacobson radical is built from the hom blocks (see :func:`_block_radical`)
@@ -165,6 +174,7 @@ def end_algebra(summands, cat: Cat) -> EndAlgebra:
     parts = _block_radical(f, blocks, mult, len(summands))
     sc = SCAlgebra(f, mult, tuple(unit), idempotents=[tuple(e) for e in idems],
                    radical=[x for _, vecs in parts.values() for x in vecs])
+    _grade_by(sc, [(j, i) for (i, j), (_, basis) in blocks.items() for _ in basis])
     _certify_radical(sc, blocks, parts)
     return EndAlgebra(sc, summands, cat, blocks)
 

@@ -33,6 +33,9 @@ answer is the general code's, entry for entry and type for type:
 * a shape with no entries: ``mul``, ``transpose``, ``scale``,
   ``block_diag``, ``from_blocks`` and ``rref`` return the shared value, or
   the operand itself;
+* one part: ``hstack``, ``vstack`` and ``block_diag`` return the part
+  itself, which is safe as a ``Mat`` is immutable;
+* a 1x1 product: ``mul`` forms the one product with no loops;
 * a one-row matrix: ``rref`` scales the row by the inverse of its first
   nonzero entry, as the elimination would, with no elimination loop.
 
@@ -327,6 +330,11 @@ class Mat:
             return Mat.zeros(f, n, m)
         a, b = self.entries, other.entries
         zero = f.zero()
+        if n == m == k == 1:
+            x, y = a[0], b[0]
+            if not (x and y):
+                return Mat(f, 1, 1, (zero,))
+            return Mat(f, 1, 1, _one_type((x * y,)) if f.kind == "q" else (x * y % f.p,))
         out = [zero] * (n * m)
         if f.kind == "q":
             for i in range(n):
@@ -385,6 +393,8 @@ class Mat:
             ent.extend(m.entries)
             rows += m.rows
         _check_fields(field, mats)
+        if len(mats) == 1:
+            return mats[0]
         return Mat(field, rows, cols, tuple(ent))
 
     @staticmethod
@@ -397,6 +407,8 @@ class Mat:
             if m.rows != rows:
                 raise DimensionMismatch("hstack row mismatch")
         _check_fields(field, mats)
+        if len(mats) == 1:
+            return mats[0]
         ent = []
         for i in range(rows):
             for m in mats:
@@ -427,6 +439,8 @@ class Mat:
     def block_diag(field: Field, mats) -> "Mat":
         mats = list(mats)
         _check_fields(field, mats)
+        if len(mats) == 1:
+            return mats[0]
         rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)
         if not rows or not cols:

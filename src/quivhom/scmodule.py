@@ -20,12 +20,22 @@ and the reduced bases read grade by grade are those of the whole space,
 entry for entry, since a reduced basis depends only on the subspace and the
 order of the coordinates.
 
+A module map is kept the same way, as its blocks from each grade to the
+same grade (``SCMap.blocks``), and its full matrix ``SCMap.mat`` is placed
+when it is read.  A syzygy step places no full matrix: a cover's pi is
+written grade by grade from the columns of M's blocks, and a kernel is read
+off the null spaces of pi's blocks, which are its inclusion's blocks.  The
+blocks of a direct sum are placed when first read (``sum_sc``), so a cover
+whose kernel is zero places none of the blocks of its P.
+
 A module given by full action matrices is graded when every idempotent acts
 as a coordinate projection and every basis element acts only in its block.
 A module that is not, or one over an algebra that lists no idempotents or
 whose basis is not adapted to them, has a single grade: each basis element
 acts by one full block, and the same code runs on it.  Modules of different
-gradings meet (in sums, maps and hom bases) with one grade each.
+gradings meet (in sums, maps and hom bases) with one grade each.  The
+grading of an algebra is read once, by 2 dim n products; ``endo`` hands the
+End tables the grading of their hom blocks instead (``_grade_by``).
 
 The graded bases (those of ``sc_of_bqa``, ``endo.end_algebra`` and its
 corners, and the triangular rings of ``trimat``) are adapted to the
@@ -57,7 +67,7 @@ the sum of one simple top per isomorphism class (``gldim_sc``).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 from .algebra import (SCAlgebra, _column_basis, _pivot_columns, _read_off_units, eval_path,
@@ -65,7 +75,7 @@ from .algebra import (SCAlgebra, _column_basis, _pivot_columns, _read_off_units,
 from .bounds import Dim, syzygy_pd, syzygy_steps
 from .errors import (AlgebraMismatch, CompositionInconsistent, DimensionMismatch, NotSplit,
                      QuivhomError)
-from .exactlin import Mat, _commuting_rows, _null_space, rank
+from .exactlin import Mat, _check_fields, _commuting_rows, _null_space, rank
 
 
 def _gradings(sc: SCAlgebra):
@@ -74,12 +84,11 @@ def _gradings(sc: SCAlgebra):
     of idempotents; ``peirce`` is None when the algebra lists no idempotents
     or its basis is not adapted to them (b*e_i or e_j*b neither b nor 0).
     ``one`` puts every basis element at (0, 0), the grading with one grade;
-    with one idempotent the two are the same object."""
+    with one idempotent the two are the same object.  An algebra that was
+    handed its grading (``_grade_by``) is not read again."""
     if sc._gradings is None:
-        one = ((0, 0),) * sc.dim
-        peirce, n = None, 1
+        peirce = None
         if sc.idempotents is not None:
-            n = len(sc.idempotents)
             starts, ends = [None] * sc.dim, [None] * sc.dim
             adapted = True
             for b, vec in enumerate(Mat.identity(sc.field, sc.dim).row_list()):
@@ -91,9 +100,35 @@ def _gradings(sc: SCAlgebra):
                         elif any(prod):
                             adapted = False
             if adapted:
-                peirce = one if n == 1 else tuple(zip(ends, starts))
-        sc._gradings = (peirce, one, n)
+                peirce = tuple(zip(ends, starts))
+        _keep_gradings(sc, peirce)
     return sc._gradings
+
+
+def _keep_gradings(sc: SCAlgebra, peirce):
+    """Keep (peirce, one, n) on ``sc``: with one idempotent, peirce is one."""
+    one = ((0, 0),) * sc.dim
+    n = 1 if sc.idempotents is None else len(sc.idempotents)
+    sc._gradings = (one if peirce is not None and n == 1 else peirce, one, n)
+
+
+def _grade_by(sc: SCAlgebra, peirce):
+    """Hand ``sc`` the Peirce grading it was built with: basis element b lies
+    in e_j Gamma e_i for (j, i) = peirce[b].  Two products per basis element
+    are checked, b*e_i = b and e_j*b = b; the other 2n - 2 vanish, since
+    b*e_k = b*e_i*e_k = 0 and e_k*b = e_k*e_j*b = 0 for k != i, resp. k != j,
+    by the orthogonality that ``SCAlgebra`` checks and the associativity
+    that the library's tables (``endo.end_algebra`` and its sub-tables) have
+    by construction.  A wrong grade raises ``NotSplit``."""
+    peirce, idems = tuple(peirce), sc.idempotents or ()
+    if len(peirce) != sc.dim:
+        raise NotSplit(f"{len(peirce)} grades for {sc.dim} basis elements")
+    for b, vec in enumerate(Mat.identity(sc.field, sc.dim).row_list()):
+        (j, i), vec = peirce[b], tuple(vec)
+        if not (0 <= i < len(idems) and 0 <= j < len(idems)) or \
+                sc.multiply(vec, idems[i]) != vec or sc.multiply(idems[j], vec) != vec:
+            raise NotSplit(f"basis element {b} does not lie in e_{j} Gamma e_{i}")
+    _keep_gradings(sc, peirce)
 
 
 def _take(m: Mat, rows, cols) -> Mat:
@@ -131,9 +166,10 @@ class SCModule:
         self._set(sc, grade, at, blocks)
 
     def _set(self, sc: SCAlgebra, grade, at, blocks) -> "SCModule":
-        """Hold the grading and the blocks; ``coords`` lists the coordinates
-        of each grade in order."""
-        self.sc, self.grade, self.at, self.blocks = sc, tuple(grade), at, list(blocks)
+        """Hold the grading and the blocks: a sum's ``_SumBlocks`` as given,
+        else a list; ``coords`` lists the coordinates of each grade in order."""
+        self.sc, self.grade, self.at = sc, tuple(grade), at
+        self.blocks = blocks if isinstance(blocks, _SumBlocks) else list(blocks)
         self.dim = len(self.grade)
         peirce, _, n = sc._gradings or _gradings(sc)
         if at is peirce and n > 1:
@@ -283,39 +319,76 @@ def _one_grade(mods):
             for m in mods]
 
 
-@dataclass
 class SCMap:
-    source: SCModule
-    target: SCModule
-    mat: Mat
+    """A module map kept as its grade blocks: ``blocks[g]`` takes grade g of
+    the source to grade g of the target, as ``SCModule`` keeps its Peirce
+    blocks and ``trimat.TripleMap`` its u and w.  Ends with different
+    gradings meet with one grade each, and the map is one block, the full
+    matrix.  ``SCMap(source, target, mat)`` checks its ends and its matrix
+    (``AlgebraMismatch`` for ends over two algebras, ``DimensionMismatch``
+    for a matrix of another shape or field, or no ``Mat``) and cuts the
+    matrix into its grades where it is built; ``blocks`` is None when the
+    matrix has an entry between different grades, which no module map has.
+    ``mat`` is the full matrix, placed from the blocks when first read and
+    kept, for a map built from its blocks."""
+
+    def __init__(self, source: SCModule, target: SCModule, mat: Mat):
+        if source.sc is not target.sc:
+            raise AlgebraMismatch("the ends of a map must be modules over one algebra")
+        if not isinstance(mat, Mat):
+            raise DimensionMismatch(f"a map needs a Mat, not {type(mat).__name__}")
+        if (mat.rows, mat.cols) != (target.dim, source.dim):
+            raise DimensionMismatch(f"a {mat.rows}x{mat.cols} matrix is no map "
+                                    f"from dimension {source.dim} to {target.dim}")
+        _check_fields(source.sc.field, [mat])
+        self.source, self.target, self.mat = source, target, mat
+        self.blocks = _cut(target, source, mat)
+
+    @classmethod
+    def _of_blocks(cls, source: SCModule, target: SCModule, blocks) -> "SCMap":
+        f = cls.__new__(cls)
+        f.source, f.target, f.blocks = source, target, blocks
+        return f
+
+    @cached_property
+    def mat(self) -> Mat:
+        blocks = self.blocks
+        return blocks[0] if len(blocks) == 1 else _join(self.target, self.source.grade, blocks)
 
     def is_valid(self) -> bool:
         """g . a_b = a'_b . h for every basis element b at (j, i), g and h
         the map's blocks at grades j and i; a map with an entry between
         different grades is none.  Both sides of the equation of b are
         b.rows x a.cols matrices, so it holds, unchecked, when either is 0."""
-        m, n = self.source, self.target
-        if m.at is not n.at:
-            m, n = _one_grade([m, n])
-        blocks = self._blocks(n, m)
+        m, n, blocks = self.source, self.target, self.blocks
         if blocks is None:
             return False
+        if m.at is not n.at:
+            m, n = _one_grade([m, n])
         for a, b, (j, i) in zip(m.blocks, n.blocks, m.at):
             if b.rows and a.cols and blocks[j].mul(a) != b.mul(blocks[i]):
                 return False
         return True
 
-    def _blocks(self, target: SCModule, source: SCModule):
-        """The map between ``source`` and ``target`` (its ends, or their one
-        grade copies) grade by grade, from each grade of the source to the
-        same grade of the target, or None when it has an entry between
-        different grades.  A matrix of the wrong shape raises
-        ``DimensionMismatch``."""
-        if (self.mat.rows, self.mat.cols) != (target.dim, source.dim):
-            raise DimensionMismatch(f"a {self.mat.rows}x{self.mat.cols} matrix is no map "
-                                    f"from dimension {source.dim} to {target.dim}")
-        blocks = [_take(self.mat, tc, sc) for tc, sc in zip(target.coords, source.coords)]
-        return blocks if sum(map(_nonzeros, blocks)) == _nonzeros(self.mat) else None
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.mat) == (other.source, other.target, other.mat)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.source!r} -> {self.target!r}, mat={self.mat!r})"
+
+
+def _cut(target: SCModule, source: SCModule, mat: Mat):
+    """The blocks of ``mat`` from each grade of ``source`` to the same grade
+    of ``target`` (the one block ``mat`` when their gradings differ), or
+    None when ``mat`` has an entry between different grades."""
+    if source.at is not target.at:
+        return [mat]
+    blocks = [_take(mat, tc, sc) for tc, sc in zip(target.coords, source.coords)]
+    return blocks if len(blocks) == 1 or sum(map(_nonzeros, blocks)) == _nonzeros(mat) else None
 
 
 def _combination(field, dim, mats, coeffs) -> Mat:
@@ -392,17 +465,38 @@ def sc_module_of_algmod(m, sc: SCAlgebra = None) -> SCModule:
 
 def sum_sc(sc: SCAlgebra, mods) -> SCModule:
     """The direct sum of modules over ``sc``, summand after summand: each
-    block is the summands' blocks placed diagonally.  A summand over
-    another algebra (compared by identity) raises ``AlgebraMismatch``."""
+    block is the summands' blocks placed diagonally, when it is first read
+    (``_SumBlocks``), so a block that no step reads is never placed.  A
+    summand over another algebra (compared by identity) raises
+    ``AlgebraMismatch``."""
     mods = list(mods)
     if any(m.sc is not sc for m in mods):
         raise AlgebraMismatch("a summand is over another algebra")
     mods = _one_grade(mods)
-    f = sc.field
     peirce, one, _ = _gradings(sc)
     at = mods[0].at if mods else (one if peirce is None else peirce)
-    return SCModule._of_blocks(sc, [g for m in mods for g in m.grade], at,
-                               [Mat.block_diag(f, [m.blocks[b] for m in mods]) for b in range(sc.dim)])
+    return SCModule._of_blocks(sc, [g for m in mods for g in m.grade], at, _SumBlocks(sc, mods))
+
+
+class _SumBlocks(Sequence):
+    """The blocks of a direct sum, one per basis element of the algebra:
+    block b is the summands' blocks b placed diagonally, placed when first
+    read and kept."""
+
+    def __init__(self, sc: SCAlgebra, mods):
+        self.field, self.mods, self.placed = sc.field, mods, [None] * sc.dim
+
+    def __len__(self):
+        return len(self.placed)
+
+    def __getitem__(self, b):
+        blk = self.placed[b]
+        if blk is None:
+            blk = self.placed[b] = Mat.block_diag(self.field, [m.blocks[b] for m in self.mods])
+        return blk
+
+    def __eq__(self, other):
+        return list(self) == list(other)
 
 
 def hom_basis_sc(m: SCModule, n: SCModule):
@@ -496,7 +590,12 @@ def quotient_sc(m: SCModule, cols: Mat):
     span(cols) must be a submodule: the sum of its grades (clear when each
     column lies in one grade, else its rank is the sum of theirs) and stable
     under every block (proj_j . a_b kills the grade-i rows of the columns).
-    Else ``QuivhomError``.  A zero span gives (M, I, I), as the general code would."""
+    Else ``QuivhomError``; a span of another height than dim M, or over
+    another field, raises ``DimensionMismatch``.  A zero span gives
+    (M, I, I), as the general code would."""
+    if cols.rows != m.dim:
+        raise DimensionMismatch(f"a span of {cols.rows} rows in a module of dimension {m.dim}")
+    _check_fields(m.sc.field, [cols])
     if not any(cols.entries):
         one = Mat.identity(m.sc.field, m.dim)
         return m, one, one
@@ -541,15 +640,15 @@ def _radical_parts(m: SCModule):
 def kernel_of_sc(f_map: SCMap):
     """Kernel submodule with its inclusion: per grade the null space of the
     map's block (``exactlin._null_space``, the identity at its free rows),
-    one elimination per grade, is that grade of the kernel (``_submodule``)."""
-    m, n = _one_grade([f_map.source, f_map.target])
-    blocks = f_map._blocks(n, m)
-    if blocks is None:
+    one elimination per grade, is that grade of the kernel (``_submodule``)
+    and the inclusion's block there; no full matrix is placed."""
+    if f_map.blocks is None:
         raise QuivhomError("the map has an entry between different grades: no module map")
-    parts = [_null_space(blk) for blk in blocks]
+    m, _ = _one_grade([f_map.source, f_map.target])
+    parts = [_null_space(blk) for blk in f_map.blocks]
     of = [m.grade[u] for u in sorted(cs[c] for cs, (_, free) in zip(m.coords, parts) for c in free)]
     sub = _submodule(m, of, parts)
-    return sub, SCMap(sub, f_map.source, _join(m, of, [b for b, _ in parts]))
+    return sub, SCMap._of_blocks(sub, f_map.source, [b for b, _ in parts])
 
 
 class ColumnData:
@@ -576,7 +675,8 @@ class ColumnData:
     coordinate: ``quotient_sc`` of the column by J*e_i, entry for entry,
     with its check that proj_j . b kills e_h J e_i.
     The sum of the columns that a cover maps from is kept per list of
-    pieces (``_column_sum``), as the tops are per column.
+    pieces (``_column_sum``), as the tops are per column; its blocks are
+    placed when first read.
     """
 
     def __init__(self, sc: SCAlgebra):
@@ -733,22 +833,23 @@ def _map_from_columns(m: SCModule, pieces, gens):
     ``pieces``, and pi sending gamma in the k-th summand to gamma*e_i*u,
     u the unit vector at gens[k]: column b of the summand, a basis element
     of Gamma*e_i at (j, i), goes to a_b*e_i*u = a_b*u, the column of b's
-    block at u, in grade j.  pi is onto when each of its blocks, grade to
-    grade, has full row rank."""
+    block at u, in grade j.  pi is written grade by grade, its block at j
+    the columns of the b at (j, i) in P's order; it is onto when each block
+    has full row rank."""
     f = m.sc.field
     coldata = column_data(m.sc)
     total = coldata._column_sum(pieces)
-    of, cols = [], [[] for _ in m.coords]
+    cols = [[] for _ in m.coords]
     place = {c: p for cs in m.coords for p, c in enumerate(cs)}  # c's place in its grade
     for i, c in zip(pieces, gens):
         for b in coldata._positions[i]:
-            of.append(m.at[b][0])
-            cols[of[-1]].append(m.blocks[b].col(place[c]))
-    blocks = [Mat.hstack(f, cs) if cs else Mat.zeros(f, len(rows), 0)
-              for cs, rows in zip(cols, m.coords)]
+            blk = m.blocks[b]
+            cols[m.at[b][0]].append(blk.entries[place[c]::blk.cols])
+    blocks = [Mat(f, len(rows), len(cs), tuple(chain.from_iterable(zip(*cs)))) if rows and cs
+              else Mat.zeros(f, len(rows), len(cs)) for cs, rows in zip(cols, m.coords)]
     if any(blk.rows and rank(blk) != blk.rows for blk in blocks):
         raise CompositionInconsistent("projective cover is not surjective")
-    return total, SCMap(total, m, _join(m, of, blocks))
+    return total, SCMap._of_blocks(total, m, blocks)
 
 
 def is_projective_sc(m: SCModule) -> bool:

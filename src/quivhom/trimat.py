@@ -281,7 +281,8 @@ class TripleModule(SCModule):
 
 class TripleMap(SCMap):
     """A map of triples kept as its blocks u : X -> X' and w : Y -> Y', which
-    as a T-module map is diag(u, w); ``of_map`` reads any such map in blocks."""
+    as a T-module map is diag(u, w), with its grade blocks cut from that when
+    first read; ``of_map`` reads any such map in blocks."""
 
     def __init__(self, source: TripleModule, target: TripleModule, u: Mat, w: Mat):
         ends = (source.xdim, source.dim - source.xdim, target.xdim, target.dim - target.xdim)
@@ -293,6 +294,10 @@ class TripleMap(SCMap):
     @cached_property
     def mat(self) -> Mat:
         return Mat.block_diag(self.u.field, [self.u, self.w])
+
+    @cached_property
+    def blocks(self):
+        return scm._cut(self.target, self.source, self.mat)
 
     @classmethod
     def of_map(cls, f: SCMap) -> "TripleMap":
@@ -350,7 +355,7 @@ def triple_kernel(f_map: SCMap):
     """(K, incl): ``scmodule.kernel_of_sc`` over T, which keeps X first, as a triple."""
     k, incl = scm.kernel_of_sc(f_map)
     k = TripleModule.of_module(f_map.source.spec, k)
-    return k, TripleMap.of_map(SCMap(k, f_map.source, incl.mat))
+    return k, TripleMap.of_map(SCMap._of_blocks(k, f_map.source, incl.blocks))
 
 
 triple_pd = scm.pd_sc  # a triple's pd is its T-module's

@@ -13,7 +13,7 @@ from quivhom import repdim
 from quivhom import scmodule as scm
 from quivhom import trimat as tm
 from quivhom.bounds import Dim
-from quivhom.errors import NotGenCogen
+from quivhom.errors import NotGenCogen, NotSplit
 from quivhom.exactlin import GF, QQ
 
 
@@ -384,9 +384,21 @@ def test_kronecker_report_runs_no_associativity_check(monkeypatch):
     assert rep.verdict == "PASS" and calls == []
 
 
+def _report_tables(q, k):
+    """E = End(X-bar) over q with A = ``k``'s simple, its corners End(X1),
+    End(X2), End(X3) (the nonempty ones) and Sigma, as the report builds them."""
+    xbar = repdim.build_xbar(q, k, [kmod(k)])
+    e = repdim.end_xbar(xbar)
+    n1, n2 = len(xbar.x1), len(xbar.x2)
+    i1, i2, i3 = range(n1), range(n1, n1 + n2), range(n1 + n2, len(e.summands))
+    return [e, *(e.corner(idx) for idx in (i1, i2, i3) if idx), e.triangular(i1, i2)]
+
+
 def test_end_xbar_columns_are_read_off_the_grading(monkeypatch):
+    # E, its corners and Sigma are handed their Peirce grading where they
+    # are built, so their column data forms no product at all
     k = base_k()
-    e = repdim.end_xbar(repdim.build_xbar(qv.kronecker(), k, [kmod(k)]))
+    tables = _report_tables(qv.kronecker(), k)
     products = []
     real_multiply = alg.SCAlgebra.multiply
 
@@ -401,6 +413,25 @@ def test_end_xbar_columns_are_read_off_the_grading(monkeypatch):
     for mod in (alg, exactlin):  # alg binds the name only while it imports it
         monkeypatch.setattr(mod, "solve_matrix", refuse, raising=False)
     monkeypatch.setattr(scm, "regular_module", refuse)
-    cd = scm.column_data(e.sc)
-    assert len(cd.columns) == len(e.summands)
-    assert 0 < len(products) <= 2 * e.dim * len(e.summands)
+    for e in tables:
+        cd = scm.column_data(e.sc)
+        assert len(cd.columns) == len(e.summands)
+    assert len(tables) == 5 and products == []
+
+
+@pytest.mark.parametrize("name", [n for n in ORACLE_QUIVERS if n != "single"])
+def test_end_tables_are_handed_the_grading_their_products_read(name):
+    # the grading read off the hom blocks is the one the 2.dim.n products of
+    # a table built without it read, on E, its corners and Sigma; a planted
+    # wrong grade is refused
+    for e in _report_tables(ORACLE_QUIVERS[name](), base_k()):
+        sc = e.sc
+        bare = alg.SCAlgebra(sc.field, sc.mult, sc.unit, sc.idempotents, sc.known_radical)
+        assert scm._gradings(sc) == scm._gradings(bare)
+        peirce = list(scm._gradings(sc)[0])
+        off = next((b for b, (j, i) in enumerate(peirce) if j != i), None)
+        for b, wrong in ([(off, peirce[off][::-1])] if off is not None else []) + [(0, (len(peirce), 0))]:
+            planted = alg.SCAlgebra(sc.field, sc.mult, sc.unit, sc.idempotents, sc.known_radical)
+            with pytest.raises(NotSplit):
+                scm._grade_by(planted, peirce[:b] + [wrong] + peirce[b + 1:])
+            assert planted._gradings is None

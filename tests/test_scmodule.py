@@ -601,20 +601,61 @@ def test_one_grade_modules_run_the_same_code(field):
 # -- maps of the wrong shape ----------------------------------------------------------------
 
 def test_maps_of_the_wrong_shape_are_refused():
-    # the grade blocks are cut by the ends' coordinates, so a matrix that is
-    # too small must not fail inside the cut, and one that is too large must
-    # not be cut down to a module map when its extra entries are zero
+    # the grade blocks are cut by the ends' coordinates where the map is
+    # built, so a matrix that is too small must not fail inside the cut, and
+    # one that is too large must not be cut down to a module map when its
+    # extra entries are zero
     sc = sc_kA2()
     reg = scm.regular_module(sc)
     assert reg.dim == 3
-    small = scm.SCMap(reg, reg, Mat.identity(QQ, 2))
-    tall = scm.SCMap(reg, reg, Mat.vstack(QQ, [Mat.identity(QQ, 3), Mat.zeros(QQ, 1, 3)]))
-    for bad in (small, tall):
+    for bad in (Mat.identity(QQ, 2), Mat.vstack(QQ, [Mat.identity(QQ, 3), Mat.zeros(QQ, 1, 3)])):
         with pytest.raises(DimensionMismatch):
-            bad.is_valid()
-        with pytest.raises(DimensionMismatch):
-            scm.kernel_of_sc(bad)
+            scm.SCMap(reg, reg, bad)
     assert scm.SCMap(reg, reg, Mat.identity(QQ, 3)).is_valid()
+
+
+def _wrong_maps():
+    """(error, thunk) per way to build a map wrongly between modules of kA2."""
+    sc = sc_kA2()
+    reg = scm.regular_module(sc)
+    twin = scm.regular_module(alg.SCAlgebra(sc.field, sc.mult, sc.unit, sc.idempotents,
+                                            sc.known_radical))
+    return {"rows, no Mat": (DimensionMismatch, lambda: scm.SCMap(reg, reg, Mat.identity(QQ, 3).row_list())),
+            "into another algebra": (AlgebraMismatch, lambda: scm.SCMap(reg, twin, Mat.identity(QQ, 3))),
+            "from another algebra": (AlgebraMismatch, lambda: scm.SCMap(twin, reg, Mat.identity(QQ, 3))),
+            "over GF(5)": (DimensionMismatch, lambda: scm.SCMap(reg, reg, Mat.identity(GF(5), 3)))}
+
+
+@pytest.mark.parametrize("name", list(_wrong_maps()))
+def test_maps_are_checked_where_they_are_built(name):
+    # a map needs a Mat over the ends' field, and ends over one algebra:
+    # before, a list failed later with a bare AttributeError, ends over two
+    # algebras passed is_valid, and a matrix over GF(5) got a kernel
+    error, build = _wrong_maps()[name]
+    with pytest.raises(error):
+        build()
+
+
+def test_a_map_keeps_its_grade_blocks():
+    # a map built from a full matrix is cut into its grades, keeps the
+    # matrix, and is no module map when an entry lies between two grades;
+    # ends of different gradings meet with one grade, the matrix one block
+    sc = sc_kA2()
+    reg = scm.regular_module(sc)
+    ident = scm.SCMap(reg, reg, Mat.identity(QQ, 3))
+    assert [b.rows for b in ident.blocks] == [len(cs) for cs in reg.coords]
+    assert len(reg.coords) == 2 and ident.is_valid()
+    mixed = Mat.from_rows(QQ, [[1 if (r, c) == (reg.coords[0][0], reg.coords[1][0]) else 0
+                                for c in range(3)] for r in range(3)])
+    cross = scm.SCMap(reg, reg, mixed)
+    assert cross.blocks is None and not cross.is_valid() and cross.mat is mixed
+    with pytest.raises(QuivhomError, match="different grades"):
+        scm.kernel_of_sc(cross)
+    flat = _in_mixed_basis(reg)
+    to_flat = scm.SCMap(reg, flat, Mat.identity(QQ, 3))
+    assert len(flat.coords) == 1 and to_flat.blocks == [to_flat.mat]
+    placed = scm.SCMap._of_blocks(reg, reg, ident.blocks)
+    assert placed.mat == ident.mat and placed == ident
 
 
 def test_a_non_unital_action_is_refused():
@@ -660,6 +701,22 @@ def test_quotient_by_a_zero_span_is_the_module_itself(name, field):
             dproj, dsect, _ = alg.quotient_by_rows(zero.transpose())
             assert q is m and (proj, sect) == (dproj, dsect)
             assert list(q.action) == [dproj.mul(a).mul(dsect) for a in m.action]
+
+
+WRONG_SPANS = {"height 4": lambda: Mat.identity(QQ, 4), "zero of height 2": lambda: Mat.zeros(QQ, 2, 1),
+               "zero of height 4": lambda: Mat.zeros(QQ, 4, 2),
+               "zero over GF(5)": lambda: Mat.zeros(GF(5), 3, 1),
+               "over GF(5)": lambda: Mat.identity(GF(5), 3)}
+
+
+@pytest.mark.parametrize("name", list(WRONG_SPANS))
+def test_quotient_by_a_span_of_the_wrong_shape_or_field_is_refused(name):
+    # the regular module of kA2 has dimension 3: a span of another height
+    # is no span in it, zero or not (before, the identity of size 4 gave the
+    # zero module and a zero span of height 2 or 4 gave M), and a span over
+    # another field is refused, zero or not
+    with pytest.raises(DimensionMismatch):
+        scm.quotient_sc(scm.regular_module(sc_kA2()), WRONG_SPANS[name]())
 
 
 def test_quotient_of_a_triple_by_a_span_that_is_no_subtriple_is_refused():
@@ -919,3 +976,97 @@ def test_a_radical_that_is_no_left_ideal_is_refused_by_the_top():
     first = next(i for i, (col, _) in enumerate(cd.columns) if col.dim == 3)
     with pytest.raises(QuivhomError, match="not action-stable"):
         cd.simple_top(first)
+
+
+# -- syzygy steps place only what they read --------------------------------------------
+#
+# A cover's pi and a kernel's inclusion are kept as their grade blocks, and
+# a sum's blocks are placed when first read.  The references: pi as the
+# columns a_b*u of the full actions, the inclusion as the null space of the
+# full pi, and the placement of the kept blocks by ``_reference_join``, the
+# full matrices as the steps placed them before maps kept their blocks.
+
+def _reference_join(m, of, blocks):
+    """The matrix whose column t is the next column of blocks[of[t]],
+    placed at the rows of its grade in m."""
+    f, w = m.sc.field, len(of)
+    ent, nxt = [f.zero()] * (m.dim * w), [0] * len(blocks)
+    for t, g in enumerate(of):
+        blk, q = blocks[g], nxt[g]
+        nxt[g] += 1
+        for p, r in enumerate(m.coords[g]):
+            ent[r * w + t] = blk.entries[p * blk.cols + q]
+    return Mat(f, m.dim, w, tuple(ent))
+
+
+def _t2_a4_pool():
+    spec = tm.t2_spec(_a4_rad2(GF(101)))
+    pool = [t for _, _, t in tm.simple_triples(spec)]
+    pool += [tm.e1_lambda(spec, col) for col, _ in spec.coldata_r().columns]
+    pool += [tm.e2_lambda(spec, col) for col, _ in spec.coldata_s().columns]
+    return pool + [tm.triple_sum(spec, pool[::3]), tm.triple_sum(spec, pool[1::2])]
+
+
+STEP_CASES = {
+    **{f"gldim E {name}": (lambda name=name: [_report_algebras(REPORT_QUIVERS[name]())["E"]], scm.gldim_sc)
+       for name in REPORT_QUIVERS},
+    "pd t2_a4 pool": (_t2_a4_pool, lambda t: tm.triple_pd(t, 12)),
+}
+
+
+@pytest.mark.parametrize("name", list(STEP_CASES))
+def test_syzygy_steps_place_no_full_matrix(name, monkeypatch):
+    make, run = STEP_CASES[name]
+    inputs = make()
+    covers, steps, joins = [], [], []
+    real_map, real_steps, real_join = scm._map_from_columns, scm.syzygy_steps, scm._join
+
+    def recording(m, pieces, gens):
+        got = real_map(m, pieces, gens)
+        covers.append((m, list(pieces), list(gens), got[1]))
+        return got
+
+    def keeping(m, held, n, cover, kernel):
+        steps.append(real_steps(m, held, n, cover, kernel))
+        return steps[-1]
+
+    def counting(*args):
+        joins.append(args)
+        return real_join(*args)
+
+    monkeypatch.setattr(scm, "_map_from_columns", recording)
+    monkeypatch.setattr(scm, "syzygy_steps", keeping)
+    monkeypatch.setattr(scm, "_join", counting)
+    for x in inputs:
+        run(x)
+    assert covers and steps and joins == []
+    monkeypatch.undo()
+    for m, pieces, gens, pi in covers:
+        f, cd = m.sc.field, scm.column_data(m.sc)
+        assert pi.mat == Mat.hstack(f, [m.action[b].col(c) for i, c in zip(pieces, gens)
+                                        for b in cd._positions[i]])
+    for held in steps:
+        for _, pi, _, incl in held:
+            assert incl.mat == _null_space(pi.mat)[0]
+            for g in (pi, incl):
+                placed = g.blocks[0] if len(g.blocks) == 1 else \
+                    _reference_join(g.target, g.source.grade, g.blocks)
+                assert g.mat == placed and g.is_valid()
+
+
+def test_a_cover_with_zero_kernel_places_no_block_of_its_sum():
+    # the projective P1 + P3 of kA3: its cover is an isomorphism, so neither
+    # the cover nor the kernel, nor is_projective_sc, reads a block of P;
+    # the blocks read later are placed once and kept
+    a = alg.path_algebra(QQ, qv.a_n(3))
+    sc = alg.sc_of_bqa(a)
+    m = scm.sc_module_of_algmod(alg.sum_mods(a, [alg.projective_module(a, "1"),
+                                                 alg.projective_module(a, "3")]), sc)
+    p, pi = scm.projective_cover_sc(m)
+    k, _ = scm.kernel_of_sc(pi)
+    assert k.is_zero() and scm.is_projective_sc(m) and p.dim == m.dim
+    assert p.blocks.placed == [None] * sc.dim
+    first = list(p.blocks)
+    assert all(x is y for x, y in zip(first, p.blocks))
+    assert list(p.action) == _dense_sum(sc, [scm.column_data(sc).columns[i][0]
+                                             for i in scm.column_cover_sc(m)[0]])
