@@ -27,10 +27,9 @@ pieces, and Ext reads Hom(P_i, N) off those pieces with no hom basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
-from .bounds import Dim, syzygy_pd, syzygy_steps
+from .bounds import Dim, check_natural, syzygy_pd, syzygy_steps
 from .errors import (
     AlgebraMismatch,
     CharPNotSupported,
@@ -41,8 +40,8 @@ from .errors import (
     RelationNotParallel,
     UnknownVertex,
 )
-from .exactlin import (Field, Mat, _commuting_rows, _kernel_blocks, _null_space, _reduced_span, rank,
-                       rref)
+from .exactlin import (Field, Mat, _commuting_rows, _kernel_blocks, _null_space, _reduced_span,
+                       _scalar_of, rank, rref)
 from .quiver import (Path, Quiver, arrow_path, check_path, concat, longest_path, make_quiver,
                      single_vertex, trivial_path)
 
@@ -76,10 +75,8 @@ class BQA:
         self.name = name
         self.relations = []
         for rel in relations:
-            for c, _ in rel:
-                if not isinstance(c, int) and not (field.kind == "q" and isinstance(c, Fraction)):
-                    raise QuivhomError(f"relation coefficient {c!r} is not a scalar of {field}")
-            terms = [(field.of_int(c) if isinstance(c, int) else c, check_path(quiver, p)) for c, p in rel]
+            terms = [(field.of_int(c) if isinstance(c, int) else _scalar_of(field, c),
+                      check_path(quiver, p)) for c, p in rel]
             if not terms:
                 continue
             src = {p.source for _, p in terms}
@@ -266,7 +263,11 @@ class AlgMod:
             if m is None:
                 m = Mat.zeros(f, dims[a.target], dims[a.source])
                 missing += 1
-            if (m.rows, m.cols) != (dims[a.target], dims[a.source]):
+            try:
+                shape = (m.rows, m.cols)
+            except AttributeError:
+                raise DimensionMismatch(f"arrow {a.name}: a {type(m).__name__} is no Mat") from None
+            if shape != (dims[a.target], dims[a.source]):
                 raise DimensionMismatch(f"arrow {a.name}: matrix shape {m.rows}x{m.cols}")
             if m.field is not f and m.field != f:
                 raise AlgebraMismatch(f"arrow {a.name}: matrix over {m.field}, not the algebra's {f}")
@@ -323,7 +324,11 @@ class ModMap:
             if m is None:
                 m = Mat.zeros(f, self.target.dims[v], self.source.dims[v])
                 missing += 1
-            if (m.rows, m.cols) != (self.target.dims[v], self.source.dims[v]):
+            try:
+                shape = (m.rows, m.cols)
+            except AttributeError:
+                raise DimensionMismatch(f"vertex {v}: a {type(m).__name__} is no Mat") from None
+            if shape != (self.target.dims[v], self.source.dims[v]):
                 raise DimensionMismatch(f"vertex {v}: map shape {m.rows}x{m.cols}")
             if m.field is not f and m.field != f:
                 raise AlgebraMismatch(f"vertex {v}: block over {m.field}, not the algebra's {f}")
@@ -810,8 +815,8 @@ def gldim(a: BQA, cap: int = 20) -> Dim:
 
 def minimal_resolution(m: AlgMod, length: int):
     """[(P_0, d_0), (P_1, d_1), ...] with d_0: P_0 -> M, d_i: P_i -> P_{i-1},
-    up to length + 1 terms, ending at the first zero kernel.  A negative
-    length raises ``QuivhomError``.
+    up to length + 1 terms, ending at the first zero kernel.  A length that
+    is no int >= 0 raises ``QuivhomError``.
 
     The terms are read off the kept syzygy steps shared with ``pd`` and
     ``ext_dims`` (see ``_kept``): the P_i and d_0 may be the objects an
@@ -819,8 +824,7 @@ def minimal_resolution(m: AlgMod, length: int):
     earlier, so they must not be mutated.  In a periodic tail a term is the
     P_i of one period before, and d_i is incl_(i-1) composed with that
     step's pi, which targets a kernel equal to K_(i-1)."""
-    if length < 0:
-        raise QuivhomError(f"length must be at least 0, got {length}")
+    check_natural("length", length)
     return [(p, d) for p, d, _ in _resolution(m, length)]
 
 
@@ -833,14 +837,13 @@ def _resolution(m: AlgMod, length: int):
 def ext_dims(m: AlgMod, s: AlgMod, upto: int):
     """dim Ext^i(M, S) for 0 <= i <= upto, from Hom(P_., S) cochain ranks.
 
-    S must be a module over M's algebra (``AlgebraMismatch``) and upto at
-    least 0 (``QuivhomError``); both are checked before anything is built.
+    S must be a module over M's algebra (``AlgebraMismatch``) and upto an
+    int >= 0 (``QuivhomError``); both are checked before anything is built.
     The resolution is read off the kept syzygy steps shared with ``pd`` and
     ``minimal_resolution`` (see ``_kept``)."""
     if s.algebra is not m.algebra:
         raise AlgebraMismatch("modules over different algebras")
-    if upto < 0:
-        raise QuivhomError(f"upto must be at least 0, got {upto}")
+    check_natural("upto", upto)
     return _ext_dims(_resolution(m, upto + 1), s, upto)
 
 
@@ -919,8 +922,7 @@ def pd_via_ext(m: AlgMod, cap: int = 20) -> Dim:
     replaces the steps ``pd`` keeps, so it checks ``pd`` against a
     resolution of its own.  The Ext dimensions are cochain ranks of
     Hom(P_., S), each delta computed from its differential (``_ext_dims``)."""
-    if cap < 0:
-        raise QuivhomError(f"cap must be at least 0, got {cap}")
+    check_natural("cap", cap)
     if m.is_zero():
         return Dim.finite(0)
     a = m.algebra

@@ -74,6 +74,12 @@ class Dim:
         return self.le(Dim.finite(bound))
 
 
+def check_natural(name: str, value) -> None:
+    """``QuivhomError`` unless ``value``, a cap or a length, is an int >= 0."""
+    if not isinstance(value, int) or value < 0:
+        raise QuivhomError(f"{name} must be an int >= 0, not {value!r}")
+
+
 def syzygy_steps(m, steps: list, n: int, cover, kernel) -> list:
     """Extend the syzygy steps of ``m`` in place to n steps, or up to the
     first zero kernel, and return them.  Step i is (P_i, pi_i, K_i, incl_i):
@@ -105,10 +111,10 @@ def syzygy_pd(m, cap: int, steps) -> Dim:
     """Projective dimension of ``m`` by minimal syzygies, capped at ``cap``:
     the index of the first zero kernel among the first cap + 1 steps that
     ``steps(cap + 1)`` returns (``syzygy_steps`` of m; later steps are not
-    read), ``Dim.at_least(cap)`` when none is zero.  A negative cap raises
-    ``QuivhomError``; the zero module has pd 0, and no step is asked for."""
-    if cap < 0:
-        raise QuivhomError(f"cap must be at least 0, got {cap}")
+    read), ``Dim.at_least(cap)`` when none is zero.  A cap that is no int
+    >= 0 raises ``QuivhomError``; the zero module has pd 0, and no step is
+    asked for."""
+    check_natural("cap", cap)
     if m.is_zero():
         return Dim.finite(0)
     got = steps(cap + 1)[:cap + 1]

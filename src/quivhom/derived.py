@@ -49,6 +49,8 @@ class Complex:
     def __post_init__(self):
         # the zero padding goes into copies, never into the caller's dicts
         self.objs, self.diffs = dict(self.objs), dict(self.diffs)
+        if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
+            raise QuivhomError(f"degrees {self.lo!r}..{self.hi!r} must be ints")
         if self.hi < self.lo:
             raise QuivhomError(f"degrees {self.lo}..{self.hi} are empty: a complex needs lo <= hi")
         if any(not self.lo <= i <= self.hi for i in self.objs) \

@@ -41,6 +41,8 @@ answer is the general code's, entry for entry and type for type:
 
 A ``Mat`` refuses a negative shape, and the stacking and placing
 constructors a part over another field, as ``mul`` and ``add`` do.
+``from_rows`` and ``column`` refuse an entry that is no scalar of the field
+(an int, or over QQ a Fraction); the raw constructor checks no entry.
 """
 
 from __future__ import annotations
@@ -75,6 +77,15 @@ def _one_type(values) -> tuple:
     """The rationals ``values`` as a tuple, each in its one type: only a
     Fraction is normalised, so an int passes as it is."""
     return tuple(_q(x) if x.__class__ is Fraction else x for x in values)
+
+
+def _scalar_of(field: Field, x):
+    """``x``, a value that is no int, as a scalar of ``field``: over QQ a
+    Fraction passes; anything else (a float, a string, a Fraction over
+    GF(p)) raises ``QuivhomError``."""
+    if field.kind == "q" and isinstance(x, Fraction):
+        return x
+    raise QuivhomError(f"{x!r} is not a scalar of {field}")
 
 
 def _integral(rows):
@@ -236,7 +247,7 @@ class Mat:
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged rows")
-        ent = tuple(field.of_int(x) if isinstance(x, int) else x for r in rows for x in r)
+        ent = tuple(field.of_int(x) if isinstance(x, int) else _scalar_of(field, x) for r in rows for x in r)
         return Mat(field, nrows, ncols, ent)
 
     @staticmethod
@@ -263,7 +274,7 @@ class Mat:
 
     @staticmethod
     def column(field: Field, values) -> "Mat":
-        vals = [field.of_int(v) if isinstance(v, int) else v for v in values]
+        vals = [field.of_int(v) if isinstance(v, int) else _scalar_of(field, v) for v in values]
         return Mat(field, len(vals), 1, tuple(vals))
 
     # -- access --------------------------------------------------------------

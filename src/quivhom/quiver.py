@@ -54,7 +54,10 @@ def make_quiver(vertices, arrows, require_acyclic: bool = True) -> Quiver:
         if isinstance(a, Arrow):
             name, s, t = a.name, a.source, a.target
         else:
-            name, s, t = a
+            try:
+                name, s, t = a
+            except (TypeError, ValueError):
+                raise QuivhomError(f"arrow {a!r} is not a (name, source, target) triple") from None
         name, s, t = str(name), str(s), str(t)
         if name in anames:
             raise DuplicateArrowId(f"duplicate arrow id {name!r}")

@@ -12,7 +12,7 @@ algebra that fixes it, so e_i M is spanned by the coordinates of grade i and
 e_i acts as the projection onto them.  A basis element b in e_j Gamma e_i
 maps e_i M into e_j M and kills the other grades, so it is kept only as its
 block, the rows of grade j by the columns of grade i (``blocks[b]``, at
-``at[b] = (j, i)``).  ``action[b]`` places the block into a full matrix when
+``at[b] = (j, i)``).  ``action`` places every block into a full matrix when
 it is read (``_place``, the one placement) and keeps nothing.  So sums,
 kernels, J*M, quotients, covers and hom bases work one grade at a time: a
 module map sends grade i to grade i, a submodule is the sum of its grades,
@@ -20,13 +20,14 @@ and the reduced bases read grade by grade are those of the whole space,
 entry for entry, since a reduced basis depends only on the subspace and the
 order of the coordinates.
 
-A module map is kept the same way, as its blocks from each grade to the
-same grade (``SCMap.blocks``), and its full matrix ``SCMap.mat`` is placed
-when it is read.  A syzygy step places no full matrix: a cover's pi is
-written grade by grade from the columns of M's blocks, and a kernel is read
-off the null spaces of pi's blocks, which are its inclusion's blocks.  The
-blocks of a direct sum are placed when first read (``sum_sc``), so a cover
-whose kernel is zero places none of the blocks of its P.
+A module map keeps the form it is built in, its blocks from each grade to
+the same grade (``SCMap.blocks``) or its full matrix (``SCMap.mat``), and
+derives the other once, when first read.  A syzygy step places no full
+matrix: a cover's pi is written grade by grade from the columns of M's
+blocks, and a kernel is read off the null spaces of pi's blocks, which are
+its inclusion's blocks.  The blocks of a direct sum are placed when first
+read (``sum_sc``), so a cover whose kernel is zero places none of the
+blocks of its P.
 
 A module given by full action matrices is graded when every idempotent acts
 as a coordinate projection and every basis element acts only in its block.
@@ -151,14 +152,18 @@ class SCModule:
     ``SCModule(sc, dim, action)`` reads the grading off full action
     matrices, and refuses a module with one grade on which the unit does
     not act as the identity (a Peirce grading already sums the idempotents
-    to it); ``action`` places the blocks back when read."""
+    to it); ``action`` places the blocks back when read, as a list."""
 
     def __init__(self, sc: SCAlgebra, dim: int, action):
         action = list(action)
         if len(action) != sc.dim:
             raise DimensionMismatch("one action matrix per basis element required")
         for m in action:
-            if (m.rows, m.cols) != (dim, dim):
+            try:
+                shape = (m.rows, m.cols)
+            except AttributeError:
+                raise DimensionMismatch(f"action matrix: a {type(m).__name__} is no Mat") from None
+            if shape != (dim, dim):
                 raise DimensionMismatch("action matrices must be square of the module dimension")
         grade, at, blocks = _grading_of(sc, dim, action)
         if at is _gradings(sc)[1] and not _combination(sc.field, dim, action, sc.unit).is_identity():
@@ -185,9 +190,9 @@ class SCModule:
         return cls.__new__(cls)._set(sc, grade, at, blocks)
 
     @property
-    def action(self):
+    def action(self) -> list:
         """One full matrix per algebra basis element, placed when read."""
-        return _Placed(self)
+        return [_place(self, {at: blk}) for at, blk in zip(self.at, self.blocks)]
 
     def act_vector(self, coeffs) -> Mat:
         """Matrix of the action of an algebra element given by coefficients."""
@@ -219,32 +224,12 @@ class SCModule:
             return False
         if self.at is other.at:
             return self.grade == other.grade and self.blocks == other.blocks
-        return list(self.action) == list(other.action)
+        return self.action == other.action
 
     __hash__ = None
 
     def __repr__(self):
         return f"SCModule(dim={self.dim}, grades={[len(cs) for cs in self.coords]})"
-
-
-class _Placed(Sequence):
-    """A module's action matrices, each placed from its block when read."""
-
-    def __init__(self, m: SCModule):
-        self.m = m
-
-    def __len__(self):
-        return len(self.m.blocks)
-
-    def __getitem__(self, b):
-        m = self.m
-        return _place(m, {m.at[b]: m.blocks[b]})
-
-    def __eq__(self, other):
-        return list(self) == list(other)
-
-    def __repr__(self):
-        return repr(list(self))
 
 
 def _place(m: SCModule, parts) -> Mat:
@@ -315,22 +300,20 @@ def _one_grade(mods):
     each with one grade, its action matrices placed as its blocks."""
     if all(m.at is mods[0].at for m in mods):
         return mods
-    return [SCModule._of_blocks(m.sc, (0,) * m.dim, _gradings(m.sc)[1], list(m.action))
+    return [SCModule._of_blocks(m.sc, (0,) * m.dim, _gradings(m.sc)[1], m.action)
             for m in mods]
 
 
 class SCMap:
-    """A module map kept as its grade blocks: ``blocks[g]`` takes grade g of
-    the source to grade g of the target, as ``SCModule`` keeps its Peirce
-    blocks and ``trimat.TripleMap`` its u and w.  Ends with different
-    gradings meet with one grade each, and the map is one block, the full
-    matrix.  ``SCMap(source, target, mat)`` checks its ends and its matrix
-    (``AlgebraMismatch`` for ends over two algebras, ``DimensionMismatch``
-    for a matrix of another shape or field, or no ``Mat``) and cuts the
-    matrix into its grades where it is built; ``blocks`` is None when the
-    matrix has an entry between different grades, which no module map has.
-    ``mat`` is the full matrix, placed from the blocks when first read and
-    kept, for a map built from its blocks."""
+    """A module map, kept in the form it is built in: its full matrix
+    ``mat``, or its grade blocks, ``blocks[g]`` taking grade g of the source
+    to grade g of the target.  The other form is derived when first read
+    and kept.  Ends with different gradings meet with one grade each, and
+    the map is one block, the full matrix.  ``SCMap(source, target, mat)``
+    checks its ends and its matrix (``AlgebraMismatch`` for ends over two
+    algebras, ``DimensionMismatch`` for a matrix of another shape or field,
+    or no ``Mat``); ``blocks`` is None when the matrix has an entry between
+    different grades, which no module map has."""
 
     def __init__(self, source: SCModule, target: SCModule, mat: Mat):
         if source.sc is not target.sc:
@@ -342,7 +325,6 @@ class SCMap:
                                     f"from dimension {source.dim} to {target.dim}")
         _check_fields(source.sc.field, [mat])
         self.source, self.target, self.mat = source, target, mat
-        self.blocks = _cut(target, source, mat)
 
     @classmethod
     def _of_blocks(cls, source: SCModule, target: SCModule, blocks) -> "SCMap":
@@ -354,6 +336,14 @@ class SCMap:
     def mat(self) -> Mat:
         blocks = self.blocks
         return blocks[0] if len(blocks) == 1 else _join(self.target, self.source.grade, blocks)
+
+    @cached_property
+    def blocks(self):
+        source, target, mat = self.source, self.target, self.mat
+        if source.at is not target.at:
+            return [mat]
+        blocks = [_take(mat, tc, sc) for tc, sc in zip(target.coords, source.coords)]
+        return blocks if len(blocks) == 1 or sum(map(_nonzeros, blocks)) == _nonzeros(mat) else None
 
     def is_valid(self) -> bool:
         """g . a_b = a'_b . h for every basis element b at (j, i), g and h
@@ -379,16 +369,6 @@ class SCMap:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.source!r} -> {self.target!r}, mat={self.mat!r})"
-
-
-def _cut(target: SCModule, source: SCModule, mat: Mat):
-    """The blocks of ``mat`` from each grade of ``source`` to the same grade
-    of ``target`` (the one block ``mat`` when their gradings differ), or
-    None when ``mat`` has an entry between different grades."""
-    if source.at is not target.at:
-        return [mat]
-    blocks = [_take(mat, tc, sc) for tc, sc in zip(target.coords, source.coords)]
-    return blocks if len(blocks) == 1 or sum(map(_nonzeros, blocks)) == _nonzeros(mat) else None
 
 
 def _combination(field, dim, mats, coeffs) -> Mat:
@@ -659,10 +639,11 @@ class ColumnData:
     copied (else :class:`NotSplit`): b*e_i and e_j*b are b or 0, so each
     basis element b lies in one block e_j Gamma e_i.  Gamma*e_i is spanned
     by the b with b*e_i = b, graded by their ends; its action is the
-    sub-table a*b = mult[a][b] on them and its inclusion into Gamma their
-    0/1 position matrix.  J*Gamma*e_i = J*e_i is spanned by the radical
-    vectors restricted to those positions, and dim e_j J e_i is the rank of
-    their restriction to the block.
+    sub-table a*b = mult[a][b] on them, and ``columns[i]`` pairs it with
+    their positions in Gamma (``_positions[i]``, no inclusion matrix).
+    J*Gamma*e_i = J*e_i is spanned by the radical vectors restricted to
+    those positions, and dim e_j J e_i is the rank of their restriction to
+    the block.
     Split: dim e_i Gamma e_i / e_i J e_i is 1.  Classes: Gamma*e_i and
     Gamma*e_j are isomorphic iff e_i Gamma e_j != e_i J e_j.
 
@@ -686,14 +667,9 @@ class ColumnData:
         if peirce is None:
             raise NotSplit("basis is not adapted to the idempotents")
         self.sc = sc
-        f = sc.field
         self._positions = [[b for b in range(sc.dim) if peirce[b][1] == i] for i in range(n)]
         self.radical = radical_of(sc)
-        self.columns = []
-        for pos in self._positions:
-            incl = Mat(f, sc.dim, len(pos), tuple(f.one() if b == c else f.zero()
-                                                  for b in range(sc.dim) for c in pos))
-            self.columns.append((_table_module(sc, sc, range(sc.dim), pos), incl))
+        self.columns = [(_table_module(sc, sc, range(sc.dim), pos), pos) for pos in self._positions]
 
         def over_radical(i, j):  # dim e_i Gamma e_j - dim e_i J e_j
             block = [b for b in self._positions[j] if peirce[b][0] == i]

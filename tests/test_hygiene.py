@@ -433,8 +433,8 @@ def test_pd_over_t_places_no_full_action_matrix(monkeypatch):
     monkeypatch.setattr(scm, "_place", lambda m, parts: placed.append(m.dim) or real(m, parts))
     pds = [scm.pd_sc(t, 20) for t in triples]
     assert placed == [] and {d.value for d in pds} >= {0, 1}
-    triples[0].action[0]  # reading an action places it
-    assert placed == [triples[0].dim]
+    triples[0].action[0]  # reading the actions places one matrix per basis element
+    assert len(placed) == triples[0].sc.dim
 
 
 def _t2_k_complexes():
@@ -514,6 +514,15 @@ def test_trimat_defines_no_action_placer_of_its_own():
     defined = {n.name for n in ast.walk(tree) if isinstance(n, _DEFINITIONS)}
     assert not defined & {"_Actions", "_hold", "__getitem__", "__iter__"}
     assert not _referenced_names(tree) & {"blocks_at", "Sequence", "_place"}
+
+
+def test_trimat_keeps_no_grade_cut_of_its_own():
+    # a TripleMap is built from its u and w, and SCMap cuts the grade
+    # blocks of diag(u, w) when they are first read: trimat defines no
+    # blocks and reads no cut
+    tree = ast.parse((SRC / "trimat.py").read_text(encoding="utf-8"))
+    assert "blocks" not in {n.name for n in ast.walk(tree) if isinstance(n, _DEFINITIONS)}
+    assert "_cut" not in _referenced_names(tree)
 
 
 # the public signatures of scmodule when modules came to be stored by their

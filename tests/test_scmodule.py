@@ -342,7 +342,7 @@ def _reference_column_data(sc):
     the regular module, acted on by one solve per basis element; classes
     from the ranks of the corners e_i Gamma e_j and e_i J e_j, spanned by
     e_i g e_j over all g; tops as quotients by the radical submodule.
-    Returns (columns with inclusions, class_of, simple tops)."""
+    Returns (columns with their reduced bases in Gamma, class_of, simple tops)."""
     f = sc.field
     units = [tuple(u) for u in Mat.identity(f, sc.dim).row_list()]
     reg = scm.SCModule(sc, sc.dim, [Mat.hstack(f, [Mat.column(f, sc.multiply(a, u)) for u in units])
@@ -411,9 +411,20 @@ def test_column_data_equals_the_regular_module_construction(name, field):
     sc = COLUMN_ALGEBRAS[name](field)
     columns, class_of, tops = _reference_column_data(sc)
     cd = scm.ColumnData(sc)
-    assert cd.columns == columns
+    assert [col for col, _ in cd.columns] == [col for col, _ in columns]
+    # Gamma*e_i is spanned by the unit vectors at its kept positions
+    units = Mat.identity(sc.field, sc.dim)
+    assert [basis for _, basis in columns] == [Mat.hstack(sc.field, [units.col(b) for b in pos])
+                                               for _, pos in cd.columns]
     assert cd.class_of == class_of
     assert [cd.simple_top(i) for i in range(len(columns))] == tops
+
+
+def test_a_column_keeps_its_positions_once():
+    # columns[i] pairs Gamma*e_i with its positions in Gamma, the list that
+    # _positions[i] holds, and no 0/1 inclusion matrix beside them
+    cd = scm.ColumnData(_end_xbar(qv.kronecker())(QQ))
+    assert all(pos is cd._positions[i] for i, (_, pos) in enumerate(cd.columns))
 
 
 def test_basis_not_adapted_to_the_idempotents_is_not_split():
@@ -601,10 +612,10 @@ def test_one_grade_modules_run_the_same_code(field):
 # -- maps of the wrong shape ----------------------------------------------------------------
 
 def test_maps_of_the_wrong_shape_are_refused():
-    # the grade blocks are cut by the ends' coordinates where the map is
-    # built, so a matrix that is too small must not fail inside the cut, and
-    # one that is too large must not be cut down to a module map when its
-    # extra entries are zero
+    # the grade blocks are cut by the ends' coordinates when first read, so
+    # a matrix that is too small must be refused before any cut, and one
+    # that is too large must not be cut down to a module map when its extra
+    # entries are zero
     sc = sc_kA2()
     reg = scm.regular_module(sc)
     assert reg.dim == 3
@@ -656,6 +667,41 @@ def test_a_map_keeps_its_grade_blocks():
     assert len(flat.coords) == 1 and to_flat.blocks == [to_flat.mat]
     placed = scm.SCMap._of_blocks(reg, reg, ident.blocks)
     assert placed.mat == ident.mat and placed == ident
+
+
+def _counting_cuts(monkeypatch):
+    """The rows of every ``scmodule._take`` call from now on."""
+    cuts, real = [], scm._take
+    monkeypatch.setattr(scm, "_take", lambda m, rows, cols: cuts.append(rows) or real(m, rows, cols))
+    return cuts
+
+
+def test_a_map_cuts_its_grade_blocks_once_when_first_read(monkeypatch):
+    # SCMap(source, target, mat) keeps the matrix it is given and cuts
+    # nothing where it is built; the blocks are cut once, on first read
+    reg = scm.regular_module(sc_kA2())
+    cuts = _counting_cuts(monkeypatch)
+    f = scm.SCMap(reg, reg, Mat.identity(QQ, 3))
+    assert cuts == []
+    blocks = f.blocks
+    assert len(cuts) == len(reg.coords) == 2
+    assert f.blocks is blocks and len(cuts) == 2
+
+
+def test_a_triple_hom_basis_cuts_no_grade_block(monkeypatch):
+    # hom_basis_sc builds its maps from matrices and triple_cat reads them
+    # back as u and w, so no grade block of a basis map is cut
+    spec = tm.t2_spec(alg.ground_field_algebra(QQ))
+
+    def triple(a, b, phi):
+        return tm.TripleModule(spec, scm.SCModule(spec.r, a, [Mat.identity(QQ, a)]),
+                               scm.SCModule(spec.s, b, [Mat.identity(QQ, b)]), Mat(QQ, b, a, phi))
+
+    x, y = triple(2, 1, (1, 2)), triple(1, 2, (1, -1))
+    assert len(x.coords) == len(y.coords) == 2
+    cuts = _counting_cuts(monkeypatch)
+    basis = cats.triple_cat(spec).hom_basis(x, y)
+    assert basis and cuts == []
 
 
 def test_a_non_unital_action_is_refused():
