@@ -27,7 +27,8 @@ pieces, and Ext reads Hom(P_i, N) off those pieces with no hom basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from itertools import chain, compress
 
 from .bounds import Dim, check_natural, syzygy_pd, syzygy_steps
 from .errors import (
@@ -36,6 +37,7 @@ from .errors import (
     CompositionInconsistent,
     DimensionMismatch,
     NotAdmissible,
+    NotSplit,
     QuivhomError,
     RelationNotParallel,
     UnknownVertex,
@@ -948,28 +950,59 @@ def pd_via_ext(m: AlgMod, cap: int = 20) -> Dim:
 class SCAlgebra:
     """Associative algebra given by structure constants on an explicit basis.
 
-    Construction checks that the table is dim x dim x dim and the unit and
-    idempotents have dim coordinates (else ``DimensionMismatch``), the unit,
-    and, when given, that the idempotents are orthogonal idempotents summing
-    to the unit (O(dim + n^2) products).
-    Associativity is checked only by :meth:`validate` (dim^3 products), for
-    tables built by hand: the library's own (``sc_of_bqa``,
-    ``endo.end_algebra`` and its corners) are associative by construction.
+    The table is kept in one form, its sparse terms: ``_terms[i][j]`` lists
+    the pairs (k, c), c != 0 and k increasing, with b_i * b_j = sum of
+    c b_k.  ``SCAlgebra(field, mult, unit, idempotents, radical)`` takes a
+    dense table mult[i][j][k] and converts it once; the library's own
+    tables (``sc_of_bqa``, ``endo.end_algebra`` and its sub-tables, the
+    triangular rings of ``trimat``) are handed their terms (``_of_terms``).
+    The dense ``mult`` is a view, built from the terms when first read and
+    kept; only the checks read it (``validate``, ``SCModule.check``,
+    ``Bimodule.check``).  Neither form is ever mutated.
 
-    ``multiply`` reads a sparse view of the table, for each pair (i, j) the
-    pairs (k, m) with m = mult[i][j][k] nonzero.  It is built once, with the
-    algebra, and shared by every product; like the table it is never mutated.
+    Construction checks the shape: a dim x dim x dim table, or terms whose
+    indices lie in range(dim), and a unit and idempotents of dim coordinates
+    (else ``DimensionMismatch``).  Given idempotents must be orthogonal
+    idempotents summing to the unit (n^2 products).  A table handed its
+    Peirce grading (``_of_terms`` with ``peirce``: E, its corners and Sigma)
+    is checked against it, b*e_i = b and e_j*b = b for b at (j, i), 2 dim
+    products (``_grade_by``, ``NotSplit`` when a grade is wrong); with the
+    idempotent axioms and the associativity of the library's tables these
+    give 1*b = b*1 = b, so the unit axiom is not checked again.  Every other
+    table has its unit checked on each basis element (2 dim products).
+    Associativity is checked only by :meth:`validate` (dim^3 products), for
+    tables built by hand: the library's own are associative by construction.
+
+    Products run over the nonzero coordinates of their operands and the
+    nonzero terms they meet (``_product``).
     """
 
     def __init__(self, field: Field, mult, unit, idempotents=None, radical=None):
+        rows = [[tuple(v) for v in row] for row in mult]
+        n = len(rows)
+        if any(len(row) != n or any(len(v) != n for v in row) for row in rows):
+            raise DimensionMismatch(f"structure constants of dimension {n} need a {n}x{n}x{n} table")
+        self._set(field, [[tuple((k, c) for k, c in enumerate(v) if c) for v in row] for row in rows],
+                  unit, idempotents, radical, None)
+
+    @classmethod
+    def _of_terms(cls, field: Field, terms, unit, idempotents=None, radical=None,
+                  peirce=None) -> "SCAlgebra":
+        """The algebra of the sparse ``terms`` (rows of dim tuples of pairs
+        (k, c), c != 0, k increasing), checked as the class docstring says;
+        with ``peirce``, the grade (j, i) of each basis element, it is
+        checked against that grading in place of the unit axiom."""
+        return cls.__new__(cls)._set(field, terms, unit, idempotents, radical, peirce)
+
+    def _set(self, field: Field, terms, unit, idempotents, radical, peirce) -> "SCAlgebra":
         self.field = field
-        self.mult = tuple(tuple(tuple(v) for v in row) for row in mult)
-        self.dim = len(self.mult)
+        self._terms = tuple(tuple(row) for row in terms)
+        n = self.dim = len(self._terms)
         self.unit = tuple(unit)
         self.idempotents = tuple(tuple(e) for e in idempotents) if idempotents is not None else None
-        n = self.dim
-        if any(len(row) != n or any(len(v) != n for v in row) for row in self.mult):
-            raise DimensionMismatch(f"structure constants of dimension {n} need a {n}x{n}x{n} table")
+        if any(len(row) != n for row in self._terms) or \
+                any(not 0 <= k < n for row in self._terms for t in filter(None, row) for k, _ in t):
+            raise DimensionMismatch(f"structure constants of dimension {n} need indices in range({n})")
         for name, vec in (("unit", self.unit), *(("idempotent", e) for e in self.idempotents or ())):
             if len(vec) != n:
                 raise DimensionMismatch(f"{name} has {len(vec)} coordinates, not the dimension {n}")
@@ -978,16 +1011,16 @@ class SCAlgebra:
         self._zero = field.zero()
         self._coldata = None  # built once by scmodule.column_data
         self._radical = None  # the trace-form radical, built once by scmodule.radical_of
-        self._gradings = None  # built once by scmodule._gradings
-        # sparse view of the table: _terms[i][j] = the pairs (k, m), m != 0
-        self._terms = tuple(tuple(tuple((k, m) for k, m in enumerate(v) if m) for v in row)
-                            for row in self.mult)
-        for b in Mat.identity(field, self.dim).row_list():
-            b = tuple(b)
-            if self.multiply(self.unit, b) != b or self.multiply(b, self.unit) != b:
-                raise CompositionInconsistent("unit axiom fails")
+        self._gradings = None  # kept by _keep_gradings
+        if peirce is None:
+            one, unit = field.one(), self._support(self.unit)
+            for b in range(n):
+                unit_b = ((b, one),)
+                if _nonzero(self._product(unit, unit_b)) != {b: one} or \
+                        _nonzero(self._product(unit_b, unit)) != {b: one}:
+                    raise CompositionInconsistent("unit axiom fails")
         if self.idempotents is not None:
-            total = [field.zero()] * self.dim
+            total = [field.zero()] * n
             for a, e in enumerate(self.idempotents):
                 for b, e2 in enumerate(self.idempotents):
                     prod = self.multiply(e, e2)
@@ -998,16 +1031,39 @@ class SCAlgebra:
                 total = [field.add(x, y) for x, y in zip(total, e)]
             if tuple(total) != self.unit:
                 raise CompositionInconsistent("idempotents do not sum to the unit")
+        if peirce is not None:
+            self._grade_by(peirce)
+        return self
 
-    def multiply(self, x, y):
-        terms, p = self._terms, self.field.p
-        out = [self._zero] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        if not ys:
-            return tuple(out)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
+    @cached_property
+    def mult(self):
+        """The dense table, mult[i][j][k]: a view of the terms, built when
+        first read and kept."""
+        zero, n = self._zero, self.dim
+        out = []
+        for row in self._terms:
+            dense = []
+            for t in row:
+                v = [zero] * n
+                for k, c in t:
+                    v[k] = c
+                dense.append(tuple(v))
+            out.append(tuple(dense))
+        return tuple(out)
+
+    @staticmethod
+    def _support(vec):
+        """The pairs (i, vec[i]) with vec[i] != 0, found at C speed."""
+        return [(i, vec[i]) for i in compress(range(len(vec)), vec)]
+
+    def _product(self, xs, ys) -> dict:
+        """x*y for x and y given by their nonzero pairs (i, x_i): {k: c} over
+        the coordinates k that a term reaches (c may cancel to zero).  Only
+        the terms of the pairs (i, j) with x_i and y_j nonzero are read."""
+        terms, p, zero = self._terms, self.field.p, self._zero
+        out = {}
+        get = out.get
+        for i, xi in xs:
             row = terms[i]
             for j, yj in ys:
                 t = row[j]
@@ -1016,12 +1072,48 @@ class SCAlgebra:
                 c = xi * yj
                 if p is None:
                     for k, m in t:
-                        out[k] += c * m
+                        out[k] = get(k, zero) + c * m
                 else:
                     c %= p
                     for k, m in t:
-                        out[k] = (out[k] + c * m) % p
+                        out[k] = (get(k, zero) + c * m) % p
+        return out
+
+    def multiply(self, x, y):
+        """x*y of two coordinate vectors, over their nonzero coordinates."""
+        out = [self._zero] * self.dim
+        for k, c in self._product(self._support(x), self._support(y)).items():
+            out[k] = c
         return tuple(out)
+
+    def _grade_by(self, peirce):
+        """Check and keep the Peirce grading the table was built with: basis
+        element b lies in e_j Gamma e_i for (j, i) = peirce[b].  Two products
+        per basis element are checked, b*e_i = b and e_j*b = b; the other
+        2n - 2 vanish, since b*e_k = b*e_i*e_k = 0 and e_k*b = e_k*e_j*b = 0
+        for k != i, resp. k != j, by the orthogonality checked at
+        construction and the associativity that the library's tables
+        (``endo.end_algebra`` and its sub-tables) have by construction.  A
+        wrong grade raises ``NotSplit`` and keeps nothing."""
+        peirce, one = tuple(peirce), self.field.one()
+        idems = [self._support(e) for e in self.idempotents or ()]
+        if len(peirce) != self.dim:
+            raise NotSplit(f"{len(peirce)} grades for {self.dim} basis elements")
+        for b, (j, i) in enumerate(peirce):
+            unit_b = ((b, one),)
+            if not (0 <= i < len(idems) and 0 <= j < len(idems)) or \
+                    _nonzero(self._product(unit_b, idems[i])) != {b: one} or \
+                    _nonzero(self._product(idems[j], unit_b)) != {b: one}:
+                raise NotSplit(f"basis element {b} does not lie in e_{j} Gamma e_{i}")
+        self._keep_gradings(peirce)
+
+    def _keep_gradings(self, peirce):
+        """Keep (peirce, one, n), read by ``scmodule._gradings``: ``one``
+        puts every basis element at (0, 0), and with one idempotent peirce
+        is one."""
+        one = ((0, 0),) * self.dim
+        n = 1 if self.idempotents is None else len(self.idempotents)
+        self._gradings = (one if peirce is not None and n == 1 else peirce, one, n)
 
     def validate(self):
         """Associativity on every triple of basis elements."""
@@ -1039,6 +1131,11 @@ class SCAlgebra:
         return f"SCAlgebra(dim={self.dim})"
 
 
+def _nonzero(prod: dict) -> dict:
+    """The coordinates of a ``SCAlgebra._product`` that did not cancel."""
+    return {k: c for k, c in prod.items() if c}
+
+
 def sc_of_bqa(a: BQA) -> SCAlgebra:
     """Structure-constant view of a bound quiver algebra, built once per
     algebra (modules over it compare their algebras by identity); the
@@ -1046,32 +1143,39 @@ def sc_of_bqa(a: BQA) -> SCAlgebra:
     if a._sc is not None:
         return a._sc
     f = a.field
-    mult = [[a.product(i, j) for j in range(a.dim)] for i in range(a.dim)]
+    support = SCAlgebra._support
+    terms = [[tuple(support(a.product(i, j))) for j in range(a.dim)] for i in range(a.dim)]
     idems = [a.idempotent_vector(v) for v in a.quiver.vertices]
     rad = []
     for i in a.radical_indices():
         vec = [f.zero()] * a.dim
         vec[i] = f.one()
         rad.append(tuple(vec))
-    a._sc = SCAlgebra(f, mult, a.unit_vector(), idempotents=idems, radical=rad)
+    a._sc = SCAlgebra._of_terms(f, terms, a.unit_vector(), idempotents=idems, radical=rad)
     return a._sc
 
 
 def _is_nilpotent(sc: SCAlgebra, vecs) -> bool:
     """Whether the span of ``vecs`` is nilpotent: its powers, each reduced to a
-    row basis, reach zero within dim + 1 steps."""
-    layer = list(vecs)
-    for _ in range(sc.dim + 1):
+    row basis, reach zero within dim + 1 steps.  Products run over the
+    nonzero coordinates of their factors."""
+    n, zero = sc.dim, sc._zero
+    gens = [sc._support(v) for v in vecs]
+    layer = gens
+    for _ in range(n + 1):
         if not layer:
             break
         nxt = []
-        for x in layer:
-            for y in vecs:
-                p = sc.multiply(x, y)
-                if any(p):
-                    nxt.append(p)
-        red, pivots, _ = _reduced_span(Mat.from_rows(sc.field, nxt))
-        layer = [red[i * sc.dim:(i + 1) * sc.dim] for i in range(len(pivots))]
+        for xs in layer:
+            for ys in gens:
+                p = sc._product(xs, ys)
+                if any(p.values()):
+                    row = [zero] * n
+                    for k, c in p.items():
+                        row[k] = c
+                    nxt.append(row)
+        red, pivots, _ = _reduced_span(Mat(sc.field, len(nxt), n, tuple(chain.from_iterable(nxt))))
+        layer = [sc._support(red[i * n:(i + 1) * n]) for i in range(len(pivots))]
     return not layer
 
 
@@ -1081,7 +1185,9 @@ def radical_sc(sc: SCAlgebra):
 
     The fallback for structure-constant algebras built without a radical, and
     the independent oracle for the radicals that ``sc_of_bqa`` and
-    ``endo.end_algebra`` attach.  O(dim^4) field operations.
+    ``endo.end_algebra`` attach.  It reads the table only, never
+    ``known_radical``.  The trace form is summed over the nonzero terms:
+    dim times the number of nonzero structure constants field operations.
 
     The kernel T of (a, b) -> tr(L_a L_b) is a two-sided ideal that holds
     rad A.  For a in T and 1 <= k <= dim A, tr(L_a^k) = tr(L_a L_(a^(k-1)))
@@ -1097,20 +1203,20 @@ def radical_sc(sc: SCAlgebra):
     if f.p is not None and f.p <= n:
         raise CharPNotSupported(f"trace-form radical needs characteristic 0 or p > dim A: "
                                 f"p = {f.p}, dim A = {n}")
-    # T[i][j] = trace(L_i L_j) = sum_{l,k} mult[i][l][k] * mult[j][k][l]
+    # T[i][j] = trace(L_i L_j) = sum_{l,k} mult[i][l][k] * mult[j][k][l]: the
+    # sum of c * d over the terms (k, c) of (i, l) whose (j, k) has a term
+    # (l, d), in the order of l, then k
+    at = [{(l, k): c for l, t in enumerate(row) for k, c in t} for row in sc._terms]
     rows = []
     for i in range(n):
+        pairs = [(l, k, c) for l, t in enumerate(sc._terms[i]) for k, c in t]
         row = []
         for j in range(n):
-            acc = f.zero()
-            for l in range(n):
-                mi = sc.mult[i][l]
-                for k in range(n):
-                    c = mi[k]
-                    if c != f.zero():
-                        d = sc.mult[j][k][l]
-                        if d != f.zero():
-                            acc = f.add(acc, f.mul(c, d))
+            acc, get = f.zero(), at[j].get
+            for l, k, c in pairs:
+                d = get((k, l))
+                if d:
+                    acc = f.add(acc, f.mul(c, d))
             row.append(acc)
         rows.append(row)
     t = Mat.from_rows(f, rows) if n else Mat.zeros(f, 0, 0)

@@ -81,10 +81,11 @@ def _one_type(values) -> tuple:
 
 def _scalar_of(field: Field, x):
     """``x``, a value that is no int, as a scalar of ``field``: over QQ a
-    Fraction passes; anything else (a float, a string, a Fraction over
-    GF(p)) raises ``QuivhomError``."""
+    Fraction passes, in its one type (an integral one as an int); anything
+    else (a float, a string, a Fraction over GF(p)) raises
+    ``QuivhomError``."""
     if field.kind == "q" and isinstance(x, Fraction):
-        return x
+        return _q(x)
     raise QuivhomError(f"{x!r} is not a scalar of {field}")
 
 

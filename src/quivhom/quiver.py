@@ -55,6 +55,8 @@ def make_quiver(vertices, arrows, require_acyclic: bool = True) -> Quiver:
             name, s, t = a.name, a.source, a.target
         else:
             try:
+                if isinstance(a, str):  # it would unpack into its characters
+                    raise TypeError
                 name, s, t = a
             except (TypeError, ValueError):
                 raise QuivhomError(f"arrow {a!r} is not a (name, source, target) triple") from None

@@ -36,7 +36,8 @@ whose basis is not adapted to them, has a single grade: each basis element
 acts by one full block, and the same code runs on it.  Modules of different
 gradings meet (in sums, maps and hom bases) with one grade each.  The
 grading of an algebra is read once, by 2 dim n products; ``endo`` hands the
-End tables the grading of their hom blocks instead (``_grade_by``).
+End tables the grading of their hom blocks instead, which their
+constructor checks (``SCAlgebra._grade_by``).
 
 The graded bases (those of ``sc_of_bqa``, ``endo.end_algebra`` and its
 corners, and the triangular rings of ``trimat``) are adapted to the
@@ -86,7 +87,7 @@ def _gradings(sc: SCAlgebra):
     or its basis is not adapted to them (b*e_i or e_j*b neither b nor 0).
     ``one`` puts every basis element at (0, 0), the grading with one grade;
     with one idempotent the two are the same object.  An algebra that was
-    handed its grading (``_grade_by``) is not read again."""
+    handed its grading (``SCAlgebra._grade_by``) is not read again."""
     if sc._gradings is None:
         peirce = None
         if sc.idempotents is not None:
@@ -102,34 +103,8 @@ def _gradings(sc: SCAlgebra):
                             adapted = False
             if adapted:
                 peirce = tuple(zip(ends, starts))
-        _keep_gradings(sc, peirce)
+        sc._keep_gradings(peirce)
     return sc._gradings
-
-
-def _keep_gradings(sc: SCAlgebra, peirce):
-    """Keep (peirce, one, n) on ``sc``: with one idempotent, peirce is one."""
-    one = ((0, 0),) * sc.dim
-    n = 1 if sc.idempotents is None else len(sc.idempotents)
-    sc._gradings = (one if peirce is not None and n == 1 else peirce, one, n)
-
-
-def _grade_by(sc: SCAlgebra, peirce):
-    """Hand ``sc`` the Peirce grading it was built with: basis element b lies
-    in e_j Gamma e_i for (j, i) = peirce[b].  Two products per basis element
-    are checked, b*e_i = b and e_j*b = b; the other 2n - 2 vanish, since
-    b*e_k = b*e_i*e_k = 0 and e_k*b = e_k*e_j*b = 0 for k != i, resp. k != j,
-    by the orthogonality that ``SCAlgebra`` checks and the associativity
-    that the library's tables (``endo.end_algebra`` and its sub-tables) have
-    by construction.  A wrong grade raises ``NotSplit``."""
-    peirce, idems = tuple(peirce), sc.idempotents or ()
-    if len(peirce) != sc.dim:
-        raise NotSplit(f"{len(peirce)} grades for {sc.dim} basis elements")
-    for b, vec in enumerate(Mat.identity(sc.field, sc.dim).row_list()):
-        (j, i), vec = peirce[b], tuple(vec)
-        if not (0 <= i < len(idems) and 0 <= j < len(idems)) or \
-                sc.multiply(vec, idems[i]) != vec or sc.multiply(idems[j], vec) != vec:
-            raise NotSplit(f"basis element {b} does not lie in e_{j} Gamma e_{i}")
-    _keep_gradings(sc, peirce)
 
 
 def _take(m: Mat, rows, cols) -> Mat:
@@ -396,7 +371,7 @@ def _table_module(over: SCAlgebra, table: SCAlgebra, acting, basis, ends=None) -
     as table's element acting[t] by left multiplication, g*h = mult[g][h].
     Graded by over's idempotents, ``ends[k]`` the one that fixes basis[k]
     (by default its end in table's own grading, for table = over); the
-    blocks are read off the table and no other coordinate is read."""
+    blocks are read off the table's terms and no other coordinate is read."""
     peirce, one, _ = _gradings(over)
     basis = list(basis)
     if peirce is None:
@@ -405,19 +380,27 @@ def _table_module(over: SCAlgebra, table: SCAlgebra, acting, basis, ends=None) -
         at = peirce
         grade = ends if ends is not None else [peirce[h][0] for h in basis]
     m = SCModule._of_blocks(over, grade, at, [])
+    rows = [{basis[k]: r for r, k in enumerate(cs)} for cs in m.coords]
+    cols = [[basis[k] for k in cs] for cs in m.coords]
     for g, (j, i) in zip(acting, at):
-        m.blocks.append(_sub_table(table, g, [basis[k] for k in m.coords[j]],
-                                   [basis[k] for k in m.coords[i]]))
+        m.blocks.append(_sub_table(table, g, rows[j], cols[i]))
     return m
 
 
-def _sub_table(sc: SCAlgebra, g, rows, cols, left: bool = True) -> Mat:
+def _sub_table(sc: SCAlgebra, g, rows: dict, cols, left: bool = True) -> Mat:
     """The matrix whose column t is the product g*h (h*g if not ``left``),
-    h = cols[t], read at the coordinates ``rows``: the one reader of
-    sub-tables of the structure constants."""
-    mult = sc.mult
-    prods = [mult[g][h] for h in cols] if left else [mult[h][g] for h in cols]
-    return Mat(sc.field, len(rows), len(cols), tuple(p[r] for r in rows for p in prods))
+    h = cols[t], read at the coordinates ``rows`` ({coordinate: row}): the
+    one reader of sub-tables of the structure constants.  Only the nonzero
+    terms of the products are read; a term at a coordinate outside ``rows``
+    is dropped."""
+    terms, w = sc._terms, len(cols)
+    ent = [sc._zero] * (len(rows) * w)
+    for t, h in enumerate(cols):
+        for k, c in terms[g][h] if left else terms[h][g]:
+            r = rows.get(k)
+            if r is not None:
+                ent[r * w + t] = c
+    return Mat(sc.field, len(rows), w, tuple(ent))
 
 
 def sc_module_of_algmod(m, sc: SCAlgebra = None) -> SCModule:
@@ -743,7 +726,9 @@ def table_actions(sc: SCAlgebra, acting, basis, left: bool = True):
     """One matrix per basis index g in ``acting`` on the span of the basis
     elements at ``basis``: g*h = mult[g][h] if ``left``, else h*g = mult[h][g].
     The span must be closed under these products; no other coordinate is read."""
-    return [_sub_table(sc, g, basis, basis, left) for g in acting]
+    basis = list(basis)
+    rows = {h: r for r, h in enumerate(basis)}
+    return [_sub_table(sc, g, rows, basis, left) for g in acting]
 
 
 def column_data(sc: SCAlgebra) -> ColumnData:

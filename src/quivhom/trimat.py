@@ -106,7 +106,7 @@ class TriRingSpec:
 
 def _triangular_algebra(r: SCAlgebra, s: SCAlgebra, m: Bimodule) -> SCAlgebra:
     """T on the basis of R, then M, then S: (r, m, s)(r', m', s') =
-    (rr', m r' + s m', ss'), read off R's and S's tables and M's actions
+    (rr', m r' + s m', ss'), its terms read off R's and S's and M's actions
     (column k of ``right[c]`` is m_k c, of ``left[b]`` is b m_k).  Its
     idempotents are R's, then S's, and its radical is rad R + M + rad S."""
     f, zero = r.field, r.field.zero()
@@ -118,19 +118,26 @@ def _triangular_algebra(r: SCAlgebra, s: SCAlgebra, m: Bimodule) -> SCAlgebra:
         out[start:start + len(vec)] = vec
         return tuple(out)
 
-    mult = [[(zero,) * n] * n for _ in range(n)]
+    def shifted(start, pairs):  # each (k, c) moved to (start + k, c)
+        return tuple((start + k, c) for k, c in pairs)
+
+    def column(a, k):
+        return shifted(mo, SCAlgebra._support(a.entries[k::m.dim]))
+
+    terms = [[()] * n for _ in range(n)]
     for i in range(r.dim):
-        mult[i][:r.dim] = [at(0, v) for v in r.mult[i]]
+        terms[i][:r.dim] = r._terms[i]
     for k in range(m.dim):
-        mult[mo + k][:r.dim] = [at(mo, a.entries[k::m.dim]) for a in m.right]
+        terms[mo + k][:r.dim] = [column(a, k) for a in m.right]
     for b in range(s.dim):
-        mult[so + b][mo:so] = [at(mo, m.left[b].entries[k::m.dim]) for k in range(m.dim)]
-        mult[so + b][so:] = [at(so, v) for v in s.mult[b]]
+        terms[so + b][mo:so] = [column(m.left[b], k) for k in range(m.dim)]
+        terms[so + b][so:] = [shifted(so, t) for t in s._terms[b]]
     idempotents = None if r.idempotents is None or s.idempotents is None else \
         [at(0, e) for e in r.idempotents] + [at(so, e) for e in s.idempotents]
     radical = ([at(0, v) for v in scm.radical_of(r)] + Mat.identity(f, n).row_list()[mo:so]
                + [at(so, v) for v in scm.radical_of(s)])
-    return SCAlgebra(f, mult, tuple(r.unit) + (zero,) * m.dim + tuple(s.unit), idempotents, radical)
+    return SCAlgebra._of_terms(f, terms, tuple(r.unit) + (zero,) * m.dim + tuple(s.unit),
+                               idempotents, radical)
 
 
 def t2_spec(base_bqa, name="T2") -> TriRingSpec:

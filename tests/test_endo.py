@@ -303,12 +303,13 @@ def test_end_iso_catches_a_swapped_structure_constant(monkeypatch):
     real = endo.path_block_algebra
 
     def swapped(g, sub):
+        # the check reads the terms of (End A)Q', so the swap is planted there
         sc, labels = real(g, sub)
-        mult = [list(row) for row in sc.mult]
-        i, j = next((i, j) for i in range(sc.dim) for j in range(sc.dim) if any(mult[i][j]))
-        j2 = next(j2 for j2 in range(sc.dim) if mult[i][j2] != mult[i][j])
-        mult[i][j], mult[i][j2] = mult[i][j2], mult[i][j]
-        return types.SimpleNamespace(dim=sc.dim, mult=mult), labels
+        terms = [list(row) for row in sc._terms]
+        i, j = next((i, j) for i in range(sc.dim) for j in range(sc.dim) if terms[i][j])
+        j2 = next(j2 for j2 in range(sc.dim) if terms[i][j2] != terms[i][j])
+        terms[i][j], terms[i][j2] = terms[i][j2], terms[i][j]
+        return types.SimpleNamespace(dim=sc.dim, _terms=terms), labels
 
     assert endo.adjoint_end_iso(q, gamma, lhs).verified
     monkeypatch.setattr(endo, "path_block_algebra", swapped)
@@ -610,7 +611,7 @@ def test_sigma_sub_table_against_the_triangular_ring(name):
 
 def block_radical_parts(e):
     n = len(e.summands)
-    return endo._block_radical(e.cat.field, e.blocks, e.sc.mult, n)
+    return endo._block_radical(e.cat.field, e.blocks, e.sc._terms, n)
 
 
 def test_certificate_refuses_a_candidate_that_is_not_an_ideal():

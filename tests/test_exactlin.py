@@ -380,6 +380,15 @@ def test_rational_values_have_one_type():
             assert x == ref
 
 
+def test_integral_fractions_enter_as_ints():
+    # Mat.from_rows and Mat.column take a rational in its one type, as every
+    # other entry point does: an integral Fraction becomes an int
+    got = [Mat.from_rows(QQ, [[Fraction(2, 1), Fraction(1, 2)], [3, Fraction(-4, 2)]]).entries,
+           Mat.column(QQ, [Fraction(6, 3), Fraction(1, 3), 5]).entries]
+    assert got == [(2, Fraction(1, 2), 3, -2), (2, Fraction(1, 3), 5)]
+    assert [type(x) for e in got for x in e] == [int, Fraction, int, int, int, Fraction, int]
+
+
 def test_inv_and_div_match_the_fraction_forms():
     # QQ.inv and QQ.div read 1/a off a; their values and types are those of
     # _q(1 / Fraction(a)) and _q(Fraction(a) / b)

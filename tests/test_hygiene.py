@@ -567,6 +567,27 @@ def test_no_constructor_takes_a_restated_part():
     assert found == CONSTRUCTOR_SIGNATURES
 
 
+# the only readers of an algebra's dense table (the view ``SCAlgebra.mult``,
+# built from its sparse terms when first read): the checks that compare
+# against every product of basis elements.  Constructions, cuts, products,
+# the radical and its oracle read the terms.
+DENSE_TABLE_READERS = {"algebra.SCAlgebra.validate", "scmodule.SCModule.check", "trimat.Bimodule.check"}
+
+
+def test_only_the_checks_read_the_dense_table():
+    found = set()
+    for p in sorted(SRC.glob("*.py")):
+        stack = [(ast.parse(p.read_text(encoding="utf-8")), ())]
+        while stack:
+            n, scope = stack.pop()
+            if isinstance(n, _DEFINITIONS):
+                scope = scope + (n.name,)
+            if isinstance(n, ast.Attribute) and n.attr == "mult":
+                found.add(".".join((p.stem,) + scope))
+            stack.extend((c, scope) for c in ast.iter_child_nodes(n))
+    assert found == DENSE_TABLE_READERS
+
+
 def test_paths_are_enumerated_once_per_plan_and_path_block_algebra():
     # an adjoint's copies are indexed by its plan, built once per Lambda Q,
     # side and vertex: in repcat only the plan builder enumerates paths, and

@@ -56,6 +56,7 @@ REFUSALS = {
                                                [[[1]]] * _sc().dim),
     # malformed quivers
     "arrow of two parts": lambda: qv.make_quiver(["1", "2"], [("a", "1")]),
+    "arrow as a string": lambda: qv.make_quiver(["1", "2"], ["a12"]),
     # caps, lengths and degrees that are no ints
     "pd cap": lambda: alg.pd(_simple(), "3"),
     "gldim cap": lambda: alg.gldim(_ka2(), "3"),

@@ -433,5 +433,9 @@ def test_end_tables_are_handed_the_grading_their_products_read(name):
         for b, wrong in ([(off, peirce[off][::-1])] if off is not None else []) + [(0, (len(peirce), 0))]:
             planted = alg.SCAlgebra(sc.field, sc.mult, sc.unit, sc.idempotents, sc.known_radical)
             with pytest.raises(NotSplit):
-                scm._grade_by(planted, peirce[:b] + [wrong] + peirce[b + 1:])
+                planted._grade_by(peirce[:b] + [wrong] + peirce[b + 1:])
             assert planted._gradings is None
+            # the constructor that is handed the grading refuses it as well
+            with pytest.raises(NotSplit):
+                alg.SCAlgebra._of_terms(sc.field, sc._terms, sc.unit, sc.idempotents,
+                                        sc.known_radical, peirce[:b] + [wrong] + peirce[b + 1:])
